@@ -74,13 +74,7 @@ func TestAdaptiveE2E(t *testing.T) {
 		t.Skip("multi-second acceptance run")
 	}
 	spec := adaptiveSpec()
-	cfg := Config{Spec: spec, ProfileSamples: 1500, Batch: 32}
-	srv, ctrl, err := NewAdaptiveServer(ReCross, cfg, 4, ServeOptions{
-		MaxBatch: 32,
-		// Long relative to a wave's concurrent submission: batches flush at
-		// MaxBatch, not the timer, so every batch is a full one.
-		MaxDelay: 50 * time.Millisecond,
-	}, AdaptOptions{
+	cfg := Config{Spec: spec, ProfileSamples: 1500, Batch: 32, Adapt: &AdaptOptions{
 		Threshold: 0.12,
 		Windows:   2,
 		// Cooldown left at the 30s default: it is part of the hysteresis
@@ -89,10 +83,17 @@ func TestAdaptiveE2E(t *testing.T) {
 		MinGain:         0.05,
 		AmortizeBatches: 1_000_000,
 		MinSamples:      400,
+	}}
+	st, err := NewStack(ReCross, cfg, 4, ServeOptions{
+		MaxBatch: 32,
+		// Long relative to a wave's concurrent submission: batches flush at
+		// MaxBatch, not the timer, so every batch is a full one.
+		MaxDelay: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv, ctrl := st.Server, st.Adapt
 	defer srv.Close()
 
 	layer, err := NewLayer(spec)
@@ -235,15 +236,10 @@ func BenchmarkServeObserver(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run("observer="+mode, func(b *testing.B) {
 			cfg := Config{Spec: spec, ProfileSamples: 500, Batch: 16}
-			var srv *Server
-			var err error
 			if mode == "on" {
-				var ctrl *AdaptController
-				srv, ctrl, err = NewAdaptiveServer(ReCross, cfg, 1, ServeOptions{MaxBatch: 16}, AdaptOptions{})
-				_ = ctrl // observe-only: never stepped
-			} else {
-				srv, err = NewServer(ReCross, cfg, 1, ServeOptions{MaxBatch: 16})
+				cfg.Adapt = &AdaptOptions{} // observe-only: never stepped
 			}
+			srv, err := NewServer(ReCross, cfg, 1, ServeOptions{MaxBatch: 16})
 			if err != nil {
 				b.Fatal(err)
 			}

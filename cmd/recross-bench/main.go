@@ -19,11 +19,11 @@
 //	-ranks N      ranks per channel (default 2)
 //	-json         machine-readable output: one JSON document on stdout
 //	              (progress moves to stderr)
-//	-perf FILE    run the scheduler perf microbenchmarks and write a JSON
-//	              trajectory file (e.g. BENCH_PR4.json); without experiment
-//	              names, runs only the perf suite
 //	-cpuprofile FILE  write a CPU profile of the run
 //	-memprofile FILE  write a heap profile at exit
+//
+// Performance measurement lives in benchmark/ (see benchmark/README.md);
+// this command only reproduces the paper's evaluation.
 package main
 
 import (
@@ -71,25 +71,12 @@ func main() {
 	pooling := flag.Int("pooling", 0, "gathers per op (0 = default)")
 	veclen := flag.Int("veclen", 0, "embedding vector length (0 = default)")
 	ranks := flag.Int("ranks", 0, "ranks per channel (0 = default)")
-	perfOut := flag.String("perf", "", "run the scheduler perf microbenchmarks and write a JSON trajectory file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 
 	finishProfiles := startProfiles(*cpuprofile, *memprofile)
 	defer finishProfiles()
-
-	if *perfOut != "" {
-		if err := runPerf(*perfOut); err != nil {
-			fmt.Fprintf(os.Stderr, "perf: %v\n", err)
-			finishProfiles()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "perf: wrote %s\n", *perfOut)
-		if len(flag.Args()) == 0 {
-			return
-		}
-	}
 
 	cfg := experiments.Paper()
 	if *quick {

@@ -1,0 +1,92 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestFlagsGolden: the flag set's names and default strings are the
+// command's public surface; testdata/flags.golden pins all 86.
+func TestFlagsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o options
+	fs := flag.NewFlagSet("recross-serve", flag.ContinueOnError)
+	bind(fs, &o)
+	var got strings.Builder
+	n := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		fmt.Fprintf(&got, "%s=%s\n", f.Name, f.DefValue)
+		// Bound straight onto the config: the live value must read back
+		// as the default before any parsing.
+		if f.Value.String() != f.DefValue {
+			t.Errorf("-%s: bound value %q != default %q", f.Name, f.Value, f.DefValue)
+		}
+	})
+	if n != 86 {
+		t.Errorf("%d flags, want 86", n)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flag names/defaults drifted from testdata/flags.golden:\n%s", got.String())
+	}
+}
+
+// TestRunComposedSmoke: every optional stage on at once — cold tier,
+// adaptive repartitioning, replica chaos, int8 storage — in one loadgen
+// process; no request may fail and the resolved config must be printed.
+func TestRunComposedSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2-replica Criteo-Kaggle stack")
+	}
+	var stdout, stderr bytes.Buffer
+	// -cold-cap-mb: the default 1 GiB cold tier cannot hold the ~8 GB
+	// Criteo-Kaggle tables an 8 MiB DRAM budget displaces.
+	dir := t.TempDir()
+	err := run(strings.Fields("-loadgen -duration 300ms -replicas 2 -cold -cold-budget-mb 8 -cold-cap-mb 16384 -cold-dir "+dir+
+		" -adapt -chaos-latency 0.05 -chaos-panic 0.01 -precision int8"), &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
+	}
+	out := stdout.String()
+	if !regexp.MustCompile(`completed  [1-9]`).MatchString(out) {
+		t.Errorf("report shows no completed requests:\n%s", out)
+	}
+	if m := regexp.MustCompile(`failed (\d+), errors (\d+)`).FindStringSubmatch(out); m != nil && (m[1] != "0" || m[2] != "0") {
+		t.Errorf("requests failed under composed chaos:\n%s", out)
+	}
+	if !strings.Contains(out, "  adapt      ") {
+		t.Errorf("report lacks the adapt line:\n%s", out)
+	}
+	for _, want := range []string{" -adapt=true", " -cold=true", " -chaos-panic=0.01", " -precision=int8", " -cold-budget-mb=8"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("config dump lacks %q:\n%s", want, stderr.String())
+		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("cold backing file survived close: %v", left)
+	}
+}
+
+// TestRunRejects: flag and composition errors surface as errors from
+// run, not process exits.
+func TestRunRejects(t *testing.T) {
+	for _, args := range []string{
+		"-no-such-flag",
+		"-precision fp8",
+		"-chaos-cold-read-err 0.1", // needs -cold
+		"-cluster 2 -adapt",        // the router's rebalance loop owns adaptation
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(strings.Fields(args), &stdout, &stderr); err == nil {
+			t.Errorf("run(%q) = nil, want an error", args)
+		}
+	}
+}

@@ -107,19 +107,21 @@ func TestColdTierE2E(t *testing.T) {
 		t.Fatal("cold gathers priced at zero cycles")
 	}
 
-	srv, ctrl, err := NewAdaptiveServer(ReCross, cfg, 2, ServeOptions{
-		MaxBatch: 32,
-		MaxDelay: 50 * time.Millisecond,
-	}, AdaptOptions{
+	cfg.Adapt = &AdaptOptions{
 		Threshold:       0.12,
 		Windows:         2,
 		MinGain:         0.05,
 		AmortizeBatches: 1_000_000,
 		MinSamples:      400,
+	}
+	stack, err := NewStack(ReCross, cfg, 2, ServeOptions{
+		MaxBatch: 32,
+		MaxDelay: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv, ctrl := stack.Server, stack.Adapt
 	defer srv.Close()
 
 	// All-DRAM functional reference: a fresh layer with no cold route.

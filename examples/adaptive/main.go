@@ -37,18 +37,20 @@ func main() {
 	cfg := recross.Config{Spec: spec, ProfileSamples: 1500, Batch: 32}
 
 	fmt.Println("building a 2-replica adaptive ReCross pool...")
-	srv, ctrl, err := recross.NewAdaptiveServer(recross.ReCross, cfg, 2, recross.ServeOptions{
-		MaxBatch: 32,
-		MaxDelay: 200 * time.Microsecond,
-	}, recross.AdaptOptions{
+	cfg.Adapt = &recross.AdaptOptions{
 		Threshold:       0.12,
 		Windows:         2,
 		Cooldown:        time.Millisecond, // demo: adopt as soon as the gate clears
 		MinGain:         0.02,
 		AmortizeBatches: 1_000_000,
 		MinSamples:      400,
+	}
+	stack, err := recross.NewStack(recross.ReCross, cfg, 2, recross.ServeOptions{
+		MaxBatch: 32,
+		MaxDelay: 200 * time.Microsecond,
 	})
 	check(err)
+	srv, ctrl := stack.Server, stack.Adapt
 	defer srv.Close()
 
 	layer, err := recross.NewLayer(spec)

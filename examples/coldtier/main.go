@@ -62,18 +62,20 @@ func main() {
 	}
 
 	fmt.Println("\nbuilding a 2-replica adaptive pool with the cold tier attached...")
-	srv, ctrl, err := recross.NewAdaptiveServer(recross.ReCross, cfg, 2, recross.ServeOptions{
-		MaxBatch: 32,
-		MaxDelay: 200 * time.Microsecond,
-	}, recross.AdaptOptions{
+	cfg.Adapt = &recross.AdaptOptions{
 		Threshold:       0.12,
 		Windows:         2,
 		Cooldown:        time.Millisecond, // demo: adopt as soon as the gate clears
 		MinGain:         0.02,
 		AmortizeBatches: 1_000_000,
 		MinSamples:      400,
+	}
+	stack, err := recross.NewStack(recross.ReCross, cfg, 2, recross.ServeOptions{
+		MaxBatch: 32,
+		MaxDelay: 200 * time.Microsecond,
 	})
 	check(err)
+	srv, ctrl := stack.Server, stack.Adapt
 	defer srv.Close()
 
 	ref, err := recross.NewLayer(spec) // all-DRAM functional reference

@@ -152,10 +152,6 @@ func NewChannelSim(spec ChannelSpec) (*ChannelSim, error) {
 	return s, nil
 }
 
-// Channel exposes the underlying channel (for stats inspection between
-// runs; its counters are cleared by the next Run).
-func (s *ChannelSim) Channel() *dram.Channel { return s.ch }
-
 // Run resets the channel, drains reqs, and then streams resultBursts of
 // reduced results back over the channel DQ. It returns the end-to-end
 // finish time, a stats snapshot (safe to retain: it does not alias the

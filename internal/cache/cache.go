@@ -105,9 +105,6 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.hits) / float64(total)
 }
 
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() uint64 { return c.lineBytes }
-
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
 	for i := range c.tags {

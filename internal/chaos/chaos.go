@@ -129,11 +129,6 @@ type Rates struct {
 	Latency, Panic, Wedge, Corrupt float64
 }
 
-// zero reports whether no probabilistic injection is configured.
-func (r Rates) zero() bool {
-	return r.Latency == 0 && r.Panic == 0 && r.Wedge == 0 && r.Corrupt == 0
-}
-
 // Rule scripts one exact fault: replica Replica (as passed to Wrap)
 // injects Kind on its Batch'th Run call (1-based). Scheduled rules fire
 // regardless of Rates and of the injector's enabled switch being flipped
@@ -229,9 +224,7 @@ type FaultySystem struct {
 	cfg     Config
 	replica int
 	inj     *Injector
-	rng     *rand.Rand
-	runs    int64
-	rules   map[int64]Kind // batch number -> scripted fault
+	picker  *Picker // op = Run call number
 }
 
 // Wrap builds a FaultySystem for replica id. Schedule rules whose
@@ -248,13 +241,14 @@ func Wrap(inner arch.System, cfg Config, id int, inj *Injector) *FaultySystem {
 			rules[r.Batch] = r.Kind
 		}
 	}
+	r := cfg.Rates
 	return &FaultySystem{
 		inner:   inner,
 		cfg:     cfg,
 		replica: id,
 		inj:     inj,
-		rng:     rand.New(rand.NewSource(cfg.Seed + int64(id))),
-		rules:   rules,
+		picker: NewPicker(rand.New(rand.NewSource(cfg.Seed+int64(id))), inj, rules,
+			Rate{Panic, r.Panic}, Rate{Wedge, r.Wedge}, Rate{Corrupt, r.Corrupt}, Rate{Latency, r.Latency}),
 	}
 }
 
@@ -276,52 +270,16 @@ func (s *FaultySystem) Name() string { return "chaos(" + s.inner.Name() + ")" }
 // Inner returns the wrapped system.
 func (s *FaultySystem) Inner() arch.System { return s.inner }
 
-// Runs reports how many Run calls this wrapper has seen.
-func (s *FaultySystem) Runs() int64 { return s.runs }
-
-// pick decides whether this Run call injects a fault, and which.
-// Scheduled rules take precedence and fire even when the injector is
-// disabled; probabilistic faults draw from the per-replica RNG only
-// while enabled. The RNG is advanced exactly once per call regardless of
-// the enabled switch, so a run's fault sequence depends only on the
-// batch sequence, not on when the switch flips.
-func (s *FaultySystem) pick() (Kind, bool) {
-	var u float64
-	if !s.cfg.Rates.zero() {
-		u = s.rng.Float64()
-	}
-	if k, ok := s.rules[s.runs]; ok {
-		return k, true
-	}
-	if !s.inj.Enabled() || s.cfg.Rates.zero() {
-		return 0, false
-	}
-	r := s.cfg.Rates
-	switch {
-	case u < r.Panic:
-		return Panic, true
-	case u < r.Panic+r.Wedge:
-		return Wedge, true
-	case u < r.Panic+r.Wedge+r.Corrupt:
-		return Corrupt, true
-	case u < r.Panic+r.Wedge+r.Corrupt+r.Latency:
-		return Latency, true
-	default:
-		return 0, false
-	}
-}
-
 // Run executes the batch, possibly injecting one fault first.
 func (s *FaultySystem) Run(b trace.Batch) (*arch.RunStats, error) {
-	s.runs++
-	k, inject := s.pick()
+	k, inject := s.picker.Pick()
 	if !inject {
 		return s.inner.Run(b)
 	}
 	s.inj.counts[k].Add(1)
 	switch k {
 	case Panic:
-		panic(fmt.Sprintf("chaos: injected panic (replica %d, batch %d)", s.replica, s.runs))
+		panic(fmt.Sprintf("chaos: injected panic (replica %d, batch %d)", s.replica, s.picker.Ops()))
 	case Wedge:
 		<-s.inj.release
 		return nil, ErrWedgeReleased

@@ -24,9 +24,6 @@ type ColdRates struct {
 	ReadErr, Stall, CorruptPage, TornWrite float64
 }
 
-func (r ColdRates) readZero() bool  { return r.ReadErr == 0 && r.Stall == 0 && r.CorruptPage == 0 }
-func (r ColdRates) writeZero() bool { return r.TornWrite == 0 }
-
 // ColdRule scripts one exact storage fault: the Op'th read (for read
 // kinds) or write (TornWrite) injects Kind, 1-based. Like serve-layer
 // Rules, scheduled faults fire regardless of rates and of the injector's
@@ -82,12 +79,9 @@ type FaultyColdStore struct {
 
 	failed atomic.Bool
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	reads      int64
-	writes     int64
-	readRules  map[int64]Kind
-	writeRules map[int64]Kind
+	mu     sync.Mutex // guards both pickers (they share one RNG)
+	reads  *Picker    // op = device read number
+	writes *Picker    // op = device write number
 }
 
 // WrapColdDevice builds the fault-injecting device wrapper. inj may be
@@ -97,27 +91,25 @@ func WrapColdDevice(inner coldstore.Device, cfg ColdConfig, inj *Injector) *Faul
 	if inj == nil {
 		inj = NewInjector()
 	}
-	d := &FaultyColdStore{
-		inner:      inner,
-		cfg:        cfg,
-		inj:        inj,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		readRules:  make(map[int64]Kind),
-		writeRules: make(map[int64]Kind),
-	}
+	readRules, writeRules := map[int64]Kind{}, map[int64]Kind{}
 	for _, r := range cfg.Schedule {
 		switch r.Kind {
 		case ReadErr, Stall, CorruptPage:
-			d.readRules[r.Op] = r.Kind
+			readRules[r.Op] = r.Kind
 		case TornWrite:
-			d.writeRules[r.Op] = r.Kind
+			writeRules[r.Op] = r.Kind
 		}
 	}
-	return d
+	rng, r := rand.New(rand.NewSource(cfg.Seed)), cfg.Rates
+	return &FaultyColdStore{
+		inner: inner,
+		cfg:   cfg,
+		inj:   inj,
+		reads: NewPicker(rng, inj, readRules,
+			Rate{ReadErr, r.ReadErr}, Rate{Stall, r.Stall}, Rate{CorruptPage, r.CorruptPage}),
+		writes: NewPicker(rng, inj, writeRules, Rate{TornWrite, r.TornWrite}),
+	}
 }
-
-// Inner returns the wrapped device.
-func (d *FaultyColdStore) Inner() coldstore.Device { return d.inner }
 
 // FailDevice makes every subsequent I/O fail until RestoreDevice — a
 // sticky whole-device outage (controller death, pulled cable). The store's
@@ -131,55 +123,11 @@ func (d *FaultyColdStore) RestoreDevice() { d.failed.Store(false) }
 // Failed reports whether the device is in a sticky outage.
 func (d *FaultyColdStore) Failed() bool { return d.failed.Load() }
 
-// pickRead decides the fault for one read op. The RNG advances exactly
-// once per op with probabilistic rates configured, so the fault sequence
-// depends only on the operation sequence, not on the enabled switch.
-func (d *FaultyColdStore) pickRead() (Kind, bool) {
+// pick decides one device op's fault under the shared lock.
+func (d *FaultyColdStore) pick(p *Picker) (Kind, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.reads++
-	var u float64
-	if !d.cfg.Rates.readZero() {
-		u = d.rng.Float64()
-	}
-	if k, ok := d.readRules[d.reads]; ok {
-		return k, true
-	}
-	if !d.inj.Enabled() || d.cfg.Rates.readZero() {
-		return 0, false
-	}
-	r := d.cfg.Rates
-	switch {
-	case u < r.ReadErr:
-		return ReadErr, true
-	case u < r.ReadErr+r.Stall:
-		return Stall, true
-	case u < r.ReadErr+r.Stall+r.CorruptPage:
-		return CorruptPage, true
-	default:
-		return 0, false
-	}
-}
-
-// pickWrite decides the fault for one write op.
-func (d *FaultyColdStore) pickWrite() (Kind, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.writes++
-	var u float64
-	if !d.cfg.Rates.writeZero() {
-		u = d.rng.Float64()
-	}
-	if k, ok := d.writeRules[d.writes]; ok {
-		return k, true
-	}
-	if !d.inj.Enabled() || d.cfg.Rates.writeZero() {
-		return 0, false
-	}
-	if u < d.cfg.Rates.TornWrite {
-		return TornWrite, true
-	}
-	return 0, false
+	return p.Pick()
 }
 
 // ReadPage reads a page through the fault filter.
@@ -188,7 +136,7 @@ func (d *FaultyColdStore) ReadPage(page int64, dst []byte) error {
 		d.inj.counts[ReadErr].Add(1)
 		return ErrDeviceFailed
 	}
-	k, inject := d.pickRead()
+	k, inject := d.pick(d.reads)
 	if !inject {
 		return d.inner.ReadPage(page, dst)
 	}
@@ -218,7 +166,7 @@ func (d *FaultyColdStore) WritePage(page int64, src []byte) error {
 		d.inj.counts[ReadErr].Add(1)
 		return ErrDeviceFailed
 	}
-	k, inject := d.pickWrite()
+	k, inject := d.pick(d.writes)
 	if !inject {
 		return d.inner.WritePage(page, src)
 	}

@@ -26,11 +26,6 @@ type NodeRates struct {
 	Kill, Partition, Slow float64
 }
 
-// Zero reports whether no probabilistic injection is configured.
-func (r NodeRates) Zero() bool {
-	return r.Kill == 0 && r.Partition == 0 && r.Slow == 0
-}
-
 // NodeRule scripts one exact node fault: node Node (as passed to the
 // wrapper) injects Kind on its Call'th Lookup (1-based). Like replica
 // Rules, scheduled node faults fire regardless of Rates and of the
@@ -50,11 +45,6 @@ type NodeRule struct {
 // the per-conn pending tables must contain.
 type ConnRates struct {
 	Torn, Reset, Stall float64
-}
-
-// Zero reports whether no conn-level injection is configured.
-func (r ConnRates) Zero() bool {
-	return r.Torn == 0 && r.Reset == 0 && r.Stall == 0
 }
 
 // NodeConfig configures node-level fault injection.

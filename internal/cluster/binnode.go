@@ -106,9 +106,6 @@ func NewBinNode(id, addr string, opts BinNodeOptions) *BinNode {
 // ID names the node.
 func (n *BinNode) ID() string { return n.id }
 
-// Addr reports the peer address.
-func (n *BinNode) Addr() string { return n.addr }
-
 // WireMetrics exposes the transport counters (the router's exposition
 // discovers them through this method).
 func (n *BinNode) WireMetrics() *WireMetrics { return &n.m }

@@ -29,15 +29,28 @@ var errConnInjected = fmt.Errorf("chaos: injected conn fault")
 // chaos.ConnRates: Torn (write a prefix, sever), Reset (sever before
 // writing), Stall (delay the write). Severing closes the underlying
 // conn, so the peer and this side's reader observe it too — exactly a
-// real dying-mid-write connection. One RNG draw per Write, guarded:
+// real dying-mid-write connection. One picker draw per Write, guarded:
 // deterministic per (seed, node, conn sequence).
 type faultyConn struct {
 	net.Conn
-	cfg  chaos.NodeConfig
-	inj  *chaos.Injector
-	mu   sync.Mutex
-	rng  *rand.Rand
-	dead bool
+	cfg    chaos.NodeConfig
+	inj    *chaos.Injector
+	mu     sync.Mutex    // guards picker, dead
+	picker *chaos.Picker // op = Write call number
+	dead   bool
+}
+
+func newFaultyConn(c net.Conn, cfg chaos.NodeConfig, inj *chaos.Injector, seed int64) *faultyConn {
+	r := cfg.Conn
+	return &faultyConn{
+		Conn: c,
+		cfg:  cfg,
+		inj:  inj,
+		picker: chaos.NewPicker(rand.New(rand.NewSource(seed)), inj, nil,
+			chaos.Rate{Kind: chaos.ConnTorn, P: r.Torn},
+			chaos.Rate{Kind: chaos.ConnReset, P: r.Reset},
+			chaos.Rate{Kind: chaos.ConnStall, P: r.Stall}),
+	}
 }
 
 func (fc *faultyConn) Write(p []byte) (int, error) {
@@ -46,20 +59,7 @@ func (fc *faultyConn) Write(p []byte) (int, error) {
 		fc.mu.Unlock()
 		return 0, errConnInjected
 	}
-	var k chaos.Kind
-	inject := false
-	if fc.inj.Enabled() && !fc.cfg.Conn.Zero() {
-		u := fc.rng.Float64()
-		r := fc.cfg.Conn
-		switch {
-		case u < r.Torn:
-			k, inject = chaos.ConnTorn, true
-		case u < r.Torn+r.Reset:
-			k, inject = chaos.ConnReset, true
-		case u < r.Torn+r.Reset+r.Stall:
-			k, inject = chaos.ConnStall, true
-		}
-	}
+	k, inject := fc.picker.Pick()
 	if inject && k != chaos.ConnStall {
 		fc.dead = true
 	}
@@ -104,12 +104,6 @@ func WrapFaultyDial(dial BinDial, cfg chaos.NodeConfig, node int, inj *chaos.Inj
 		if err != nil {
 			return nil, err
 		}
-		s := seq.Add(1)
-		return &faultyConn{
-			Conn: c,
-			cfg:  cfg,
-			inj:  inj,
-			rng:  rand.New(rand.NewSource(cfg.Seed + int64(node)*1009 + s)),
-		}, nil
+		return newFaultyConn(c, cfg, inj, cfg.Seed+int64(node)*1009+seq.Add(1)), nil
 	}
 }

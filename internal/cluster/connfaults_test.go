@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"context"
-	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -17,12 +16,7 @@ import (
 func TestFaultyConnTornFrame(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	fc := &faultyConn{
-		Conn: client,
-		cfg:  chaos.NodeConfig{Conn: chaos.ConnRates{Torn: 1}}.WithDefaults(),
-		inj:  chaos.NewInjector(),
-		rng:  rand.New(rand.NewSource(1)),
-	}
+	fc := newFaultyConn(client, chaos.NodeConfig{Conn: chaos.ConnRates{Torn: 1}}.WithDefaults(), chaos.NewInjector(), 1)
 	frame := appendErrFrame(nil, 1, errCodeInternal, "payload-long-enough-to-tear")
 
 	readErr := make(chan error, 1)

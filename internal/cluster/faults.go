@@ -26,13 +26,10 @@ import (
 type FaultyNode struct {
 	inner Node
 	cfg   chaos.NodeConfig
-	id    int
 	inj   *chaos.Injector
 
-	mu    sync.Mutex // guards rng, calls
-	rng   *rand.Rand
-	calls int64
-	rules map[int64]chaos.Kind
+	mu     sync.Mutex    // guards picker
+	picker *chaos.Picker // op = Lookup call number
 
 	stateMu     sync.Mutex
 	killed      bool
@@ -54,13 +51,15 @@ func WrapFaultyNode(inner Node, cfg chaos.NodeConfig, id int, inj *chaos.Injecto
 			rules[r.Call] = r.Kind
 		}
 	}
+	r := cfg.Rates
 	return &FaultyNode{
 		inner: inner,
 		cfg:   cfg,
-		id:    id,
 		inj:   inj,
-		rng:   rand.New(rand.NewSource(cfg.Seed + int64(id))),
-		rules: rules,
+		picker: chaos.NewPicker(rand.New(rand.NewSource(cfg.Seed+int64(id))), inj, rules,
+			chaos.Rate{Kind: chaos.NodeKill, P: r.Kill},
+			chaos.Rate{Kind: chaos.NodePartition, P: r.Partition},
+			chaos.Rate{Kind: chaos.NodeSlow, P: r.Slow}),
 	}
 }
 
@@ -74,9 +73,6 @@ func WrapFaultyNodes(nodes []Node, cfg chaos.NodeConfig) ([]Node, *chaos.Injecto
 	}
 	return out, inj
 }
-
-// Inner returns the wrapped node.
-func (n *FaultyNode) Inner() Node { return n.inner }
 
 // Kill takes the node down until Revive (the manual form of NodeKill)
 // or, with cfg.Downtime set, until the downtime elapses.
@@ -94,13 +90,6 @@ func (n *FaultyNode) Revive() {
 	n.stateMu.Unlock()
 }
 
-// Killed reports the kill switch.
-func (n *FaultyNode) Killed() bool {
-	n.stateMu.Lock()
-	defer n.stateMu.Unlock()
-	return n.killed
-}
-
 // Partition isolates the node: calls block until the caller's context
 // expires. Heal with Partition(false).
 func (n *FaultyNode) Partition(on bool) {
@@ -109,49 +98,20 @@ func (n *FaultyNode) Partition(on bool) {
 	n.stateMu.Unlock()
 }
 
-// Partitioned reports the partition switch.
-func (n *FaultyNode) Partitioned() bool {
-	n.stateMu.Lock()
-	defer n.stateMu.Unlock()
-	return n.partitioned
-}
-
 // Calls reports how many Lookup calls this wrapper has seen.
 func (n *FaultyNode) Calls() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.calls
+	return n.picker.Ops()
 }
 
-// pick decides whether this Lookup injects a fault, mirroring
-// chaos.FaultySystem: scheduled rules fire even while the injector is
-// disabled, the RNG advances exactly once per call regardless of the
-// switch, and rates are checked Kill, Partition, Slow.
+// pick decides whether this Lookup injects a fault (see chaos.Picker:
+// scheduled rules fire even while the injector is disabled, and rates are
+// checked Kill, Partition, Slow).
 func (n *FaultyNode) pick() (chaos.Kind, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.calls++
-	var u float64
-	if !n.cfg.Rates.Zero() {
-		u = n.rng.Float64()
-	}
-	if k, ok := n.rules[n.calls]; ok {
-		return k, true
-	}
-	if !n.inj.Enabled() || n.cfg.Rates.Zero() {
-		return 0, false
-	}
-	r := n.cfg.Rates
-	switch {
-	case u < r.Kill:
-		return chaos.NodeKill, true
-	case u < r.Kill+r.Partition:
-		return chaos.NodePartition, true
-	case u < r.Kill+r.Partition+r.Slow:
-		return chaos.NodeSlow, true
-	default:
-		return 0, false
-	}
+	return n.picker.Pick()
 }
 
 // gate applies the sticky kill and partition switches to any call,

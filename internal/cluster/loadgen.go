@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"recross/internal/serve"
 	"recross/internal/trace"
@@ -14,19 +12,12 @@ import (
 
 // Report summarizes one cluster load-generation run.
 type Report struct {
-	Clients  int
-	Wall     time.Duration
-	Requests int64 // completed successfully (including degraded)
+	serve.LoadRun
 	Degraded int64 // completed with >=1 functional-fallback op
 	Hedged   int64 // completed with >=1 hedge fired
 	Retried  int64 // completed after >=1 sub-request failover
 	Canceled int64
 	Errors   int64
-	Thru     float64 // completed requests per second
-	P50      time.Duration
-	P95      time.Duration
-	P99      time.Duration
-	Max      time.Duration
 	// Stats is the router's counter snapshot at the end of the run.
 	Stats Stats
 }
@@ -51,143 +42,48 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Loadgen drives the router with closed-loop clients, reusing the
-// single-node generator knobs (serve.LoadgenOptions) — including the
-// mid-run hot-set shift the rebalancer exists to absorb.
+// Loadgen drives the router with the shared closed-loop driver
+// (serve.DriveLoad, same serve.LoadgenOptions — including the mid-run
+// hot-set shift the rebalancer exists to absorb) and reports the
+// cluster-side outcome split.
 func Loadgen(r *Router, opts serve.LoadgenOptions) (*Report, error) {
-	opts = loadgenDefaults(opts)
-	if err := opts.Spec.Validate(); err != nil {
+	const (
+		degraded = iota
+		hedged
+		retried
+		canceled
+		other
+		nCounts
+	)
+	run, n, err := serve.DriveLoad("cluster", opts, nCounts, func(ctx context.Context, sample trace.Sample, n []int64) (bool, error) {
+		res, err := r.Lookup(ctx, sample)
+		switch {
+		case err == nil:
+			if res.Degraded {
+				n[degraded]++
+			}
+			if res.Hedged {
+				n[hedged]++
+			}
+			if res.Retries > 0 {
+				n[retried]++
+			}
+			return true, nil
+		case serve.IsCanceled(err):
+			n[canceled]++
+		case errors.Is(err, ErrRouterClosed):
+			return false, serve.ErrLoadStop
+		default:
+			n[other]++
+			return false, err
+		}
+		return false, nil
+	})
+	if n == nil {
 		return nil, err
 	}
-	if opts.Clients < 1 {
-		return nil, fmt.Errorf("cluster: %d clients", opts.Clients)
-	}
-
-	type clientStats struct {
-		lat                       []float64 // ns
-		degraded, hedged, retried int64
-		canceled, errors          int64
-	}
-	stats := make([]clientStats, opts.Clients)
-	deadline := time.Now().Add(opts.Duration)
-	start := time.Now()
-	var shiftTime time.Time
-	if opts.ShiftAt > 0 {
-		shiftTime = start.Add(opts.ShiftAt)
-	}
-
-	var wg sync.WaitGroup
-	errc := make(chan error, opts.Clients)
-	for c := 0; c < opts.Clients; c++ {
-		gen, err := trace.NewGenerator(opts.Spec, opts.Seed+int64(c))
-		if err != nil {
-			return nil, err
-		}
-		if opts.TailMass > 0 {
-			if err := gen.SetTailMass(opts.TailMass); err != nil {
-				return nil, err
-			}
-		}
-		wg.Add(1)
-		go func(c int, gen *trace.Generator) {
-			defer wg.Done()
-			st := &stats[c]
-			shifted := false
-			for time.Now().Before(deadline) {
-				if !shifted && !shiftTime.IsZero() && !time.Now().Before(shiftTime) {
-					if err := gen.ShiftHotSet(opts.ShiftSalt); err != nil {
-						select {
-						case errc <- err:
-						default:
-						}
-						return
-					}
-					shifted = true
-				}
-				sample := gen.Sample()
-				if len(sample) == 0 {
-					continue
-				}
-				ctx := context.Background()
-				var cancel context.CancelFunc = func() {}
-				if opts.Timeout > 0 {
-					ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-				}
-				t0 := time.Now()
-				res, err := r.Lookup(ctx, sample)
-				cancel()
-				switch {
-				case err == nil:
-					st.lat = append(st.lat, float64(time.Since(t0).Nanoseconds()))
-					if res.Degraded {
-						st.degraded++
-					}
-					if res.Hedged {
-						st.hedged++
-					}
-					if res.Retries > 0 {
-						st.retried++
-					}
-				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-					st.canceled++
-				case errors.Is(err, ErrRouterClosed):
-					return
-				default:
-					st.errors++
-					select {
-					case errc <- err:
-					default:
-					}
-				}
-			}
-		}(c, gen)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	rep := &Report{Clients: opts.Clients, Wall: wall, Stats: r.Stats()}
-	var all []float64
-	for i := range stats {
-		rep.Requests += int64(len(stats[i].lat))
-		rep.Degraded += stats[i].degraded
-		rep.Hedged += stats[i].hedged
-		rep.Retried += stats[i].retried
-		rep.Canceled += stats[i].canceled
-		rep.Errors += stats[i].errors
-		all = append(all, stats[i].lat...)
-	}
-	if wall > 0 {
-		rep.Thru = float64(rep.Requests) / wall.Seconds()
-	}
-	rep.P50, rep.P95, rep.P99 = serve.PercentileDurations(all)
-	for _, ns := range all {
-		if d := time.Duration(ns); d > rep.Max {
-			rep.Max = d
-		}
-	}
-	if rep.Requests == 0 {
-		select {
-		case err := <-errc:
-			return rep, fmt.Errorf("cluster: loadgen completed no requests: %w", err)
-		default:
-			return rep, errors.New("cluster: loadgen completed no requests")
-		}
-	}
-	return rep, nil
-}
-
-func loadgenDefaults(o serve.LoadgenOptions) serve.LoadgenOptions {
-	if o.Clients == 0 {
-		o.Clients = 8
-	}
-	if o.Duration == 0 {
-		o.Duration = 5 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.ShiftSalt == 0 {
-		o.ShiftSalt = 1
-	}
-	return o
+	return &Report{
+		LoadRun: run, Degraded: n[degraded], Hedged: n[hedged], Retried: n[retried],
+		Canceled: n[canceled], Errors: n[other], Stats: r.Stats(),
+	}, err
 }

@@ -78,12 +78,6 @@ func NewRing(n int, opts RingOptions) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes reports how many nodes the ring was built over.
-func (r *Ring) Nodes() int { return r.nodes }
-
-// Points reports the ring size (total virtual nodes).
-func (r *Ring) Points() int { return len(r.points) }
-
 // Successors returns the first k distinct nodes clockwise of key's
 // hash, primary first. k is clamped to the node count.
 func (r *Ring) Successors(key string, k int) []int {

@@ -241,9 +241,6 @@ func (r *Router) SetPlacement(p *Placement) error {
 	return nil
 }
 
-// Nodes reports the cluster size.
-func (r *Router) Nodes() int { return len(r.nodes) }
-
 // Layer returns the router's functional embedding layer (shared with
 // the binary listener for request validation).
 func (r *Router) Layer() *embedding.Layer { return r.opts.Layer }

@@ -444,17 +444,8 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 	return s, nil
 }
 
-// Path returns the backing file's path.
-func (s *Store) Path() string { return s.file.Name() }
-
-// VecLen returns the uniform vector length.
-func (s *Store) VecLen() int { return s.vecLen }
-
 // RowsPerPage returns the page layout's row capacity.
 func (s *Store) RowsPerPage() int { return s.rpp }
-
-// Pages returns the total device page count.
-func (s *Store) Pages() int64 { return s.nPages }
 
 // Close stops the scrubber and prefetcher, drains in-flight readers and
 // abandoned deadline reads, then unmaps, closes and removes the backing
@@ -498,10 +489,6 @@ func (s *Store) Close() error {
 // breaker is not closed, so cold reads fail fast and callers fall back to
 // direct RowSource materialization.
 func (s *Store) Degraded() bool { return s.breaker.current() != BreakerClosed }
-
-// BreakerState returns the circuit state (BreakerClosed, BreakerHalfOpen
-// or BreakerOpen).
-func (s *Store) BreakerState() int32 { return s.breaker.current() }
 
 // ReadRow writes row idx of table into dst (len == VecLen) and reports
 // whether the store served that row: false for out-of-range input, for a

@@ -136,9 +136,6 @@ type Sim struct {
 	ref    []bool
 	index  map[int64]int
 	hand   int
-
-	// batch scratch: distinct miss pages counted via the buffer probe.
-	pageReads, pageHits int64
 }
 
 // NewSim builds a replica's cold timing model.
@@ -207,8 +204,6 @@ func (s *Sim) Batch(slots []int64, ops int) (cycles sim.Cycle, pageReads, pageHi
 		}
 	}
 	pageReads = misses
-	s.pageReads += pageReads
-	s.pageHits += pageHits
 
 	device := float64(misses) * (s.m.SeekCycles + s.m.PageReadCycles)
 	transferRows := len(slots)
@@ -223,9 +218,4 @@ func (s *Sim) Batch(slots []int64, ops int) (cycles sim.Cycle, pageReads, pageHi
 		t = link
 	}
 	return sim.Cycle(t), pageReads, pageHits
-}
-
-// Totals returns the Sim's cumulative page-read/hit counters.
-func (s *Sim) Totals() (pageReads, pageHits int64) {
-	return s.pageReads, s.pageHits
 }

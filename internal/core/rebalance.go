@@ -121,6 +121,9 @@ func (r *ReCross) RunTraining(b trace.Batch) (*arch.RunStats, error) {
 	}
 	clear(scr.touchedRows)
 	touched := scr.touchedRows
+	// The map only dedups; write-backs are emitted in first-touch order so
+	// a step's request stream (and so its cycle count) is deterministic.
+	order := scr.touchedOrder[:0]
 	// Cold rows gather (and write back) over the flash link, not the
 	// channel; their slots are priced by the flash Sim after the drain.
 	coldSlots := scr.coldSlots[:0]
@@ -131,7 +134,10 @@ func (r *ReCross) RunTraining(b trace.Batch) (*arch.RunStats, error) {
 			opCold := false
 			for _, idx := range op.Indices {
 				lookups++
-				touched[trainKey{op.Table, idx}] = true
+				if k := (trainKey{op.Table, idx}); !touched[k] {
+					touched[k] = true
+					order = append(order, k)
+				}
 				region, slot := r.pl.Locate(op.Table, idx)
 				if region == RegionCold {
 					if r.coldSim == nil {
@@ -163,7 +169,8 @@ func (r *ReCross) RunTraining(b trace.Batch) (*arch.RunStats, error) {
 	// dependent on the forward results, so it arrives after the gathers.
 	writeArrival := sim.Cycle(seq) * instr
 	writes := int64(0)
-	for k := range touched {
+	scr.touchedOrder = order
+	for _, k := range order {
 		region, slot := r.pl.Locate(k.table, k.row)
 		if region == RegionCold {
 			// Update writes to flash rows ride the same page path as the
@@ -182,9 +189,8 @@ func (r *ReCross) RunTraining(b trace.Batch) (*arch.RunStats, error) {
 		writes++
 	}
 	scr.coldSlots = coldSlots
-	// Map iteration order is random; restore the op-order invariant the
-	// controller requires (all writes share one op id, so sorting is not
-	// needed — they are appended after every read op).
+	// All writes share one op id and are appended after every read op, so
+	// the controller's op-order invariant holds without sorting.
 	scr.reqs = reqs
 
 	finish, st, res, err := r.runChannel(reqs, int(ops)*r.bursts)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"recross/internal/partition"
@@ -152,5 +153,35 @@ func TestRunTrainingWritesBack(t *testing.T) {
 	// of overhead is expected at small batches, but not more.
 	if training.Cycles > inference.Cycles*12 {
 		t.Fatalf("write-back overhead implausible: %d vs %d", training.Cycles, inference.Cycles)
+	}
+}
+
+// TestRunTrainingDeterministic: two fresh identical systems must agree on
+// every training step's cycle count and DRAM command stats — write-backs
+// are emitted in first-touch order, not map order.
+func TestRunTrainingDeterministic(t *testing.T) {
+	var systems [2]*ReCross
+	var gens [2]*trace.Generator
+	for i := range systems {
+		r, err := New(miniConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems[i] = r
+		gens[i], _ = trace.NewGenerator(miniSpec(), 11)
+	}
+	for step := 0; step < 8; step++ {
+		a, err := systems[0].RunTraining(gens[0].Batch(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := systems[1].RunTraining(gens[1].Batch(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Cycles != b.Cycles || !reflect.DeepEqual(a.DRAM, b.DRAM) {
+			t.Fatalf("step %d diverged: cycles %d vs %d, DRAM %+v vs %+v",
+				step, a.Cycles, b.Cycles, a.DRAM, b.DRAM)
+		}
 	}
 }

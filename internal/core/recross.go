@@ -196,6 +196,7 @@ type runScratch struct {
 	gatingBusy     []int64
 	dqBusy         []int64
 	touchedRows    map[trainKey]bool
+	touchedOrder   []trainKey
 }
 
 // trainKey identifies one touched embedding row in RunTraining.

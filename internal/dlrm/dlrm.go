@@ -88,7 +88,6 @@ type Model struct {
 	Bottom    *MLP
 	Top       *MLP
 	Embedding *embedding.Layer
-	denseIn   int
 	vecLen    int
 }
 
@@ -126,12 +125,9 @@ func New(spec trace.ModelSpec, denseFeatures int, seed int64) (*Model, error) {
 	}
 	return &Model{
 		Spec: spec, Bottom: bottom, Top: top, Embedding: emb,
-		denseIn: denseFeatures, vecLen: vecLen,
+		vecLen: vecLen,
 	}, nil
 }
-
-// DenseFeatures returns the expected dense input width.
-func (m *Model) DenseFeatures() int { return m.denseIn }
 
 // Predict produces the CTR for one sample: dense features plus the sparse
 // embedding work. The sample must access every table exactly once.

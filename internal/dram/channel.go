@@ -675,9 +675,6 @@ func (c *Channel) StreamResults(nBursts int, drainFinish sim.Cycle) sim.Cycle {
 	return finish
 }
 
-// CmdBusFree returns when the command bus next frees up (for tests).
-func (c *Channel) CmdBusFree() sim.Cycle { return c.cmdBusFree }
-
 func maxc(xs ...sim.Cycle) sim.Cycle {
 	m := xs[0]
 	for _, x := range xs[1:] {

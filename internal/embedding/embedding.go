@@ -207,9 +207,6 @@ func (l *Layer) SetPrecision(prec kernels.Precision) error {
 	return nil
 }
 
-// Precision returns the backing-store precision (FP32 by default).
-func (l *Layer) Precision() kernels.Precision { return l.prec }
-
 // Tables returns the number of tables.
 func (l *Layer) Tables() int { return len(l.tables) }
 
@@ -317,13 +314,11 @@ func (l *Layer) MaterializeRow(ti int, idx int64, dst []float32) {
 func (l *Layer) ColdFallbacks() int64 { return l.coldFallbacks.Load() }
 
 // Scratch is a per-caller arena for the zero-allocation reduce path: the
-// row gather buffer, a growable flat arena, and the sample-output arena
-// that ReduceSampleInto carves per-op result vectors from. One Scratch
+// row gather buffer and the sample-output arena that ReduceSampleInto carves per-op result vectors from. One Scratch
 // serves one goroutine; its buffers are reused across calls, so
 // steady-state serving performs zero data-plane allocations.
 type Scratch struct {
-	row   []float32
-	arena []float32
+	row []float32
 	// sample/out back ReduceSampleInto's result vectors; they are
 	// overwritten by the next ReduceSampleInto call on this Scratch.
 	sample []float32
@@ -336,18 +331,6 @@ func (s *Scratch) rowBuf(n int) []float32 {
 		s.row = make([]float32, n)
 	}
 	return s.row[:n]
-}
-
-// Arena returns a zeroed float32 arena of length n, reusing the backing
-// array across calls. The returned slice is only valid until the next
-// Arena call.
-func (s *Scratch) Arena(n int) []float32 {
-	if cap(s.arena) < n {
-		s.arena = make([]float32, n)
-	}
-	a := s.arena[:n]
-	kernels.Zero(a)
-	return a
 }
 
 // Reduce executes one embedding operation functionally: gather op.Indices

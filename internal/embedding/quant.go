@@ -60,9 +60,6 @@ func NewQuantTable(src Table, prec kernels.Precision) (*QuantTable, error) {
 // Source returns the wrapped full-precision table.
 func (t *QuantTable) Source() Table { return t.src }
 
-// Precision returns the backing storage precision.
-func (t *QuantTable) Precision() kernels.Precision { return t.prec }
-
 func (t *QuantTable) Rows() int64 { return t.rows }
 
 func (t *QuantTable) VecLen() int { return t.vecLen }

@@ -64,12 +64,6 @@ func NewProblem(n int) (*Problem, error) {
 	return &Problem{n: n, c: make([]float64, n)}, nil
 }
 
-// NumVars returns the variable count.
-func (p *Problem) NumVars() int { return p.n }
-
-// NumConstraints returns the constraint count.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // SetObjective sets the minimization coefficients (copied).
 func (p *Problem) SetObjective(c []float64) error {
 	if len(c) != p.n {

@@ -222,16 +222,5 @@ func (r *RankSummarizer) Result() []float32 {
 	return out
 }
 
-// ResultInto copies the summed vector into dst and resets the summarizer
-// for the next operation — the zero-allocation form of Result.
-func (r *RankSummarizer) ResultInto(dst []float32) []float32 {
-	r.unit.ResultInto(dst)
-	r.unit.Reset()
-	return dst
-}
-
 // Psums returns how many partial results were folded since construction.
 func (r *RankSummarizer) Psums() int64 { return r.psums }
-
-// Stats returns the summarizer's arithmetic counts.
-func (r *RankSummarizer) Stats() OpStats { return r.unit.Stats() }

@@ -317,26 +317,35 @@ func TestChaosAcceptance(t *testing.T) {
 		}
 	}
 
-	// Phase 1: concurrent load under active injection.
+	// Phase 1: concurrent load under active injection. Least-outstanding
+	// dispatch breaks ties toward the first replica, so on a host with few
+	// cores one round may never hand replica 2 the second batch its
+	// scripted fault waits for: repeat rounds until all three have fired.
 	const clients, perClient = 6, 30
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			g, err := trace.NewGenerator(testSpec(), int64(500+c))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i := 0; i < perClient; i++ {
-				lookup(g.Sample())
-			}
-		}(c)
+	var snap Snapshot
+	for round, deadline := 0, time.Now().Add(10*time.Second); ; round++ {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				g, err := trace.NewGenerator(testSpec(), int64(500+clients*round+c))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < perClient; i++ {
+					lookup(g.Sample())
+				}
+			}(c)
+		}
+		wg.Wait()
+		snap = s.Metrics().Snapshot()
+		if (snap.FaultPanics >= 1 && snap.FaultWedges >= 1 && snap.FaultCorrupt >= 1) || time.Now().After(deadline) {
+			break
+		}
 	}
-	wg.Wait()
 
-	snap := s.Metrics().Snapshot()
 	if snap.FaultPanics < 1 || snap.FaultWedges < 1 || snap.FaultCorrupt < 1 {
 		t.Errorf("scripted faults did not all fire: panics=%d wedges=%d corrupt=%d",
 			snap.FaultPanics, snap.FaultWedges, snap.FaultCorrupt)

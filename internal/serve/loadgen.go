@@ -59,6 +59,153 @@ func (o LoadgenOptions) withDefaults() LoadgenOptions {
 	return o
 }
 
+// LoadRun is what the shared closed-loop driver measures for any target:
+// wall time, completed requests, throughput, and exact latency
+// percentiles (every request's latency is kept, unlike the server's
+// streaming histograms). Target-specific reports embed it.
+type LoadRun struct {
+	Clients  int
+	Wall     time.Duration
+	Requests int64   // completed successfully (including degraded)
+	Thru     float64 // completed requests per second
+	P50      time.Duration
+	P95      time.Duration
+	P99      time.Duration
+	Max      time.Duration
+}
+
+// ErrLoadStop, returned by a DriveLoad lookup, ends that client's loop
+// quietly — the target is closed or draining.
+var ErrLoadStop = errors.New("serve: load target closed")
+
+// DriveLoad is the one closed-loop load driver, shared by the single-node
+// and cluster generators: opts.Clients goroutines each draw samples from
+// their own seeded generator (with the mid-run hot-set shift and tail-mass
+// redirection) and call lookup back-to-back until opts.Duration elapses.
+//
+// lookup issues one request and classifies its outcome for the target:
+// (true, nil) is a completed request whose latency is kept; (false, nil)
+// an unsuccessful one the target has tallied; ErrLoadStop ends the client;
+// any other error is an unclassified failure (tallied by the target too)
+// remembered only to explain a run that completed nothing. counts is the
+// calling client's private slice of nCounts target-defined tallies; the
+// per-client slices are summed into the returned totals. who prefixes
+// the driver's own errors. The totals are nil only when the run never
+// started (invalid options); a run that completed no request returns its
+// measurements together with an error.
+func DriveLoad(who string, opts LoadgenOptions, nCounts int,
+	lookup func(ctx context.Context, s trace.Sample, counts []int64) (bool, error)) (LoadRun, []int64, error) {
+	opts = opts.withDefaults()
+	if err := opts.Spec.Validate(); err != nil {
+		return LoadRun{}, nil, err
+	}
+	if opts.Clients < 1 {
+		return LoadRun{}, nil, fmt.Errorf("%s: %d clients", who, opts.Clients)
+	}
+
+	lat := make([][]float64, opts.Clients) // ns, per client
+	counts := make([][]int64, opts.Clients)
+	start := time.Now()
+	deadline := start.Add(opts.Duration)
+	var shiftTime time.Time
+	if opts.ShiftAt > 0 {
+		shiftTime = start.Add(opts.ShiftAt)
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, 1) // first unclassified error
+	note := func(err error) {
+		select {
+		case errc <- err:
+		default:
+		}
+	}
+	for c := 0; c < opts.Clients; c++ {
+		gen, err := trace.NewGenerator(opts.Spec, opts.Seed+int64(c))
+		if err != nil {
+			return LoadRun{}, nil, err
+		}
+		if opts.TailMass > 0 {
+			if err := gen.SetTailMass(opts.TailMass); err != nil {
+				return LoadRun{}, nil, err
+			}
+		}
+		counts[c] = make([]int64, nCounts)
+		wg.Add(1)
+		go func(c int, gen *trace.Generator) {
+			defer wg.Done()
+			shifted := false
+			for time.Now().Before(deadline) {
+				if !shifted && !shiftTime.IsZero() && !time.Now().Before(shiftTime) {
+					// Each client owns its generator, so the shift is safe
+					// here; all clients derive the identical permutation.
+					if err := gen.ShiftHotSet(opts.ShiftSalt); err != nil {
+						note(err)
+						return
+					}
+					shifted = true
+				}
+				sample := gen.Sample()
+				if len(sample) == 0 {
+					continue // all-probabilistic spec rolled no tables
+				}
+				ctx := context.Background()
+				var cancel context.CancelFunc = func() {}
+				if opts.Timeout > 0 {
+					ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+				}
+				t0 := time.Now()
+				ok, err := lookup(ctx, sample, counts[c])
+				cancel()
+				switch {
+				case ok:
+					lat[c] = append(lat[c], float64(time.Since(t0).Nanoseconds()))
+				case errors.Is(err, ErrLoadStop):
+					return
+				case err != nil:
+					note(err)
+				}
+			}
+		}(c, gen)
+	}
+	wg.Wait()
+
+	run := LoadRun{Clients: opts.Clients, Wall: time.Since(start)}
+	totals := make([]int64, nCounts)
+	var all []float64
+	for c := range lat {
+		all = append(all, lat[c]...)
+		for i, n := range counts[c] {
+			totals[i] += n
+		}
+	}
+	run.Requests = int64(len(all))
+	if run.Wall > 0 {
+		run.Thru = float64(run.Requests) / run.Wall.Seconds()
+	}
+	run.P50, run.P95, run.P99 = percentileDurations(all)
+	for _, ns := range all {
+		if d := time.Duration(ns); d > run.Max {
+			run.Max = d
+		}
+	}
+	if run.Requests == 0 {
+		select {
+		case err := <-errc:
+			return run, totals, fmt.Errorf("%s: loadgen completed no requests: %w", who, err)
+		default:
+			return run, totals, fmt.Errorf("%s: loadgen completed no requests", who)
+		}
+	}
+	return run, totals, nil
+}
+
+// IsCanceled reports a deadline/cancellation error — the one outcome
+// class every load target tallies the same way.
+func IsCanceled(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
+
 // Report summarizes one load-generation run. Unsuccessful requests are
 // reported as separate counts — shed (admission rejected), canceled
 // (deadline/cancellation), failed (replica or simulation failure) —
@@ -68,20 +215,13 @@ func (o LoadgenOptions) withDefaults() LoadgenOptions {
 // tier was degraded (cold rows through the slow direct path); a request
 // may count in both.
 type Report struct {
-	Clients      int
-	Wall         time.Duration
-	Requests     int64 // completed successfully (including degraded)
+	LoadRun
 	Degraded     int64 // completed via the functional fallback (compute)
 	ColdDegraded int64 // completed while the cold tier was degraded (storage)
 	Shed         int64
 	Canceled     int64
-	Failed       int64   // replica/simulation failures (ErrReplicaFailure etc.)
-	Errors       int64   // any other failures
-	Thru         float64 // completed requests per second
-	P50          time.Duration
-	P95          time.Duration
-	P99          time.Duration
-	Max          time.Duration
+	Failed       int64 // replica/simulation failures (ErrReplicaFailure etc.)
+	Errors       int64 // any other failures
 	MeanBatch    float64
 	// ServiceP50/P99 are simulated DRAM-cycle batch latencies.
 	ServiceP50, ServiceP99 float64
@@ -108,134 +248,51 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Loadgen drives the server with closed-loop clients and reports
-// throughput and latency percentiles. The percentiles are exact (every
-// request's latency is kept), unlike the server's streaming histograms.
+// Loadgen drives the server with closed-loop clients (DriveLoad) and
+// reports throughput, latency percentiles and the per-cause outcome split.
 func Loadgen(s *Server, opts LoadgenOptions) (*Report, error) {
-	opts = opts.withDefaults()
-	if err := opts.Spec.Validate(); err != nil {
+	const (
+		degraded = iota
+		coldDegraded
+		shed
+		canceled
+		failed
+		other
+		nCounts
+	)
+	run, n, err := DriveLoad("serve", opts, nCounts, func(ctx context.Context, sample trace.Sample, n []int64) (bool, error) {
+		res, err := s.Lookup(ctx, sample)
+		switch {
+		case err == nil:
+			if res.Degraded {
+				n[degraded]++
+			}
+			if res.ColdDegraded {
+				n[coldDegraded]++
+			}
+			return true, nil
+		case errors.Is(err, ErrOverloaded):
+			n[shed]++
+		case IsCanceled(err):
+			n[canceled]++
+		case errors.Is(err, ErrClosed):
+			return false, ErrLoadStop
+		case errors.Is(err, ErrReplicaFailure):
+			n[failed]++
+		default:
+			n[other]++
+			return false, err
+		}
+		return false, nil
+	})
+	if n == nil {
 		return nil, err
 	}
-	if opts.Clients < 1 {
-		return nil, fmt.Errorf("serve: %d clients", opts.Clients)
-	}
-
-	type clientStats struct {
-		lat                            []float64 // ns
-		degraded, coldDegraded         int64
-		shed, canceled, failed, errors int64
-	}
-	stats := make([]clientStats, opts.Clients)
-	deadline := time.Now().Add(opts.Duration)
-	start := time.Now()
-	var shiftTime time.Time
-	if opts.ShiftAt > 0 {
-		shiftTime = start.Add(opts.ShiftAt)
-	}
-
-	var wg sync.WaitGroup
-	errc := make(chan error, opts.Clients)
-	for c := 0; c < opts.Clients; c++ {
-		gen, err := trace.NewGenerator(opts.Spec, opts.Seed+int64(c))
-		if err != nil {
-			return nil, err
-		}
-		if opts.TailMass > 0 {
-			if err := gen.SetTailMass(opts.TailMass); err != nil {
-				return nil, err
-			}
-		}
-		wg.Add(1)
-		go func(c int, gen *trace.Generator) {
-			defer wg.Done()
-			st := &stats[c]
-			shifted := false
-			for time.Now().Before(deadline) {
-				if !shifted && !shiftTime.IsZero() && !time.Now().Before(shiftTime) {
-					// Each client owns its generator, so the shift is safe
-					// here; all clients derive the identical permutation.
-					if err := gen.ShiftHotSet(opts.ShiftSalt); err != nil {
-						select {
-						case errc <- err:
-						default:
-						}
-						return
-					}
-					shifted = true
-				}
-				sample := gen.Sample()
-				if len(sample) == 0 {
-					continue // all-probabilistic spec rolled no tables
-				}
-				ctx := context.Background()
-				var cancel context.CancelFunc = func() {}
-				if opts.Timeout > 0 {
-					ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-				}
-				t0 := time.Now()
-				res, err := s.Lookup(ctx, sample)
-				cancel()
-				switch {
-				case err == nil:
-					st.lat = append(st.lat, float64(time.Since(t0).Nanoseconds()))
-					if res.Degraded {
-						st.degraded++
-					}
-					if res.ColdDegraded {
-						st.coldDegraded++
-					}
-				case errors.Is(err, ErrOverloaded):
-					st.shed++
-				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-					st.canceled++
-				case errors.Is(err, ErrClosed):
-					return
-				case errors.Is(err, ErrReplicaFailure):
-					st.failed++
-				default:
-					st.errors++
-					select {
-					case errc <- err:
-					default:
-					}
-				}
-			}
-		}(c, gen)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	rep := &Report{Clients: opts.Clients, Wall: wall}
-	var all []float64
-	for i := range stats {
-		rep.Requests += int64(len(stats[i].lat))
-		rep.Degraded += stats[i].degraded
-		rep.ColdDegraded += stats[i].coldDegraded
-		rep.Shed += stats[i].shed
-		rep.Canceled += stats[i].canceled
-		rep.Failed += stats[i].failed
-		rep.Errors += stats[i].errors
-		all = append(all, stats[i].lat...)
-	}
-	if wall > 0 {
-		rep.Thru = float64(rep.Requests) / wall.Seconds()
-	}
-	rep.P50, rep.P95, rep.P99 = percentileDurations(all)
-	for _, ns := range all {
-		if d := time.Duration(ns); d > rep.Max {
-			rep.Max = d
-		}
-	}
 	snap := s.Metrics().Snapshot()
-	rep.MeanBatch = snap.MeanBatch()
-	rep.ServiceP50, rep.ServiceP99 = snap.ServiceCycles.P50, snap.ServiceCycles.P99
-	if rep.Requests == 0 {
-		select {
-		case err := <-errc:
-			return rep, fmt.Errorf("serve: loadgen completed no requests: %w", err)
-		default:
-			return rep, errors.New("serve: loadgen completed no requests")
-		}
-	}
-	return rep, nil
+	return &Report{
+		LoadRun: run, Degraded: n[degraded], ColdDegraded: n[coldDegraded],
+		Shed: n[shed], Canceled: n[canceled], Failed: n[failed], Errors: n[other],
+		MeanBatch:  snap.MeanBatch(),
+		ServiceP50: snap.ServiceCycles.P50, ServiceP99: snap.ServiceCycles.P99,
+	}, err
 }

@@ -331,13 +331,6 @@ func (h HealthReport) Expo() string {
 	return b.String()
 }
 
-// PercentileDurations converts a nanosecond slice into p50/p95/p99
-// durations — the exact (fully-sorted) percentiles the load
-// generators' reports use, here and in the cluster layer.
-func PercentileDurations(ns []float64) (p50, p95, p99 time.Duration) {
-	return percentileDurations(ns)
-}
-
 // percentileDurations converts a nanosecond slice into p50/p95/p99
 // durations (used by the load generator's exact report).
 func percentileDurations(ns []float64) (p50, p95, p99 time.Duration) {

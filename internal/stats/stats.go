@@ -326,9 +326,6 @@ func (c *CDF) tailCoverage(rank float64) float64 {
 	return (math.Pow(r, e) - math.Pow(k, e)) / den
 }
 
-// Universe returns the key universe size the curve is normalised over.
-func (c *CDF) Universe() int { return c.universe }
-
 // Coverage returns, for each fraction in ps, the covered access share.
 func (c *CDF) Coverage(ps []float64) []float64 {
 	out := make([]float64, len(ps))

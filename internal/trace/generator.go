@@ -111,9 +111,6 @@ func NewGenerator(spec ModelSpec, seed int64) (*Generator, error) {
 	return g, nil
 }
 
-// Spec returns the model spec this generator draws from.
-func (g *Generator) Spec() ModelSpec { return g.spec }
-
 // scatterSeed derives the dataset-identity seed of one table's popularity
 // permutation (FNV-1a over the table name).
 func scatterSeed(table string) int64 {

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,7 +47,6 @@ import (
 	"recross/internal/core"
 	"recross/internal/dram"
 	"recross/internal/embedding"
-	"recross/internal/energy"
 	"recross/internal/kernels"
 	"recross/internal/partition"
 	"recross/internal/serve"
@@ -81,8 +81,6 @@ type (
 	// one instance per goroutine, exactly what the serving layer's
 	// replica pool does (see Server and Config.ReplicaSystems).
 	System = arch.System
-	// EnergyBreakdown decomposes a run's energy.
-	EnergyBreakdown = energy.Breakdown
 	// Layer is the functional embedding layer (ground truth).
 	Layer = embedding.Layer
 	// ReCrossSystem is the paper's architecture with its partitioning
@@ -98,13 +96,6 @@ type (
 	// 8-byte scale/zero-point header).
 	Precision = kernels.Precision
 
-	// ColdStore is the flash-backed cold tier's functional store: a
-	// file/mmap-backed, page-granular embedding store with frequency-based
-	// row->page mapping, a CLOCK page cache and an async prefetcher.
-	ColdStore = coldstore.Store
-	// ColdStoreStats is the store's counter snapshot (page hits/misses,
-	// device reads, populations, evictions, prefetches, remaps).
-	ColdStoreStats = coldstore.Stats
 	// ColdModel is the cold device's latency/bandwidth timing model in
 	// DRAM cycles (zero fields take NVMe-flash-like defaults).
 	ColdModel = coldstore.Model
@@ -121,8 +112,6 @@ type (
 	ColdFaultConfig = chaos.ColdConfig
 	// ColdFaultRates are the per-operation storage fault probabilities.
 	ColdFaultRates = chaos.ColdRates
-	// ColdFaultRule scripts one exact storage fault.
-	ColdFaultRule = chaos.ColdRule
 	// FaultyColdDevice is the deterministic fault-injecting cold device
 	// wrapper (read errors, stalls, corrupt pages, torn writes, sticky
 	// device failure).
@@ -136,50 +125,23 @@ type (
 	// ServeOptions configures the serving layer (batching, queueing,
 	// overload policy, replica systems, retry/restart/quorum knobs).
 	ServeOptions = serve.Options
-	// ServeResult is one answered lookup.
-	ServeResult = serve.Result
-	// ServeMetrics is the serving layer's live metrics registry.
-	ServeMetrics = serve.Metrics
 	// ServeSnapshot is a point-in-time metrics capture with p50/p95/p99.
 	ServeSnapshot = serve.Snapshot
-	// OverloadPolicy selects Block or Shed admission behaviour.
-	OverloadPolicy = serve.OverloadPolicy
 	// LoadgenOptions configures the built-in closed-loop load generator.
 	LoadgenOptions = serve.LoadgenOptions
 	// LoadgenReport is the load generator's throughput/latency summary.
 	LoadgenReport = serve.Report
-	// HealthReport is the server-wide health snapshot behind /healthz:
-	// per-replica states, available count, quorum, degraded/draining.
-	HealthReport = serve.HealthReport
-	// ReplicaHealth is one replica's state/failure/restart snapshot.
-	ReplicaHealth = serve.ReplicaHealth
-	// ReplicaError is the typed replica-fault error; it unwraps to
-	// ErrReplicaFailure.
-	ReplicaError = serve.ReplicaError
-
-	// SystemUpdate is a staged replica-System transformation, applied by
-	// each worker at a batch boundary (see Server.StageUpdate).
-	SystemUpdate = serve.SystemUpdate
 
 	// AdaptController is the online workload profiler + adaptive
 	// repartitioning loop: a streaming frequency sketch over the serving
 	// path, a drift detector against the deployed placement's profile, a
 	// replanner re-running the partitioner LP, and a hysteresis gate
 	// pricing migrations before adopting them. Build one (wired into a
-	// Server) with NewAdaptiveServer.
+	// Server) by setting Config.Adapt for NewStack.
 	AdaptController = adapt.Controller
 	// AdaptOptions configures the adaptive loop (sketch size, control
 	// interval, drift threshold, hysteresis windows, migration economics).
 	AdaptOptions = adapt.Options
-	// AdaptMetrics is the control loop's counter/gauge snapshot.
-	AdaptMetrics = adapt.Metrics
-	// AdaptStepResult reports one control window (drift, plan, adoption).
-	AdaptStepResult = adapt.StepResult
-	// DriftDetector compares live traffic against a placement's profile.
-	DriftDetector = adapt.Detector
-	// MigrationPlan prices a proposed repartitioning (bytes moved,
-	// bandwidth-cycles, predicted speedup).
-	MigrationPlan = adapt.Plan
 	// FreqTracker is the bounded-memory per-table frequency sketch.
 	FreqTracker = adapt.Tracker
 
@@ -190,10 +152,6 @@ type (
 	// FaultRates are per-batch injection probabilities (latency, panic,
 	// wedge, corrupt).
 	FaultRates = chaos.Rates
-	// FaultRule scripts one exact fault ("replica 2 panics on batch 5").
-	FaultRule = chaos.Rule
-	// FaultKind enumerates the injectable fault kinds.
-	FaultKind = chaos.Kind
 	// FaultInjector is the shared control plane of a fault campaign:
 	// enable/disable, per-kind counters, wedge release.
 	FaultInjector = chaos.Injector
@@ -208,8 +166,6 @@ type (
 	// placement-driven batch splitting, per-node deadlines, hedged
 	// requests, least-outstanding replica dispatch, functional fallback.
 	ClusterRouter = cluster.Router
-	// ClusterRouterOptions configures a router built directly over nodes.
-	ClusterRouterOptions = cluster.Options
 	// ClusterFleet is N serve.Servers in one binary, each a ClusterNode,
 	// with Kill/Restart lifecycle control.
 	ClusterFleet = cluster.Fleet
@@ -219,16 +175,10 @@ type (
 	ClusterPlacementOptions = cluster.PlacementOptions
 	// ClusterResult is one answered cluster lookup.
 	ClusterResult = cluster.Result
-	// ClusterHealth is the aggregated /healthz report of a cluster.
-	ClusterHealth = cluster.Health
 	// ClusterStats is the router's counter snapshot.
 	ClusterStats = cluster.Stats
 	// ClusterReport is the cluster load generator's summary.
 	ClusterReport = cluster.Report
-	// HTTPNode is the real-network transport driver (a /v1/lookup peer).
-	HTTPNode = cluster.HTTPNode
-	// LocalNode is the in-process transport driver (wraps a Server).
-	LocalNode = cluster.LocalNode
 	// BinNode is the binary-protocol transport driver: multiplexed
 	// lookups over pooled long-lived conns to a peer's binary listener.
 	BinNode = cluster.BinNode
@@ -236,8 +186,6 @@ type (
 	BinNodeOptions = cluster.BinNodeOptions
 	// BinServer is the binary-protocol listener (server half of BinNode).
 	BinServer = cluster.BinServer
-	// BinServerOptions configures a binary listener.
-	BinServerOptions = cluster.BinServerOptions
 	// BinDial dials one binary transport connection (the chaos seam).
 	BinDial = cluster.BinDial
 	// ClusterWireMetrics are one wire endpoint's transport counters.
@@ -251,34 +199,8 @@ type (
 	NodeFaultRates = chaos.NodeRates
 	// ConnFaultRates are per-frame-write binary-wire fault probabilities.
 	ConnFaultRates = chaos.ConnRates
-	// NodeFaultRule scripts one exact node fault.
-	NodeFaultRule = chaos.NodeRule
 	// FaultyNode is the deterministic fault-injecting ClusterNode wrapper.
 	FaultyNode = cluster.FaultyNode
-)
-
-// The injectable fault kinds.
-const (
-	FaultLatency = chaos.Latency
-	FaultPanic   = chaos.Panic
-	FaultWedge   = chaos.Wedge
-	FaultCorrupt = chaos.Corrupt
-
-	// Storage-tier fault kinds (FaultyColdDevice).
-	FaultColdReadErr     = chaos.ReadErr
-	FaultColdStall       = chaos.Stall
-	FaultColdCorruptPage = chaos.CorruptPage
-	FaultColdTornWrite   = chaos.TornWrite
-
-	// Cluster-tier fault kinds (FaultyNode).
-	FaultNodeKill      = chaos.NodeKill
-	FaultNodePartition = chaos.NodePartition
-	FaultNodeSlow      = chaos.NodeSlow
-
-	// Connection-tier fault kinds (WrapFaultyBinDial, binary wire only).
-	FaultConnTorn  = chaos.ConnTorn
-	FaultConnReset = chaos.ConnReset
-	FaultConnStall = chaos.ConnStall
 )
 
 // Serving layer overload policies and errors, re-exported.
@@ -396,10 +318,19 @@ type Config struct {
 	// Cold, when non-nil, enables the flash-backed cold tier: a fourth
 	// placement level below the DRAM regions, priced by the cold device's
 	// timing model in the partitioner LP. ReCross only — NewSystem wires
-	// the timing side into every replica, and NewServer/NewAdaptiveServer
-	// additionally open the functional backing store and route cold-placed
-	// row reads through it.
+	// the timing side into every replica, and NewStack additionally opens
+	// the functional backing store and routes cold-placed row reads
+	// through it.
 	Cold *ColdTierConfig
+	// Adapt, when non-nil, makes NewStack wire the online adaptive
+	// repartitioning loop through the server (ReCross only). Spec,
+	// Baseline, Decision and (when zero) Batch are filled from the stack;
+	// NewSystem ignores it.
+	Adapt *AdaptOptions
+	// Chaos, when non-nil, makes NewStack wrap every replica — initial
+	// and supervisor-rebuilt — with the fault-injection harness.
+	// NewSystem ignores it.
+	Chaos *FaultConfig
 	// Precision is the DRAM tiers' embedding row storage format (default
 	// FP32). Quantized layers hold encoded backing tables that the reduce
 	// path dequantizes inline (the hot-row cache stays fp32), and the
@@ -540,11 +471,11 @@ func NewSystem(a Arch, cfg Config) (System, error) {
 	case TRiMG:
 		return baseline.NewTRiMG(bcfg)
 	case TRiMB:
-		prof, err := profileOf(cfg)
+		cfg, err := cfg.profiled(a)
 		if err != nil {
 			return nil, err
 		}
-		return baseline.NewTRiMB(bcfg, prof.Hists)
+		return baseline.NewTRiMB(bcfg, cfg.Profile.Hists)
 	case ReCross:
 		rcfg := core.DefaultConfig(cfg.Spec)
 		rcfg.Ranks = cfg.Ranks
@@ -701,20 +632,49 @@ func coldCounts(tr *FreqTracker, pl *partition.Placement, tables int) [][]ColdRo
 	return counts
 }
 
-// NewServer builds the embedding-inference serving front-end: n replica
-// systems of architecture a over cfg (profiled once, via
-// Config.ReplicaSystems), the functional embedding layer for result
-// vectors, and the dynamic batcher / admission control configured by
-// opts (opts.Systems and opts.Layer are filled in here). Unless the
-// caller supplies one, opts.Rebuild is wired to rebuild a failed replica
-// from the same architecture and shared profile, so the self-healing
-// supervisor restores full pool capacity without re-profiling.
+// Stack is one node's assembled serving stack: the Server plus the
+// control handles of whichever optional stages its Config enabled.
+// Stack.Close (the embedded Server's) tears every stage down: it stops the
+// adapt loop, releases wedged chaos batches and removes the cold file.
+type Stack struct {
+	*Server
+	// Adapt is the adaptive controller (nil without Config.Adapt). It is
+	// not started: call Start for the background loop at
+	// AdaptOptions.Interval, or drive Step yourself (deterministic tests
+	// do).
+	Adapt *AdaptController
+	// Faults is the replicas' shared fault injector (nil without
+	// Config.Chaos): the on/off switch, per-kind counters, wedge release.
+	Faults *FaultInjector
+}
+
+// NewStack is the one construction path of the serving stack. Its stages
+// are independent and run in a fixed order, each only when its config is
+// set:
 //
-// With Config.Cold set, the flash-backed cold tier's functional store is
-// opened over the layer's tables, cold-placed row reads route through it
-// (behind the hot-row cache), its recross_coldstore_* series ride
-// /metrics, and Server.Close releases its backing file.
-func NewServer(a Arch, cfg Config, n int, opts ServeOptions) (*Server, error) {
+//  1. base — profile once (Config.ReplicaSystems), build n replica
+//     systems of architecture a and the functional layer at
+//     Config.Precision;
+//  2. cold (Config.Cold) — open the flash tier's backing store over the
+//     layer's tables, route cold-placed row reads through it (behind the
+//     hot-row cache), report its breaker as cold-degraded health, export
+//     recross_coldstore_* on /metrics;
+//  3. adapt (Config.Adapt) — every admitted sample feeds the controller's
+//     sketches (ServeOptions.Observer), adoption stages a placement swap
+//     on every replica at its next batch boundary and, with a cold tier,
+//     re-routes the cold boundary and repacks the store's pages from the
+//     sketch counts; the sketches double as the hot-row cache's admission
+//     filter; recross_adapt_* rides /metrics;
+//  4. chaos (Config.Chaos) — wrap every replica with the fault harness,
+//     outermost, so injected faults hit whatever the inner stages built;
+//  5. rebuild — unless the caller supplied ServeOptions.Rebuild, the
+//     supervisor's replica factory composes the same stages in the same
+//     order: new system from the shared profile, onto the controller's
+//     current placement, re-wrapped with a per-generation chaos seed.
+//
+// opts.Systems and opts.Layer are filled in here. Stages 2 and 3 need the
+// ReCross architecture (it owns the partitioner).
+func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 	cfg, err := cfg.profiled(a)
 	if err != nil {
 		return nil, err
@@ -727,231 +687,202 @@ func NewServer(a Arch, cfg Config, n int, opts ServeOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	rc, _ := systems[0].(*core.ReCross)
+	if rc == nil && (cfg.Cold != nil || cfg.Adapt != nil) {
+		return nil, fmt.Errorf("recross: the cold tier and adaptive serving need single-channel %q replicas (they own the partitioner), got %q", ReCross, a)
+	}
+	var bootDec *partition.Decision // what a freshly built replica comes up on
+	st := &Stack{}
+	var expos []func() string
+
 	var store *coldstore.Store
 	if cfg.Cold != nil {
-		rc, ok := systems[0].(*core.ReCross)
-		if !ok {
-			return nil, fmt.Errorf("recross: %q replicas do not expose a cold placement", a)
-		}
-		store, err = openColdStore(cfg.Cold, layer)
-		if err != nil {
+		if store, err = openColdStore(cfg.Cold, layer); err != nil {
 			return nil, err
 		}
 		routeCold(layer, store, rc.Placement())
 		if opts.ColdDegraded == nil {
 			opts.ColdDegraded = store.Degraded
 		}
-		prev := opts.OnClose
-		opts.OnClose = func() {
-			store.Close()
-			if prev != nil {
-				prev()
+		expos = append(expos, store.Expo)
+	}
+	if cfg.Adapt != nil {
+		// The controller and server reference each other (Observer feeds
+		// the controller; adoption stages updates on the server): the
+		// adoption closures read st.Server, filled in below.
+		aopts := *cfg.Adapt
+		bootDec = rc.Decision()
+		aopts.Spec, aopts.Baseline, aopts.Decision = cfg.Spec, rc.Profile(), bootDec
+		if aopts.Batch == 0 {
+			aopts.Batch = cfg.Batch
+		}
+		if aopts.Adopt == nil {
+			aopts.Adopt = func(prof *Profile, dec *partition.Decision) error {
+				if st.Server == nil {
+					return fmt.Errorf("recross: adoption before server construction")
+				}
+				st.StageUpdate(func(_ int, sys System) (System, error) {
+					return sys, adoptInto(sys, prof, dec)
+				})
+				return nil
 			}
 		}
+		if store != nil {
+			if aopts.ColdHealthy == nil {
+				// The demotion-pause gate: no DRAM->cold migrations while
+				// the store's breaker is not closed.
+				aopts.ColdHealthy = func() bool { return !store.Degraded() }
+			}
+			// Adoption also moves the cold boundary: re-route the data
+			// plane's cold predicate to the adopted placement and repack
+			// the store's pages from the sketch counts (RecFlash-style
+			// frequency mapping) — promoted rows stop routing to flash,
+			// demoted ones start, and the warm cold-placed rows pack
+			// hottest-first.
+			inner := aopts.Adopt
+			aopts.Adopt = func(prof *Profile, dec *partition.Decision) error {
+				if err := inner(prof, dec); err != nil {
+					return err
+				}
+				pl, err := partition.Build(prof, dec)
+				if err != nil {
+					return err
+				}
+				routeCold(layer, store, pl)
+				return store.Remap(coldCounts(st.Adapt.Tracker(), pl, layer.Tables()))
+			}
+		}
+		if aopts.ServiceCycles == nil {
+			aopts.ServiceCycles = func() (int64, float64) {
+				if st.Server == nil {
+					return 0, 0
+				}
+				h := st.Metrics().ServiceCycles.Snapshot()
+				return h.Count, h.Mean * float64(h.Count)
+			}
+		}
+		if st.Adapt, err = adapt.NewController(aopts); err != nil {
+			closeStore(store)
+			return nil, err
+		}
+		if opts.Observer == nil {
+			opts.Observer = st.Adapt.Observe
+		}
+		expos = append(expos, st.Adapt.Expo)
 	}
-	opts.Systems = systems
-	opts.Layer = layer
+
+	if cfg.Chaos != nil {
+		st.Faults = chaos.NewInjector()
+		for i, sys := range systems {
+			systems[i] = chaos.Wrap(sys, *cfg.Chaos, i, st.Faults)
+		}
+	}
+
 	if opts.Rebuild == nil {
-		rebuildCfg := cfg
-		opts.Rebuild = func(int) (System, error) { return NewSystem(a, rebuildCfg) }
-	}
-	srv, err := serve.New(opts)
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
-	}
-	if store != nil {
-		srv.RegisterExpo(store.Expo)
-	}
-	return srv, nil
-}
-
-// NewAdaptiveServer builds a serving front-end with the online adaptive
-// repartitioning loop wired through it: every admitted sample feeds the
-// controller's frequency sketches (ServeOptions.Observer), adoption
-// stages a non-blocking placement swap on every replica
-// (Server.StageUpdate, applied at batch boundaries), supervisor-rebuilt
-// replicas come up already on the adopted placement, and the controller's
-// recross_adapt_* series ride the server's /metrics endpoint.
-//
-// Only the ReCross architecture has a partitioner to adapt; other arches
-// are rejected. The returned controller is not started: call Start for
-// the background loop at AdaptOptions.Interval, or drive Step yourself
-// (deterministic tests do). Close the server first, then Stop the
-// controller.
-func NewAdaptiveServer(a Arch, cfg Config, n int, sopts ServeOptions, aopts AdaptOptions) (*Server, *AdaptController, error) {
-	if a != ReCross {
-		return nil, nil, fmt.Errorf("recross: adaptive serving requires the %q architecture (it owns the partitioner), got %q", ReCross, a)
-	}
-	cfg, err := cfg.profiled(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	systems, err := cfg.ReplicaSystems(a, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	layer, err := cfg.newLayer()
-	if err != nil {
-		return nil, nil, err
-	}
-	rc, ok := systems[0].(*core.ReCross)
-	if !ok {
-		return nil, nil, fmt.Errorf("recross: %q replicas do not expose partitioning internals", a)
-	}
-	origDec := rc.Decision()
-
-	var store *coldstore.Store
-	if cfg.Cold != nil {
-		store, err = openColdStore(cfg.Cold, layer)
-		if err != nil {
-			return nil, nil, err
-		}
-		routeCold(layer, store, rc.Placement())
-		if sopts.ColdDegraded == nil {
-			sopts.ColdDegraded = store.Degraded
-		}
-		if aopts.ColdHealthy == nil {
-			// The demotion-pause gate: no DRAM->cold migrations while the
-			// store's breaker is not closed.
-			aopts.ColdHealthy = func() bool { return !store.Degraded() }
-		}
-		prev := sopts.OnClose
-		sopts.OnClose = func() {
-			store.Close()
-			if prev != nil {
-				prev()
-			}
-		}
-	}
-
-	// The controller and server reference each other (Observer feeds the
-	// controller; adoption stages updates on the server), so the adoption
-	// closure captures the server and controller variables filled in below.
-	var srv *Server
-	var ctrl *AdaptController
-	aopts.Spec = cfg.Spec
-	aopts.Baseline = rc.Profile()
-	aopts.Decision = origDec
-	if aopts.Batch == 0 {
-		aopts.Batch = cfg.Batch
-	}
-	if aopts.Adopt == nil {
-		aopts.Adopt = func(prof *Profile, dec *partition.Decision) error {
-			if srv == nil {
-				return fmt.Errorf("recross: adoption before server construction")
-			}
-			srv.StageUpdate(func(id int, sys System) (System, error) {
-				rb, ok := sys.(adapt.Rebalancer)
-				if !ok {
-					return sys, nil // non-partitioned replica: nothing to swap
-				}
-				if err := rb.Adopt(prof, dec); err != nil {
-					return nil, err
-				}
-				return sys, nil
-			})
-			return nil
-		}
-	}
-	if store != nil {
-		// Adoption also moves the cold boundary: re-route the data plane's
-		// cold predicate to the adopted placement and repack the store's
-		// pages from the sketch counts (RecFlash-style frequency mapping) —
-		// promoted rows stop routing to flash, demoted ones start, and the
-		// warm cold-placed rows pack hottest-first.
-		inner := aopts.Adopt
-		aopts.Adopt = func(prof *Profile, dec *partition.Decision) error {
-			if err := inner(prof, dec); err != nil {
-				return err
-			}
-			pl, err := partition.Build(prof, dec)
-			if err != nil {
-				return err
-			}
-			routeCold(layer, store, pl)
-			if ctrl != nil {
-				return store.Remap(coldCounts(ctrl.Tracker(), pl, layer.Tables()))
-			}
-			return nil
-		}
-	}
-	if aopts.ServiceCycles == nil {
-		aopts.ServiceCycles = func() (int64, float64) {
-			if srv == nil {
-				return 0, 0
-			}
-			h := srv.Metrics().ServiceCycles.Snapshot()
-			return h.Count, h.Mean * float64(h.Count)
-		}
-	}
-	ctrl, err = adapt.NewController(aopts)
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return nil, nil, err
-	}
-
-	sopts.Systems = systems
-	sopts.Layer = layer
-	if sopts.Observer == nil {
-		sopts.Observer = ctrl.Observe
-	}
-	if sopts.Rebuild == nil {
-		rebuildCfg := cfg
-		sopts.Rebuild = func(id int) (System, error) {
-			sys, err := NewSystem(a, rebuildCfg)
+		var generation atomic.Int64
+		opts.Rebuild = func(id int) (System, error) {
+			sys, err := NewSystem(a, cfg)
 			if err != nil {
 				return nil, err
 			}
-			// A replacement replica must not resurrect the boot placement
-			// after an adoption: bring it up on the controller's current
-			// state.
-			prof, dec := ctrl.Current()
-			if dec != origDec {
-				if rb, ok := sys.(adapt.Rebalancer); ok {
-					if err := rb.Adopt(prof, dec); err != nil {
+			if st.Adapt != nil {
+				// A replacement replica must not resurrect the boot
+				// placement after an adoption.
+				if prof, dec := st.Adapt.Current(); dec != bootDec {
+					if err := adoptInto(sys, prof, dec); err != nil {
 						return nil, err
 					}
 				}
 			}
+			if cfg.Chaos != nil {
+				// A rebuilt replica must not replay its predecessor's fault
+				// sequence: with the same seed, a wrapper whose RNG faults
+				// on its first batch faults on the first batch of every
+				// incarnation, burning the restart cap until the replica is
+				// declared dead and the fleet decays into all-degraded
+				// service. Offset the seed per rebuild (still
+				// deterministic) and drop scripted rules, which are
+				// one-shot and already fired on the original incarnation.
+				fc := *cfg.Chaos
+				fc.Schedule = nil
+				fc.Seed += int64(n) * generation.Add(1)
+				sys = chaos.Wrap(sys, fc, id, st.Faults)
+			}
 			return sys, nil
 		}
 	}
-	srv, err = serve.New(sopts)
-	if err != nil {
-		if store != nil {
-			store.Close()
+
+	prevClose := opts.OnClose
+	opts.OnClose = func() {
+		if st.Adapt != nil {
+			st.Adapt.Stop()
 		}
-		return nil, nil, err
+		if st.Faults != nil {
+			// Wedged batches block their abandoned goroutines until
+			// released; nothing runs on them after Close.
+			st.Faults.ReleaseWedges()
+		}
+		closeStore(store)
+		if prevClose != nil {
+			prevClose()
+		}
 	}
-	srv.RegisterExpo(ctrl.Expo)
+	opts.Systems, opts.Layer = systems, layer
+	if st.Server, err = serve.New(opts); err != nil {
+		closeStore(store)
+		return nil, err
+	}
+	for _, expo := range expos {
+		st.RegisterExpo(expo)
+	}
+	if st.Adapt != nil {
+		// The controller's Space-Saving sketches double as the hot-row
+		// cache's admission filter: once live traffic accumulates, only
+		// rows the tracker ranks as heavy hitters earn cache slots, so a
+		// cold scan cannot wash the resident hot set out (lookups still
+		// always probe).
+		if cache := st.RowCache(); cache != nil {
+			cache.SetAdmit(st.Adapt.Tracker().Hot)
+		}
+	}
+	return st, nil
+}
+
+// NewServer builds a serving stack (see NewStack for the stages Config
+// selects) and returns just its Server — all a caller needs when neither
+// Config.Adapt nor Config.Chaos is set.
+func NewServer(a Arch, cfg Config, n int, opts ServeOptions) (*Server, error) {
+	st, err := NewStack(a, cfg, n, opts)
+	if err != nil {
+		return nil, err
+	}
+	return st.Server, nil
+}
+
+// adoptInto swaps sys onto a pre-solved placement, looking through the
+// chaos wrapper: a FaultySystem is not itself an adapt.Rebalancer, so
+// asserting on the outer System would silently skip every wrapped replica.
+// Systems without a partitioner are left untouched.
+func adoptInto(sys System, prof *Profile, dec *partition.Decision) error {
+	if fs, ok := sys.(*FaultySystem); ok {
+		sys = fs.Inner()
+	}
+	if rb, ok := sys.(adapt.Rebalancer); ok {
+		return rb.Adopt(prof, dec)
+	}
+	return nil
+}
+
+func closeStore(store *coldstore.Store) {
 	if store != nil {
-		srv.RegisterExpo(store.Expo)
+		store.Close()
 	}
-	// The controller's Space-Saving sketches double as the hot-row cache's
-	// admission filter: once live traffic accumulates, only rows the
-	// tracker ranks as heavy hitters earn cache slots, so a cold scan
-	// cannot wash the resident hot set out (lookups still always probe).
-	if rc := srv.RowCache(); rc != nil {
-		rc.SetAdmit(ctrl.Tracker().Hot)
-	}
-	return srv, ctrl, nil
 }
 
 // NewFaultInjector returns an enabled injector — share one across the
 // fault wrappers of a campaign so counters and the on/off switch span
 // every tier (replica batches, device pages, cluster nodes).
 func NewFaultInjector() *FaultInjector { return chaos.NewInjector() }
-
-// WrapFaulty wraps one System with deterministic fault injection for
-// replica id; inj may be shared across a fleet (nil makes a fresh one).
-func WrapFaulty(sys System, fc FaultConfig, id int, inj *FaultInjector) *FaultySystem {
-	return chaos.Wrap(sys, fc, id, inj)
-}
 
 // WrapColdDevice wraps a cold-store page device with the deterministic
 // storage-fault injector — the storage-tier counterpart of WrapFaulty.
@@ -961,57 +892,6 @@ func WrapFaulty(sys System, fc FaultConfig, id int, inj *FaultInjector) *FaultyS
 // faults (nil makes a fresh one).
 func WrapColdDevice(inner ColdDevice, fc ColdFaultConfig, inj *FaultInjector) *FaultyColdDevice {
 	return chaos.WrapColdDevice(inner, fc, inj)
-}
-
-// NewChaosServer builds a serving front-end whose replicas are wrapped
-// with the fault-injection harness — the soak-test entry point behind
-// recross-serve's -chaos flags. Every replica shares one injector
-// (returned for enabling/disabling injection and releasing wedges), and
-// the supervisor's rebuild path wraps replacements too, so injection
-// continues across restarts until the injector is disabled.
-func NewChaosServer(a Arch, cfg Config, n int, opts ServeOptions, fc FaultConfig) (*Server, *FaultInjector, error) {
-	cfg, err := cfg.profiled(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	systems, err := cfg.ReplicaSystems(a, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	layer, err := cfg.newLayer()
-	if err != nil {
-		return nil, nil, err
-	}
-	wrapped, inj := chaos.WrapFleet(systems, fc)
-	opts.Systems = wrapped
-	opts.Layer = layer
-	if opts.Rebuild == nil {
-		rebuildCfg := cfg
-		var gen atomic.Int64
-		opts.Rebuild = func(id int) (System, error) {
-			sys, err := NewSystem(a, rebuildCfg)
-			if err != nil {
-				return nil, err
-			}
-			// A rebuilt replica must not replay its predecessor's fault
-			// sequence: with the same seed, a wrapper whose RNG faults on
-			// its first batch faults on the first batch of every
-			// incarnation, burning the restart cap until the replica is
-			// declared dead and the fleet decays into all-degraded
-			// service. Offset the seed per rebuild (still deterministic)
-			// and drop scripted rules, which are one-shot and already
-			// fired on the original incarnation.
-			rfc := fc
-			rfc.Schedule = nil
-			rfc.Seed = fc.Seed + int64(n)*gen.Add(1)
-			return chaos.Wrap(sys, rfc, id, inj), nil
-		}
-	}
-	srv, err := serve.New(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, inj, nil
 }
 
 // Loadgen drives a Server with closed-loop clients and reports
@@ -1124,14 +1004,9 @@ type ClusterServer struct {
 	Fleet   *ClusterFleet
 	Tracker *FreqTracker
 
-	stop chaosOnce
-}
-
-// chaosOnce is a tiny stop-channel helper (close-once semantics).
-type chaosOnce struct {
-	ch   chan struct{}
-	done chan struct{}
-	once atomic.Bool
+	stop     chan struct{} // closed once by Close
+	stopOnce sync.Once
+	done     chan struct{} // closed when the rebalance loop has exited
 }
 
 // NewClusterServer builds the cluster tier: N full-spec nodes (every
@@ -1143,16 +1018,18 @@ type chaosOnce struct {
 // RebalanceEvery set, a background loop re-derives table volumes from
 // the live frequency sketches and swaps refreshed placements into the
 // router — the cluster-scope analogue of the adaptive repartitioner.
-func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (*ClusterServer, error) {
+func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, err error) {
 	cc = cc.withDefaults()
-	if cfg.Cold != nil {
-		return nil, fmt.Errorf("recross: the cold tier is per-node; run cluster nodes as separate -cold processes and front them with Peers")
+	if cfg.Adapt != nil {
+		return nil, fmt.Errorf("recross: adaptive repartitioning is per-node; a cluster rebalances placements with ClusterConfig.RebalanceEvery instead")
 	}
-	cfg, err := cfg.profiled(a)
-	if err != nil {
+	if len(cc.Peers) > 0 && (cfg.Cold != nil || cfg.Chaos != nil) {
+		return nil, fmt.Errorf("recross: the cold tier and replica chaos are per-node stages; configure them on the peer processes, not on the router fronting them")
+	}
+	if cfg, err = cfg.profiled(a); err != nil {
 		return nil, err
 	}
-	if err := cfg.Spec.Validate(); err != nil {
+	if err = cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
 	spec := cfg.Spec
@@ -1194,26 +1071,29 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (*ClusterServer, err
 		}
 	} else {
 		fleet, err = cluster.NewFleet(cc.Nodes, func(i int) (*Server, error) {
-			systems, err := cfg.ReplicaSystems(a, cc.ReplicasPerNode)
-			if err != nil {
-				return nil, err
+			// Every node is a full stack from the one pipeline, sharing the
+			// cluster's single profiling pass; with chaos, node i's
+			// replicas draw from their own seeds so nodes do not fault in
+			// lockstep.
+			nc := cfg
+			if cfg.Chaos != nil {
+				fc := *cfg.Chaos
+				if fc.Seed == 0 {
+					fc.Seed = 1
+				}
+				fc.Seed += int64(i * cc.ReplicasPerNode)
+				nc.Chaos = &fc
 			}
-			layer, err := cfg.newLayer()
-			if err != nil {
-				return nil, err
-			}
-			opts := cc.Serve
-			opts.Systems = systems
-			opts.Layer = layer
-			if opts.Rebuild == nil {
-				rebuildCfg := cfg
-				opts.Rebuild = func(int) (System, error) { return NewSystem(a, rebuildCfg) }
-			}
-			return serve.New(opts)
+			return NewServer(a, nc, cc.ReplicasPerNode, cc.Serve)
 		})
 		if err != nil {
 			return nil, err
 		}
+		defer func() {
+			if err != nil {
+				_ = fleet.Close()
+			}
+		}()
 		nodes = fleet.Nodes()
 		for _, n := range nodes {
 			ids = append(ids, n.ID())
@@ -1227,24 +1107,15 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (*ClusterServer, err
 
 	pl, err := clusterPlacement(spec, ids, cc, nil)
 	if err != nil {
-		if fleet != nil {
-			_ = fleet.Close()
-		}
 		return nil, err
 	}
 
 	tracker, err := adapt.NewTracker(spec, adapt.TrackerOptions{TopK: cc.TrackerTopK})
 	if err != nil {
-		if fleet != nil {
-			_ = fleet.Close()
-		}
 		return nil, err
 	}
 	routerLayer, err := cfg.newLayer()
 	if err != nil {
-		if fleet != nil {
-			_ = fleet.Close()
-		}
 		return nil, err
 	}
 	router, err := cluster.NewRouter(cluster.Options{
@@ -1257,19 +1128,15 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (*ClusterServer, err
 		Observer:      tracker.Observe,
 	})
 	if err != nil {
-		if fleet != nil {
-			_ = fleet.Close()
-		}
 		return nil, err
 	}
 
-	cs := &ClusterServer{Router: router, Fleet: fleet, Tracker: tracker}
-	cs.stop.ch = make(chan struct{})
-	cs.stop.done = make(chan struct{})
+	cs := &ClusterServer{Router: router, Fleet: fleet, Tracker: tracker,
+		stop: make(chan struct{}), done: make(chan struct{})}
 	if cc.RebalanceEvery > 0 {
 		go cs.rebalance(spec, ids, cc)
 	} else {
-		close(cs.stop.done)
+		close(cs.done)
 	}
 	return cs, nil
 }
@@ -1277,12 +1144,12 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (*ClusterServer, err
 // rebalance is the background loop swapping sketch-derived placements
 // into the router.
 func (cs *ClusterServer) rebalance(spec ModelSpec, ids []string, cc ClusterConfig) {
-	defer close(cs.stop.done)
+	defer close(cs.done)
 	ticker := time.NewTicker(cc.RebalanceEvery)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-cs.stop.ch:
+		case <-cs.stop:
 			return
 		case <-ticker.C:
 		}
@@ -1357,10 +1224,8 @@ func (cs *ClusterServer) Lookup(ctx context.Context, sample Sample) (*ClusterRes
 
 // Close stops the rebalance loop, the router, then the fleet.
 func (cs *ClusterServer) Close() error {
-	if cs.stop.once.CompareAndSwap(false, true) {
-		close(cs.stop.ch)
-	}
-	<-cs.stop.done
+	cs.stopOnce.Do(func() { close(cs.stop) })
+	<-cs.done
 	err := cs.Router.Close()
 	if cs.Fleet != nil {
 		if ferr := cs.Fleet.Close(); err == nil {
@@ -1422,13 +1287,6 @@ func DefaultReCrossConfig(spec ModelSpec) ReCrossConfig {
 // NewProfile runs an offline profiling pass over spec.
 func NewProfile(spec ModelSpec, seed int64, samples int) (*Profile, error) {
 	return partition.NewProfile(spec, seed, samples)
-}
-
-func profileOf(cfg Config) (*Profile, error) {
-	if cfg.Profile != nil {
-		return cfg.Profile, nil
-	}
-	return partition.NewProfile(cfg.Spec, cfg.ProfileSeed, cfg.ProfileSamples)
 }
 
 // ChannelBytes returns the capacity of a channel with the given rank count,

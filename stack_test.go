@@ -1,0 +1,362 @@
+package recross
+
+import (
+	"context"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"recross/internal/partition"
+)
+
+// stackCase builds the config of one composition: any subset of the
+// optional stages at one storage precision, over the oversubscribed
+// cold-tier spec. The cold pages use the DRAM tiers' codec so every path
+// serves the same canonical decoded values as the reference layer.
+func stackCase(t *testing.T, cold, adaptOn, chaosOn bool, prec Precision) (Config, ServeOptions) {
+	cfg := Config{Spec: coldSpec(), ProfileSamples: 800, Batch: 16, Precision: prec}
+	if cold {
+		cfg.Cold = coldTierConfig()
+		cfg.Cold.Dir = t.TempDir()
+		cfg.Cold.Precision = prec
+	}
+	if adaptOn {
+		// A gate that opens on the first drifted window: the composition
+		// tests force one adoption, they do not test the hysteresis.
+		cfg.Adapt = &AdaptOptions{
+			Interval:  time.Hour, // stepped by hand
+			Threshold: 0.05, Windows: 1, Cooldown: time.Millisecond,
+			MinGain: 0.001, AmortizeBatches: 1 << 40, MinSamples: 200,
+		}
+	}
+	if chaosOn {
+		cfg.Chaos = &FaultConfig{
+			Rates: FaultRates{Latency: 0.05, Corrupt: 0.03, Panic: 0.02, Wedge: 0.005},
+			Stall: 100 * time.Microsecond,
+			Seed:  7,
+		}
+	}
+	return cfg, ServeOptions{
+		MaxBatch: 16, MaxDelay: time.Millisecond,
+		WedgeTimeout: 250 * time.Millisecond, RestartBackoff: time.Millisecond,
+	}
+}
+
+// referenceLayer is the functional ground truth at a storage precision.
+func referenceLayer(t *testing.T, spec ModelSpec, prec Precision) *Layer {
+	t.Helper()
+	ref, err := Config{Spec: spec, Precision: prec}.newLayer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// serveWave submits n samples concurrently (so both replicas see batches)
+// and checks every answered vector bit-identical to ref.
+func serveWave(t *testing.T, lookup func(context.Context, Sample) ([][]float32, error), gen *Generator, ref *Layer, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		sample := gen.Sample()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := lookup(context.Background(), sample)
+			if err != nil {
+				errs <- err
+				return
+			}
+			want, err := ref.ReduceSample(sample)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for k := range want {
+				if !AlmostEqual(got[k], want[k], 0) {
+					errs <- fmt.Errorf("op %d (table %d): vector differs from the reference layer", k, sample[k].Table)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+func stackLookup(st *Stack) func(context.Context, Sample) ([][]float32, error) {
+	return func(ctx context.Context, s Sample) ([][]float32, error) {
+		res, err := st.Lookup(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		return res.Vectors, nil
+	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: %d after Close, %d before construction\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func assertDirEmpty(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("cold backing file survived Close: %v", left)
+	}
+}
+
+// TestStackComposition: the optional stages of NewStack are independent —
+// every subset of {cold, adapt, chaos} at fp32 and int8 serves answers
+// bit-identical to the functional layer — and they compose: with all three
+// on, adoption reaches the placement inside every chaos wrapper, rebuilt
+// replicas come back wrapped and adopted, both stages' metrics ride
+// /metrics, and Close releases every stage's resources.
+func TestStackComposition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 16 stacks")
+	}
+	for _, prec := range []Precision{FP32, INT8} {
+		for mask := 0; mask < 8; mask++ {
+			cold, adaptOn, chaosOn := mask&1 != 0, mask&2 != 0, mask&4 != 0
+			name := fmt.Sprintf("%v/cold=%v,adapt=%v,chaos=%v", prec, cold, adaptOn, chaosOn)
+			t.Run(name, func(t *testing.T) {
+				cfg, opts := stackCase(t, cold, adaptOn, chaosOn, prec)
+				st, err := NewStack(ReCross, cfg, 2, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				if (st.Adapt != nil) != adaptOn || (st.Faults != nil) != chaosOn {
+					t.Fatalf("handles: Adapt %v, Faults %v", st.Adapt != nil, st.Faults != nil)
+				}
+				gen, err := NewGenerator(cfg.Spec, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := referenceLayer(t, cfg.Spec, prec)
+				for w := 0; w < 6; w++ {
+					serveWave(t, stackLookup(st), gen, ref, 32)
+				}
+				if chaosOn && st.Faults.Total() == 0 {
+					t.Error("chaos stage injected nothing")
+				}
+				if adaptOn && st.Adapt.Tracker().Samples() == 0 {
+					t.Error("adapt stage observed nothing")
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if cold {
+					assertDirEmpty(t, cfg.Cold.Dir)
+				}
+			})
+		}
+	}
+	t.Run("all-three", testStackAllStages)
+	t.Run("fleet-cold-chaos", testFleetColdChaos)
+}
+
+// replicaView is what a probe sees of one replica's System.
+type replicaView struct {
+	wrapped bool
+	dec     *partition.Decision // the inner ReCross's deployed decision
+}
+
+// probeReplicas stages a no-op update that records every replica's System
+// and drives traffic until each worker has applied it.
+func probeReplicas(t *testing.T, st *Stack, drive func()) map[int]replicaView {
+	t.Helper()
+	var mu sync.Mutex
+	views := map[int]replicaView{}
+	st.StageUpdate(func(id int, sys System) (System, error) {
+		v := replicaView{}
+		inner := sys
+		if fs, ok := sys.(*FaultySystem); ok {
+			v.wrapped, inner = true, fs.Inner()
+		}
+		if rc, ok := inner.(*ReCrossSystem); ok {
+			v.dec = rc.Decision()
+		}
+		mu.Lock()
+		views[id] = v
+		mu.Unlock()
+		return sys, nil
+	})
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		mu.Lock()
+		n := len(views)
+		mu.Unlock()
+		if n == st.Replicas() {
+			return views
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d replicas applied the probe", n, st.Replicas())
+		}
+		drive()
+	}
+}
+
+func testStackAllStages(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg, opts := stackCase(t, true, true, true, INT8)
+	st, err := NewStack(ReCross, cfg, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.Adapt.Start() // Close must stop the loop (Interval: it never ticks)
+	gen, err := NewGenerator(cfg.Spec, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceLayer(t, cfg.Spec, INT8)
+	drive := func() { serveWave(t, stackLookup(st), gen, ref, 32) }
+
+	_, bootDec := st.Adapt.Current()
+	for id, v := range probeReplicas(t, st, drive) {
+		if !v.wrapped || v.dec == nil {
+			t.Fatalf("replica %d: wrapped %v, inner decision %p", id, v.wrapped, v.dec)
+		}
+	}
+
+	// Force one adoption: shift the hot set and feed the controller until
+	// its (wide-open) gate adopts.
+	if err := gen.ShiftHotSet(424242); err != nil {
+		t.Fatal(err)
+	}
+	adopted := false
+	for w := 0; w < 20 && !adopted; w++ {
+		for i := 0; i < 400; i++ {
+			st.Adapt.Observe(gen.Sample())
+		}
+		res := st.Adapt.Step()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		adopted = res.Adopted
+	}
+	_, dec := st.Adapt.Current()
+	if !adopted || dec == bootDec {
+		t.Fatal("no adoption after the hot-set shift")
+	}
+	// Wait until both workers ran the staged swap (a probe staged earlier
+	// would replace it: the latest update wins), then look inside the
+	// wrappers — the applied counter advances even for a skipped replica.
+	applied := st.Metrics().UpdatesApplied.Load()
+	for deadline := time.Now().Add(20 * time.Second); st.Metrics().UpdatesApplied.Load() < applied+2; {
+		if time.Now().After(deadline) {
+			t.Fatal("adoption never applied on both replicas")
+		}
+		drive()
+	}
+	for id, v := range probeReplicas(t, st, drive) {
+		if !v.wrapped || v.dec != dec {
+			t.Fatalf("replica %d after adoption: wrapped %v, inner decision %p, adopted %p (boot %p)",
+				id, v.wrapped, v.dec, dec, bootDec)
+		}
+	}
+
+	// A supervisor-rebuilt replica comes back wrapped and on the adopted
+	// placement.
+	restarts := st.Metrics().Restarts.Load()
+	for deadline := time.Now().Add(30 * time.Second); st.Metrics().Restarts.Load() == restarts; {
+		if time.Now().After(deadline) {
+			t.Fatal("chaos never forced a replica rebuild")
+		}
+		drive()
+	}
+	for id, v := range probeReplicas(t, st, drive) {
+		if !v.wrapped || v.dec != dec {
+			t.Fatalf("replica %d after a rebuild: wrapped %v, inner decision %p, adopted %p", id, v.wrapped, v.dec, dec)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	st.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, series := range []string{"recross_coldstore_page_reads_total", "recross_adapt_repartitions_total 1", "recross_replica_faults_"} {
+		if !strings.Contains(rec.Body.String(), series) {
+			t.Errorf("/metrics lacks %q", series)
+		}
+	}
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertDirEmpty(t, cfg.Cold.Dir)
+	settleGoroutines(t, base)
+}
+
+// testFleetColdChaos: fleet nodes come from the same pipeline, so each
+// gets its own cold store and chaos-wrapped replicas.
+func testFleetColdChaos(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg, opts := stackCase(t, true, false, true, FP32)
+	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Nodes: 2, Serve: opts, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	gen, err := NewGenerator(cfg.Spec, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceLayer(t, cfg.Spec, FP32)
+	for w := 0; w < 8; w++ {
+		serveWave(t, func(ctx context.Context, s Sample) ([][]float32, error) {
+			res, err := cs.Lookup(ctx, s)
+			if err != nil {
+				return nil, err
+			}
+			return res.Vectors, nil
+		}, gen, ref, 32)
+	}
+	if files, _ := os.ReadDir(cfg.Cold.Dir); len(files) != 2 {
+		t.Errorf("%d cold backing files for 2 nodes", len(files))
+	}
+	var faults int64
+	for i := 0; i < cs.Fleet.Len(); i++ {
+		srv := cs.Fleet.Node(i).Server()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if !strings.Contains(rec.Body.String(), "recross_coldstore_page_reads_total") {
+			t.Errorf("node %d /metrics lacks the cold store's series", i)
+		}
+		snap := srv.Metrics().Snapshot()
+		faults += snap.FaultPanics + snap.FaultWedges + snap.FaultCorrupt + snap.FaultErrors
+	}
+	if faults == 0 {
+		t.Error("no fleet replica observed an injected fault")
+	}
+	if _, err := NewClusterServer(ReCross, Config{Spec: cfg.Spec, Adapt: &AdaptOptions{}}, ClusterConfig{Nodes: 2}); err == nil {
+		t.Error("cluster accepted Config.Adapt")
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertDirEmpty(t, cfg.Cold.Dir)
+	settleGoroutines(t, base)
+}
