@@ -229,7 +229,6 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.Var(scaled(&cd.PageBytes, 10, 16), "cold-page-kb", "cold: device page size in KiB")
 	fs.BoolVar(&cd.InStorageReduce, "cold-isr", false, "cold: in-storage reduction (one partial sum per op crosses the link)")
 	mib(&cd.CacheBytes, "cold-cache-mb", 1, "cold: host page-cache budget in MiB")
-	fs.BoolVar(&cd.Mmap, "cold-mmap", false, "cold: mmap the backing file instead of pread")
 	fs.StringVar(&cd.Dir, "cold-dir", "", "cold: backing-file directory (default: system temp dir)")
 	fs.BoolVar(&cd.DisableChecksum, "cold-no-checksum", false, "cold: disable per-page CRC32C verification (benchmarking only)")
 	fs.IntVar(&cd.Retries, "cold-retries", 2, "cold: device-read retries before the page read fails (-1 disables)")
@@ -439,7 +438,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			bin: func() (*recross.BinServer, error) {
 				bs, err := recross.NewBinServer(st.Server)
 				if err == nil {
-					st.RegisterExpo(bs.Expo)
+					bs.RegisterMetrics(st.MetricSet())
 				}
 				return bs, err
 			},

@@ -11,7 +11,7 @@ import (
 )
 
 // TestFlagsGolden: the flag set's names and default strings are the
-// command's public surface; testdata/flags.golden pins all 86.
+// command's public surface; testdata/flags.golden pins all 85.
 func TestFlagsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
@@ -31,8 +31,8 @@ func TestFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: bound value %q != default %q", f.Name, f.Value, f.DefValue)
 		}
 	})
-	if n != 86 {
-		t.Errorf("%d flags, want 86", n)
+	if n != 85 {
+		t.Errorf("%d flags, want 85", n)
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag names/defaults drifted from testdata/flags.golden:\n%s", got.String())

@@ -19,8 +19,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"time"
@@ -150,17 +148,14 @@ func serveWindow(srv *recross.Server, gen *recross.Generator, n int) {
 	}
 }
 
-// printColdstore scrapes the server's /metrics endpoint — the cold tier's
-// real observable surface — and prints the recross_coldstore_* counters.
+// printColdstore writes out what the server's /metrics endpoint serves —
+// the cold tier's real observable surface — and prints the
+// recross_coldstore_* counters.
 func printColdstore(srv *recross.Server, indent string) {
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	var body strings.Builder
+	_, err := srv.MetricSet().WriteTo(&body)
 	check(err)
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	check(err)
-	for _, line := range strings.Split(string(body), "\n") {
+	for _, line := range strings.Split(body.String(), "\n") {
 		if strings.HasPrefix(line, "recross_coldstore_") {
 			fmt.Println(indent + line)
 		}

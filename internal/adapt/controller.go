@@ -2,10 +2,10 @@ package adapt
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
+	"recross/internal/metrics"
 	"recross/internal/nmp"
 	"recross/internal/partition"
 	"recross/internal/trace"
@@ -400,7 +400,7 @@ func (c *Controller) serviceWindowMean() float64 {
 }
 
 // Metrics is the control loop's counters and gauges. Snapshot with
-// Controller.Metrics; rendered for /metrics by Expo.
+// Controller.Metrics; published on /metrics by RegisterMetrics.
 type Metrics struct {
 	// Windows counts control windows evaluated.
 	Windows int64
@@ -450,37 +450,28 @@ func (c *Controller) Metrics() Metrics {
 	return m
 }
 
-// Expo renders the adapt series in Prometheus text exposition format;
-// the serving layer appends it to /metrics via serve.RegisterExpo.
-func (c *Controller) Expo() string {
-	m := c.Metrics()
-	var b []byte
-	counter := func(name string, v int64) {
-		b = append(b, fmt.Sprintf("# TYPE %s counter\n%s %d\n", name, name, v)...)
-	}
-	gauge := func(name string, v float64) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			v = 0
-		}
-		b = append(b, fmt.Sprintf("# TYPE %s gauge\n%s %g\n", name, name, v)...)
-	}
-	counter("recross_adapt_windows_total", m.Windows)
-	counter("recross_adapt_triggers_total", m.Triggers)
-	counter("recross_adapt_replans_total", m.Replans)
-	counter("recross_adapt_repartitions_total", m.Adoptions)
-	counter("recross_adapt_rejected_total", m.Rejected)
-	counter("recross_adapt_skipped_total", m.Skipped)
-	counter("recross_adapt_errors_total", m.Errors)
-	counter("recross_adapt_rows_migrated_total", m.RowsMigrated)
-	counter("recross_adapt_bytes_migrated_total", m.BytesMigrated)
-	counter("recross_adapt_cold_promoted_rows_total", m.ColdPromotedRows)
-	counter("recross_adapt_cold_demoted_rows_total", m.ColdDemotedRows)
-	counter("recross_adapt_cold_paused_total", m.ColdPaused)
-	gauge("recross_adapt_drift_score", m.DriftScore)
-	gauge("recross_adapt_drift_ks", m.DriftKS)
-	gauge("recross_adapt_last_speedup", m.LastSpeedup)
-	gauge("recross_adapt_estimated_gain", m.EstimatedGain)
-	gauge("recross_adapt_realized_gain", m.RealizedGain)
-	gauge("recross_adapt_samples_observed", float64(m.SamplesObserved))
-	return string(b)
+// RegisterMetrics publishes the recross_adapt_* series in set (the
+// serving layer's). One locked Metrics snapshot is taken per scrape; the
+// series read its fields.
+func (c *Controller) RegisterMetrics(set *metrics.Set) {
+	var m Metrics
+	set.OnScrape(func() { m = c.Metrics() })
+	set.Counter("recross_adapt_windows_total", "Control windows evaluated.", func() int64 { return m.Windows })
+	set.Counter("recross_adapt_triggers_total", "Windows where the drift detector fired.", func() int64 { return m.Triggers })
+	set.Counter("recross_adapt_replans_total", "Solves run after a trigger.", func() int64 { return m.Replans })
+	set.Counter("recross_adapt_repartitions_total", "Plans that passed the gate and deployed.", func() int64 { return m.Adoptions })
+	set.Counter("recross_adapt_rejected_total", "Plans killed by the hysteresis gate.", func() int64 { return m.Rejected })
+	set.Counter("recross_adapt_skipped_total", "Triggers ignored for lack of observed samples.", func() int64 { return m.Skipped })
+	set.Counter("recross_adapt_errors_total", "Solve or adoption failures.", func() int64 { return m.Errors })
+	set.Counter("recross_adapt_rows_migrated_total", "Rows moved by adopted plans.", func() int64 { return m.RowsMigrated })
+	set.Counter("recross_adapt_bytes_migrated_total", "Bytes moved by adopted plans.", func() int64 { return m.BytesMigrated })
+	set.Counter("recross_adapt_cold_promoted_rows_total", "Rows moved from the cold tier into DRAM.", func() int64 { return m.ColdPromotedRows })
+	set.Counter("recross_adapt_cold_demoted_rows_total", "Rows moved from DRAM to the cold tier.", func() int64 { return m.ColdDemotedRows })
+	set.Counter("recross_adapt_cold_paused_total", "Demoting plans rejected while the storage tier was degraded.", func() int64 { return m.ColdPaused })
+	set.Gauge("recross_adapt_drift_score", "Latest window's drift score.", func() float64 { return m.DriftScore })
+	set.Gauge("recross_adapt_drift_ks", "Latest window's KS statistic.", func() float64 { return m.DriftKS })
+	set.Gauge("recross_adapt_last_speedup", "Latest plan's predicted speedup.", func() float64 { return m.LastSpeedup })
+	set.Gauge("recross_adapt_estimated_gain", "Last adopted plan's predicted speedup.", func() float64 { return m.EstimatedGain })
+	set.Gauge("recross_adapt_realized_gain", "Measured service-cycle ratio around the last adoption.", func() float64 { return m.RealizedGain })
+	set.IntGauge("recross_adapt_samples_observed", "The tracker's live (decayed) sample count.", func() int64 { return m.SamplesObserved })
 }

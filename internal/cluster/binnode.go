@@ -85,10 +85,8 @@ type BinNode struct {
 	slots []*connSlot
 	next  atomic.Uint32
 
-	closed   atomic.Bool
-	lookups  atomic.Int64
-	failures atomic.Int64
-	cycles   atomic.Int64
+	closed atomic.Bool
+	nodeCounters
 }
 
 // NewBinNode builds a node for the binary peer at addr ("host:port";
@@ -392,14 +390,7 @@ func (n *BinNode) pickConn(ctx context.Context) (*binConn, error) {
 
 // Lookup serves one sample over the binary wire.
 func (n *BinNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
-	res, err := n.lookup(ctx, sample)
-	if err != nil {
-		n.failures.Add(1)
-		return nil, err
-	}
-	n.lookups.Add(1)
-	n.cycles.Add(int64(res.ServiceCycles))
-	return res, nil
+	return n.tally(n.lookup(ctx, sample))
 }
 
 func (n *BinNode) lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
@@ -466,15 +457,6 @@ func (n *BinNode) Health(ctx context.Context) (serve.HealthReport, error) {
 		return serve.HealthReport{}, err
 	}
 	return h, nil
-}
-
-// Stats reports cumulative client-side counters.
-func (n *BinNode) Stats() NodeStats {
-	return NodeStats{
-		Lookups:  n.lookups.Load(),
-		Failures: n.failures.Load(),
-		Cycles:   n.cycles.Load(),
-	}
 }
 
 // Close tears down the conn pool. The peer's lifecycle is not ours.

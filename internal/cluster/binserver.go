@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"recross/internal/embedding"
+	"recross/internal/metrics"
 	"recross/internal/serve"
 	"recross/internal/trace"
 )
@@ -25,10 +26,11 @@ type BinBackend interface {
 	Health() serve.HealthReport
 }
 
-// RouterBackend adapts a Router to BinBackend, mirroring the HTTP
-// front-end's response mapping (Replica -1, ServiceCycles = cluster
-// critical path) so binary and JSON answers from a router are
-// field-identical.
+// RouterBackend adapts a Router to BinBackend. Its Lookup is the one
+// mapping of a cluster Result onto a node's (Replica -1, ServiceCycles =
+// cluster critical path), used by the binary listener and the HTTP
+// front-end alike, so answers from a router are field-identical on both
+// wires.
 type RouterBackend struct {
 	R *Router
 }
@@ -46,6 +48,7 @@ func (rb RouterBackend) Lookup(ctx context.Context, sample trace.Sample) (*serve
 		Replica:       -1,
 		Retries:       res.Retries,
 		Degraded:      res.Degraded,
+		ColdDegraded:  res.ColdDegraded,
 		Total:         res.Total,
 	}, nil
 }
@@ -121,11 +124,9 @@ func NewBinServer(opts BinServerOptions) (*BinServer, error) {
 // Metrics exposes the transport counters.
 func (s *BinServer) Metrics() *WireMetrics { return &s.m }
 
-// Expo renders the server-side recross_cluster_wire_* exposition —
-// made for serve.Server.RegisterExpo.
-func (s *BinServer) Expo() string {
-	return wireExpo([]wireExpoEntry{{labels: `role="server"`, m: &s.m}})
-}
+// RegisterMetrics publishes the listener's recross_cluster_wire_* series
+// (role="server") in set — the MetricSet of the server it fronts.
+func (s *BinServer) RegisterMetrics(set *metrics.Set) { s.m.register(set, "role", "server") }
 
 // Serve accepts connections until the listener closes. Returns nil
 // after Close; a Serve error otherwise.
@@ -283,17 +284,14 @@ func (s *BinServer) worker(ctx context.Context, reqq chan *binReq, writeq chan *
 }
 
 // errCodeOf maps backend errors onto wire error codes. Unavailability
-// (draining, closed, router closed) becomes errCodeUnavailable, which
-// the client maps back onto ErrNodeDown for the router's failover.
+// (draining, closed — a closed router unwraps to serve.ErrClosed — node
+// down, shedding) becomes errCodeUnavailable, which the client maps back
+// onto ErrNodeDown for the router's failover.
 func errCodeOf(err error) byte {
-	switch {
-	case errors.Is(err, serve.ErrClosed), errors.Is(err, ErrRouterClosed), errors.Is(err, ErrNodeDown):
+	if errors.Is(err, serve.ErrClosed) || errors.Is(err, ErrNodeDown) || errors.Is(err, serve.ErrOverloaded) {
 		return errCodeUnavailable
-	case errors.Is(err, serve.ErrOverloaded):
-		return errCodeUnavailable
-	default:
-		return errCodeInternal
 	}
+	return errCodeInternal
 }
 
 // connWriter drains writeq with flush coalescing. On a write error it

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"recross/internal/serve"
@@ -16,77 +14,17 @@ import (
 	"recross/internal/trace"
 )
 
-// maxLookupBody mirrors the single-node server's request bound.
-const maxLookupBody = 1 << 20
-
-// Handler returns the router's HTTP front-end, wire-compatible with a
-// single node's so clients (and upstream routers) need not care which
-// they talk to:
-//
-//	POST /v1/lookup  — scatter-gather one sample (JSON in/out; the
-//	                   response is a serve.LookupResponse with
-//	                   Replica=-1 and ServiceCycles set to the
-//	                   cluster critical path)
-//	GET  /metrics    — recross_cluster_* Prometheus text exposition
-//	GET  /healthz    — aggregated cluster health JSON; 200 while
-//	                   serving ("ok" or "degraded"), 503 once draining
+// Handler returns the router's HTTP front-end — serve.NewHandler over the
+// router, so it is wire-compatible with a single node's and clients (and
+// upstream routers) need not care which they talk to. /v1/lookup answers
+// carry Replica=-1 and ServiceCycles set to the cluster critical path;
+// /metrics is the recross_cluster_* exposition; /healthz the aggregated
+// cluster health.
 func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/lookup", r.handleLookup)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprint(w, r.Expo())
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+	return serve.NewHandler(r.opts.Layer, RouterBackend{r}.Lookup, r.set, func() (any, bool) {
 		h := r.Health()
-		w.Header().Set("Content-Type", "application/json")
-		if h.Status == "draining" {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		_ = json.NewEncoder(w).Encode(h)
+		return h, h.Status == "draining"
 	})
-	return mux
-}
-
-func (r *Router) handleLookup(w http.ResponseWriter, req *http.Request) {
-	var lr serve.LookupRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxLookupBody))
-	if err := dec.Decode(&lr); err != nil {
-		httpErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sample, err := serve.ParseSample(r.opts.Layer, lr)
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := r.Lookup(req.Context(), sample)
-	if err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrRouterClosed):
-			code = http.StatusServiceUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			code = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			code = 499
-		}
-		httpErr(w, code, err)
-		return
-	}
-	serve.WriteJSON(w, 0, serve.LookupResponse{
-		Vectors:       res.Vectors,
-		BatchSize:     len(sample),
-		ServiceCycles: int64(res.ServiceCycles),
-		Replica:       -1,
-		Retries:       res.Retries,
-		Degraded:      res.Degraded,
-		TotalMicros:   float64(res.Total.Nanoseconds()) / 1e3,
-	})
-}
-
-func httpErr(w http.ResponseWriter, code int, err error) {
-	serve.WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // HTTPNode is the real-network transport driver: a cluster.Node backed
@@ -99,10 +37,7 @@ type HTTPNode struct {
 	id     string
 	base   string
 	client *http.Client
-
-	lookups  atomic.Int64
-	failures atomic.Int64
-	cycles   atomic.Int64
+	nodeCounters
 }
 
 // defaultHTTPClient is HTTPNode's keep-alive-tuned default: a hot
@@ -137,25 +72,25 @@ func (n *HTTPNode) ID() string { return n.id }
 
 // Lookup POSTs the sample to the peer's /v1/lookup.
 func (n *HTTPNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
+	return n.tally(n.lookup(ctx, sample))
+}
+
+func (n *HTTPNode) lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
 	body, err := json.Marshal(serve.WireRequest(sample))
 	if err != nil {
-		n.failures.Add(1)
 		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+"/v1/lookup", bytes.NewReader(body))
 	if err != nil {
-		n.failures.Add(1)
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := n.client.Do(req)
 	if err != nil {
-		n.failures.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrNodeDown, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		n.failures.Add(1)
 		var e struct {
 			Error string `json:"error"`
 		}
@@ -168,15 +103,12 @@ func (n *HTTPNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Resu
 	}
 	var lr serve.LookupResponse
 	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		n.failures.Add(1)
 		return nil, fmt.Errorf("cluster: node %s: %w", n.id, err)
 	}
 	// Drain the trailing newline the decoder leaves behind — an
 	// un-drained body forfeits keep-alive reuse and forces a fresh dial
 	// on the next sub-request.
 	_, _ = io.Copy(io.Discard, resp.Body)
-	n.lookups.Add(1)
-	n.cycles.Add(lr.ServiceCycles)
 	return &serve.Result{
 		Vectors:       lr.Vectors,
 		BatchSize:     lr.BatchSize,
@@ -208,15 +140,6 @@ func (n *HTTPNode) Health(ctx context.Context) (serve.HealthReport, error) {
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	return h, nil
-}
-
-// Stats reports cumulative client-side counters.
-func (n *HTTPNode) Stats() NodeStats {
-	return NodeStats{
-		Lookups:  n.lookups.Load(),
-		Failures: n.failures.Load(),
-		Cycles:   n.cycles.Load(),
-	}
 }
 
 // Close is a no-op: the peer's lifecycle is not ours.

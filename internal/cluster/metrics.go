@@ -1,17 +1,14 @@
 package cluster
 
 import (
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"recross/internal/serve"
+	"recross/internal/metrics"
 )
 
-// routerMetrics are the router's lock-cheap counters; Router.Expo
-// renders them (plus per-node series) in Prometheus text form as
-// recross_cluster_*.
+// routerMetrics are the router's lock-cheap counters, published as
+// recross_cluster_* by registerMetrics.
 type routerMetrics struct {
 	Requests    atomic.Int64 // lookups accepted
 	Failed      atomic.Int64 // lookups failed (caller error, cancellation)
@@ -26,11 +23,7 @@ type routerMetrics struct {
 	Probes      atomic.Int64 // dead-node health probes
 	Revivals    atomic.Int64 // dead nodes re-admitted
 
-	E2E *serve.Hist // end-to-end router latency, ns
-}
-
-func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{E2E: serve.NewHist()}
+	E2E *metrics.Hist // end-to-end router latency, ns
 }
 
 // Stats is a point-in-time copy of the router counters.
@@ -110,99 +103,37 @@ func (r *Router) Health() Health {
 	return h
 }
 
-// Expo renders the recross_cluster_* Prometheus text exposition:
-// router totals, hedge and rebalance counters, per-node states and
-// outstanding-work gauges, and the end-to-end latency summary.
-func (r *Router) Expo() string {
-	var b strings.Builder
-	s := r.Stats()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP recross_cluster_%s %s\n# TYPE recross_cluster_%s counter\nrecross_cluster_%s %d\n",
-			name, help, name, name, v)
-	}
-	counter("requests_total", "Lookups accepted by the router.", s.Requests)
-	counter("requests_degraded_total", "Lookups with at least one functional-fallback op.", s.Degraded)
-	counter("fallback_ops_total", "Ops answered by the router's functional fallback.", s.FallbackOps)
-	counter("subrequests_total", "Per-node sub-requests dispatched.", s.Subrequests)
-	counter("subrequest_failures_total", "Per-node sub-requests failed.", s.SubFailures)
-	counter("retries_total", "Sub-request failovers onto a replica.", s.Retries)
-	counter("hedges_fired_total", "Hedge requests launched.", s.HedgesFired)
-	counter("hedges_won_total", "Hedge requests that answered first.", s.HedgesWon)
-	counter("rebalances_total", "Placement swaps applied.", s.Rebalances)
-	counter("probes_total", "Dead-node health probes sent.", s.Probes)
-	counter("revivals_total", "Dead nodes re-admitted after a probe.", s.Revivals)
-
-	h := r.Health()
-	fmt.Fprintf(&b, "# HELP recross_cluster_nodes Cluster size.\n# TYPE recross_cluster_nodes gauge\nrecross_cluster_nodes %d\n", h.Nodes)
-	fmt.Fprintf(&b, "# HELP recross_cluster_nodes_available Nodes not marked dead.\n# TYPE recross_cluster_nodes_available gauge\nrecross_cluster_nodes_available %d\n", h.Available)
-	fmt.Fprintf(&b, "# HELP recross_cluster_replicated_tables Tables with more than one owner.\n# TYPE recross_cluster_replicated_tables gauge\nrecross_cluster_replicated_tables %d\n", h.Replicated)
-
-	fmt.Fprintf(&b, "# HELP recross_cluster_node_state Node state (0 healthy, 1 suspect, 2 dead).\n# TYPE recross_cluster_node_state gauge\n")
-	for i, ns := range r.nodes {
-		fmt.Fprintf(&b, "recross_cluster_node_state{node=%q} %d\n", r.nodes[i].node.ID(), ns.state.Load())
-	}
-	fmt.Fprintf(&b, "# HELP recross_cluster_node_outstanding In-flight sub-requests per node.\n# TYPE recross_cluster_node_outstanding gauge\n")
+// registerMetrics publishes the recross_cluster_* series in the router's
+// set: router totals, hedge and rebalance counters, per-node states and
+// outstanding-work gauges, the end-to-end latency summary, and the wire
+// counters of every transport driver that owns some (BinNode). The node
+// list is fixed for the router's life, so the label sets are too.
+func (r *Router) registerMetrics() {
+	set, m := r.set, r.metrics
+	set.Counter("recross_cluster_requests_total", "Lookups accepted by the router.", m.Requests.Load)
+	set.Counter("recross_cluster_requests_degraded_total", "Lookups with at least one functional-fallback op.", m.Degraded.Load)
+	set.Counter("recross_cluster_fallback_ops_total", "Ops answered by the router's functional fallback.", m.FallbackOps.Load)
+	set.Counter("recross_cluster_subrequests_total", "Per-node sub-requests dispatched.", m.Subrequests.Load)
+	set.Counter("recross_cluster_subrequest_failures_total", "Per-node sub-requests failed.", m.SubFailures.Load)
+	set.Counter("recross_cluster_retries_total", "Sub-request failovers onto a replica.", m.Retries.Load)
+	set.Counter("recross_cluster_hedges_fired_total", "Hedge requests launched.", m.HedgesFired.Load)
+	set.Counter("recross_cluster_hedges_won_total", "Hedge requests that answered first.", m.HedgesWon.Load)
+	set.Counter("recross_cluster_rebalances_total", "Placement swaps applied.", m.Rebalances.Load)
+	set.Counter("recross_cluster_probes_total", "Dead-node health probes sent.", m.Probes.Load)
+	set.Counter("recross_cluster_revivals_total", "Dead nodes re-admitted after a probe.", m.Revivals.Load)
+	set.IntGauge("recross_cluster_nodes", "Cluster size.", func() int64 { return int64(len(r.nodes)) })
+	set.IntGauge("recross_cluster_nodes_available", "Nodes not marked dead.", func() int64 { return int64(r.Health().Available) })
+	set.IntGauge("recross_cluster_replicated_tables", "Tables with more than one owner.", func() int64 { return int64(r.pl.Load().Replicated()) })
 	for _, ns := range r.nodes {
-		fmt.Fprintf(&b, "recross_cluster_node_outstanding{node=%q} %d\n", ns.node.ID(), ns.outstanding.Load())
-	}
-	fmt.Fprintf(&b, "# HELP recross_cluster_node_lookups_total Sub-requests served per node.\n# TYPE recross_cluster_node_lookups_total counter\n")
-	for _, ns := range r.nodes {
-		fmt.Fprintf(&b, "recross_cluster_node_lookups_total{node=%q} %d\n", ns.node.ID(), ns.lookups.Load())
-	}
-	fmt.Fprintf(&b, "# HELP recross_cluster_node_failures_total Sub-request failures per node.\n# TYPE recross_cluster_node_failures_total counter\n")
-	for _, ns := range r.nodes {
-		fmt.Fprintf(&b, "recross_cluster_node_failures_total{node=%q} %d\n", ns.node.ID(), ns.failures.Load())
-	}
-	fmt.Fprintf(&b, "# HELP recross_cluster_node_hedge_delay_seconds Current per-node hedge delay.\n# TYPE recross_cluster_node_hedge_delay_seconds gauge\n")
-	for _, ns := range r.nodes {
-		fmt.Fprintf(&b, "recross_cluster_node_hedge_delay_seconds{node=%q} %g\n", ns.node.ID(), float64(ns.hedgeNs.Load())/1e9)
-	}
-
-	e2e := r.metrics.E2E.Snapshot()
-	fmt.Fprintf(&b, "# HELP recross_cluster_latency_seconds Router end-to-end latency.\n# TYPE recross_cluster_latency_seconds summary\n")
-	fmt.Fprintf(&b, "recross_cluster_latency_seconds{quantile=\"0.5\"} %g\n", e2e.P50/1e9)
-	fmt.Fprintf(&b, "recross_cluster_latency_seconds{quantile=\"0.95\"} %g\n", e2e.P95/1e9)
-	fmt.Fprintf(&b, "recross_cluster_latency_seconds{quantile=\"0.99\"} %g\n", e2e.P99/1e9)
-	fmt.Fprintf(&b, "recross_cluster_latency_seconds_count %d\n", e2e.Count)
-
-	// Transport drivers owning wire counters (BinNode) contribute a
-	// recross_cluster_wire_* series per node.
-	var wires []wireExpoEntry
-	for _, ns := range r.nodes {
+		id := ns.node.ID()
+		set.IntGauge("recross_cluster_node_state", "Node state (0 healthy, 1 suspect, 2 dead).", func() int64 { return int64(ns.state.Load()) }, "node", id)
+		set.IntGauge("recross_cluster_node_outstanding", "In-flight sub-requests per node.", ns.outstanding.Load, "node", id)
+		set.Counter("recross_cluster_node_lookups_total", "Sub-requests served per node.", ns.lookups.Load, "node", id)
+		set.Counter("recross_cluster_node_failures_total", "Sub-request failures per node.", ns.failures.Load, "node", id)
+		set.Gauge("recross_cluster_node_hedge_delay_seconds", "Current per-node hedge delay.", func() float64 { return float64(ns.hedgeNs.Load()) / 1e9 }, "node", id)
 		if src, ok := ns.node.(interface{ WireMetrics() *WireMetrics }); ok {
-			wires = append(wires, wireExpoEntry{
-				labels: fmt.Sprintf("node=%q,role=\"client\"", ns.node.ID()),
-				m:      src.WireMetrics(),
-			})
+			src.WireMetrics().register(set, "node", id, "role", "client")
 		}
 	}
-	b.WriteString(wireExpo(wires))
-	return b.String()
-}
-
-// wireExpoEntry labels one endpoint's wire counters for exposition.
-type wireExpoEntry struct {
-	labels string
-	m      *WireMetrics
-}
-
-// wireExpo renders recross_cluster_wire_* for a set of endpoints —
-// HELP/TYPE once per metric, one labeled sample per endpoint.
-func wireExpo(entries []wireExpoEntry) string {
-	if len(entries) == 0 {
-		return ""
-	}
-	snaps := make([][10]int64, len(entries))
-	for i, e := range entries {
-		snaps[i] = e.m.snapshot()
-	}
-	var b strings.Builder
-	for mi, def := range wireMetricDefs {
-		fmt.Fprintf(&b, "# HELP recross_cluster_wire_%s %s\n# TYPE recross_cluster_wire_%s %s\n",
-			def.name, def.help, def.name, def.kind)
-		for i, e := range entries {
-			fmt.Fprintf(&b, "recross_cluster_wire_%s{%s} %d\n", def.name, e.labels, snaps[i][mi])
-		}
-	}
-	return b.String()
+	set.Summary("recross_cluster_latency_seconds", "Router end-to-end latency.", m.E2E, 1e-9)
 }

@@ -51,6 +51,26 @@ type NodeStats struct {
 	Cycles int64
 }
 
+// nodeCounters are the cumulative serving counters every transport driver
+// keeps; embedding them provides Stats.
+type nodeCounters struct{ lookups, failures, cycles atomic.Int64 }
+
+// tally records one Lookup outcome and passes it through.
+func (c *nodeCounters) tally(res *serve.Result, err error) (*serve.Result, error) {
+	if err != nil {
+		c.failures.Add(1)
+		return nil, err
+	}
+	c.lookups.Add(1)
+	c.cycles.Add(int64(res.ServiceCycles))
+	return res, nil
+}
+
+// Stats reports the cumulative counters.
+func (c *nodeCounters) Stats() NodeStats {
+	return NodeStats{Lookups: c.lookups.Load(), Failures: c.failures.Load(), Cycles: c.cycles.Load()}
+}
+
 // Node is the transport driver interface: everything the router needs
 // from a backend, regardless of where it runs. Implementations must be
 // safe for concurrent use.
@@ -71,12 +91,9 @@ type Node interface {
 // *serve.Server directly. The server pointer is swappable so a Fleet
 // can kill and later restart the node while routers keep their handle.
 type LocalNode struct {
-	id  string
-	srv atomic.Pointer[serve.Server]
-
-	lookups  atomic.Int64
-	failures atomic.Int64
-	cycles   atomic.Int64
+	id           string
+	srv          atomic.Pointer[serve.Server]
+	nodeCounters // cumulative; they survive Swap
 }
 
 // NewLocalNode wraps srv as a node named id.
@@ -102,17 +119,9 @@ func (n *LocalNode) Swap(srv *serve.Server) *serve.Server {
 func (n *LocalNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
 	srv := n.srv.Load()
 	if srv == nil {
-		n.failures.Add(1)
-		return nil, ErrNodeDown
+		return n.tally(nil, ErrNodeDown)
 	}
-	res, err := srv.Lookup(ctx, sample)
-	if err != nil {
-		n.failures.Add(1)
-		return nil, err
-	}
-	n.lookups.Add(1)
-	n.cycles.Add(int64(res.ServiceCycles))
-	return res, nil
+	return n.tally(srv.Lookup(ctx, sample))
 }
 
 // Health reports the wrapped server's health.
@@ -123,15 +132,6 @@ func (n *LocalNode) Health(ctx context.Context) (serve.HealthReport, error) {
 		return serve.HealthReport{}, ErrNodeDown
 	}
 	return srv.Health(), nil
-}
-
-// Stats reports cumulative counters (they survive Swap).
-func (n *LocalNode) Stats() NodeStats {
-	return NodeStats{
-		Lookups:  n.lookups.Load(),
-		Failures: n.failures.Load(),
-		Cycles:   n.cycles.Load(),
-	}
 }
 
 // Close drains and closes the wrapped server, leaving the node down.

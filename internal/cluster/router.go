@@ -9,13 +9,21 @@ import (
 	"time"
 
 	"recross/internal/embedding"
+	"recross/internal/metrics"
 	"recross/internal/serve"
 	"recross/internal/sim"
 	"recross/internal/trace"
 )
 
-// ErrRouterClosed reports a Lookup on a closed router.
-var ErrRouterClosed = errors.New("cluster: router closed")
+// ErrRouterClosed reports a Lookup on a closed router. It unwraps to
+// serve.ErrClosed, so the shared front-end maps it to 503 like a closed
+// server.
+var ErrRouterClosed error = routerClosedError{}
+
+type routerClosedError struct{}
+
+func (routerClosedError) Error() string { return "cluster: router closed" }
+func (routerClosedError) Unwrap() error { return serve.ErrClosed }
 
 // NodeState is the router's view of one node.
 type NodeState int32
@@ -101,6 +109,10 @@ type Result struct {
 	Degraded bool
 	// DegradedOps counts those fallback ops.
 	DegradedOps int
+	// ColdDegraded marks a request where at least one node answered while
+	// its storage tier was degraded (serve.Result.ColdDegraded): vectors
+	// are still bit-exact, cold-path latency is not.
+	ColdDegraded bool
 	// Hedged marks a request where at least one hedge fired.
 	Hedged bool
 	// Retries counts failed sub-requests retried on a replica.
@@ -125,8 +137,8 @@ type nodeState struct {
 	failures    atomic.Int64
 	hedges      atomic.Int64
 
-	lat     *serve.Hist  // sub-request wall latency, ns
-	hedgeNs atomic.Int64 // current hedge delay, ns
+	lat     *metrics.Hist // sub-request wall latency, ns
+	hedgeNs atomic.Int64  // current hedge delay, ns
 }
 
 func (ns *nodeState) available() bool {
@@ -162,7 +174,8 @@ type Router struct {
 	nodes   []*nodeState
 	pl      atomic.Pointer[Placement]
 	metrics *routerMetrics
-	scratch sync.Pool // *embedding.Scratch for fallback reductions
+	set     *metrics.Set // what /metrics serves
+	scratch sync.Pool    // *embedding.Scratch for fallback reductions
 
 	closed   atomic.Bool
 	stopOnce sync.Once
@@ -185,17 +198,19 @@ func NewRouter(opts Options) (*Router, error) {
 	}
 	r := &Router{
 		opts:    opts,
-		metrics: newRouterMetrics(),
+		metrics: &routerMetrics{E2E: metrics.NewHist()},
+		set:     metrics.NewSet(),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	r.scratch.New = func() any { return &embedding.Scratch{} }
 	r.pl.Store(opts.Placement)
 	for i, n := range opts.Nodes {
-		ns := &nodeState{node: n, idx: i, lat: serve.NewHist()}
+		ns := &nodeState{node: n, idx: i, lat: metrics.NewHist()}
 		ns.hedgeNs.Store(int64(defaultHedge))
 		r.nodes = append(r.nodes, ns)
 	}
+	r.registerMetrics()
 	if opts.ProbeInterval > 0 {
 		go r.probe()
 	} else {
@@ -425,6 +440,7 @@ func (r *Router) scatter(ctx context.Context, pl *Placement, sample trace.Sample
 		if o.sres.ServiceCycles > res.ServiceCycles {
 			res.ServiceCycles = o.sres.ServiceCycles
 		}
+		res.ColdDegraded = res.ColdDegraded || o.sres.ColdDegraded
 	}
 	return failed, from
 }

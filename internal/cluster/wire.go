@@ -13,6 +13,7 @@ import (
 
 	"recross/internal/embedding"
 	"recross/internal/kernels"
+	"recross/internal/metrics"
 	"recross/internal/serve"
 	"recross/internal/sim"
 	"recross/internal/trace"
@@ -503,9 +504,9 @@ func readFrame(br *bufio.Reader, hdr *[frameHeaderSize]byte, buf []byte) (typ by
 }
 
 // WireMetrics are one transport endpoint's lock-cheap counters,
-// rendered as recross_cluster_wire_* by the router (client side, one
-// series per BinNode) or the binary listener (server side, via
-// serve.Server.RegisterExpo).
+// published as recross_cluster_wire_* — one series per BinNode in the
+// router's set (role="client"), the binary listener's in its server's
+// (role="server").
 type WireMetrics struct {
 	BytesIn   atomic.Int64 // payload+header bytes read
 	BytesOut  atomic.Int64 // payload+header bytes written
@@ -519,28 +520,16 @@ type WireMetrics struct {
 	ConnsOpen atomic.Int64 // currently open connections (gauge)
 }
 
-// wireMetricDefs orders the exposition; keep in sync with snapshot().
-var wireMetricDefs = []struct {
-	name, help, kind string
-}{
-	{"bytes_in_total", "Wire bytes read (frames incl. headers).", "counter"},
-	{"bytes_out_total", "Wire bytes written (frames incl. headers).", "counter"},
-	{"frames_in_total", "Frames read.", "counter"},
-	{"frames_out_total", "Frames written.", "counter"},
-	{"encode_ns_total", "Cumulative frame encode time, ns.", "counter"},
-	{"decode_ns_total", "Cumulative frame decode time, ns.", "counter"},
-	{"dials_total", "Connections established.", "counter"},
-	{"redials_total", "Reconnects after a connection failure.", "counter"},
-	{"conn_failures_total", "Connection failures.", "counter"},
-	{"conns_open", "Open connections.", "gauge"},
-}
-
-func (m *WireMetrics) snapshot() [10]int64 {
-	return [10]int64{
-		m.BytesIn.Load(), m.BytesOut.Load(),
-		m.FramesIn.Load(), m.FramesOut.Load(),
-		m.EncodeNs.Load(), m.DecodeNs.Load(),
-		m.Dials.Load(), m.Redials.Load(),
-		m.ConnFails.Load(), m.ConnsOpen.Load(),
-	}
+// register publishes the endpoint's counters in set under labels.
+func (m *WireMetrics) register(set *metrics.Set, labels ...string) {
+	set.Counter("recross_cluster_wire_bytes_in_total", "Wire bytes read (frames incl. headers).", m.BytesIn.Load, labels...)
+	set.Counter("recross_cluster_wire_bytes_out_total", "Wire bytes written (frames incl. headers).", m.BytesOut.Load, labels...)
+	set.Counter("recross_cluster_wire_frames_in_total", "Frames read.", m.FramesIn.Load, labels...)
+	set.Counter("recross_cluster_wire_frames_out_total", "Frames written.", m.FramesOut.Load, labels...)
+	set.Counter("recross_cluster_wire_encode_ns_total", "Cumulative frame encode time, ns.", m.EncodeNs.Load, labels...)
+	set.Counter("recross_cluster_wire_decode_ns_total", "Cumulative frame decode time, ns.", m.DecodeNs.Load, labels...)
+	set.Counter("recross_cluster_wire_dials_total", "Connections established.", m.Dials.Load, labels...)
+	set.Counter("recross_cluster_wire_redials_total", "Reconnects after a connection failure.", m.Redials.Load, labels...)
+	set.Counter("recross_cluster_wire_conn_failures_total", "Connection failures.", m.ConnFails.Load, labels...)
+	set.IntGauge("recross_cluster_wire_conns_open", "Open connections.", m.ConnsOpen.Load, labels...)
 }

@@ -12,7 +12,7 @@
 //     that do get read carry as many of the warm rows as possible and the
 //     page cache's working set stays small.
 //
-// The store is file-backed (pread or mmap) with page-granular layout and
+// The store is file-backed (pread) with page-granular layout and
 // lazy page population: pages are generated from the procedural source
 // tables on first access and written back, so the file always holds the
 // exact bytes of the reference rows — any read path (page cache, file,
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"recross/internal/kernels"
+	"recross/internal/metrics"
 )
 
 // RowSource supplies reference rows for lazy page population. It matches
@@ -74,9 +75,6 @@ type Config struct {
 	// Prefetch is the async prefetch queue depth (default 64; 0 disables
 	// the prefetcher).
 	Prefetch int
-	// Mmap maps the backing file instead of using pread. Population still
-	// goes through pwrite; reads come from the mapping.
-	Mmap bool
 	// DisableChecksum turns off per-page CRC32C verification and repair —
 	// the checksum-off benchmark baseline. Keep it on in production.
 	DisableChecksum bool
@@ -294,8 +292,7 @@ type Store struct {
 	nPages    int64
 
 	file *os.File
-	mm   []byte // non-nil when mmapped
-	dev  Device // page I/O seam (file, mmap, or a fault wrapper)
+	dev  Device // page I/O seam (the file, or a fault wrapper around it)
 
 	// mu guards the frequency mapping and the page-population states
 	// against Remap and Close; the read path holds it shared.
@@ -317,7 +314,7 @@ type Store struct {
 
 	// closed flips once in Close; readers check it under mu and bail.
 	// ioWG tracks abandoned deadline reads so Close can drain them
-	// before unmapping.
+	// before closing the file.
 	closed atomic.Bool
 	ioWG   sync.WaitGroup
 
@@ -419,14 +416,6 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 	}
 	s.file = f
 	s.dev = &fileDevice{f: f, pageBytes: int64(cfg.PageBytes)}
-	if cfg.Mmap {
-		if err := s.mapFile(); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return nil, err
-		}
-		s.dev = &mmapDevice{mm: s.mm, f: f, pageBytes: int64(cfg.PageBytes)}
-	}
 	if cfg.WrapDevice != nil {
 		s.dev = cfg.WrapDevice(s.dev)
 	}
@@ -448,11 +437,11 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 func (s *Store) RowsPerPage() int { return s.rpp }
 
 // Close stops the scrubber and prefetcher, drains in-flight readers and
-// abandoned deadline reads, then unmaps, closes and removes the backing
-// file. Idempotent and safe to call concurrently with reads: the first
-// call does the work (later calls return nil immediately), new readers
-// observe the closed flag and bail, and the unmap happens only after every
-// goroutine that could still touch the device has finished.
+// abandoned deadline reads, then closes and removes the backing file.
+// Idempotent and safe to call concurrently with reads: the first call does
+// the work (later calls return nil immediately), new readers observe the
+// closed flag and bail, and the file closes only after every goroutine
+// that could still touch the device has finished.
 func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -470,15 +459,8 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ioWG.Wait()
-	var err error
-	if s.mm != nil {
-		err = s.unmapFile()
-		s.mm = nil
-	}
 	name := s.file.Name()
-	if e := s.file.Close(); err == nil {
-		err = e
-	}
+	err := s.file.Close()
 	if e := os.Remove(name); err == nil && !os.IsNotExist(e) {
 		err = e
 	}
@@ -732,8 +714,8 @@ func (s *Store) readPage(page int64, block int) ([]float32, int, bool) {
 
 // devRead performs one device page read, bounded by Config.ReadDeadline
 // when set: a read past the deadline is abandoned to finish into its own
-// pooled buffer (tracked by ioWG so Close can drain it before unmapping)
-// and reported as a failure.
+// pooled buffer (tracked by ioWG so Close can drain it before closing the
+// file) and reported as a failure.
 func (s *Store) devRead(page int64, dst []byte) error {
 	if s.cfg.ReadDeadline <= 0 {
 		return s.dev.ReadPage(page, dst)
@@ -865,15 +847,14 @@ func (s *Store) tableOfPage(page int64) int {
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
-	cs := s.cache.stats()
-	state := s.breaker.current()
+	c, state := s.cache, s.breaker.current()
 	return Stats{
 		RowReads:         s.rowReads.Load(),
-		PageHits:         cs.hits,
-		PageMisses:       cs.misses,
-		PageReads:        cs.reads,
+		PageHits:         c.hits.Load(),
+		PageMisses:       c.misses.Load(),
+		PageReads:        c.pageReads.Load(),
 		Populated:        s.populated.Load(),
-		Evictions:        cs.evictions,
+		Evictions:        c.evictions.Load(),
 		Prefetches:       s.prefetches.Load(),
 		PrefetchDrops:    s.prefetchDrops.Load(),
 		Reduces:          s.reduces.Load(),
@@ -893,47 +874,39 @@ func (s *Store) Stats() Stats {
 		Degraded:         state != BreakerClosed,
 		Pages:            s.nPages,
 		PageBytes:        int64(s.cfg.PageBytes),
-		CachePages:       int64(s.cache.cap()),
+		CachePages:       int64(c.clock.Cap()),
 	}
 }
 
-// Expo renders the recross_coldstore_* series in Prometheus text
-// exposition format; the serving layer appends it to /metrics via
-// serve.Server.RegisterExpo.
-func (s *Store) Expo() string {
-	st := s.Stats()
-	var b []byte
-	counter := func(name string, v int64) {
-		b = append(b, fmt.Sprintf("# TYPE %s counter\n%s %d\n", name, name, v)...)
-	}
-	gauge := func(name string, v float64) {
-		b = append(b, fmt.Sprintf("# TYPE %s gauge\n%s %g\n", name, name, v)...)
-	}
-	counter("recross_coldstore_row_reads_total", st.RowReads)
-	counter("recross_coldstore_page_hits_total", st.PageHits)
-	counter("recross_coldstore_page_misses_total", st.PageMisses)
-	counter("recross_coldstore_page_reads_total", st.PageReads)
-	counter("recross_coldstore_pages_populated_total", st.Populated)
-	counter("recross_coldstore_evictions_total", st.Evictions)
-	counter("recross_coldstore_prefetches_total", st.Prefetches)
-	counter("recross_coldstore_prefetch_drops_total", st.PrefetchDrops)
-	counter("recross_coldstore_reduces_total", st.Reduces)
-	counter("recross_coldstore_remaps_total", st.Remaps)
-	counter("recross_coldstore_checksum_failures_total", st.ChecksumFailures)
-	counter("recross_coldstore_repairs_total", st.Repairs)
-	counter("recross_coldstore_scrub_pages_total", st.ScrubPages)
-	counter("recross_coldstore_retries_total", st.Retries)
-	counter("recross_coldstore_read_failures_total", st.ReadFailures)
-	counter("recross_coldstore_write_failures_total", st.WriteFailures)
-	counter("recross_coldstore_read_timeouts_total", st.ReadTimeouts)
-	counter("recross_coldstore_breaker_rejects_total", st.BreakerRejects)
-	counter("recross_coldstore_breaker_opens_total", st.BreakerOpens)
-	counter("recross_coldstore_breaker_half_opens_total", st.BreakerHalfOpens)
-	counter("recross_coldstore_breaker_closes_total", st.BreakerCloses)
-	gauge("recross_coldstore_breaker_state", float64(st.BreakerState))
-	gauge("recross_coldstore_pages", float64(st.Pages))
-	gauge("recross_coldstore_page_bytes", float64(st.PageBytes))
-	gauge("recross_coldstore_cache_pages", float64(st.CachePages))
-	gauge("recross_coldstore_page_hit_rate", st.HitRate())
-	return string(b)
+// RegisterMetrics publishes the recross_coldstore_* series in set (the
+// serving layer's, so they ride its /metrics). Every counter is the
+// store's own atomic; the exposition never goes through Stats.
+func (s *Store) RegisterMetrics(set *metrics.Set) {
+	c, b := s.cache, s.breaker
+	set.Counter("recross_coldstore_row_reads_total", "Rows read through the store.", s.rowReads.Load)
+	set.Counter("recross_coldstore_page_hits_total", "Page-cache probes that hit.", c.hits.Load)
+	set.Counter("recross_coldstore_page_misses_total", "Page-cache probes that missed.", c.misses.Load)
+	set.Counter("recross_coldstore_page_reads_total", "Pages read from the device.", c.pageReads.Load)
+	set.Counter("recross_coldstore_pages_populated_total", "Pages materialized into the backing file.", s.populated.Load)
+	set.Counter("recross_coldstore_evictions_total", "Cached pages replaced by CLOCK.", c.evictions.Load)
+	set.Counter("recross_coldstore_prefetches_total", "Pages prefetched.", s.prefetches.Load)
+	set.Counter("recross_coldstore_prefetch_drops_total", "Prefetches dropped (queue full).", s.prefetchDrops.Load)
+	set.Counter("recross_coldstore_reduces_total", "In-storage reductions served.", s.reduces.Load)
+	set.Counter("recross_coldstore_remaps_total", "Frequency remaps applied.", s.remaps.Load)
+	set.Counter("recross_coldstore_checksum_failures_total", "Blocks that failed their CRC32C.", s.checksumFailures.Load)
+	set.Counter("recross_coldstore_repairs_total", "Pages rewritten from their row source.", s.repairs.Load)
+	set.Counter("recross_coldstore_scrub_pages_total", "Pages verified by the background scrubber.", s.scrubPages.Load)
+	set.Counter("recross_coldstore_retries_total", "Device reads retried.", s.retries.Load)
+	set.Counter("recross_coldstore_read_failures_total", "Device reads failed after retries.", s.readFailures.Load)
+	set.Counter("recross_coldstore_write_failures_total", "Device writes failed.", s.writeFailures.Load)
+	set.Counter("recross_coldstore_read_timeouts_total", "Device reads past their deadline.", s.timeouts.Load)
+	set.Counter("recross_coldstore_breaker_rejects_total", "Reads refused while the breaker was open.", s.breakerRejects.Load)
+	set.Counter("recross_coldstore_breaker_opens_total", "Breaker transitions to open.", b.opens.Load)
+	set.Counter("recross_coldstore_breaker_half_opens_total", "Breaker transitions to half-open.", b.halfOpens.Load)
+	set.Counter("recross_coldstore_breaker_closes_total", "Breaker transitions to closed.", b.closes.Load)
+	set.IntGauge("recross_coldstore_breaker_state", "Breaker state (0 closed, 1 half-open, 2 open).", func() int64 { return int64(b.current()) })
+	set.IntGauge("recross_coldstore_pages", "Pages in the store.", func() int64 { return s.nPages })
+	set.IntGauge("recross_coldstore_page_bytes", "Device page size.", func() int64 { return int64(s.cfg.PageBytes) })
+	set.IntGauge("recross_coldstore_cache_pages", "Page-cache capacity in pages.", func() int64 { return int64(c.clock.Cap()) })
+	set.Gauge("recross_coldstore_page_hit_rate", "Page-cache hits over probes.", func() float64 { return Stats{PageHits: c.hits.Load(), PageMisses: c.misses.Load()}.HitRate() })
 }

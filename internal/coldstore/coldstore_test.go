@@ -2,9 +2,12 @@ package coldstore
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"recross/internal/metrics"
 )
 
 // testSource is a deterministic RowSource: element (id, row, j) is a fixed
@@ -48,35 +51,30 @@ func newTestStore(t *testing.T, cfg Config, rows ...int64) (*Store, []RowSource)
 }
 
 // TestReadRowBitIdentical checks every row of every table round-trips the
-// file bit-for-bit, for both the pread and mmap backends.
+// file bit-for-bit.
 func TestReadRowBitIdentical(t *testing.T) {
-	for _, mmap := range []bool{false, true} {
-		name := "pread"
-		if mmap {
-			name = "mmap"
-		}
-		t.Run(name, func(t *testing.T) {
-			s, srcs := newTestStore(t, Config{PageBytes: 256, CacheBytes: 1024, Mmap: mmap}, 37, 101)
-			got := make([]float32, 16)
-			want := make([]float32, 16)
-			for ti, src := range srcs {
-				for i := int64(0); i < src.Rows(); i++ {
-					if !s.ReadRow(ti, i, got) {
-						t.Fatalf("table %d row %d not held", ti, i)
-					}
-					src.Row(i, want)
-					for j := range want {
-						if got[j] != want[j] {
-							t.Fatalf("table %d row %d elem %d: %v != %v", ti, i, j, got[j], want[j])
-						}
+	// One subtest: the store's one backing device (file pread/pwrite).
+	t.Run("pread", func(t *testing.T) {
+		s, srcs := newTestStore(t, Config{PageBytes: 256, CacheBytes: 1024}, 37, 101)
+		got := make([]float32, 16)
+		want := make([]float32, 16)
+		for ti, src := range srcs {
+			for i := int64(0); i < src.Rows(); i++ {
+				if !s.ReadRow(ti, i, got) {
+					t.Fatalf("table %d row %d not held", ti, i)
+				}
+				src.Row(i, want)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("table %d row %d elem %d: %v != %v", ti, i, j, got[j], want[j])
 					}
 				}
 			}
-			if s.Stats().RowReads == 0 {
-				t.Fatal("no row reads counted")
-			}
-		})
-	}
+		}
+		if s.Stats().RowReads == 0 {
+			t.Fatal("no row reads counted")
+		}
+	})
 }
 
 // TestReadRowOutOfRange checks bad coordinates report "not held" instead
@@ -348,52 +346,50 @@ func TestEffectiveBWOrdersBelowDRAM(t *testing.T) {
 	}
 }
 
-// TestExpoSchema checks the metrics rendering carries the full
-// recross_coldstore_* schema.
+// TestExpoSchema: the registered recross_coldstore_* series read the
+// store's live counters (their names are held by the root metrics golden).
 func TestExpoSchema(t *testing.T) {
 	s, _ := newTestStore(t, Config{}, 8)
+	set := metrics.NewSet()
+	s.RegisterMetrics(set)
 	buf := make([]float32, 16)
 	s.ReadRow(0, 3, buf)
-	expo := s.Expo()
-	for _, name := range []string{
-		"recross_coldstore_row_reads_total",
-		"recross_coldstore_page_hits_total",
-		"recross_coldstore_page_misses_total",
-		"recross_coldstore_page_reads_total",
-		"recross_coldstore_pages_populated_total",
-		"recross_coldstore_evictions_total",
-		"recross_coldstore_prefetches_total",
-		"recross_coldstore_prefetch_drops_total",
-		"recross_coldstore_reduces_total",
-		"recross_coldstore_remaps_total",
-		"recross_coldstore_checksum_failures_total",
-		"recross_coldstore_repairs_total",
-		"recross_coldstore_scrub_pages_total",
-		"recross_coldstore_retries_total",
-		"recross_coldstore_read_failures_total",
-		"recross_coldstore_write_failures_total",
-		"recross_coldstore_read_timeouts_total",
-		"recross_coldstore_breaker_rejects_total",
-		"recross_coldstore_breaker_opens_total",
-		"recross_coldstore_breaker_half_opens_total",
-		"recross_coldstore_breaker_closes_total",
-		"recross_coldstore_breaker_state",
-		"recross_coldstore_pages",
-		"recross_coldstore_page_bytes",
-		"recross_coldstore_cache_pages",
-		"recross_coldstore_page_hit_rate",
+	s.ReadRow(0, 3, buf)
+	var b strings.Builder
+	set.WriteTo(&b)
+	for _, want := range []string{
+		"recross_coldstore_row_reads_total 2\n",
+		"recross_coldstore_page_misses_total 1\n",
+		"recross_coldstore_page_hits_total 1\n",
+		"recross_coldstore_pages_populated_total 1\n",
+		"recross_coldstore_page_hit_rate 0.5\n",
+		"recross_coldstore_breaker_state 0\n",
+		"recross_coldstore_pages 1\n",
 	} {
-		if !contains(expo, name) {
-			t.Fatalf("expo missing %s:\n%s", name, expo)
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
 		}
 	}
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
+// TestSimFixedTrace pins the page buffer's replacement order: hit, read
+// and cycle totals over a skewed 40-batch stream, recorded before the
+// buffer moved onto the shared cache.Clock. Any change in which page a
+// sweep evicts shows up in these totals.
+func TestSimFixedTrace(t *testing.T) {
+	s := NewSim(TierSpec{PageBytes: 256}, 64)
+	rng := rand.New(rand.NewSource(11))
+	zipf := rand.NewZipf(rng, 1.1, 4, 4095)
+	var cycles, reads, hits int64
+	for b := 0; b < 40; b++ {
+		slots := make([]int64, 96)
+		for i := range slots {
+			slots[i] = int64(zipf.Uint64())
 		}
+		c, r, h := s.Batch(slots, 6)
+		cycles, reads, hits = cycles+int64(c), reads+r, hits+h
 	}
-	return false
+	if cycles != 8700000 || reads != 1740 || hits != 2100 {
+		t.Fatalf("cycles %d reads %d hits %d, want 8700000 / 1740 / 2100", cycles, reads, hits)
+	}
 }

@@ -39,24 +39,6 @@ func (d *fileDevice) WritePage(page int64, src []byte) error {
 	return err
 }
 
-// mmapDevice reads from the shared mapping; writes still go through pwrite
-// (MAP_SHARED makes them visible to the mapping).
-type mmapDevice struct {
-	mm        []byte
-	f         *os.File
-	pageBytes int64
-}
-
-func (d *mmapDevice) ReadPage(page int64, dst []byte) error {
-	copy(dst, d.mm[page*d.pageBytes:(page+1)*d.pageBytes])
-	return nil
-}
-
-func (d *mmapDevice) WritePage(page int64, src []byte) error {
-	_, err := d.f.WriteAt(src, page*d.pageBytes)
-	return err
-}
-
 // castagnoli is the CRC32C polynomial table — the checksum storage systems
 // standardize on (iSCSI, ext4, Btrfs) because hardware accelerates it.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

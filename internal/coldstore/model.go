@@ -1,6 +1,9 @@
 package coldstore
 
-import "recross/internal/sim"
+import (
+	"recross/internal/cache"
+	"recross/internal/sim"
+)
 
 // Model is the cold tier's latency/bandwidth timing model, in DRAM cycles
 // (the simulator's single clock). Defaults approximate a modern NVMe flash
@@ -131,11 +134,7 @@ type Sim struct {
 	rpp      int // rows (vector slots) per page
 	isr      bool
 
-	// CLOCK page buffer keyed by page id.
-	frames []int64
-	ref    []bool
-	index  map[int64]int
-	hand   int
+	buffer *cache.Clock[int64] // CLOCK page buffer keyed by page id
 }
 
 // NewSim builds a replica's cold timing model.
@@ -145,44 +144,22 @@ func NewSim(spec TierSpec, vecBytes int) *Sim {
 	if rpp < 1 {
 		rpp = 1
 	}
-	n := spec.Model.CachePages
-	s := &Sim{
+	return &Sim{
 		m:        spec.Model,
 		vecBytes: vecBytes,
 		rpp:      rpp,
 		isr:      spec.InStorageReduce,
-		frames:   make([]int64, n),
-		ref:      make([]bool, n),
-		index:    make(map[int64]int, n),
+		buffer:   cache.NewClock[int64](spec.Model.CachePages),
 	}
-	for i := range s.frames {
-		s.frames[i] = -1
-	}
-	return s
 }
 
 // touch probes the page buffer, installing on miss; reports a hit.
 func (s *Sim) touch(page int64) bool {
-	if f, ok := s.index[page]; ok {
-		s.ref[f] = true
+	if f, ok := s.buffer.Lookup(page); ok {
+		s.buffer.Touch(f)
 		return true
 	}
-	var f int
-	for {
-		f = s.hand
-		s.hand = (s.hand + 1) % len(s.frames)
-		if s.frames[f] == -1 {
-			break
-		}
-		if !s.ref[f] {
-			delete(s.index, s.frames[f])
-			break
-		}
-		s.ref[f] = false
-	}
-	s.frames[f] = page
-	s.ref[f] = true
-	s.index[page] = f
+	s.buffer.Insert(page)
 	return false
 }
 

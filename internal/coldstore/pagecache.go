@@ -3,6 +3,8 @@ package coldstore
 import (
 	"sync"
 	"sync/atomic"
+
+	"recross/internal/cache"
 )
 
 // get results: the probe missed, served a (verified) row, or found the
@@ -29,12 +31,9 @@ const (
 // has checked.
 type pageCache struct {
 	mu       sync.Mutex
-	index    map[int64]int // page id -> frame
-	pages    []int64       // frame -> page id (-1 empty)
-	vals     []float32     // frame arenas, frameLen each
-	ref      []bool        // CLOCK reference bits
-	verified []uint64      // frame bitmaps: bit b set = block b verified
-	hand     int
+	clock    *cache.Clock[int64] // page id -> frame
+	vals     []float32           // frame arenas, frameLen each
+	verified []uint64            // frame bitmaps: bit b set = block b verified
 	frameLen int
 	vwords   int // verified words per frame
 	blockLen int // floats per full checksum block
@@ -49,24 +48,16 @@ type pageCache struct {
 
 func newPageCache(frames, frameLen, blocksPerPage, blockLen int, verify func(int64, int, []float32) bool) *pageCache {
 	vwords := (blocksPerPage + 63) / 64
-	c := &pageCache{
-		index:    make(map[int64]int, frames),
-		pages:    make([]int64, frames),
+	return &pageCache{
+		clock:    cache.NewClock[int64](frames),
 		vals:     make([]float32, frames*frameLen),
-		ref:      make([]bool, frames),
 		verified: make([]uint64, frames*vwords),
 		frameLen: frameLen,
 		vwords:   vwords,
 		blockLen: blockLen,
 		verify:   verify,
 	}
-	for i := range c.pages {
-		c.pages[i] = -1
-	}
-	return c
 }
-
-func (c *pageCache) cap() int { return len(c.pages) }
 
 // get copies vector [off, off+len(dst)) of the cached page into dst. The
 // row lives in checksum block `block`; a frame block is verified on its
@@ -75,7 +66,7 @@ func (c *pageCache) cap() int { return len(c.pages) }
 // drops the frame — the caller regenerates the page from its source.
 func (c *pageCache) get(page int64, off int, dst []float32, block int) int {
 	c.mu.Lock()
-	f, ok := c.index[page]
+	f, ok := c.clock.Lookup(page)
 	if !ok {
 		c.mu.Unlock()
 		c.misses.Add(1)
@@ -91,9 +82,7 @@ func (c *pageCache) get(page int64, off int, dst []float32, block int) int {
 				hi = c.frameLen
 			}
 			if !c.verify(page, block, c.vals[base+lo:base+hi]) {
-				delete(c.index, page)
-				c.pages[f] = -1
-				c.ref[f] = false
+				c.clock.Drop(f)
 				c.mu.Unlock()
 				return cacheCorrupt
 			}
@@ -101,7 +90,7 @@ func (c *pageCache) get(page int64, off int, dst []float32, block int) int {
 		}
 	}
 	copy(dst, c.vals[base+off:base+off+len(dst)])
-	c.ref[f] = true
+	c.clock.Touch(f)
 	c.mu.Unlock()
 	c.hits.Add(1)
 	return cacheHit
@@ -110,7 +99,7 @@ func (c *pageCache) get(page int64, off int, dst []float32, block int) int {
 // contains probes without copying or counting (the prefetcher's check).
 func (c *pageCache) contains(page int64) bool {
 	c.mu.Lock()
-	_, ok := c.index[page]
+	_, ok := c.clock.Lookup(page)
 	c.mu.Unlock()
 	return ok
 }
@@ -125,23 +114,12 @@ func (c *pageCache) contains(page int64) bool {
 func (c *pageCache) put(page int64, vals []float32, block int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.index[page]; ok {
+	if _, ok := c.clock.Lookup(page); ok {
 		return
 	}
-	// CLOCK sweep for a victim frame.
-	var f int
-	for {
-		f = c.hand
-		c.hand = (c.hand + 1) % len(c.pages)
-		if c.pages[f] == -1 {
-			break
-		}
-		if !c.ref[f] {
-			delete(c.index, c.pages[f])
-			c.evictions.Add(1)
-			break
-		}
-		c.ref[f] = false
+	f, _, evicted := c.clock.Insert(page)
+	if evicted {
+		c.evictions.Add(1)
 	}
 	vb := c.verified[f*c.vwords : (f+1)*c.vwords]
 	if c.verify == nil || block < 0 {
@@ -154,9 +132,6 @@ func (c *pageCache) put(page int64, vals []float32, block int) {
 		}
 		vb[block/64] = 1 << (block % 64)
 	}
-	c.pages[f] = page
-	c.ref[f] = true
-	c.index[page] = f
 	copy(c.vals[f*c.frameLen:(f+1)*c.frameLen], vals)
 }
 
@@ -167,26 +142,6 @@ const putAllVerified = -1
 func (c *pageCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.pages {
-		c.pages[i] = -1
-		c.ref[i] = false
-	}
-	for i := range c.verified {
-		c.verified[i] = 0
-	}
-	c.index = make(map[int64]int, len(c.pages))
-	c.hand = 0
-}
-
-type pageCacheStats struct {
-	hits, misses, evictions, reads int64
-}
-
-func (c *pageCache) stats() pageCacheStats {
-	return pageCacheStats{
-		hits:      c.hits.Load(),
-		misses:    c.misses.Load(),
-		evictions: c.evictions.Load(),
-		reads:     c.pageReads.Load(),
-	}
+	c.clock.Reset()
+	clear(c.verified)
 }

@@ -358,3 +358,27 @@ func BenchmarkReduceMax4k(b *testing.B) {
 		}
 	}
 }
+
+// TestRowCacheFixedTrace pins the cache's replacement order: hit, miss and
+// eviction totals over a skewed probe-then-fill stream, recorded before
+// the shards moved onto the shared cache.Clock.
+func TestRowCacheFixedTrace(t *testing.T) {
+	const vecLen = 4
+	c, err := NewRowCache(8*rowCacheShards*vecLen*4, vecLen) // 8 slots/shard
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	zipf := rand.NewZipf(rng, 1.2, 8, 2047)
+	row := make([]float32, vecLen)
+	for i := 0; i < 20000; i++ {
+		table, idx := rng.Intn(3), int64(zipf.Uint64())
+		if !c.Get(table, idx, row) {
+			c.Put(table, idx, row)
+		}
+	}
+	st := c.Stats()
+	if st.Hits != 4960 || st.Misses != 15040 || st.Evictions != 14912 || st.Entries != 128 {
+		t.Fatalf("hits %d misses %d evictions %d entries %d, want 4960 / 15040 / 14912 / 128", st.Hits, st.Misses, st.Evictions, st.Entries)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"recross/internal/cache"
 )
 
 // RowCache is a sharded software cache of materialized embedding rows,
@@ -23,10 +25,8 @@ import (
 //   - Storage: each shard owns one flat float32 arena of slots*vecLen,
 //     so a fill copies into place and the cache performs zero per-entry
 //     allocations after construction.
-//   - Eviction: CLOCK (second chance). A hit sets the slot's reference
-//     bit; the shard's hand sweeps slots clearing reference bits until it
-//     finds a cold one to replace. CLOCK approximates LRU at a fraction
-//     of the bookkeeping and needs no per-access list surgery.
+//   - Eviction: CLOCK (second chance) through the shared cache.Clock
+//     slot index, one per shard.
 //   - Admission: an optional frequency hint (SetAdmit) gates fills, fed
 //     from the adaptive layer's Space-Saving tracker when present, so a
 //     cold scan cannot flush the resident hot set. Lookups always probe
@@ -37,11 +37,9 @@ import (
 // concurrent eviction reusing the slot), so all methods are safe for
 // concurrent use.
 type RowCache struct {
-	shards  []rowShard
-	mask    uint64
-	vecLen  int
-	slots   int // per shard
-	capMask uint64
+	shards []rowShard
+	vecLen int
+	slots  int // per shard
 
 	// admit is an optional frequency admission hint (atomic so the
 	// adaptive controller can install it after serving has started).
@@ -60,17 +58,13 @@ type RowCache struct {
 	entries   atomic.Int64
 }
 
-// rowShard is one lock domain: a power-of-two slot array with CLOCK state
-// and an open-addressed index from key to slot.
+// rowShard is one lock domain: a CLOCK slot index and the row arena its
+// slots address.
 type rowShard struct {
-	mu   sync.Mutex
-	keys []uint64 // slot -> key (0 = empty; keys are made non-zero)
-	ref  []uint8  // slot -> CLOCK reference bit
-	data []float32
-	idx  map[uint64]int32 // key -> slot
-	hand int
-	used int
-	_    [24]byte // soften false sharing between neighbouring shards
+	mu    sync.Mutex
+	clock *cache.Clock[uint64]
+	data  []float32
+	_     [24]byte // soften false sharing between neighbouring shards
 }
 
 // rowCacheShards is the default shard count (power of two).
@@ -86,8 +80,7 @@ func NewRowCache(sizeBytes int64, vecLen int) (*RowCache, error) {
 	rowBytes := int64(vecLen) * 4
 	totalSlots := sizeBytes / rowBytes
 	perShard := totalSlots / rowCacheShards
-	// Round down to a power of two so CLOCK hands and future open-addressed
-	// probing stay mask-based.
+	// Round down to a power of two.
 	slots := 1
 	for slots*2 <= int(perShard) {
 		slots *= 2
@@ -98,17 +91,11 @@ func NewRowCache(sizeBytes int64, vecLen int) (*RowCache, error) {
 	}
 	c := &RowCache{
 		shards: make([]rowShard, rowCacheShards),
-		mask:   rowCacheShards - 1,
 		vecLen: vecLen,
 		slots:  slots,
 	}
 	for i := range c.shards {
-		c.shards[i] = rowShard{
-			keys: make([]uint64, slots),
-			ref:  make([]uint8, slots),
-			data: make([]float32, slots*vecLen),
-			idx:  make(map[uint64]int32, slots),
-		}
+		c.shards[i] = rowShard{clock: cache.NewClock[uint64](slots), data: make([]float32, slots*vecLen)}
 	}
 	c.logicalRowBytes.Store(rowBytes)
 	return c, nil
@@ -135,16 +122,15 @@ func (c *RowCache) SetAdmit(admit func(table int, idx int64) bool) {
 	c.admit.Store(&admit)
 }
 
-// rowKey packs (table, idx) into one non-zero uint64: 23 bits of table,
-// 40 bits of row index (production caps at 40M rows), and a forced top
-// bit so 0 can mean "empty slot".
+// rowKey packs (table, idx) into one uint64: 23 bits of table, 40 bits of
+// row index (production caps at 40M rows), and a forced top bit.
 func rowKey(table int, idx int64) uint64 {
 	return 1<<63 | uint64(table)<<40 | (uint64(idx) & (1<<40 - 1))
 }
 
 // shardOf mixes the key and selects a shard.
 func (c *RowCache) shardOf(key uint64) *rowShard {
-	return &c.shards[splitmix(key)&c.mask]
+	return &c.shards[splitmix(key)&(rowCacheShards-1)]
 }
 
 // Get probes for (table, idx) and on a hit copies the row into dst
@@ -153,14 +139,14 @@ func (c *RowCache) Get(table int, idx int64, dst []float32) bool {
 	key := rowKey(table, idx)
 	sh := c.shardOf(key)
 	sh.mu.Lock()
-	slot, ok := sh.idx[key]
+	slot, ok := sh.clock.Lookup(key)
 	if !ok {
 		sh.mu.Unlock()
 		c.misses.Add(1)
 		return false
 	}
-	sh.ref[slot] = 1
-	copy(dst[:c.vecLen], sh.data[int(slot)*c.vecLen:])
+	sh.clock.Touch(slot)
+	copy(dst[:c.vecLen], sh.data[slot*c.vecLen:])
 	sh.mu.Unlock()
 	c.hits.Add(1)
 	return true
@@ -175,39 +161,20 @@ func (c *RowCache) Put(table int, idx int64, row []float32) {
 	key := rowKey(table, idx)
 	sh := c.shardOf(key)
 	sh.mu.Lock()
-	if slot, ok := sh.idx[key]; ok {
+	slot, ok := sh.clock.Lookup(key)
+	if ok {
 		// Already resident (another goroutine raced the same miss);
 		// refresh the data and reference bit.
-		copy(sh.data[int(slot)*c.vecLen:(int(slot)+1)*c.vecLen], row)
-		sh.ref[slot] = 1
-		sh.mu.Unlock()
-		return
-	}
-	var slot int32
-	if sh.used < len(sh.keys) {
-		// Cold fill: take the next unused slot.
-		slot = int32(sh.used)
-		sh.used++
-		c.entries.Add(1)
+		sh.clock.Touch(slot)
 	} else {
-		// CLOCK sweep: clear reference bits until a cold slot appears.
-		// Bounded: after one full lap every bit is clear.
-		for {
-			if sh.ref[sh.hand] == 0 {
-				break
-			}
-			sh.ref[sh.hand] = 0
-			sh.hand = (sh.hand + 1) & (len(sh.keys) - 1)
+		var evicted bool
+		if slot, _, evicted = sh.clock.Insert(key); evicted {
+			c.evictions.Add(1)
+		} else {
+			c.entries.Add(1)
 		}
-		slot = int32(sh.hand)
-		sh.hand = (sh.hand + 1) & (len(sh.keys) - 1)
-		delete(sh.idx, sh.keys[slot])
-		c.evictions.Add(1)
 	}
-	sh.keys[slot] = key
-	sh.ref[slot] = 1
-	sh.idx[key] = slot
-	copy(sh.data[int(slot)*c.vecLen:(int(slot)+1)*c.vecLen], row)
+	copy(sh.data[slot*c.vecLen:(slot+1)*c.vecLen], row)
 	sh.mu.Unlock()
 }
 

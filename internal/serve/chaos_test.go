@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -206,7 +207,7 @@ func TestRestartCapDeadQuorum(t *testing.T) {
 	if st := h.Replicas[0].State; st != "dead" {
 		t.Errorf("replica 0 state %q, want dead", st)
 	}
-	expo := h.Expo()
+	expo := scrape(t, s)
 	for _, want := range []string{
 		`recross_replica_state{replica="0"} 3`,
 		"recross_replicas_available 1",
@@ -402,11 +403,11 @@ func TestChaosAcceptance(t *testing.T) {
 	if snap.Degraded != degraded.Load() {
 		t.Errorf("metrics degraded = %d, want %d", snap.Degraded, degraded.Load())
 	}
-	expo := snap.Expo() + s.Health().Expo()
-	if !strings.Contains(expo, "recross_replica_restarts_total") {
-		t.Error("exposition missing restart counter")
+	expo := scrape(t, s)
+	if want := fmt.Sprintf("recross_replica_restarts_total %d\n", snap.Restarts); snap.Restarts == 0 || !strings.Contains(expo, want) {
+		t.Errorf("exposition lacks %q", want)
 	}
-	for _, line := range strings.Split(s.Health().Expo(), "\n") {
+	for _, line := range strings.Split(expo, "\n") {
 		if strings.HasPrefix(line, "recross_replica_state{") && !strings.HasSuffix(line, " 0") {
 			t.Errorf("replica not healthy after injection stopped: %s", line)
 		}

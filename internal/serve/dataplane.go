@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -132,33 +131,25 @@ func (s *Server) RowCache() *embedding.RowCache { return s.rowCache }
 // from — the facade re-routes its cold tier through it on adoption.
 func (s *Server) Layer() *embedding.Layer { return s.opts.Layer }
 
-// dataplaneExpo renders the data-plane series in Prometheus text
-// exposition format. The row-cache series are emitted even when the
-// cache is disabled (as zeros) so scrapes see a stable schema.
-func (s *Server) dataplaneExpo() string {
+// registerDataplane publishes the data-plane series. The row-cache series
+// are registered even when the cache is disabled (as zeros) so scrapes see
+// a stable schema.
+func (s *Server) registerDataplane() {
 	var st embedding.RowCacheStats
 	if s.rowCache != nil {
-		st = s.rowCache.Stats()
+		s.set.OnScrape(func() { st = s.rowCache.Stats() })
 	}
-	var b []byte
-	counter := func(name string, v int64) {
-		b = append(b, fmt.Sprintf("# TYPE %s counter\n%s %d\n", name, name, v)...)
-	}
-	gauge := func(name string, v float64) {
-		b = append(b, fmt.Sprintf("# TYPE %s gauge\n%s %g\n", name, name, v)...)
-	}
-	counter("recross_dataplane_row_cache_hits_total", st.Hits)
-	counter("recross_dataplane_row_cache_misses_total", st.Misses)
-	counter("recross_dataplane_row_cache_evictions_total", st.Evictions)
-	counter("recross_dataplane_cold_fallbacks_total", s.opts.Layer.ColdFallbacks())
-	gauge("recross_dataplane_row_cache_bytes", float64(st.Bytes))
-	gauge("recross_dataplane_row_cache_capacity_bytes", float64(st.CapBytes))
-	gauge("recross_dataplane_row_cache_hit_rate", st.HitRate())
+	s.set.Counter("recross_dataplane_row_cache_hits_total", "Row-cache probes that hit.", func() int64 { return st.Hits })
+	s.set.Counter("recross_dataplane_row_cache_misses_total", "Row-cache probes that missed.", func() int64 { return st.Misses })
+	s.set.Counter("recross_dataplane_row_cache_evictions_total", "Resident rows replaced by CLOCK.", func() int64 { return st.Evictions })
+	s.set.Counter("recross_dataplane_cold_fallbacks_total", "Cold rows materialized directly because the store could not serve them.", s.opts.Layer.ColdFallbacks)
+	s.set.IntGauge("recross_dataplane_row_cache_bytes", "Resident row bytes (fp32).", func() int64 { return st.Bytes })
+	s.set.IntGauge("recross_dataplane_row_cache_capacity_bytes", "Row-cache capacity.", func() int64 { return st.CapBytes })
+	s.set.Gauge("recross_dataplane_row_cache_hit_rate", "Hits over probes.", func() float64 { return st.HitRate() })
 	// Precision accounting: resident rows are always fp32; the quantized
 	// series is what the same rows occupy in the backing store, and the
 	// ratio is the effective compression a quantized layer buys.
-	gauge("recross_dataplane_row_bytes_fp32", float64(st.Bytes))
-	gauge("recross_dataplane_row_bytes_quantized", float64(st.LogicalBytes))
-	gauge("recross_dataplane_row_compression_ratio", st.CompressionRatio())
-	return string(b)
+	s.set.IntGauge("recross_dataplane_row_bytes_fp32", "Resident rows at fp32.", func() int64 { return st.Bytes })
+	s.set.IntGauge("recross_dataplane_row_bytes_quantized", "The same rows at the backing store's precision.", func() int64 { return st.LogicalBytes })
+	s.set.Gauge("recross_dataplane_row_compression_ratio", "fp32 bytes over backing-store bytes.", func() float64 { return st.CompressionRatio() })
 }

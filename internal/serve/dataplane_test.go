@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,8 +148,6 @@ func TestHTTPDataplaneMetrics(t *testing.T) {
 		RowCacheBytes: 1 << 20,
 	})
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 
 	smp := testSamples(t, 1)[0]
 	for i := 0; i < 2; i++ {
@@ -158,27 +155,18 @@ func TestHTTPDataplaneMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	body := buf.String()
-	for _, series := range []string{
-		"recross_dataplane_row_cache_hits_total",
-		"recross_dataplane_row_cache_misses_total",
-		"recross_dataplane_row_cache_evictions_total",
-		"recross_dataplane_row_cache_bytes",
-		"recross_dataplane_row_cache_capacity_bytes",
-		"recross_dataplane_row_cache_hit_rate",
+	body := scrape(t, s)
+	st := s.RowCache().Stats()
+	for _, want := range []string{
+		fmt.Sprintf("recross_dataplane_row_cache_hits_total %d\n", st.Hits),
+		fmt.Sprintf("recross_dataplane_row_cache_misses_total %d\n", st.Misses),
+		fmt.Sprintf("recross_dataplane_row_cache_bytes %d\n", st.Bytes),
+		"recross_dataplane_row_cache_capacity_bytes 1048576\n",
 	} {
-		if !bytes.Contains(buf.Bytes(), []byte(series)) {
-			t.Errorf("metrics missing %s:\n%s", series, body)
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics lack %q:\n%s", want, body)
 		}
 	}
-	st := s.RowCache().Stats()
 	if st.Hits == 0 {
 		t.Fatal("second lookup of the same sample should hit the cache")
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"recross/internal/embedding"
+	"recross/internal/metrics"
 	"recross/internal/trace"
 )
 
@@ -81,12 +82,6 @@ func parseKind(s string) (trace.ReduceKind, error) {
 	}
 }
 
-// SampleOf converts a wire request into a trace.Sample, validating shape
-// against the server's embedding layer.
-func (s *Server) SampleOf(lr LookupRequest) (trace.Sample, error) {
-	return ParseSample(s.opts.Layer, lr)
-}
-
 // ParseSample converts a wire request into a trace.Sample, validating
 // shape against an embedding layer. It is the single decoder for the
 // /v1/lookup wire format, shared by this server's HTTP front-end and
@@ -153,50 +148,69 @@ func WireRequest(sample trace.Sample) LookupRequest {
 	return lr
 }
 
-// Handler returns the HTTP front-end:
-//
-//	POST /v1/lookup  — serve one sample (JSON in/out)
-//	GET  /metrics    — Prometheus text exposition, including per-replica
-//	                   states, fault/retry/restart counters and the
-//	                   degraded-mode gauge
-//	GET  /healthz    — JSON health report (per-replica states); 200 while
-//	                   serving ("ok" or "degraded"), 503 once draining
+// Handler returns the server's HTTP front-end (see NewHandler).
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/lookup", s.handleLookup)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	return mux
+	return NewHandler(s.opts.Layer, s.Lookup, s.set, func() (any, bool) {
+		h := s.Health()
+		return h, h.Status == "draining"
+	})
 }
 
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	var lr LookupRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLookupBody))
-	if err := dec.Decode(&lr); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sample, err := s.SampleOf(lr)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := s.Lookup(r.Context(), sample)
-	if err != nil {
-		writeErr(w, statusOf(err), err)
-		return
-	}
-	WriteJSON(w, 0, LookupResponse{
-		Vectors:       res.Vectors,
-		BatchSize:     res.BatchSize,
-		ServiceCycles: int64(res.ServiceCycles),
-		Replica:       res.Replica,
-		Retries:       res.Retries,
-		Degraded:      res.Degraded,
-		ColdDegraded:  res.ColdDegraded,
-		QueueMicros:   float64(res.QueueWait.Nanoseconds()) / 1e3,
-		TotalMicros:   float64(res.Total.Nanoseconds()) / 1e3,
+// NewHandler returns the one HTTP front-end, shared by a single node's
+// Server and the cluster router so clients (and upstream routers) need not
+// care which they talk to:
+//
+//	POST /v1/lookup  — serve one sample through lookup (JSON in/out),
+//	                   validated against layer's shape
+//	GET  /metrics    — set's Prometheus text exposition
+//	GET  /healthz    — health's report as JSON; 200 while serving
+//	                   (including degraded modes, where answers are still
+//	                   functionally correct), 503 once it reports draining
+func NewHandler(layer *embedding.Layer, lookup func(context.Context, trace.Sample) (*Result, error),
+	set *metrics.Set, health func() (report any, draining bool)) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/lookup", func(w http.ResponseWriter, r *http.Request) {
+		var lr LookupRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLookupBody))
+		if err := dec.Decode(&lr); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		sample, err := ParseSample(layer, lr)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		res, err := lookup(r.Context(), sample)
+		if err != nil {
+			writeErr(w, statusOf(err), err)
+			return
+		}
+		WriteJSON(w, 0, LookupResponse{
+			Vectors:       res.Vectors,
+			BatchSize:     res.BatchSize,
+			ServiceCycles: int64(res.ServiceCycles),
+			Replica:       res.Replica,
+			Retries:       res.Retries,
+			Degraded:      res.Degraded,
+			ColdDegraded:  res.ColdDegraded,
+			QueueMicros:   float64(res.QueueWait.Nanoseconds()) / 1e3,
+			TotalMicros:   float64(res.Total.Nanoseconds()) / 1e3,
+		})
 	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_, _ = set.WriteTo(w) // a failed write is the scraper hanging up
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		report, draining := health()
+		w.Header().Set("Content-Type", "application/json")
+		if draining {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+		_ = json.NewEncoder(w).Encode(report)
+	})
+	return mux
 }
 
 // jsonBufPool pools the lookup handler's encode buffers. Response
@@ -212,8 +226,7 @@ const maxPooledJSONBuf = 1 << 20
 // WriteJSON encodes v into a pooled buffer and writes it as a JSON
 // response with an explicit Content-Length (no chunked framing — the
 // body length is known, and keep-alive clients reuse the conn without
-// trailer handling). code 0 means 200. Shared with the cluster
-// router's HTTP front-end, which serves the same wire format.
+// trailer handling). code 0 means 200.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -249,31 +262,6 @@ func statusOf(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprint(w, s.metrics.Snapshot().Expo())
-	fmt.Fprint(w, s.Health().Expo())
-	fmt.Fprint(w, s.dataplaneExpo())
-	s.expoMu.RLock()
-	fns := s.expoFns
-	s.expoMu.RUnlock()
-	for _, f := range fns {
-		fmt.Fprint(w, f())
-	}
-}
-
-// handleHealthz reports the self-healing pool's state as JSON. Status
-// codes: 200 while serving — including degraded mode, where answers are
-// still functionally correct — and 503 once draining.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := s.Health()
-	w.Header().Set("Content-Type", "application/json")
-	if h.Status == "draining" {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	_ = json.NewEncoder(w).Encode(h)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

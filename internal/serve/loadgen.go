@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"recross/internal/stats"
 	"recross/internal/trace"
 )
 
@@ -183,7 +184,9 @@ func DriveLoad(who string, opts LoadgenOptions, nCounts int,
 	if run.Wall > 0 {
 		run.Thru = float64(run.Requests) / run.Wall.Seconds()
 	}
-	run.P50, run.P95, run.P99 = percentileDurations(all)
+	run.P50 = time.Duration(stats.Percentile(all, 50))
+	run.P95 = time.Duration(stats.Percentile(all, 95))
+	run.P99 = time.Duration(stats.Percentile(all, 99))
 	for _, ns := range all {
 		if d := time.Duration(ns); d > run.Max {
 			run.Max = d

@@ -45,6 +45,7 @@ import (
 
 	"recross/internal/arch"
 	"recross/internal/embedding"
+	"recross/internal/metrics"
 	"recross/internal/sim"
 	"recross/internal/trace"
 )
@@ -342,8 +343,9 @@ type Server struct {
 	dispatcherDone chan struct{}
 	workers        sync.WaitGroup
 
-	expoMu  sync.RWMutex
-	expoFns []func() string // extra /metrics sections (RegisterExpo)
+	// set is everything /metrics prints: the server's own series plus
+	// whatever the stages composed around it register (MetricSet).
+	set *metrics.Set
 
 	// Functional data plane: the persistent reduction pool answering
 	// result vectors, and the layer's hot-row cache when configured.
@@ -382,9 +384,11 @@ func New(opts Options) (*Server, error) {
 	if opts.ReduceWorkers < 0 {
 		return nil, fmt.Errorf("serve: ReduceWorkers %d < 0", opts.ReduceWorkers)
 	}
+	set := metrics.NewSet()
 	s := &Server{
 		opts:           opts,
-		metrics:        NewMetrics(),
+		set:            set,
+		metrics:        NewMetrics(set),
 		in:             make(chan *request, opts.QueueDepth),
 		failures:       make(chan *replica, len(opts.Systems)),
 		supervisorStop: make(chan struct{}),
@@ -399,6 +403,8 @@ func New(opts Options) (*Server, error) {
 		s.replicas = append(s.replicas, rep)
 		s.startWorker(rep)
 	}
+	s.registerHealth()
+	s.registerDataplane()
 	go s.supervise()
 	go s.dispatch()
 	return s, nil
@@ -417,18 +423,10 @@ func (s *Server) startWorker(rep *replica) {
 // Replicas returns the pool width.
 func (s *Server) Replicas() int { return len(s.replicas) }
 
-// RegisterExpo appends an extra section to the /metrics exposition —
-// how subsystems composed around the server (the adaptive repartitioning
-// controller, for one) publish their own series through the same
-// endpoint. f must be safe for concurrent use.
-func (s *Server) RegisterExpo(f func() string) {
-	if f == nil {
-		return
-	}
-	s.expoMu.Lock()
-	s.expoFns = append(s.expoFns, f)
-	s.expoMu.Unlock()
-}
+// MetricSet returns the set /metrics serves. Subsystems composed around
+// the server — the cold store, the adaptive controller, a binary listener
+// — register their series in it so one endpoint publishes them all.
+func (s *Server) MetricSet() *metrics.Set { return s.set }
 
 // Metrics returns the live registry (snapshot it for reporting).
 func (s *Server) Metrics() *Metrics { return s.metrics }

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -273,4 +274,29 @@ func (s *Server) Health() HealthReport {
 		})
 	}
 	return h
+}
+
+// registerHealth publishes the pool's health: per-replica state (0
+// healthy, 1 suspect, 2 restarting, 3 dead), failure and restart counts,
+// and the availability and degraded-mode gauges. The replica set is fixed
+// for the server's life, so the label sets are too.
+func (s *Server) registerHealth() {
+	for _, rep := range s.replicas {
+		id := strconv.Itoa(rep.id)
+		s.set.IntGauge("recross_replica_state", "Replica state (0 healthy, 1 suspect, 2 restarting, 3 dead).",
+			func() int64 { return int64(rep.state.Load()) }, "replica", id)
+		s.set.IntGauge("recross_replica_failures", "Replica-level faults per replica.", rep.failures.Load, "replica", id)
+		s.set.IntGauge("recross_replica_restarts", "Supervisor rebuilds per replica.", rep.restarts.Load, "replica", id)
+	}
+	flag := func(on func() bool) func() int64 {
+		return func() int64 {
+			if on() {
+				return 1
+			}
+			return 0
+		}
+	}
+	s.set.IntGauge("recross_replicas_available", "Replicas eligible for dispatch.", func() int64 { return int64(s.AvailableReplicas()) })
+	s.set.IntGauge("recross_degraded_mode", "1 while below quorum and answering from the functional layer.", flag(s.Degraded))
+	s.set.IntGauge("recross_cold_degraded_mode", "1 while the storage tier's breaker is not closed.", flag(s.coldDegraded))
 }

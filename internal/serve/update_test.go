@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -179,28 +178,30 @@ func TestObserverSeesAdmittedSamples(t *testing.T) {
 	}
 }
 
-func TestRegisterExpoAppendsToMetrics(t *testing.T) {
+// TestMetricSetServesRegisteredSeries: a series a subsystem registers in
+// the server's set rides /metrics next to the server's own.
+func TestMetricSetServesRegisteredSeries(t *testing.T) {
 	s := newTestServer(t, Options{Systems: []arch.System{&fakeSys{}}})
 	defer s.Close()
-	s.RegisterExpo(func() string { return "# TYPE custom_series gauge\ncustom_series 7\n" })
-	s.RegisterExpo(nil) // must be ignored
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	s.MetricSet().IntGauge("custom_series", "A subsystem's gauge.", func() int64 { return 7 }, "stage", "x")
+	body := scrape(t, s)
+	if !strings.Contains(body, "# TYPE custom_series gauge\ncustom_series{stage=\"x\"} 7\n") {
+		t.Fatalf("registered series missing from /metrics:\n%s", body)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "custom_series 7") {
-		t.Fatalf("registered exposition missing from /metrics:\n%s", body)
-	}
-	if !strings.Contains(string(body), "recross_updates_applied_total") {
+	if !strings.Contains(body, "recross_updates_applied_total 0\n") {
 		t.Fatalf("update counters missing from /metrics:\n%s", body)
 	}
+}
+
+// scrape GETs /metrics through the server's handler.
+func scrape(t *testing.T, s *Server) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", rec.Code)
+	}
+	return rec.Body.String()
 }
 
 // TestLoadgenShiftsHotSet: the shift mode must change which rows the

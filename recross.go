@@ -376,8 +376,6 @@ type ColdTierConfig struct {
 	Precision Precision
 	// CacheBytes is the host-side page-cache budget (default 64 pages).
 	CacheBytes int64
-	// Mmap maps the backing file instead of using pread.
-	Mmap bool
 	// Prefetch is the async prefetch queue depth (default 64).
 	Prefetch int
 
@@ -586,7 +584,6 @@ func openColdStore(cold *ColdTierConfig, layer *Layer) (*coldstore.Store, error)
 		PageBytes:        cold.PageBytes,
 		CacheBytes:       cold.CacheBytes,
 		Prefetch:         cold.Prefetch,
-		Mmap:             cold.Mmap,
 		DisableChecksum:  cold.DisableChecksum,
 		Retries:          cold.Retries,
 		RetryBackoff:     cold.RetryBackoff,
@@ -693,7 +690,6 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 	}
 	var bootDec *partition.Decision // what a freshly built replica comes up on
 	st := &Stack{}
-	var expos []func() string
 
 	var store *coldstore.Store
 	if cfg.Cold != nil {
@@ -704,7 +700,6 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 		if opts.ColdDegraded == nil {
 			opts.ColdDegraded = store.Degraded
 		}
-		expos = append(expos, store.Expo)
 	}
 	if cfg.Adapt != nil {
 		// The controller and server reference each other (Observer feeds
@@ -768,7 +763,6 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 		if opts.Observer == nil {
 			opts.Observer = st.Adapt.Observe
 		}
-		expos = append(expos, st.Adapt.Expo)
 	}
 
 	if cfg.Chaos != nil {
@@ -832,10 +826,11 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 		closeStore(store)
 		return nil, err
 	}
-	for _, expo := range expos {
-		st.RegisterExpo(expo)
+	if store != nil {
+		store.RegisterMetrics(st.MetricSet())
 	}
 	if st.Adapt != nil {
+		st.Adapt.RegisterMetrics(st.MetricSet())
 		// The controller's Space-Saving sketches double as the hot-row
 		// cache's admission filter: once live traffic accumulates, only
 		// rows the tracker ranks as heavy hitters earn cache slots, so a
@@ -1250,8 +1245,9 @@ func WrapFaultyNode(n ClusterNode, fc NodeFaultConfig, id int, inj *FaultInjecto
 }
 
 // NewBinServer builds a binary-protocol listener serving a single
-// node's lookups — the binary analogue of Server.Handler. Register its
-// metrics with srv.RegisterExpo(bs.Expo) and run bs.Serve(lis).
+// node's lookups — the binary analogue of Server.Handler. Publish its
+// wire counters with bs.RegisterMetrics(srv.MetricSet()) and run
+// bs.Serve(lis).
 func NewBinServer(srv *Server) (*BinServer, error) {
 	return cluster.NewBinServer(cluster.BinServerOptions{Backend: srv, Layer: srv.Layer()})
 }
