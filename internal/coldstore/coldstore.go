@@ -67,10 +67,12 @@ type Config struct {
 	// FP16 or INT8, pages hold kernels.EncodeRow images — smaller rows, so
 	// more rows per page and fewer device reads per gather — and every
 	// read serves the canonical dequantized value. Block checksums cover
-	// the encoded bytes; quantized pages are verified whole at device-read
-	// time (the first-serve re-encode check is only exact for fp32).
+	// the encoded bytes, which is also what the page cache holds, so one
+	// verification rule serves every precision (see ReadRow).
 	Precision kernels.Precision
-	// CacheBytes is the host-side page-cache budget (default 64 pages).
+	// CacheBytes is the host-side page-cache budget (default 64 pages):
+	// the cache holds CacheBytes/PageBytes frames (at least one) of
+	// PageBytes device bytes each, whatever the precision.
 	CacheBytes int64
 	// Prefetch is the async prefetch queue depth (default 64; 0 disables
 	// the prefetcher).
@@ -394,15 +396,7 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 	if cachePages < 1 {
 		cachePages = 1
 	}
-	// The first-serve cache hook re-encodes cached floats to device bytes,
-	// which is only exact for the bijective fp32 format; quantized pages
-	// are instead verified whole at device-read time and enter the cache
-	// fully verified.
-	verify := s.verifyCachedBlock
-	if cfg.DisableChecksum || cfg.Precision != kernels.FP32 {
-		verify = nil
-	}
-	s.cache = newPageCache(cachePages, s.rpp*vecLen, s.bpp, s.blockRows*vecLen, verify)
+	s.cache = newPageCache(cachePages, s)
 	s.bufs.New = func() any { b := make([]byte, cfg.PageBytes); return &b }
 
 	f, err := os.CreateTemp(cfg.Dir, "coldstore-*.dat")
@@ -475,12 +469,16 @@ func (s *Store) Degraded() bool { return s.breaker.current() != BreakerClosed }
 // ReadRow writes row idx of table into dst (len == VecLen) and reports
 // whether the store served that row: false for out-of-range input, for a
 // closed store, and for a device too broken to answer (breaker open or a
-// read that failed after retries) — the caller then falls back to direct
-// materialization, which stays bit-identical. When the store does answer,
-// the bits are identical to RowSource.Row: pages are populated from it,
-// every row is CRC32C-verified (its checksum block checks on the device
-// read that fills the cache or on its first serve from the cache), and a
+// read that failed after retries) — the caller then falls back to
+// CanonicalRow, which computes the same bits without the device. When the
+// store does answer, the bits are Decode(Encode(RowSource.Row)) at the
+// store's precision: pages are populated from the source, only the one
+// requested row is ever decoded (from the cache frame on a hit, from the
+// read buffer on a miss), and one integrity rule holds for every
+// precision — a device read verifies the ~4 KiB checksum block it serves,
+// any other block verifies on its first serve from the cache, and a
 // mismatching page is repaired from the source before anything is served.
+// No row is ever served from bytes nothing has checked.
 func (s *Store) ReadRow(table int, idx int64, dst []float32) bool {
 	if table < 0 || table >= len(s.tables) {
 		return false
@@ -496,38 +494,54 @@ func (s *Store) ReadRow(table int, idx int64, dst []float32) bool {
 	slot := s.maps[table].slotOf(idx)
 	page := s.pageBase[table] + slot/int64(s.rpp)
 	rowIn := int(slot % int64(s.rpp))
-	off := rowIn * s.vecLen
-	blk := rowIn / s.blockRows
-	switch s.cache.get(page, off, dst, blk) {
-	case cacheHit:
+	probe := s.cache.get(page, rowIn, dst)
+	if probe == cacheHit {
 		s.rowReads.Add(1)
 		return true
-	case cacheCorrupt:
+	}
+	if probe == cacheMiss && !s.breaker.allow() {
+		s.breakerRejects.Add(1)
+		return false
+	}
+	bp := s.bufs.Get().(*[]byte)
+	defer s.bufs.Put(bp)
+	buf, vblk := *bp, allBlocks
+	if probe == cacheCorrupt {
 		// The row's block sat unverified in the frame and failed its
 		// first-serve check: regenerate the reference page, persist it
 		// and serve the repaired bits.
 		s.checksumFailures.Add(1)
-		vals := s.repair(page)
-		s.cache.put(page, vals, putAllVerified)
-		copy(dst, vals[off:off+s.vecLen])
-		s.rowReads.Add(1)
-		return true
+		s.repair(page, buf)
+	} else {
+		var ok bool
+		if vblk, ok = s.readPage(page, rowIn/s.blockRows, buf); !ok {
+			return false
+		}
 	}
-	if !s.breaker.allow() {
-		s.breakerRejects.Add(1)
-		return false
-	}
-	if s.prec != kernels.FP32 {
-		blk = verifyAll
-	}
-	vals, vblk, ok := s.readPage(page, blk)
-	if !ok {
-		return false
-	}
-	copy(dst, vals[off:off+s.vecLen])
-	s.cache.put(page, vals, vblk)
+	kernels.DecodeRow(s.prec, dst, buf[rowIn*s.rowBytes:])
+	s.cache.put(page, buf, vblk)
 	s.rowReads.Add(1)
 	return true
+}
+
+// CanonicalRow writes the value a healthy ReadRow serves for row idx of
+// table — the source row through the store's codec, one row at a time —
+// without touching the device or the cache. It is the degraded path's
+// answer when ReadRow declines, so a cold row's bits never depend on
+// device health, whatever precision the caller's own tables are held at.
+// Bounds are the caller's (RowSource.Row's) job.
+func (s *Store) CanonicalRow(table int, idx int64, dst []float32) {
+	bp := s.bufs.Get().(*[]byte)
+	s.encodeRow(table, idx, *bp, dst)
+	kernels.DecodeRow(s.prec, dst, *bp)
+	s.bufs.Put(bp)
+}
+
+// encodeRow writes row idx of table to dst in the device row format; row
+// (len == VecLen) is scratch for the full-precision source value.
+func (s *Store) encodeRow(table int, idx int64, dst []byte, row []float32) {
+	s.tables[table].Row(idx, row)
+	kernels.EncodeRow(s.prec, dst, row)
 }
 
 // ReduceInto performs a device-side ("in-storage") reduction: gather the
@@ -610,9 +624,11 @@ func (s *Store) prefetcher() {
 			if !s.closed.Load() && !s.cache.contains(page) && s.breaker.allow() {
 				// Off the serving path: verify the whole page here so
 				// later hits skip even the first-serve block check.
-				if vals, vblk, ok := s.readPage(page, verifyAll); ok {
-					s.cache.put(page, vals, vblk)
+				bp := s.bufs.Get().(*[]byte)
+				if vblk, ok := s.readPage(page, allBlocks, *bp); ok {
+					s.cache.put(page, *bp, vblk)
 				}
+				s.bufs.Put(bp)
 			}
 			s.mu.RUnlock()
 		}
@@ -656,60 +672,53 @@ func (s *Store) HotRows(ti int) int {
 	return len(s.maps[ti].hotRows)
 }
 
-// verifyAll asks readPage to verify every checksum block of the page —
-// the prefetcher's and scrubber's off-critical-path mode.
-const verifyAll = -1
+// allBlocks stands for every checksum block of a page where one block
+// index is expected: verify them all (readPage and verifyBuf, the
+// prefetcher's and scrubber's off-critical-path mode), or mark them all
+// verified (pageCache.put).
+const allBlocks = -1
 
-// readPage returns page's float32 contents, populating the file on first
-// access. It reports false only when the device failed past all retries —
-// the caller falls back to direct materialization. Served contents are
-// always the reference bits: block (verifyAll for all of them) is
-// checksum-verified against the stored sums and a mismatching page is
-// repaired from the RowSource before serving. The returned block value is
-// what the caller may mark verified in the cache (putAllVerified when the
-// whole page is known good). Caller holds s.mu shared.
-func (s *Store) readPage(page int64, block int) ([]float32, int, bool) {
-	if s.state[page].Load() != pageReady {
-		if vals, persisted := s.populate(page); !persisted {
-			// The write-back failed but the generated bits are correct:
-			// serve them and leave persistence for the next access.
-			return vals, putAllVerified, vals != nil
-		}
+// readPage reads page's device bytes into buf (one page), populating the
+// file on first access. It reports false only when the device failed past
+// all retries — the caller falls back to CanonicalRow. On success, block
+// (allBlocks for every one) of buf has been checksum-verified against the
+// stored sums — a mismatching page is first repaired from the RowSource —
+// and the returned value names what the caller may serve from buf and
+// mark verified in the cache: block, or allBlocks when the whole page is
+// known good (generated here, repaired, or checksums off). Caller holds
+// s.mu shared.
+func (s *Store) readPage(page int64, block int, buf []byte) (int, bool) {
+	if s.state[page].Load() != pageReady && !s.populate(page, buf) {
+		// The write-back failed but the generated bytes are correct:
+		// serve them and leave persistence for the next access.
+		return allBlocks, true
 	}
-	bp := s.bufs.Get().(*[]byte)
-	buf := *bp
 	for attempt := 0; ; attempt++ {
 		err := s.devRead(page, buf)
 		if err == nil {
 			break
 		}
 		if attempt >= s.cfg.Retries {
-			s.bufs.Put(bp)
 			s.readFailures.Add(1)
 			s.breaker.onFailure()
-			return nil, 0, false
+			return 0, false
 		}
 		s.retries.Add(1)
 		time.Sleep(s.cfg.RetryBackoff << attempt)
 	}
-	if !s.cfg.DisableChecksum && !s.verifyBuf(page, buf, block) {
+	s.breaker.onSuccess()
+	s.cache.pageReads.Add(1)
+	if s.cfg.DisableChecksum {
+		return allBlocks, true
+	}
+	if !s.verifyBuf(page, buf, block) {
 		// Flipped bits or a torn write-back: regenerate the reference
 		// bytes, persist them, and serve the repaired page.
 		s.checksumFailures.Add(1)
-		vals := s.repair(page)
-		s.bufs.Put(bp)
-		s.breaker.onSuccess()
-		s.cache.pageReads.Add(1)
-		return vals, putAllVerified, true
+		s.repair(page, buf)
+		return allBlocks, true
 	}
-	vals := s.decodePage(buf)
-	s.bufs.Put(bp)
-	s.breaker.onSuccess()
-	s.cache.pageReads.Add(1)
-	if s.cfg.DisableChecksum || block == verifyAll {
-		block = putAllVerified
-	}
-	return vals, block, true
+	return block, true
 }
 
 // devRead performs one device page read, bounded by Config.ReadDeadline
@@ -757,9 +766,7 @@ func (s *Store) fillPage(page int64, buf []byte) {
 	ti := s.tableOfPage(page)
 	m := s.maps[ti]
 	local := page - s.pageBase[ti]
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	row := make([]float32, s.vecLen)
 	first := local * int64(s.rpp)
 	for k := 0; k < s.rpp; k++ {
@@ -767,53 +774,45 @@ func (s *Store) fillPage(page int64, buf []byte) {
 		if slot >= m.rows {
 			break
 		}
-		s.tables[ti].Row(m.rowOf(slot), row)
-		kernels.EncodeRow(s.prec, buf[k*s.rowBytes:], row)
+		s.encodeRow(ti, m.rowOf(slot), buf[k*s.rowBytes:], row)
 	}
 }
 
-// populate generates page's rows from the source table and writes them
-// back, recording the block checksums. Striped locking serializes
-// population of one page; the state check inside the lock makes it
-// exactly-once per mapping generation. On a failed write-back it returns
-// the generated (correct) values with persisted=false and leaves the page
-// unpopulated so the next access retries; vals is nil when persisted.
-func (s *Store) populate(page int64) (vals []float32, persisted bool) {
+// populate generates page's rows from the source table into buf and
+// writes them back, recording the block checksums. Striped locking
+// serializes population of one page; the state check inside the lock makes
+// it exactly-once per mapping generation. It reports whether the page is
+// persisted: on a failed write-back buf holds the generated (correct)
+// bytes and the page stays unpopulated so the next access retries.
+func (s *Store) populate(page int64, buf []byte) (persisted bool) {
 	mu := &s.popMu[page%int64(len(s.popMu))]
 	mu.Lock()
 	defer mu.Unlock()
 	if s.state[page].Load() == pageReady {
-		return nil, true
+		return true
 	}
-	bp := s.bufs.Get().(*[]byte)
-	buf := *bp
 	s.fillPage(page, buf)
 	if err := s.dev.WritePage(page, buf); err != nil {
 		s.writeFailures.Add(1)
 		s.breaker.onFailure()
-		vals = s.decodePage(buf)
-		s.bufs.Put(bp)
-		return vals, false
+		return false
 	}
 	s.storeSums(page, buf)
-	s.bufs.Put(bp)
 	s.populated.Add(1)
 	s.state[page].Store(pageReady)
-	return nil, true
+	return true
 }
 
-// repair regenerates page bit-exactly from the source tables after a
-// checksum mismatch, writes it back and refreshes the stored block sums.
-// Regeneration cannot fail (the tables are procedural), so the returned
-// values are always the reference bits; if only the write-back fails the
-// page is demoted to unpopulated so the next access retries persistence.
-// Caller holds s.mu shared.
-func (s *Store) repair(page int64) []float32 {
+// repair regenerates page bit-exactly from the source tables into buf
+// after a checksum mismatch, writes it back and refreshes the stored block
+// sums. Regeneration cannot fail (the tables are procedural), so buf
+// always ends up holding the reference bytes; if only the write-back fails
+// the page is demoted to unpopulated so the next access retries
+// persistence. Caller holds s.mu shared.
+func (s *Store) repair(page int64, buf []byte) {
 	mu := &s.popMu[page%int64(len(s.popMu))]
 	mu.Lock()
 	defer mu.Unlock()
-	bp := s.bufs.Get().(*[]byte)
-	buf := *bp
 	s.fillPage(page, buf)
 	if err := s.dev.WritePage(page, buf); err != nil {
 		s.writeFailures.Add(1)
@@ -822,21 +821,7 @@ func (s *Store) repair(page int64) []float32 {
 		s.storeSums(page, buf)
 		s.state[page].Store(pageReady)
 	}
-	vals := s.decodePage(buf)
-	s.bufs.Put(bp)
 	s.repairs.Add(1)
-	return vals
-}
-
-// decodePage converts a page's encoded rows to rpp*vecLen float32 values
-// — for fp32 the raw little-endian bits, for fp16/int8 the canonical
-// dequantized value of each row (unoccupied row slots decode to zeros).
-func (s *Store) decodePage(buf []byte) []float32 {
-	vals := make([]float32, s.rpp*s.vecLen)
-	for k := 0; k < s.rpp; k++ {
-		kernels.DecodeRow(s.prec, vals[k*s.vecLen:(k+1)*s.vecLen], buf[k*s.rowBytes:])
-	}
-	return vals
 }
 
 // tableOfPage finds the table owning a global page id.

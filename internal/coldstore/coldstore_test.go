@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"recross/internal/kernels"
 	"recross/internal/metrics"
 )
 
@@ -182,6 +183,32 @@ func TestPageCacheCounters(t *testing.T) {
 	}
 	if st := s.Stats(); st.Evictions == 0 {
 		t.Fatalf("no evictions after streaming %d pages through 2 frames", 64/4)
+	}
+}
+
+// TestPageCacheBudget pins what CacheBytes buys: frames hold device pages,
+// so at every precision the cache's arena is CacheBytes/PageBytes frames
+// (at least one) of PageBytes each and never exceeds the configured budget
+// — a quantized page's frame is no larger than an fp32 page's.
+func TestPageCacheBudget(t *testing.T) {
+	const pageBytes = 4096
+	for _, prec := range []kernels.Precision{kernels.FP32, kernels.FP16, kernels.INT8} {
+		for _, cacheBytes := range []int64{1, pageBytes, 10*pageBytes + 100, 64 * pageBytes} {
+			src := &testSource{id: 1, rows: 1000, vecLen: 64}
+			s, err := Open(Config{Dir: t.TempDir(), PageBytes: pageBytes, CacheBytes: cacheBytes, Precision: prec}, []RowSource{src})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := max(cacheBytes/pageBytes, 1)
+			if got := s.Stats().CachePages; got != frames {
+				t.Errorf("%v CacheBytes %d: %d frames, want %d", prec, cacheBytes, got, frames)
+			}
+			arena := int64(len(s.cache.frames))
+			if arena != frames*pageBytes || arena > max(cacheBytes, pageBytes) {
+				t.Errorf("%v CacheBytes %d: arena %d B, want %d frames x %d B within the budget", prec, cacheBytes, arena, frames, pageBytes)
+			}
+			s.Close()
+		}
 	}
 }
 

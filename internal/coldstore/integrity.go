@@ -1,10 +1,8 @@
 package coldstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -68,11 +66,12 @@ func (s *Store) storeSums(page int64, buf []byte) {
 	}
 }
 
-// verifyBuf checks device bytes against the stored block sums: one block,
-// or the whole page when block is verifyAll. Caller holds s.mu shared and
-// the page's state is ready.
+// verifyBuf checks a page's device bytes — a fresh device read or a page
+// cache frame, which holds the same image — against the stored block sums:
+// one block, or the whole page when block is allBlocks. Caller holds s.mu
+// shared and the page's state is ready.
 func (s *Store) verifyBuf(page int64, buf []byte, block int) bool {
-	if block != verifyAll {
+	if block != allBlocks {
 		lo, hi := s.blockSpan(block)
 		return crc32.Checksum(buf[lo:hi], castagnoli) == s.sums[page*int64(s.bpp)+int64(block)].Load()
 	}
@@ -83,23 +82,6 @@ func (s *Store) verifyBuf(page int64, buf []byte, block int) bool {
 		}
 	}
 	return true
-}
-
-// verifyCachedBlock is the page cache's first-serve integrity hook: it
-// re-encodes a cached block's floats to their device byte image (fp32
-// decode is bijective, so this is exact; the hook is disabled for
-// quantized stores, whose pages verify whole at device-read time) and
-// checks the block checksum. Runs under the cache mutex, which pins the
-// frame for the duration.
-func (s *Store) verifyCachedBlock(page int64, block int, blockVals []float32) bool {
-	bp := s.bufs.Get().(*[]byte)
-	buf := (*bp)[:len(blockVals)*4]
-	for i, v := range blockVals {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	ok := crc32.Checksum(buf, castagnoli) == s.sums[page*int64(s.bpp)+int64(block)].Load()
-	s.bufs.Put(bp)
-	return ok
 }
 
 // ErrClosed is returned by operations on a closed store.
@@ -272,9 +254,9 @@ func (s *Store) scrubPage(page int64) {
 		return
 	}
 	s.scrubPages.Add(1)
-	if !s.cfg.DisableChecksum && !s.verifyBuf(page, buf, verifyAll) {
+	if !s.cfg.DisableChecksum && !s.verifyBuf(page, buf, allBlocks) {
 		s.checksumFailures.Add(1)
-		s.repair(page)
+		s.repair(page, buf)
 	}
 	s.bufs.Put(bp)
 	s.breaker.onSuccess()

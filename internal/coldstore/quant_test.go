@@ -149,6 +149,64 @@ func TestQuantizedChecksumRepair(t *testing.T) {
 	}
 }
 
+// TestQuantizedBlockGranularIntegrity pins the one integrity rule at the
+// precision it used not to hold for: a device read of an int8 page checks
+// only the checksum block it serves, and corruption in another block is
+// caught on that block's first serve from the cache — never served, never
+// charged to the rows that were fine.
+func TestQuantizedBlockGranularIntegrity(t *testing.T) {
+	s, src, hd := openQuantStore(t, kernels.INT8, 2000, 64, Config{
+		PageBytes:  16 << 10,
+		CacheBytes: 16 << 10, // one frame: rereads hit the device
+		Prefetch:   -1,
+	})
+	if s.bpp < 2 {
+		t.Fatalf("layout has %d checksum blocks per page, need 2", s.bpp)
+	}
+	rowA, rowB := int64(3), int64(s.blockRows+5) // page 0, blocks 0 and 1
+	got := make([]float32, 64)
+	want := make([]float32, 64)
+	check := func(idx int64) {
+		t.Helper()
+		if !s.ReadRow(0, idx, got) {
+			t.Fatalf("row %d not served", idx)
+		}
+		canonicalRow(kernels.INT8, src, idx, want)
+		if stats.MaxULPDistance(got, want) != 0 {
+			t.Fatalf("row %d: served bits are not the canonical codec value", idx)
+		}
+	}
+	check(rowA)                       // populate page 0
+	check(int64(s.RowsPerPage()) * 3) // evict it from the one frame
+	// Flip bits on the medium underneath the store, in block B only.
+	page := make([]byte, s.cfg.PageBytes)
+	if err := hd.inner.ReadPage(0, page); err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := s.blockSpan(1)
+	page[lo+int(rowB-int64(s.blockRows))*s.rowBytes+kernels.I8RowOverhead+7] ^= 0xff
+	if err := hd.inner.WritePage(0, page); err != nil {
+		t.Fatal(err)
+	}
+
+	check(rowA) // device read verifies block A only
+	if st := s.Stats(); st.ChecksumFailures != 0 || st.Repairs != 0 {
+		t.Fatalf("damage in block B charged to a read of block A: %+v", st)
+	}
+	check(rowB) // first serve of block B from the frame: caught, repaired
+	st := s.Stats()
+	if st.ChecksumFailures != 1 || st.Repairs != 1 {
+		t.Fatalf("checksum failures %d repairs %d after reading the damaged block, want 1 and 1", st.ChecksumFailures, st.Repairs)
+	}
+	check(rowA)
+	check(rowB)
+	after := s.Stats()
+	if after.PageHits != st.PageHits+2 || after.PageReads != st.PageReads ||
+		after.ChecksumFailures != 1 || after.Repairs != 1 {
+		t.Fatalf("rereads after the repair were not clean hits: %+v -> %+v", st, after)
+	}
+}
+
 func TestQuantizedReduceMatchesHost(t *testing.T) {
 	// In-storage reduction over quantized pages must equal a host-side
 	// scalar reduction over the same canonical decoded rows, bit for bit:

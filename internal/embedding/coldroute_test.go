@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"recross/internal/coldstore"
+	"recross/internal/kernels"
+	"recross/internal/stats"
 	"recross/internal/trace"
 )
 
@@ -211,5 +213,108 @@ func TestColdRouteConcurrentHammer(t *testing.T) {
 	st := cache.Stats()
 	if st.Evictions == 0 {
 		t.Fatal("hammer produced no CLOCK evictions; cache not under pressure")
+	}
+}
+
+// decliningStore is the facade's store adapter with a switch: while
+// decline is set every read is refused, as an open breaker would.
+type decliningStore struct {
+	s       *coldstore.Store
+	decline atomic.Bool
+}
+
+func (r *decliningStore) ReadColdRow(ti int, idx int64, dst []float32) bool {
+	return !r.decline.Load() && r.s.ReadRow(ti, idx, dst)
+}
+
+func (r *decliningStore) CanonicalColdRow(ti int, idx int64, dst []float32) {
+	r.s.CanonicalRow(ti, idx, dst)
+}
+
+// TestColdFallbackMatchesHealthyRead: a cold-placed row has one value,
+// whatever the layer's and the store's precisions are and whether or not
+// the store answers. Each {layer} x {store} precision pair reads the same
+// ops through a healthy store and through one that declines every read —
+// via ReduceInto (the fused quantized path) and MaterializeRow, with and
+// without a row cache, and across a health flip so the cache is filled by
+// one path and read back under the other.
+func TestColdFallbackMatchesHealthyRead(t *testing.T) {
+	const rows, vecLen, coldFrom = 400, 16, 100
+	precs := []kernels.Precision{kernels.FP32, kernels.FP16, kernels.INT8}
+	op := trace.Op{Table: 0, Kind: trace.WeightedSum}
+	for i := int64(0); i < 24; i++ {
+		op.Indices = append(op.Indices, (i*37+5)%rows) // both sides of coldFrom
+		op.Weights = append(op.Weights, 0.25+float32(i)/16)
+	}
+	// read returns the reduce result followed by every gathered row.
+	read := func(l *Layer) []float32 {
+		out := make([]float32, vecLen, vecLen*(1+len(op.Indices)))
+		var scr Scratch
+		if err := l.ReduceInto(out, op, &scr); err != nil {
+			t.Fatal(err)
+		}
+		row := make([]float32, vecLen)
+		for _, idx := range op.Indices {
+			l.MaterializeRow(0, idx, row)
+			out = append(out, row...)
+		}
+		return out
+	}
+	for _, lp := range precs {
+		for _, cp := range precs {
+			for _, withCache := range []bool{false, true} {
+				l := coldTestLayer(t, rows, 1)
+				if err := l.SetPrecision(lp); err != nil {
+					t.Fatal(err)
+				}
+				store, err := coldstore.Open(coldstore.Config{Dir: t.TempDir(), PageBytes: 1 << 10, Precision: cp},
+					[]coldstore.RowSource{l.SourceTable(0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rd := &decliningStore{s: store}
+				l.SetColdRoute(func(ti int, idx int64) bool { return idx >= coldFrom }, rd)
+				attach := func() {
+					if !withCache {
+						return
+					}
+					c, err := NewRowCache(64<<10, vecLen) // holds every row read
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := l.AttachRowCache(c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				name := fmt.Sprintf("layer %v over %v store, row cache %v", lp, cp, withCache)
+
+				attach()
+				healthy := read(l)
+				if l.ColdFallbacks() != 0 {
+					t.Fatalf("%s: healthy store counted %d fallbacks", name, l.ColdFallbacks())
+				}
+				if withCache { // filled healthy, read back degraded
+					rd.decline.Store(true)
+					if d := stats.MaxULPDistance(read(l), healthy); d != 0 {
+						t.Errorf("%s: cache filled healthy reads back %d ULP off once degraded", name, d)
+					}
+				}
+
+				attach() // a fresh, empty cache
+				rd.decline.Store(true)
+				degraded := read(l)
+				if l.ColdFallbacks() == 0 {
+					t.Fatalf("%s: declined reads counted no fallback", name)
+				}
+				if d := stats.MaxULPDistance(degraded, healthy); d != 0 {
+					t.Errorf("%s: degraded answer is %d ULP off the healthy one", name, d)
+				}
+				rd.decline.Store(false) // filled degraded, read back healthy
+				if d := stats.MaxULPDistance(read(l), healthy); d != 0 {
+					t.Errorf("%s: answer moved %d ULP when the store came back", name, d)
+				}
+				store.Close()
+			}
+		}
 	}
 }

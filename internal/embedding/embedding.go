@@ -114,11 +114,24 @@ func (t *Dense) SetRow(i int64, v []float32) error {
 
 // ColdReader serves rows placed on the flash cold tier (implemented by
 // coldstore.Store via a thin adapter in the facade). A reader must return
-// bits identical to the table's own Row for every row it holds.
+// bits identical to the table's own Row for every row it holds — unless it
+// is also a ColdCodec.
 type ColdReader interface {
 	// ReadColdRow fills dst with row idx of table ti, reporting whether
 	// the cold tier holds (and served) the row.
 	ReadColdRow(ti int, idx int64, dst []float32) bool
+}
+
+// ColdCodec is implemented by a ColdReader whose tier keeps rows in a row
+// format of its own (a cold store at a precision other than the layer's),
+// so the value it serves is its codec's, not the table's.
+type ColdCodec interface {
+	// CanonicalColdRow fills dst with the bits a served ReadColdRow
+	// returns for the row, computed from the source without the device —
+	// what the layer serves when the reader declines, so a cold row's
+	// value never depends on device health or on which path filled the
+	// row cache.
+	CanonicalColdRow(ti int, idx int64, dst []float32)
 }
 
 // coldRoute pairs a cold-placement predicate with the reader serving those
@@ -126,6 +139,7 @@ type ColdReader interface {
 type coldRoute struct {
 	isCold func(ti int, idx int64) bool
 	reader ColdReader
+	codec  ColdCodec // reader's own row format, nil when it serves table bits
 }
 
 // Layer is the embedding layer of one model: one table per sparse feature.
@@ -146,8 +160,8 @@ type Layer struct {
 	// while serving goroutines read it.
 	cold atomic.Pointer[coldRoute]
 	// coldFallbacks counts cold-placed rows the reader declined (device
-	// degraded) that were materialized directly from the table instead —
-	// the degraded-but-correct slow path.
+	// degraded) that were materialized without it instead — the
+	// degraded-but-correct slow path.
 	coldFallbacks atomic.Int64
 }
 
@@ -268,16 +282,18 @@ func (l *Layer) RowCache() *RowCache { return l.cache }
 
 // SetColdRoute installs (or, with nil arguments, removes) the cold-tier
 // route: rows for which isCold reports true materialize through reader
-// instead of the table. The reader must be bit-identical to the tables
-// (coldstore.Store is, by construction — its file holds the exact bits the
-// tables generate). Safe to call while serving; readers see either the
-// old route or the new one.
+// instead of the table. The reader must be bit-identical to the tables, or
+// be a ColdCodec (coldstore.Store at the layer's precision is the former
+// by construction — its file holds the exact bits the tables serve — and
+// the facade's adapter is the latter, for mixed tier precisions). Safe to
+// call while serving; readers see either the old route or the new one.
 func (l *Layer) SetColdRoute(isCold func(ti int, idx int64) bool, reader ColdReader) {
 	if isCold == nil || reader == nil {
 		l.cold.Store(nil)
 		return
 	}
-	l.cold.Store(&coldRoute{isCold: isCold, reader: reader})
+	codec, _ := reader.(ColdCodec)
+	l.cold.Store(&coldRoute{isCold: isCold, reader: reader, codec: codec})
 }
 
 // MaterializeRow writes row idx of table ti into dst (len == the table's
@@ -292,16 +308,11 @@ func (l *Layer) MaterializeRow(ti int, idx int64, dst []float32) {
 	if cached && l.cache.Get(ti, idx, dst) {
 		return
 	}
-	if cr := l.cold.Load(); cr != nil && cr.isCold(ti, idx) {
-		if cr.reader.ReadColdRow(ti, idx, dst) {
-			if cached {
-				l.cache.Put(ti, idx, dst)
-			}
-			return
+	if cr := l.cold.Load(); cr != nil && cr.isCold(ti, idx) && l.readCold(cr, ti, idx, dst) {
+		if cached {
+			l.cache.Put(ti, idx, dst)
 		}
-		// The cold tier declined (breaker open, device failing): fall
-		// through to direct materialization — slower, still bit-exact.
-		l.coldFallbacks.Add(1)
+		return
 	}
 	l.tables[ti].Row(idx, dst)
 	if cached {
@@ -309,8 +320,25 @@ func (l *Layer) MaterializeRow(ti int, idx int64, dst []float32) {
 	}
 }
 
+// readCold fills dst with cold-placed row idx of table ti: through the
+// reader, or — when it declines (breaker open, device failing) — by the
+// slower device-free path that yields the same bits. It reports false only
+// when that path is the caller's own table (the reader serves table bits,
+// having no codec of its own).
+func (l *Layer) readCold(cr *coldRoute, ti int, idx int64, dst []float32) bool {
+	if cr.reader.ReadColdRow(ti, idx, dst) {
+		return true
+	}
+	l.coldFallbacks.Add(1)
+	if cr.codec == nil {
+		return false
+	}
+	cr.codec.CanonicalColdRow(ti, idx, dst)
+	return true
+}
+
 // ColdFallbacks reports how many cold-placed rows were materialized
-// directly from their table because the cold tier declined the read.
+// without the cold tier because it declined the read.
 func (l *Layer) ColdFallbacks() int64 { return l.coldFallbacks.Load() }
 
 // Scratch is a per-caller arena for the zero-allocation reduce path: the
@@ -411,7 +439,8 @@ func (l *Layer) accumulate(dst, row []float32, op trace.Op, k int) {
 // through the cold tier, and everything else accumulates straight from
 // the quantized codes with the fused dequantize-scale-accumulate kernels.
 // The fused lane expression is the one Row/DecodeI8/DecodeF16 use, so the
-// hit, cold and fused paths agree bit-for-bit on healthy devices.
+// hit, cold and fused paths agree bit-for-bit; a cold-placed row is the
+// cold tier's value whether or not its device answers (readCold).
 func (l *Layer) reduceQuantRow(dst []float32, op trace.Op, k int, idx int64, qt *QuantTable, row []float32) {
 	ti := op.Table
 	cached := l.cache != nil && l.cached[ti]
@@ -419,15 +448,12 @@ func (l *Layer) reduceQuantRow(dst []float32, op trace.Op, k int, idx int64, qt 
 		l.accumulate(dst, row, op, k)
 		return
 	}
-	if cr := l.cold.Load(); cr != nil && cr.isCold(ti, idx) {
-		if cr.reader.ReadColdRow(ti, idx, row) {
-			if cached {
-				l.cache.Put(ti, idx, row)
-			}
-			l.accumulate(dst, row, op, k)
-			return
+	if cr := l.cold.Load(); cr != nil && cr.isCold(ti, idx) && l.readCold(cr, ti, idx, row) {
+		if cached {
+			l.cache.Put(ti, idx, row)
 		}
-		l.coldFallbacks.Add(1)
+		l.accumulate(dst, row, op, k)
+		return
 	}
 	if qt.prec == kernels.INT8 {
 		q, scale, zero := qt.rowI8(idx)

@@ -372,9 +372,14 @@ type ColdTierConfig struct {
 	// independent of Config.Precision). Quantized pages pack more rows per
 	// device read — the effective page-read bandwidth the partitioner
 	// prices cold placements with rises by the codec ratio — and served
-	// rows are the canonical decoded values.
+	// rows are the canonical decoded values: a cold-placed row is
+	// Decode(Encode(row)) at this precision whether the device answers or
+	// the breaker is open.
 	Precision Precision
 	// CacheBytes is the host-side page-cache budget (default 64 pages).
+	// Frames hold encoded device pages, so the cache is CacheBytes /
+	// PageBytes pages at every precision and a quantized one holds
+	// proportionally more rows.
 	CacheBytes int64
 	// Prefetch is the async prefetch queue depth (default 64).
 	Prefetch int
@@ -554,11 +559,18 @@ func (c Config) newLayer() (*Layer, error) {
 	return layer, nil
 }
 
-// coldReader adapts the store to the embedding layer's ColdReader.
+// coldReader adapts the store to the embedding layer's ColdReader and
+// ColdCodec: a read the store declines is answered from its row source
+// through its codec, so a cold-placed row has one value at every pairing
+// of Config.Precision and Cold.Precision, healthy device or not.
 type coldReader struct{ s *coldstore.Store }
 
 func (r coldReader) ReadColdRow(ti int, idx int64, dst []float32) bool {
 	return r.s.ReadRow(ti, idx, dst)
+}
+
+func (r coldReader) CanonicalColdRow(ti int, idx int64, dst []float32) {
+	r.s.CanonicalRow(ti, idx, dst)
 }
 
 // openColdStore builds the functional backing store over the layer's
@@ -573,7 +585,8 @@ func openColdStore(cold *ColdTierConfig, layer *Layer) (*coldstore.Store, error)
 	// must apply exactly once to fp32 rows. When the tier precisions
 	// match, the cold path therefore serves the same canonical decoded
 	// bits as the warm quantized tables; when they differ, cold-placed
-	// rows carry the cold codec's representation.
+	// rows carry the cold codec's representation — on the degraded path
+	// too (coldReader.CanonicalColdRow).
 	srcs := make([]coldstore.RowSource, layer.Tables())
 	for i := range srcs {
 		srcs[i] = layer.SourceTable(i)
