@@ -2,7 +2,9 @@ package recross
 
 import (
 	"context"
+	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,30 @@ func clusterSpec() ModelSpec {
 		{Name: "t4", Rows: 5000, VecLen: 32, Pooling: 8, Prob: 1, Skew: 1.1},
 		{Name: "t5", Rows: 5000, VecLen: 32, Pooling: 8, Prob: 1, Skew: 1.1},
 	}}
+}
+
+// listenBin serves srv's binary wire on a loopback port until the test
+// ends and returns the listener's address.
+func listenBin(t *testing.T, srv *Server) string {
+	t.Helper()
+	bs, err := NewBinServer(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		bs.Serve(lis)
+	}()
+	t.Cleanup(func() {
+		bs.Close()
+		<-served
+	})
+	return lis.Addr().String()
 }
 
 // TestClusterE2E is the full cluster story through the public facade: a
@@ -252,5 +278,56 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 	}
 	if rep.Errors > 0 || rep.Degraded > 0 {
 		t.Errorf("healthy loadgen saw errors=%d degraded=%d", rep.Errors, rep.Degraded)
+	}
+}
+
+// TestPeersAreBinary: a router's peers are binary-wire listeners. Any
+// other scheme is rejected at construction with an error naming the
+// address to give instead (-bin-addr); "bin://host:port" and a bare
+// "host:port" both reach a node's BinServer and serve bit-identically.
+func TestPeersAreBinary(t *testing.T) {
+	spec := clusterSpec()
+	cfg := Config{Spec: spec, ProfileSamples: 500, Batch: 16}
+	if cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: []string{"http://h:1"}}); err == nil {
+		cs.Close()
+		t.Fatal("an http:// peer was accepted")
+	} else if !strings.Contains(err.Error(), "-bin-addr") {
+		t.Errorf("rejection %q does not name -bin-addr", err)
+	}
+
+	var peers []string
+	for _, scheme := range []string{"bin://", ""} {
+		srv, err := NewServer(ReCross, cfg, 1, ServeOptions{MaxBatch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		peers = append(peers, scheme+listenBin(t, srv))
+	}
+	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: peers, HedgeDelay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	layer, err := NewLayer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sample := range gen.Batch(8) {
+		res, err := cs.Lookup(context.Background(), sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := layer.ReduceSample(sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Degraded || !reflect.DeepEqual(res.Vectors, want) {
+			t.Fatalf("lookup over binary peers: degraded=%v, vectors identical=%v", res.Degraded, reflect.DeepEqual(res.Vectors, want))
+		}
 	}
 }

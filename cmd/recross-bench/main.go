@@ -12,7 +12,6 @@
 // Flags:
 //
 //	-quick        scaled-down workload (seconds instead of minutes)
-//	-serial       disable concurrent sweep points
 //	-batch N      batch size (default 32)
 //	-pooling N    gathers per embedding operation (default 80)
 //	-veclen N     embedding vector length (default 64)
@@ -66,7 +65,6 @@ func main() {
 	quick := flag.Bool("quick", false, "scaled-down workload")
 	csvDir := flag.String("csv", "", "also write each table as <dir>/<experiment>.csv")
 	jsonOut := flag.Bool("json", false, "emit one JSON document on stdout instead of text tables")
-	serial := flag.Bool("serial", false, "disable concurrent sweep points")
 	batch := flag.Int("batch", 0, "batch size (0 = default)")
 	pooling := flag.Int("pooling", 0, "gathers per op (0 = default)")
 	veclen := flag.Int("veclen", 0, "embedding vector length (0 = default)")
@@ -93,9 +91,6 @@ func main() {
 	}
 	if *ranks > 0 {
 		cfg.Ranks = *ranks
-	}
-	if *serial {
-		cfg.Parallel = false
 	}
 
 	runners := map[string]func() (fmt.Stringer, error){

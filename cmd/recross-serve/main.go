@@ -76,8 +76,8 @@
 // recross_adapt_cold_promoted_rows_total / _demoted_rows_total.
 //
 // Storage chaos (-chaos-cold-*, needs -cold) injects device faults under
-// the cold store — transient read errors, stalls, corrupt page payloads
-// and torn writes — to soak the storage fault-tolerance path: CRC32C
+// the cold store — transient read errors, stalls and corrupt page
+// payloads — to soak the storage fault-tolerance path: CRC32C
 // page verification repairs corruption bit-exactly, bounded retries and
 // the circuit breaker absorb device failures, and sustained outages flip
 // the route to direct materialization (cold-degraded mode, still
@@ -137,7 +137,7 @@ type options struct {
 }
 
 // textFlag binds a flag through a (format, parse) pair onto a field whose
-// type or unit differs from the flag's text: MiB/KiB counts onto byte
+// type or unit differs from the flag's text: MiB counts onto byte
 // fields, policy/precision names onto enums, a comma list onto a slice.
 type textFlag struct {
 	get func() string
@@ -153,19 +153,6 @@ func (t textFlag) String() string {
 
 func (t textFlag) Set(s string) error { return t.set(s) }
 
-// scaled binds dst, a byte count, to a flag counted in units of 1<<shift.
-func scaled[T int | int64](dst *T, shift uint, def T) textFlag {
-	*dst = def << shift
-	return textFlag{
-		func() string { return strconv.FormatInt(int64(*dst>>shift), 10) },
-		func(s string) error {
-			n, err := strconv.ParseInt(s, 10, 64)
-			*dst = T(n) << shift
-			return err
-		},
-	}
-}
-
 // parsed binds dst to a flag whose text goes through parse.
 func parsed[T fmt.Stringer](dst *T, parse func(string) (T, error)) textFlag {
 	return textFlag{
@@ -176,8 +163,17 @@ func parsed[T fmt.Stringer](dst *T, parse func(string) (T, error)) textFlag {
 
 // bind declares the flag set directly over o's fields.
 func bind(fs *flag.FlagSet, o *options) {
+	// mib binds dst, a byte count, to a flag counted in MiB.
 	mib := func(dst *int64, name string, def int64, usage string) {
-		fs.Var(scaled(dst, 20, def), name, usage)
+		*dst = def << 20
+		fs.Var(textFlag{
+			func() string { return strconv.FormatInt(*dst>>20, 10) },
+			func(s string) error {
+				n, err := strconv.ParseInt(s, 10, 64)
+				*dst = n << 20
+				return err
+			},
+		}, name, usage)
 	}
 
 	o.arch = recross.ReCross
@@ -185,9 +181,7 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.vecLen, "veclen", 64, "embedding vector length (FP32 elements)")
 	fs.IntVar(&o.pooling, "pooling", 80, "gathers per embedding operation")
 	fs.IntVar(&o.cfg.Ranks, "ranks", 2, "ranks per channel")
-	fs.IntVar(&o.cfg.Channels, "channels", 1, "memory channels per replica")
 	fs.BoolVar(&o.terabyte, "terabyte", false, "use the Criteo-Terabyte-scale spec")
-	fs.IntVar(&o.cfg.ProfileSamples, "profile", 2000, "offline profiling samples")
 
 	sv := &o.serve
 	fs.IntVar(&o.replicas, "replicas", 2, "replica systems in the worker pool")
@@ -219,61 +213,48 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.Float64Var(&ad.Threshold, "adapt-threshold", 0.12, "adapt: drift score that counts a window as drifted")
 	fs.IntVar(&ad.TopK, "adapt-topk", 512, "adapt: Space-Saving sketch capacity per table")
 	fs.IntVar(&ad.Windows, "adapt-windows", 2, "adapt: consecutive drifted windows before replanning")
-	fs.DurationVar(&ad.Cooldown, "adapt-cooldown", 30*time.Second, "adapt: minimum time between adopted repartitions")
 	fs.Float64Var(&ad.MinGain, "adapt-min-gain", 0.05, "adapt: minimum predicted speedup a plan must clear")
 
 	cd := &o.cold
 	fs.BoolVar(&o.coldOn, "cold", false, "enable the flash-backed cold tier (arch recross only); watch recross_coldstore_* on /metrics")
 	mib(&cd.CapBytes, "cold-cap-mb", 1024, "cold: tier capacity in MiB offered to the partitioner")
 	mib(&cd.ResidentBudgetBytes, "cold-budget-mb", 0, "cold: DRAM residency budget in MiB (0 = geometric capacity); table mass beyond it spills to flash")
-	fs.Var(scaled(&cd.PageBytes, 10, 16), "cold-page-kb", "cold: device page size in KiB")
 	fs.BoolVar(&cd.InStorageReduce, "cold-isr", false, "cold: in-storage reduction (one partial sum per op crosses the link)")
 	mib(&cd.CacheBytes, "cold-cache-mb", 1, "cold: host page-cache budget in MiB")
 	fs.StringVar(&cd.Dir, "cold-dir", "", "cold: backing-file directory (default: system temp dir)")
-	fs.BoolVar(&cd.DisableChecksum, "cold-no-checksum", false, "cold: disable per-page CRC32C verification (benchmarking only)")
 	fs.IntVar(&cd.Retries, "cold-retries", 2, "cold: device-read retries before the page read fails (-1 disables)")
 	fs.DurationVar(&cd.ReadDeadline, "cold-read-deadline", 0, "cold: per-page-read deadline; slower reads are abandoned and fail (0 = none)")
 	fs.DurationVar(&cd.ScrubInterval, "cold-scrub", 0, "cold: background scrubber page-verify interval (0 disables); also the breaker's recovery probe")
 	fs.IntVar(&cd.BreakerThreshold, "cold-breaker-threshold", 4, "cold: consecutive device failures that open the circuit breaker")
-	fs.DurationVar(&cd.BreakerCooldown, "cold-breaker-cooldown", 50*time.Millisecond, "cold: breaker open->half-open cooldown")
-	fs.IntVar(&cd.BreakerProbes, "cold-breaker-probes", 2, "cold: successful half-open probes that re-close the breaker")
 
 	cch := &o.coldChaos
 	fs.Float64Var(&cch.Rates.ReadErr, "chaos-cold-read-err", 0, "chaos: per-page-read transient device error probability (needs -cold)")
 	fs.Float64Var(&cch.Rates.Stall, "chaos-cold-stall-p", 0, "chaos: per-page-read injected stall probability (needs -cold)")
 	fs.Float64Var(&cch.Rates.CorruptPage, "chaos-cold-corrupt", 0, "chaos: per-page-read corrupted payload probability (needs -cold)")
-	fs.Float64Var(&cch.Rates.TornWrite, "chaos-cold-torn", 0, "chaos: per-page-write torn (half-persisted) write probability (needs -cold)")
-	fs.DurationVar(&cch.Stall, "chaos-cold-stall", 2*time.Millisecond, "chaos: injected cold device stall duration")
 
 	cl := &o.cluster
 	fs.IntVar(&cl.Nodes, "cluster", 0, "cluster mode: front an in-process fleet of this many nodes with a scatter-gather router (0 = single-node mode)")
 	fs.Var(textFlag{
 		func() string { return strings.Join(cl.Peers, ",") },
 		func(s string) error { cl.Peers = strings.Split(s, ","); return nil },
-	}, "cluster-peers", "cluster mode: comma-separated peer addresses fronted instead of an in-process fleet; http://host:port peers speak JSON over HTTP (plain `recross-serve -addr` processes), bin://host:port or bare host:port peers speak the binary wire (`recross-serve -bin-addr` listeners)")
-	fs.StringVar(&cl.Wire, "wire", "auto", "cluster: peer transport: auto (by address scheme), json, or binary")
+	}, "cluster-peers", "cluster mode: comma-separated peer addresses fronted instead of an in-process fleet; each is a peer's binary-wire listener (`recross-serve -bin-addr`), written host:port or bin://host:port")
 	fs.IntVar(&cl.WireConns, "wire-conns", 2, "cluster: binary-transport connection pool size per peer")
 	fs.StringVar(&cl.WirePrecision, "wire-precision", "fp32", "cluster: binary-wire response vector encoding: fp32 (bit-identical), fp16 or int8 (storage-codec rounding, opt-in)")
 	fs.StringVar(&o.binAddr, "bin-addr", "", "binary wire-protocol listen address (e.g. :9090); serves lookups beside the HTTP front-end in both single-node and cluster-router modes (empty disables)")
 	fs.IntVar(&cl.Replication, "cluster-replication", 2, "cluster: replica count for hot tables")
 	fs.StringVar(&cl.Placement, "cluster-placement", "ring", "cluster: placement mode: ring (consistent hashing) or cost (LPT over access volumes, LP-priced)")
 	fs.IntVar(&cl.HotTopK, "cluster-hot-k", 0, "cluster: replicate the k largest-volume tables (0 = tables/4, negative = none)")
-	fs.IntVar(&cl.VNodes, "cluster-vnodes", 64, "cluster: ring virtual nodes per unit node weight")
 	fs.DurationVar(&cl.HedgeDelay, "cluster-hedge", 0, "cluster: hedge delay for replicated tables (0 = derived from each node's p99, negative = no hedging)")
 	fs.DurationVar(&cl.NodeTimeout, "cluster-node-timeout", 2*time.Second, "cluster: per-node sub-request deadline")
-	fs.DurationVar(&cl.ProbeInterval, "cluster-probe", 250*time.Millisecond, "cluster: prober interval (hedge-delay refresh + dead-node re-admission; negative disables)")
 	fs.DurationVar(&cl.RebalanceEvery, "cluster-rebalance", 0, "cluster: sketch-driven placement refresh interval (0 disables)")
 
 	nc := &o.nodeChaos
 	fs.Float64Var(&nc.Rates.Kill, "chaos-node-kill", 0, "chaos: per-lookup node kill probability (cluster mode; sticky until the prober re-admits)")
-	fs.Float64Var(&nc.Rates.Partition, "chaos-node-partition", 0, "chaos: per-lookup node partition probability (cluster mode)")
 	fs.Float64Var(&nc.Rates.Slow, "chaos-node-slow", 0, "chaos: per-lookup node slow-call probability (cluster mode)")
-	fs.DurationVar(&nc.Stall, "chaos-node-stall", 2*time.Millisecond, "chaos: node slow-call stall duration")
 	fs.DurationVar(&nc.Downtime, "chaos-node-downtime", 2*time.Second, "chaos: auto-revive a killed node after this long (0 = down until the process exits)")
 	fs.Float64Var(&nc.Conn.Torn, "chaos-conn-torn", 0, "chaos: per-frame-write torn-frame probability on binary-wire conns (cluster mode, binary peers)")
 	fs.Float64Var(&nc.Conn.Reset, "chaos-conn-reset", 0, "chaos: per-frame-write conn-reset probability on binary-wire conns (cluster mode, binary peers)")
 	fs.Float64Var(&nc.Conn.Stall, "chaos-conn-stall", 0, "chaos: per-frame-write slow-writer stall probability on binary-wire conns (cluster mode, binary peers)")
-	fs.DurationVar(&nc.WriteStall, "chaos-conn-stall-dur", time.Millisecond, "chaos: injected conn write-stall duration")
 
 	lg := &o.loadgen
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
@@ -409,7 +390,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		t = target{
 			name:    "cluster router",
 			handler: cs.Router.Handler(),
-			bin:     func() (*recross.BinServer, error) { return recross.NewClusterBinServer(cs.Router) },
+			bin: func() (*recross.BinServer, error) {
+				bs, err := recross.NewClusterBinServer(cs.Router)
+				if err == nil {
+					bs.RegisterMetrics(cs.Router.MetricSet())
+				}
+				return bs, err
+			},
 			loadgen: func(lo recross.LoadgenOptions) (fmt.Stringer, error) { return recross.ClusterLoadgen(cs.Router, lo) },
 			close:   cs.Close,
 			drained: func() string {

@@ -4,14 +4,20 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
 	"regexp"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // TestFlagsGolden: the flag set's names and default strings are the
-// command's public surface; testdata/flags.golden pins all 85.
+// command's public surface; testdata/flags.golden pins all 70.
 func TestFlagsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
@@ -31,8 +37,8 @@ func TestFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: bound value %q != default %q", f.Name, f.Value, f.DefValue)
 		}
 	})
-	if n != 85 {
-		t.Errorf("%d flags, want 85", n)
+	if n != 70 {
+		t.Errorf("%d flags, want 70", n)
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag names/defaults drifted from testdata/flags.golden:\n%s", got.String())
@@ -87,6 +93,73 @@ func TestRunRejects(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil {
 			t.Errorf("run(%q) = nil, want an error", args)
+		}
+	}
+	// Peers are binary-wire listeners; the rejection must say which
+	// address of the peer to give instead.
+	var stdout, stderr bytes.Buffer
+	err := run(strings.Fields("-cluster-peers http://127.0.0.1:1"), &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "-bin-addr") {
+		t.Errorf("run(-cluster-peers http://...) = %v, want an error naming -bin-addr", err)
+	}
+}
+
+// TestRouterBinListenerMetrics: a cluster router serving with -bin-addr
+// publishes its binary listener's recross_cluster_wire_*{role="server"}
+// series on /metrics, as a single node does.
+func TestRouterBinListenerMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2-node Criteo-Kaggle cluster")
+	}
+	freeAddr := func() string {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		return lis.Addr().String()
+	}
+	addr, binAddr := freeAddr(), freeAddr()
+	// With a handler of our own installed, a SIGTERM that arrives before
+	// run installs its handler is dropped instead of ending the process.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+
+	var stdout bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(strings.Fields("-cluster 2 -replicas 1 -addr "+addr+" -bin-addr "+binAddr), &stdout, io.Discard)
+	}()
+	var body []byte
+	for deadline := time.Now().Add(60 * time.Second); body == nil; time.Sleep(20 * time.Millisecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("run exited before serving: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("router never served /metrics")
+		}
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			continue
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if !regexp.MustCompile(`(?m)^recross_cluster_wire_frames_in_total\{[^}]*role="server"`).Match(body) {
+		t.Errorf("router /metrics lacks the binary listener's role=\"server\" series:\n%s", body)
+	}
+	for {
+		_ = syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("run: %v", err)
+			}
+			return
+		case <-time.After(50 * time.Millisecond):
 		}
 	}
 }

@@ -181,7 +181,7 @@ func (c *coldSource) Row(i int64, dst []float32) []float32 {
 func TestFailDeviceBreakerCycle(t *testing.T) {
 	var dev *FaultyColdStore
 	cfg := coldstore.Config{
-		Dir: t.TempDir(), PageBytes: 256, CacheBytes: 256, Prefetch: -1,
+		Dir: t.TempDir(), PageBytes: 256, CacheBytes: 256,
 		Retries: -1, BreakerThreshold: 1, BreakerProbes: 1,
 		BreakerCooldown: time.Hour, // only the scrubber may recover it
 		ScrubInterval:   time.Millisecond,
@@ -245,7 +245,7 @@ func TestFailDeviceBreakerCycle(t *testing.T) {
 // store never serves damaged bits and never degrades.
 func TestColdCorruptionRepairedThroughWrapper(t *testing.T) {
 	cfg := coldstore.Config{
-		Dir: t.TempDir(), PageBytes: 256, CacheBytes: 256, Prefetch: -1,
+		Dir: t.TempDir(), PageBytes: 256, CacheBytes: 256,
 		WrapDevice: func(d coldstore.Device) coldstore.Device {
 			return WrapColdDevice(d, ColdConfig{Rates: ColdRates{CorruptPage: 0.3}, Seed: 5}, nil)
 		},

@@ -136,6 +136,10 @@ func (n *FaultyNode) gate(ctx context.Context) error {
 // ID names the wrapped node.
 func (n *FaultyNode) ID() string { return n.inner.ID() }
 
+// Unwrap returns the wrapped node, so the router finds the transport's
+// wire counters through the fault layer.
+func (n *FaultyNode) Unwrap() Node { return n.inner }
+
 // Lookup forwards the call, possibly injecting one fault first.
 func (n *FaultyNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
 	k, inject := n.pick()

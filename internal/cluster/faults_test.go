@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -211,5 +213,48 @@ func TestFaultyNodeUnderRouter(t *testing.T) {
 	}
 	if inj.Count(chaos.NodeKill) != 1 {
 		t.Errorf("injected kills %d, want 1", inj.Count(chaos.NodeKill))
+	}
+}
+
+// TestWrappedNodesKeepWireMetrics: node chaos exists to exercise the
+// binary wire, so wrapping the peers in FaultyNodes must not hide their
+// recross_cluster_wire_*{role="client"} series from the router's
+// /metrics — the router looks through the wrapper for them.
+func TestWrappedNodesKeepWireMetrics(t *testing.T) {
+	layer := clusterLayer(t)
+	ids := []string{"n0", "n1"}
+	pl, err := RingPlacement(layer.Tables(), ids, PlacementOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireLines := func(wrap bool) int {
+		nodes := make([]Node, len(ids))
+		for i, id := range ids {
+			// Never dialed: the series register at construction.
+			nodes[i] = NewBinNode(id, "127.0.0.1:1", BinNodeOptions{})
+			if wrap {
+				nodes[i] = WrapFaultyNode(nodes[i], chaos.NodeConfig{}, i, nil)
+			}
+		}
+		r, err := NewRouter(Options{Nodes: nodes, Placement: pl, Layer: layer, ProbeInterval: -1, HedgeDelay: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		var buf bytes.Buffer
+		if _, err := r.MetricSet().WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "recross_cluster_wire_") && strings.Contains(line, `role="client"`) {
+				n++
+			}
+		}
+		return n
+	}
+	bare, wrapped := wireLines(false), wireLines(true)
+	if bare == 0 || wrapped != bare {
+		t.Errorf("router exposes %d client wire series over wrapped nodes, %d over bare ones", wrapped, bare)
 	}
 }

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"recross/internal/arch"
 	"recross/internal/serve"
@@ -30,113 +27,27 @@ func (fakeArch) Run(b trace.Batch) (*arch.RunStats, error) {
 	return &arch.RunStats{Cycles: sim.Cycle(100 + len(b)), Lookups: lookups, Imbalance: 1}, nil
 }
 
-// newHTTPPeer stands up a real single-node server behind httptest and
-// returns it as an HTTPNode.
-func newHTTPPeer(t *testing.T, id string) *HTTPNode {
+// postLookup is a plain HTTP client of a /v1/lookup front-end: it POSTs
+// the sample in wire form and decodes the answer.
+func postLookup(t *testing.T, base string, sample trace.Sample) serve.LookupResponse {
 	t.Helper()
-	layer := clusterLayer(t)
-	srv, err := serve.New(serve.Options{Systems: []arch.System{fakeArch{}}, Layer: layer})
+	body, err := json.Marshal(serve.WireRequest(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return NewHTTPNode(id, ts.URL, nil)
-}
-
-// TestHTTPNodeBitIdentity: a router fronting real TCP peers speaking
-// the /v1/lookup wire format answers bit-identically to the functional
-// layer — JSON round-trips float32s exactly.
-func TestHTTPNodeBitIdentity(t *testing.T) {
-	nodes := []Node{newHTTPPeer(t, "node0"), newHTTPPeer(t, "node1")}
-	layer := clusterLayer(t)
-	pl, err := RingPlacement(8, []string{"node0", "node1"}, PlacementOptions{})
+	resp, err := http.Post(base+"/v1/lookup", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(Options{Nodes: nodes, Placement: pl, Layer: layer, ProbeInterval: -1, HedgeDelay: -1})
-	if err != nil {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("lookup status %d", resp.StatusCode)
+	}
+	var lr serve.LookupResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-
-	for _, sample := range clusterSamples(t, 20) {
-		res, err := r.Lookup(context.Background(), sample)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Degraded {
-			t.Fatal("healthy HTTP cluster degraded")
-		}
-		checkIdentical(t, layer, sample, res.Vectors)
-	}
-	st := nodes[0].Stats()
-	if st.Lookups == 0 || st.Cycles == 0 {
-		t.Errorf("HTTP node stats not accumulated: %+v", st)
-	}
-	h, err := nodes[0].Health(context.Background())
-	if err != nil || h.Status == "" {
-		t.Errorf("HTTP health = %+v, %v", h, err)
-	}
-}
-
-// TestHTTPNodeKeepAlive: sequential lookups and probes reuse one TCP
-// connection — draining response bodies and the tuned idle-conn pool
-// mean no per-request dial on the JSON wire.
-func TestHTTPNodeKeepAlive(t *testing.T) {
-	layer := clusterLayer(t)
-	srv, err := serve.New(serve.Options{Systems: []arch.System{fakeArch{}}, Layer: layer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var dials atomic.Int64
-	tr := &http.Transport{
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			dials.Add(1)
-			var d net.Dialer
-			return d.DialContext(ctx, network, addr)
-		},
-		MaxIdleConnsPerHost: 4,
-	}
-	n := NewHTTPNode("ka", ts.URL, &http.Client{Transport: tr})
-
-	for _, sample := range clusterSamples(t, 20) {
-		if _, err := n.Lookup(context.Background(), sample); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := n.Health(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := dials.Load(); d != 1 {
-		t.Errorf("25 sequential requests dialed %d times, want 1 (keep-alive broken)", d)
-	}
-}
-
-// TestHTTPNodeDown: a refused connection surfaces as ErrNodeDown and
-// the router degrades instead of failing.
-func TestHTTPNodeDown(t *testing.T) {
-	ts := httptest.NewServer(http.NotFoundHandler())
-	url := ts.URL
-	ts.Close() // now refuses connections
-	n := NewHTTPNode("gone", url, nil)
-	if _, err := n.Lookup(context.Background(), wideSample()); err == nil {
-		t.Fatal("lookup on a closed peer succeeded")
-	} else if !strings.Contains(err.Error(), ErrNodeDown.Error()) {
-		t.Errorf("error %v does not wrap ErrNodeDown", err)
-	}
-	if n.Stats().Failures == 0 {
-		t.Error("failure not counted")
-	}
+	return lr
 }
 
 // TestRouterHandler: the router's own HTTP front is wire-compatible
@@ -155,19 +66,7 @@ func TestRouterHandler(t *testing.T) {
 	defer ts.Close()
 
 	sample := wideSample()
-	body, _ := json.Marshal(serve.WireRequest(sample))
-	resp, err := http.Post(ts.URL+"/v1/lookup", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("lookup status %d", resp.StatusCode)
-	}
-	var lr serve.LookupResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatal(err)
-	}
+	lr := postLookup(t, ts.URL, sample)
 	if lr.Replica != -1 {
 		t.Errorf("router response Replica = %d, want -1", lr.Replica)
 	}
@@ -232,9 +131,9 @@ func TestRouterHandler(t *testing.T) {
 	}
 }
 
-// TestRouterFederation: because the router speaks the node wire format,
-// a router can itself be a node of an upstream router — two tiers of
-// scatter-gather, still bit-identical.
+// TestRouterFederation: because a BinServer fronts a router exactly as
+// it fronts a node (RouterBackend), a router can itself be a node of an
+// upstream router — two tiers of scatter-gather, still bit-identical.
 func TestRouterFederation(t *testing.T) {
 	layer := clusterLayer(t)
 	leaf := newFakeNode("leaf", layer)
@@ -244,10 +143,9 @@ func TestRouterFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lower.Close()
-	ts := httptest.NewServer(lower.Handler())
-	defer ts.Close()
+	addr, _ := newBinPeer(t, RouterBackend{lower}, layer)
 
-	mid := NewHTTPNode("lower-router", ts.URL, &http.Client{Timeout: 5 * time.Second})
+	mid := NewBinNode("lower-router", addr, BinNodeOptions{})
 	upPl := manualPlacement([]string{"lower-router"}, [][]int{{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}})
 	upper, err := NewRouter(Options{Nodes: []Node{mid}, Placement: upPl, Layer: layer, ProbeInterval: -1})
 	if err != nil {
@@ -287,11 +185,6 @@ func TestRouterCarriesColdDegraded(t *testing.T) {
 	healthy := NewLocalNode("healthy", newServer(false))
 	transports := map[string]func(*serve.Server) Node{
 		"local": func(srv *serve.Server) Node { return NewLocalNode("sick", srv) },
-		"json": func(srv *serve.Server) Node {
-			ts := httptest.NewServer(srv.Handler())
-			t.Cleanup(ts.Close)
-			return NewHTTPNode("sick", ts.URL, nil)
-		},
 		"binary": func(srv *serve.Server) Node {
 			addr, _ := newBinPeer(t, srv, layer)
 			n := NewBinNode("sick", addr, BinNodeOptions{})
@@ -333,23 +226,28 @@ func TestRouterCarriesColdDegraded(t *testing.T) {
 				t.Errorf("lookup on the healthy node only: ColdDegraded=%v, err %v", res != nil && res.ColdDegraded, err)
 			}
 
-			// Both router front-ends carry the flag to an upstream caller.
+			// Both router front-ends carry the flag to their callers: the
+			// JSON one to an HTTP client, the binary one to an upstream router.
 			front := httptest.NewServer(r.Handler())
 			defer front.Close()
+			if got := postLookup(t, front.URL, mixed); !got.ColdDegraded || got.Replica != -1 {
+				t.Errorf("json front-end: ColdDegraded=%v Replica=%d, want true/-1", got.ColdDegraded, got.Replica)
+			}
+			if got := postLookup(t, front.URL, clean); got.ColdDegraded {
+				t.Errorf("json front-end, healthy node only: %+v", got)
+			}
 			baddr, _ := newBinPeer(t, RouterBackend{r}, layer)
 			bfront := NewBinNode("front", baddr, BinNodeOptions{})
 			defer bfront.Close()
-			for wire, up := range map[string]Node{"json": NewHTTPNode("front", front.URL, nil), "binary": bfront} {
-				got, err := up.Lookup(context.Background(), mixed)
-				if err != nil {
-					t.Fatalf("%s front-end: %v", wire, err)
-				}
-				if !got.ColdDegraded || got.Replica != -1 {
-					t.Errorf("%s front-end: ColdDegraded=%v Replica=%d, want true/-1", wire, got.ColdDegraded, got.Replica)
-				}
-				if got, err := up.Lookup(context.Background(), clean); err != nil || got.ColdDegraded {
-					t.Errorf("%s front-end, healthy node only: %+v, %v", wire, got, err)
-				}
+			got, err := bfront.Lookup(context.Background(), mixed)
+			if err != nil {
+				t.Fatalf("binary front-end: %v", err)
+			}
+			if !got.ColdDegraded || got.Replica != -1 {
+				t.Errorf("binary front-end: ColdDegraded=%v Replica=%d, want true/-1", got.ColdDegraded, got.Replica)
+			}
+			if got, err := bfront.Lookup(context.Background(), clean); err != nil || got.ColdDegraded {
+				t.Errorf("binary front-end, healthy node only: %+v, %v", got, err)
 			}
 		})
 	}

@@ -103,6 +103,26 @@ func (r *Router) Health() Health {
 	return h
 }
 
+// MetricSet returns the set the router's /metrics serves, so a binary
+// listener fronting the router registers its series beside the router's
+// own (the mirror of serve.Server.MetricSet).
+func (r *Router) MetricSet() *metrics.Set { return r.set }
+
+// wireMetricsOf finds the transport counters behind n, looking through
+// wrappers that expose Unwrap (FaultyNode); nil when no layer owns any.
+func wireMetricsOf(n Node) *WireMetrics {
+	for {
+		if src, ok := n.(interface{ WireMetrics() *WireMetrics }); ok {
+			return src.WireMetrics()
+		}
+		w, ok := n.(interface{ Unwrap() Node })
+		if !ok {
+			return nil
+		}
+		n = w.Unwrap()
+	}
+}
+
 // registerMetrics publishes the recross_cluster_* series in the router's
 // set: router totals, hedge and rebalance counters, per-node states and
 // outstanding-work gauges, the end-to-end latency summary, and the wire
@@ -131,8 +151,8 @@ func (r *Router) registerMetrics() {
 		set.Counter("recross_cluster_node_lookups_total", "Sub-requests served per node.", ns.lookups.Load, "node", id)
 		set.Counter("recross_cluster_node_failures_total", "Sub-request failures per node.", ns.failures.Load, "node", id)
 		set.Gauge("recross_cluster_node_hedge_delay_seconds", "Current per-node hedge delay.", func() float64 { return float64(ns.hedgeNs.Load()) / 1e9 }, "node", id)
-		if src, ok := ns.node.(interface{ WireMetrics() *WireMetrics }); ok {
-			src.WireMetrics().register(set, "node", id, "role", "client")
+		if wm := wireMetricsOf(ns.node); wm != nil {
+			wm.register(set, "node", id, "role", "client")
 		}
 	}
 	set.Summary("recross_cluster_latency_seconds", "Router end-to-end latency.", m.E2E, 1e-9)

@@ -21,8 +21,9 @@
 //
 // Transport is a seam: cluster.Node is implemented by LocalNode (wraps
 // a serve.Server in-process), by Fleet (N servers in one binary), and
-// by HTTPNode (a real TCP peer speaking the /v1/lookup wire format), so
-// the router — and everything above it — never knows which it holds.
+// by BinNode (a real TCP peer speaking the binary frame protocol — the
+// one transport between processes), so the router — and everything
+// above it — never knows which it holds.
 package cluster
 
 import (

@@ -341,8 +341,8 @@ func appendLookupResp(dst []byte, corr uint32, res *serve.Result, prec kernels.P
 
 // decodeLookupResp decodes a lookup-response payload into a fresh
 // serve.Result. Wall-clock fields round-trip through the same
-// micros-float64 arithmetic as the JSON path (serve.LookupResponse),
-// so both transports reconstruct identical Results.
+// micros-float64 arithmetic as the JSON front-end (serve.LookupResponse),
+// so a binary peer and an HTTP client see identical values.
 func decodeLookupResp(payload []byte) (*serve.Result, error) {
 	if len(payload) < 2 {
 		return nil, errTruncated

@@ -307,9 +307,9 @@ func TestBinNodeLookup(t *testing.T) {
 	}
 }
 
-// TestBinJSONDifferential: the same backend fronted by both transports
-// answers bit-identically — vectors, flags and counters — across random
-// batches, every wire precision at fp32, and degraded answers.
+// TestBinJSONDifferential: the same server reached in-process (the
+// reference), over the binary wire and through its JSON front-end
+// answers bit-identically — vectors and flags — across random batches.
 func TestBinJSONDifferential(t *testing.T) {
 	layer := clusterLayer(t)
 	srv, err := serve.New(serve.Options{Systems: []arch.System{fakeArch{}}, Layer: layer})
@@ -317,17 +317,17 @@ func TestBinJSONDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	local := NewLocalNode("local", srv)
 
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	jsonNode := NewHTTPNode("json", ts.URL, nil)
 
 	addr, _ := newBinPeer(t, srv, layer)
 	binNode := NewBinNode("bin", addr, BinNodeOptions{})
 	defer binNode.Close()
 
 	for i, sample := range clusterSamples(t, 30) {
-		jres, err := jsonNode.Lookup(context.Background(), sample)
+		want, err := local.Lookup(context.Background(), sample)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,20 +335,22 @@ func TestBinJSONDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(jres.Vectors, bres.Vectors) {
-			t.Fatalf("sample %d: binary vectors differ from JSON", i)
+		jres := postLookup(t, ts.URL, sample)
+		if !reflect.DeepEqual(want.Vectors, bres.Vectors) || !reflect.DeepEqual(want.Vectors, jres.Vectors) {
+			t.Fatalf("sample %d: wire vectors differ from the in-process answer", i)
 		}
-		if jres.Degraded != bres.Degraded || jres.ColdDegraded != bres.ColdDegraded {
-			t.Fatalf("sample %d: flags differ: json %+v bin %+v", i, jres, bres)
+		if want.Degraded != bres.Degraded || want.ColdDegraded != bres.ColdDegraded ||
+			want.Degraded != jres.Degraded || want.ColdDegraded != jres.ColdDegraded {
+			t.Fatalf("sample %d: flags differ: local %+v bin %+v json %+v", i, want, bres, jres)
 		}
 		checkIdentical(t, layer, sample, bres.Vectors)
 	}
 }
 
 // TestBinJSONDifferentialDegraded: a router with its only node down
-// serves degraded functional-layer answers; fronted by both wires, the
-// responses stay field-identical (Replica -1, Degraded set, same
-// vectors).
+// serves degraded functional-layer answers; both of its front-ends stay
+// field-identical to the in-process RouterBackend answer (Replica -1,
+// Degraded set, same vectors).
 func TestBinJSONDifferentialDegraded(t *testing.T) {
 	layer := clusterLayer(t)
 	fake := newFakeNode("n0", layer)
@@ -362,14 +364,13 @@ func TestBinJSONDifferentialDegraded(t *testing.T) {
 
 	ts := httptest.NewServer(r.Handler())
 	defer ts.Close()
-	jsonNode := NewHTTPNode("json", ts.URL, nil)
 
 	addr, _ := newBinPeer(t, RouterBackend{R: r}, layer)
 	binNode := NewBinNode("bin", addr, BinNodeOptions{})
 	defer binNode.Close()
 
 	for _, sample := range clusterSamples(t, 5) {
-		jres, err := jsonNode.Lookup(context.Background(), sample)
+		want, err := RouterBackend{R: r}.Lookup(context.Background(), sample)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,14 +378,15 @@ func TestBinJSONDifferentialDegraded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !jres.Degraded || !bres.Degraded {
-			t.Fatalf("expected degraded answers, got json %+v bin %+v", jres.Degraded, bres.Degraded)
+		jres := postLookup(t, ts.URL, sample)
+		if !want.Degraded || !bres.Degraded || !jres.Degraded {
+			t.Fatalf("expected degraded answers, got local %v bin %v json %v", want.Degraded, bres.Degraded, jres.Degraded)
 		}
-		if !reflect.DeepEqual(jres.Vectors, bres.Vectors) {
-			t.Fatal("degraded vectors differ between wires")
+		if !reflect.DeepEqual(want.Vectors, bres.Vectors) || !reflect.DeepEqual(want.Vectors, jres.Vectors) {
+			t.Fatal("degraded vectors differ from the in-process answer")
 		}
-		if jres.Replica != -1 || bres.Replica != -1 {
-			t.Fatalf("router replica = %d/%d, want -1", jres.Replica, bres.Replica)
+		if want.Replica != -1 || bres.Replica != -1 || jres.Replica != -1 {
+			t.Fatalf("router replica = %d/%d/%d, want -1", want.Replica, bres.Replica, jres.Replica)
 		}
 	}
 }

@@ -16,11 +16,11 @@
 // lazy page population: pages are generated from the procedural source
 // tables on first access and written back, so the file always holds the
 // exact bytes of the reference rows — any read path (page cache, file,
-// regeneration) returns identical bits. A small CLOCK page cache and an
-// asynchronous prefetch queue sit in front of the device.
+// regeneration) returns identical bits. A small CLOCK page cache sits in
+// front of the device.
 //
-// Concurrency: the functional read path (ReadRow, ReduceInto, Prefetch) is
-// safe for arbitrary concurrent use — it is part of the serving data plane.
+// Concurrency: the functional read path (ReadRow) is safe for arbitrary
+// concurrent use — it is part of the serving data plane.
 // The timing model (Sim) follows the simulator's single-goroutine contract:
 // one Sim per replica, owned by its worker.
 package coldstore
@@ -74,9 +74,6 @@ type Config struct {
 	// the cache holds CacheBytes/PageBytes frames (at least one) of
 	// PageBytes device bytes each, whatever the precision.
 	CacheBytes int64
-	// Prefetch is the async prefetch queue depth (default 64; 0 disables
-	// the prefetcher).
-	Prefetch int
 	// DisableChecksum turns off per-page CRC32C verification and repair —
 	// the checksum-off benchmark baseline. Keep it on in production.
 	DisableChecksum bool
@@ -118,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 * int64(c.PageBytes)
-	}
-	if c.Prefetch == 0 {
-		c.Prefetch = 64
 	}
 	if c.Retries == 0 {
 		c.Retries = 2
@@ -228,17 +222,12 @@ type Stats struct {
 	RowReads int64
 	// PageHits and PageMisses count host page-cache probes.
 	PageHits, PageMisses int64
-	// PageReads counts device page reads (cache misses and prefetches).
+	// PageReads counts device page reads (cache misses).
 	PageReads int64
 	// Populated counts pages generated and written on first access.
 	Populated int64
 	// Evictions counts page-cache CLOCK evictions.
 	Evictions int64
-	// Prefetches and PrefetchDrops count async prefetch requests issued
-	// and dropped on a full queue.
-	Prefetches, PrefetchDrops int64
-	// Reduces counts in-storage ReduceInto operations.
-	Reduces int64
 	// Remaps counts frequency-mapping rebuilds.
 	Remaps int64
 	// ChecksumFailures counts page reads whose CRC32C did not match the
@@ -320,18 +309,12 @@ type Store struct {
 	closed atomic.Bool
 	ioWG   sync.WaitGroup
 
-	prefetchCh   chan int64
-	prefetchStop chan struct{}
-	prefetchDone chan struct{}
-
 	scrubStop chan struct{}
 	scrubDone chan struct{}
 
 	bufs sync.Pool // page-sized []byte scratch
 
-	rowReads, populated         atomic.Int64
-	prefetches, prefetchDrops   atomic.Int64
-	reduces, remaps             atomic.Int64
+	rowReads, populated, remaps atomic.Int64
 	checksumFailures, repairs   atomic.Int64
 	scrubPages, retries         atomic.Int64
 	readFailures, writeFailures atomic.Int64
@@ -413,12 +396,6 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 	if cfg.WrapDevice != nil {
 		s.dev = cfg.WrapDevice(s.dev)
 	}
-	if cfg.Prefetch > 0 {
-		s.prefetchCh = make(chan int64, cfg.Prefetch)
-		s.prefetchStop = make(chan struct{})
-		s.prefetchDone = make(chan struct{})
-		go s.prefetcher()
-	}
 	if cfg.ScrubInterval > 0 {
 		s.scrubStop = make(chan struct{})
 		s.scrubDone = make(chan struct{})
@@ -430,7 +407,7 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 // RowsPerPage returns the page layout's row capacity.
 func (s *Store) RowsPerPage() int { return s.rpp }
 
-// Close stops the scrubber and prefetcher, drains in-flight readers and
+// Close stops the scrubber, drains in-flight readers and
 // abandoned deadline reads, then closes and removes the backing file.
 // Idempotent and safe to call concurrently with reads: the first call does
 // the work (later calls return nil immediately), new readers observe the
@@ -443,10 +420,6 @@ func (s *Store) Close() error {
 	if s.scrubStop != nil {
 		close(s.scrubStop)
 		<-s.scrubDone
-	}
-	if s.prefetchStop != nil {
-		close(s.prefetchStop)
-		<-s.prefetchDone
 	}
 	// Exclusive lock drains in-flight readers (they hold mu shared for
 	// the whole read); the wait drains deadline reads they abandoned.
@@ -544,97 +517,6 @@ func (s *Store) encodeRow(table int, idx int64, dst []byte, row []float32) {
 	kernels.EncodeRow(s.prec, dst, row)
 }
 
-// ReduceInto performs a device-side ("in-storage") reduction: gather the
-// given rows of one table and pool them in index order into dst, exactly
-// as the host kernels would — the partial sum that crosses the link is
-// bit-identical to host-side reduction. kind follows trace.ReduceKind
-// numbering (0 weighted-sum, 1 sum, 2 max); weights may be nil for kinds
-// that ignore them.
-func (s *Store) ReduceInto(dst []float32, table int, indices []int64, weights []float32, kind uint8) error {
-	if len(dst) != s.vecLen {
-		return fmt.Errorf("coldstore: dst length %d != %d", len(dst), s.vecLen)
-	}
-	if kind == 0 && len(weights) != len(indices) {
-		return fmt.Errorf("coldstore: %d weights for %d indices", len(weights), len(indices))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	row := make([]float32, s.vecLen)
-	for k, idx := range indices {
-		if !s.ReadRow(table, idx, row) {
-			return fmt.Errorf("coldstore: row %d of table %d unavailable (out of range, closed, or device degraded)", idx, table)
-		}
-		switch kind {
-		case 1: // sum
-			for i := range dst {
-				dst[i] += row[i]
-			}
-		case 2: // max
-			if k == 0 {
-				copy(dst, row)
-			} else {
-				for i := range dst {
-					if row[i] > dst[i] {
-						dst[i] = row[i]
-					}
-				}
-			}
-		default: // weighted sum
-			w := weights[k]
-			for i := range dst {
-				dst[i] += w * row[i]
-			}
-		}
-	}
-	s.reduces.Add(1)
-	return nil
-}
-
-// Prefetch hints that a row will be read soon: its page is queued for the
-// async reader (dropped when the queue is full — a hint, not a promise).
-func (s *Store) Prefetch(table int, idx int64) {
-	if s.prefetchCh == nil || table < 0 || table >= len(s.tables) {
-		return
-	}
-	if idx < 0 || idx >= s.tables[table].Rows() {
-		return
-	}
-	s.mu.RLock()
-	page := s.pageBase[table] + s.maps[table].slotOf(idx)/int64(s.rpp)
-	s.mu.RUnlock()
-	select {
-	case s.prefetchCh <- page:
-		s.prefetches.Add(1)
-	default:
-		s.prefetchDrops.Add(1)
-	}
-}
-
-// prefetcher is the async read goroutine: it pulls page hints and warms
-// the page cache in the background.
-func (s *Store) prefetcher() {
-	defer close(s.prefetchDone)
-	for {
-		select {
-		case <-s.prefetchStop:
-			return
-		case page := <-s.prefetchCh:
-			s.mu.RLock()
-			if !s.closed.Load() && !s.cache.contains(page) && s.breaker.allow() {
-				// Off the serving path: verify the whole page here so
-				// later hits skip even the first-serve block check.
-				bp := s.bufs.Get().(*[]byte)
-				if vblk, ok := s.readPage(page, allBlocks, *bp); ok {
-					s.cache.put(page, *bp, vblk)
-				}
-				s.bufs.Put(bp)
-			}
-			s.mu.RUnlock()
-		}
-	}
-}
-
 // Remap rebuilds the frequency-based page mapping from fresh access
 // counts (one slice per table; nil keeps that table's current mapping).
 // The page cache and population states are invalidated: the file is
@@ -673,20 +555,18 @@ func (s *Store) HotRows(ti int) int {
 }
 
 // allBlocks stands for every checksum block of a page where one block
-// index is expected: verify them all (readPage and verifyBuf, the
-// prefetcher's and scrubber's off-critical-path mode), or mark them all
-// verified (pageCache.put).
+// index is expected: verify them all (verifyBuf, the scrubber's
+// off-critical-path mode), or mark them all verified (pageCache.put).
 const allBlocks = -1
 
 // readPage reads page's device bytes into buf (one page), populating the
 // file on first access. It reports false only when the device failed past
 // all retries — the caller falls back to CanonicalRow. On success, block
-// (allBlocks for every one) of buf has been checksum-verified against the
-// stored sums — a mismatching page is first repaired from the RowSource —
-// and the returned value names what the caller may serve from buf and
-// mark verified in the cache: block, or allBlocks when the whole page is
-// known good (generated here, repaired, or checksums off). Caller holds
-// s.mu shared.
+// of buf has been checksum-verified against the stored sums — a
+// mismatching page is first repaired from the RowSource — and the returned
+// value names what the caller may serve from buf and mark verified in the
+// cache: block, or allBlocks when the whole page is known good (generated
+// here, repaired, or checksums off). Caller holds s.mu shared.
 func (s *Store) readPage(page int64, block int, buf []byte) (int, bool) {
 	if s.state[page].Load() != pageReady && !s.populate(page, buf) {
 		// The write-back failed but the generated bytes are correct:
@@ -840,9 +720,6 @@ func (s *Store) Stats() Stats {
 		PageReads:        c.pageReads.Load(),
 		Populated:        s.populated.Load(),
 		Evictions:        c.evictions.Load(),
-		Prefetches:       s.prefetches.Load(),
-		PrefetchDrops:    s.prefetchDrops.Load(),
-		Reduces:          s.reduces.Load(),
 		Remaps:           s.remaps.Load(),
 		ChecksumFailures: s.checksumFailures.Load(),
 		Repairs:          s.repairs.Load(),
@@ -874,9 +751,6 @@ func (s *Store) RegisterMetrics(set *metrics.Set) {
 	set.Counter("recross_coldstore_page_reads_total", "Pages read from the device.", c.pageReads.Load)
 	set.Counter("recross_coldstore_pages_populated_total", "Pages materialized into the backing file.", s.populated.Load)
 	set.Counter("recross_coldstore_evictions_total", "Cached pages replaced by CLOCK.", c.evictions.Load)
-	set.Counter("recross_coldstore_prefetches_total", "Pages prefetched.", s.prefetches.Load)
-	set.Counter("recross_coldstore_prefetch_drops_total", "Prefetches dropped (queue full).", s.prefetchDrops.Load)
-	set.Counter("recross_coldstore_reduces_total", "In-storage reductions served.", s.reduces.Load)
 	set.Counter("recross_coldstore_remaps_total", "Frequency remaps applied.", s.remaps.Load)
 	set.Counter("recross_coldstore_checksum_failures_total", "Blocks that failed their CRC32C.", s.checksumFailures.Load)
 	set.Counter("recross_coldstore_repairs_total", "Pages rewritten from their row source.", s.repairs.Load)

@@ -2,10 +2,10 @@ package coldstore
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"recross/internal/kernels"
 	"recross/internal/metrics"
@@ -212,65 +212,26 @@ func TestPageCacheBudget(t *testing.T) {
 	}
 }
 
-// TestPrefetchWarmsCache checks an async prefetch turns the next read
-// into a page hit.
-func TestPrefetchWarmsCache(t *testing.T) {
-	s, _ := newTestStore(t, Config{PageBytes: 256, Prefetch: 8}, 64)
-	s.Prefetch(0, 12)
-	// The prefetcher is async: wait for the page to land.
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.cacheContains(0, 12) {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetched page never landed: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
+// TestColdStoreIdleGoroutines: a store with the scrubber off is passive —
+// Open starts no goroutine and a served read leaves none behind, so a
+// cold stack at rest costs only its memory.
+func TestColdStoreIdleGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, _ := newTestStore(t, Config{PageBytes: 256}, 64)
+	if !s.ReadRow(0, 12, make([]float32, 16)) {
+		t.Fatal("row not served")
 	}
-	buf := make([]float32, 16)
-	s.ReadRow(0, 12, buf)
-	if st := s.Stats(); st.PageHits == 0 {
-		t.Fatalf("prefetched read missed: %+v", st)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("open store with ScrubInterval 0 runs %d goroutine(s)", after-before)
 	}
 }
 
-// cacheContains reports whether the page holding (table, idx) is cached.
-func (s *Store) cacheContains(table int, idx int64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	page := s.pageBase[table] + s.maps[table].slotOf(idx)/int64(s.rpp)
-	return s.cache.contains(page)
-}
-
-// TestReduceIntoMatchesHostOrder checks the in-storage reduction returns
-// the same bits as an index-order host reduction over store reads.
-func TestReduceIntoMatchesHostOrder(t *testing.T) {
-	s, _ := newTestStore(t, Config{PageBytes: 256}, 128)
-	indices := []int64{3, 77, 3, 120, 55}
-	weights := []float32{0.5, 1.25, 2, 0.75, 1}
-	got := make([]float32, 16)
-	if err := s.ReduceInto(got, 0, indices, weights, 0); err != nil {
-		t.Fatalf("ReduceInto: %v", err)
-	}
-	want := make([]float32, 16)
-	row := make([]float32, 16)
-	for k, idx := range indices {
-		s.ReadRow(0, idx, row)
-		for j := range want {
-			want[j] += weights[k] * row[j]
-		}
-	}
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("elem %d: %v != %v", j, got[j], want[j])
-		}
-	}
-}
-
-// TestConcurrentReadsAndRemap hammers concurrent readers, prefetchers and
-// remaps; under -race this is the cold tier's thread-safety proof. Every
+// TestConcurrentReadsAndRemap hammers concurrent readers and remaps;
+// under -race this is the cold tier's thread-safety proof. Every
 // read must return reference bits no matter which mapping generation
 // serves it.
 func TestConcurrentReadsAndRemap(t *testing.T) {
-	s, srcs := newTestStore(t, Config{PageBytes: 256, CacheBytes: 1024, Prefetch: 16}, 256)
+	s, srcs := newTestStore(t, Config{PageBytes: 256, CacheBytes: 1024}, 256)
 	const readers = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -288,10 +249,6 @@ func TestConcurrentReadsAndRemap(t *testing.T) {
 				default:
 				}
 				idx := int64(rng.Intn(256))
-				if rng.Intn(4) == 0 {
-					s.Prefetch(0, idx)
-					continue
-				}
 				if !s.ReadRow(0, idx, got) {
 					t.Errorf("row %d not held", idx)
 					return

@@ -84,7 +84,7 @@ func checkRow(t *testing.T, s *Store, srcs []RowSource, ti int, idx int64) {
 // source — the caller never sees the damage.
 func TestChecksumRepairsCorruptRead(t *testing.T) {
 	// 256 B pages, 4 rows/page, single-frame cache so rereads hit the device.
-	s, srcs, hd := newHookedStore(t, Config{PageBytes: 256, CacheBytes: 256, Prefetch: -1}, 64)
+	s, srcs, hd := newHookedStore(t, Config{PageBytes: 256, CacheBytes: 256}, 64)
 	checkRow(t, s, srcs, 0, 0) // populate page 0
 	checkRow(t, s, srcs, 0, 8) // page 2 evicts page 0 from the 1-frame cache
 	hd.setRead(func(page int64, dst []byte) error {
@@ -116,7 +116,7 @@ func TestChecksumRepairsCorruptRead(t *testing.T) {
 // only half the page (reported as success) is caught by the checksum on
 // the very next read and never served.
 func TestTornWriteRepairedOnRead(t *testing.T) {
-	s, srcs, hd := newHookedStore(t, Config{PageBytes: 256, CacheBytes: 256, Prefetch: -1}, 64)
+	s, srcs, hd := newHookedStore(t, Config{PageBytes: 256, CacheBytes: 256}, 64)
 	var torn atomic.Int64
 	hd.setWrite(func(page int64, src []byte) error {
 		if page == 1 && torn.Add(1) == 1 {
@@ -143,7 +143,7 @@ func TestTornWriteRepairedOnRead(t *testing.T) {
 // retried with backoff and succeeds without tripping the breaker.
 func TestRetryRecoversTransientError(t *testing.T) {
 	s, srcs, hd := newHookedStore(t, Config{
-		PageBytes: 256, CacheBytes: 256, Prefetch: -1,
+		PageBytes: 256, CacheBytes: 256,
 		Retries: 2, RetryBackoff: time.Microsecond,
 	}, 64)
 	errTransient := errors.New("transient")
@@ -171,7 +171,7 @@ func TestRetryRecoversTransientError(t *testing.T) {
 // successes close it again.
 func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 	s, srcs, hd := newHookedStore(t, Config{
-		PageBytes: 256, CacheBytes: 256, Prefetch: -1,
+		PageBytes: 256, CacheBytes: 256,
 		Retries: -1, BreakerThreshold: 2, BreakerCooldown: 5 * time.Millisecond, BreakerProbes: 2,
 	}, 64)
 	// Populate pages 0 and 1 while healthy.
@@ -259,7 +259,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // abandoned straggler cleanly.
 func TestReadDeadlineAbandonsSlowRead(t *testing.T) {
 	s, srcs, hd := newHookedStore(t, Config{
-		PageBytes: 256, CacheBytes: 256, Prefetch: -1,
+		PageBytes: 256, CacheBytes: 256,
 		Retries: -1, ReadDeadline: 2 * time.Millisecond,
 	}, 64)
 	checkRow(t, s, srcs, 0, 0) // populate while fast
@@ -292,7 +292,7 @@ func TestReadDeadlineAbandonsSlowRead(t *testing.T) {
 // and repairs corruption no read path has touched.
 func TestScrubberRepairsSilentCorruption(t *testing.T) {
 	s, srcs, hd := newHookedStore(t, Config{
-		PageBytes: 256, CacheBytes: 256, Prefetch: -1,
+		PageBytes: 256, CacheBytes: 256,
 		ScrubInterval: time.Millisecond,
 	}, 64)
 	checkRow(t, s, srcs, 0, 0) // populate page 0
@@ -332,7 +332,7 @@ func TestScrubberRepairsSilentCorruption(t *testing.T) {
 // recover it.
 func TestScrubberClosesBreakerAfterOutage(t *testing.T) {
 	s, srcs, hd := newHookedStore(t, Config{
-		PageBytes: 256, CacheBytes: 256, Prefetch: -1,
+		PageBytes: 256, CacheBytes: 256,
 		Retries: -1, BreakerThreshold: 1, BreakerProbes: 1,
 		BreakerCooldown: time.Hour, ScrubInterval: time.Millisecond,
 	}, 64)
@@ -360,11 +360,11 @@ func TestScrubberClosesBreakerAfterOutage(t *testing.T) {
 }
 
 // TestCloseIdempotentConcurrent is the Close hardening proof: double close
-// from racing goroutines, Close racing live readers and the prefetcher,
+// from racing goroutines, Close racing live readers and the scrubber,
 // and post-close operations — all clean under -race.
 func TestCloseIdempotentConcurrent(t *testing.T) {
 	s, srcs := newTestStore(t, Config{
-		PageBytes: 256, CacheBytes: 512, Prefetch: 16,
+		PageBytes: 256, CacheBytes: 512,
 		ScrubInterval: time.Millisecond,
 	}, 256)
 	var wg sync.WaitGroup
@@ -383,10 +383,6 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 				default:
 				}
 				idx := int64(rng.Intn(256))
-				if rng.Intn(4) == 0 {
-					s.Prefetch(0, idx)
-					continue
-				}
 				if s.ReadRow(0, idx, got) { // false once closing: fine
 					srcs[0].Row(idx, want)
 					for j := range want {
@@ -431,7 +427,7 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 // inline, so every served row must be bit-identical to the reference —
 // under -race this is the integrity path's thread-safety proof.
 func TestRemapCorruptionHammer(t *testing.T) {
-	s, srcs, hd := newHookedStore(t, Config{PageBytes: 256, CacheBytes: 1024, Prefetch: 16}, 256)
+	s, srcs, hd := newHookedStore(t, Config{PageBytes: 256, CacheBytes: 1024}, 256)
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(11))
 	hd.setRead(func(page int64, dst []byte) error {
@@ -461,10 +457,6 @@ func TestRemapCorruptionHammer(t *testing.T) {
 				default:
 				}
 				idx := int64(rr.Intn(256))
-				if rr.Intn(6) == 0 {
-					s.Prefetch(0, idx)
-					continue
-				}
 				if !s.ReadRow(0, idx, got) {
 					t.Errorf("row %d not served (corruption is repairable, not fatal)", idx)
 					return
@@ -506,7 +498,7 @@ func TestRemapCorruptionHammer(t *testing.T) {
 // documented trade), and the failure counters stay zero.
 func TestChecksumOffSkipsVerification(t *testing.T) {
 	s, srcs, hd := newHookedStore(t, Config{
-		PageBytes: 256, CacheBytes: 256, Prefetch: -1, DisableChecksum: true,
+		PageBytes: 256, CacheBytes: 256, DisableChecksum: true,
 	}, 64)
 	checkRow(t, s, srcs, 0, 0)
 	checkRow(t, s, srcs, 0, 8) // evict page 0

@@ -41,7 +41,7 @@ func FuzzColdPageBytes(f *testing.F) {
 		prec := []kernels.Precision{kernels.FP32, kernels.FP16, kernels.INT8}[precSel%3]
 		idx := int64(rowSel) % rows
 		s, src, hd := openQuantStore(t, prec, rows, vecLen, Config{
-			PageBytes: pageBytes, Prefetch: -1, DisableChecksum: !checksum,
+			PageBytes: pageBytes, DisableChecksum: !checksum,
 		})
 		hd.setRead(func(page int64, dst []byte) error {
 			err := hd.inner.ReadPage(page, dst)

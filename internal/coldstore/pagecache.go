@@ -98,17 +98,9 @@ func (c *pageCache) get(page int64, rowIn int, dst []float32) int {
 	return cacheHit
 }
 
-// contains probes without copying or counting (the prefetcher's check).
-func (c *pageCache) contains(page int64) bool {
-	c.mu.Lock()
-	_, ok := c.clock.Lookup(page)
-	c.mu.Unlock()
-	return ok
-}
-
 // put installs a page's device bytes, evicting by CLOCK when full. block
 // names the single checksum block the filler verified, or allBlocks
-// when every block is known good (repair and prefetch paths; checksums
+// when every block is known good (generated or repaired pages; checksums
 // off). A racing double-install of the same page keeps the first frame —
 // the racer verified its own copy, so the first frame's bitmap stays
 // authoritative for what it holds.

@@ -115,7 +115,6 @@ func TestQuantizedChecksumRepair(t *testing.T) {
 		s, src, hd := openQuantStore(t, prec, 500, 32, Config{
 			PageBytes:  2048,
 			CacheBytes: 2048, // one frame: rereads hit the device
-			Prefetch:   -1,
 		})
 		got := make([]float32, 32)
 		if !s.ReadRow(0, 7, got) {
@@ -158,7 +157,6 @@ func TestQuantizedBlockGranularIntegrity(t *testing.T) {
 	s, src, hd := openQuantStore(t, kernels.INT8, 2000, 64, Config{
 		PageBytes:  16 << 10,
 		CacheBytes: 16 << 10, // one frame: rereads hit the device
-		Prefetch:   -1,
 	})
 	if s.bpp < 2 {
 		t.Fatalf("layout has %d checksum blocks per page, need 2", s.bpp)
@@ -204,56 +202,6 @@ func TestQuantizedBlockGranularIntegrity(t *testing.T) {
 	if after.PageHits != st.PageHits+2 || after.PageReads != st.PageReads ||
 		after.ChecksumFailures != 1 || after.Repairs != 1 {
 		t.Fatalf("rereads after the repair were not clean hits: %+v -> %+v", st, after)
-	}
-}
-
-func TestQuantizedReduceMatchesHost(t *testing.T) {
-	// In-storage reduction over quantized pages must equal a host-side
-	// scalar reduction over the same canonical decoded rows, bit for bit:
-	// quantization error is representational, never path-dependent.
-	for _, prec := range []kernels.Precision{kernels.FP16, kernels.INT8} {
-		s, src, _ := openQuantStore(t, prec, 800, 24, Config{PageBytes: 2048})
-		rng := rand.New(rand.NewSource(11))
-		idx := make([]int64, 40)
-		w := make([]float32, 40)
-		for i := range idx {
-			idx[i] = rng.Int63n(800)
-			w[i] = rng.Float32()
-		}
-		row := make([]float32, 24)
-		for kind := uint8(0); kind <= 2; kind++ {
-			got := make([]float32, 24)
-			if err := s.ReduceInto(got, 0, idx, w, kind); err != nil {
-				t.Fatal(err)
-			}
-			want := make([]float32, 24)
-			for k, ix := range idx {
-				canonicalRow(prec, src, ix, row)
-				switch kind {
-				case 1:
-					for i := range want {
-						want[i] += row[i]
-					}
-				case 2:
-					if k == 0 {
-						copy(want, row)
-					} else {
-						for i := range want {
-							if row[i] > want[i] {
-								want[i] = row[i]
-							}
-						}
-					}
-				default:
-					for i := range want {
-						want[i] += w[k] * row[i]
-					}
-				}
-			}
-			if stats.MaxULPDistance(got, want) != 0 {
-				t.Fatalf("%v kind %d: in-storage reduce differs from host reference", prec, kind)
-			}
-		}
 	}
 }
 

@@ -18,7 +18,7 @@ func TestReadRowZeroAlloc(t *testing.T) {
 		src := &testSource{id: 1, rows: 4000, vecLen: 64}
 		s, err := Open(Config{
 			Dir: t.TempDir(), PageBytes: 16 << 10, CacheBytes: 16 << 10, // one frame
-			Precision: prec, Prefetch: -1,
+			Precision: prec,
 		}, []RowSource{src})
 		if err != nil {
 			t.Fatal(err)

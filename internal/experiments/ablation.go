@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
-	"recross/internal/arch"
 	"recross/internal/baseline"
 	"recross/internal/core"
 	"recross/internal/energy"
@@ -160,51 +158,30 @@ func Fig14(cfg Config) (*Table, error) {
 		speed, area float64
 	}
 	results := make([]out, len(configs))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, cc := range configs {
-		run := func(i int, name string, nBGPE, nBank int) {
-			rcfg := core.DefaultConfig(spec)
-			rcfg.Ranks = cfg.Ranks
-			rcfg.Batch = cfg.Batch
-			rcfg.Profile = prof
-			rcfg.NMPBankGroups = nBGPE
-			rcfg.BankPEs = nBank
-			rc, err := core.New(rcfg)
-			var rs *arch.RunStats
-			if err == nil {
-				rs, err = rc.Run(b)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("fig14 %s: %w", name, err)
-				}
-				return
-			}
-			results[i] = out{
-				speed: float64(cpuStats.Cycles) / float64(rs.Cycles),
-				area:  am.ChipArea(nBGPE, nBank, nBank),
-			}
+	err = each(len(configs), func(i int) error {
+		cc := configs[i]
+		rcfg := core.DefaultConfig(spec)
+		rcfg.Ranks = cfg.Ranks
+		rcfg.Batch = cfg.Batch
+		rcfg.Profile = prof
+		rcfg.NMPBankGroups = cc.nBGPE
+		rcfg.BankPEs = cc.nBank
+		rc, err := core.New(rcfg)
+		if err != nil {
+			return fmt.Errorf("fig14 %s: %w", cc.name, err)
 		}
-		if cfg.Parallel {
-			wg.Add(1)
-			go func(i int, cc struct {
-				name         string
-				nBGPE, nBank int
-			}) {
-				defer wg.Done()
-				run(i, cc.name, cc.nBGPE, cc.nBank)
-			}(i, cc)
-		} else {
-			run(i, cc.name, cc.nBGPE, cc.nBank)
+		rs, err := rc.Run(b)
+		if err != nil {
+			return fmt.Errorf("fig14 %s: %w", cc.name, err)
 		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		results[i] = out{
+			speed: float64(cpuStats.Cycles) / float64(rs.Cycles),
+			area:  am.ChipArea(cc.nBGPE, cc.nBank, cc.nBank),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, cc := range configs {
 		t.AddRow(cc.name, f2(results[i].speed), f2(results[i].area),

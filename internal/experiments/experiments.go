@@ -28,7 +28,6 @@ type Config struct {
 	Seed           int64 // measured-trace seed
 	ProfileSeed    int64 // offline profiling seed (training data)
 	ProfileSamples int
-	Parallel       bool // run sweep points concurrently
 }
 
 // Paper returns the evaluation defaults of §5.1: vector length 64, 80
@@ -42,7 +41,6 @@ func Paper() Config {
 		Seed:           777,
 		ProfileSeed:    12345,
 		ProfileSamples: 2000,
-		Parallel:       true,
 	}
 }
 
@@ -52,7 +50,6 @@ func Quick() Config {
 	c.Pooling = 8
 	c.Batch = 4
 	c.ProfileSamples = 300
-	c.Parallel = false
 	return c
 }
 
@@ -134,41 +131,48 @@ func (s *ArchSet) Batch() (trace.Batch, error) {
 	return g.Batch(s.Cfg.Batch), nil
 }
 
-// RunAll executes one batch on every architecture and returns the stats by
-// name, optionally in parallel.
+// each runs fn(0) … fn(n-1) concurrently and returns the lowest-index
+// error, so neither results nor the reported failure depend on the
+// schedule. Callers give every index its own systems and output slot.
+func each(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunAll executes one batch on every architecture concurrently and returns
+// the stats by name.
 func (s *ArchSet) RunAll() (map[string]*arch.RunStats, error) {
 	b, err := s.Batch()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*arch.RunStats, len(s.Systems))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for name, sys := range s.Systems {
-		run := func(name string, sys arch.System) {
-			rs, err := sys.Run(b)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", name, err)
-				return
-			}
-			out[name] = rs
+	stats := make([]*arch.RunStats, len(ArchNames))
+	err = each(len(ArchNames), func(i int) (err error) {
+		if stats[i], err = s.Systems[ArchNames[i]].Run(b); err != nil {
+			err = fmt.Errorf("%s: %w", ArchNames[i], err)
 		}
-		if s.Cfg.Parallel {
-			wg.Add(1)
-			go func(name string, sys arch.System) {
-				defer wg.Done()
-				run(name, sys)
-			}(name, sys)
-		} else {
-			run(name, sys)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	out := make(map[string]*arch.RunStats, len(ArchNames))
+	for i, name := range ArchNames {
+		out[name] = stats[i]
 	}
 	return out, nil
 }

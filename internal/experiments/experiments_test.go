@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -266,11 +268,43 @@ func TestFig14Configs(t *testing.T) {
 	}
 }
 
-func TestSortedNames(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedNames(m)
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("sorted = %v", got)
+// TestExperimentsScheduleIndependent: sweep points and the architectures
+// of a point run concurrently, each on its own systems, so two runs of
+// the same figure must render byte-identical tables — and under -race
+// this is the experiment loops' thread-safety proof.
+func TestExperimentsScheduleIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full sweeps in short mode")
+	}
+	a, err := Fig9(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Fig9(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("two Fig9(Quick()) runs differ:\n%s\n%s", a, b)
+	}
+}
+
+// TestEachLowestIndexError: whichever goroutine fails first, the error
+// reported is the lowest index's, and every index still runs.
+func TestEachLowestIndexError(t *testing.T) {
+	var ran atomic.Int64
+	err := each(8, func(i int) error {
+		ran.Add(1)
+		if i == 2 || i == 6 {
+			return fmt.Errorf("point %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "point 2" || ran.Load() != 8 {
+		t.Errorf("each = %v after %d calls, want point 2 after 8", err, ran.Load())
+	}
+	if err := each(0, nil); err != nil {
+		t.Errorf("each(0) = %v", err)
 	}
 }
 

@@ -1,79 +1,44 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // sweep runs one full ArchSet per point and collects speedups over the CPU
-// baseline of the same point. Points run concurrently when cfg.Parallel.
+// baseline of the same point. Each point owns its systems, so the points
+// run concurrently and the table does not depend on the schedule.
 func sweep[T any](cfg Config, points []T, configure func(Config, T) Config,
 	label func(T) string) (*Table, error) {
-	type row struct {
-		label    string
-		speedups map[string]float64
-	}
-	rows := make([]row, len(points))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-
-	runPoint := func(i int, p T) {
-		pc := configure(cfg, p)
-		set, err := NewArchSet(pc)
-		if err == nil {
-			var st map[string]*archStats
-			_ = st
-			stats, err2 := set.RunAll()
-			if err2 != nil {
-				err = err2
-			} else {
-				var sp map[string]float64
-				sp, err = Speedups(stats, "cpu")
-				if err == nil {
-					mu.Lock()
-					rows[i] = row{label: label(p), speedups: sp}
-					mu.Unlock()
-					return
-				}
-			}
+	point := func(p T) (map[string]float64, error) {
+		set, err := NewArchSet(configure(cfg, p))
+		if err != nil {
+			return nil, err
 		}
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = fmt.Errorf("point %s: %w", label(p), err)
+		stats, err := set.RunAll()
+		if err != nil {
+			return nil, err
 		}
-		mu.Unlock()
+		return Speedups(stats, "cpu")
 	}
-
-	for i, p := range points {
-		if cfg.Parallel {
-			wg.Add(1)
-			go func(i int, p T) {
-				defer wg.Done()
-				runPoint(i, p)
-			}(i, p)
-		} else {
-			runPoint(i, p)
+	speedups := make([]map[string]float64, len(points))
+	err := each(len(points), func(i int) (err error) {
+		if speedups[i], err = point(points[i]); err != nil {
+			err = fmt.Errorf("point %s: %w", label(points[i]), err)
 		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	t := &Table{Cols: append([]string{"point"}, ArchNames...)}
-	for _, r := range rows {
-		cells := []string{r.label}
+	for i, p := range points {
+		cells := []string{label(p)}
 		for _, a := range ArchNames {
-			cells = append(cells, f2(r.speedups[a]))
+			cells = append(cells, f2(speedups[i][a]))
 		}
 		t.AddRow(cells...)
 	}
 	return t, nil
 }
-
-type archStats = struct{}
 
 // Fig9 sweeps the embedding vector length (paper: 16..256 elements, batch
 // 32) and reports each architecture's speedup over the CPU baseline at the
@@ -122,14 +87,4 @@ func Fig11(cfg Config) (*Table, error) {
 	t.Title = "Fig. 11 — speedup over CPU vs rank count"
 	t.Note = "paper: ReCross scales well with ranks (designed inside the rank)"
 	return t, nil
-}
-
-// SortedNames returns map keys sorted, for deterministic rendering.
-func SortedNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

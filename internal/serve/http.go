@@ -126,11 +126,11 @@ func ParseSample(layer *embedding.Layer, lr LookupRequest) (trace.Sample, error)
 }
 
 // WireRequest encodes a sample as the /v1/lookup wire form —
-// ParseSample's inverse, used by HTTP clients (the cluster's HTTPNode
-// transport driver). Weighted-sum weights ride verbatim so a round
-// trip through JSON float32 encoding stays bit-identical; sum and max
-// ops drop theirs (the reduction ignores weights, ParseSample
-// re-defaults the omitted field) so neither wire ships ignored bytes.
+// ParseSample's inverse, used by HTTP clients. Weighted-sum weights ride
+// verbatim so a round trip through JSON float32 encoding stays
+// bit-identical; sum and max ops drop theirs (the reduction ignores
+// weights, ParseSample re-defaults the omitted field) so neither wire
+// ships ignored bytes.
 func WireRequest(sample trace.Sample) LookupRequest {
 	lr := LookupRequest{Ops: make([]OpRequest, len(sample))}
 	for i, op := range sample {
@@ -157,8 +157,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // NewHandler returns the one HTTP front-end, shared by a single node's
-// Server and the cluster router so clients (and upstream routers) need not
-// care which they talk to:
+// Server and the cluster router so clients need not care which they talk
+// to:
 //
 //	POST /v1/lookup  — serve one sample through lookup (JSON in/out),
 //	                   validated against layer's shape

@@ -1,7 +1,6 @@
 package recross
 
 import (
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -90,25 +89,8 @@ func TestMetricsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
-		nbs, err := NewBinServer(srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			nbs.Serve(lis)
-		}()
-		defer func() {
-			nbs.Close()
-			<-served
-		}()
-		bn := cluster.NewBinNode(id, lis.Addr().String(), cluster.BinNodeOptions{Conns: 1})
+		t.Cleanup(func() { srv.Close() })
+		bn := cluster.NewBinNode(id, listenBin(t, srv), cluster.BinNodeOptions{Conns: 1})
 		defer bn.Close()
 		nodes[i] = bn
 	}

@@ -381,8 +381,6 @@ type ColdTierConfig struct {
 	// PageBytes pages at every precision and a quantized one holds
 	// proportionally more rows.
 	CacheBytes int64
-	// Prefetch is the async prefetch queue depth (default 64).
-	Prefetch int
 
 	// DisableChecksum turns off per-page CRC32C verification and repair
 	// (the benchmark baseline; keep it on in production).
@@ -596,7 +594,6 @@ func openColdStore(cold *ColdTierConfig, layer *Layer) (*coldstore.Store, error)
 		Precision:        cold.Precision,
 		PageBytes:        cold.PageBytes,
 		CacheBytes:       cold.CacheBytes,
-		Prefetch:         cold.Prefetch,
 		DisableChecksum:  cold.DisableChecksum,
 		Retries:          cold.Retries,
 		RetryBackoff:     cold.RetryBackoff,
@@ -909,22 +906,18 @@ func Loadgen(s *Server, opts LoadgenOptions) (*LoadgenReport, error) {
 }
 
 // ClusterConfig configures NewClusterServer: cluster shape (goroutine
-// fleet or HTTP peers), placement policy, hot-table replication, and
+// fleet or binary-wire peers), placement policy, hot-table replication, and
 // router timing knobs. Zero values take sensible defaults.
 type ClusterConfig struct {
 	// Nodes is the goroutine-fleet size (default 4). Ignored when Peers
 	// is set.
 	Nodes int
 	// Peers, when non-empty, switches to the real-network transport:
-	// one node per peer address instead of an in-binary fleet. The
-	// transport per peer follows Wire: "http://host:port" speaks JSON
-	// over HTTP (a plain `recross-serve -addr` process),
-	// "bin://host:port" or a bare "host:port" speaks the binary
-	// protocol (a `recross-serve -bin-addr` listener).
+	// one node per peer address instead of an in-binary fleet. Each is a
+	// `recross-serve -bin-addr` listener, written "host:port" or
+	// "bin://host:port"; nodes speak only the binary protocol, so any
+	// other scheme is rejected.
 	Peers []string
-	// Wire selects the peer transport: "auto" (default; by address
-	// scheme), "json" (HTTP for every peer) or "binary".
-	Wire string
 	// WireConns is each BinNode's connection-pool size (default 2).
 	WireConns int
 	// WirePrecision compresses binary-wire response vectors: "fp32"
@@ -1034,6 +1027,11 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 	if len(cc.Peers) > 0 && (cfg.Cold != nil || cfg.Chaos != nil) {
 		return nil, fmt.Errorf("recross: the cold tier and replica chaos are per-node stages; configure them on the peer processes, not on the router fronting them")
 	}
+	for _, peer := range cc.Peers {
+		if strings.Contains(peer, "://") && !strings.HasPrefix(peer, "bin://") {
+			return nil, fmt.Errorf("recross: peer %q: nodes speak only the binary wire; give the peer's -bin-addr listener as host:port or bin://host:port", peer)
+		}
+	}
 	if cfg, err = cfg.profiled(a); err != nil {
 		return nil, err
 	}
@@ -1042,7 +1040,7 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 	}
 	spec := cfg.Spec
 
-	// Assemble the node set: an in-binary fleet, or HTTP peers.
+	// Assemble the node set: an in-binary fleet, or binary-wire peers.
 	var fleet *ClusterFleet
 	var nodes []ClusterNode
 	var ids []string
@@ -1051,29 +1049,12 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		if cc.WirePrecision != "" && perr != nil {
 			return nil, fmt.Errorf("recross: wire precision: %w", perr)
 		}
-		for i, base := range cc.Peers {
-			binary := false
-			switch cc.Wire {
-			case "", "auto":
-				// By scheme: explicit http stays JSON; bin:// or a bare
-				// host:port means the binary listener.
-				binary = !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://")
-			case "json":
-			case "binary":
-				binary = true
-			default:
-				return nil, fmt.Errorf("recross: unknown wire %q (auto, json, binary)", cc.Wire)
+		for i, peer := range cc.Peers {
+			bo := BinNodeOptions{Conns: cc.WireConns, Precision: prec}
+			if cc.WrapDial != nil {
+				bo.Dial = cc.WrapDial(i, nil)
 			}
-			var n ClusterNode
-			if binary {
-				bo := BinNodeOptions{Conns: cc.WireConns, Precision: prec}
-				if cc.WrapDial != nil {
-					bo.Dial = cc.WrapDial(i, nil)
-				}
-				n = cluster.NewBinNode(base, base, bo)
-			} else {
-				n = cluster.NewHTTPNode(base, base, nil)
-			}
+			n := cluster.NewBinNode(peer, peer, bo)
 			nodes = append(nodes, n)
 			ids = append(ids, n.ID())
 		}
