@@ -193,7 +193,7 @@ func bind(fs *flag.FlagSet, o *options) {
 		"server-side default deadline for requests arriving without one, so block-policy admission cannot hold a connection forever (0 = none)")
 	fs.IntVar(&sv.Quorum, "quorum", 1, "minimum available replicas before degraded mode (functional-layer answers)")
 	fs.IntVar(&sv.MaxRetries, "max-retries", 2, "per-request retry budget after a replica failure")
-	fs.DurationVar(&sv.WedgeTimeout, "wedge-timeout", 5*time.Second, "declare a replica wedged after one batch runs this long (keep well above the worst-case batch wall time, or slow legitimate batches are treated as wedges and the pool thrashes)")
+	fs.DurationVar(&sv.WedgeTimeout, "wedge-timeout", 5*time.Second, "declare a replica wedged after one batch runs this long; the watchdog catches it within 1.25x (keep well above the worst-case batch wall time, or slow legitimate batches are treated as wedges and the pool thrashes)")
 	mib(&sv.RowCacheBytes, "row-cache-mb", 64, "hot-row cache budget in MiB for materialized embedding rows (0 disables); watch recross_dataplane_row_cache_* on /metrics")
 	fs.Var(parsed(&o.cfg.Precision, recross.ParsePrecision), "precision", "DRAM-tier embedding row storage format: fp32, fp16 or int8; watch recross_dataplane_row_bytes_* on /metrics")
 	fs.Var(parsed(&o.cold.Precision, recross.ParsePrecision), "cold-precision", "cold-tier page row format: fp32, fp16 or int8 (needs -cold)")

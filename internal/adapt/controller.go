@@ -172,7 +172,7 @@ func (c *Controller) Observe(s trace.Sample) { c.tracker.Observe(s) }
 func (c *Controller) Tracker() *Tracker { return c.tracker }
 
 // Current returns the deployed decision (post-adoption it is the adopted
-// one) — the supervisor's rebuild path applies it to replacement
+// one) — the serving stack's rebuild path applies it to replacement
 // replicas so a restart does not resurrect a stale mapping.
 func (c *Controller) Current() (*partition.Profile, *partition.Decision) {
 	c.mu.Lock()

@@ -9,7 +9,7 @@
 // never flaky.
 //
 // The serving layer under test must survive all of it; see
-// internal/serve's supervisor and TestChaos* for the contract.
+// internal/serve's replica workers and TestChaos* for the contract.
 package chaos
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,15 +25,123 @@ func freshFake(inj *chaos.Injector) func(id int) (arch.System, error) {
 	}
 }
 
-// TestReplicaErrorUnwraps: every ReplicaError must be identifiable via
-// the sentinel.
-func TestReplicaErrorUnwraps(t *testing.T) {
-	err := error(&ReplicaError{Replica: 3, Fault: FailureWedge, Cause: errors.New("x")})
-	if !errors.Is(err, ErrReplicaFailure) {
-		t.Fatal("ReplicaError does not unwrap to ErrReplicaFailure")
+// goidSys is a fakeSys that records the goroutine every Run executes on.
+type goidSys struct {
+	fakeSys
+	ids sync.Map // goroutine id -> struct{}
+}
+
+func (g *goidSys) Run(b trace.Batch) (*arch.RunStats, error) {
+	buf := make([]byte, 64)
+	g.ids.Store(strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1], struct{}{}) // "goroutine N [running]:"
+	return g.fakeSys.Run(b)
+}
+
+// TestRunOnWorkerGoroutine: the timing model runs inline on the replica's
+// worker, so sequential batches on one replica share one goroutine — no
+// goroutine is started per batch.
+func TestRunOnWorkerGoroutine(t *testing.T) {
+	sys := &goidSys{}
+	s := newTestServer(t, Options{Systems: []arch.System{sys}, MaxBatch: 1, MaxDelay: time.Hour})
+	defer s.Close()
+	for _, sample := range testSamples(t, 50) {
+		if _, err := s.Lookup(context.Background(), sample); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s := err.Error(); !strings.Contains(s, "replica 3") || !strings.Contains(s, "wedge") {
-		t.Errorf("unhelpful error string %q", s)
+	n := 0
+	sys.ids.Range(func(_, _ any) bool { n++; return true })
+	if n != 1 {
+		t.Errorf("50 batches ran on %d goroutines, want 1 (the replica's worker)", n)
+	}
+}
+
+// TestRestartsIndependent: each replica restarts on its own worker, so a
+// hung Rebuild of one replica does not hold back another's restart.
+func TestRestartsIndependent(t *testing.T) {
+	inj := chaos.NewInjector()
+	cfg := chaos.Config{Schedule: []chaos.Rule{
+		{Replica: 0, Batch: 1, Kind: chaos.Panic},
+		{Replica: 1, Batch: 1, Kind: chaos.Panic},
+	}}
+	gate := make(chan struct{})
+	s := newTestServer(t, Options{
+		Systems: []arch.System{
+			chaos.Wrap(&fakeSys{}, cfg, 0, inj),
+			chaos.Wrap(&fakeSys{}, cfg, 1, inj),
+		},
+		MaxBatch: 1,
+		MaxDelay: time.Hour,
+		Rebuild: func(id int) (arch.System, error) {
+			if id == 0 {
+				<-gate
+			}
+			return chaos.Wrap(&fakeSys{}, chaos.Config{}, id, inj), nil
+		},
+		RestartBackoff: time.Millisecond,
+	})
+	defer s.Close()
+	defer close(gate) // before Close: a hung Rebuild would hang it
+
+	// One request breaks both replicas: replica 0 panics, the retry lands
+	// on replica 1, which panics too, and the answer is degraded.
+	res, err := s.Lookup(context.Background(), testSamples(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.Retries != 1 {
+		t.Errorf("result degraded=%v retries=%d, want a degraded answer after 1 retry", res.Degraded, res.Retries)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for !s.replicas[1].available() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica 1 still %v after 2s while replica 0's Rebuild hangs", s.replicas[1].State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.replicas[0].State(); st != Restarting {
+		t.Errorf("replica 0 %v, want restarting (its Rebuild is blocked)", st)
+	}
+}
+
+// TestCloseDuringWedge: Close issued while a batch is wedged still
+// returns promptly — the watchdog keeps running until every worker has
+// exited, claims the batch, and answers it degraded.
+func TestCloseDuringWedge(t *testing.T) {
+	inj := chaos.NewInjector()
+	defer inj.ReleaseWedges()
+	cfg := chaos.Config{Schedule: []chaos.Rule{{Replica: 0, Batch: 1, Kind: chaos.Wedge}}}
+	s := newTestServer(t, Options{
+		Systems:        []arch.System{chaos.Wrap(&fakeSys{}, cfg, 0, inj)},
+		MaxBatch:       1,
+		MaxDelay:       time.Hour,
+		Rebuild:        freshFake(inj),
+		WedgeTimeout:   50 * time.Millisecond,
+		RestartBackoff: time.Millisecond,
+	})
+	type answer struct {
+		res *Result
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := s.Lookup(context.Background(), testSamples(t, 1)[0])
+		done <- answer{res, err}
+	}()
+	waitUntil(t, func() bool { return inj.Count(chaos.Wedge) == 1 })
+
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close took %v with a batch wedged, want < 1s", d)
+	}
+	if a := <-done; a.err != nil || !a.res.Degraded {
+		t.Errorf("wedged request: err=%v result=%+v, want a degraded answer", a.err, a.res)
+	}
+	if got := s.Metrics().FaultWedges.Load(); got != 1 {
+		t.Errorf("wedge faults = %d, want 1", got)
 	}
 }
 
@@ -133,7 +242,7 @@ func TestWedgeDegraded(t *testing.T) {
 		t.Errorf("wedge faults = %d, want 1", got)
 	}
 
-	// The supervisor swaps in a rebuilt System; the next request is served
+	// A successor worker swaps in a rebuilt System; the next request is served
 	// by the timing model again.
 	waitUntil(t, func() bool { return s.AvailableReplicas() == 1 })
 	res, err = s.Lookup(context.Background(), testSamples(t, 1)[0])
@@ -272,7 +381,7 @@ func TestChaosAcceptance(t *testing.T) {
 	for i := 0; i < replicas; i++ {
 		systems = append(systems, chaos.Wrap(&fakeSys{}, cfg, i, inj))
 	}
-	var gen atomic.Int64
+	var gens [replicas]atomic.Int64 // incarnations per replica id
 	layer := testLayer(t)
 	s := newTestServer(t, Options{
 		Systems:  systems,
@@ -282,12 +391,13 @@ func TestChaosAcceptance(t *testing.T) {
 		// Rebuilt replicas keep probabilistic injection (same shared
 		// injector) but drop the scripted rules, which would otherwise
 		// re-fire on every rebuilt wrapper and keep the pool from healing,
-		// and advance the seed per rebuild so an incarnation never replays
-		// its predecessor's fault sequence (a stream that faults on batch 1
-		// would otherwise fault on batch 1 forever and bury the replica).
+		// and advance the seed per incarnation of each replica so one never
+		// replays its predecessor's fault sequence (a stream that faults on
+		// batch 1 would otherwise fault on batch 1 forever and bury the
+		// replica) nor depends on the order other replicas restart in.
 		Rebuild: func(id int) (arch.System, error) {
 			rates := chaos.Config{Rates: cfg.Rates, Stall: cfg.Stall,
-				Seed: cfg.Seed + replicas*gen.Add(1)}
+				Seed: cfg.Seed + replicas*gens[id].Add(1)}
 			return chaos.Wrap(&fakeSys{}, rates, id, inj), nil
 		},
 		WedgeTimeout:   15 * time.Millisecond,

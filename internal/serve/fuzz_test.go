@@ -21,7 +21,7 @@ import (
 // over a real system (real systems dedup ops and index Weights for every
 // index, so a malformed sample that slipped through would panic a replica
 // rather than return an error). Whatever the body, the front-end neither
-// panics — in the handler or, absorbed by the supervisor, in a replica —
+// panics — in the handler or, absorbed by its worker, in a replica —
 // nor answers 5xx; and any body the parser accepts reaches Lookup as a
 // sample satisfying the trace.Op shape contract: non-empty indices inside
 // the table, one weight per index, table in range.

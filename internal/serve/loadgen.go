@@ -211,19 +211,18 @@ func IsCanceled(err error) bool {
 
 // Report summarizes one load-generation run. Unsuccessful requests are
 // reported as separate counts — shed (admission rejected), canceled
-// (deadline/cancellation), failed (replica or simulation failure) —
-// rather than one error bucket. Degradation is split by cause: Degraded
-// counts answers that completed from the functional fallback after a
-// compute-quorum loss, ColdDegraded answers completed while the storage
-// tier was degraded (cold rows through the slow direct path); a request
-// may count in both.
+// (deadline/cancellation), errors (anything else) — rather than one
+// bucket; replica faults never reach the caller. Degradation is split
+// by cause: Degraded counts answers that completed from the functional
+// fallback after a compute-quorum loss, ColdDegraded answers completed
+// while the storage tier was degraded (cold rows through the slow direct
+// path); a request may count in both.
 type Report struct {
 	LoadRun
 	Degraded     int64 // completed via the functional fallback (compute)
 	ColdDegraded int64 // completed while the cold tier was degraded (storage)
 	Shed         int64
 	Canceled     int64
-	Failed       int64 // replica/simulation failures (ErrReplicaFailure etc.)
 	Errors       int64 // any other failures
 	MeanBatch    float64
 	// ServiceP50/P99 are simulated DRAM-cycle batch latencies.
@@ -241,9 +240,8 @@ func (r *Report) String() string {
 	if r.ColdDegraded > 0 {
 		fmt.Fprintf(&b, "  degraded   %d (storage: cold tier fallback)\n", r.ColdDegraded)
 	}
-	if r.Shed > 0 || r.Canceled > 0 || r.Failed > 0 || r.Errors > 0 {
-		fmt.Fprintf(&b, "  shed %d, canceled %d, failed %d, errors %d\n",
-			r.Shed, r.Canceled, r.Failed, r.Errors)
+	if r.Shed > 0 || r.Canceled > 0 || r.Errors > 0 {
+		fmt.Fprintf(&b, "  shed %d, canceled %d, errors %d\n", r.Shed, r.Canceled, r.Errors)
 	}
 	fmt.Fprintf(&b, "  latency    p50 %v  p95 %v  p99 %v  max %v\n", r.P50, r.P95, r.P99, r.Max)
 	fmt.Fprintf(&b, "  batching   mean %.1f samples/batch\n", r.MeanBatch)
@@ -259,7 +257,6 @@ func Loadgen(s *Server, opts LoadgenOptions) (*Report, error) {
 		coldDegraded
 		shed
 		canceled
-		failed
 		other
 		nCounts
 	)
@@ -280,8 +277,6 @@ func Loadgen(s *Server, opts LoadgenOptions) (*Report, error) {
 			n[canceled]++
 		case errors.Is(err, ErrClosed):
 			return false, ErrLoadStop
-		case errors.Is(err, ErrReplicaFailure):
-			n[failed]++
 		default:
 			n[other]++
 			return false, err
@@ -294,7 +289,7 @@ func Loadgen(s *Server, opts LoadgenOptions) (*Report, error) {
 	snap := s.Metrics().Snapshot()
 	return &Report{
 		LoadRun: run, Degraded: n[degraded], ColdDegraded: n[coldDegraded],
-		Shed: n[shed], Canceled: n[canceled], Failed: n[failed], Errors: n[other],
+		Shed: n[shed], Canceled: n[canceled], Errors: n[other],
 		MeanBatch:  snap.MeanBatch(),
 		ServiceP50: snap.ServiceCycles.P50, ServiceP99: snap.ServiceCycles.P99,
 	}, err

@@ -42,7 +42,7 @@ type Metrics struct {
 	DegradedCold atomic.Int64
 	// Retries counts failed-batch resubmissions to another replica.
 	Retries atomic.Int64
-	// Restarts counts successful supervisor replica rebuilds.
+	// Restarts counts successful replica rebuilds.
 	Restarts atomic.Int64
 	// FaultPanics/FaultWedges/FaultCorrupt/FaultErrors count replica
 	// faults by kind (recovered panics, abandoned wedged batches,
@@ -88,7 +88,7 @@ func NewMetrics(set *metrics.Set) *Metrics {
 	set.Counter("recross_requests_degraded_total", "Requests answered from the functional layer (no healthy replica).", m.Degraded.Load)
 	set.Counter("recross_requests_cold_degraded_total", "Requests completed while the storage tier was degraded.", m.DegradedCold.Load)
 	set.Counter("recross_retries_total", "Failed-batch resubmissions to another replica.", m.Retries.Load)
-	set.Counter("recross_replica_restarts_total", "Successful supervisor replica rebuilds.", m.Restarts.Load)
+	set.Counter("recross_replica_restarts_total", "Successful replica rebuilds.", m.Restarts.Load)
 	set.Counter("recross_replica_faults_panic_total", "Replica Run panics recovered.", m.FaultPanics.Load)
 	set.Counter("recross_replica_faults_wedge_total", "Wedged batches abandoned.", m.FaultWedges.Load)
 	set.Counter("recross_replica_faults_corrupt_total", "Batches with detectably corrupt run stats.", m.FaultCorrupt.Load)

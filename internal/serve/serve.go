@@ -15,14 +15,16 @@
 //   - admission control: a bounded queue with a configurable overload
 //     policy (Block until space, or Shed with ErrOverloaded), and
 //     per-request context deadlines honored at dequeue time;
-//   - a self-healing supervisor: replica workers recover panics, detect
-//     wedged (never-returning) batches and corrupted results, and fail
-//     only the in-flight batch; the supervisor rebuilds the replica with
-//     exponential backoff under a restart cap, failed batches retry on a
-//     healthy replica under a bounded budget, and when available
-//     replicas fall below Quorum the server answers from the shared
-//     functional layer with Result.Degraded set — a replica fault never
-//     becomes a caller-visible error;
+//   - self-healing replicas: each replica's one worker goroutine runs
+//     batches inline, recovers panics, rejects corrupted results, and
+//     rebuilds its replica in place with exponential backoff under a
+//     restart cap; one pool-wide watchdog claims wedged (never-returning)
+//     batches and hands the replica to a successor worker. Only the
+//     in-flight batch fails: it retries on a healthy replica under a
+//     bounded budget, and when available replicas fall below Quorum the
+//     server answers from the shared functional layer with
+//     Result.Degraded set — a replica fault never becomes a
+//     caller-visible error;
 //   - a metrics registry: lock-cheap counters and streaming histograms
 //     (queue wait, batch formation, simulated service cycles, end-to-end
 //     wall time) exposing p50/p95/p99 snapshots, plus per-replica health
@@ -57,9 +59,6 @@ var (
 	ErrOverloaded = errors.New("serve: overloaded, request shed")
 	// ErrClosed reports that the server is draining or closed.
 	ErrClosed = errors.New("serve: server closed")
-	// ErrReplicaFailure is the sentinel every ReplicaError unwraps to:
-	// errors.Is(err, ErrReplicaFailure) identifies replica-level faults.
-	ErrReplicaFailure = errors.New("serve: replica failure")
 )
 
 // Failure classifies a replica-level fault.
@@ -68,8 +67,8 @@ type Failure int
 const (
 	// FailurePanic: the replica's Run panicked; the worker recovered it.
 	FailurePanic Failure = iota
-	// FailureWedge: a batch exceeded WedgeTimeout and the replica (plus
-	// the goroutine stuck inside it) was abandoned.
+	// FailureWedge: a batch exceeded WedgeTimeout and the watchdog
+	// abandoned the worker stuck inside it.
 	FailureWedge
 	// FailureCorrupt: Run returned detectably corrupt stats (nil or a
 	// negative cycle count).
@@ -92,26 +91,6 @@ func (f Failure) String() string {
 		return fmt.Sprintf("failure(%d)", int(f))
 	}
 }
-
-// ReplicaError reports a replica-level fault that failed a batch. It
-// unwraps to ErrReplicaFailure; callers normally never see one, because
-// failed batches are retried and then served degraded.
-type ReplicaError struct {
-	// Replica is the failed pool worker.
-	Replica int
-	// Fault classifies the failure.
-	Fault Failure
-	// Cause is the recovered panic value, timeout description, or Run
-	// error.
-	Cause error
-}
-
-func (e *ReplicaError) Error() string {
-	return fmt.Sprintf("serve: replica %d %s: %v", e.Replica, e.Fault, e.Cause)
-}
-
-// Unwrap makes errors.Is(err, ErrReplicaFailure) true.
-func (e *ReplicaError) Unwrap() error { return ErrReplicaFailure }
 
 // OverloadPolicy selects what admission does when the queue is full.
 type OverloadPolicy int
@@ -172,20 +151,24 @@ type Options struct {
 	// admission cannot hold a caller forever (0 = no default).
 	DefaultTimeout time.Duration
 
-	// Rebuild, when non-nil, is the replica factory the supervisor uses
-	// to rebuild a failed replica's System (typically from the shared
-	// offline profile — see recross.Config.ReplicaSystems). When nil the
-	// old System instance is reused as-is, which is only safe for
-	// stateless fakes; real deployments should always set it.
+	// Rebuild, when non-nil, is the replica factory a failed replica's
+	// worker calls to rebuild its System (typically from the shared
+	// offline profile — see recross.Config.ReplicaSystems). Replicas
+	// restart independently, so it may run concurrently for different
+	// ids. When nil the old System instance is reused as-is, which is
+	// only safe for stateless fakes; real deployments should always set
+	// it.
 	Rebuild func(id int) (arch.System, error)
 	// MaxRetries is the per-request retry budget on replica failure:
 	// a batch-failed request is resubmitted to a healthy replica up to
 	// this many times before it is answered degraded (default 2).
 	MaxRetries int
-	// WedgeTimeout is how long one batch may run before its replica is
-	// declared wedged and abandoned (default 5s).
+	// WedgeTimeout is how long one batch may run before the watchdog
+	// declares its replica wedged and abandons the worker (default 5s).
+	// The watchdog scans every WedgeTimeout/4, so a wedge is caught
+	// between 1 and 1.25 times WedgeTimeout.
 	WedgeTimeout time.Duration
-	// RestartBackoff is the supervisor's initial restart delay; it
+	// RestartBackoff is a failed replica's initial restart delay; it
 	// doubles per consecutive attempt, capped at 100x (default 10ms).
 	RestartBackoff time.Duration
 	// RestartCap bounds consecutive restart attempts per replica before
@@ -336,12 +319,11 @@ type Server struct {
 	workMu     sync.RWMutex // guards workClosed against in-flight work sends
 	workClosed bool
 
-	failures       chan *replica // worker -> supervisor, cap len(replicas)
-	supervisorStop chan struct{}
-	supervisorDone chan struct{}
-
+	stopRestarts   chan struct{} // closed by Close: failed replicas drain instead
+	watchStop      chan struct{}
+	watchDone      chan struct{}
 	dispatcherDone chan struct{}
-	workers        sync.WaitGroup
+	workers        sync.WaitGroup // one slot per replica, held by its current worker
 
 	// set is everything /metrics prints: the server's own series plus
 	// whatever the stages composed around it register (MetricSet).
@@ -353,8 +335,8 @@ type Server struct {
 	rowCache *embedding.RowCache
 }
 
-// New builds and starts a server: one dispatcher goroutine, one
-// supervisor goroutine, plus one worker goroutine per replica system.
+// New builds and starts a server: one dispatcher goroutine, one wedge
+// watchdog goroutine, plus one worker goroutine per replica system.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if len(opts.Systems) == 0 {
@@ -375,8 +357,11 @@ func New(opts Options) (*Server, error) {
 	if opts.Quorum < 1 || opts.Quorum > len(opts.Systems) {
 		return nil, fmt.Errorf("serve: quorum %d out of [1,%d]", opts.Quorum, len(opts.Systems))
 	}
-	if opts.MaxRetries < 0 {
-		return nil, fmt.Errorf("serve: MaxRetries %d < 0", opts.MaxRetries)
+	if opts.MaxRetries < 0 || opts.RestartCap < 0 {
+		return nil, fmt.Errorf("serve: MaxRetries %d or RestartCap %d < 0", opts.MaxRetries, opts.RestartCap)
+	}
+	if opts.WedgeTimeout < 0 || opts.RestartBackoff < 0 {
+		return nil, fmt.Errorf("serve: WedgeTimeout %v or RestartBackoff %v < 0", opts.WedgeTimeout, opts.RestartBackoff)
 	}
 	if opts.RowCacheBytes < 0 {
 		return nil, fmt.Errorf("serve: RowCacheBytes %d < 0", opts.RowCacheBytes)
@@ -390,34 +375,25 @@ func New(opts Options) (*Server, error) {
 		set:            set,
 		metrics:        NewMetrics(set),
 		in:             make(chan *request, opts.QueueDepth),
-		failures:       make(chan *replica, len(opts.Systems)),
-		supervisorStop: make(chan struct{}),
-		supervisorDone: make(chan struct{}),
+		stopRestarts:   make(chan struct{}),
+		watchStop:      make(chan struct{}),
+		watchDone:      make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
 	}
 	if err := s.initDataplane(); err != nil {
 		return nil, err
 	}
+	s.workers.Add(len(opts.Systems))
 	for i, sys := range opts.Systems {
 		rep := newReplica(i, sys)
 		s.replicas = append(s.replicas, rep)
-		s.startWorker(rep)
+		go rep.run(s, false)
 	}
 	s.registerHealth()
 	s.registerDataplane()
-	go s.supervise()
+	go s.watch()
 	go s.dispatch()
 	return s, nil
-}
-
-// startWorker spawns the goroutine that owns rep's System.
-func (s *Server) startWorker(rep *replica) {
-	rep.workerLive.Store(true)
-	s.workers.Add(1)
-	go func() {
-		defer s.workers.Done()
-		rep.run(s)
-	}()
 }
 
 // Replicas returns the pool width.
@@ -529,13 +505,12 @@ func (s *Server) Close() error {
 	close(s.in)        // dispatcher drains the queue, flushes, exits
 	<-s.dispatcherDone // all batches handed to workers (or served degraded)
 
-	// Stop the supervisor before closing work channels so it never
-	// spawns a worker concurrently with workers.Wait.
-	close(s.supervisorStop)
-	<-s.supervisorDone
-
-	// Close every work channel under the write lock so no failover
-	// resubmission can race a send onto a closed channel.
+	// A replica failing from here on drains its queue instead of
+	// restarting. Every work channel closes under the write lock so no
+	// failover resubmission can race a send onto a closed channel; each
+	// still has its one worker reading it, so every queued batch is
+	// answered before workers.Wait returns.
+	close(s.stopRestarts)
 	s.workMu.Lock()
 	s.workClosed = true
 	for _, rep := range s.replicas {
@@ -543,21 +518,8 @@ func (s *Server) Close() error {
 	}
 	s.workMu.Unlock()
 	s.workers.Wait()
-
-	// Final sweep: replicas that lost their worker (failed while the
-	// supervisor was already stopped, or mid-restart) may still hold
-	// queued batches. The channels are closed and have no other reader
-	// left, so draining here terminates; resubmission is impossible now,
-	// so every swept request is answered degraded.
-	for _, rep := range s.replicas {
-		for batch := range rep.work {
-			rep.outstanding.Add(-int64(len(batch)))
-			s.failover(batch, rep.id, &ReplicaError{
-				Replica: rep.id, Fault: FailureError,
-				Cause: errors.New("replica lost during drain"),
-			})
-		}
-	}
+	close(s.watchStop) // only now: a batch wedged during the drain was still claimed
+	<-s.watchDone
 
 	// Every answer path (worker demux, degraded sweeps) has completed;
 	// the data-plane reduction pool has no producers left.

@@ -97,6 +97,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Systems: []arch.System{&fakeSys{}}, Layer: layer, Policy: OverloadPolicy(7)}); err == nil {
 		t.Error("bogus policy should error")
 	}
+	for name, opts := range map[string]Options{
+		"negative WedgeTimeout":   {WedgeTimeout: -time.Second},
+		"negative RestartBackoff": {RestartBackoff: -time.Millisecond},
+		"negative RestartCap":     {RestartCap: -1},
+	} {
+		opts.Systems, opts.Layer = []arch.System{&fakeSys{}}, layer
+		if _, err := New(opts); err == nil {
+			t.Errorf("%s should error", name)
+		}
+	}
 }
 
 // TestLookupRejectsMalformedSample: a sample violating the trace.Op shape

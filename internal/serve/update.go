@@ -14,8 +14,8 @@ type SystemUpdate func(id int, sys arch.System) (arch.System, error)
 
 // StageUpdate stages u on every replica and returns how many replicas it
 // was staged on. Each worker applies it before its next batch; a replica
-// that is restarting applies it when its rebuilt worker first runs (or
-// never, if it dies — the supervisor's Rebuild factory is responsible for
+// that is restarting applies it before its first batch after the rebuild
+// (or never, if it dies — the Options.Rebuild factory is responsible for
 // building replacement replicas already up to date). Staging again before
 // a replica applied the previous update replaces it: updates are
 // full-state swaps, not deltas, so the latest one wins.

@@ -210,10 +210,6 @@ var (
 	ErrOverloaded = serve.ErrOverloaded
 	// ErrServerClosed is returned once a Server is draining or closed.
 	ErrServerClosed = serve.ErrClosed
-	// ErrReplicaFailure identifies replica-level faults
-	// (errors.Is(err, ErrReplicaFailure)); callers normally never see
-	// one, since failed batches retry and then degrade.
-	ErrReplicaFailure = serve.ErrReplicaFailure
 )
 
 // Admission overload policies.
@@ -328,7 +324,7 @@ type Config struct {
 	// NewSystem ignores it.
 	Adapt *AdaptOptions
 	// Chaos, when non-nil, makes NewStack wrap every replica — initial
-	// and supervisor-rebuilt — with the fault-injection harness.
+	// and rebuilt — with the fault-injection harness.
 	// NewSystem ignores it.
 	Chaos *FaultConfig
 	// Precision is the DRAM tiers' embedding row storage format (default
@@ -522,7 +518,7 @@ func (c Config) ReplicaSystems(a Arch, n int) ([]System, error) {
 
 // profiled applies defaults and runs the offline profiling pass once up
 // front for the architectures that need one, so replica construction —
-// initial or a supervisor rebuild — reuses the shared read-only profile
+// initial or a rebuild — reuses the shared read-only profile
 // instead of re-profiling. Skipped for multi-channel configs, which
 // re-profile per channel shard.
 func (c Config) profiled(a Arch) (Config, error) {
@@ -655,6 +651,45 @@ type Stack struct {
 	Faults *FaultInjector
 }
 
+// rebuilder is the stack's default replica factory: a new system from
+// the shared profile, onto the controller's current placement (when it
+// has moved off bootDec), re-wrapped with the fault harness.
+func (st *Stack) rebuilder(a Arch, cfg Config, n int, bootDec *partition.Decision) func(id int) (System, error) {
+	generations := make([]atomic.Int64, n) // incarnations per replica id
+	return func(id int) (System, error) {
+		sys, err := NewSystem(a, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if st.Adapt != nil {
+			// A replacement replica must not resurrect the boot
+			// placement after an adoption.
+			if prof, dec := st.Adapt.Current(); dec != bootDec {
+				if err := adoptInto(sys, prof, dec); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if cfg.Chaos != nil {
+			// A rebuilt replica must not replay its predecessor's fault
+			// sequence: with the same seed, a wrapper whose RNG faults
+			// on its first batch faults on the first batch of every
+			// incarnation, burning the restart cap until the replica is
+			// declared dead and the fleet decays into all-degraded
+			// service. Offset the seed by the replica's own incarnation
+			// count k — Seed + n·k, plus id inside Wrap, is unique per
+			// (id, k) and independent of other replicas' restarts — and
+			// drop scripted rules, which are one-shot and already fired
+			// on the original incarnation.
+			fc := *cfg.Chaos
+			fc.Schedule = nil
+			fc.Seed += int64(n) * generations[id].Add(1)
+			sys = chaos.Wrap(sys, fc, id, st.Faults)
+		}
+		return sys, nil
+	}
+}
+
 // NewStack is the one construction path of the serving stack. Its stages
 // are independent and run in a fixed order, each only when its config is
 // set:
@@ -675,9 +710,10 @@ type Stack struct {
 //  4. chaos (Config.Chaos) — wrap every replica with the fault harness,
 //     outermost, so injected faults hit whatever the inner stages built;
 //  5. rebuild — unless the caller supplied ServeOptions.Rebuild, the
-//     supervisor's replica factory composes the same stages in the same
-//     order: new system from the shared profile, onto the controller's
-//     current placement, re-wrapped with a per-generation chaos seed.
+//     replica factory a failed replica's worker calls composes the same
+//     stages in the same order: new system from the shared profile, onto
+//     the controller's current placement, re-wrapped with a chaos seed
+//     advanced per incarnation of that replica.
 //
 // opts.Systems and opts.Layer are filled in here. Stages 2 and 3 need the
 // ReCross architecture (it owns the partitioner).
@@ -783,37 +819,7 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 	}
 
 	if opts.Rebuild == nil {
-		var generation atomic.Int64
-		opts.Rebuild = func(id int) (System, error) {
-			sys, err := NewSystem(a, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if st.Adapt != nil {
-				// A replacement replica must not resurrect the boot
-				// placement after an adoption.
-				if prof, dec := st.Adapt.Current(); dec != bootDec {
-					if err := adoptInto(sys, prof, dec); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if cfg.Chaos != nil {
-				// A rebuilt replica must not replay its predecessor's fault
-				// sequence: with the same seed, a wrapper whose RNG faults
-				// on its first batch faults on the first batch of every
-				// incarnation, burning the restart cap until the replica is
-				// declared dead and the fleet decays into all-degraded
-				// service. Offset the seed per rebuild (still
-				// deterministic) and drop scripted rules, which are
-				// one-shot and already fired on the original incarnation.
-				fc := *cfg.Chaos
-				fc.Schedule = nil
-				fc.Seed += int64(n) * generation.Add(1)
-				sys = chaos.Wrap(sys, fc, id, st.Faults)
-			}
-			return sys, nil
-		}
+		opts.Rebuild = st.rebuilder(a, cfg, n, bootDec)
 	}
 
 	prevClose := opts.OnClose

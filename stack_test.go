@@ -280,7 +280,7 @@ func testStackAllStages(t *testing.T) {
 		}
 	}
 
-	// A supervisor-rebuilt replica comes back wrapped and on the adopted
+	// A rebuilt replica comes back wrapped and on the adopted
 	// placement.
 	restarts := st.Metrics().Restarts.Load()
 	for deadline := time.Now().Add(30 * time.Second); st.Metrics().Restarts.Load() == restarts; {
@@ -359,4 +359,45 @@ func testFleetColdChaos(t *testing.T) {
 	}
 	assertDirEmpty(t, cfg.Cold.Dir)
 	settleGoroutines(t, base)
+}
+
+// TestRebuildSeedPerReplica: a rebuilt replica's chaos stream depends only
+// on its own incarnation count, not on the order in which other replicas
+// restarted — replicas restart concurrently, so a stack-wide count would
+// make the fault campaign depend on scheduling.
+func TestRebuildSeedPerReplica(t *testing.T) {
+	cfg := Config{Spec: miniSpec(), Chaos: &FaultConfig{Rates: FaultRates{Corrupt: 0.5}, Seed: 7}}
+	gen, err := NewGenerator(cfg.Spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := gen.Batch(2)
+	// faults rebuilds replicas in order and returns which of 24 batches
+	// replica 0's first rebuild (its second incarnation) corrupts.
+	faults := func(order ...int) []bool {
+		st := &Stack{Faults: NewFaultInjector()}
+		rebuild := st.rebuilder(CPU, cfg, 2, nil)
+		var sys System
+		for _, id := range order {
+			s, err := rebuild(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id == 0 && sys == nil {
+				sys = s
+			}
+		}
+		var got []bool
+		for i := 0; i < 24; i++ {
+			rs, err := sys.Run(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, rs.Cycles < 0)
+		}
+		return got
+	}
+	if a, b := faults(0, 1, 0), faults(1, 0, 0); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("replica 0's second incarnation depends on restart order:\n%v\n%v", a, b)
+	}
 }
