@@ -33,9 +33,12 @@
 //     placements cost migrations on every swing; the gate makes the loop
 //     monotone under noise.
 //
-// Adoption is staged, never blocking: the serving layer applies the new
-// mapping at replica batch boundaries (serve.Server.StageUpdate), so the
-// single-goroutine System contract holds and no request waits on a swap.
+// The controller holds the deployed plan as one *partition.Placement (with
+// the profile and decision it was built from); an accepted plan is built
+// once and that same pointer is handed to Adopt. Adoption is staged, never
+// blocking: the serving layer applies the new mapping at replica batch
+// boundaries (serve.Server.StageUpdate), so the single-goroutine System
+// contract holds and no request waits on a swap.
 package adapt
 
 import (
@@ -43,9 +46,9 @@ import (
 )
 
 // Rebalancer is the capability a replica System needs for online
-// adoption: swap to a pre-solved placement. core.ReCross implements it;
-// architectures without a partitioner simply don't, and the staged update
-// leaves them untouched.
+// adoption: swap to a placement built elsewhere and shared read-only.
+// core.ReCross implements it; architectures without a partitioner simply
+// don't, and the staged update leaves them untouched.
 type Rebalancer interface {
-	Adopt(prof *partition.Profile, dec *partition.Decision) error
+	Adopt(pl *partition.Placement) error
 }

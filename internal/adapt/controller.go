@@ -15,11 +15,9 @@ import (
 type Options struct {
 	// Spec is the workload (required).
 	Spec trace.ModelSpec
-	// Baseline is the profile the current placement was solved for
-	// (required).
-	Baseline *partition.Profile
-	// Decision is the currently deployed partitioning (required).
-	Decision *partition.Decision
+	// Placement is the deployed plan (required): drift is measured against
+	// its profile and replans are priced against its decision.
+	Placement *partition.Placement
 	// Batch is the batch size the replanner optimizes for (required).
 	Batch int
 
@@ -48,14 +46,12 @@ type Options struct {
 	// MinSamples is the minimum observed (post-thinning, post-decay)
 	// sample count before the replanner trusts the sketches (default 200).
 	MinSamples int64
-	// Greedy selects the crude partitioner instead of the LP (the
-	// ReCross-Base ablation; default false = SolveLP).
-	Greedy bool
 
-	// Adopt deploys an accepted (profile, decision) pair — typically
-	// staging serve.Server system updates. Required for adoption;
-	// nil runs the loop in observe-only mode (drift metrics, no action).
-	Adopt func(prof *partition.Profile, dec *partition.Decision) error
+	// Adopt deploys an accepted placement, built once for every replica —
+	// typically staging serve.Server system updates. Required for
+	// adoption; nil runs the loop in observe-only mode (drift metrics, no
+	// action).
+	Adopt func(pl *partition.Placement) error
 	// ServiceCycles, when non-nil, returns the cumulative count and sum
 	// of the serving layer's per-batch simulated service cycles; the
 	// controller differences consecutive windows to report the realized
@@ -123,10 +119,9 @@ type Controller struct {
 	opts    Options
 	tracker *Tracker
 
-	mu             sync.Mutex // guards the control-loop state below
-	detector       *Detector
-	current        *partition.Decision
-	adoptedProfile *partition.Profile // nil until first adoption
+	mu       sync.Mutex // guards the control-loop state below
+	detector *Detector
+	current  *partition.Placement
 
 	lastAdopt     time.Time
 	prevSvcCount  int64
@@ -143,8 +138,8 @@ type Controller struct {
 // NewController validates opts and builds the loop (not yet started).
 func NewController(opts Options) (*Controller, error) {
 	opts = opts.withDefaults()
-	if opts.Baseline == nil || opts.Decision == nil {
-		return nil, fmt.Errorf("adapt: baseline profile and decision required")
+	if opts.Placement == nil {
+		return nil, fmt.Errorf("adapt: deployed placement required")
 	}
 	if opts.Batch <= 0 {
 		return nil, fmt.Errorf("adapt: batch %d <= 0", opts.Batch)
@@ -153,7 +148,7 @@ func NewController(opts Options) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := NewDetector(opts.Baseline, opts.Threshold, opts.Windows)
+	det, err := NewDetector(opts.Placement.Profile(), opts.Threshold, opts.Windows)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +156,7 @@ func NewController(opts Options) (*Controller, error) {
 		opts:     opts,
 		tracker:  tracker,
 		detector: det,
-		current:  opts.Decision,
+		current:  opts.Placement,
 	}, nil
 }
 
@@ -171,16 +166,13 @@ func (c *Controller) Observe(s trace.Sample) { c.tracker.Observe(s) }
 // Tracker exposes the frequency tracker (for benchmarks and tests).
 func (c *Controller) Tracker() *Tracker { return c.tracker }
 
-// Current returns the deployed decision (post-adoption it is the adopted
-// one) — the serving stack's rebuild path applies it to replacement
-// replicas so a restart does not resurrect a stale mapping.
-func (c *Controller) Current() (*partition.Profile, *partition.Decision) {
+// Current returns the deployed placement (post-adoption it is the adopted
+// one) — the serving stack builds replacement replicas on it so a restart
+// does not resurrect a stale mapping.
+func (c *Controller) Current() *partition.Placement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.adoptedProfile != nil {
-		return c.adoptedProfile, c.current
-	}
-	return c.opts.Baseline, c.current
+	return c.current
 }
 
 // Start launches the background loop at the configured interval.
@@ -276,11 +268,7 @@ func (c *Controller) replan(res StepResult, snaps []TableSnapshot, winMean float
 		c.metrics.Errors++
 		return res
 	}
-	solve := partition.SolveLP
-	if c.opts.Greedy {
-		solve = partition.Greedy
-	}
-	next, err := solve(prof, c.current.Regions, c.opts.Batch)
+	next, err := partition.SolveLP(prof, c.current.Regions(), c.opts.Batch)
 	if err != nil {
 		res.Err = fmt.Errorf("adapt: replan solve: %w", err)
 		c.metrics.Errors++
@@ -294,7 +282,7 @@ func (c *Controller) replan(res StepResult, snaps []TableSnapshot, winMean float
 		c.metrics.Errors++
 		return res
 	}
-	plan, err := PlanMigration(prof, c.current, next, c.opts.Batch, shares)
+	plan, err := PlanMigration(prof, c.current.Decision(), next, c.opts.Batch, shares)
 	if err != nil {
 		res.Err = err
 		c.metrics.Errors++
@@ -314,6 +302,13 @@ func (c *Controller) replan(res StepResult, snaps []TableSnapshot, winMean float
 		c.metrics.Rejected++
 		return res
 	}
+	// The accepted plan's one build, diffed and then deployed everywhere.
+	nextPl, err := partition.Build(prof, next)
+	if err != nil {
+		res.Err = fmt.Errorf("adapt: replan placement: %w", err)
+		c.metrics.Errors++
+		return res
+	}
 	// With a cold tier in play, diff the placements to count rows
 	// crossing the DRAM/cold boundary — row-fraction deltas cannot see a
 	// permutation that swaps whole populations across it. Diffed before
@@ -321,26 +316,15 @@ func (c *Controller) replan(res StepResult, snaps []TableSnapshot, winMean float
 	// is degraded, demoting DRAM-resident rows onto the failing device
 	// would convert today's slow path into tomorrow's failure path, so
 	// such plans wait for the scrubber to declare the device healthy.
-	var coldPromoted, coldDemoted int64
-	coldDiffed := false
 	if hasColdRegion(next.Regions) {
-		oldProf := c.adoptedProfile
-		if oldProf == nil {
-			oldProf = c.opts.Baseline
-		}
-		oldPl, err1 := partition.Build(oldProf, c.current)
-		newPl, err2 := partition.Build(prof, next)
-		if err1 == nil && err2 == nil {
-			coldPromoted, coldDemoted = partition.DiffCold(oldPl, newPl)
-			coldDiffed = true
-		}
-		if coldDiffed && coldDemoted > 0 && c.opts.ColdHealthy != nil && !c.opts.ColdHealthy() {
+		plan.ColdPromotedRows, plan.ColdDemotedRows = partition.DiffCold(c.current, nextPl)
+		if plan.ColdDemotedRows > 0 && c.opts.ColdHealthy != nil && !c.opts.ColdHealthy() {
 			c.metrics.ColdPaused++
 			c.metrics.Rejected++
 			return res
 		}
 	}
-	if err := c.opts.Adopt(prof, next); err != nil {
+	if err := c.opts.Adopt(nextPl); err != nil {
 		res.Err = fmt.Errorf("adapt: adoption: %w", err)
 		c.metrics.Errors++
 		return res
@@ -349,11 +333,8 @@ func (c *Controller) replan(res StepResult, snaps []TableSnapshot, winMean float
 	c.metrics.Adoptions++
 	c.metrics.RowsMigrated += plan.RowsMoved
 	c.metrics.BytesMigrated += plan.BytesMoved
-	if coldDiffed {
-		plan.ColdPromotedRows, plan.ColdDemotedRows = coldPromoted, coldDemoted
-		c.metrics.ColdPromotedRows += coldPromoted
-		c.metrics.ColdDemotedRows += coldDemoted
-	}
+	c.metrics.ColdPromotedRows += plan.ColdPromotedRows
+	c.metrics.ColdDemotedRows += plan.ColdDemotedRows
 	c.metrics.EstimatedGain = plan.Speedup
 	c.lastAdopt = time.Now()
 	c.preAdoptMean = winMean
@@ -368,8 +349,7 @@ func (c *Controller) replan(res StepResult, snaps []TableSnapshot, winMean float
 		c.detector = det
 	}
 	c.tracker.Reset()
-	c.adoptedProfile = prof
-	c.current = next
+	c.current = nextPl
 	return res
 }
 

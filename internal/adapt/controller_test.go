@@ -23,14 +23,17 @@ func testController(t *testing.T, mutate func(*Options)) (*Controller, *trace.Ge
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl, err := partition.Build(baseline, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	adoptions := new(int)
 	opts := Options{
 		Spec:       spec,
-		Baseline:   baseline,
-		Decision:   dec,
+		Placement:  pl,
 		Batch:      32,
 		MinSamples: 50,
-		Adopt: func(prof *partition.Profile, d *partition.Decision) error {
+		Adopt: func(*partition.Placement) error {
 			*adoptions++
 			return nil
 		},
@@ -61,7 +64,14 @@ func stepWindow(c *Controller, g *trace.Generator, samples int) StepResult {
 // after a hot-set permutation, quiet again afterwards because the adopted
 // profile becomes the drift baseline.
 func TestControllerAdoptsExactlyOnceOnShift(t *testing.T) {
-	c, g, adoptions := testController(t, nil)
+	var handed *partition.Placement
+	c, g, adoptions := testController(t, func(o *Options) {
+		count := o.Adopt
+		o.Adopt = func(pl *partition.Placement) error {
+			handed = pl
+			return count(pl)
+		}
+	})
 
 	for w := 0; w < 5; w++ {
 		res := stepWindow(c, g, 400)
@@ -127,13 +137,10 @@ func TestControllerAdoptsExactlyOnceOnShift(t *testing.T) {
 	if m.EstimatedGain < 1.05 {
 		t.Fatalf("estimated gain %.3f not recorded", m.EstimatedGain)
 	}
-	// The adopted state is queryable for replica rebuilds.
-	prof, dec := c.Current()
-	if prof == c.opts.Baseline {
-		t.Fatal("Current still returns the pre-adoption baseline")
-	}
-	if dec == c.opts.Decision {
-		t.Fatal("Current still returns the pre-adoption decision")
+	// The adopted plan is queryable for replica rebuilds, and it is the
+	// very placement Adopt was handed.
+	if pl := c.Current(); pl == c.opts.Placement || pl != handed {
+		t.Fatalf("Current %p: boot %p, handed to Adopt %p", pl, c.opts.Placement, handed)
 	}
 }
 
@@ -298,14 +305,17 @@ func TestControllerValidation(t *testing.T) {
 	baseline, _ := partition.NewProfile(spec, 7, 500)
 	regions := testRegions(spec.TotalBytes())
 	dec, _ := partition.SolveLP(baseline, regions, 32)
+	pl, err := partition.Build(baseline, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		opts Options
 	}{
-		{"nil baseline", Options{Spec: spec, Decision: dec, Batch: 32}},
-		{"nil decision", Options{Spec: spec, Baseline: baseline, Batch: 32}},
-		{"bad batch", Options{Spec: spec, Baseline: baseline, Decision: dec, Batch: -1}},
-		{"bad spec", Options{Baseline: baseline, Decision: dec, Batch: 32}},
+		{"nil placement", Options{Spec: spec, Batch: 32}},
+		{"bad batch", Options{Spec: spec, Placement: pl, Batch: -1}},
+		{"bad spec", Options{Placement: pl, Batch: 32}},
 	}
 	for _, tc := range cases {
 		if _, err := NewController(tc.opts); err == nil {
@@ -459,9 +469,10 @@ func ExampleController() {
 		{Name: "B", CapBytes: spec.TotalBytes() / 4, BW: 120},
 	}
 	dec, _ := partition.SolveLP(baseline, regions, 16)
+	pl, _ := partition.Build(baseline, dec)
 	ctrl, _ := NewController(Options{
-		Spec: spec, Baseline: baseline, Decision: dec, Batch: 16,
-		Adopt: func(prof *partition.Profile, d *partition.Decision) error { return nil },
+		Spec: spec, Placement: pl, Batch: 16,
+		Adopt: func(*partition.Placement) error { return nil },
 	})
 	g, _ := trace.NewGenerator(spec, 1)
 	for i := 0; i < 100; i++ {

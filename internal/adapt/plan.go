@@ -30,8 +30,9 @@ type Plan struct {
 	MigCycles float64
 	// ColdPromotedRows and ColdDemotedRows count ranked rows crossing the
 	// DRAM/cold boundary (cold->DRAM and DRAM->cold respectively), filled
-	// by the controller from the placement diff on adoption. Zero without
-	// a cold tier or when the plan was not adopted.
+	// by the controller from the placement diff of a plan that cleared the
+	// hysteresis gate (adopted, or paused while the cold tier is
+	// degraded). Zero without a cold tier or when the gate rejected it.
 	ColdPromotedRows, ColdDemotedRows int64
 	// OldT and NewT are the estimated per-batch latency bounds of the
 	// incumbent and proposed decisions under the live profile.

@@ -604,12 +604,13 @@ func (r *Router) callNode(ctx context.Context, ns *nodeState, sub trace.Sample, 
 		}
 		return nil, err
 	}
-	ns.lat.Record(time.Since(t0).Nanoseconds())
-	ns.ok()
+	// A malformed reply is only a failure: no streak reset, served count or p99 sample.
 	if len(res.Vectors) != len(sub) {
 		ns.fail(r.opts.FailThreshold)
 		return nil, fmt.Errorf("cluster: node %s returned %d vectors for %d ops", ns.node.ID(), len(res.Vectors), len(sub))
 	}
+	ns.lat.Record(time.Since(t0).Nanoseconds())
+	ns.ok()
 	return res, nil
 }
 

@@ -283,6 +283,51 @@ func TestRouterDeadExclusion(t *testing.T) {
 	}
 }
 
+// shortNode answers every lookup one vector short.
+type shortNode struct{ *fakeNode }
+
+func (n shortNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
+	res, err := n.fakeNode.Lookup(ctx, sample)
+	if err == nil {
+		res.Vectors = res.Vectors[:len(res.Vectors)-1]
+	}
+	return res, err
+}
+
+// TestRouterShortReplyMarksNodeDead: a reply with the wrong vector count
+// is a failure and only a failure — it neither resets the failure streak
+// nor counts as a served lookup — so a node that always answers short is
+// declared dead after FailThreshold lookups, and every answer is still
+// bit-identical through the fallback.
+func TestRouterShortReplyMarksNodeDead(t *testing.T) {
+	owners := [][]int{{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}}
+	layer := clusterLayer(t)
+	r, err := NewRouter(Options{
+		Nodes:         []Node{shortNode{newFakeNode("node0", layer)}},
+		Placement:     manualPlacement([]string{"node0"}, owners),
+		Layer:         layer,
+		ProbeInterval: -1,
+		HedgeDelay:    -1,
+		FailThreshold: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < 10; i++ {
+		res, err := r.Lookup(context.Background(), wideSample())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIdentical(t, layer, wideSample(), res.Vectors)
+	}
+	h := r.Health().NodeHealth[0]
+	if r.NodeState(0) != NodeDead || h.Lookups != 0 || h.Failures != 3 {
+		t.Fatalf("node0 %s after 10 short replies: lookups %d, failures %d; want dead, 0, 3",
+			r.NodeState(0), h.Lookups, h.Failures)
+	}
+}
+
 // TestRouterRetryFailover: a failed primary sub-request is retried on a
 // replica within the same lookup — no degradation, same bits.
 func TestRouterRetryFailover(t *testing.T) {

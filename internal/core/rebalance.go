@@ -28,60 +28,59 @@ func (r *ReCross) Rebalance(prof *partition.Profile) error {
 	if err := r.checkProfile(prof); err != nil {
 		return err
 	}
-
-	regions := r.Regions()
-	var dec *partition.Decision
-	var err error
-	if r.cfg.BWP {
-		dec, err = partition.SolveLP(prof, regions, r.cfg.Batch)
-	} else {
-		dec, err = partition.Greedy(prof, regions, r.cfg.Batch)
-	}
+	pl, err := r.solve(prof)
 	if err != nil {
-		return fmt.Errorf("core: rebalance partitioning: %w", err)
+		return fmt.Errorf("core: rebalance: %w", err)
 	}
-	pl, err := partition.Build(prof, dec)
-	if err != nil {
-		return fmt.Errorf("core: rebalance placement: %w", err)
-	}
-	r.prof, r.dec, r.pl = prof, dec, pl
+	r.pl = pl
 	return nil
 }
 
-// Adopt installs a pre-solved partitioning: the profile and decision come
-// from the online replanner (internal/adapt), which already ran the LP
-// once, priced the migration, and passed its hysteresis gate — re-solving
-// per replica (as Rebalance does) could in principle land each replica on
-// a different equal-objective vertex, and would waste a solve per pool
-// member. Only the mapping tables change; the hardware regions are fixed,
-// so dec must have been solved against this instance's Regions().
+// solve partitions prof across the instance's regions — the LP, or the
+// crude greedy partitioner without BWP — and places the rows.
+func (r *ReCross) solve(prof *partition.Profile) (*partition.Placement, error) {
+	partitioner := partition.SolveLP
+	if !r.cfg.BWP {
+		partitioner = partition.Greedy
+	}
+	dec, err := partitioner(prof, r.Regions(), r.cfg.Batch)
+	if err != nil {
+		return nil, err
+	}
+	return partition.Build(prof, dec)
+}
+
+// Adopt installs a plan solved and built elsewhere: the online replanner
+// (internal/adapt) ran the LP once, priced the migration, passed its
+// hysteresis gate and built the placement, which every replica then
+// shares read-only — re-solving per replica (as Rebalance does) could in
+// principle land each replica on a different equal-objective vertex, and
+// would waste a solve and a build per pool member. Only the mapping tables
+// change; the hardware regions are fixed, so pl must have been solved
+// against this instance's Regions().
 //
 // The caller must respect the System single-goroutine contract: Adopt
 // swaps the placement the next Run reads, so it may only be called from
 // the goroutine that owns the instance (the serving layer stages updates
 // and applies them at batch boundaries for exactly this reason).
-func (r *ReCross) Adopt(prof *partition.Profile, dec *partition.Decision) error {
-	if prof == nil || dec == nil {
-		return fmt.Errorf("core: nil profile or decision")
+func (r *ReCross) Adopt(pl *partition.Placement) error {
+	if pl == nil {
+		return fmt.Errorf("core: nil placement")
 	}
-	if err := r.checkProfile(prof); err != nil {
+	if err := r.checkProfile(pl.Profile()); err != nil {
 		return err
 	}
-	want := r.Regions()
-	if len(dec.Regions) != len(want) {
-		return fmt.Errorf("core: decision has %d regions, want %d", len(dec.Regions), len(want))
+	have, want := pl.Regions(), r.Regions()
+	if len(have) != len(want) {
+		return fmt.Errorf("core: placement has %d regions, want %d", len(have), len(want))
 	}
 	for j := range want {
-		if dec.Regions[j].CapBytes != want[j].CapBytes {
-			return fmt.Errorf("core: decision region %q capacity %d != instance %d",
-				dec.Regions[j].Name, dec.Regions[j].CapBytes, want[j].CapBytes)
+		if have[j].CapBytes != want[j].CapBytes {
+			return fmt.Errorf("core: placement region %q capacity %d != instance %d",
+				have[j].Name, have[j].CapBytes, want[j].CapBytes)
 		}
 	}
-	pl, err := partition.Build(prof, dec)
-	if err != nil {
-		return fmt.Errorf("core: adopt placement: %w", err)
-	}
-	r.prof, r.dec, r.pl = prof, dec, pl
+	r.pl = pl
 	return nil
 }
 

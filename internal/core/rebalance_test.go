@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"recross/internal/coldstore"
 	"recross/internal/partition"
 	"recross/internal/trace"
 )
@@ -87,6 +88,84 @@ func TestRebalanceValidation(t *testing.T) {
 	}
 	if err := r.Rebalance(p2); err == nil {
 		t.Fatal("mismatched table shape should error")
+	}
+}
+
+// TestNewOnSharedPlacement: an instance built on another's placement holds
+// that very plan and runs bit-identically to the instance that solved it,
+// batch after batch — Run only reads the shared placement.
+func TestNewOnSharedPlacement(t *testing.T) {
+	solved, err := New(miniConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := miniConfig()
+	cfg.Placement = solved.Placement()
+	shared, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Placement() != solved.Placement() || shared.Decision() != solved.Decision() ||
+		shared.Profile() != solved.Profile() {
+		t.Fatal("the instance built on a placement does not hold that plan")
+	}
+	g, err := trace.NewGenerator(miniSpec(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		b := g.Batch(8)
+		want, err := solved.Run(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := shared.Run(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: shared-plan stats %+v, self-solved %+v", i, got, want)
+		}
+	}
+}
+
+// TestAdoptValidation: Adopt installs a placement only when it was solved
+// for this instance's regions — nil, another rank count, or a cold tier
+// present on one side only are rejected, by Adopt and by New alike.
+func TestAdoptValidation(t *testing.T) {
+	r, err := New(miniConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Adopt(nil); err == nil {
+		t.Error("nil placement accepted")
+	}
+	oneRank := miniConfig()
+	oneRank.Ranks = 1
+	cold := miniConfig()
+	cold.ColdTier = &coldstore.TierSpec{CapBytes: 64 << 20}
+	for name, cfg := range map[string]Config{"ranks": oneRank, "cold": cold} {
+		other, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Adopt(other.Placement()); err == nil {
+			t.Errorf("%s: placement solved for other regions adopted", name)
+		}
+		if err := other.Adopt(r.Placement()); err == nil {
+			t.Errorf("%s: placement solved for other regions adopted (reverse)", name)
+		}
+		cfg.Placement = r.Placement()
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New built on a placement solved for other regions", name)
+		}
+	}
+	twin, err := New(miniConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Adopt(twin.Placement()); err != nil || r.Placement() != twin.Placement() {
+		t.Fatalf("twin placement: err %v, installed %v", err, r.Placement() == twin.Placement())
 	}
 }
 

@@ -54,6 +54,10 @@ type Config struct {
 	// skips the internal profiling pass — the experiment harness shares
 	// one profile across many configurations.
 	Profile *partition.Profile
+	// Placement, when non-nil, is a plan already solved and built for these
+	// regions: New installs it through Adopt instead of profiling and
+	// solving, which is how a serving stack's replicas share one plan.
+	Placement *partition.Placement
 	// Subarrays overrides the per-bank subarray count (0 = the geometry
 	// default of 256); bank capacity is preserved. Used by the SALP
 	// sensitivity study.
@@ -152,14 +156,12 @@ const (
 	RegionCold = 3
 )
 
-// ReCross is a configured instance: profile, partitioning decision,
-// placement and region bank sets, ready to run batches.
+// ReCross is a configured instance: region bank sets and the placement
+// (which carries its profile and decision), ready to run batches.
 type ReCross struct {
-	cfg  Config
-	geo  dram.Geometry
-	prof *partition.Profile
-	dec  *partition.Decision
-	pl   *partition.Placement
+	cfg Config
+	geo dram.Geometry
+	pl  *partition.Placement
 	// regionBanks[j] lists the flat banks of region j.
 	regionBanks [3][]int
 	// bursts is a gather's bus occupancy: the encoded row's burst count
@@ -229,8 +231,9 @@ func resetBool(s *[]bool, n int) []bool {
 	return v
 }
 
-// New profiles the workload, solves the partitioning, and builds the
-// placement.
+// New builds an instance on cfg.Placement, or else profiles the workload
+// (unless cfg.Profile supplies one), solves the partitioning and builds
+// the placement.
 func New(cfg Config) (*ReCross, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -258,35 +261,26 @@ func New(cfg Config) (*ReCross, error) {
 		r.coldSim = coldstore.NewSim(*cfg.ColdTier, cfg.ColdPrecision.RowBytes(vecLen))
 	}
 
-	prof := cfg.Profile
-	if prof == nil {
-		var err error
-		prof, err = partition.NewProfile(cfg.Spec, cfg.Seed, cfg.ProfileSamples)
-		if err != nil {
+	var err error
+	pl := cfg.Placement
+	if pl == nil {
+		prof := cfg.Profile
+		if prof == nil {
+			if prof, err = partition.NewProfile(cfg.Spec, cfg.Seed, cfg.ProfileSamples); err != nil {
+				return nil, err
+			}
+		}
+		if pl, err = r.solve(prof); err != nil {
 			return nil, err
 		}
 	}
-	r.prof = prof
-	var err error
-
-	regions := r.Regions()
-	if cfg.BWP {
-		r.dec, err = partition.SolveLP(prof, regions, cfg.Batch)
-	} else {
-		r.dec, err = partition.Greedy(prof, regions, cfg.Batch)
-	}
-	if err != nil {
-		return nil, err
-	}
-	r.pl, err = partition.Build(prof, r.dec)
-	if err != nil {
+	if err = r.Adopt(pl); err != nil {
 		return nil, err
 	}
 	// The channel spec is fixed for the instance's lifetime (Adopt swaps
 	// the placement, not the bank regions), so one reusable channel+
 	// scheduler pair serves every run.
-	r.chsim, err = arch.NewChannelSim(r.chanSpec())
-	if err != nil {
+	if r.chsim, err = arch.NewChannelSim(r.chanSpec()); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -454,14 +448,16 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Decision exposes the partitioning decision (for the experiment harness).
-func (r *ReCross) Decision() *partition.Decision { return r.dec }
+// Decision exposes the placement's partitioning decision (for the
+// experiment harness).
+func (r *ReCross) Decision() *partition.Decision { return r.pl.Decision() }
 
-// Placement exposes the row placement.
+// Placement exposes the row placement: the instance's whole partitioning
+// plan, shared read-only with every instance built or adopted onto it.
 func (r *ReCross) Placement() *partition.Placement { return r.pl }
 
-// Profile exposes the offline profile.
-func (r *ReCross) Profile() *partition.Profile { return r.prof }
+// Profile exposes the profile the placement was solved for.
+func (r *ReCross) Profile() *partition.Profile { return r.pl.Profile() }
 
 // Geometry returns the channel geometry.
 func (r *ReCross) Geometry() dram.Geometry { return r.geo }

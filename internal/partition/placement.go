@@ -14,9 +14,12 @@ import (
 //
 // Placement requires a uniform vector length across tables (true of every
 // workload in the paper's evaluation); mixed-dimension embeddings would
-// need a per-node allocator and are out of scope.
+// need a per-node allocator and are out of scope. A Placement keeps the
+// profile and decision it was built from and never changes after Build, so
+// one instance is a whole plan, safe to share read-only across goroutines.
 type Placement struct {
-	regions  []Region
+	prof     *Profile
+	dec      *Decision
 	vecBytes int64
 	tables   []tablePlace
 	// used[j] counts vector slots allocated in region j.
@@ -56,7 +59,8 @@ func Build(p *Profile, d *Decision) (*Placement, error) {
 	}
 	vecBytes := int64(vecLen) * 4
 	pl := &Placement{
-		regions:  d.Regions,
+		prof:     p,
+		dec:      d,
 		vecBytes: vecBytes,
 		tables:   make([]tablePlace, len(p.Spec.Tables)),
 		used:     make([]int64, len(d.Regions)),
@@ -266,7 +270,13 @@ func (pl *Placement) Locate(table int, row int64) (region int, slot int64) {
 }
 
 // Regions returns the placement's regions.
-func (pl *Placement) Regions() []Region { return pl.regions }
+func (pl *Placement) Regions() []Region { return pl.dec.Regions }
+
+// Profile returns the profile the placement was built from.
+func (pl *Placement) Profile() *Profile { return pl.prof }
+
+// Decision returns the partitioning the placement realises.
+func (pl *Placement) Decision() *Decision { return pl.dec }
 
 // VecBytes returns the uniform vector size in bytes.
 func (pl *Placement) VecBytes() int64 { return pl.vecBytes }
@@ -291,8 +301,8 @@ func (pl *Placement) MappingBits() int64 {
 // ColdRegions reports, per region index, whether the region is cold-tier
 // (Level == nmp.LevelCold).
 func (pl *Placement) ColdRegions() []bool {
-	out := make([]bool, len(pl.regions))
-	for j, r := range pl.regions {
+	out := make([]bool, len(pl.dec.Regions))
+	for j, r := range pl.dec.Regions {
 		out[j] = r.Level == nmp.LevelCold
 	}
 	return out

@@ -152,8 +152,8 @@ type Options struct {
 	DefaultTimeout time.Duration
 
 	// Rebuild, when non-nil, is the replica factory a failed replica's
-	// worker calls to rebuild its System (typically from the shared
-	// offline profile — see recross.Config.ReplicaSystems). Replicas
+	// worker calls to rebuild its System (typically on the stack's shared
+	// partitioning plan, never re-solved — see recross.NewStack). Replicas
 	// restart independently, so it may run concurrently for different
 	// ids. When nil the old System instance is reused as-is, which is
 	// only safe for stateless fakes; real deployments should always set

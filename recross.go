@@ -77,9 +77,9 @@ type (
 	// single instance must never see concurrent Run calls; serialization
 	// is the caller's job. Independent System instances are fully
 	// isolated — even when built over the same ModelSpec and sharing one
-	// *Profile (which construction only reads) — so scaling out means
-	// one instance per goroutine, exactly what the serving layer's
-	// replica pool does (see Server and Config.ReplicaSystems).
+	// *Profile and one ReCross placement (both only read) — so scaling
+	// out means one instance per goroutine, exactly what the serving
+	// layer's replica pool does (see Server and Config.ReplicaSystems).
 	System = arch.System
 	// Layer is the functional embedding layer (ground truth).
 	Layer = embedding.Layer
@@ -320,8 +320,8 @@ type Config struct {
 	Cold *ColdTierConfig
 	// Adapt, when non-nil, makes NewStack wire the online adaptive
 	// repartitioning loop through the server (ReCross only). Spec,
-	// Baseline, Decision and (when zero) Batch are filled from the stack;
-	// NewSystem ignores it.
+	// Placement (the stack's one shared plan) and (when zero) Batch are
+	// filled from the stack; NewSystem ignores it.
 	Adapt *AdaptOptions
 	// Chaos, when non-nil, makes NewStack wrap every replica — initial
 	// and rebuilt — with the fault-injection harness.
@@ -335,6 +335,11 @@ type Config struct {
 	// ReCross only on the timing side; the functional layer quantizes for
 	// every architecture.
 	Precision Precision
+
+	// placement is the partitioning plan a stack's first ReCross replica
+	// solved; every later replica, rebuild and fleet node is built on it
+	// (read-only) instead of solving again.
+	placement *partition.Placement
 }
 
 // ColdTierConfig configures the flash-backed cold tier (Config.Cold): the
@@ -480,6 +485,7 @@ func NewSystem(a Arch, cfg Config) (System, error) {
 		rcfg.ProfileSamples = cfg.ProfileSamples
 		rcfg.Seed = cfg.ProfileSeed
 		rcfg.Profile = cfg.Profile
+		rcfg.Placement = cfg.placement
 		rcfg.Precision = cfg.Precision
 		if cfg.Cold != nil {
 			rcfg.ColdTier = cfg.Cold.tierSpec()
@@ -493,34 +499,43 @@ func NewSystem(a Arch, cfg Config) (System, error) {
 
 // ReplicaSystems builds n isolated System replicas of architecture a
 // over the same workload — the Config-level hook the serving layer's
-// worker pool is built from. The offline profile is computed once and
-// shared read-only across replicas, so startup does not re-profile n
-// times; each returned System is otherwise fully independent and safe to
-// drive from its own goroutine (see the System concurrency contract).
+// worker pool is built from. The offline profile is computed once and,
+// for ReCross, the first replica's placement is the rest's plan; both are
+// shared read-only, so startup neither re-profiles nor re-solves n times.
+// Each System is otherwise fully independent and safe to drive from its
+// own goroutine (see the System concurrency contract).
 func (c Config) ReplicaSystems(a Arch, n int) ([]System, error) {
+	_, systems, err := c.replicas(a, n)
+	return systems, err
+}
+
+// replicas is ReplicaSystems, also returning the config with profile and plan.
+func (c Config) replicas(a Arch, n int) (Config, []System, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("recross: replica count %d < 1", n)
+		return c, nil, fmt.Errorf("recross: replica count %d < 1", n)
 	}
 	c, err := c.profiled(a)
 	if err != nil {
-		return nil, err
+		return c, nil, err
 	}
 	systems := make([]System, n)
 	for i := range systems {
 		sys, err := NewSystem(a, c)
 		if err != nil {
-			return nil, fmt.Errorf("recross: replica %d: %w", i, err)
+			return c, nil, fmt.Errorf("recross: replica %d: %w", i, err)
+		}
+		if rc, ok := sys.(*core.ReCross); ok {
+			c.placement = rc.Placement()
 		}
 		systems[i] = sys
 	}
-	return systems, nil
+	return c, systems, nil
 }
 
 // profiled applies defaults and runs the offline profiling pass once up
-// front for the architectures that need one, so replica construction —
-// initial or a rebuild — reuses the shared read-only profile
-// instead of re-profiling. Skipped for multi-channel configs, which
-// re-profile per channel shard.
+// front for the architectures that need one, so replica construction
+// reuses the shared read-only profile instead of re-profiling. Skipped
+// for multi-channel configs, which re-profile per channel shard.
 func (c Config) profiled(a Arch) (Config, error) {
 	c = c.withDefaults()
 	if c.Profile == nil && c.Channels <= 1 && (a == TRiMB || a == ReCross) {
@@ -649,26 +664,25 @@ type Stack struct {
 	// Faults is the replicas' shared fault injector (nil without
 	// Config.Chaos): the on/off switch, per-kind counters, wedge release.
 	Faults *FaultInjector
+
+	// plan is the placement the replicas were built on (nil without a
+	// ReCross partitioner).
+	plan *partition.Placement
 }
 
-// rebuilder is the stack's default replica factory: a new system from
-// the shared profile, onto the controller's current placement (when it
-// has moved off bootDec), re-wrapped with the fault harness.
-func (st *Stack) rebuilder(a Arch, cfg Config, n int, bootDec *partition.Decision) func(id int) (System, error) {
+// rebuilder is the stack's default replica factory: a new system built
+// on the deployed placement, re-wrapped with the fault harness.
+func (st *Stack) rebuilder(a Arch, cfg Config, n int) func(id int) (System, error) {
 	generations := make([]atomic.Int64, n) // incarnations per replica id
 	return func(id int) (System, error) {
-		sys, err := NewSystem(a, cfg)
+		c := cfg
+		if st.Adapt != nil {
+			// Not the boot placement: the controller may have adopted.
+			c.placement = st.Adapt.Current()
+		}
+		sys, err := NewSystem(a, c)
 		if err != nil {
 			return nil, err
-		}
-		if st.Adapt != nil {
-			// A replacement replica must not resurrect the boot
-			// placement after an adoption.
-			if prof, dec := st.Adapt.Current(); dec != bootDec {
-				if err := adoptInto(sys, prof, dec); err != nil {
-					return nil, err
-				}
-			}
 		}
 		if cfg.Chaos != nil {
 			// A rebuilt replica must not replay its predecessor's fault
@@ -694,35 +708,33 @@ func (st *Stack) rebuilder(a Arch, cfg Config, n int, bootDec *partition.Decisio
 // are independent and run in a fixed order, each only when its config is
 // set:
 //
-//  1. base — profile once (Config.ReplicaSystems), build n replica
-//     systems of architecture a and the functional layer at
-//     Config.Precision;
+//  1. base — plan once (Config.ReplicaSystems): profile, let replica 0
+//     solve and place the rows, build the other n-1 replica systems of
+//     architecture a on that same read-only placement, and build the
+//     functional layer at Config.Precision;
 //  2. cold (Config.Cold) — open the flash tier's backing store over the
 //     layer's tables, route cold-placed row reads through it (behind the
 //     hot-row cache), report its breaker as cold-degraded health, export
 //     recross_coldstore_* on /metrics;
 //  3. adapt (Config.Adapt) — every admitted sample feeds the controller's
-//     sketches (ServeOptions.Observer), adoption stages a placement swap
-//     on every replica at its next batch boundary and, with a cold tier,
-//     re-routes the cold boundary and repacks the store's pages from the
-//     sketch counts; the sketches double as the hot-row cache's admission
-//     filter; recross_adapt_* rides /metrics;
+//     sketches (ServeOptions.Observer), adoption stages a swap to the
+//     controller's one new placement on every replica at its next batch
+//     boundary and, with a cold tier, re-routes the cold boundary and
+//     repacks the store's pages from the sketch counts; the sketches
+//     double as the hot-row cache's admission filter; recross_adapt_*
+//     rides /metrics;
 //  4. chaos (Config.Chaos) — wrap every replica with the fault harness,
 //     outermost, so injected faults hit whatever the inner stages built;
 //  5. rebuild — unless the caller supplied ServeOptions.Rebuild, the
 //     replica factory a failed replica's worker calls composes the same
-//     stages in the same order: new system from the shared profile, onto
-//     the controller's current placement, re-wrapped with a chaos seed
+//     stages in the same order: new system built on the current placement
+//     (the controller's, after an adoption), re-wrapped with a chaos seed
 //     advanced per incarnation of that replica.
 //
 // opts.Systems and opts.Layer are filled in here. Stages 2 and 3 need the
 // ReCross architecture (it owns the partitioner).
 func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
-	cfg, err := cfg.profiled(a)
-	if err != nil {
-		return nil, err
-	}
-	systems, err := cfg.ReplicaSystems(a, n)
+	cfg, systems, err := cfg.replicas(a, n)
 	if err != nil {
 		return nil, err
 	}
@@ -730,19 +742,18 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc, _ := systems[0].(*core.ReCross)
-	if rc == nil && (cfg.Cold != nil || cfg.Adapt != nil) {
+	pl := cfg.placement
+	if pl == nil && (cfg.Cold != nil || cfg.Adapt != nil) {
 		return nil, fmt.Errorf("recross: the cold tier and adaptive serving need single-channel %q replicas (they own the partitioner), got %q", ReCross, a)
 	}
-	var bootDec *partition.Decision // what a freshly built replica comes up on
-	st := &Stack{}
+	st := &Stack{plan: pl}
 
 	var store *coldstore.Store
 	if cfg.Cold != nil {
 		if store, err = openColdStore(cfg.Cold, layer); err != nil {
 			return nil, err
 		}
-		routeCold(layer, store, rc.Placement())
+		routeCold(layer, store, pl)
 		if opts.ColdDegraded == nil {
 			opts.ColdDegraded = store.Degraded
 		}
@@ -752,18 +763,27 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 		// the controller; adoption stages updates on the server): the
 		// adoption closures read st.Server, filled in below.
 		aopts := *cfg.Adapt
-		bootDec = rc.Decision()
-		aopts.Spec, aopts.Baseline, aopts.Decision = cfg.Spec, rc.Profile(), bootDec
+		aopts.Spec, aopts.Placement = cfg.Spec, pl
 		if aopts.Batch == 0 {
 			aopts.Batch = cfg.Batch
 		}
 		if aopts.Adopt == nil {
-			aopts.Adopt = func(prof *Profile, dec *partition.Decision) error {
+			aopts.Adopt = func(pl *partition.Placement) error {
 				if st.Server == nil {
 					return fmt.Errorf("recross: adoption before server construction")
 				}
 				st.StageUpdate(func(_ int, sys System) (System, error) {
-					return sys, adoptInto(sys, prof, dec)
+					// Look through the chaos wrapper: a FaultySystem is not
+					// itself a Rebalancer, and skipping it would leave every
+					// wrapped replica on the old plan.
+					inner := sys
+					if fs, ok := sys.(*FaultySystem); ok {
+						inner = fs.Inner()
+					}
+					if rb, ok := inner.(adapt.Rebalancer); ok {
+						return sys, rb.Adopt(pl)
+					}
+					return sys, nil
 				})
 				return nil
 			}
@@ -781,12 +801,8 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 			// demoted ones start, and the warm cold-placed rows pack
 			// hottest-first.
 			inner := aopts.Adopt
-			aopts.Adopt = func(prof *Profile, dec *partition.Decision) error {
-				if err := inner(prof, dec); err != nil {
-					return err
-				}
-				pl, err := partition.Build(prof, dec)
-				if err != nil {
+			aopts.Adopt = func(pl *partition.Placement) error {
+				if err := inner(pl); err != nil {
 					return err
 				}
 				routeCold(layer, store, pl)
@@ -819,7 +835,7 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 	}
 
 	if opts.Rebuild == nil {
-		opts.Rebuild = st.rebuilder(a, cfg, n, bootDec)
+		opts.Rebuild = st.rebuilder(a, cfg, n)
 	}
 
 	prevClose := opts.OnClose
@@ -868,20 +884,6 @@ func NewServer(a Arch, cfg Config, n int, opts ServeOptions) (*Server, error) {
 		return nil, err
 	}
 	return st.Server, nil
-}
-
-// adoptInto swaps sys onto a pre-solved placement, looking through the
-// chaos wrapper: a FaultySystem is not itself an adapt.Rebalancer, so
-// asserting on the outer System would silently skip every wrapped replica.
-// Systems without a partitioner are left untouched.
-func adoptInto(sys System, prof *Profile, dec *partition.Decision) error {
-	if fs, ok := sys.(*FaultySystem); ok {
-		sys = fs.Inner()
-	}
-	if rb, ok := sys.(adapt.Rebalancer); ok {
-		return rb.Adopt(prof, dec)
-	}
-	return nil
 }
 
 func closeStore(store *coldstore.Store) {
@@ -1038,9 +1040,6 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 			return nil, fmt.Errorf("recross: peer %q: nodes speak only the binary wire; give the peer's -bin-addr listener as host:port or bin://host:port", peer)
 		}
 	}
-	if cfg, err = cfg.profiled(a); err != nil {
-		return nil, err
-	}
 	if err = cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -1065,11 +1064,14 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 			ids = append(ids, n.ID())
 		}
 	} else {
+		if cfg, err = cfg.profiled(a); err != nil {
+			return nil, err
+		}
 		fleet, err = cluster.NewFleet(cc.Nodes, func(i int) (*Server, error) {
 			// Every node is a full stack from the one pipeline, sharing the
-			// cluster's single profiling pass; with chaos, node i's
-			// replicas draw from their own seeds so nodes do not fault in
-			// lockstep.
+			// cluster's single profiling pass and node 0's plan; with
+			// chaos, node i's replicas draw from their own seeds so nodes
+			// do not fault in lockstep.
 			nc := cfg
 			if cfg.Chaos != nil {
 				fc := *cfg.Chaos
@@ -1079,7 +1081,12 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 				fc.Seed += int64(i * cc.ReplicasPerNode)
 				nc.Chaos = &fc
 			}
-			return NewServer(a, nc, cc.ReplicasPerNode, cc.Serve)
+			st, err := NewStack(a, nc, cc.ReplicasPerNode, cc.Serve)
+			if err != nil {
+				return nil, err
+			}
+			cfg.placement = st.plan
+			return st.Server, nil
 		})
 		if err != nil {
 			return nil, err

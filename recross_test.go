@@ -172,9 +172,10 @@ func TestConfigProfileSeed(t *testing.T) {
 
 // TestParallelReplicaIsolation is the concurrency audit of the serving
 // layer's hot path: two independent System instances over the SAME
-// ModelSpec and the SAME shared *Profile must be drivable from parallel
-// goroutines with identical results — i.e. construction only reads the
-// profile and Run touches no shared state. Run under -race (the CI
+// ModelSpec and the SAME shared *Profile (and, for ReCross, the SAME
+// placement) must be drivable from parallel goroutines with identical
+// results — i.e. construction only reads the profile, Run only reads the
+// placement, and Run touches no other shared state. Run under -race (the CI
 // matrix does), this proves replica isolation; a single System instance
 // remains single-goroutine by contract.
 func TestParallelReplicaIsolation(t *testing.T) {

@@ -182,23 +182,23 @@ func TestStackComposition(t *testing.T) {
 // replicaView is what a probe sees of one replica's System.
 type replicaView struct {
 	wrapped bool
-	dec     *partition.Decision // the inner ReCross's deployed decision
+	pl      *partition.Placement // the inner ReCross's deployed placement
 }
 
 // probeReplicas stages a no-op update that records every replica's System
 // and drives traffic until each worker has applied it.
-func probeReplicas(t *testing.T, st *Stack, drive func()) map[int]replicaView {
+func probeReplicas(t *testing.T, srv *Server, drive func()) map[int]replicaView {
 	t.Helper()
 	var mu sync.Mutex
 	views := map[int]replicaView{}
-	st.StageUpdate(func(id int, sys System) (System, error) {
+	srv.StageUpdate(func(id int, sys System) (System, error) {
 		v := replicaView{}
 		inner := sys
 		if fs, ok := sys.(*FaultySystem); ok {
 			v.wrapped, inner = true, fs.Inner()
 		}
 		if rc, ok := inner.(*ReCrossSystem); ok {
-			v.dec = rc.Decision()
+			v.pl = rc.Placement()
 		}
 		mu.Lock()
 		views[id] = v
@@ -210,11 +210,11 @@ func probeReplicas(t *testing.T, st *Stack, drive func()) map[int]replicaView {
 		mu.Lock()
 		n := len(views)
 		mu.Unlock()
-		if n == st.Replicas() {
+		if n == srv.Replicas() {
 			return views
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d replicas applied the probe", n, st.Replicas())
+			t.Fatalf("only %d of %d replicas applied the probe", n, srv.Replicas())
 		}
 		drive()
 	}
@@ -236,10 +236,12 @@ func testStackAllStages(t *testing.T) {
 	ref := referenceLayer(t, cfg.Spec, INT8)
 	drive := func() { serveWave(t, stackLookup(st), gen, ref, 32) }
 
-	_, bootDec := st.Adapt.Current()
-	for id, v := range probeReplicas(t, st, drive) {
-		if !v.wrapped || v.dec == nil {
-			t.Fatalf("replica %d: wrapped %v, inner decision %p", id, v.wrapped, v.dec)
+	// One plan per stack: every replica runs the controller's placement
+	// itself, not a copy solved or built per replica.
+	boot := st.Adapt.Current()
+	for id, v := range probeReplicas(t, st.Server, drive) {
+		if !v.wrapped || v.pl != boot {
+			t.Fatalf("replica %d: wrapped %v, inner placement %p, controller's %p", id, v.wrapped, v.pl, boot)
 		}
 	}
 
@@ -259,8 +261,8 @@ func testStackAllStages(t *testing.T) {
 		}
 		adopted = res.Adopted
 	}
-	_, dec := st.Adapt.Current()
-	if !adopted || dec == bootDec {
+	adoptedPl := st.Adapt.Current()
+	if !adopted || adoptedPl == boot {
 		t.Fatal("no adoption after the hot-set shift")
 	}
 	// Wait until both workers ran the staged swap (a probe staged earlier
@@ -273,10 +275,10 @@ func testStackAllStages(t *testing.T) {
 		}
 		drive()
 	}
-	for id, v := range probeReplicas(t, st, drive) {
-		if !v.wrapped || v.dec != dec {
-			t.Fatalf("replica %d after adoption: wrapped %v, inner decision %p, adopted %p (boot %p)",
-				id, v.wrapped, v.dec, dec, bootDec)
+	for id, v := range probeReplicas(t, st.Server, drive) {
+		if !v.wrapped || v.pl != adoptedPl {
+			t.Fatalf("replica %d after adoption: wrapped %v, inner placement %p, adopted %p (boot %p)",
+				id, v.wrapped, v.pl, adoptedPl, boot)
 		}
 	}
 
@@ -289,9 +291,9 @@ func testStackAllStages(t *testing.T) {
 		}
 		drive()
 	}
-	for id, v := range probeReplicas(t, st, drive) {
-		if !v.wrapped || v.dec != dec {
-			t.Fatalf("replica %d after a rebuild: wrapped %v, inner decision %p, adopted %p", id, v.wrapped, v.dec, dec)
+	for id, v := range probeReplicas(t, st.Server, drive) {
+		if !v.wrapped || v.pl != adoptedPl {
+			t.Fatalf("replica %d after a rebuild: wrapped %v, inner placement %p, adopted %p", id, v.wrapped, v.pl, adoptedPl)
 		}
 	}
 
@@ -325,7 +327,7 @@ func testFleetColdChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := referenceLayer(t, cfg.Spec, FP32)
-	for w := 0; w < 8; w++ {
+	drive := func() {
 		serveWave(t, func(ctx context.Context, s Sample) ([][]float32, error) {
 			res, err := cs.Lookup(ctx, s)
 			if err != nil {
@@ -333,6 +335,21 @@ func testFleetColdChaos(t *testing.T) {
 			}
 			return res.Vectors, nil
 		}, gen, ref, 32)
+	}
+	for w := 0; w < 8; w++ {
+		drive()
+	}
+	// Node 0's first replica planned for the whole fleet.
+	var plan *partition.Placement
+	for i := 0; i < cs.Fleet.Len(); i++ {
+		for id, v := range probeReplicas(t, cs.Fleet.Node(i).Server(), drive) {
+			if plan == nil {
+				plan = v.pl
+			}
+			if v.pl == nil || v.pl != plan {
+				t.Fatalf("node %d replica %d: placement %p, node 0's %p", i, id, v.pl, plan)
+			}
+		}
 	}
 	if files, _ := os.ReadDir(cfg.Cold.Dir); len(files) != 2 {
 		t.Errorf("%d cold backing files for 2 nodes", len(files))
@@ -376,7 +393,7 @@ func TestRebuildSeedPerReplica(t *testing.T) {
 	// replica 0's first rebuild (its second incarnation) corrupts.
 	faults := func(order ...int) []bool {
 		st := &Stack{Faults: NewFaultInjector()}
-		rebuild := st.rebuilder(CPU, cfg, 2, nil)
+		rebuild := st.rebuilder(CPU, cfg, 2)
 		var sys System
 		for _, id := range order {
 			s, err := rebuild(id)
