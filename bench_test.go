@@ -13,7 +13,7 @@ import (
 	"recross/internal/experiments"
 )
 
-func benchRecrossRun(b *testing.B, ref bool) {
+func benchRecrossRun(b *testing.B, ref, train bool) {
 	b.Helper()
 	spec := CriteoKaggle(64, 80)
 	cfg := core.DefaultConfig(spec)
@@ -28,11 +28,15 @@ func benchRecrossRun(b *testing.B, ref bool) {
 		b.Fatal(err)
 	}
 	batch := gen.Batch(32)
+	run := sys.Run
+	if train {
+		run = sys.RunTraining
+	}
 	var cycles int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := sys.Run(batch)
+		rs, err := run(batch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,12 +49,16 @@ func benchRecrossRun(b *testing.B, ref bool) {
 
 // BenchmarkRecrossRun measures one batch through the full ReCross timing
 // model on the fast arbiter — the serving layer's per-batch cost.
-func BenchmarkRecrossRun(b *testing.B) { benchRecrossRun(b, false) }
+func BenchmarkRecrossRun(b *testing.B) { benchRecrossRun(b, false, false) }
+
+// BenchmarkRecrossRunTraining is the same batch through RunTraining: the
+// gathers plus the gradient write-back, so the scheduler's write path shows.
+func BenchmarkRecrossRunTraining(b *testing.B) { benchRecrossRun(b, false, true) }
 
 // BenchmarkRecrossRunReference is the same batch on the pre-fast-path
 // configuration (Reference scan scheduler, fresh channel per run); the
 // ratio to BenchmarkRecrossRun is the arbiter's end-to-end speedup.
-func BenchmarkRecrossRunReference(b *testing.B) { benchRecrossRun(b, true) }
+func BenchmarkRecrossRunReference(b *testing.B) { benchRecrossRun(b, true, false) }
 
 func benchTable(b *testing.B, run func(experiments.Config) (*experiments.Table, error)) {
 	b.Helper()

@@ -108,7 +108,7 @@ const CPUOpWindow = 16
 // ChannelSim owns a reusable channel + controller pair for one ChannelSpec:
 // Run resets the channel timing state in place and drains through the
 // retained scheduler, so steady-state batch runs reuse every piece of
-// scheduler scratch (bank queues, node pool, heaps, op maps) instead of
+// scheduler scratch (bank queues, node pool, heaps, op slices) instead of
 // rebuilding them. Like the channel it wraps, a ChannelSim is single-
 // goroutine — the documented System contract.
 type ChannelSim struct {
@@ -155,7 +155,8 @@ func NewChannelSim(spec ChannelSpec) (*ChannelSim, error) {
 // Run resets the channel, drains reqs, and then streams resultBursts of
 // reduced results back over the channel DQ. It returns the end-to-end
 // finish time, a stats snapshot (safe to retain: it does not alias the
-// channel's reused counters), and the drain result.
+// channel's reused counters), and the drain result, whose Done slice is
+// scheduler scratch valid only until the next Run.
 func (s *ChannelSim) Run(reqs []memctrl.Request, resultBursts int) (sim.Cycle, dram.Stats, memctrl.Result, error) {
 	s.ch.Reset()
 	var res memctrl.Result

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 
 	"recross/internal/arch"
@@ -271,6 +272,43 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if err := c.Energy.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTRiMBSchedulerIdentity: TRiM-B on a production-sized Criteo Kaggle
+// batch drains to identical RunStats on the fast arbiter and on the
+// Reference scan scheduler — FR-FCFS over every bank of the channel, the
+// baseline whose command stream differs most from ReCross's.
+func TestTRiMBSchedulerIdentity(t *testing.T) {
+	spec := trace.CriteoKaggle(64, 80)
+	prof, err := partition.NewProfile(spec, 7, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var systems [2]*TRiMB
+	for i := range systems {
+		if systems[i], err = NewTRiMB(Config{Spec: spec, Ranks: 2}, prof.Hists); err != nil {
+			t.Fatal(err)
+		}
+	}
+	systems[1].spec.Reference = true
+	g, err := trace.NewGenerator(spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		b := g.Batch(32)
+		got, err := systems[0].Run(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := systems[1].Run(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: fast %+v\nreference %+v", i, got, want)
+		}
 	}
 }
 

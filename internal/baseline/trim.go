@@ -103,6 +103,8 @@ type TRiMB struct {
 	replicaRows int64
 	// rr[table][row] is the round-robin pointer over a row's replicas.
 	rr []map[int64]int
+	// spec is the channel every Run drains through.
+	spec arch.ChannelSpec
 }
 
 // HotReplicaFraction is TRiM's replicated share of each table.
@@ -121,7 +123,8 @@ func NewTRiMB(cfg Config, hists []*stats.Histogram) (*TRiMB, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TRiMB{cfg: cfg, geo: geo, lay: lay, alloc: allBanks(geo)}
+	t := &TRiMB{cfg: cfg, geo: geo, lay: lay, alloc: allBanks(geo),
+		spec: arch.ChannelSpec{Geo: geo, Tm: cfg.Tm, Mode: dram.NMPTwoStage, Policy: memctrl.FRFCFS, OpWindow: arch.NMPOpWindow}}
 	t.hot = make([]map[int64]bool, len(cfg.Spec.Tables))
 	t.replicaSlot = make([]map[int64]int64, len(cfg.Spec.Tables))
 	t.rr = make([]map[int64]int, len(cfg.Spec.Tables))
@@ -230,8 +233,7 @@ func (t *TRiMB) Run(b trace.Batch) (*arch.RunStats, error) {
 			opID++
 		}
 	}
-	spec := arch.ChannelSpec{Geo: geo, Tm: t.cfg.Tm, Mode: dram.NMPTwoStage, Policy: memctrl.FRFCFS, OpWindow: arch.NMPOpWindow}
-	finish, st, res, err := arch.RunChannel(spec, reqs, int(ops)*t.lay.bursts)
+	finish, st, res, err := arch.RunChannel(t.spec, reqs, int(ops)*t.lay.bursts)
 	if err != nil {
 		return nil, err
 	}

@@ -220,10 +220,21 @@ func (c *Channel) EpochOf(l Loc) EpochStamp {
 	return EpochStamp{
 		Ch:   c.epCh,
 		Rank: c.epRank[l.Rank],
-		BG:   c.epBG[c.Geo.FlatBG(l)],
-		Bank: c.epBank[c.Geo.FlatBank(l)],
+		BG:   c.epBG[c.flatBG(l)],
+		Bank: c.epBank[c.flatBank(l)],
 	}
 }
+
+// flatBank, flatBG and subarray are the Geometry index maps for the
+// per-command timing queries, reading only the fields they need through
+// the channel pointer instead of taking the Geometry by value.
+func (c *Channel) flatBank(l Loc) int {
+	return (l.Rank*c.Geo.BankGroups+l.BG)*c.Geo.Banks + l.Bank
+}
+
+func (c *Channel) flatBG(l Loc) int { return l.Rank*c.Geo.BankGroups + l.BG }
+
+func (c *Channel) subarray(row int) int { return row / c.Geo.RowsPerSubarray }
 
 // NewChannel builds a channel with every bank conventional. Use EnableSALP
 // to mark B-region banks subarray-parallel.
@@ -353,9 +364,9 @@ func (c *Channel) IsSALP(flatBank int) bool { return c.banks[flatBank].salp }
 // global row buffer for conventional banks, or the target subarray's local
 // row buffer for SALP banks.
 func (c *Channel) RowOpen(l Loc) bool {
-	b := &c.banks[c.Geo.FlatBank(l)]
+	b := &c.banks[c.flatBank(l)]
 	if b.salp {
-		return b.subOpenRow[c.Geo.Subarray(l.Row)] == l.Row
+		return b.subOpenRow[c.subarray(l.Row)] == l.Row
 	}
 	return b.openRow == l.Row
 }
@@ -363,9 +374,9 @@ func (c *Channel) RowOpen(l Loc) bool {
 // OpenRowAt returns the row currently open for the subarray containing
 // l.Row (SALP) or the bank's global row buffer, and whether any row is open.
 func (c *Channel) OpenRowAt(l Loc) (int, bool) {
-	b := &c.banks[c.Geo.FlatBank(l)]
+	b := &c.banks[c.flatBank(l)]
 	if b.salp {
-		r := b.subOpenRow[c.Geo.Subarray(l.Row)]
+		r := b.subOpenRow[c.subarray(l.Row)]
 		return r, r != noRow
 	}
 	return b.openRow, b.openRow != noRow
@@ -401,8 +412,7 @@ func (c *Channel) noteACT(rank int, t sim.Cycle) {
 // be activated, including any precharge the open-page policy must issue
 // first. It does not mutate state.
 func (c *Channel) EarliestACT(l Loc, now sim.Cycle) sim.Cycle {
-	fb := c.Geo.FlatBank(l)
-	b := &c.banks[fb]
+	b := &c.banks[c.flatBank(l)]
 	tm := &c.Tm
 	t := now
 
@@ -412,25 +422,24 @@ func (c *Channel) EarliestACT(l Loc, now sim.Cycle) sim.Cycle {
 	// decision instant, so precharges on different banks overlap (as they
 	// do in a per-cycle controller).
 	if b.salp {
-		s := c.Geo.Subarray(l.Row)
+		s := c.subarray(l.Row)
 		if b.subOpenRow[s] != noRow && b.subOpenRow[s] != l.Row {
-			pre := maxc(b.subLastACT[s]+tm.TRAS, b.subLastRD[s]+tm.TRTP, b.lastWREnd+tm.TWR)
-			t = maxc(t, pre+tm.TRP)
+			pre := max(b.subLastACT[s]+tm.TRAS, b.subLastRD[s]+tm.TRTP, b.lastWREnd+tm.TWR)
+			t = max(t, pre+tm.TRP)
 		}
-		t = maxc(t, b.subLastACT[s]+tm.TRC)
-		// Inter-subarray ACTs in the same bank are spaced like sibling-bank
-		// ACTs in the same group.
-		t = maxc(t, b.lastACT+tm.TRRDL)
+		// tRC within the subarray; inter-subarray ACTs in the same bank are
+		// spaced like sibling-bank ACTs in the same group.
+		t = max(t, b.subLastACT[s]+tm.TRC, b.lastACT+tm.TRRDL)
 	} else {
 		if b.openRow != noRow && b.openRow != l.Row {
-			pre := maxc(b.lastACT+tm.TRAS, b.lastRD+tm.TRTP, b.lastWREnd+tm.TWR)
-			t = maxc(t, pre+tm.TRP)
+			pre := max(b.lastACT+tm.TRAS, b.lastRD+tm.TRTP, b.lastWREnd+tm.TWR)
+			t = max(t, pre+tm.TRP)
 		}
-		t = maxc(t, b.lastACT+tm.TRC)
+		t = max(t, b.lastACT+tm.TRC)
 	}
 
-	t = maxc(t,
-		c.bgLastACT[c.Geo.FlatBG(l)]+tm.TRRDL,
+	t = max(t,
+		c.bgLastACT[c.flatBG(l)]+tm.TRRDL,
 		c.rankLastACT[l.Rank]+tm.TRRDS,
 		c.fawReady(l.Rank),
 		c.cmdBusFree)
@@ -441,12 +450,12 @@ func (c *Channel) EarliestACT(l Loc, now sim.Cycle) sim.Cycle {
 // open-page policy requires one. It returns the ACT issue time (>= now).
 func (c *Channel) IssueACT(l Loc, now sim.Cycle) sim.Cycle {
 	t := c.EarliestACT(l, now)
-	fb := c.Geo.FlatBank(l)
+	fb := c.flatBank(l)
 	b := &c.banks[fb]
 
 	pred := false
 	if b.salp {
-		s := c.Geo.Subarray(l.Row)
+		s := c.subarray(l.Row)
 		if b.subOpenRow[s] != noRow && b.subOpenRow[s] != l.Row {
 			c.St.PREs++
 			pred = true
@@ -462,7 +471,8 @@ func (c *Channel) IssueACT(l Loc, now sim.Cycle) sim.Cycle {
 	}
 	b.lastACT = t
 
-	c.bgLastACT[c.Geo.FlatBG(l)] = t
+	fbg := c.flatBG(l)
+	c.bgLastACT[fbg] = t
 	c.noteACT(l.Rank, t)
 	c.cmdBusFree = t + c.Mode.instrSlots(&c.Tm, cmdACT)
 	if pred {
@@ -474,7 +484,7 @@ func (c *Channel) IssueACT(l Loc, now sim.Cycle) sim.Cycle {
 	// host C/A slots) the shared command bus. With zero-slot NMP modes
 	// cmdBusFree equals the issue time, which can never gate a later pick.
 	c.epBank[fb]++
-	c.epBG[c.Geo.FlatBG(l)]++
+	c.epBG[fbg]++
 	c.epRank[l.Rank]++
 	if c.cmdBusFree > t {
 		c.epCh++
@@ -495,37 +505,34 @@ func (c *Channel) IssueACT(l Loc, now sim.Cycle) sim.Cycle {
 // issue, assuming the target row is open (callers check RowOpen first).
 // The consumer determines the data-path serialisation.
 func (c *Channel) EarliestRD(l Loc, consumer Consumer, now sim.Cycle) sim.Cycle {
-	fb := c.Geo.FlatBank(l)
-	b := &c.banks[fb]
+	b := &c.banks[c.flatBank(l)]
 	tm := &c.Tm
-	t := maxc(now, c.cmdBusFree)
+	// Write-to-read turnaround within the rank.
+	t := max(now, c.cmdBusFree, c.rankLastWR[l.Rank]+tm.TWTR)
 
 	if b.salp {
-		s := c.Geo.Subarray(l.Row)
-		t = maxc(t, b.subLastACT[s]+tm.TRCD)
+		s := c.subarray(l.Row)
+		t = max(t, b.subLastACT[s]+tm.TRCD)
 		if b.lastRDSub >= 0 && b.lastRDSub != s {
 			// Global-bitline handover between subarrays: tRA.
-			t = maxc(t, b.lastRD+tm.TRA)
+			t = max(t, b.lastRD+tm.TRA)
 		} else {
-			t = maxc(t, b.lastRD+tm.TCCDL)
+			t = max(t, b.lastRD+tm.TCCDL)
 		}
 	} else {
-		t = maxc(t, b.lastACT+tm.TRCD, b.lastRD+tm.TCCDL)
+		t = max(t, b.lastACT+tm.TRCD, b.lastRD+tm.TCCDL)
 	}
-
-	// Write-to-read turnaround within the rank.
-	t = maxc(t, c.rankLastWR[l.Rank]+tm.TWTR)
 
 	switch consumer {
 	case ToBankPE:
 		// Data stays at the bank; no further serialisation.
 	case ToBankGroupPE:
-		t = maxc(t, c.bgLastRD[c.Geo.FlatBG(l)]+tm.TCCDL)
+		t = max(t, c.bgLastRD[c.flatBG(l)]+tm.TCCDL)
 	case ToRankPE:
-		t = maxc(t, c.bgLastRD[c.Geo.FlatBG(l)]+tm.TCCDL,
+		t = max(t, c.bgLastRD[c.flatBG(l)]+tm.TCCDL,
 			c.rankLastRD[l.Rank]+tm.TCCDS)
 	case ToHost:
-		t = maxc(t, c.bgLastRD[c.Geo.FlatBG(l)]+tm.TCCDL,
+		t = max(t, c.bgLastRD[c.flatBG(l)]+tm.TCCDL,
 			c.rankLastRD[l.Rank]+tm.TCCDS,
 			c.lastHostRD+tm.TBL)
 	}
@@ -537,11 +544,11 @@ func (c *Channel) EarliestRD(l Loc, consumer Consumer, now sim.Cycle) sim.Cycle 
 // delivered (issue + tCL + tBL).
 func (c *Channel) IssueRD(l Loc, consumer Consumer, now sim.Cycle) (issue, done sim.Cycle) {
 	t := c.EarliestRD(l, consumer, now)
-	fb := c.Geo.FlatBank(l)
+	fb := c.flatBank(l)
 	b := &c.banks[fb]
 
 	if b.salp {
-		s := c.Geo.Subarray(l.Row)
+		s := c.subarray(l.Row)
 		if b.lastRDSub >= 0 && b.lastRDSub != s {
 			c.St.SubarraySwitch++
 		}
@@ -550,7 +557,7 @@ func (c *Channel) IssueRD(l Loc, consumer Consumer, now sim.Cycle) (issue, done 
 	}
 	b.lastRD = t
 
-	fbg := c.Geo.FlatBG(l)
+	fbg := c.flatBG(l)
 	switch consumer {
 	case ToBankPE:
 		c.St.BurstsToBank++
@@ -601,20 +608,18 @@ func (c *Channel) IssueRD(l Loc, consumer Consumer, now sim.Cycle) (issue, done 
 // EarliestWR returns the earliest cycle >= now at which a WR burst for l
 // could issue (host-sourced embedding updates; the row must be open).
 func (c *Channel) EarliestWR(l Loc, now sim.Cycle) sim.Cycle {
-	fb := c.Geo.FlatBank(l)
-	b := &c.banks[fb]
+	b := &c.banks[c.flatBank(l)]
 	tm := &c.Tm
-	t := maxc(now, c.cmdBusFree)
+	t := now
 	if b.salp {
-		s := c.Geo.Subarray(l.Row)
-		t = maxc(t, b.subLastACT[s]+tm.TRCD)
+		t = max(t, b.subLastACT[c.subarray(l.Row)]+tm.TRCD)
 	} else {
-		t = maxc(t, b.lastACT+tm.TRCD)
+		t = max(t, b.lastACT+tm.TRCD)
 	}
 	// Column cadence with preceding reads/writes on the bank and the
 	// shared paths; write data arrives over the channel DQ.
-	t = maxc(t, b.lastRD+tm.TCCDL, b.lastWREnd-tm.TBL+tm.TCCDL,
-		c.bgLastRD[c.Geo.FlatBG(l)]+tm.TCCDL,
+	t = max(t, c.cmdBusFree, b.lastRD+tm.TCCDL, b.lastWREnd-tm.TBL+tm.TCCDL,
+		c.bgLastRD[c.flatBG(l)]+tm.TCCDL,
 		c.rankLastRD[l.Rank]+tm.TCCDS,
 		c.lastHostRD+tm.TBL)
 	return c.afterRefresh(t)
@@ -625,7 +630,7 @@ func (c *Channel) EarliestWR(l Loc, now sim.Cycle) sim.Cycle {
 // which the write data has fully arrived.
 func (c *Channel) IssueWR(l Loc, now sim.Cycle) (issue, done sim.Cycle) {
 	t := c.EarliestWR(l, now)
-	fb := c.Geo.FlatBank(l)
+	fb := c.flatBank(l)
 	b := &c.banks[fb]
 	done = t + c.Tm.TCL + c.Tm.TBL
 	b.lastWREnd = done
@@ -647,7 +652,7 @@ func (c *Channel) IssueWR(l Loc, now sim.Cycle) (issue, done sim.Cycle) {
 // DIMM back to the host over the channel DQ, starting no earlier than `now`.
 // It returns the completion time.
 func (c *Channel) ResultTransfer(nBursts int, now sim.Cycle) sim.Cycle {
-	t := maxc(now, c.lastHostRD+c.Tm.TBL)
+	t := max(now, c.lastHostRD+c.Tm.TBL)
 	for i := 0; i < nBursts; i++ {
 		c.lastHostRD = t
 		t += c.Tm.TBL
@@ -665,22 +670,9 @@ func (c *Channel) ResultTransfer(nBursts int, now sim.Cycle) sim.Cycle {
 func (c *Channel) StreamResults(nBursts int, drainFinish sim.Cycle) sim.Cycle {
 	c.St.HostResultTx += int64(nBursts)
 	txTime := sim.Cycle(nBursts) * c.Tm.TBL
-	finish := drainFinish
-	if txTime > finish {
-		finish = txTime
-	}
 	// The final op's result can only leave after the drain completes.
+	finish := max(drainFinish, txTime)
 	c.lastHostRD = finish
 	c.epCh++
 	return finish
-}
-
-func maxc(xs ...sim.Cycle) sim.Cycle {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

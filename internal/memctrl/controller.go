@@ -17,8 +17,7 @@
 //     command. It is kept as the correctness oracle.
 //   - Controller.Drain is the fast arbiter: per-bank candidates live in
 //     lazy min-heaps keyed by earliest issue time, invalidated by the
-//     timing-edge epochs dram.Channel exports, with row-hit column streams
-//     coalesced into uninterruptible runs — O(log banks) per command.
+//     timing-edge epochs dram.Channel exports — O(log banks) per command.
 //
 // The two are bit-identical: the differential fuzzer in this package
 // asserts equal Result and dram.Stats over both policies, SALP on/off,
@@ -68,6 +67,8 @@ type Result struct {
 	// Finish is the cycle the last data burst is fully delivered.
 	Finish sim.Cycle
 	// Done holds the per-request completion cycle, indexed as the input.
+	// Controller.Drain backs it with controller scratch: it is valid only
+	// until that controller's next Drain.
 	Done []sim.Cycle
 	// RowHits counts requests served entirely from open row buffers;
 	// RowMisses counts requests that needed at least one activation.
@@ -82,8 +83,8 @@ type Result struct {
 // event-driven arbiter (see the package comment; Reference is the scan
 // oracle). Like the dram.Channel it mutates, a Controller is single-
 // goroutine: Drain may not be called concurrently, and its scratch state
-// is reused across calls so steady-state drains allocate only the returned
-// Result slices.
+// is reused across calls so a steady-state drain allocates only the
+// returned OpLatency.
 type Controller struct {
 	ch     *dram.Channel
 	policy Policy
@@ -116,15 +117,15 @@ type Controller struct {
 
 	// Fast-arbiter scratch, reused across Drain calls under the
 	// single-goroutine contract (see fast.go).
-	fbanks   []fastBank
-	free     *fnode
-	rheap    entryHeap
-	wheap    entryHeap
-	dirty    []int32
-	opOrder  []int32
-	opStartM map[int32]sim.Cycle
-	opEndM   map[int32]sim.Cycle
-	opLeftM  map[int32]int
+	fbanks []fastBank
+	free   *fnode
+	rheap  entryHeap
+	wheap  entryHeap
+	dirty  []int32
+	opIdx  map[int32]int32 // op tag -> dense op index
+	ops    []opState       // per dense op, in order of first appearance
+	reqOp  []int32         // per request, its dense op index
+	done   []sim.Cycle     // backs Result.Done
 
 	// Reference-scheduler scratch (see reference.go).
 	refWrites []refWCand
@@ -153,13 +154,22 @@ func (c *Controller) Channel() *dram.Channel { return c.ch }
 
 // Drain issues every request and returns completion statistics. The input
 // slice is not modified. Requests must be valid for the channel's geometry.
+// The returned Done slice is controller scratch, overwritten by the next
+// Drain.
 func (c *Controller) Drain(reqs []Request) (Result, error) {
 	return c.fastDrain(reqs)
 }
 
-// validate performs the shared request-list geometry checks.
+// validate performs the request-list checks both schedulers share, so they
+// reject a drain identically: geometry, column ranges, and the bounds the
+// fast arbiter's packed heap keys rely on (bank count, arrival span).
+// reqs must be non-empty.
 func (c *Controller) validate(reqs []Request) error {
 	geo := c.ch.Geo
+	if nb := geo.TotalBanks(); nb >= maxBanks {
+		return fmt.Errorf("memctrl: %d banks, the scheduler supports fewer than %d", nb, maxBanks)
+	}
+	lo, hi := reqs[0].Arrival, reqs[0].Arrival
 	for i := range reqs {
 		r := &reqs[i]
 		if err := geo.CheckLoc(r.Loc); err != nil {
@@ -168,6 +178,10 @@ func (c *Controller) validate(reqs []Request) error {
 		if r.Cols <= 0 || r.Loc.Col+r.Cols > geo.ColumnsPerRow() {
 			return fmt.Errorf("memctrl: request %d: %d columns at col %d exceed the row", i, r.Cols, r.Loc.Col)
 		}
+		lo, hi = min(lo, r.Arrival), max(hi, r.Arrival)
+	}
+	if span := uint64(hi) - uint64(lo); span >= maxArrivalSpan {
+		return fmt.Errorf("memctrl: request arrivals span %d cycles, the scheduler supports fewer than %d", span, uint64(maxArrivalSpan))
 	}
 	return nil
 }

@@ -31,11 +31,9 @@ type diffScenario struct {
 	reqs     []Request
 }
 
-// genScenario draws a random scenario. Geometry is kept small so bank
-// queues actually collide; rows are drawn from a hot set so row hits,
-// conflicts and SALP lookaheads all occur.
-func genScenario(rng *rand.Rand) diffScenario {
-	geo := dram.Geometry{
+// smallGeo draws a small geometry, so bank queues actually collide.
+func smallGeo(rng *rand.Rand) dram.Geometry {
+	return dram.Geometry{
 		Ranks:           1 + rng.Intn(2),
 		BankGroups:      1 + rng.Intn(3),
 		Banks:           1 + rng.Intn(2),
@@ -44,6 +42,15 @@ func genScenario(rng *rand.Rand) diffScenario {
 		RowBytes:        512,
 		BurstBytes:      64,
 	}
+}
+
+// genScenario draws a random scenario of n requests on geo. Rows are drawn
+// from a hot set so row hits, conflicts and SALP lookaheads all occur.
+// Arrivals start at a random base (negative or far from zero included),
+// and without an op window the op tags may come in any order. One
+// scenario in 50 spans exactly maxArrivalSpan cycles, which both
+// schedulers must reject with the same error.
+func genScenario(rng *rand.Rand, geo dram.Geometry, n int) diffScenario {
 	tm := dram.DDR5Timing()
 	if rng.Intn(3) == 0 {
 		tm = tm.WithRefresh()
@@ -79,14 +86,20 @@ func genScenario(rng *rand.Rand) diffScenario {
 		}
 	}
 
-	n := 1 + rng.Intn(150)
 	cols := geo.ColumnsPerRow()
 	hotRows := make([]int, 4)
 	for i := range hotRows {
 		hotRows[i] = rng.Intn(geo.RowsPerBank())
 	}
 	writeP := rng.Intn(3) // 0: none, 1: some, 2: write-heavy
+	unordered := sc.opWindow == 0 && rng.Intn(2) == 0
 	var arrival sim.Cycle
+	switch rng.Intn(4) {
+	case 1:
+		arrival = sim.Cycle(rng.Intn(2001) - 1000)
+	case 2:
+		arrival = sim.Cycle(rng.Int63n(1<<42) - 1<<41)
+	}
 	var op int32
 	for i := 0; i < n; i++ {
 		row := hotRows[rng.Intn(len(hotRows))]
@@ -94,9 +107,9 @@ func genScenario(rng *rand.Rand) diffScenario {
 			row = rng.Intn(geo.RowsPerBank())
 		}
 		col := rng.Intn(cols)
-		c := 1 + rng.Intn(cols-col)
-		if c > 6 {
-			c = 6
+		c := min(1+rng.Intn(cols-col), 8)
+		if unordered {
+			op = int32(rng.Intn(12) - 4)
 		}
 		r := Request{
 			Loc: dram.Loc{
@@ -117,6 +130,9 @@ func genScenario(rng *rand.Rand) diffScenario {
 		if rng.Intn(3) == 0 {
 			op += int32(1 + rng.Intn(3)) // op-tag gaps exercise watermark skips
 		}
+	}
+	if n > 1 && rng.Intn(50) == 0 {
+		sc.reqs[n-1].Arrival = sc.reqs[0].Arrival + maxArrivalSpan
 	}
 	return sc
 }
@@ -190,19 +206,72 @@ func TestDifferentialFuzz(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(iters); seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sc := genScenario(rng)
+		sc := genScenario(rng, smallGeo(rng), 1+rng.Intn(150))
 		checkIdentical(t, &sc, seed)
+	}
+}
+
+// TestDifferentialFuzzDDR5: the same guard on the production channel —
+// DDR5 with 2 ranks (64 banks) — with 1–1.5 k requests behind the default
+// 64-entry queue, so admission backpressure and deep bank queues occur.
+func TestDifferentialFuzzDDR5(t *testing.T) {
+	iters := 6
+	if testing.Short() {
+		iters = 2
+	}
+	for seed := int64(0); seed < int64(iters); seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		sc := genScenario(rng, dram.DDR5(2), 1000+rng.Intn(500))
+		sc.inflight = 0
+		checkIdentical(t, &sc, 1000+seed)
+	}
+}
+
+// TestArrivalSpanLimit pins the packed-key bound: arrivals spanning one
+// cycle less than maxArrivalSpan drain identically on both schedulers, and
+// a span of maxArrivalSpan is rejected by both with the same error.
+func TestArrivalSpanLimit(t *testing.T) {
+	for _, span := range []sim.Cycle{maxArrivalSpan - 1, maxArrivalSpan} {
+		sc := diffScenario{
+			geo: dram.DDR5(1), tm: dram.DDR5Timing(), mode: dram.NMPTwoStage,
+			policy: LAS, window: DefaultWindow,
+			reqs: []Request{
+				{Loc: dram.Loc{Row: 1}, Cols: 2, Arrival: -7},
+				{Loc: dram.Loc{Row: 2}, Cols: 2, Arrival: -7 + span},
+			},
+		}
+		_, _, err := runScenario(t, &sc, true)
+		if (err != nil) != (span == maxArrivalSpan) {
+			t.Fatalf("span %d: err %v", span, err)
+		}
+		checkIdentical(t, &sc, int64(span))
+	}
+}
+
+// TestValidateBankLimit: a channel with maxBanks banks is rejected before
+// any request is looked at (the packed key has 20 bank bits). Both
+// schedulers share validate, so both reject it.
+func TestValidateBankLimit(t *testing.T) {
+	geo := dram.DDR5(1)
+	geo.BankGroups, geo.Banks = 1024, 1024
+	c := &Controller{ch: &dram.Channel{Geo: geo}}
+	if err := c.validate([]Request{{Cols: 1}}); err == nil {
+		t.Fatalf("%d banks accepted", geo.TotalBanks())
+	}
+	geo.Banks = 1023
+	c.ch.Geo = geo
+	if err := c.validate([]Request{{Cols: 1}}); err != nil {
+		t.Fatalf("%d banks rejected: %v", geo.TotalBanks(), err)
 	}
 }
 
 // TestDifferentialScratchReuse drains several scenarios through ONE fast
 // controller and channel (Reset between runs), verifying the reused
-// scratch (bank queues, node pool, heaps, op maps) leaks no state across
+// scratch (bank queues, node pool, heaps, op slices) leaks no state across
 // Drain calls.
 func TestDifferentialScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	geo := dram.DDR5(1)
-	base := genScenario(rng)
 	ch, err := dram.NewChannel(geo, dram.DDR5Timing(), dram.NMPTwoStage)
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +280,8 @@ func TestDifferentialScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = base
 	for trial := 0; trial < 20; trial++ {
-		sc := genScenario(rng)
+		sc := genScenario(rng, smallGeo(rng), 1+rng.Intn(150))
 		sc.geo = geo
 		sc.mode = dram.NMPTwoStage
 		sc.tm = dram.DDR5Timing()

@@ -12,88 +12,95 @@ import (
 // O(banks) per-command scan with:
 //
 //   - Two lazy min-heaps (reads+activations, writes) of per-bank candidate
-//     entries keyed (earliest issue time, class, arrival, bank, kind) —
-//     exactly the reference scan's comparison order. Keys are lower
-//     bounds: timing state only advances, so an untouched bank's earliest
-//     issue time never decreases. A popped entry is accepted immediately
-//     when the dram timing epochs of its scopes are unchanged and time has
-//     not passed it (the key is then provably exact); otherwise one
-//     Earliest* query re-keys it and the heap re-orders.
-//   - Column-burst coalescing: a row-hit request streaming Cols bursts is
-//     issued as one uninterruptible run for as long as its exact
-//     next-column time beats every other candidate's lower bound (and the
-//     bank's own SALP lookahead ACT, computed exactly), skipping
-//     arbitration entirely for the common streaming case.
-//   - Doubly-linked per-bank queues with pooled nodes, reused heaps and op
-//     maps: a steady-state Drain allocates only the returned Result.
+//     entries ordered by (earliest issue time, packed tie key) — exactly
+//     the reference scan's comparison order. Keys are lower bounds: timing
+//     state only advances, so an untouched bank's earliest issue time never
+//     decreases. A popped entry is accepted immediately when the dram
+//     timing epochs of its scopes are unchanged and time has not passed it
+//     (the key is then provably exact); otherwise one Earliest* query
+//     re-keys it and the heap re-orders.
+//   - Re-keying without re-choosing: a column that does not finish its
+//     request moves no open row and no queue position, so the bank's choice
+//     stands and only its heap keys are recomputed. Activations, admissions
+//     and completions re-choose.
+//   - Doubly-linked per-bank queues with pooled nodes, dense per-op slices
+//     and reused heaps: a steady-state Drain allocates only the returned
+//     OpLatency.
 //
 // Per-command cost: O(log banks) amortized (one heap pop + push, a
 // constant number of Earliest* queries) versus the reference's
-// O(banks) Earliest* queries; coalesced columns cost O(1).
+// O(banks) Earliest* queries.
+
+// An entry's tie key packs, most significant first, the priority class
+// (2 bits), the request's arrival relative to the drain's earliest arrival
+// (41 bits), the flat bank (20 bits) and the kind (1 bit: 0 primary, 1
+// SALP lookahead ACT), so one unsigned compare breaks ties exactly as the
+// reference scan does: class, then arrival, then bank scan order, then
+// primary before lookahead. validate rejects drains whose arrival span or
+// bank count does not fit.
+const (
+	keyBankShift  = 1
+	keyArrShift   = keyBankShift + 20
+	keyClassShift = keyArrShift + 41
+
+	maxBanks       = 1 << (keyArrShift - keyBankShift)
+	maxArrivalSpan = 1 << (keyClassShift - keyArrShift)
+)
 
 // fnode is the in-flight form of a Request: a node of its bank's
 // doubly-linked queue, pooled on the Controller.
 type fnode struct {
 	req      *Request
-	idx      int // index in the input slice
-	nextCol  int // next column to issue (0-based offset from Loc.Col)
+	idx      int   // index in the input slice
+	op       int32 // dense op index (see fastDrain's prologue)
+	nextCol  int   // next column to issue (0-based offset from Loc.Col)
 	acted    bool
 	admitted sim.Cycle // when the request got its controller queue slot
+	key      uint64    // the arrival and bank fields of its tie key
 
 	prev, next *fnode
 }
 
 // fastBank is one bank's pending queue plus its cached scheduling choice
-// (the same choice Reference.choose computes). stamp versions the queue:
-// heap entries carry the stamp they were computed under and are discarded
-// when it no longer matches, which is how completions, admissions and
-// same-bank issues invalidate cached candidates.
+// (the same choice Reference.choose computes). stamp versions the bank's
+// heap entries: an entry carries the stamp it was pushed under and is
+// discarded when that no longer matches. A bank therefore has at most one
+// live entry per kind, so the dram epoch stamp each live key was computed
+// under is kept here, in ep[kind].
 type fastBank struct {
 	head, tail *fnode
 	n          int
 	fb         int32
 	stamp      uint32
-	dirty      bool
+	dirty      bool // queued for fresh heap entries
+	rechoose   bool // the cached choice must be recomputed first
 	salp       bool
 
 	cand      *fnode // primary candidate
 	candRD    bool
-	candClass int32
+	candClass uint64
 	cand2     *fnode // SALP idle-subarray lookahead ACT, nil if none
+	ep        [2]dram.EpochStamp
+}
+
+// opState is one embedding op's bookkeeping, indexed densely in order of
+// first appearance.
+type opState struct {
+	tag        int32
+	left       int32 // incomplete requests (op window only)
+	start, end sim.Cycle
 }
 
 // entry is a heap candidate: a lower bound on the earliest issue time of
-// one bank's cached choice, plus everything the reference comparator
-// breaks ties on. ep is the dram timing-edge stamp the bound was computed
-// under; while it is unchanged (and time has not advanced past the bound)
-// the bound is exact.
+// one bank's cached choice, and its packed tie key.
 type entry struct {
-	time    sim.Cycle
-	arrival sim.Cycle
-	class   int32
-	fb      int32
-	kind    int32 // 0 primary, 1 lookahead ACT
-	stamp   uint32
-	ep      dram.EpochStamp
+	time  sim.Cycle
+	key   uint64
+	stamp uint32
 }
 
-// entryLess orders entries exactly as the reference scan resolves ties:
-// earliest issue time, then priority class, then request arrival, then
-// bank scan order, then primary-before-lookahead.
 func entryLess(a, b *entry) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.class != b.class {
-		return a.class < b.class
-	}
-	if a.arrival != b.arrival {
-		return a.arrival < b.arrival
-	}
-	if a.fb != b.fb {
-		return a.fb < b.fb
-	}
-	return a.kind < b.kind
+	return a.time < b.time || (a.time == b.time && a.key < b.key)
 }
 
 // entryHeap is a plain binary min-heap of entries (no container/heap to
@@ -155,13 +162,15 @@ func (h *entryHeap) siftDown(i int) {
 // stay allocation-free.
 type fastState struct {
 	reqs      []Request
-	res       *Result
+	res       Result
 	limit     int
 	inflight  int
 	pendWR    int
 	next      int // next unadmitted request
 	remaining int
-	watermark int32
+	wm        int   // dense index of the lowest incomplete op (op window)
+	watermark int32 // its tag
+	arrBase   sim.Cycle
 	now       sim.Cycle
 	hi, lo    int
 	draining  bool
@@ -169,8 +178,11 @@ type fastState struct {
 
 // fastDrain is the fast-arbiter implementation of Controller.Drain.
 func (c *Controller) fastDrain(reqs []Request) (Result, error) {
-	geo := c.ch.Geo
-	res := Result{Done: make([]sim.Cycle, len(reqs))}
+	if cap(c.done) < len(reqs) {
+		c.done = make([]sim.Cycle, len(reqs))
+	}
+	res := Result{Done: c.done[:len(reqs)]}
+	clear(res.Done)
 	if len(reqs) == 0 {
 		return res, nil
 	}
@@ -178,26 +190,37 @@ func (c *Controller) fastDrain(reqs []Request) (Result, error) {
 		return res, err
 	}
 
-	if c.opStartM == nil {
-		c.opStartM = make(map[int32]sim.Cycle)
-		c.opEndM = make(map[int32]sim.Cycle)
-		c.opLeftM = make(map[int32]int)
+	// Prologue: the one map lookup per request. Everything the arbitration
+	// loop reads per op is a dense slice from here on.
+	if c.opIdx == nil {
+		c.opIdx = make(map[int32]int32)
 	}
-	clear(c.opStartM)
-	clear(c.opEndM)
-	clear(c.opLeftM)
-	c.opOrder = c.opOrder[:0]
+	clear(c.opIdx)
+	c.ops = c.ops[:0]
+	if cap(c.reqOp) < len(reqs) {
+		c.reqOp = make([]int32, len(reqs))
+	}
+	c.reqOp = c.reqOp[:len(reqs)]
+	base := reqs[0].Arrival
 	for i := range reqs {
 		r := &reqs[i]
-		if at, ok := c.opStartM[r.Op]; !ok || r.Arrival < at {
-			if !ok {
-				c.opOrder = append(c.opOrder, r.Op)
-			}
-			c.opStartM[r.Op] = r.Arrival
+		if c.OpWindowLimit > 0 && i > 0 && r.Op < reqs[i-1].Op {
+			return res, fmt.Errorf("memctrl: requests not in op order with an op window")
 		}
+		k, ok := c.opIdx[r.Op]
+		if !ok {
+			k = int32(len(c.ops))
+			c.opIdx[r.Op] = k
+			c.ops = append(c.ops, opState{tag: r.Op, start: r.Arrival})
+		}
+		o := &c.ops[k]
+		o.start = min(o.start, r.Arrival)
+		o.left++
+		c.reqOp[i] = k
+		base = min(base, r.Arrival)
 	}
 
-	nb := geo.TotalBanks()
+	nb := c.ch.Geo.TotalBanks()
 	if cap(c.fbanks) < nb {
 		c.fbanks = make([]fastBank, nb)
 	}
@@ -220,19 +243,8 @@ func (c *Controller) fastDrain(reqs []Request) (Result, error) {
 	if limit <= 0 {
 		limit = DefaultInflight
 	}
-	if c.OpWindowLimit > 0 {
-		for i := range reqs {
-			if i > 0 && reqs[i].Op < reqs[i-1].Op {
-				return res, fmt.Errorf("memctrl: requests not in op order with an op window")
-			}
-			c.opLeftM[reqs[i].Op]++
-		}
-	}
-
-	st := fastState{reqs: reqs, res: &res, limit: limit, remaining: len(reqs)}
-	if c.OpWindowLimit > 0 {
-		st.watermark = reqs[0].Op
-	}
+	st := fastState{reqs: reqs, res: res, limit: limit, remaining: len(reqs),
+		watermark: reqs[0].Op, arrBase: base}
 	for st.next < len(reqs) && st.next < limit && c.opEligible(&st, st.next) {
 		c.fastAdmit(&st, st.next, 0)
 		st.inflight++
@@ -260,40 +272,34 @@ func (c *Controller) fastDrain(reqs []Request) (Result, error) {
 		c.flushDirty(st.now)
 		bq, nd, isRD, earliest, ok := c.popBest(st.now, st.draining)
 		if !ok {
-			return res, fmt.Errorf("memctrl: no candidate with %d requests remaining", st.remaining)
+			return st.res, fmt.Errorf("memctrl: no candidate with %d requests remaining", st.remaining)
 		}
 		loc := nd.req.Loc
 		loc.Col += nd.nextCol
-		if isRD {
-			var done sim.Cycle
-			if nd.req.Write {
-				_, done = c.ch.IssueWR(loc, earliest)
-			} else {
-				_, done = c.ch.IssueRD(loc, nd.req.Consumer, earliest)
-			}
-			nd.nextCol++
-			if earliest > st.now {
-				st.now = earliest
-			}
-			switch {
-			case nd.nextCol == nd.req.Cols:
-				c.fastComplete(&st, bq, nd, done)
-			case st.draining || !nd.req.Write:
-				c.streamRun(&st, bq, nd)
-			}
-		} else {
+		st.now = max(st.now, earliest)
+		if !isRD {
 			c.ch.IssueACT(loc, earliest)
 			nd.acted = true
-			if earliest > st.now {
-				st.now = earliest
-			}
+			c.markDirty(bq, true)
+			continue
 		}
-		c.markDirty(bq)
+		var done sim.Cycle
+		if nd.req.Write {
+			_, done = c.ch.IssueWR(loc, earliest)
+		} else {
+			_, done = c.ch.IssueRD(loc, nd.req.Consumer, earliest)
+		}
+		if nd.nextCol++; nd.nextCol < nd.req.Cols {
+			c.markDirty(bq, false) // re-key: the bank's choice stands
+			continue
+		}
+		c.fastComplete(&st, bq, nd, done)
 	}
-	for _, op := range c.opOrder {
-		res.OpLatency = append(res.OpLatency, c.opEndM[op]-c.opStartM[op])
+	st.res.OpLatency = make([]sim.Cycle, len(c.ops))
+	for k := range c.ops {
+		st.res.OpLatency[k] = c.ops[k].end - c.ops[k].start
 	}
-	return res, nil
+	return st.res, nil
 }
 
 // opEligible mirrors the reference op-window admission gate.
@@ -306,11 +312,11 @@ func (c *Controller) opEligible(st *fastState, i int) bool {
 // than `at` (the time its controller queue slot freed).
 func (c *Controller) fastAdmit(st *fastState, i int, at sim.Cycle) {
 	r := &st.reqs[i]
+	fb := c.ch.Geo.FlatBank(r.Loc)
 	nd := c.newNode()
-	nd.req = r
-	nd.idx = i
-	nd.admitted = at
-	bq := &c.fbanks[c.ch.Geo.FlatBank(r.Loc)]
+	nd.req, nd.idx, nd.op, nd.admitted = r, i, c.reqOp[i], at
+	nd.key = uint64(r.Arrival-st.arrBase)<<keyArrShift | uint64(fb)<<keyBankShift
+	bq := &c.fbanks[fb]
 	nd.prev = bq.tail
 	if bq.tail != nil {
 		bq.tail.next = nd
@@ -319,40 +325,38 @@ func (c *Controller) fastAdmit(st *fastState, i int, at sim.Cycle) {
 	}
 	bq.tail = nd
 	bq.n++
-	c.markDirty(bq)
+	c.markDirty(bq, true)
 }
 
 // fastComplete records a finished request, frees its node and queue slot,
 // advances the op-window watermark, and admits the next eligible requests.
 func (c *Controller) fastComplete(st *fastState, bq *fastBank, nd *fnode, done sim.Cycle) {
-	res := st.res
+	res := &st.res
 	res.Done[nd.idx] = done
-	if done > res.Finish {
-		res.Finish = done
-	}
-	op := nd.req.Op
-	if done > c.opEndM[op] {
-		c.opEndM[op] = done
-	}
+	res.Finish = max(res.Finish, done)
+	o := &c.ops[nd.op]
+	o.end = max(o.end, done)
 	if nd.acted {
 		res.RowMisses++
 	} else {
 		res.RowHits++
 	}
-	wasWrite := nd.req.Write
+	if nd.req.Write {
+		st.pendWR--
+	}
 	c.unlink(bq, nd)
 	c.freeNode(nd)
 	st.remaining--
 	st.inflight--
-	if wasWrite {
-		st.pendWR--
-	}
 	if c.OpWindowLimit > 0 {
-		c.opLeftM[op]--
-		last := st.reqs[len(st.reqs)-1].Op
-		for c.opLeftM[st.watermark] == 0 && int(st.watermark) < int(last)+1 {
-			delete(c.opLeftM, st.watermark)
-			st.watermark++
+		// Ops are in tag order under a window, so the dense walk stops at
+		// the same op as the reference's walk over tag values.
+		o.left--
+		for st.wm < len(c.ops) && c.ops[st.wm].left == 0 {
+			st.wm++
+		}
+		if st.wm < len(c.ops) {
+			st.watermark = c.ops[st.wm].tag
 		}
 	}
 	// Queue slots free when data is delivered; admit the next requests
@@ -365,30 +369,38 @@ func (c *Controller) fastComplete(st *fastState, bq *fastBank, nd *fnode, done s
 		st.next++
 		st.inflight++
 	}
-	c.markDirty(bq)
+	c.markDirty(bq, true)
 }
 
-// markDirty queues the bank for re-choosing before the next arbitration.
-func (c *Controller) markDirty(bq *fastBank) {
+// markDirty queues the bank for fresh heap entries before the next
+// arbitration, re-choosing its candidates first when rechoose is set.
+func (c *Controller) markDirty(bq *fastBank, rechoose bool) {
+	bq.rechoose = bq.rechoose || rechoose
 	if !bq.dirty {
 		bq.dirty = true
 		c.dirty = append(c.dirty, bq.fb)
 	}
 }
 
-// flushDirty re-chooses every dirty bank's candidates and pushes fresh
-// heap entries; the stamp bump retires the bank's stale entries in place.
+// flushDirty pushes fresh heap entries for every dirty bank (re-choosing
+// where needed); the stamp bump retires the bank's stale entries in place.
 func (c *Controller) flushDirty(now sim.Cycle) {
 	for _, fb := range c.dirty {
 		bq := &c.fbanks[fb]
 		bq.dirty = false
 		bq.stamp++
-		bq.cand, bq.cand2 = nil, nil
-		if bq.n == 0 {
-			continue
+		if bq.rechoose {
+			bq.rechoose = false
+			if bq.n == 0 {
+				bq.cand, bq.cand2 = nil, nil
+				continue
+			}
+			c.fastChoose(bq)
 		}
-		c.fastChoose(bq)
-		c.pushEntries(bq, now)
+		c.pushEntry(bq, 0, now)
+		if bq.cand2 != nil {
+			c.pushEntry(bq, 1, now)
+		}
 	}
 	c.dirty = c.dirty[:0]
 }
@@ -399,10 +411,7 @@ func (c *Controller) flushDirty(now sim.Cycle) {
 // activation (never the head).
 func (c *Controller) fastChoose(bq *fastBank) {
 	bq.cand2 = nil
-	limit := bq.n
-	if limit > c.window {
-		limit = c.window
-	}
+	limit := min(bq.n, c.window)
 	var hit *fnode
 	pos := 0
 	for nd := bq.head; nd != nil && pos < limit; nd, pos = nd.next, pos+1 {
@@ -427,7 +436,7 @@ func (c *Controller) fastChoose(bq *fastBank) {
 	head := bq.head
 	loc := head.req.Loc
 	loc.Col += head.nextCol
-	class := int32(1)
+	class := uint64(1)
 	if _, open := c.ch.OpenRowAt(loc); open {
 		class = 2 // needs a (local) precharge first
 	}
@@ -444,13 +453,7 @@ func (c *Controller) fastChoose(bq *fastBank) {
 func (c *Controller) candTime(nd *fnode, isRD bool, now sim.Cycle) sim.Cycle {
 	loc := nd.req.Loc
 	loc.Col += nd.nextCol
-	at := now
-	if nd.req.Arrival > at {
-		at = nd.req.Arrival
-	}
-	if nd.admitted > at {
-		at = nd.admitted
-	}
+	at := max(now, nd.req.Arrival, nd.admitted)
 	switch {
 	case isRD && nd.req.Write:
 		return c.ch.EarliestWR(loc, at)
@@ -461,41 +464,27 @@ func (c *Controller) candTime(nd *fnode, isRD bool, now sim.Cycle) sim.Cycle {
 	}
 }
 
-// pushEntries inserts the bank's current candidates into the heaps: write
+// candOf returns the bank's candidate of one kind, whether it is a column
+// command and its priority class (a lookahead is always an idle-subarray
+// activation).
+func (bq *fastBank) candOf(kind uint64) (nd *fnode, isRD bool, class uint64) {
+	if kind == 0 {
+		return bq.cand, bq.candRD, bq.candClass
+	}
+	return bq.cand2, false, 1
+}
+
+// pushEntry inserts the bank's candidate of one kind into its heap: write
 // commands into the write heap (invisible unless draining), everything
 // else into the read heap.
-func (c *Controller) pushEntries(bq *fastBank, now sim.Cycle) {
-	if nd := bq.cand; nd != nil {
-		e := entry{
-			time:    c.candTime(nd, bq.candRD, now),
-			arrival: nd.req.Arrival,
-			class:   bq.candClass,
-			fb:      bq.fb,
-			kind:    0,
-			stamp:   bq.stamp,
-			ep:      c.ch.EpochOf(nd.req.Loc),
-		}
-		if nd.req.Write {
-			c.wheap.push(e)
-		} else {
-			c.rheap.push(e)
-		}
-	}
-	if nd := bq.cand2; nd != nil {
-		e := entry{
-			time:    c.candTime(nd, false, now),
-			arrival: nd.req.Arrival,
-			class:   1,
-			fb:      bq.fb,
-			kind:    1,
-			stamp:   bq.stamp,
-			ep:      c.ch.EpochOf(nd.req.Loc),
-		}
-		if nd.req.Write {
-			c.wheap.push(e)
-		} else {
-			c.rheap.push(e)
-		}
+func (c *Controller) pushEntry(bq *fastBank, kind uint64, now sim.Cycle) {
+	nd, isRD, class := bq.candOf(kind)
+	bq.ep[kind] = c.ch.EpochOf(nd.req.Loc)
+	e := entry{time: c.candTime(nd, isRD, now), key: class<<keyClassShift | nd.key | kind, stamp: bq.stamp}
+	if nd.req.Write {
+		c.wheap.push(e)
+	} else {
+		c.rheap.push(e)
 	}
 }
 
@@ -532,22 +521,17 @@ func (c *Controller) popBest(now sim.Cycle, draining bool) (bq *fastBank, nd *fn
 			h = &c.rheap
 		}
 		e := &h.es[0]
-		bank := &c.fbanks[e.fb]
+		bank := &c.fbanks[e.key>>keyBankShift&(maxBanks-1)]
 		if e.stamp != bank.stamp {
 			h.pop()
 			continue
 		}
-		var cnd *fnode
-		var rd bool
-		if e.kind == 0 {
-			cnd, rd = bank.cand, bank.candRD
-		} else {
-			cnd, rd = bank.cand2, false
-		}
+		kind := e.key & 1
+		cnd, rd, _ := bank.candOf(kind)
 		// Cheap staleness re-check: unchanged epochs + unovertaken bound
 		// => the key is provably exact (Earliest* is monotone in both
 		// its time argument and the channel state).
-		if e.time >= now && c.ch.EpochOf(cnd.req.Loc) == e.ep {
+		if e.time >= now && c.ch.EpochOf(cnd.req.Loc) == bank.ep[kind] {
 			tt := e.time
 			h.pop()
 			return bank, cnd, rd, tt, true
@@ -555,85 +539,12 @@ func (c *Controller) popBest(now sim.Cycle, draining bool) (bq *fastBank, nd *fn
 		tt := c.candTime(cnd, rd, now)
 		if tt > e.time {
 			e.time = tt
-			e.ep = c.ch.EpochOf(cnd.req.Loc)
+			bank.ep[kind] = c.ch.EpochOf(cnd.req.Loc)
 			h.fixTop()
 			continue
 		}
 		h.pop()
 		return bank, cnd, rd, tt, true
-	}
-}
-
-// streamRun issues the remaining columns of nd's row-hit stream as one
-// uninterruptible run: each next column is issued without re-arbitrating
-// while its exact time beats (under the reference comparator) the bank's
-// own SALP lookahead ACT (computed exactly) and the best lower bound in
-// the heaps. Heap keys only under-estimate, so a stale key can end the run
-// early — never extend it past a command the reference would have
-// interleaved.
-func (c *Controller) streamRun(st *fastState, bq *fastBank, nd *fnode) {
-	for nd.nextCol < nd.req.Cols {
-		t := c.candTime(nd, true, st.now)
-		run := entry{time: t, arrival: nd.req.Arrival, class: 0, fb: bq.fb, kind: 0}
-		if la := bq.cand2; la != nil && (st.draining || !la.req.Write) {
-			t2 := c.candTime(la, false, st.now)
-			lae := entry{time: t2, arrival: la.req.Arrival, class: 1, fb: bq.fb, kind: 1}
-			if entryLess(&lae, &run) {
-				return // the lookahead ACT preempts the stream
-			}
-		}
-		if top := c.bestTop(st.draining); top != nil && !entryLess(&run, top) {
-			return // another bank may win this pick
-		}
-		loc := nd.req.Loc
-		loc.Col += nd.nextCol
-		var done sim.Cycle
-		if nd.req.Write {
-			_, done = c.ch.IssueWR(loc, t)
-		} else {
-			_, done = c.ch.IssueRD(loc, nd.req.Consumer, t)
-		}
-		nd.nextCol++
-		if t > st.now {
-			st.now = t
-		}
-		if nd.nextCol == nd.req.Cols {
-			c.fastComplete(st, bq, nd, done)
-			return
-		}
-	}
-}
-
-// bestTop returns the least lower-bound entry across the heaps eligible
-// under the current draining mode, discarding stale-stamp tops.
-func (c *Controller) bestTop(draining bool) *entry {
-	rt := c.cleanTop(&c.rheap)
-	if !draining {
-		return rt
-	}
-	wt := c.cleanTop(&c.wheap)
-	switch {
-	case rt == nil:
-		return wt
-	case wt == nil:
-		return rt
-	case entryLess(wt, rt):
-		return wt
-	default:
-		return rt
-	}
-}
-
-func (c *Controller) cleanTop(h *entryHeap) *entry {
-	for {
-		t := h.top()
-		if t == nil {
-			return nil
-		}
-		if t.stamp == c.fbanks[t.fb].stamp {
-			return t
-		}
-		h.pop()
 	}
 }
 
