@@ -99,17 +99,13 @@ func TestStripeErrors(t *testing.T) {
 }
 
 func TestInstrCycles(t *testing.T) {
-	if got := InstrCycles(dram.NMPTwoStage, 4); got != 1 {
+	if got := instrCycles(dram.NMPTwoStage); got != 1 {
 		t.Fatalf("two-stage lookup = %d instr cycles, want 1 (82 bits / 94 pins)", got)
 	}
-	if got := InstrCycles(dram.NMPCAOnly, 4); got != 6 {
+	if got := instrCycles(dram.NMPCAOnly); got != 6 {
 		t.Fatalf("C/A-only lookup = %d, want 6 (82 bits / 14 pins)", got)
 	}
-	// The instruction is per-vector: length does not change the feed cost.
-	if InstrCycles(dram.NMPTwoStage, 16) != InstrCycles(dram.NMPTwoStage, 1) {
-		t.Fatal("feed cost should not depend on vector length")
-	}
-	if got := InstrCycles(dram.Conventional, 4); got != 2 {
+	if got := instrCycles(dram.Conventional); got != 2 {
 		t.Fatalf("conventional = %d, want 2", got)
 	}
 }
@@ -122,7 +118,11 @@ func TestRunChannelWithResults(t *testing.T) {
 	reqs := []memctrl.Request{
 		{Loc: dram.Loc{Row: 1}, Cols: 4, Consumer: dram.ToBankPE},
 	}
-	finish, st, res, err := RunChannel(spec, reqs, 4)
+	cs, err := NewChannelSim(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish, st, res, err := cs.Run(reqs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRunChannelWithResults(t *testing.T) {
 		t.Fatalf("result bursts = %d, want 4", st.HostResultTx)
 	}
 	// A result stream longer than the drain extends the finish.
-	finish2, _, res2, err := RunChannel(spec, reqs, 100000)
+	finish2, _, res2, err := cs.Run(reqs, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +152,13 @@ func TestRunChannelSALPValidation(t *testing.T) {
 		Mode: dram.NMPTwoStage, Policy: memctrl.FRFCFS,
 		SALPBanks: []int{9999},
 	}
-	if _, _, _, err := RunChannel(spec, nil, 0); err == nil {
+	if _, err := NewChannelSim(spec); err == nil {
 		t.Fatal("out-of-range SALP bank should error")
 	}
 }
 
 func TestReduceOps(t *testing.T) {
-	ops := ReduceOps(100, 10, 64)
+	ops := reduceOps(100, 10, 64)
 	if ops.Adds != 110*64 || ops.Mults != 100*64 {
 		t.Fatalf("ops = %+v", ops)
 	}

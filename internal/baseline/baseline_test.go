@@ -287,11 +287,10 @@ func TestTRiMBSchedulerIdentity(t *testing.T) {
 	}
 	var systems [2]*TRiMB
 	for i := range systems {
-		if systems[i], err = NewTRiMB(Config{Spec: spec, Ranks: 2}, prof.Hists); err != nil {
+		if systems[i], err = newTRiMB(Config{Spec: spec, Ranks: 2}, prof.Hists, i == 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	systems[1].spec.Reference = true
 	g, err := trace.NewGenerator(spec, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"recross/internal/arch"
 	"recross/internal/cache"
 	"recross/internal/dram"
-	"recross/internal/memctrl"
-	"recross/internal/sim"
 	"recross/internal/trace"
 )
 
@@ -14,12 +12,8 @@ import (
 // gathered vector that misses the LLC crosses the channel DQ, which is what
 // makes the embedding layer memory-bound (§2.1).
 type CPU struct {
-	cfg    Config
-	geo    dram.Geometry
-	lay    *layout
-	llc    *cache.Cache
-	alloc  []int
-	salpNo []int
+	base
+	llc *cache.Cache
 }
 
 // LLCBytes is the baseline's last-level cache capacity (Table 2).
@@ -27,20 +21,18 @@ const LLCBytes = 32 << 20
 
 // NewCPU builds the CPU baseline.
 func NewCPU(cfg Config) (*CPU, error) {
-	cfg = cfg.withDefaults()
-	geo := cfg.geometry()
-	lay, err := newLayout(cfg.Spec, geo)
+	b, err := newBase(cfg, dram.Conventional, false)
 	if err != nil {
 		return nil, err
 	}
 	// Tag the LLC at vector granularity: one line per embedding vector.
 	// (The real 64 B-line LLC either hits or misses a whole streamed
 	// vector in practice; vector-granularity tags model that cheaply.)
-	llc, err := cache.New(LLCBytes, uint64(lay.bursts*geo.BurstBytes), 16)
+	llc, err := cache.New(LLCBytes, uint64(b.lay.bursts*b.geo.BurstBytes), 16)
 	if err != nil {
 		return nil, err
 	}
-	return &CPU{cfg: cfg, geo: geo, lay: lay, llc: llc, alloc: allBanks(geo)}, nil
+	return &CPU{base: b, llc: llc}, nil
 }
 
 // Name implements arch.System.
@@ -48,44 +40,18 @@ func (c *CPU) Name() string { return "cpu" }
 
 // Run implements arch.System.
 func (c *CPU) Run(b trace.Batch) (*arch.RunStats, error) {
-	var reqs []memctrl.Request
-	var lookups, hits int64
-	var opID int32
-	var seq int64
-	instr := arch.InstrCycles(dram.Conventional, c.lay.bursts)
 	vecBytes := uint64(c.lay.bursts * c.geo.BurstBytes)
-	for _, s := range b {
-		for _, op := range s {
-			op = arch.DedupOp(op)
-			for _, idx := range op.Indices {
-				lookups++
-				slot := c.lay.slot(op.Table, idx)
-				if c.llc.Access(uint64(slot) * vecBytes) {
-					hits++
-					continue
-				}
-				loc, err := arch.Stripe(c.geo, c.alloc, slot, c.lay.bursts)
-				if err != nil {
-					return nil, err
-				}
-				reqs = append(reqs, memctrl.Request{
-					Loc:      loc,
-					Cols:     c.lay.bursts,
-					Consumer: dram.ToHost,
-					Arrival:  sim.Cycle(seq) * instr,
-					Op:       opID,
-				})
-				seq++
-			}
-			opID++
+	err := c.pass.Gather(b, func(table int, idx int64) error {
+		slot := c.lay.slot(table, idx)
+		if c.llc.Access(uint64(slot) * vecBytes) {
+			c.pass.Hit(-1)
+			return nil
 		}
-	}
-	spec := arch.ChannelSpec{Geo: c.geo, Tm: c.cfg.Tm, Mode: dram.Conventional, Policy: memctrl.FRFCFS, OpWindow: arch.CPUOpWindow}
-	// No result transfer: the reduced outputs are produced on the CPU.
-	finish, st, res, err := arch.RunChannel(spec, reqs, 0)
+		return c.read(c.banks, slot, c.lay.bursts, dram.ToHost)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return finishRun(c.cfg, c.geo, finish, st, res, lookups, hits, 0,
-		c.lay.vecLen, append([]int64(nil), st.PerRankRDs...), llcHitNano), nil
+	// No result transfer: the reduced outputs are produced on the CPU.
+	return c.pass.Finish(arch.Tally{NodeLoads: c.pass.Loads(dram.ToHost), CacheNano: llcHitNano})
 }

@@ -6,8 +6,6 @@ import (
 	"recross/internal/arch"
 	"recross/internal/cache"
 	"recross/internal/dram"
-	"recross/internal/memctrl"
-	"recross/internal/sim"
 	"recross/internal/trace"
 )
 
@@ -16,21 +14,15 @@ import (
 // vector is striped across all ranks, so each lookup activates every rank
 // on a slice of the vector. Perfectly load-balanced by construction, but
 // each lookup costs an activation in every rank.
-type TensorDIMM struct {
-	cfg Config
-	geo dram.Geometry
-	lay *layout
-}
+type TensorDIMM struct{ base }
 
 // NewTensorDIMM builds the architecture.
 func NewTensorDIMM(cfg Config) (*TensorDIMM, error) {
-	cfg = cfg.withDefaults()
-	geo := cfg.geometry()
-	lay, err := newLayout(cfg.Spec, geo)
+	b, err := newBase(cfg, dram.NMPTwoStage, false)
 	if err != nil {
 		return nil, err
 	}
-	return &TensorDIMM{cfg: cfg, geo: geo, lay: lay}, nil
+	return &TensorDIMM{b}, nil
 }
 
 // Name implements arch.System.
@@ -40,69 +32,35 @@ func (t *TensorDIMM) Name() string { return "tensordimm" }
 func (t *TensorDIMM) Run(b trace.Batch) (*arch.RunStats, error) {
 	ranks := t.geo.Ranks
 	sliceBursts := t.lay.bursts / ranks
-	wholeSlice := sliceBursts >= 1
-	if !wholeSlice {
-		sliceBursts = 1 // vector shorter than one burst per rank
-	}
-	var reqs []memctrl.Request
-	var lookups, ops int64
-	var opID int32
-	var seq int64
-	instr := arch.InstrCycles(dram.NMPTwoStage, t.lay.bursts)
-	for _, s := range b {
-		for _, op := range s {
-			op = arch.DedupOp(op)
-			for _, idx := range op.Indices {
-				lookups++
-				slot := t.lay.slot(op.Table, idx)
-				arrival := sim.Cycle(seq) * instr
-				if wholeSlice {
-					// One slice per rank, identical in-rank coordinates.
-					for r := 0; r < ranks; r++ {
-						loc, err := arch.Stripe(t.geo, rankBanks(t.geo, r), slot, sliceBursts)
-						if err != nil {
-							return nil, err
-						}
-						reqs = append(reqs, memctrl.Request{
-							Loc: loc, Cols: sliceBursts,
-							Consumer: dram.ToRankPE, Arrival: arrival, Op: opID,
-						})
-					}
-				} else {
-					// Sub-burst vectors degrade to one rank per lookup.
-					r := int(slot % int64(ranks))
-					loc, err := arch.Stripe(t.geo, rankBanks(t.geo, r), slot/int64(ranks), sliceBursts)
-					if err != nil {
-						return nil, err
-					}
-					reqs = append(reqs, memctrl.Request{
-						Loc: loc, Cols: sliceBursts,
-						Consumer: dram.ToRankPE, Arrival: arrival, Op: opID,
-					})
-				}
-				seq++
-			}
-			ops++
-			opID++
+	err := t.pass.Gather(b, func(table int, idx int64) error {
+		slot := t.lay.slot(table, idx)
+		if sliceBursts < 1 {
+			// Sub-burst vectors degrade to one rank per lookup.
+			return t.read(t.rankBanks[slot%int64(ranks)], slot/int64(ranks), 1, dram.ToRankPE)
 		}
-	}
-	spec := arch.ChannelSpec{Geo: t.geo, Tm: t.cfg.Tm, Mode: dram.NMPTwoStage, Policy: memctrl.FRFCFS, OpWindow: arch.NMPOpWindow}
-	// Each op's result is the concatenation of the rank slices: one vector.
-	finish, st, res, err := arch.RunChannel(spec, reqs, int(ops)*t.lay.bursts)
+		// One slice per rank, identical in-rank coordinates.
+		for _, banks := range t.rankBanks {
+			if err := t.read(banks, slot, sliceBursts, dram.ToRankPE); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return finishRun(t.cfg, t.geo, finish, st, res, lookups, 0, 0,
-		t.lay.vecLen, append([]int64(nil), st.PerRankRDs...), 0), nil
+	// Each op's result is the concatenation of the rank slices: one vector.
+	return t.pass.Finish(arch.Tally{
+		ResultBursts: int(t.pass.Ops) * t.lay.bursts,
+		NodeLoads:    t.pass.Loads(dram.ToRankPE),
+	})
 }
 
 // RecNMP is the rank-level NMP of Liu et al. (ISCA'20): one PE per rank,
 // *horizontal* partitioning — each vector lives wholly in one rank — plus a
 // 1 MB per-PE cache holding hot embedding vectors (§3.1, §5.1).
 type RecNMP struct {
-	cfg    Config
-	geo    dram.Geometry
-	lay    *layout
+	base
 	caches []*cache.Cache
 	name   string
 	// tree enables FAFNIR-style in-buffer reduction across ranks: the
@@ -116,15 +74,12 @@ const RecNMPCacheBytes = 1 << 20
 
 // NewRecNMP builds the architecture.
 func NewRecNMP(cfg Config) (*RecNMP, error) {
-	cfg = cfg.withDefaults()
-	geo := cfg.geometry()
-	lay, err := newLayout(cfg.Spec, geo)
+	r, err := newRankNMP(cfg, "recnmp")
 	if err != nil {
 		return nil, err
 	}
-	r := &RecNMP{cfg: cfg, geo: geo, lay: lay, name: "recnmp"}
-	line := uint64(lay.bursts * geo.BurstBytes)
-	for i := 0; i < geo.Ranks; i++ {
+	line := uint64(r.lay.bursts * r.geo.BurstBytes)
+	for i := 0; i < r.geo.Ranks; i++ {
 		c, err := cache.New(RecNMPCacheBytes, line, 8)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: recnmp cache: %w", err)
@@ -137,28 +92,27 @@ func NewRecNMP(cfg Config) (*RecNMP, error) {
 // NewRankNMP builds a generic cache-less rank-level NMP (horizontal
 // partitioning) — the "rank level" row of the paper's Figs. 4 and 5, which
 // isolates raw memory-level parallelism from RecNMP's cache.
-func NewRankNMP(cfg Config) (*RecNMP, error) {
-	cfg = cfg.withDefaults()
-	geo := cfg.geometry()
-	lay, err := newLayout(cfg.Spec, geo)
-	if err != nil {
-		return nil, err
-	}
-	return &RecNMP{cfg: cfg, geo: geo, lay: lay, name: "rank-nmp"}, nil
-}
+func NewRankNMP(cfg Config) (*RecNMP, error) { return newRankNMP(cfg, "rank-nmp") }
 
 // NewFAFNIR builds the rank-reduction-tree NMP of Asgari et al. (HPCA'21,
 // the paper's §6): rank-level PEs as in RecNMP (without its cache), plus an
 // in-buffer tree that folds all rank partial sums, so a single result
 // vector per op crosses the channel DQ regardless of the rank count.
 func NewFAFNIR(cfg Config) (*RecNMP, error) {
-	cfg = cfg.withDefaults()
-	geo := cfg.geometry()
-	lay, err := newLayout(cfg.Spec, geo)
+	r, err := newRankNMP(cfg, "fafnir")
 	if err != nil {
 		return nil, err
 	}
-	return &RecNMP{cfg: cfg, geo: geo, lay: lay, name: "fafnir", tree: true}, nil
+	r.tree = true
+	return r, nil
+}
+
+func newRankNMP(cfg Config, name string) (*RecNMP, error) {
+	b, err := newBase(cfg, dram.NMPTwoStage, false)
+	if err != nil {
+		return nil, err
+	}
+	return &RecNMP{base: b, name: name}, nil
 }
 
 // Name implements arch.System.
@@ -167,59 +121,31 @@ func (r *RecNMP) Name() string { return r.name }
 // Run implements arch.System.
 func (r *RecNMP) Run(b trace.Batch) (*arch.RunStats, error) {
 	ranks := int64(r.geo.Ranks)
-	var reqs []memctrl.Request
-	var lookups, hits, psums int64
-	var opID int32
-	var seq int64
-	instr := arch.InstrCycles(dram.NMPTwoStage, r.lay.bursts)
 	vecBytes := uint64(r.lay.bursts * r.geo.BurstBytes)
-	opRanks := make([]bool, r.geo.Ranks)
-	for _, s := range b {
-		for _, op := range s {
-			op = arch.DedupOp(op)
-			for i := range opRanks {
-				opRanks[i] = false
-			}
-			for _, idx := range op.Indices {
-				lookups++
-				slot := r.lay.slot(op.Table, idx)
-				rank := int(slot % ranks)
-				opRanks[rank] = true
-				if r.caches != nil && r.caches[rank].Access(uint64(slot)*vecBytes) {
-					hits++ // served from the PE's local cache
-					continue
-				}
-				loc, err := arch.Stripe(r.geo, rankBanks(r.geo, rank), slot/ranks, r.lay.bursts)
-				if err != nil {
-					return nil, err
-				}
-				reqs = append(reqs, memctrl.Request{
-					Loc: loc, Cols: r.lay.bursts,
-					Consumer: dram.ToRankPE,
-					Arrival:  sim.Cycle(seq) * instr, Op: opID,
-				})
-				seq++
-			}
-			// Each rank that contributed gathers flushes one partial sum
-			// per op; the host (or FAFNIR's tree) folds them.
-			for _, touched := range opRanks {
-				if touched {
-					psums++
-				}
-			}
-			opID++
+	err := r.pass.Gather(b, func(table int, idx int64) error {
+		slot := r.lay.slot(table, idx)
+		rank := int(slot % ranks)
+		if r.caches != nil && r.caches[rank].Access(uint64(slot)*vecBytes) {
+			r.pass.Hit(rank) // served from the PE's local cache
+			return nil
 		}
-	}
-	spec := arch.ChannelSpec{Geo: r.geo, Tm: r.cfg.Tm, Mode: dram.NMPTwoStage, Policy: memctrl.FRFCFS, OpWindow: arch.NMPOpWindow}
-	resultBursts := int(psums) * r.lay.bursts
-	if r.tree {
-		// The rank tree folds psums in the buffer: one result per op.
-		resultBursts = int(opID) * r.lay.bursts
-	}
-	finish, st, res, err := arch.RunChannel(spec, reqs, resultBursts)
+		return r.read(r.rankBanks[rank], slot/ranks, r.lay.bursts, dram.ToRankPE)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return finishRun(r.cfg, r.geo, finish, st, res, lookups, hits, psums,
-		r.lay.vecLen, append([]int64(nil), st.PerRankRDs...), peCacheHitNano), nil
+	// Each rank that contributed gathers flushes one partial sum per op;
+	// the host (or FAFNIR's tree) folds them.
+	psums := r.pass.RankPsums
+	resultBursts := int(psums) * r.lay.bursts
+	if r.tree {
+		// The rank tree folds psums in the buffer: one result per op.
+		resultBursts = int(r.pass.Ops) * r.lay.bursts
+	}
+	return r.pass.Finish(arch.Tally{
+		ResultBursts: resultBursts,
+		PsumFolds:    psums,
+		NodeLoads:    r.pass.Loads(dram.ToRankPE),
+		CacheNano:    peCacheHitNano,
+	})
 }

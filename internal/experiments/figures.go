@@ -189,11 +189,10 @@ func Fig6() (string, error) {
 		rps := ch.Geo.RowsPerSubarray
 		// Accesses 1..4: bank0/rowA, bank0/rowB, bank1/rowA, bank1/rowB,
 		// with rowB in a different subarray than rowA.
-		reqs := []memctrl.Request{
-			{Loc: dram.Loc{Bank: 0, Row: 0}, Cols: 4, Consumer: sc.consumer},
-			{Loc: dram.Loc{Bank: 0, Row: rps}, Cols: 4, Consumer: sc.consumer},
-			{Loc: dram.Loc{Bank: 1, Row: 0}, Cols: 4, Consumer: sc.consumer},
-			{Loc: dram.Loc{Bank: 1, Row: rps}, Cols: 4, Consumer: sc.consumer},
+		locs := []dram.Loc{{Bank: 0, Row: 0}, {Bank: 0, Row: rps}, {Bank: 1, Row: 0}, {Bank: 1, Row: rps}}
+		reqs := make([]memctrl.Request, len(locs))
+		for i, loc := range locs {
+			reqs[i].Loc, reqs[i].Cols, reqs[i].Consumer = loc, 4, sc.consumer
 		}
 		res, err := ctl.Drain(reqs)
 		if err != nil {
