@@ -97,3 +97,44 @@ func TestQuantizedRegionsCompression(t *testing.T) {
 		t.Fatalf("cold compression %.3f, want codec ratio %.3f", regs[3].Compression, want)
 	}
 }
+
+// TestRunTrainingReturnsResultsLikeRun: a training step's forward pass
+// returns one fp32 result vector per op that touched DRAM, as Run does —
+// not an encoded row per op under int8, and nothing over the channel for an
+// op served wholly by the flash tier.
+func TestRunTrainingReturnsResultsLikeRun(t *testing.T) {
+	i8 := miniConfig()
+	i8.Precision = kernels.INT8
+	cold := miniConfig()
+	cold.Spec = trace.ModelSpec{Name: "cold-core", Tables: []trace.TableSpec{
+		{Name: "one-hot", Rows: 400000, VecLen: 64, Pooling: 1, Prob: 1, Skew: 0.6},
+		{Name: "multi-hot", Rows: 400000, VecLen: 64, Pooling: 4, Prob: 1, Skew: 0.9},
+	}}
+	cold.ColdTier = &coldstore.TierSpec{CapBytes: 1 << 30, ResidentBudgetBytes: 4 << 20}
+	for name, cfg := range map[string]Config{"int8": i8, "cold": cold} {
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := trace.NewGenerator(cfg.Spec, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := g.Batch(16)
+		run, err := r.Run(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, err := r.RunTraining(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ops := archCountBatch(b)
+		if name == "cold" && run.DRAM.HostResultTx >= ops*int64(r.psumBursts) {
+			t.Fatalf("cold: no op was served wholly from flash (%d result bursts for %d ops)", run.DRAM.HostResultTx, ops)
+		}
+		if train.DRAM.HostResultTx != run.DRAM.HostResultTx {
+			t.Errorf("%s: RunTraining streamed %d result bursts, Run %d", name, train.DRAM.HostResultTx, run.DRAM.HostResultTx)
+		}
+	}
+}
