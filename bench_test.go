@@ -55,9 +55,9 @@ func BenchmarkRecrossRun(b *testing.B) { benchRecrossRun(b, false, false) }
 // gathers plus the gradient write-back, so the scheduler's write path shows.
 func BenchmarkRecrossRunTraining(b *testing.B) { benchRecrossRun(b, false, true) }
 
-// BenchmarkRecrossRunReference is the same batch on the pre-fast-path
-// configuration (Reference scan scheduler, fresh channel per run); the
-// ratio to BenchmarkRecrossRun is the arbiter's end-to-end speedup.
+// BenchmarkRecrossRunReference is the same batch on the Reference scan
+// scheduler (RefScheduler); the ratio to BenchmarkRecrossRun is the fast
+// arbiter's end-to-end speedup.
 func BenchmarkRecrossRunReference(b *testing.B) { benchRecrossRun(b, true, false) }
 
 func benchTable(b *testing.B, run func(experiments.Config) (*experiments.Table, error)) {
