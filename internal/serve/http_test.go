@@ -92,7 +92,7 @@ func TestHTTPLookupDefaultsAndKinds(t *testing.T) {
 }
 
 // TestHTTPRealSystemKinds runs weightless sum/max ops through a REAL
-// system, not fakeSys: real systems dedup ops (arch.DedupOp), which
+// system, not fakeSys: real systems dedup ops (arch.Pass.Gather), which
 // indexes Weights for every index and panics the replica goroutine —
 // taking the whole server down — if the parser admits a sample with
 // missing weights. Regression test for exactly that crash.
