@@ -16,8 +16,10 @@
 //
 //	recross-serve -loadgen -clients 16 -duration 10s -replicas 4
 //
-// Knobs: -maxbatch/-maxdelay trade latency for throughput; -queue and
-// -policy (block|shed) set the admission behaviour; -arch picks any of
+// Knobs: the batcher flushes at once while a replica is idle and holds a
+// batch only while every replica is busy, until -maxbatch samples, until
+// -maxdelay, or until a replica frees up; -queue and -policy (block|shed)
+// set the admission behaviour; -arch picks any of
 // the simulated architectures (cpu, tensordimm, recnmp, trim-g, trim-b,
 // recross, ...). -request-timeout is the server-side default deadline
 // applied to requests that arrive without one, so Block-policy admission
@@ -186,7 +188,7 @@ func bind(fs *flag.FlagSet, o *options) {
 	sv := &o.serve
 	fs.IntVar(&o.replicas, "replicas", 2, "replica systems in the worker pool")
 	fs.IntVar(&sv.MaxBatch, "maxbatch", 32, "dynamic batcher: flush at this many samples")
-	fs.DurationVar(&sv.MaxDelay, "maxdelay", 2*time.Millisecond, "dynamic batcher: flush after this long")
+	fs.DurationVar(&sv.MaxDelay, "maxdelay", 2*time.Millisecond, "dynamic batcher: longest a batch waits while every replica is busy (an idle replica flushes it at once)")
 	fs.IntVar(&sv.QueueDepth, "queue", 256, "admission queue depth (requests)")
 	fs.Var(parsed(&sv.Policy, serve.ParsePolicy), "policy", "overload policy: block or shed")
 	fs.DurationVar(&sv.DefaultTimeout, "request-timeout", 10*time.Second,

@@ -149,8 +149,6 @@ func (s *RunStats) add(o *RunStats) {
 	d.PREs += od.PREs
 	d.RDs += od.RDs
 	d.WRs += od.WRs
-	d.RowHits += od.RowHits
-	d.RowMisses += od.RowMisses
 	d.BurstsToHost += od.BurstsToHost
 	d.BurstsToRank += od.BurstsToRank
 	d.BurstsToBG += od.BurstsToBG

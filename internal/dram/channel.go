@@ -135,12 +135,10 @@ type bankState struct {
 // Stats aggregates the event counts the energy model and the experiment
 // harness consume.
 type Stats struct {
-	ACTs      int64
-	PREs      int64
-	RDs       int64
-	WRs       int64
-	RowHits   int64
-	RowMisses int64
+	ACTs int64
+	PREs int64
+	RDs  int64
+	WRs  int64
 
 	// Bursts by consumer level; each burst is Geometry.BurstBytes.
 	BurstsToHost   int64

@@ -2,80 +2,93 @@ package serve
 
 import "time"
 
-// dispatch is the dynamic batcher: it pulls admitted requests off the
-// queue and coalesces them into batches, flushing when MaxBatch samples
-// are collected or MaxDelay has elapsed since the batch opened. Requests
+// dispatch is the work-conserving dynamic batcher: it pulls admitted
+// requests off the queue and coalesces them into batches. After every
+// event — a dequeue, the MaxDelay timer firing, or a replica going idle
+// (s.idle) — it decides whether the open batch flushes. It flushes when it
+// holds MaxBatch samples, or when the queue is empty and waiting buys
+// nothing: some available replica has no outstanding work, or the pool is
+// below quorum (the batch is answered degraded one request at a time).
+// Otherwise every replica is busy and the batch keeps collecting, for at
+// most MaxDelay from its first request, until a replica frees up. Requests
 // whose context expired while queued are dropped here, at dequeue time,
-// before they can open a batch or arm the MaxDelay timer — a dead
-// request never triggers an (otherwise empty) flush. The loop exits when
-// the admission channel is closed and fully drained, flushing any
-// partial batch so graceful drain answers every admitted request.
+// before they can open a batch or arm the MaxDelay timer — a dead request
+// never triggers an (otherwise empty) flush. The loop exits when the
+// admission channel is closed and fully drained, flushing any partial
+// batch so graceful drain answers every admitted request.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
 
 	var batch []*request
-	var opened time.Time // when the batch's first request was dequeued
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
 	timerLive := false
-	stopTimer := func() {
+	flush := func() {
 		if timerLive && !timer.Stop() {
 			<-timer.C
 		}
 		timerLive = false
-	}
-	flush := func() {
-		stopTimer()
-		if len(batch) == 0 {
-			return
-		}
-		s.metrics.BatchForm.RecordSince(opened)
+		s.metrics.BatchForm.RecordSince(batch[0].deq) // first dequeue to flush
 		s.route(batch)
 		batch = nil
 	}
 
 	for {
+		var r *request
+		ok := true
 		if len(batch) == 0 {
-			// Nothing pending: block for the next request. A request
-			// that is already dead at dequeue is dropped before it opens
-			// a batch, and an instantly-full batch (MaxBatch 1) flushes
-			// without the timer ever being armed.
-			r, ok := <-s.in
-			if !ok {
-				return
-			}
-			if !s.admitAtDequeue(r) {
-				continue
-			}
-			batch = append(batch, r)
-			opened = time.Now()
-			if len(batch) >= s.opts.MaxBatch {
+			// Nothing pending: block for the next request.
+			r, ok = <-s.in
+		} else {
+			select {
+			case r, ok = <-s.in:
+			case <-timer.C:
+				timerLive = false
+				s.metrics.DeadlineFlushes.Add(1)
 				flush()
 				continue
+			case <-s.idle:
 			}
-			timer.Reset(s.opts.MaxDelay)
-			timerLive = true
+		}
+		if !ok {
+			if len(batch) > 0 {
+				flush()
+			}
+			return
+		}
+		if r != nil && s.admitAtDequeue(r) {
+			batch = append(batch, r)
+		}
+		if len(batch) == 0 {
 			continue
 		}
-		select {
-		case r, ok := <-s.in:
-			if !ok {
-				flush()
-				return
-			}
-			if !s.admitAtDequeue(r) {
-				continue
-			}
-			batch = append(batch, r)
-			if len(batch) >= s.opts.MaxBatch {
-				flush()
-			}
-		case <-timer.C:
-			timerLive = false
+		if len(batch) >= s.opts.MaxBatch || len(s.in) == 0 && s.idleOrDegraded() {
 			flush()
+		} else if !timerLive {
+			timer.Reset(s.opts.MaxDelay)
+			timerLive = true
 		}
+	}
+}
+
+// idleOrDegraded reports whether a batch gains nothing by waiting: the
+// least-loaded available replica has no outstanding work, or the pool is
+// below quorum.
+func (s *Server) idleOrDegraded() bool {
+	rep, load := s.pickReplica()
+	return rep == nil || load == 0
+}
+
+// wake tells the dispatcher a replica may have gone idle. The send never
+// blocks: s.idle holds one token, so a wake-up landing between the
+// dispatcher's idle check and its select is kept, and a stale one costs
+// one extra check.
+func (s *Server) wake() {
+	select {
+	case s.idle <- struct{}{}:
+	default:
 	}
 }
 
@@ -100,7 +113,7 @@ func (s *Server) admitAtDequeue(r *request) bool {
 // available replicas are below Quorum the server is in degraded mode and
 // the whole batch is answered from the functional layer instead.
 func (s *Server) route(batch []*request) {
-	rep := s.pickReplica()
+	rep, _ := s.pickReplica()
 	if rep == nil {
 		for _, r := range batch {
 			s.serveDegraded(r)
@@ -118,9 +131,10 @@ func (s *Server) route(batch []*request) {
 	}
 }
 
-// pickReplica returns the least-loaded available replica, or nil when
-// the available count is below the quorum (degraded mode).
-func (s *Server) pickReplica() *replica {
+// pickReplica returns the least-loaded available replica and its
+// outstanding samples, or nil when the available count is below the
+// quorum (degraded mode).
+func (s *Server) pickReplica() (*replica, int64) {
 	var best *replica
 	var bestLoad int64
 	avail := 0
@@ -134,7 +148,7 @@ func (s *Server) pickReplica() *replica {
 		}
 	}
 	if avail < s.opts.Quorum {
-		return nil
+		return nil, 0
 	}
-	return best
+	return best, bestLoad
 }

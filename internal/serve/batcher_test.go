@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,46 +142,232 @@ func TestFlushRacesClose(t *testing.T) {
 }
 
 // TestTimerReuseAfterStop interleaves size-triggered flushes (which stop
-// a live timer) with deadline-triggered flushes (which re-arm it): the
-// timer must stay reusable across Stop/Reset cycles.
+// a live timer) with deadline-triggered flushes (which re-arm it) while
+// every replica is busy: the timer must stay reusable across Stop/Reset
+// cycles.
 func TestTimerReuseAfterStop(t *testing.T) {
-	fake := &fakeSys{}
 	const delay = 100 * time.Millisecond
-	s := newTestServer(t, Options{
-		Systems:  []arch.System{fake},
-		MaxBatch: 2,
-		MaxDelay: delay,
+	s, fake, release, opener := busyServer(t, Options{MaxBatch: 2, MaxDelay: delay})
+
+	samples := testSamples(t, 5)
+	formed := func(n int64) {
+		waitUntil(t, func() bool { return s.Metrics().BatchForm.Snapshot().Count == n })
+	}
+	// Size flush: arms the timer on the first request, stops it on the second.
+	answers := []<-chan answer{lookupAsync(s, samples[0]), lookupAsync(s, samples[1])}
+	formed(2)
+	// Deadline flush: the timer is reused.
+	start := time.Now()
+	answers = append(answers, lookupAsync(s, samples[2]))
+	formed(3)
+	if elapsed := time.Since(start); elapsed < delay {
+		t.Errorf("lone request flushed after %v, want a deadline flush after %v", elapsed, delay)
+	}
+	// And the timer must re-arm cleanly again.
+	answers = append(answers, lookupAsync(s, samples[3]), lookupAsync(s, samples[4]))
+	formed(4)
+	release()
+
+	if err := <-opener; err != nil {
+		t.Fatalf("opener: %v", err)
+	}
+	for i, ch := range answers {
+		if a := <-ch; a.err != nil {
+			t.Fatalf("request %d: %v", i, a.err)
+		}
+	}
+	if got, want := fake.batchSizes(), []int{1, 2, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("batch sizes %v, want %v (opener, then size, deadline, size)", got, want)
+	}
+	if snap := s.Metrics().Snapshot(); snap.Batches != 4 || snap.DeadlineFlushes != 1 {
+		t.Errorf("batches = %d, deadline flushes = %d; want 4 (opener, then size, deadline, size) and 1",
+			snap.Batches, snap.DeadlineFlushes)
+	}
+}
+
+// answer is one Lookup's outcome, delivered by lookupAsync.
+type answer struct {
+	res *Result
+	err error
+}
+
+// lookupAsync issues one Lookup on its own goroutine. The 5s deadline
+// turns a batcher that wrongly waits out a long MaxDelay into a failed
+// answer instead of a hung test.
+func lookupAsync(s *Server, sample trace.Sample) <-chan answer {
+	ch := make(chan answer, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		res, err := s.Lookup(ctx, sample)
+		ch <- answer{res, err}
+	}()
+	return ch
+}
+
+// busyServer builds a 1-replica server and parks an opening request in the
+// replica's Run on a gate, so every replica is busy — the one state in
+// which the batcher waits for co-riders. release opens the gate (once);
+// the opener's Lookup error arrives on the returned channel. Cleanup
+// releases the gate and closes the server.
+func busyServer(t *testing.T, opts Options) (*Server, *fakeSys, func(), <-chan error) {
+	t.Helper()
+	gate := make(chan struct{})
+	// started has room for every Run one of these tests makes.
+	fake := &fakeSys{gate: gate, started: make(chan struct{}, 64)}
+	opts.Systems = []arch.System{fake}
+	s := newTestServer(t, opts)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(func() {
+		release()
+		s.Close()
 	})
+
+	a := lookupAsync(s, testSamples(t, 1)[0])
+	select {
+	case <-fake.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("opener never reached the idle replica")
+	}
+	opener := make(chan error, 1)
+	go func() { opener <- (<-a).err }()
+	return s, fake, release, opener
+}
+
+// TestIdleFlushImmediate: on an idle pool a lone lookup flushes at once as
+// a batch of 1 — MaxDelay bounds waiting only while every replica is busy,
+// so the hour-long timer is never armed, let alone waited out.
+func TestIdleFlushImmediate(t *testing.T) {
+	fake := &fakeSys{}
+	s := newTestServer(t, Options{Systems: []arch.System{fake}, MaxDelay: time.Hour})
 	defer s.Close()
 
-	pair := func() {
-		samples := testSamples(t, 2)
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, err := s.Lookup(context.Background(), samples[i]); err != nil {
-					t.Error(err)
-				}
-			}(i)
+	a := <-lookupAsync(s, testSamples(t, 1)[0])
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.res.BatchSize != 1 {
+		t.Errorf("batch size %d, want 1", a.res.BatchSize)
+	}
+	if snap := s.Metrics().Snapshot(); snap.DeadlineFlushes != 0 || snap.Batches != 1 {
+		t.Errorf("deadline flushes = %d, batches = %d; want 0 and 1", snap.DeadlineFlushes, snap.Batches)
+	}
+}
+
+// TestIdleWakeFlushes: with the only replica busy, the batcher holds
+// requests; the moment the replica frees up it flushes them as one batch,
+// long before MaxDelay.
+func TestIdleWakeFlushes(t *testing.T) {
+	s, fake, release, opener := busyServer(t, Options{MaxDelay: time.Hour})
+
+	var answers []<-chan answer
+	for _, sample := range testSamples(t, 3) {
+		answers = append(answers, lookupAsync(s, sample))
+	}
+	// All three are dequeued into the open batch, which stays unflushed.
+	waitUntil(t, func() bool { return s.Metrics().QueueWait.Snapshot().Count == 4 })
+	if n := s.Metrics().BatchForm.Snapshot().Count; n != 1 {
+		t.Fatalf("%d batches formed while the replica was busy, want only the opener", n)
+	}
+	release()
+
+	if err := <-opener; err != nil {
+		t.Fatalf("opener: %v", err)
+	}
+	for i, ch := range answers {
+		a := <-ch
+		if a.err != nil {
+			t.Fatalf("request %d: %v", i, a.err)
 		}
-		wg.Wait()
+		if a.res.BatchSize != 3 {
+			t.Errorf("request %d rode batch of %d, want 3", i, a.res.BatchSize)
+		}
 	}
+	if got, want := fake.batchSizes(), []int{1, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("batch sizes %v, want %v", got, want)
+	}
+	if n := s.Metrics().DeadlineFlushes.Load(); n != 0 {
+		t.Errorf("deadline flushes = %d, want 0", n)
+	}
+}
 
-	pair() // size flush: arms the timer on the first request, stops it on the second
-	start := time.Now()
-	res, err := s.Lookup(context.Background(), testSamples(t, 1)[0]) // deadline flush: timer reused
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BatchSize != 1 || time.Since(start) < delay {
-		t.Errorf("lone request: batch size %d after %v, want a deadline flush after %v",
-			res.BatchSize, time.Since(start), delay)
-	}
-	pair() // and the timer must re-arm cleanly again
+// TestFlushBelowQuorum: below quorum a batch is answered degraded one
+// request at a time, so waiting buys nothing — a lookup is answered at
+// once even though the one available replica is busy.
+func TestFlushBelowQuorum(t *testing.T) {
+	gate := make(chan struct{})
+	busy := &fakeSys{gate: gate, started: make(chan struct{}, 1)}
+	s := newTestServer(t, Options{
+		Systems:  []arch.System{busy, &fakeSys{}},
+		Quorum:   2,
+		MaxDelay: time.Hour,
+	})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(func() {
+		release()
+		s.Close()
+	})
 
-	if snap := s.Metrics().Snapshot(); snap.Batches != 3 {
-		t.Errorf("batches = %d, want 3 (size, deadline, size)", snap.Batches)
+	samples := testSamples(t, 2)
+	opener := lookupAsync(s, samples[0]) // least-loaded tie: replica 0
+	select {
+	case <-busy.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("opener never reached replica 0")
+	}
+	s.replicas[1].setState(Dead) // 1 available < quorum 2, and it is busy
+
+	a := <-lookupAsync(s, samples[1])
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if !a.res.Degraded {
+		t.Errorf("below quorum: answer not degraded: %+v", a.res)
+	}
+	if n := s.Metrics().DeadlineFlushes.Load(); n != 0 {
+		t.Errorf("deadline flushes = %d, want 0", n)
+	}
+	release()
+	if o := <-opener; o.err != nil || o.res.Degraded {
+		t.Errorf("opener: err %v degraded %v, want a normal answer", o.err, o.res != nil && o.res.Degraded)
+	}
+}
+
+// TestFlushQueuedRideOneBatch: requests already queued when the
+// dispatcher comes free are drained into one batch, up to MaxBatch,
+// rather than flushed one by one.
+func TestFlushQueuedRideOneBatch(t *testing.T) {
+	s, fake, release, opener := busyServer(t, Options{MaxBatch: 4, MaxDelay: time.Hour})
+
+	samples := testSamples(t, 18)
+	var answers []<-chan answer
+	// Three size-4 batches: two fill the replica's work channel, the third
+	// holds the dispatcher in its hand-off.
+	for _, sample := range samples[:12] {
+		answers = append(answers, lookupAsync(s, sample))
+	}
+	waitUntil(t, func() bool {
+		return s.Metrics().BatchForm.Snapshot().Count == 4 && len(s.replicas[0].work) == replicaWorkDepth
+	})
+	// Six more wait in the admission queue.
+	for _, sample := range samples[12:] {
+		answers = append(answers, lookupAsync(s, sample))
+	}
+	waitUntil(t, func() bool { return len(s.in) == 6 })
+	release()
+
+	if err := <-opener; err != nil {
+		t.Fatalf("opener: %v", err)
+	}
+	for i, ch := range answers {
+		if a := <-ch; a.err != nil {
+			t.Fatalf("request %d: %v", i, a.err)
+		}
+	}
+	if got, want := fake.batchSizes(), []int{1, 4, 4, 4, 4, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("batch sizes %v, want %v", got, want)
+	}
+	if n := s.Metrics().DeadlineFlushes.Load(); n != 0 {
+		t.Errorf("deadline flushes = %d, want 0", n)
 	}
 }

@@ -32,6 +32,9 @@ type Metrics struct {
 	// BatchSamples sums the samples over all executed batches
 	// (BatchSamples/Batches is the mean coalescing factor).
 	BatchSamples atomic.Int64
+	// DeadlineFlushes counts batches that waited out the full MaxDelay
+	// (every replica stayed busy while they formed).
+	DeadlineFlushes atomic.Int64
 
 	// Degraded counts requests answered from the functional layer with
 	// Result.Degraded set (also included in Completed).
@@ -97,6 +100,7 @@ func NewMetrics(set *metrics.Set) *Metrics {
 	set.Counter("recross_updates_applied_total", "Staged updates applied at a batch boundary.", m.UpdatesApplied.Load)
 	set.Counter("recross_update_failures_total", "Staged updates that failed to apply.", m.UpdateFailures.Load)
 	set.Counter("recross_batches_total", "Simulated batches executed.", m.Batches.Load)
+	set.Counter("recross_batch_deadline_flushes_total", "Batches that waited out the full MaxDelay while every replica was busy.", m.DeadlineFlushes.Load)
 	set.Gauge("recross_batch_mean_samples", "Mean samples per executed batch.", func() float64 {
 		return Snapshot{Batches: m.Batches.Load(), BatchSamples: m.BatchSamples.Load()}.MeanBatch()
 	})
@@ -124,7 +128,7 @@ func (m *Metrics) faultCounter(f Failure) *atomic.Int64 {
 // Snapshot is a point-in-time copy of every metric.
 type Snapshot struct {
 	Admitted, Completed, Failed, Shed, Canceled int64
-	Batches, BatchSamples                       int64
+	Batches, BatchSamples, DeadlineFlushes      int64
 
 	Degraded, DegradedCold, Retries, Restarts           int64
 	FaultPanics, FaultWedges, FaultCorrupt, FaultErrors int64
@@ -136,28 +140,29 @@ type Snapshot struct {
 // Snapshot captures the registry.
 func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
-		Admitted:       m.Admitted.Load(),
-		Completed:      m.Completed.Load(),
-		Failed:         m.Failed.Load(),
-		Shed:           m.Shed.Load(),
-		Canceled:       m.Canceled.Load(),
-		Batches:        m.Batches.Load(),
-		BatchSamples:   m.BatchSamples.Load(),
-		Degraded:       m.Degraded.Load(),
-		DegradedCold:   m.DegradedCold.Load(),
-		Retries:        m.Retries.Load(),
-		Restarts:       m.Restarts.Load(),
-		FaultPanics:    m.FaultPanics.Load(),
-		FaultWedges:    m.FaultWedges.Load(),
-		FaultCorrupt:   m.FaultCorrupt.Load(),
-		FaultErrors:    m.FaultErrors.Load(),
-		UpdatesStaged:  m.UpdatesStaged.Load(),
-		UpdatesApplied: m.UpdatesApplied.Load(),
-		UpdateFailures: m.UpdateFailures.Load(),
-		QueueWait:      m.QueueWait.Snapshot(),
-		BatchForm:      m.BatchForm.Snapshot(),
-		ServiceCycles:  m.ServiceCycles.Snapshot(),
-		E2E:            m.E2E.Snapshot(),
+		Admitted:        m.Admitted.Load(),
+		Completed:       m.Completed.Load(),
+		Failed:          m.Failed.Load(),
+		Shed:            m.Shed.Load(),
+		Canceled:        m.Canceled.Load(),
+		Batches:         m.Batches.Load(),
+		BatchSamples:    m.BatchSamples.Load(),
+		DeadlineFlushes: m.DeadlineFlushes.Load(),
+		Degraded:        m.Degraded.Load(),
+		DegradedCold:    m.DegradedCold.Load(),
+		Retries:         m.Retries.Load(),
+		Restarts:        m.Restarts.Load(),
+		FaultPanics:     m.FaultPanics.Load(),
+		FaultWedges:     m.FaultWedges.Load(),
+		FaultCorrupt:    m.FaultCorrupt.Load(),
+		FaultErrors:     m.FaultErrors.Load(),
+		UpdatesStaged:   m.UpdatesStaged.Load(),
+		UpdatesApplied:  m.UpdatesApplied.Load(),
+		UpdateFailures:  m.UpdateFailures.Load(),
+		QueueWait:       m.QueueWait.Snapshot(),
+		BatchForm:       m.BatchForm.Snapshot(),
+		ServiceCycles:   m.ServiceCycles.Snapshot(),
+		E2E:             m.E2E.Snapshot(),
 	}
 }
 

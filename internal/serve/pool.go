@@ -175,6 +175,7 @@ func (rep *replica) restart(s *Server) bool {
 		rep.restarts.Add(1)
 		s.metrics.Restarts.Add(1)
 		rep.setState(Suspect) // probation until it serves a batch
+		s.wake()
 		return true
 	}
 }
@@ -211,7 +212,9 @@ func (rep *replica) serve(s *Server, batch []*request) batchOutcome {
 	if !rep.epoch.CompareAndSwap(ep, ep+1) {
 		return abandoned
 	}
-	rep.outstanding.Add(-int64(len(batch)))
+	if rep.outstanding.Add(-int64(len(batch))) == 0 {
+		s.wake()
+	}
 
 	switch {
 	case panicked:

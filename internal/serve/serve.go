@@ -5,10 +5,12 @@
 //
 // The layer has five parts:
 //
-//   - a dynamic batcher: incoming single-sample requests queue per model
-//     and coalesce into batches, flushing when MaxBatch samples are
-//     waiting or MaxDelay has elapsed since the batch opened — the
-//     standard latency/throughput knob of inference serving;
+//   - a work-conserving dynamic batcher: incoming single-sample requests
+//     queue per model and flush at once while some replica is idle; only
+//     while every replica is busy do they coalesce, until MaxBatch
+//     samples are waiting, MaxDelay has elapsed since the batch opened,
+//     or a replica frees up — so batches grow under saturation, where
+//     they buy throughput, and cost no latency below it;
 //   - a sharded worker pool: N replicas of an arch.System (each its own
 //     simulated memory channel/device), fed by least-outstanding-work
 //     dispatch, with results demultiplexed back to per-request futures;
@@ -137,8 +139,9 @@ type Options struct {
 	Layer *embedding.Layer
 	// MaxBatch is the coalescing limit in samples (default 32).
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch may wait for
-	// co-riders before the batch flushes regardless (default 1ms).
+	// MaxDelay is the longest a batch waits while every replica is busy:
+	// its first request waits at most this long for co-riders (default
+	// 1ms). A batch never waits while some replica is idle.
 	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue in requests
 	// (default 4*MaxBatch).
@@ -312,6 +315,7 @@ type Server struct {
 	metrics  *Metrics
 	in       chan *request
 	replicas []*replica
+	idle     chan struct{} // buffered(1): a replica may have gone idle (see wake)
 
 	mu     sync.RWMutex // guards closed against in-flight enqueues
 	closed bool
@@ -375,6 +379,7 @@ func New(opts Options) (*Server, error) {
 		set:            set,
 		metrics:        NewMetrics(set),
 		in:             make(chan *request, opts.QueueDepth),
+		idle:           make(chan struct{}, 1),
 		stopRestarts:   make(chan struct{}),
 		watchStop:      make(chan struct{}),
 		watchDone:      make(chan struct{}),

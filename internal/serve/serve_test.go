@@ -129,73 +129,68 @@ func TestLookupRejectsMalformedSample(t *testing.T) {
 	}
 }
 
-// TestFlushOnSize: with a long MaxDelay, the batcher must wait for exactly
-// MaxBatch samples before flushing.
+// TestFlushOnSize: while every replica is busy and MaxDelay is long, the
+// batcher must wait for exactly MaxBatch samples before flushing.
 func TestFlushOnSize(t *testing.T) {
-	fake := &fakeSys{}
-	s := newTestServer(t, Options{
-		Systems:  []arch.System{fake},
-		MaxBatch: 4,
-		MaxDelay: time.Hour,
-	})
-	defer s.Close()
+	s, fake, release, opener := busyServer(t, Options{MaxBatch: 4, MaxDelay: time.Hour})
 
-	samples := testSamples(t, 8)
-	var wg sync.WaitGroup
-	results := make([]*Result, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := s.Lookup(context.Background(), samples[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = res
-		}(i)
+	var answers []<-chan answer
+	for _, sample := range testSamples(t, 8) {
+		answers = append(answers, lookupAsync(s, sample))
 	}
-	wg.Wait()
-	for i, res := range results {
-		if res == nil {
-			t.Fatalf("request %d got no result", i)
+	// Both size-4 batches form behind the opener before it is released.
+	waitUntil(t, func() bool { return s.Metrics().BatchForm.Snapshot().Count == 3 })
+	release()
+
+	if err := <-opener; err != nil {
+		t.Fatalf("opener: %v", err)
+	}
+	for i, ch := range answers {
+		a := <-ch
+		if a.err != nil {
+			t.Fatalf("request %d: %v", i, a.err)
 		}
-		if res.BatchSize != 4 {
-			t.Errorf("request %d rode batch of %d, want 4 (size-triggered flush)", i, res.BatchSize)
+		if a.res.BatchSize != 4 {
+			t.Errorf("request %d rode batch of %d, want 4 (size-triggered flush)", i, a.res.BatchSize)
 		}
 	}
-	for _, sz := range fake.batchSizes() {
+	for _, sz := range fake.batchSizes()[1:] {
 		if sz != 4 {
-			t.Errorf("executed batch size %d, want 4", sz)
+			t.Errorf("executed batch size %d after the opener, want 4", sz)
 		}
 	}
 }
 
-// TestFlushOnDeadline: with a huge MaxBatch, a lone request must still be
-// answered once MaxDelay elapses.
+// TestFlushOnDeadline: while every replica is busy and MaxBatch is huge, a
+// lone request must still flush once MaxDelay elapses — and no sooner.
 func TestFlushOnDeadline(t *testing.T) {
-	fake := &fakeSys{}
 	const delay = 20 * time.Millisecond
-	s := newTestServer(t, Options{
-		Systems:  []arch.System{fake},
-		MaxBatch: 1024,
-		MaxDelay: delay,
-	})
-	defer s.Close()
+	s, _, release, opener := busyServer(t, Options{MaxBatch: 1024, MaxDelay: delay})
 
 	start := time.Now()
-	res, err := s.Lookup(context.Background(), testSamples(t, 1)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	lone := lookupAsync(s, testSamples(t, 1)[0])
+	waitUntil(t, func() bool { return s.Metrics().BatchForm.Snapshot().Count == 2 })
 	if elapsed := time.Since(start); elapsed < delay {
-		t.Errorf("answered after %v, before the %v flush deadline", elapsed, delay)
+		t.Errorf("flushed after %v, before the %v flush deadline", elapsed, delay)
 	}
-	if res.BatchSize != 1 {
-		t.Errorf("batch size %d, want 1 (deadline-triggered flush)", res.BatchSize)
+	release()
+
+	if err := <-opener; err != nil {
+		t.Fatalf("opener: %v", err)
 	}
-	if snap := s.Metrics().Snapshot(); snap.BatchForm.Count != 1 {
-		t.Errorf("batch-formation samples = %d, want 1", snap.BatchForm.Count)
+	a := <-lone
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.res.BatchSize != 1 {
+		t.Errorf("batch size %d, want 1 (deadline-triggered flush)", a.res.BatchSize)
+	}
+	snap := s.Metrics().Snapshot()
+	if snap.BatchForm.Count != 2 {
+		t.Errorf("batch-formation samples = %d, want 2 (opener and lone request)", snap.BatchForm.Count)
+	}
+	if snap.DeadlineFlushes != 1 {
+		t.Errorf("deadline flushes = %d, want 1", snap.DeadlineFlushes)
 	}
 }
 
