@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,46 +22,78 @@ func adaptiveSpec() ModelSpec {
 	}}
 }
 
-// serveWindow pushes waves×batch samples through the server, each wave
-// submitted concurrently so the batcher flushes exactly at MaxBatch —
-// every executed batch is a full one, making the simulated service
-// cycles comparable across phases. Returns cycles per sample over the
-// window (differenced from the cumulative service-cycle histogram).
-func serveWindow(t *testing.T, srv *Server, gen *Generator, waves, batch int) float64 {
+// serveWindow pushes waves of traffic through the server and returns the
+// window's served cycles per sample, counted over full batches so that it
+// is comparable across phases, and how many waves rode one full batch.
+// The batcher is work-conserving: a sample flushes at once while some
+// replica is idle, and samples coalesce only while every replica is busy.
+// The stack stalls every batch (chaos latency), so each wave first sends
+// one opener per replica, one at a time, to occupy the pool; then its
+// batch samples, already parked on their goroutines, are released at
+// once and coalesce until MaxBatch. A wave that arrives after an opener's
+// stall ended splits across smaller batches and is not counted. Openers
+// are drawn from the same generator, so the adaptive tracker sees one
+// traffic stream.
+func serveWindow(t *testing.T, srv *Server, gen *Generator, waves, batch int) (cps float64, full int) {
 	t.Helper()
-	pre := srv.Metrics().ServiceCycles.Snapshot()
-	preSum := pre.Mean * float64(pre.Count)
-
-	errs := make(chan error, batch)
-	for w := 0; w < waves; w++ {
-		samples := make([]Sample, batch)
-		for i := range samples {
-			samples[i] = gen.Sample()
+	type served struct {
+		batch  int
+		cycles int64
+	}
+	var cycles int64
+	errs := make(chan error, batch+srv.Replicas())
+	lookup := func(s Sample, results chan<- served) {
+		res, err := srv.Lookup(context.Background(), s)
+		if err != nil {
+			errs <- err
+			return
 		}
+		if results != nil {
+			results <- served{res.BatchSize, int64(res.ServiceCycles)}
+		}
+	}
+	for w := 0; w < waves; w++ {
+		start := make(chan struct{})
+		results := make(chan served, batch)
 		var wg sync.WaitGroup
-		for _, s := range samples {
+		for i := 0; i < batch; i++ {
 			wg.Add(1)
 			go func(s Sample) {
 				defer wg.Done()
-				if _, err := srv.Lookup(context.Background(), s); err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-			}(s)
+				<-start
+				lookup(s, results)
+			}(gen.Sample())
 		}
+		for i := 0; i < srv.Replicas(); i++ {
+			formed := srv.Metrics().BatchForm.Snapshot().Count
+			wg.Add(1)
+			go func(s Sample) {
+				defer wg.Done()
+				lookup(s, nil)
+			}(gen.Sample())
+			// Dispatched once its batch forms: the batcher routes it to
+			// an idle replica before it dequeues anything else.
+			for srv.Metrics().BatchForm.Snapshot().Count == formed {
+				runtime.Gosched()
+			}
+		}
+		close(start)
 		wg.Wait()
 		select {
 		case err := <-errs:
 			t.Fatal(err)
 		default:
 		}
+		// A full batch holds the whole wave: one batch, one cycle count.
+		if res := <-results; res.batch == batch {
+			full++
+			cycles += res.cycles
+		}
 	}
-
-	post := srv.Metrics().ServiceCycles.Snapshot()
-	dSum := post.Mean*float64(post.Count) - preSum
-	return dSum / float64(waves*batch)
+	if full == 0 {
+		return 0, 0
+	}
+	return float64(cycles) / float64(full*batch), full
 }
 
 // TestAdaptiveE2E is the acceptance run for the adaptive repartitioning
@@ -83,11 +116,16 @@ func TestAdaptiveE2E(t *testing.T) {
 		MinGain:         0.05,
 		AmortizeBatches: 1_000_000,
 		MinSamples:      400,
-	}}
+	},
+		// Every batch stalls (wall time only; simulated cycles are
+		// untouched), so serveWindow's openers hold every replica busy
+		// while a wave arrives.
+		Chaos: &FaultConfig{Rates: FaultRates{Latency: 1}, Stall: 20 * time.Millisecond},
+	}
 	st, err := NewStack(ReCross, cfg, 4, ServeOptions{
 		MaxBatch: 32,
-		// Long relative to a wave's concurrent submission: batches flush at
-		// MaxBatch, not the timer, so every batch is a full one.
+		// Long relative to a wave's concurrent submission: with every
+		// replica busy, a wave's batch flushes at MaxBatch, not the timer.
 		MaxDelay: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -104,13 +142,20 @@ func TestAdaptiveE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const waves, batch = 14, 32 // 448 samples per control window
+	const waves, batch = 14, 32 // 448 measured samples (+56 openers) per control window
+	window := func() float64 {
+		cps, full := serveWindow(t, srv, gen, waves, batch)
+		if full < waves/4 {
+			t.Fatalf("only %d of %d waves rode one full batch", full, waves)
+		}
+		return cps
+	}
 
 	// Phase 1: stationary traffic — no adoption, low drift, and a
 	// baseline for served cycles per sample.
 	var baseline float64
 	for w := 0; w < 4; w++ {
-		cps := serveWindow(t, srv, gen, waves, batch)
+		cps := window()
 		res := ctrl.Step()
 		if res.Adopted {
 			t.Fatalf("window %d: adopted a repartition on stationary traffic", w)
@@ -126,7 +171,7 @@ func TestAdaptiveE2E(t *testing.T) {
 	var drifted float64
 	adoptedAt := -1
 	for w := 0; w < 10; w++ {
-		cps := serveWindow(t, srv, gen, waves, batch)
+		cps := window()
 		res := ctrl.Step()
 		if res.Err != nil {
 			t.Fatalf("window %d: %v", w, res.Err)
@@ -149,7 +194,7 @@ func TestAdaptiveE2E(t *testing.T) {
 	// the stationary baseline.
 	var recovered float64
 	for w := 0; w < 4; w++ {
-		recovered = serveWindow(t, srv, gen, waves, batch)
+		recovered = window()
 		if res := ctrl.Step(); res.Adopted {
 			t.Fatalf("settle window %d: second adoption", w)
 		}

@@ -25,8 +25,8 @@
 // applied to requests that arrive without one, so Block-policy admission
 // can never hold a connection forever (0 disables it). -row-cache-mb
 // sizes the data plane's hot-row cache of materialized embedding rows
-// (0 disables; watch recross_dataplane_row_cache_* on /metrics) and
-// -reduce-workers sets the embedding-reduction worker pool size.
+// (0 disables; watch recross_dataplane_row_cache_* on /metrics). Each
+// request's embedding reduction runs on the goroutine that handles it.
 //
 // Chaos mode wraps every replica with the fault-injection harness for
 // soak runs against the self-healing pool — the server must keep
@@ -199,7 +199,6 @@ func bind(fs *flag.FlagSet, o *options) {
 	mib(&sv.RowCacheBytes, "row-cache-mb", 64, "hot-row cache budget in MiB for materialized embedding rows (0 disables); watch recross_dataplane_row_cache_* on /metrics")
 	fs.Var(parsed(&o.cfg.Precision, recross.ParsePrecision), "precision", "DRAM-tier embedding row storage format: fp32, fp16 or int8; watch recross_dataplane_row_bytes_* on /metrics")
 	fs.Var(parsed(&o.cold.Precision, recross.ParsePrecision), "cold-precision", "cold-tier page row format: fp32, fp16 or int8 (needs -cold)")
-	fs.IntVar(&sv.ReduceWorkers, "reduce-workers", 0, "embedding-reduction worker goroutines (0 = min(4, GOMAXPROCS))")
 
 	ch := &o.chaos
 	fs.Float64Var(&ch.Rates.Panic, "chaos-panic", 0, "chaos: per-batch replica panic probability")

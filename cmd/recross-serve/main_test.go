@@ -17,7 +17,7 @@ import (
 )
 
 // TestFlagsGolden: the flag set's names and default strings are the
-// command's public surface; testdata/flags.golden pins all 70.
+// command's public surface; testdata/flags.golden pins all 69.
 func TestFlagsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
@@ -37,8 +37,8 @@ func TestFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: bound value %q != default %q", f.Name, f.Value, f.DefValue)
 		}
 	})
-	if n != 70 {
-		t.Errorf("%d flags, want 70", n)
+	if n != 69 {
+		t.Errorf("%d flags, want 69", n)
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag names/defaults drifted from testdata/flags.golden:\n%s", got.String())

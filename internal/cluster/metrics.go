@@ -11,7 +11,7 @@ import (
 // recross_cluster_* by registerMetrics.
 type routerMetrics struct {
 	Requests    atomic.Int64 // lookups accepted
-	Failed      atomic.Int64 // lookups failed (caller error, cancellation)
+	Failed      atomic.Int64 // accepted lookups that returned an error (cancellation, fallback reduce error)
 	Degraded    atomic.Int64 // lookups with >=1 fallback op
 	FallbackOps atomic.Int64 // ops answered by the functional fallback
 	Subrequests atomic.Int64 // node sub-requests dispatched
@@ -131,6 +131,7 @@ func wireMetricsOf(n Node) *WireMetrics {
 func (r *Router) registerMetrics() {
 	set, m := r.set, r.metrics
 	set.Counter("recross_cluster_requests_total", "Lookups accepted by the router.", m.Requests.Load)
+	set.Counter("recross_cluster_requests_failed_total", "Accepted lookups that returned an error (cancellation, fallback reduce error).", m.Failed.Load)
 	set.Counter("recross_cluster_requests_degraded_total", "Lookups with at least one functional-fallback op.", m.Degraded.Load)
 	set.Counter("recross_cluster_fallback_ops_total", "Ops answered by the router's functional fallback.", m.FallbackOps.Load)
 	set.Counter("recross_cluster_subrequests_total", "Per-node sub-requests dispatched.", m.Subrequests.Load)

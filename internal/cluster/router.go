@@ -294,44 +294,14 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	start := time.Now()
 	r.metrics.Requests.Add(1)
 
-	// Scatter plan: each op goes to the least-loaded available owner of
-	// its table; ops sharing a node ride one sub-request. pending tracks
-	// work assigned within this plan so a burst of ops on one hot table
-	// spreads across its replicas even at zero ambient concurrency.
-	assign := make([]int, len(sample))
-	pending := make([]int64, len(r.nodes))
-	for i, op := range sample {
-		assign[i] = r.pickNode(pl.Replicas[op.Table], pending, nil)
-		if assign[i] >= 0 {
-			pending[assign[i]]++
-		}
+	all := make([]int, len(sample))
+	for i := range all {
+		all[i] = i
 	}
-	var groups []group
-	byNode := make(map[int]int, 4) // node -> index in groups
-	for i, n := range assign {
-		if n < 0 {
-			continue
-		}
-		gi, ok := byNode[n]
-		if !ok {
-			gi = len(groups)
-			byNode[n] = gi
-			groups = append(groups, group{node: n})
-		}
-		groups[gi].ops = append(groups[gi].ops, i)
-	}
-
+	groups, failedOps := r.plan(pl, sample, all, nil)
 	res := &Result{Vectors: make([][]float32, len(sample))}
 	served := make(map[int]bool, len(groups)) // distinct serving nodes
 	failed, from := r.scatter(ctx, pl, sample, groups, res, served)
-
-	// Functional fallback candidates: ops with no available owner.
-	var failedOps []int
-	for i, n := range assign {
-		if n < 0 {
-			failedOps = append(failedOps, i)
-		}
-	}
 
 	// Per-op failover round: a failed group may mix tables that still
 	// have live owners elsewhere with tables unique to the failed node
@@ -339,24 +309,8 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	// when the mix is pure). Re-plan each failed op individually off the
 	// node that failed it; only ops with nowhere left to go degrade.
 	if len(failed) > 0 {
-		pending2 := make([]int64, len(r.nodes))
-		var groups2 []group
-		byNode2 := make(map[int]int, 4)
-		for _, oi := range failed {
-			n := r.pickNode(pl.Replicas[sample[oi].Table], pending2, map[int]bool{from[oi]: true})
-			if n < 0 {
-				failedOps = append(failedOps, oi)
-				continue
-			}
-			pending2[n]++
-			gi, ok := byNode2[n]
-			if !ok {
-				gi = len(groups2)
-				byNode2[n] = gi
-				groups2 = append(groups2, group{node: n})
-			}
-			groups2[gi].ops = append(groups2[gi].ops, oi)
-		}
+		groups2, orphans := r.plan(pl, sample, failed, from)
+		failedOps = append(failedOps, orphans...)
 		if len(groups2) > 0 {
 			r.metrics.Retries.Add(int64(len(groups2)))
 			res.Retries += len(groups2)
@@ -369,6 +323,7 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	// tables are the same procedural functions.
 	if len(failedOps) > 0 {
 		if err := ctx.Err(); err != nil {
+			r.metrics.Failed.Add(1)
 			return nil, err
 		}
 		sc := r.scratch.Get().(*embedding.Scratch)
@@ -390,6 +345,38 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	res.Total = time.Since(start)
 	r.metrics.E2E.Record(res.Total.Nanoseconds())
 	return res, nil
+}
+
+// plan builds one scatter round over ops: each op goes to the
+// least-loaded available owner of its table other than exclude[op] (the
+// node that failed it; exclude is nil for the first round), and ops
+// sharing a node ride one sub-request. pending tracks work assigned
+// within this plan so a burst of ops on one hot table spreads across its
+// replicas even at zero ambient concurrency. Ops with no eligible owner
+// come back as orphans, for the functional fallback.
+func (r *Router) plan(pl *Placement, sample trace.Sample, ops []int, exclude map[int]int) (groups []group, orphans []int) {
+	pending := make([]int64, len(r.nodes))
+	byNode := make(map[int]int, 4) // node -> index in groups
+	for _, oi := range ops {
+		not := -1
+		if exclude != nil {
+			not = exclude[oi]
+		}
+		n := r.pickNode(pl.Replicas[sample[oi].Table], pending, not)
+		if n < 0 {
+			orphans = append(orphans, oi)
+			continue
+		}
+		pending[n]++
+		gi, ok := byNode[n]
+		if !ok {
+			gi = len(groups)
+			byNode[n] = gi
+			groups = append(groups, group{node: n})
+		}
+		groups[gi].ops = append(groups[gi].ops, oi)
+	}
+	return groups, orphans
 }
 
 // scatter dispatches one round of per-node sub-requests (one goroutine
@@ -446,13 +433,13 @@ func (r *Router) scatter(ctx context.Context, pl *Placement, sample trace.Sample
 }
 
 // pickNode selects the least-outstanding available node among cands
-// (ties: fewest cumulative sent, then lowest index), excluding `not`.
-// Returns -1 when no candidate is available.
-func (r *Router) pickNode(cands []int, pending []int64, not map[int]bool) int {
+// (ties: fewest cumulative sent, then lowest index), excluding node
+// `not` (-1 excludes none). Returns -1 when no candidate is available.
+func (r *Router) pickNode(cands []int, pending []int64, not int) int {
 	best := -1
 	var bestOut, bestSent int64
 	for _, c := range cands {
-		if not != nil && not[c] {
+		if c == not {
 			continue
 		}
 		ns := r.nodes[c]
@@ -566,7 +553,6 @@ func (r *Router) serveGroup(ctx context.Context, pl *Placement, g group, sub tra
 // alternate picks a second node able to serve the whole group, or nil.
 func (r *Router) alternate(pl *Placement, g group, sub trace.Sample) *nodeState {
 	cands := pl.Replicas[sub[0].Table]
-	not := map[int]bool{g.node: true}
 	for _, op := range sub[1:] {
 		// The alternate must hold every table of the group; intersect.
 		var kept []int
@@ -580,7 +566,7 @@ func (r *Router) alternate(pl *Placement, g group, sub trace.Sample) *nodeState 
 			return nil
 		}
 	}
-	if i := r.pickNode(cands, nil, not); i >= 0 {
+	if i := r.pickNode(cands, nil, g.node); i >= 0 {
 		return r.nodes[i]
 	}
 	return nil

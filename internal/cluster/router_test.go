@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -280,6 +281,27 @@ func TestRouterDeadExclusion(t *testing.T) {
 	}
 	if r.Health().Status != "degraded" {
 		t.Errorf("health %q, want degraded", r.Health().Status)
+	}
+}
+
+// TestRouterCanceledFallbackCountsFailed: with every node dead, a lookup
+// whose ctx has already ended returns ctx.Err() instead of falling back,
+// and counts as Failed.
+func TestRouterCanceledFallbackCountsFailed(t *testing.T) {
+	owners := [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}
+	pl := manualPlacement([]string{"node0", "node1"}, owners)
+	r, _ := newTestCluster(t, 2, pl, nil)
+	for _, ns := range r.nodes {
+		ns.state.Store(int32(NodeDead))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Lookup(ctx, wideSample()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if s := r.Stats(); s.Failed != 1 || s.Degraded != 0 {
+		t.Errorf("stats Failed=%d Degraded=%d, want 1/0", s.Failed, s.Degraded)
 	}
 }
 

@@ -93,17 +93,12 @@ func (s *Server) wake() {
 }
 
 // admitAtDequeue records the queue wait and drops requests whose context
-// expired while queued. Returns false if the request was dropped.
+// expired while queued; their callers, woken by the same context, settle
+// and count them. Returns false if the request was dropped.
 func (s *Server) admitAtDequeue(r *request) bool {
 	r.deq = time.Now()
 	s.metrics.QueueWait.Record(r.deq.Sub(r.enq).Nanoseconds())
-	if err := r.ctx.Err(); err != nil {
-		if r.complete(outcome{err: err}) {
-			s.metrics.Canceled.Add(1)
-		}
-		return false
-	}
-	return true
+	return r.ctx.Err() == nil
 }
 
 // route hands a formed batch to the replica with the least outstanding
@@ -111,23 +106,22 @@ func (s *Server) admitAtDequeue(r *request) bool {
 // load-balance objective across memory nodes — restricted to available
 // (healthy/suspect) replicas, the dispatcher's circuit breaker. When
 // available replicas are below Quorum the server is in degraded mode and
-// the whole batch is answered from the functional layer instead.
+// the whole batch is settled degraded instead: each caller answers its
+// own request from the functional layer, so the dispatcher never waits
+// on a reduction.
 func (s *Server) route(batch []*request) {
 	rep, _ := s.pickReplica()
-	if rep == nil {
-		for _, r := range batch {
-			s.serveDegraded(r)
+	if rep != nil {
+		rep.outstanding.Add(int64(len(batch)))
+		if s.sendWork(rep, batch, true) {
+			return
 		}
-		return
-	}
-	rep.outstanding.Add(int64(len(batch)))
-	if !s.sendWork(rep, batch, true) {
 		// Work channels already closed (drain raced a late flush):
-		// answer degraded rather than strand the batch.
+		// settle degraded rather than strand the batch.
 		rep.outstanding.Add(-int64(len(batch)))
-		for _, r := range batch {
-			s.serveDegraded(r)
-		}
+	}
+	for _, r := range batch {
+		r.degrade()
 	}
 }
 

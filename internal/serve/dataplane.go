@@ -1,22 +1,21 @@
 package serve
 
 import (
-	"runtime"
-	"sync"
+	"time"
 
 	"recross/internal/embedding"
-	"recross/internal/trace"
 )
 
 // The functional data plane of the server: every answered request's
-// result vectors come from embedding.Layer reductions. Two pieces keep
-// it off the allocator and off a single core:
+// result vectors come from embedding.Layer reductions, and every one runs
+// on the goroutine of the Lookup that asked for it (answer). Two pieces
+// keep it off the allocator and off a single core:
 //
-//   - a reducerPool of persistent worker goroutines, each owning one
-//     embedding.Scratch, reducing independent samples of a batch
-//     concurrently (ops are independent; per-op association order is
-//     untouched, so results stay bit-identical to the scalar reference
-//     — TestParallelReduceBitIdentical enforces it);
+//   - a sync.Pool of embedding.Scratch arenas, so concurrent callers
+//     reduce concurrently without allocating working memory (samples are
+//     independent and per-op association order is untouched, so results
+//     stay bit-identical to the scalar reference —
+//     TestParallelReduceBitIdentical enforces it);
 //   - the layer's optional sharded hot-row cache (Options.RowCacheBytes),
 //     whose hit/miss/eviction/bytes counters ride /metrics as the
 //     recross_dataplane_* series.
@@ -25,85 +24,36 @@ import (
 // only the functional layer — immutable tables plus the internally locked
 // row cache — is touched from multiple goroutines.
 
-// reduceJob is one sample's reduction, fanned to the pool by a replica
-// worker (per batch) or a degraded-path caller (single sample).
-type reduceJob struct {
-	sample trace.Sample
-	out    *[][]float32
-	err    *error
-	wg     *sync.WaitGroup
-}
-
-// reducerPool is the small persistent pool of data-plane reduction
-// workers. Workers never block on anything but their own reductions, so
-// submissions cannot deadlock; the pool is shared by every replica
-// worker and the degraded answer paths.
-type reducerPool struct {
-	layer *embedding.Layer
-	jobs  chan reduceJob
-	wg    sync.WaitGroup
-}
-
-// defaultReduceWorkers sizes the pool when Options.ReduceWorkers is 0:
-// a few workers saturate the data plane long before they contend on the
-// row-cache shards, and the timing simulators want the remaining cores.
-func defaultReduceWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
+// answer turns a request's verdict into its caller's answer, on the
+// caller's goroutine: it reduces the sample and fills the fields the
+// verdict leaves out. It is the one place a Result gets its vectors and
+// the one place an answered request is counted.
+func (s *Server) answer(r *request, res *Result) (*Result, error) {
+	sc := s.scratch.Get().(*embedding.Scratch)
+	defer s.scratch.Put(sc)
+	vecs, err := s.opts.Layer.ReduceSampleInto(r.sample, sc)
+	if err != nil {
+		s.metrics.Failed.Add(1)
+		return nil, err
 	}
-	if n < 1 {
-		n = 1
+	// The reduced vectors live in the pooled Scratch; the answer escapes
+	// (to HTTP marshalling, the caller), so it gets its own copy.
+	res.Vectors = embedding.CloneVectors(vecs)
+	res.ColdDegraded = s.coldDegraded()
+	res.QueueWait = r.deq.Sub(r.enq)
+	res.Total = time.Since(r.enq)
+	s.metrics.Completed.Add(1)
+	s.metrics.E2E.Record(res.Total.Nanoseconds())
+	if res.Degraded {
+		s.metrics.Degraded.Add(1)
 	}
-	return n
-}
-
-func newReducerPool(layer *embedding.Layer, workers int) *reducerPool {
-	p := &reducerPool{layer: layer, jobs: make(chan reduceJob, 2*workers)}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
+	if res.ColdDegraded {
+		s.metrics.DegradedCold.Add(1)
 	}
-	return p
+	return res, nil
 }
 
-// worker owns one Scratch for its lifetime. ReduceSampleInto's result
-// vectors live in that Scratch (valid only until its next call), while a
-// served Result's vectors escape indefinitely — to HTTP marshalling,
-// caller futures — so each sample's answer is cloned into caller-owned
-// memory before the job completes.
-func (p *reducerPool) worker() {
-	defer p.wg.Done()
-	var scratch embedding.Scratch
-	for j := range p.jobs {
-		vecs, err := p.layer.ReduceSampleInto(j.sample, &scratch)
-		if err == nil {
-			vecs = embedding.CloneVectors(vecs)
-		}
-		*j.out, *j.err = vecs, err
-		j.wg.Done()
-	}
-}
-
-// reduceOne reduces a single sample through the pool — the degraded
-// answer path, callable from any goroutine.
-func (p *reducerPool) reduceOne(sample trace.Sample) ([][]float32, error) {
-	var out [][]float32
-	var err error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	p.jobs <- reduceJob{sample: sample, out: &out, err: &err, wg: &wg}
-	wg.Wait()
-	return out, err
-}
-
-// close drains the pool; no submissions may follow.
-func (p *reducerPool) close() {
-	close(p.jobs)
-	p.wg.Wait()
-}
-
-// initDataplane builds the server's reducer pool and, when configured,
+// initDataplane builds the server's scratch pool and, when configured,
 // the layer's hot-row cache. Called once from New.
 func (s *Server) initDataplane() error {
 	if s.opts.RowCacheBytes > 0 && s.opts.Layer.RowCache() == nil {
@@ -116,11 +66,7 @@ func (s *Server) initDataplane() error {
 		}
 	}
 	s.rowCache = s.opts.Layer.RowCache()
-	workers := s.opts.ReduceWorkers
-	if workers == 0 {
-		workers = defaultReduceWorkers()
-	}
-	s.reducers = newReducerPool(s.opts.Layer, workers)
+	s.scratch.New = func() any { return new(embedding.Scratch) }
 	return nil
 }
 

@@ -3,19 +3,19 @@ package serve
 import (
 	"sort"
 	"strconv"
-	"time"
 )
 
 // failover resolves a batch whose replica failed: requests with retry
 // budget left are resubmitted to another available replica; the rest
-// are answered from the functional layer with Result.Degraded set. A
-// replica fault therefore never surfaces as a caller-visible error.
+// are settled degraded, for their callers to answer from the functional
+// layer. A replica fault therefore never surfaces as a caller-visible
+// error.
 func (s *Server) failover(batch []*request, from int) {
 	for _, r := range batch {
 		if r.retries < s.opts.MaxRetries && s.resubmit(r, from) {
 			continue
 		}
-		s.serveDegraded(r)
+		r.degrade()
 	}
 }
 
@@ -69,40 +69,6 @@ func (s *Server) sendWork(rep *replica, batch []*request, block bool) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// serveDegraded answers one request from the shared functional layer:
-// correct vectors, no timing model, Result.Degraded set. It is the
-// last-resort path — quorum loss, exhausted retry budget, or drain.
-func (s *Server) serveDegraded(r *request) {
-	vecs, err := s.reducers.reduceOne(r.sample)
-	if err != nil {
-		if r.complete(outcome{err: err}) {
-			s.metrics.Failed.Add(1)
-		}
-		return
-	}
-	if r.deq.IsZero() {
-		r.deq = time.Now()
-	}
-	res := &Result{
-		Vectors:      vecs,
-		BatchSize:    1,
-		Replica:      -1,
-		Retries:      r.retries,
-		Degraded:     true,
-		ColdDegraded: s.coldDegraded(),
-		QueueWait:    r.deq.Sub(r.enq),
-		Total:        time.Since(r.enq),
-	}
-	if r.complete(outcome{res: res}) {
-		s.metrics.Degraded.Add(1)
-		s.metrics.Completed.Add(1)
-		s.metrics.E2E.Record(res.Total.Nanoseconds())
-		if res.ColdDegraded {
-			s.metrics.DegradedCold.Add(1)
-		}
 	}
 }
 

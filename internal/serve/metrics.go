@@ -24,8 +24,10 @@ type Metrics struct {
 	Failed atomic.Int64
 	// Shed counts requests rejected with ErrOverloaded at admission.
 	Shed atomic.Int64
-	// Canceled counts requests whose context expired while queued (dropped
-	// at dequeue time) or while blocked at admission.
+	// Canceled counts requests whose context ended before they were
+	// answered: blocked at admission, queued, or riding a running batch
+	// (whose verdict is then discarded, never reduced). Every admitted
+	// request lands in exactly one of Completed, Failed and Canceled.
 	Canceled atomic.Int64
 	// Batches counts simulated batches executed.
 	Batches atomic.Int64
@@ -87,7 +89,7 @@ func NewMetrics(set *metrics.Set) *Metrics {
 	set.Counter("recross_requests_completed_total", "Requests answered successfully.", m.Completed.Load)
 	set.Counter("recross_requests_failed_total", "Requests answered with a simulation or functional error.", m.Failed.Load)
 	set.Counter("recross_requests_shed_total", "Requests rejected at admission under the shed policy.", m.Shed.Load)
-	set.Counter("recross_requests_canceled_total", "Requests whose context expired at admission or while queued.", m.Canceled.Load)
+	set.Counter("recross_requests_canceled_total", "Requests whose context ended before it was answered.", m.Canceled.Load)
 	set.Counter("recross_requests_degraded_total", "Requests answered from the functional layer (no healthy replica).", m.Degraded.Load)
 	set.Counter("recross_requests_cold_degraded_total", "Requests completed while the storage tier was degraded.", m.DegradedCold.Load)
 	set.Counter("recross_retries_total", "Failed-batch resubmissions to another replica.", m.Retries.Load)

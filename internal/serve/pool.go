@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,11 +75,6 @@ type replica struct {
 	// update is a staged SystemUpdate (see StageUpdate); the worker swaps
 	// it out and applies it between batches, when it owns sys.
 	update atomic.Pointer[SystemUpdate]
-
-	// Data-plane demux scratch, reused across batches (serve runs on the
-	// single worker goroutine that owns this replica).
-	redVecs [][][]float32
-	redErrs []error
 }
 
 func newReplica(id int, sys arch.System) *replica {
@@ -193,9 +187,9 @@ func runRecovered(sys arch.System, b trace.Batch) (st *arch.RunStats, panicked b
 }
 
 // serve runs one coalesced batch through the replica's timing model on
-// the worker goroutine and demultiplexes the functional results back to
-// each request's future. A failed batch has been failed over by the time
-// it returns.
+// the worker goroutine and settles each request's future with the
+// batch's verdict; each caller reduces its own vectors. A failed batch
+// has been failed over by the time it returns.
 func (rep *replica) serve(s *Server, batch []*request) batchOutcome {
 	b := make(trace.Batch, len(batch))
 	for i, r := range batch {
@@ -241,48 +235,8 @@ func (rep *replica) serve(s *Server, batch []*request) batchOutcome {
 	s.metrics.BatchSamples.Add(int64(len(batch)))
 	s.metrics.ServiceCycles.Record(int64(st.Cycles))
 
-	// Fan the batch's functional reductions across the persistent
-	// data-plane pool: samples are independent, per-op association order
-	// is unchanged, so the vectors are bit-identical to reducing them
-	// here one by one.
-	if cap(rep.redVecs) < len(batch) {
-		rep.redVecs = make([][][]float32, len(batch))
-		rep.redErrs = make([]error, len(batch))
-	}
-	vecs := rep.redVecs[:len(batch)]
-	rerrs := rep.redErrs[:len(batch)]
-	var rwg sync.WaitGroup
-	rwg.Add(len(batch))
-	for i, r := range batch {
-		s.reducers.jobs <- reduceJob{sample: r.sample, out: &vecs[i], err: &rerrs[i], wg: &rwg}
-	}
-	rwg.Wait()
-
-	for i, r := range batch {
-		if err := rerrs[i]; err != nil {
-			if r.complete(outcome{err: err}) {
-				s.metrics.Failed.Add(1)
-			}
-			continue
-		}
-		now := time.Now()
-		res := &Result{
-			Vectors:       vecs[i],
-			BatchSize:     len(batch),
-			ServiceCycles: st.Cycles,
-			Replica:       rep.id,
-			Retries:       r.retries,
-			ColdDegraded:  s.coldDegraded(),
-			QueueWait:     r.deq.Sub(r.enq),
-			Total:         now.Sub(r.enq),
-		}
-		if r.complete(outcome{res: res}) {
-			s.metrics.E2E.Record(res.Total.Nanoseconds())
-			s.metrics.Completed.Add(1)
-			if res.ColdDegraded {
-				s.metrics.DegradedCold.Add(1)
-			}
-		}
+	for _, r := range batch {
+		r.complete(&Result{BatchSize: len(batch), ServiceCycles: st.Cycles, Replica: rep.id, Retries: r.retries})
 	}
 	return served
 }

@@ -13,7 +13,9 @@
 //     they buy throughput, and cost no latency below it;
 //   - a sharded worker pool: N replicas of an arch.System (each its own
 //     simulated memory channel/device), fed by least-outstanding-work
-//     dispatch, with results demultiplexed back to per-request futures;
+//     dispatch, settling each request's future with a verdict (which
+//     batch served it, at what simulated cost); the caller then reduces
+//     its own sample from the functional layer on its own goroutine;
 //   - admission control: a bounded queue with a configurable overload
 //     policy (Block until space, or Shed with ErrOverloaded), and
 //     per-request context deadlines honored at dequeue time;
@@ -195,17 +197,12 @@ type Options struct {
 	// lookup. Its counters ride /metrics as recross_dataplane_row_cache_*
 	// (0 = no cache). Requires at least one procedural table.
 	RowCacheBytes int64
-	// ReduceWorkers sizes the persistent data-plane reduction pool that
-	// answers batches' functional results in parallel (default
-	// min(4, GOMAXPROCS); 1 serializes reductions). Results are
-	// bit-identical to the single-goroutine reference regardless: samples
-	// are reduced independently and per-op association order is fixed.
-	ReduceWorkers int
 
 	// OnClose, when non-nil, runs at the end of Close after every worker
-	// and answer path has finished — the hook that releases resources the
-	// server serves from but does not own the lifecycle of otherwise
-	// (e.g. the cold tier's backing store).
+	// has exited and every admitted Lookup — whose caller reduces its own
+	// answer from the functional layer — has returned: the hook that
+	// releases resources the server serves from but does not own the
+	// lifecycle of otherwise (e.g. the cold tier's backing store).
 	OnClose func()
 
 	// ColdDegraded, when non-nil, probes whether the storage tier is
@@ -262,9 +259,10 @@ type Result struct {
 	// Retries is how many times the request was resubmitted after a
 	// replica failure before being answered.
 	Retries int
-	// Degraded marks a request answered from the shared functional layer
-	// — correct vectors, no timing model — because no healthy replica
-	// could serve it (quorum loss, drain, or an exhausted retry budget).
+	// Degraded marks a request no replica served — correct vectors, no
+	// timing model — because no healthy replica could take it (quorum
+	// loss, drain, or an exhausted retry budget). Its vectors come from
+	// the same functional layer as every answer's, reduced on the caller.
 	// It reports compute degradation; storage degradation is the separate
 	// ColdDegraded flag, and a request may carry both.
 	Degraded bool
@@ -279,12 +277,6 @@ type Result struct {
 	Total time.Duration
 }
 
-// outcome resolves one request's future.
-type outcome struct {
-	res *Result
-	err error
-}
-
 // request is one queued lookup.
 type request struct {
 	ctx     context.Context
@@ -292,20 +284,27 @@ type request struct {
 	enq     time.Time   // admission time
 	deq     time.Time   // dequeue time, set by the batcher
 	retries int         // resubmissions so far; owned by whoever holds the request
-	settled atomic.Bool // guards complete against late double-resolution
+	settled atomic.Bool // set by the first settle: a verdict (complete) or the caller giving up
 
-	done chan outcome // buffered(1): workers never block completing it
+	// done carries the verdict: how the request was served, without
+	// vectors (Lookup's caller reduces those). Buffered(1): workers never
+	// block completing it.
+	done chan *Result
 }
 
-// complete resolves the future exactly once; callers gate their metric
-// updates on the return so a request is counted exactly once even if a
-// failover path races a late completion.
-func (r *request) complete(o outcome) bool {
-	if !r.settled.CompareAndSwap(false, true) {
-		return false
+// complete settles the future with a verdict exactly once; a failover
+// path racing a late completion, or a caller that gave up, makes the
+// second settle a no-op.
+func (r *request) complete(res *Result) {
+	if r.settled.CompareAndSwap(false, true) {
+		r.done <- res
 	}
-	r.done <- o
-	return true
+}
+
+// degrade settles a request no replica can serve: its caller answers it
+// from the functional layer with Result.Degraded set.
+func (r *request) degrade() {
+	r.complete(&Result{BatchSize: 1, Replica: -1, Retries: r.retries, Degraded: true})
 }
 
 // Server is the embedding-inference front-end. Create with New; all
@@ -328,14 +327,15 @@ type Server struct {
 	watchDone      chan struct{}
 	dispatcherDone chan struct{}
 	workers        sync.WaitGroup // one slot per replica, held by its current worker
+	lookups        sync.WaitGroup // admitted Lookups still running; joined under mu's read lock
 
 	// set is everything /metrics prints: the server's own series plus
 	// whatever the stages composed around it register (MetricSet).
 	set *metrics.Set
 
-	// Functional data plane: the persistent reduction pool answering
-	// result vectors, and the layer's hot-row cache when configured.
-	reducers *reducerPool
+	// Functional data plane: scratch arenas for callers' reductions, and
+	// the layer's hot-row cache when configured.
+	scratch  sync.Pool // *embedding.Scratch
 	rowCache *embedding.RowCache
 }
 
@@ -369,9 +369,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.RowCacheBytes < 0 {
 		return nil, fmt.Errorf("serve: RowCacheBytes %d < 0", opts.RowCacheBytes)
-	}
-	if opts.ReduceWorkers < 0 {
-		return nil, fmt.Errorf("serve: ReduceWorkers %d < 0", opts.ReduceWorkers)
 	}
 	set := metrics.NewSet()
 	s := &Server{
@@ -420,13 +417,14 @@ func (s *Server) Draining() bool {
 }
 
 // Lookup serves one sample's embedding work: the sample is queued,
-// coalesced into a batch, run through a replica's timing model, and its
-// functional result vectors returned. ctx cancellation is honored while
-// blocked at admission and while queued (at dequeue time); once the
-// sample is in a running batch the result is computed but discarded if
-// the caller has gone. Replica faults are invisible here: a failed batch
-// is retried on a healthy replica (up to MaxRetries) and then answered
-// from the functional layer with Result.Degraded set.
+// coalesced into a batch and run through a replica's timing model; then
+// its functional result vectors are reduced here, on the caller's
+// goroutine. ctx cancellation is honored until the verdict arrives —
+// blocked at admission, queued, or riding a running batch; a request
+// canceled after admission counts as Canceled and is never reduced.
+// Replica faults are invisible here: a failed batch is retried on a
+// healthy replica (up to MaxRetries) and then answered from the
+// functional layer with Result.Degraded set.
 func (s *Server) Lookup(ctx context.Context, sample trace.Sample) (*Result, error) {
 	if len(sample) == 0 {
 		return nil, errors.New("serve: empty sample")
@@ -452,15 +450,18 @@ func (s *Server) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 			defer cancel()
 		}
 	}
-	r := &request{ctx: ctx, sample: sample, enq: time.Now(), done: make(chan outcome, 1)}
+	r := &request{ctx: ctx, sample: sample, enq: time.Now(), done: make(chan *Result, 1)}
 
 	// The read lock spans the enqueue so Close (write lock) cannot close
-	// s.in while an admission send is in flight.
+	// s.in while an admission send is in flight, and joins s.lookups
+	// before Close can wait on it.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
+	s.lookups.Add(1)
+	defer s.lookups.Done()
 	switch s.opts.Policy {
 	case Shed:
 		select {
@@ -486,18 +487,24 @@ func (s *Server) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	}
 
 	select {
-	case o := <-r.done:
-		return o.res, o.err
+	case res := <-r.done:
+		return s.answer(r, res)
 	case <-ctx.Done():
-		// Still queued (will be dropped at dequeue) or already running
-		// (result discarded; the buffered done channel frees the worker).
+		// Still queued (dropped at dequeue) or riding a batch (its
+		// verdict is discarded; the buffered done channel frees the
+		// worker). If a verdict won the race, drop it unreduced.
+		if !r.settled.CompareAndSwap(false, true) {
+			<-r.done
+		}
+		s.metrics.Canceled.Add(1)
 		return nil, ctx.Err()
 	}
 }
 
 // Close gracefully drains the server: admission stops with ErrClosed,
 // every already-admitted request is batched and answered (normally or
-// degraded), and all tracked goroutines exit before Close returns.
+// degraded), and all tracked goroutines exit and every admitted Lookup
+// returns before Close does.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -526,9 +533,9 @@ func (s *Server) Close() error {
 	close(s.watchStop) // only now: a batch wedged during the drain was still claimed
 	<-s.watchDone
 
-	// Every answer path (worker demux, degraded sweeps) has completed;
-	// the data-plane reduction pool has no producers left.
-	s.reducers.close()
+	// Every admitted request has its verdict; wait for the callers still
+	// reducing their answers, which may read the cold tier OnClose closes.
+	s.lookups.Wait()
 	if s.opts.OnClose != nil {
 		s.opts.OnClose()
 	}
