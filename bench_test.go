@@ -6,7 +6,6 @@
 package recross
 
 import (
-	"io"
 	"testing"
 
 	"recross/internal/core"
@@ -139,35 +138,26 @@ func BenchmarkTab03Area(b *testing.B) {
 	}
 }
 
-// BenchmarkSuite runs the complete evaluation end to end (quick scale) —
-// the one-shot "reproduce the paper" measurement.
-func BenchmarkSuite(b *testing.B) {
-	cfg := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.RunAll(cfg, io.Discard); err != nil {
-			b.Fatal(err)
-		}
+// benchSelected runs every experiment recross-bench selects for args, at
+// quick scale.
+func benchSelected(b *testing.B, args ...string) {
+	exps, err := experiments.Select(args)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkExtensions runs the beyond-paper extension studies (refresh,
-// channels, subarrays, training, latency, DDR4) at quick scale.
-func BenchmarkExtensions(b *testing.B) {
-	cfg := experiments.Quick()
-	runs := []func(experiments.Config) (*experiments.Table, error){
-		experiments.ExtRefresh,
-		experiments.ExtChannels,
-		experiments.ExtSubarrays,
-		experiments.ExtTraining,
-		experiments.ExtLatency,
-		experiments.ExtDDR4,
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, run := range runs {
-			if _, err := run(cfg); err != nil {
-				b.Fatal(err)
+		for _, e := range exps {
+			if _, err := e.Run(experiments.Quick()); err != nil {
+				b.Fatalf("%s: %v", e.Name, err)
 			}
 		}
 	}
 }
+
+// BenchmarkSuite runs the paper's complete evaluation end to end (quick
+// scale) — the one-shot "reproduce the paper" measurement.
+func BenchmarkSuite(b *testing.B) { benchSelected(b) }
+
+// BenchmarkExtensions runs the beyond-paper extension studies (refresh,
+// channels, subarrays, training, latency, DDR4) at quick scale.
+func BenchmarkExtensions(b *testing.B) { benchSelected(b, "ext") }

@@ -1,17 +1,23 @@
 // recross-bench regenerates every table and figure of the paper's
-// evaluation section (§5) and prints them as text tables; EXPERIMENTS.md
-// records a captured run next to the paper's numbers.
+// evaluation section (§5), and the extension studies beyond it, and prints
+// them as text tables; EXPERIMENTS.md records a captured run next to the
+// paper's numbers.
 //
 // Usage:
 //
 //	recross-bench [flags] [experiment ...]
 //
-// Experiments: fig3 fig4 fig5 fig6 fig9 fig10 fig11 fig12 fig13 fig14
-// fig15 table3 (default: all, in paper order).
+// With no argument it runs the paper's evaluation in paper order: fig3
+// fig4 fig5 fig6 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table3. A lone
+// "ext" runs the extension studies (ext-refresh ext-channels
+// ext-subarrays ext-training ext-latency ext-ddr4), a lone "all" runs
+// both, and otherwise each argument names one experiment.
+// experiments.Experiments is the list.
 //
 // Flags:
 //
 //	-quick        scaled-down workload (seconds instead of minutes)
+//	-csv DIR      also write each table as DIR/<experiment>.csv
 //	-batch N      batch size (default 32)
 //	-pooling N    gathers per embedding operation (default 80)
 //	-veclen N     embedding vector length (default 64)
@@ -93,42 +99,10 @@ func main() {
 		cfg.Ranks = *ranks
 	}
 
-	runners := map[string]func() (fmt.Stringer, error){
-		"fig3":  func() (fmt.Stringer, error) { return experiments.Fig3(cfg) },
-		"fig4":  func() (fmt.Stringer, error) { return experiments.Fig4(cfg) },
-		"fig5":  func() (fmt.Stringer, error) { return experiments.Fig5(cfg) },
-		"fig6":  func() (fmt.Stringer, error) { s, err := experiments.Fig6(); return text(s), err },
-		"fig9":  func() (fmt.Stringer, error) { return experiments.Fig9(cfg) },
-		"fig10": func() (fmt.Stringer, error) { return experiments.Fig10(cfg) },
-		"fig11": func() (fmt.Stringer, error) { return experiments.Fig11(cfg) },
-		"fig12": func() (fmt.Stringer, error) { return experiments.Fig12(cfg) },
-		"fig13": func() (fmt.Stringer, error) { return experiments.Fig13(cfg) },
-		"fig14": func() (fmt.Stringer, error) { return experiments.Fig14(cfg) },
-		"fig15": func() (fmt.Stringer, error) { return experiments.Fig15(cfg) },
-		"table3": func() (fmt.Stringer, error) {
-			return experiments.Table3(), nil
-		},
-		// Extension studies beyond the paper's evaluation.
-		"ext-refresh":   func() (fmt.Stringer, error) { return experiments.ExtRefresh(cfg) },
-		"ext-channels":  func() (fmt.Stringer, error) { return experiments.ExtChannels(cfg) },
-		"ext-subarrays": func() (fmt.Stringer, error) { return experiments.ExtSubarrays(cfg) },
-		"ext-training":  func() (fmt.Stringer, error) { return experiments.ExtTraining(cfg) },
-		"ext-latency":   func() (fmt.Stringer, error) { return experiments.ExtLatency(cfg) },
-		"ext-ddr4":      func() (fmt.Stringer, error) { return experiments.ExtDDR4(cfg) },
-	}
-	order := []string{"fig3", "fig4", "fig5", "fig6", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "table3"}
-	extOrder := []string{"ext-refresh", "ext-channels", "ext-subarrays",
-		"ext-training", "ext-latency", "ext-ddr4"}
-
-	names := flag.Args()
-	switch {
-	case len(names) == 0:
-		names = order
-	case len(names) == 1 && names[0] == "ext":
-		names = extOrder
-	case len(names) == 1 && names[0] == "all":
-		names = append(append([]string{}, order...), extOrder...)
+	exps, err := experiments.Select(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	doc := jsonDoc{
 		VecLen: cfg.VecLen, Pooling: cfg.Pooling, Batch: cfg.Batch,
@@ -141,43 +115,37 @@ func main() {
 		fmt.Printf("recross-bench: veclen=%d pooling=%d batch=%d ranks=%d quick=%v\n\n",
 			cfg.VecLen, cfg.Pooling, cfg.Batch, cfg.Ranks, *quick)
 	}
-	for _, n := range names {
-		run, ok := runners[n]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %v, %v, 'ext', or 'all')\n", n, order, extOrder)
-			os.Exit(2)
-		}
+	for _, e := range exps {
 		start := time.Now()
-		res, err := run()
+		res, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", n, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		took := time.Since(start).Seconds()
+		tb, isTable := res.(*experiments.Table)
 		if *jsonOut {
-			jr := jsonResult{Name: n, Seconds: took}
-			if tb, ok := res.(*experiments.Table); ok {
+			jr := jsonResult{Name: e.Name, Seconds: took}
+			if isTable {
 				jr.Title, jr.Note, jr.Cols, jr.Rows = tb.Title, tb.Note, tb.Cols, tb.Rows
 			} else {
-				jr.Text = res.String()
+				jr.Text = fmt.Sprint(res)
 			}
 			doc.Results = append(doc.Results, jr)
-			fmt.Fprintf(os.Stderr, "%s done in %.1fs\n", n, took)
+			fmt.Fprintf(os.Stderr, "%s done in %.1fs\n", e.Name, took)
 		} else {
-			fmt.Println(res.String())
-			fmt.Printf("(%s took %.1fs)\n\n", n, took)
+			fmt.Println(res)
+			fmt.Printf("(%s took %.1fs)\n\n", e.Name, took)
 		}
-		if *csvDir != "" {
-			if tb, ok := res.(*experiments.Table); ok {
-				if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				path := filepath.Join(*csvDir, n+".csv")
-				if err := os.WriteFile(path, []byte(tb.CSV()), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
+		if *csvDir != "" && isTable {
+			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			path := filepath.Join(*csvDir, e.Name+".csv")
+			if err := os.WriteFile(path, []byte(tb.CSV()), 0o644); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
 			}
 		}
 	}
@@ -190,10 +158,6 @@ func main() {
 		}
 	}
 }
-
-type text string
-
-func (t text) String() string { return string(t) }
 
 // startProfiles starts the optional CPU profile and returns the function
 // that stops it and writes the optional heap profile.

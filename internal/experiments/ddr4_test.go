@@ -6,10 +6,7 @@ import (
 )
 
 func TestExtDDR4(t *testing.T) {
-	tb, err := ExtDDR4(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick[*Table](t, "ext-ddr4")
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"recross/internal/energy"
 )
@@ -51,42 +50,3 @@ func Table3() *Table {
 	}
 	return t
 }
-
-// RunAll executes the complete evaluation suite in paper order, writing
-// each table to w as it completes.
-func RunAll(cfg Config, w io.Writer) error {
-	steps := []struct {
-		name string
-		run  func() (fmt.Stringer, error)
-	}{
-		{"Fig3", func() (fmt.Stringer, error) { return Fig3(cfg) }},
-		{"Fig4", func() (fmt.Stringer, error) { return Fig4(cfg) }},
-		{"Fig5", func() (fmt.Stringer, error) { return Fig5(cfg) }},
-		{"Fig6", func() (fmt.Stringer, error) {
-			s, err := Fig6()
-			return stringResult(s), err
-		}},
-		{"Fig9", func() (fmt.Stringer, error) { return Fig9(cfg) }},
-		{"Fig10", func() (fmt.Stringer, error) { return Fig10(cfg) }},
-		{"Fig11", func() (fmt.Stringer, error) { return Fig11(cfg) }},
-		{"Fig12", func() (fmt.Stringer, error) { return Fig12(cfg) }},
-		{"Fig13", func() (fmt.Stringer, error) { return Fig13(cfg) }},
-		{"Fig14", func() (fmt.Stringer, error) { return Fig14(cfg) }},
-		{"Fig15", func() (fmt.Stringer, error) { return Fig15(cfg) }},
-		{"Table3", func() (fmt.Stringer, error) { return Table3(), nil }},
-	}
-	for _, s := range steps {
-		res, err := s.run()
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", s.name, err)
-		}
-		if _, err := fmt.Fprintf(w, "%s\n", res.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type stringResult string
-
-func (s stringResult) String() string { return string(s) }

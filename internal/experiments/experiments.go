@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -64,23 +65,198 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// An Experiment is one table or study of the suite.
+type Experiment struct {
+	Name  string // recross-bench's argument, e.g. "fig9"
+	Paper bool   // part of the paper's §5 evaluation; false for an extension study
+	// Run renders the experiment at a configuration: a *Table, or for
+	// fig6 the command timeline as text.
+	Run func(Config) (any, error)
+}
+
+// Experiments is the one list of the suite: the paper's evaluation in
+// paper order, then the extension studies. recross-bench and the
+// benchmarks read it.
+var Experiments = []Experiment{
+	{"fig3", true, table(Fig3)},
+	{"fig4", true, table(Fig4)},
+	{"fig5", true, table(Fig5)},
+	{"fig6", true, func(Config) (any, error) { return Fig6() }},
+	{"fig9", true, table(Fig9)},
+	{"fig10", true, table(Fig10)},
+	{"fig11", true, table(Fig11)},
+	{"fig12", true, table(Fig12)},
+	{"fig13", true, table(Fig13)},
+	{"fig14", true, table(Fig14)},
+	{"fig15", true, table(Fig15)},
+	{"table3", true, func(Config) (any, error) { return Table3(), nil }},
+	{"ext-refresh", false, table(ExtRefresh)},
+	{"ext-channels", false, table(ExtChannels)},
+	{"ext-subarrays", false, table(ExtSubarrays)},
+	{"ext-training", false, table(ExtTraining)},
+	{"ext-latency", false, table(ExtLatency)},
+	{"ext-ddr4", false, table(ExtDDR4)},
+}
+
+// table adapts a runner that renders a Table to Experiment.Run.
+func table(run func(Config) (*Table, error)) func(Config) (any, error) {
+	return func(cfg Config) (any, error) { return run(cfg) }
+}
+
+// Select resolves recross-bench's arguments: none selects the paper's
+// evaluation, a lone "ext" the extension studies, a lone "all" every
+// experiment, and otherwise each argument names one experiment.
+func Select(args []string) ([]Experiment, error) {
+	var paper, ext []Experiment
+	var paperNames, extNames []string
+	for _, e := range Experiments {
+		if e.Paper {
+			paper, paperNames = append(paper, e), append(paperNames, e.Name)
+		} else {
+			ext, extNames = append(ext, e), append(extNames, e.Name)
+		}
+	}
+	switch {
+	case len(args) == 0:
+		return paper, nil
+	case len(args) == 1 && args[0] == "ext":
+		return ext, nil
+	case len(args) == 1 && args[0] == "all":
+		return Experiments, nil
+	}
+	out := make([]Experiment, len(args))
+	for i, a := range args {
+		j := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.Name == a })
+		if j < 0 {
+			return nil, fmt.Errorf("unknown experiment %q (want one of %v, %v, 'ext', or 'all')",
+				a, paperNames, extNames)
+		}
+		out[i] = Experiments[j]
+	}
+	return out, nil
+}
+
+// harness builds systems over one workload spec and runs them on its
+// measured batch. It profiles the spec at most once, from cfg.ProfileSeed
+// and cfg.ProfileSamples, and every system it builds shares that profile
+// read-only.
+type harness struct {
+	cfg     Config
+	spec    trace.ModelSpec
+	profile func() (*partition.Profile, error)
+}
+
+func newHarness(cfg Config, spec trace.ModelSpec) *harness {
+	return &harness{cfg: cfg, spec: spec, profile: sync.OnceValues(func() (*partition.Profile, error) {
+		return partition.NewProfile(spec, cfg.ProfileSeed, cfg.ProfileSamples)
+	})}
+}
+
+// A recipe builds one system; measure builds each on its own goroutine.
+type recipe func() (arch.System, error)
+
+// build is the recipe for one system over the spec: an architecture of
+// ArchNames, "rank-nmp", or "bank-nmp" (TRiM-B's bank-level NMP without
+// its hot-entry replication). Every system starts from ReCross-d at cfg's
+// ranks and batch; tweak, when non-nil, adjusts that configuration, and
+// the baselines read its Ranks, Tm, Energy and Geo.
+func (h *harness) build(name string, tweak func(*core.Config)) recipe {
+	return func() (arch.System, error) {
+		rc := core.DefaultConfig(h.spec)
+		rc.Ranks, rc.Batch = h.cfg.Ranks, h.cfg.Batch
+		rc.Seed, rc.ProfileSamples = h.cfg.ProfileSeed, h.cfg.ProfileSamples
+		if tweak != nil {
+			tweak(&rc)
+		}
+		bc := baseline.Config{Spec: h.spec, Ranks: rc.Ranks, Tm: rc.Tm, Energy: rc.Energy, Geo: rc.Geo}
+		switch name {
+		case "cpu":
+			return baseline.NewCPU(bc)
+		case "tensordimm":
+			return baseline.NewTensorDIMM(bc)
+		case "recnmp":
+			return baseline.NewRecNMP(bc)
+		case "rank-nmp":
+			return baseline.NewRankNMP(bc)
+		case "trim-g":
+			return baseline.NewTRiMG(bc)
+		case "bank-nmp":
+			return baseline.NewTRiMB(bc, nil)
+		}
+		prof, err := h.profile()
+		if err != nil {
+			return nil, err
+		}
+		switch name {
+		case "trim-b":
+			return baseline.NewTRiMB(bc, prof.Hists)
+		case "recross":
+			rc.Profile = prof
+			return core.New(rc)
+		}
+		return nil, fmt.Errorf("experiments: unknown architecture %q", name)
+	}
+}
+
+// sharded is the recipe for name over the spec's tables sharded
+// round-robin across n channels. Each channel profiles its own sub-spec
+// once.
+func (h *harness) sharded(name string, n int, tweak func(*core.Config)) recipe {
+	return func() (arch.System, error) {
+		return arch.NewMultiChannel(h.spec, n, func(sub trace.ModelSpec) (arch.System, error) {
+			return newHarness(h.cfg, sub).build(name, tweak)()
+		})
+	}
+}
+
+// built is the recipe for a system that already exists.
+func built(s arch.System) recipe { return func() (arch.System, error) { return s, nil } }
+
+// batch draws the measured batch: cfg.Batch samples from the spec's
+// generator seeded with cfg.Seed.
+func (h *harness) batch() (trace.Batch, error) {
+	g, err := trace.NewGenerator(h.spec, h.cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return g.Batch(h.cfg.Batch), nil
+}
+
+// measure builds every system and runs the measured batch on it, each on
+// its own goroutine, and returns their stats in order.
+func (h *harness) measure(systems ...recipe) ([]*arch.RunStats, error) {
+	b, err := h.batch()
+	if err != nil {
+		return nil, err
+	}
+	stats := make([]*arch.RunStats, len(systems))
+	err = each(len(systems), func(i int) error {
+		s, err := systems[i]()
+		if err != nil {
+			return err
+		}
+		if stats[i], err = s.Run(b); err != nil {
+			return fmt.Errorf("%s: %w", s.Name(), err)
+		}
+		return nil
+	})
+	return stats, err
+}
+
 // ArchNames lists the evaluated architectures in the paper's order.
 var ArchNames = []string{"cpu", "tensordimm", "recnmp", "trim-g", "trim-b", "recross"}
 
 // ArchSet holds the six evaluated systems over one workload spec, sharing a
 // single offline profile.
 type ArchSet struct {
-	Cfg     Config
-	Spec    trace.ModelSpec
-	Profile *partition.Profile
+	*harness
 	Systems map[string]arch.System
 }
 
 // NewArchSet builds all six architectures over the Criteo-Kaggle workload
 // at cfg's vector length and pooling.
 func NewArchSet(cfg Config) (*ArchSet, error) {
-	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
-	return NewArchSetFor(cfg, spec)
+	return NewArchSetFor(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
 }
 
 // NewArchSetFor builds the six architectures over an explicit spec.
@@ -88,47 +264,15 @@ func NewArchSetFor(cfg Config, spec trace.ModelSpec) (*ArchSet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	prof, err := partition.NewProfile(spec, cfg.ProfileSeed, cfg.ProfileSamples)
-	if err != nil {
-		return nil, err
-	}
-	s := &ArchSet{Cfg: cfg, Spec: spec, Profile: prof, Systems: map[string]arch.System{}}
-	bcfg := baseline.Config{Spec: spec, Ranks: cfg.Ranks}
-
-	if s.Systems["cpu"], err = baseline.NewCPU(bcfg); err != nil {
-		return nil, err
-	}
-	if s.Systems["tensordimm"], err = baseline.NewTensorDIMM(bcfg); err != nil {
-		return nil, err
-	}
-	if s.Systems["recnmp"], err = baseline.NewRecNMP(bcfg); err != nil {
-		return nil, err
-	}
-	if s.Systems["trim-g"], err = baseline.NewTRiMG(bcfg); err != nil {
-		return nil, err
-	}
-	if s.Systems["trim-b"], err = baseline.NewTRiMB(bcfg, prof.Hists); err != nil {
-		return nil, err
-	}
-	rcfg := core.DefaultConfig(spec)
-	rcfg.Ranks = cfg.Ranks
-	rcfg.Batch = cfg.Batch
-	rcfg.ProfileSamples = cfg.ProfileSamples
-	rcfg.Seed = cfg.ProfileSeed
-	rcfg.Profile = prof
-	if s.Systems["recross"], err = core.New(rcfg); err != nil {
-		return nil, err
+	s := &ArchSet{harness: newHarness(cfg, spec), Systems: map[string]arch.System{}}
+	for _, name := range ArchNames {
+		sys, err := s.build(name, nil)()
+		if err != nil {
+			return nil, err
+		}
+		s.Systems[name] = sys
 	}
 	return s, nil
-}
-
-// Batch generates the measured batch for this workload.
-func (s *ArchSet) Batch() (trace.Batch, error) {
-	g, err := trace.NewGenerator(s.Spec, s.Cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return g.Batch(s.Cfg.Batch), nil
 }
 
 // each runs fn(0) … fn(n-1) concurrently and returns the lowest-index
@@ -153,20 +297,14 @@ func each(n int, fn func(i int) error) error {
 	return nil
 }
 
-// RunAll executes one batch on every architecture concurrently and returns
-// the stats by name.
+// RunAll runs the measured batch on the six architectures concurrently and
+// returns the stats by name.
 func (s *ArchSet) RunAll() (map[string]*arch.RunStats, error) {
-	b, err := s.Batch()
-	if err != nil {
-		return nil, err
+	systems := make([]recipe, len(ArchNames))
+	for i, name := range ArchNames {
+		systems[i] = built(s.Systems[name])
 	}
-	stats := make([]*arch.RunStats, len(ArchNames))
-	err = each(len(ArchNames), func(i int) (err error) {
-		if stats[i], err = s.Systems[ArchNames[i]].Run(b); err != nil {
-			err = fmt.Errorf("%s: %w", ArchNames[i], err)
-		}
-		return err
-	})
+	stats, err := s.measure(systems...)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +326,7 @@ func Speedups(stats map[string]*arch.RunStats, base string) (map[string]float64,
 		if rs.Cycles == 0 {
 			return nil, fmt.Errorf("experiments: %s reported zero cycles", name)
 		}
-		out[name] = float64(b.Cycles) / float64(rs.Cycles)
+		out[name] = speedup(b, rs)
 	}
 	return out, nil
 }
@@ -269,6 +407,14 @@ func (t *Table) String() string {
 		line(r)
 	}
 	return sb.String()
+}
+
+// speedup is rs's speedup over base: base's cycles over rs's.
+func speedup(base, rs *arch.RunStats) float64 { return float64(base.Cycles) / float64(rs.Cycles) }
+
+// rowHitRate is the share of rs's vector requests that hit an open row.
+func rowHitRate(rs *arch.RunStats) float64 {
+	return float64(rs.RowHits) / float64(rs.RowHits+rs.RowMisses)
 }
 
 // f2 formats a float with two decimals.

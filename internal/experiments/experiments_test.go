@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"recross/internal/core"
+	"recross/internal/trace"
 )
 
 func TestConfigs(t *testing.T) {
@@ -63,10 +66,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFig3CurvesAreSkewedAndMonotone(t *testing.T) {
-	tb, err := Fig3(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick[*Table](t, "fig3")
 	if len(tb.Rows) != 26 {
 		t.Fatalf("Fig3 rows = %d, want 26", len(tb.Rows))
 	}
@@ -86,10 +86,7 @@ func TestFig3CurvesAreSkewedAndMonotone(t *testing.T) {
 }
 
 func TestFig4ImbalanceGrowsWithGranularity(t *testing.T) {
-	tb, err := Fig4(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick[*Table](t, "fig4")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("Fig4 rows = %d, want 3 rank configs", len(tb.Rows))
 	}
@@ -108,10 +105,7 @@ func TestFig4ImbalanceGrowsWithGranularity(t *testing.T) {
 }
 
 func TestFig5BandwidthOutpacesSpeedup(t *testing.T) {
-	tb, err := Fig5(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick[*Table](t, "fig5")
 	if len(tb.Rows) != 9 {
 		t.Fatalf("Fig5 rows = %d, want 9", len(tb.Rows))
 	}
@@ -140,10 +134,7 @@ func TestFig5BandwidthOutpacesSpeedup(t *testing.T) {
 }
 
 func TestFig6TimelineShowsSALPOverlap(t *testing.T) {
-	out, err := Fig6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := quick[string](t, "fig6")
 	for _, want := range []string{"(a)", "(b)", "(c)", "ACT", "RD", "subarray"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %q", want)
@@ -169,10 +160,7 @@ func TestFig6TimelineShowsSALPOverlap(t *testing.T) {
 }
 
 func TestFig12AblationImproves(t *testing.T) {
-	tb, err := Fig12(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick[*Table](t, "fig12")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("Fig12 rows = %d, want 4", len(tb.Rows))
 	}
@@ -184,10 +172,7 @@ func TestFig12AblationImproves(t *testing.T) {
 }
 
 func TestFig13IncludesNoBWP(t *testing.T) {
-	tb, err := Fig13(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick[*Table](t, "fig13")
 	if len(tb.Rows) != 7 {
 		t.Fatalf("Fig13 rows = %d, want 6 archs + recross-noBWP", len(tb.Rows))
 	}
@@ -197,10 +182,7 @@ func TestFig13IncludesNoBWP(t *testing.T) {
 }
 
 func TestFig15EnergyAndTable3(t *testing.T) {
-	tb, err := Fig15(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick[*Table](t, "fig15")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("Fig15 rows = %d, want 6", len(tb.Rows))
 	}
@@ -220,18 +202,11 @@ func TestSweepsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps in short mode")
 	}
-	cfg := Quick()
-	t10, err := Fig10(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t10 := quick[*Table](t, "fig10")
 	if len(t10.Rows) != 4 {
 		t.Fatalf("quick Fig10 rows = %d, want 4", len(t10.Rows))
 	}
-	t11, err := Fig11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t11 := quick[*Table](t, "fig11")
 	if len(t11.Rows) != 3 {
 		t.Fatalf("Fig11 rows = %d, want 3", len(t11.Rows))
 	}
@@ -253,10 +228,7 @@ func TestFig14Configs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("config exploration in short mode")
 	}
-	tb, err := Fig14(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick[*Table](t, "fig14")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("Fig14 rows = %d, want 6", len(tb.Rows))
 	}
@@ -276,10 +248,7 @@ func TestExperimentsScheduleIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full sweeps in short mode")
 	}
-	a, err := Fig9(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := quick[*Table](t, "fig9")
 	b, err := Fig9(Quick())
 	if err != nil {
 		t.Fatal(err)
@@ -312,11 +281,7 @@ func TestExtensions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension studies in short mode")
 	}
-	cfg := Quick()
-	refresh, err := ExtRefresh(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refresh := quick[*Table](t, "ext-refresh")
 	if len(refresh.Rows) != 2 {
 		t.Fatalf("ExtRefresh rows = %d", len(refresh.Rows))
 	}
@@ -327,42 +292,69 @@ func TestExtensions(t *testing.T) {
 			t.Fatalf("refresh made %s faster: %v", r[0], r)
 		}
 	}
-	channels, err := ExtChannels(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	channels := quick[*Table](t, "ext-channels")
 	for _, r := range channels.Rows {
 		sp, _ := strconv.ParseFloat(r[4], 64)
 		if sp < 1.5 {
 			t.Fatalf("4-channel speedup for %s only %.2f", r[0], sp)
 		}
 	}
-	subs, err := ExtSubarrays(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	subs := quick[*Table](t, "ext-subarrays")
 	c16, _ := strconv.ParseFloat(subs.Rows[0][1], 64)
 	c256, _ := strconv.ParseFloat(subs.Rows[2][1], 64)
 	if c256 > c16 {
 		t.Fatalf("more subarrays slower: 16->%v 256->%v", c16, c256)
 	}
-	training, err := ExtTraining(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	training := quick[*Table](t, "ext-training")
 	if len(training.Rows) != 2 {
 		t.Fatal("ExtTraining shape wrong")
 	}
-	lat, err := ExtLatency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lat := quick[*Table](t, "ext-latency")
 	for _, r := range lat.Rows {
 		p50, _ := strconv.ParseFloat(r[1], 64)
 		p99, _ := strconv.ParseFloat(r[2], 64)
 		if p99 < p50 || p50 <= 0 {
 			t.Fatalf("latency percentiles implausible: %v", r)
 		}
+	}
+}
+
+// TestExtTrainingUsesProfileSeed: the extension studies profile from
+// cfg.ProfileSeed like the paper's figures, so ExtTraining's cycles are
+// those of a ReCross built and profiled with that seed.
+func TestExtTrainingUsesProfileSeed(t *testing.T) {
+	cfg := Quick()
+	cfg.ProfileSeed = 4242
+	tb, err := ExtTraining(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
+	rcfg := core.DefaultConfig(spec)
+	rcfg.Ranks, rcfg.Batch = cfg.Ranks, cfg.Batch
+	rcfg.Seed, rcfg.ProfileSamples = cfg.ProfileSeed, cfg.ProfileSamples
+	rc, err := core.New(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := trace.NewGenerator(spec, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := g.Batch(cfg.Batch)
+	inf, err := rc.Run(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rc.RunTraining(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tb.Rows[0][1], fmt.Sprint(inf.Cycles); got != want {
+		t.Errorf("inference cycles %s, want %s from a ReCross profiled with seed %d", got, want, cfg.ProfileSeed)
+	}
+	if got, want := tb.Rows[1][1], fmt.Sprint(tr.Cycles); got != want {
+		t.Errorf("training cycles %s, want %s from a ReCross profiled with seed %d", got, want, cfg.ProfileSeed)
 	}
 }
 

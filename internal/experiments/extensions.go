@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"recross/internal/arch"
-	"recross/internal/baseline"
 	"recross/internal/core"
 	"recross/internal/dram"
 	"recross/internal/trace"
@@ -18,55 +17,24 @@ import (
 // ExtRefresh measures the cost of DDR5 auto-refresh (tREFI/tRFC), which
 // the paper's evaluation does not model, on the CPU baseline and ReCross.
 func ExtRefresh(cfg Config) (*Table, error) {
-	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
-	g, err := trace.NewGenerator(spec, cfg.Seed)
-	if err != nil {
-		return nil, err
+	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	names := []string{"cpu", "recross"}
+	refresh := func(c *core.Config) { c.Tm = c.Tm.WithRefresh() }
+	var systems []recipe
+	for _, name := range names {
+		systems = append(systems, h.build(name, nil), h.build(name, refresh))
 	}
-	b := g.Batch(cfg.Batch)
+	stats, err := h.measure(systems...)
+	if err != nil {
+		return nil, fmt.Errorf("ext-refresh: %w", err)
+	}
 	t := &Table{
 		Title: "Ext: DDR5 auto-refresh overhead (tREFI=3.9us, tRFC=410ns)",
 		Note:  "refresh steals the same ~10% from every architecture; orderings unchanged",
 		Cols:  []string{"architecture", "no-refresh", "refresh", "overhead"},
 	}
-	run := func(name string, tm dram.Timing) (float64, error) {
-		switch name {
-		case "cpu":
-			s, err := baseline.NewCPU(baseline.Config{Spec: spec, Ranks: cfg.Ranks, Tm: tm})
-			if err != nil {
-				return 0, err
-			}
-			rs, err := s.Run(b)
-			if err != nil {
-				return 0, err
-			}
-			return float64(rs.Cycles), nil
-		default:
-			rcfg := core.DefaultConfig(spec)
-			rcfg.Ranks = cfg.Ranks
-			rcfg.Batch = cfg.Batch
-			rcfg.ProfileSamples = cfg.ProfileSamples
-			rcfg.Tm = tm
-			s, err := core.New(rcfg)
-			if err != nil {
-				return 0, err
-			}
-			rs, err := s.Run(b)
-			if err != nil {
-				return 0, err
-			}
-			return float64(rs.Cycles), nil
-		}
-	}
-	for _, name := range []string{"cpu", "recross"} {
-		plain, err := run(name, dram.DDR5Timing())
-		if err != nil {
-			return nil, fmt.Errorf("ext-refresh %s: %w", name, err)
-		}
-		refreshed, err := run(name, dram.DDR5Timing().WithRefresh())
-		if err != nil {
-			return nil, fmt.Errorf("ext-refresh %s: %w", name, err)
-		}
+	for i, name := range names {
+		plain, refreshed := float64(stats[2*i].Cycles), float64(stats[2*i+1].Cycles)
 		t.AddRow(name, fmt.Sprintf("%.0f", plain), fmt.Sprintf("%.0f", refreshed),
 			fmt.Sprintf("%.1f%%", 100*(refreshed/plain-1)))
 	}
@@ -76,50 +44,30 @@ func ExtRefresh(cfg Config) (*Table, error) {
 // ExtChannels measures multi-channel scaling: tables sharded round-robin
 // over 1, 2 and 4 independent channels for the CPU baseline and ReCross.
 func ExtChannels(cfg Config) (*Table, error) {
-	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
-	g, err := trace.NewGenerator(spec, cfg.Seed)
-	if err != nil {
-		return nil, err
+	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	names, channels := []string{"cpu", "recross"}, []int{1, 2, 4}
+	var systems []recipe
+	for _, name := range names {
+		for _, ch := range channels {
+			systems = append(systems, h.sharded(name, ch, nil))
+		}
 	}
-	b := g.Batch(cfg.Batch)
+	stats, err := h.measure(systems...)
+	if err != nil {
+		return nil, fmt.Errorf("ext-channels: %w", err)
+	}
 	t := &Table{
 		Title: "Ext: multi-channel scaling (tables sharded round-robin)",
 		Note:  "cycles per batch; each channel has its own controller and PEs",
 		Cols:  []string{"architecture", "1ch", "2ch", "4ch", "4ch-speedup"},
 	}
-	build := func(name string) func(sub trace.ModelSpec) (arch.System, error) {
-		return func(sub trace.ModelSpec) (arch.System, error) {
-			switch name {
-			case "cpu":
-				return baseline.NewCPU(baseline.Config{Spec: sub, Ranks: cfg.Ranks})
-			default:
-				rcfg := core.DefaultConfig(sub)
-				rcfg.Ranks = cfg.Ranks
-				rcfg.Batch = cfg.Batch
-				rcfg.ProfileSamples = cfg.ProfileSamples
-				return core.New(rcfg)
-			}
+	for i, name := range names {
+		row := stats[i*len(channels) : (i+1)*len(channels)]
+		cells := []string{name}
+		for _, rs := range row {
+			cells = append(cells, fmt.Sprintf("%d", rs.Cycles))
 		}
-	}
-	for _, name := range []string{"cpu", "recross"} {
-		var cells []string
-		var first, last float64
-		for _, ch := range []int{1, 2, 4} {
-			sys, err := arch.NewMultiChannel(spec, ch, build(name))
-			if err != nil {
-				return nil, fmt.Errorf("ext-channels %s/%d: %w", name, ch, err)
-			}
-			rs, err := sys.Run(b)
-			if err != nil {
-				return nil, fmt.Errorf("ext-channels %s/%d: %w", name, ch, err)
-			}
-			if ch == 1 {
-				first = float64(rs.Cycles)
-			}
-			last = float64(rs.Cycles)
-			cells = append(cells, fmt.Sprintf("%.0f", float64(rs.Cycles)))
-		}
-		t.AddRow(append([]string{name}, append(cells, f2(first/last))...)...)
+		t.AddRow(append(cells, f2(speedup(row[0], row[len(row)-1])))...)
 	}
 	return t, nil
 }
@@ -127,59 +75,47 @@ func ExtChannels(cfg Config) (*Table, error) {
 // ExtSubarrays ablates the subarray count of the B-region banks: SALP's
 // benefit depends on how many rows a bank can hold open concurrently.
 func ExtSubarrays(cfg Config) (*Table, error) {
-	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
-	g, err := trace.NewGenerator(spec, cfg.Seed)
-	if err != nil {
-		return nil, err
+	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	counts := []int{16, 64, 256}
+	systems := make([]recipe, len(counts))
+	for i, subs := range counts {
+		systems[i] = h.build("recross", func(c *core.Config) { c.Subarrays = subs })
 	}
-	b := g.Batch(cfg.Batch)
+	stats, err := h.measure(systems...)
+	if err != nil {
+		return nil, fmt.Errorf("ext-subarrays: %w", err)
+	}
 	t := &Table{
 		Title: "Ext: ReCross sensitivity to subarrays per bank",
 		Note:  "paper uses 256 (Table 2); fewer subarrays means fewer concurrently open rows",
 		Cols:  []string{"subarrays", "cycles", "row-hit-rate"},
 	}
-	for _, subs := range []int{16, 64, 256} {
-		rcfg := core.DefaultConfig(spec)
-		rcfg.Ranks = cfg.Ranks
-		rcfg.Batch = cfg.Batch
-		rcfg.ProfileSamples = cfg.ProfileSamples
-		rcfg.Subarrays = subs
-		s, err := core.New(rcfg)
-		if err != nil {
-			return nil, fmt.Errorf("ext-subarrays %d: %w", subs, err)
-		}
-		rs, err := s.Run(b)
-		if err != nil {
-			return nil, fmt.Errorf("ext-subarrays %d: %w", subs, err)
-		}
-		hit := float64(rs.RowHits) / float64(rs.RowHits+rs.RowMisses)
-		t.AddRow(fmt.Sprintf("%d", subs), fmt.Sprintf("%d", rs.Cycles), f2(hit))
+	for i, subs := range counts {
+		t.AddRow(fmt.Sprintf("%d", subs), fmt.Sprintf("%d", stats[i].Cycles), f2(rowHitRate(stats[i])))
 	}
 	return t, nil
 }
 
+// training runs ReCross's online-training step where measure runs
+// inference.
+type training struct{ *core.ReCross }
+
+func (t training) Run(b trace.Batch) (*arch.RunStats, error) { return t.RunTraining(b) }
+
 // ExtTraining measures the online-training step of §4.5: embedding gathers
-// plus host write-back of every touched row, versus inference only.
+// plus host write-back of every touched row, versus inference only. Both
+// run on one system, inference first.
 func ExtTraining(cfg Config) (*Table, error) {
-	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
-	rcfg := core.DefaultConfig(spec)
-	rcfg.Ranks = cfg.Ranks
-	rcfg.Batch = cfg.Batch
-	rcfg.ProfileSamples = cfg.ProfileSamples
-	s, err := core.New(rcfg)
+	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	s, err := h.build("recross", nil)()
 	if err != nil {
 		return nil, err
 	}
-	g, err := trace.NewGenerator(spec, cfg.Seed)
+	inf, err := h.measure(built(s))
 	if err != nil {
 		return nil, err
 	}
-	b := g.Batch(cfg.Batch)
-	inf, err := s.Run(b)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := s.RunTraining(b)
+	tr, err := h.measure(built(training{s.(*core.ReCross)}))
 	if err != nil {
 		return nil, err
 	}
@@ -188,10 +124,10 @@ func ExtTraining(cfg Config) (*Table, error) {
 		Note:  "updates are host writes to the mapped rows (§4.5); one write per distinct touched row",
 		Cols:  []string{"phase", "cycles", "DRAM-writes", "overhead"},
 	}
-	t.AddRow("inference", fmt.Sprintf("%d", inf.Cycles), "0", "-")
-	t.AddRow("training", fmt.Sprintf("%d", tr.Cycles),
-		fmt.Sprintf("%d", tr.DRAM.WRs),
-		fmt.Sprintf("%.1f%%", 100*(float64(tr.Cycles)/float64(inf.Cycles)-1)))
+	t.AddRow("inference", fmt.Sprintf("%d", inf[0].Cycles), "0", "-")
+	t.AddRow("training", fmt.Sprintf("%d", tr[0].Cycles),
+		fmt.Sprintf("%d", tr[0].DRAM.WRs),
+		fmt.Sprintf("%.1f%%", 100*(float64(tr[0].Cycles)/float64(inf[0].Cycles)-1)))
 	return t, nil
 }
 
@@ -226,55 +162,38 @@ func ExtLatency(cfg Config) (*Table, error) {
 func ExtDDR4(cfg Config) (*Table, error) {
 	// DDR4's 2-rank channel holds 16 GB; use vector length 32 so the
 	// Kaggle model (3.8 GB) fits both generations comfortably.
-	vecLen := cfg.VecLen
-	if vecLen > 32 {
-		vecLen = 32
+	vecLen := min(cfg.VecLen, 32)
+	h := newHarness(cfg, trace.CriteoKaggle(vecLen, cfg.Pooling))
+	// A 64-bit DDR5 channel is two independent 32-bit sub-channels
+	// (Fig. 2); the simulator models one sub-channel, so the fair
+	// per-channel comparison runs DDR5 as two of them.
+	gens := []struct {
+		name        string
+		geo         dram.Geometry
+		tm          dram.Timing
+		subChannels int
+	}{
+		{"ddr4-3200 (1x64-bit)", dram.DDR4(cfg.Ranks), dram.DDR4Timing(), 1},
+		{"ddr5-4800 (2x32-bit)", dram.DDR5(cfg.Ranks), dram.DDR5Timing(), 2},
 	}
-	spec := trace.CriteoKaggle(vecLen, cfg.Pooling)
-	g, err := trace.NewGenerator(spec, cfg.Seed)
+	systems := make([]recipe, len(gens))
+	for i, gn := range gens {
+		generation := func(c *core.Config) { c.Geo, c.Tm = &gn.geo, gn.tm }
+		systems[i] = h.sharded("recross", gn.subChannels, generation)
+	}
+	stats, err := h.measure(systems...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ext-ddr4: %w", err)
 	}
-	b := g.Batch(cfg.Batch)
 	t := &Table{
 		Title: "Ext: ReCross on DDR4-3200 vs DDR5-4800",
 		Note:  fmt.Sprintf("veclen=%d; DDR4 has 4 bank groups/rank and a 1.6 GHz command clock", vecLen),
 		Cols:  []string{"generation", "cycles", "us", "row-hit-rate"},
 	}
-	type gen struct {
-		name        string
-		geo         dram.Geometry
-		tm          dram.Timing
-		subChannels int
-	}
-	// A 64-bit DDR5 channel is two independent 32-bit sub-channels
-	// (Fig. 2); the simulator models one sub-channel, so the fair
-	// per-channel comparison runs DDR5 as two of them.
-	for _, gn := range []gen{
-		{"ddr4-3200 (1x64-bit)", dram.DDR4(cfg.Ranks), dram.DDR4Timing(), 1},
-		{"ddr5-4800 (2x32-bit)", dram.DDR5(cfg.Ranks), dram.DDR5Timing(), 2},
-	} {
-		gn := gn
-		build := func(sub trace.ModelSpec) (arch.System, error) {
-			rcfg := core.DefaultConfig(sub)
-			rcfg.Ranks = cfg.Ranks
-			rcfg.Batch = cfg.Batch
-			rcfg.ProfileSamples = cfg.ProfileSamples
-			rcfg.Geo = &gn.geo
-			rcfg.Tm = gn.tm
-			return core.New(rcfg)
-		}
-		sys, err := arch.NewMultiChannel(spec, gn.subChannels, build)
-		if err != nil {
-			return nil, fmt.Errorf("ext-ddr4 %s: %w", gn.name, err)
-		}
-		rs, err := sys.Run(b)
-		if err != nil {
-			return nil, fmt.Errorf("ext-ddr4 %s: %w", gn.name, err)
-		}
+	for i, gn := range gens {
+		rs := stats[i]
 		us := float64(rs.Cycles) / gn.tm.ClockGHz() / 1e3
-		hit := float64(rs.RowHits) / float64(rs.RowHits+rs.RowMisses)
-		t.AddRow(gn.name, fmt.Sprintf("%d", rs.Cycles), fmt.Sprintf("%.2f", us), f2(hit))
+		t.AddRow(gn.name, fmt.Sprintf("%d", rs.Cycles), fmt.Sprintf("%.2f", us), f2(rowHitRate(rs)))
 	}
 	return t, nil
 }

@@ -5,12 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"recross/internal/arch"
-	"recross/internal/baseline"
+	"recross/internal/core"
 	"recross/internal/dram"
 	"recross/internal/memctrl"
-	"recross/internal/partition"
-	"recross/internal/sim"
 	"recross/internal/stats"
 	"recross/internal/trace"
 )
@@ -21,7 +18,7 @@ import (
 // data (< 20 %) takes up most of the accesses.
 func Fig3(cfg Config) (*Table, error) {
 	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
-	prof, err := partition.NewProfile(spec, cfg.ProfileSeed, cfg.ProfileSamples)
+	prof, err := newHarness(cfg, spec).profile()
 	if err != nil {
 		return nil, err
 	}
@@ -57,13 +54,12 @@ func Fig4(cfg Config) (*Table, error) {
 		base[i] = total
 		total += tab.Rows
 	}
+	b, err := newHarness(cfg, spec).batch()
+	if err != nil {
+		return nil, err
+	}
 	for _, ranks := range []int{2, 4, 8} {
 		geo := dram.DDR5(ranks)
-		g, err := trace.NewGenerator(spec, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		b := g.Batch(cfg.Batch)
 		var rankImb, bgImb, bankImb []float64
 		for _, s := range b {
 			for _, op := range s {
@@ -94,63 +90,42 @@ func Fig4(cfg Config) (*Table, error) {
 // bandwidth is node count times per-node burst cadence. The paper's
 // observation: internal bandwidth scales far faster than delivered speedup.
 func Fig5(cfg Config) (*Table, error) {
-	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
+	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
 	tm := dram.DDR5Timing()
+	type point struct {
+		ranks   int
+		level   string
+		bwBytes float64
+	}
+	var pts []point
+	var systems []recipe
+	for _, ranks := range []int{2, 4, 8} {
+		geo := dram.DDR5(ranks)
+		bb := float64(geo.BurstBytes)
+		for _, lv := range []struct {
+			level, arch string
+			bw          float64
+		}{
+			{"rank", "rank-nmp", float64(ranks) * bb / float64(tm.TCCDS)},
+			{"bankgroup", "trim-g", float64(ranks*geo.BankGroups) * bb / float64(tm.TCCDL)},
+			{"bank", "bank-nmp", float64(geo.TotalBanks()) * bb / float64(tm.TCCDL)},
+		} {
+			systems = append(systems, h.build(lv.arch, func(c *core.Config) { c.Ranks = ranks }))
+			pts = append(pts, point{ranks: ranks, level: lv.level, bwBytes: lv.bw})
+		}
+	}
+	stats, err := h.measure(systems...)
+	if err != nil {
+		return nil, fmt.Errorf("fig5: %w", err)
+	}
 	t := &Table{
 		Title: "Fig. 5 — NMP level scaling: speedup vs internal bandwidth",
 		Note:  "normalized to rank-level NMP at 2 ranks",
 		Cols:  []string{"ranks", "level", "speedup", "internal-bw"},
 	}
-	type point struct {
-		ranks   int
-		level   string
-		cycles  sim.Cycle
-		bwBytes float64
-	}
-	var pts []point
-	for _, ranks := range []int{2, 4, 8} {
-		bcfg := baseline.Config{Spec: spec, Ranks: ranks}
-		rank, err := baseline.NewRankNMP(bcfg)
-		if err != nil {
-			return nil, err
-		}
-		bg, err := baseline.NewTRiMG(bcfg)
-		if err != nil {
-			return nil, err
-		}
-		bank, err := baseline.NewTRiMB(bcfg, nil) // plain bank NMP, no replication
-		if err != nil {
-			return nil, err
-		}
-		g, err := trace.NewGenerator(spec, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		b := g.Batch(cfg.Batch)
-		geo := dram.DDR5(ranks)
-		bb := float64(geo.BurstBytes)
-		for _, it := range []struct {
-			name string
-			sys  arch.System
-			bw   float64
-		}{
-			{"rank", rank, float64(ranks) * bb / float64(tm.TCCDS)},
-			{"bankgroup", bg, float64(ranks*geo.BankGroups) * bb / float64(tm.TCCDL)},
-			{"bank", bank, float64(geo.TotalBanks()) * bb / float64(tm.TCCDL)},
-		} {
-			rs, err := it.sys.Run(b)
-			if err != nil {
-				return nil, fmt.Errorf("fig5 %s/%d ranks: %w", it.name, ranks, err)
-			}
-			pts = append(pts, point{ranks: ranks, level: it.name, cycles: rs.Cycles, bwBytes: it.bw})
-		}
-	}
-	baseCycles := pts[0].cycles // rank-level at 2 ranks
-	baseBW := pts[0].bwBytes
-	for _, p := range pts {
+	for i, p := range pts {
 		t.AddRow(fmt.Sprintf("%d", p.ranks), p.level,
-			f2(float64(baseCycles)/float64(p.cycles)),
-			f1(p.bwBytes/baseBW))
+			f2(speedup(stats[0], stats[i])), f1(p.bwBytes/pts[0].bwBytes))
 	}
 	return t, nil
 }
