@@ -504,11 +504,16 @@ func serveHTTP(t target, addr, binAddr string, logf func(string, ...any)) error 
 			}
 		}()
 	}
-	hs := &http.Server{Addr: addr, Handler: t.handler}
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.close()
+		return err
+	}
+	hs := &http.Server{Handler: t.handler}
 	errc := make(chan error, 1)
 	go func() {
-		logf("%s listening on %s", t.name, addr)
-		errc <- hs.ListenAndServe()
+		logf("%s listening on %s", t.name, lis.Addr())
+		errc <- hs.Serve(lis)
 	}()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -11,6 +11,7 @@ import (
 	"os/signal"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -111,15 +112,8 @@ func TestRouterBinListenerMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 2-node Criteo-Kaggle cluster")
 	}
-	freeAddr := func() string {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer lis.Close()
-		return lis.Addr().String()
-	}
-	addr, binAddr := freeAddr(), freeAddr()
+	// Both listeners bind port 0 and the test reads the bound addresses
+	// back from the log, so no other process can take a probed port first.
 	// With a handler of our own installed, a SIGTERM that arrives before
 	// run installs its handler is dropped instead of ending the process.
 	sigs := make(chan os.Signal, 1)
@@ -127,26 +121,41 @@ func TestRouterBinListenerMetrics(t *testing.T) {
 	defer signal.Stop(sigs)
 
 	var stdout bytes.Buffer
+	stderr := &syncBuffer{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run(strings.Fields("-cluster 2 -replicas 1 -addr "+addr+" -bin-addr "+binAddr), &stdout, io.Discard)
+		done <- run(strings.Fields("-cluster 2 -replicas 1 -addr 127.0.0.1:0 -bin-addr 127.0.0.1:0"), &stdout, stderr)
 	}()
+	httpRe := regexp.MustCompile(`router listening on (\S+)`)
+	binRe := regexp.MustCompile(`binary wire listening on (\S+)`)
 	var body []byte
+	var binAddr string
 	for deadline := time.Now().Add(60 * time.Second); body == nil; time.Sleep(20 * time.Millisecond) {
 		select {
 		case err := <-done:
-			t.Fatalf("run exited before serving: %v", err)
+			t.Fatalf("run exited before serving: %v\nstderr:\n%s", err, stderr.String())
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("router never served /metrics")
+			t.Fatalf("router never served /metrics\nstderr:\n%s", stderr.String())
 		}
-		resp, err := http.Get("http://" + addr + "/metrics")
+		logged := stderr.String()
+		m, bm := httpRe.FindStringSubmatch(logged), binRe.FindStringSubmatch(logged)
+		if m == nil || bm == nil {
+			continue
+		}
+		binAddr = bm[1]
+		resp, err := http.Get("http://" + m[1] + "/metrics")
 		if err != nil {
 			continue
 		}
 		body, _ = io.ReadAll(resp.Body)
 		resp.Body.Close()
+	}
+	if c, err := net.Dial("tcp", binAddr); err != nil {
+		t.Errorf("binary listener's logged address %s: %v", binAddr, err)
+	} else {
+		c.Close()
 	}
 	if !regexp.MustCompile(`(?m)^recross_cluster_wire_frames_in_total\{[^}]*role="server"`).Match(body) {
 		t.Errorf("router /metrics lacks the binary listener's role=\"server\" series:\n%s", body)
@@ -162,4 +171,23 @@ func TestRouterBinListenerMetrics(t *testing.T) {
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
+}
+
+// syncBuffer is a bytes.Buffer that run's logging goroutines and the test
+// may use at once.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }

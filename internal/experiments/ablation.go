@@ -3,14 +3,13 @@ package experiments
 import (
 	"recross/internal/core"
 	"recross/internal/energy"
-	"recross/internal/trace"
 )
 
 // Fig12 reproduces the optimization breakdown: ReCross-Base (no SAP, no
 // BWP, no LAS, crude greedy partitioning), then +SAP, +BWP, +LAS, each as a
 // speedup over the CPU baseline. Paper: 5.4x -> 9.3x -> 13.7x -> 14.4x.
 func Fig12(cfg Config) (*Table, error) {
-	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	h := kaggle(cfg)
 	variants := []struct {
 		name          string
 		sap, bwp, las bool
@@ -20,12 +19,12 @@ func Fig12(cfg Config) (*Table, error) {
 		{"+BWP", true, true, false},
 		{"+LAS (full)", true, true, true},
 	}
-	systems := []recipe{h.build("cpu", nil)}
+	systems := []Recipe{h.Build("cpu", nil)}
 	for _, v := range variants {
 		ablate := func(c *core.Config) { c.SAP, c.BWP, c.LAS = v.sap, v.bwp, v.las }
-		systems = append(systems, h.build("recross", ablate))
+		systems = append(systems, h.Build("recross", ablate))
 	}
-	stats, err := h.measure(systems...)
+	stats, err := h.Measure(systems...)
 	if err != nil {
 		return nil, err
 	}
@@ -45,15 +44,12 @@ func Fig12(cfg Config) (*Table, error) {
 // the baselines (and ReCross without BWP, which the paper singles out as
 // worse than TRiM-G).
 func Fig13(cfg Config) (*Table, error) {
-	set, err := NewArchSet(cfg)
+	h := kaggle(cfg)
+	stats, err := h.measureArches()
 	if err != nil {
 		return nil, err
 	}
-	stats, err := set.RunAll()
-	if err != nil {
-		return nil, err
-	}
-	noBWP, err := set.measure(set.build("recross", func(c *core.Config) { c.BWP = false }))
+	noBWP, err := h.Measure(h.Build("recross", func(c *core.Config) { c.BWP = false }))
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +70,7 @@ func Fig13(cfg Config) (*Table, error) {
 // area, and area efficiency (speedup per mm^2). Paper: more PEs barely help
 // while area grows, so ReCross-d has the best area efficiency.
 func Fig14(cfg Config) (*Table, error) {
-	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	h := kaggle(cfg)
 	// Configurations: name, BG PEs per rank, bank PEs per rank (§5.4).
 	configs := []struct {
 		name         string
@@ -87,12 +83,12 @@ func Fig14(cfg Config) (*Table, error) {
 		{"ReCross-c4 (1/8/16, 0:16:16)", 8, 16},
 		{"ReCross-c5 (1/8/32, 0:0:32)", 8, 32},
 	}
-	systems := []recipe{h.build("cpu", nil)}
+	systems := []Recipe{h.Build("cpu", nil)}
 	for _, cc := range configs {
 		pes := func(c *core.Config) { c.NMPBankGroups, c.BankPEs = cc.nBGPE, cc.nBank }
-		systems = append(systems, h.build("recross", pes))
+		systems = append(systems, h.Build("recross", pes))
 	}
-	stats, err := h.measure(systems...)
+	stats, err := h.Measure(systems...)
 	if err != nil {
 		return nil, err
 	}

@@ -11,11 +11,7 @@ import (
 // each baseline. Paper: ReCross saves 58.5 % vs CPU, 57.2 % vs TensorDIMM,
 // 51.9 % vs RecNMP, 28.5 % vs TRiM-G, 23.7 % vs TRiM-B.
 func Fig15(cfg Config) (*Table, error) {
-	set, err := NewArchSet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := set.RunAll()
+	stats, err := kaggle(cfg).measureArches()
 	if err != nil {
 		return nil, err
 	}

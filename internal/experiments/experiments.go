@@ -136,31 +136,86 @@ func Select(args []string) ([]Experiment, error) {
 	return out, nil
 }
 
-// harness builds systems over one workload spec and runs them on its
-// measured batch. It profiles the spec at most once, from cfg.ProfileSeed
-// and cfg.ProfileSamples, and every system it builds shares that profile
-// read-only.
-type harness struct {
+// ArchNames lists the six evaluated architectures in the paper's order:
+// recross.Arches and recross-sim -arch all read it.
+var ArchNames = []string{"cpu", "tensordimm", "recnmp", "trim-g", "trim-b", "recross"}
+
+// NewSystem is the one constructor of a simulated architecture by name:
+// one of ArchNames, "rank-nmp", "fafnir", or "bank-nmp" (TRiM-B's
+// bank-level NMP without its hot-entry replication). ReCross reads all of
+// rc; the baselines read its Spec, Ranks, Tm, Energy and Geo. TRiM-B's hot
+// entries come from rc.Profile, and so does ReCross's plan unless
+// rc.Placement is set. Without one, profile supplies it; it may be nil
+// only for ReCross, which then profiles rc.Spec itself.
+func NewSystem(name string, rc core.Config, profile func() (*partition.Profile, error)) (arch.System, error) {
+	bc := baseline.Config{Spec: rc.Spec, Ranks: rc.Ranks, Tm: rc.Tm, Energy: rc.Energy, Geo: rc.Geo}
+	switch name {
+	case "cpu":
+		return baseline.NewCPU(bc)
+	case "tensordimm":
+		return baseline.NewTensorDIMM(bc)
+	case "recnmp":
+		return baseline.NewRecNMP(bc)
+	case "rank-nmp":
+		return baseline.NewRankNMP(bc)
+	case "fafnir":
+		return baseline.NewFAFNIR(bc)
+	case "trim-g":
+		return baseline.NewTRiMG(bc)
+	case "bank-nmp":
+		return baseline.NewTRiMB(bc, nil)
+	case "trim-b":
+	case "recross":
+		// A bad configuration fails before it pays for a profile.
+		if err := rc.Validate(); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("experiments: unknown architecture %q (want one of %v or [rank-nmp fafnir bank-nmp])",
+			name, ArchNames)
+	}
+	if rc.Profile == nil && (name == "trim-b" || rc.Placement == nil) && profile != nil {
+		var err error
+		if rc.Profile, err = profile(); err != nil {
+			return nil, err
+		}
+	}
+	if name == "trim-b" {
+		return baseline.NewTRiMB(bc, rc.Profile.Hists)
+	}
+	return core.New(rc)
+}
+
+// A Harness builds systems over one workload spec and runs them on its
+// measured batch: recross.NewSystem, recross-sim and every experiment
+// build and run through it. It profiles the spec at most once, from
+// cfg.ProfileSeed and cfg.ProfileSamples, and every system it builds
+// shares that profile read-only. The spec stands for cfg's VecLen and
+// Pooling.
+type Harness struct {
 	cfg     Config
 	spec    trace.ModelSpec
 	profile func() (*partition.Profile, error)
 }
 
-func newHarness(cfg Config, spec trace.ModelSpec) *harness {
-	return &harness{cfg: cfg, spec: spec, profile: sync.OnceValues(func() (*partition.Profile, error) {
+// NewHarness returns a harness over spec at cfg.
+func NewHarness(cfg Config, spec trace.ModelSpec) *Harness {
+	return &Harness{cfg: cfg, spec: spec, profile: sync.OnceValues(func() (*partition.Profile, error) {
 		return partition.NewProfile(spec, cfg.ProfileSeed, cfg.ProfileSamples)
 	})}
 }
 
-// A recipe builds one system; measure builds each on its own goroutine.
-type recipe func() (arch.System, error)
+// kaggle is the harness over the Criteo-Kaggle workload at cfg's vector
+// length and pooling.
+func kaggle(cfg Config) *Harness { return NewHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)) }
 
-// build is the recipe for one system over the spec: an architecture of
-// ArchNames, "rank-nmp", or "bank-nmp" (TRiM-B's bank-level NMP without
-// its hot-entry replication). Every system starts from ReCross-d at cfg's
-// ranks and batch; tweak, when non-nil, adjusts that configuration, and
-// the baselines read its Ranks, Tm, Energy and Geo.
-func (h *harness) build(name string, tweak func(*core.Config)) recipe {
+// A Recipe builds one system; Measure builds each on its own goroutine.
+type Recipe func() (arch.System, error)
+
+// Build is the recipe for name over the spec. Every system starts from
+// ReCross-d at cfg's ranks and batch; tweak, when non-nil, adjusts that
+// configuration before NewSystem reads it.
+func (h *Harness) Build(name string, tweak func(*core.Config)) Recipe {
 	return func() (arch.System, error) {
 		rc := core.DefaultConfig(h.spec)
 		rc.Ranks, rc.Batch = h.cfg.Ranks, h.cfg.Batch
@@ -168,53 +223,27 @@ func (h *harness) build(name string, tweak func(*core.Config)) recipe {
 		if tweak != nil {
 			tweak(&rc)
 		}
-		bc := baseline.Config{Spec: h.spec, Ranks: rc.Ranks, Tm: rc.Tm, Energy: rc.Energy, Geo: rc.Geo}
-		switch name {
-		case "cpu":
-			return baseline.NewCPU(bc)
-		case "tensordimm":
-			return baseline.NewTensorDIMM(bc)
-		case "recnmp":
-			return baseline.NewRecNMP(bc)
-		case "rank-nmp":
-			return baseline.NewRankNMP(bc)
-		case "trim-g":
-			return baseline.NewTRiMG(bc)
-		case "bank-nmp":
-			return baseline.NewTRiMB(bc, nil)
-		}
-		prof, err := h.profile()
-		if err != nil {
-			return nil, err
-		}
-		switch name {
-		case "trim-b":
-			return baseline.NewTRiMB(bc, prof.Hists)
-		case "recross":
-			rc.Profile = prof
-			return core.New(rc)
-		}
-		return nil, fmt.Errorf("experiments: unknown architecture %q", name)
+		return NewSystem(name, rc, h.profile)
 	}
 }
 
-// sharded is the recipe for name over the spec's tables sharded
+// Sharded is the recipe for name over the spec's tables sharded
 // round-robin across n channels. Each channel profiles its own sub-spec
 // once.
-func (h *harness) sharded(name string, n int, tweak func(*core.Config)) recipe {
+func (h *Harness) Sharded(name string, n int, tweak func(*core.Config)) Recipe {
 	return func() (arch.System, error) {
 		return arch.NewMultiChannel(h.spec, n, func(sub trace.ModelSpec) (arch.System, error) {
-			return newHarness(h.cfg, sub).build(name, tweak)()
+			return NewHarness(h.cfg, sub).Build(name, tweak)()
 		})
 	}
 }
 
 // built is the recipe for a system that already exists.
-func built(s arch.System) recipe { return func() (arch.System, error) { return s, nil } }
+func built(s arch.System) Recipe { return func() (arch.System, error) { return s, nil } }
 
-// batch draws the measured batch: cfg.Batch samples from the spec's
+// Batch draws the measured batch: cfg.Batch samples from the spec's
 // generator seeded with cfg.Seed.
-func (h *harness) batch() (trace.Batch, error) {
+func (h *Harness) Batch() (trace.Batch, error) {
 	g, err := trace.NewGenerator(h.spec, h.cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -222,10 +251,10 @@ func (h *harness) batch() (trace.Batch, error) {
 	return g.Batch(h.cfg.Batch), nil
 }
 
-// measure builds every system and runs the measured batch on it, each on
+// Measure builds every system and runs the measured batch on it, each on
 // its own goroutine, and returns their stats in order.
-func (h *harness) measure(systems ...recipe) ([]*arch.RunStats, error) {
-	b, err := h.batch()
+func (h *Harness) Measure(systems ...Recipe) ([]*arch.RunStats, error) {
+	b, err := h.Batch()
 	if err != nil {
 		return nil, err
 	}
@@ -243,36 +272,22 @@ func (h *harness) measure(systems ...recipe) ([]*arch.RunStats, error) {
 	return stats, err
 }
 
-// ArchNames lists the evaluated architectures in the paper's order.
-var ArchNames = []string{"cpu", "tensordimm", "recnmp", "trim-g", "trim-b", "recross"}
-
-// ArchSet holds the six evaluated systems over one workload spec, sharing a
-// single offline profile.
-type ArchSet struct {
-	*harness
-	Systems map[string]arch.System
-}
-
-// NewArchSet builds all six architectures over the Criteo-Kaggle workload
-// at cfg's vector length and pooling.
-func NewArchSet(cfg Config) (*ArchSet, error) {
-	return NewArchSetFor(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
-}
-
-// NewArchSetFor builds the six architectures over an explicit spec.
-func NewArchSetFor(cfg Config, spec trace.ModelSpec) (*ArchSet, error) {
-	if err := cfg.Validate(); err != nil {
+// measureArches runs the measured batch on the six of ArchNames and
+// returns their stats by name.
+func (h *Harness) measureArches() (map[string]*arch.RunStats, error) {
+	systems := make([]Recipe, len(ArchNames))
+	for i, name := range ArchNames {
+		systems[i] = h.Build(name, nil)
+	}
+	stats, err := h.Measure(systems...)
+	if err != nil {
 		return nil, err
 	}
-	s := &ArchSet{harness: newHarness(cfg, spec), Systems: map[string]arch.System{}}
-	for _, name := range ArchNames {
-		sys, err := s.build(name, nil)()
-		if err != nil {
-			return nil, err
-		}
-		s.Systems[name] = sys
+	out := make(map[string]*arch.RunStats, len(ArchNames))
+	for i, name := range ArchNames {
+		out[name] = stats[i]
 	}
-	return s, nil
+	return out, nil
 }
 
 // each runs fn(0) … fn(n-1) concurrently and returns the lowest-index
@@ -295,24 +310,6 @@ func each(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// RunAll runs the measured batch on the six architectures concurrently and
-// returns the stats by name.
-func (s *ArchSet) RunAll() (map[string]*arch.RunStats, error) {
-	systems := make([]recipe, len(ArchNames))
-	for i, name := range ArchNames {
-		systems[i] = built(s.Systems[name])
-	}
-	stats, err := s.measure(systems...)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*arch.RunStats, len(ArchNames))
-	for i, name := range ArchNames {
-		out[name] = stats[i]
-	}
-	return out, nil
 }
 
 // Speedups normalizes each architecture's cycle count to the named base.

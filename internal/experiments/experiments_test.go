@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"recross/internal/arch"
 	"recross/internal/core"
+	"recross/internal/partition"
 	"recross/internal/trace"
 )
 
@@ -25,22 +28,18 @@ func TestConfigs(t *testing.T) {
 	}
 }
 
-func TestArchSetBuildsAllSix(t *testing.T) {
-	set, err := NewArchSet(Quick())
+func TestMeasureArchesBuildsAllSix(t *testing.T) {
+	stats, err := kaggle(Quick()).measureArches()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Systems) != 6 {
-		t.Fatalf("built %d systems, want 6", len(set.Systems))
+	if len(stats) != 6 {
+		t.Fatalf("measured %d systems, want 6", len(stats))
 	}
 	for _, name := range ArchNames {
-		if set.Systems[name] == nil {
-			t.Fatalf("missing %s", name)
+		if rs := stats[name]; rs == nil || rs.Cycles <= 0 {
+			t.Fatalf("no stats for %s", name)
 		}
-	}
-	stats, err := set.RunAll()
-	if err != nil {
-		t.Fatal(err)
 	}
 	sp, err := Speedups(stats, "cpu")
 	if err != nil {
@@ -52,6 +51,45 @@ func TestArchSetBuildsAllSix(t *testing.T) {
 	if _, err := Speedups(stats, "nope"); err == nil {
 		t.Fatal("unknown base should error")
 	}
+}
+
+// TestNewSystemProfilesOnlyWhenNeeded: only TRiM-B and ReCross ask for a
+// profile, and a ReCross given a profile or a placement asks for none.
+func TestNewSystemProfilesOnlyWhenNeeded(t *testing.T) {
+	h := kaggle(Quick())
+	prof, err := h.profile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	profile := func() (*partition.Profile, error) { calls++; return prof, nil }
+	rc := core.DefaultConfig(h.spec)
+	rc.ProfileSamples = Quick().ProfileSamples
+	build := func(name string, rc core.Config, want int) arch.System {
+		t.Helper()
+		calls = 0
+		s, err := NewSystem(name, rc, profile)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if calls != want {
+			t.Errorf("%s asked for %d profiles, want %d", name, calls, want)
+		}
+		return s
+	}
+	for _, name := range append(slices.Clone(ArchNames), "rank-nmp", "fafnir", "bank-nmp") {
+		want := 0
+		if name == "trim-b" || name == "recross" {
+			want = 1
+		}
+		build(name, rc, want)
+	}
+	given := rc
+	given.Profile = prof
+	build("trim-b", given, 0)
+	planned := rc
+	planned.Placement = build("recross", given, 0).(*core.ReCross).Placement()
+	build("recross", planned, 0)
 }
 
 func TestTableRendering(t *testing.T) {

@@ -17,14 +17,14 @@ import (
 // ExtRefresh measures the cost of DDR5 auto-refresh (tREFI/tRFC), which
 // the paper's evaluation does not model, on the CPU baseline and ReCross.
 func ExtRefresh(cfg Config) (*Table, error) {
-	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	h := kaggle(cfg)
 	names := []string{"cpu", "recross"}
 	refresh := func(c *core.Config) { c.Tm = c.Tm.WithRefresh() }
-	var systems []recipe
+	var systems []Recipe
 	for _, name := range names {
-		systems = append(systems, h.build(name, nil), h.build(name, refresh))
+		systems = append(systems, h.Build(name, nil), h.Build(name, refresh))
 	}
-	stats, err := h.measure(systems...)
+	stats, err := h.Measure(systems...)
 	if err != nil {
 		return nil, fmt.Errorf("ext-refresh: %w", err)
 	}
@@ -44,15 +44,15 @@ func ExtRefresh(cfg Config) (*Table, error) {
 // ExtChannels measures multi-channel scaling: tables sharded round-robin
 // over 1, 2 and 4 independent channels for the CPU baseline and ReCross.
 func ExtChannels(cfg Config) (*Table, error) {
-	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	h := kaggle(cfg)
 	names, channels := []string{"cpu", "recross"}, []int{1, 2, 4}
-	var systems []recipe
+	var systems []Recipe
 	for _, name := range names {
 		for _, ch := range channels {
-			systems = append(systems, h.sharded(name, ch, nil))
+			systems = append(systems, h.Sharded(name, ch, nil))
 		}
 	}
-	stats, err := h.measure(systems...)
+	stats, err := h.Measure(systems...)
 	if err != nil {
 		return nil, fmt.Errorf("ext-channels: %w", err)
 	}
@@ -75,13 +75,13 @@ func ExtChannels(cfg Config) (*Table, error) {
 // ExtSubarrays ablates the subarray count of the B-region banks: SALP's
 // benefit depends on how many rows a bank can hold open concurrently.
 func ExtSubarrays(cfg Config) (*Table, error) {
-	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	h := kaggle(cfg)
 	counts := []int{16, 64, 256}
-	systems := make([]recipe, len(counts))
+	systems := make([]Recipe, len(counts))
 	for i, subs := range counts {
-		systems[i] = h.build("recross", func(c *core.Config) { c.Subarrays = subs })
+		systems[i] = h.Build("recross", func(c *core.Config) { c.Subarrays = subs })
 	}
-	stats, err := h.measure(systems...)
+	stats, err := h.Measure(systems...)
 	if err != nil {
 		return nil, fmt.Errorf("ext-subarrays: %w", err)
 	}
@@ -106,16 +106,16 @@ func (t training) Run(b trace.Batch) (*arch.RunStats, error) { return t.RunTrain
 // plus host write-back of every touched row, versus inference only. Both
 // run on one system, inference first.
 func ExtTraining(cfg Config) (*Table, error) {
-	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
-	s, err := h.build("recross", nil)()
+	h := kaggle(cfg)
+	s, err := h.Build("recross", nil)()
 	if err != nil {
 		return nil, err
 	}
-	inf, err := h.measure(built(s))
+	inf, err := h.Measure(built(s))
 	if err != nil {
 		return nil, err
 	}
-	tr, err := h.measure(built(training{s.(*core.ReCross)}))
+	tr, err := h.Measure(built(training{s.(*core.ReCross)}))
 	if err != nil {
 		return nil, err
 	}
@@ -135,11 +135,7 @@ func ExtTraining(cfg Config) (*Table, error) {
 // for every architecture — the tail-latency view recommendation serving
 // cares about.
 func ExtLatency(cfg Config) (*Table, error) {
-	set, err := NewArchSet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := set.RunAll()
+	stats, err := kaggle(cfg).measureArches()
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +159,7 @@ func ExtDDR4(cfg Config) (*Table, error) {
 	// DDR4's 2-rank channel holds 16 GB; use vector length 32 so the
 	// Kaggle model (3.8 GB) fits both generations comfortably.
 	vecLen := min(cfg.VecLen, 32)
-	h := newHarness(cfg, trace.CriteoKaggle(vecLen, cfg.Pooling))
+	h := NewHarness(cfg, trace.CriteoKaggle(vecLen, cfg.Pooling))
 	// A 64-bit DDR5 channel is two independent 32-bit sub-channels
 	// (Fig. 2); the simulator models one sub-channel, so the fair
 	// per-channel comparison runs DDR5 as two of them.
@@ -176,12 +172,12 @@ func ExtDDR4(cfg Config) (*Table, error) {
 		{"ddr4-3200 (1x64-bit)", dram.DDR4(cfg.Ranks), dram.DDR4Timing(), 1},
 		{"ddr5-4800 (2x32-bit)", dram.DDR5(cfg.Ranks), dram.DDR5Timing(), 2},
 	}
-	systems := make([]recipe, len(gens))
+	systems := make([]Recipe, len(gens))
 	for i, gn := range gens {
 		generation := func(c *core.Config) { c.Geo, c.Tm = &gn.geo, gn.tm }
-		systems[i] = h.sharded("recross", gn.subChannels, generation)
+		systems[i] = h.Sharded("recross", gn.subChannels, generation)
 	}
-	stats, err := h.measure(systems...)
+	stats, err := h.Measure(systems...)
 	if err != nil {
 		return nil, fmt.Errorf("ext-ddr4: %w", err)
 	}

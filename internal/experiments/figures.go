@@ -18,7 +18,7 @@ import (
 // data (< 20 %) takes up most of the accesses.
 func Fig3(cfg Config) (*Table, error) {
 	spec := trace.CriteoKaggle(cfg.VecLen, cfg.Pooling)
-	prof, err := newHarness(cfg, spec).profile()
+	prof, err := NewHarness(cfg, spec).profile()
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func Fig4(cfg Config) (*Table, error) {
 		base[i] = total
 		total += tab.Rows
 	}
-	b, err := newHarness(cfg, spec).batch()
+	b, err := NewHarness(cfg, spec).Batch()
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func Fig4(cfg Config) (*Table, error) {
 // bandwidth is node count times per-node burst cadence. The paper's
 // observation: internal bandwidth scales far faster than delivered speedup.
 func Fig5(cfg Config) (*Table, error) {
-	h := newHarness(cfg, trace.CriteoKaggle(cfg.VecLen, cfg.Pooling))
+	h := kaggle(cfg)
 	tm := dram.DDR5Timing()
 	type point struct {
 		ranks   int
@@ -98,7 +98,7 @@ func Fig5(cfg Config) (*Table, error) {
 		bwBytes float64
 	}
 	var pts []point
-	var systems []recipe
+	var systems []Recipe
 	for _, ranks := range []int{2, 4, 8} {
 		geo := dram.DDR5(ranks)
 		bb := float64(geo.BurstBytes)
@@ -110,11 +110,11 @@ func Fig5(cfg Config) (*Table, error) {
 			{"bankgroup", "trim-g", float64(ranks*geo.BankGroups) * bb / float64(tm.TCCDL)},
 			{"bank", "bank-nmp", float64(geo.TotalBanks()) * bb / float64(tm.TCCDL)},
 		} {
-			systems = append(systems, h.build(lv.arch, func(c *core.Config) { c.Ranks = ranks }))
+			systems = append(systems, h.Build(lv.arch, func(c *core.Config) { c.Ranks = ranks }))
 			pts = append(pts, point{ranks: ranks, level: lv.level, bwBytes: lv.bw})
 		}
 	}
-	stats, err := h.measure(systems...)
+	stats, err := h.Measure(systems...)
 	if err != nil {
 		return nil, fmt.Errorf("fig5: %w", err)
 	}

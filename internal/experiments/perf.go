@@ -2,17 +2,14 @@ package experiments
 
 import "fmt"
 
-// sweep runs one full ArchSet per point and collects speedups over the CPU
-// baseline of the same point. Each point owns its systems, so the points
-// run concurrently and the table does not depend on the schedule.
+// sweep measures the six architectures at each point and collects
+// speedups over the CPU baseline of the same point. Each point owns its
+// systems, so the points run concurrently and the table does not depend
+// on the schedule.
 func sweep[T any](cfg Config, points []T, configure func(Config, T) Config,
 	label func(T) string) (*Table, error) {
 	point := func(p T) (map[string]float64, error) {
-		set, err := NewArchSet(configure(cfg, p))
-		if err != nil {
-			return nil, err
-		}
-		stats, err := set.RunAll()
+		stats, err := kaggle(configure(cfg, p)).measureArches()
 		if err != nil {
 			return nil, err
 		}

@@ -40,13 +40,13 @@ import (
 
 	"recross/internal/adapt"
 	"recross/internal/arch"
-	"recross/internal/baseline"
 	"recross/internal/chaos"
 	"recross/internal/cluster"
 	"recross/internal/coldstore"
 	"recross/internal/core"
 	"recross/internal/dram"
 	"recross/internal/embedding"
+	"recross/internal/experiments"
 	"recross/internal/kernels"
 	"recross/internal/partition"
 	"recross/internal/serve"
@@ -279,9 +279,14 @@ const (
 	FAFNIR Arch = "fafnir"
 )
 
-// Arches lists every architecture in the paper's comparison order.
+// Arches lists the six evaluated architectures in the paper's comparison
+// order.
 func Arches() []Arch {
-	return []Arch{CPU, TensorDIMM, RecNMP, TRiMG, TRiMB, ReCross}
+	out := make([]Arch, len(experiments.ArchNames))
+	for i, name := range experiments.ArchNames {
+		out[i] = Arch(name)
+	}
+	return out
 }
 
 // Config configures NewSystem. Zero values take the paper's defaults
@@ -411,17 +416,6 @@ type ColdTierConfig struct {
 	WrapDevice func(ColdDevice) ColdDevice
 }
 
-// tierSpec converts the facade config into the core/timing-side spec.
-func (c *ColdTierConfig) tierSpec() *coldstore.TierSpec {
-	return &coldstore.TierSpec{
-		CapBytes:            c.CapBytes,
-		ResidentBudgetBytes: c.ResidentBudgetBytes,
-		PageBytes:           c.PageBytes,
-		InStorageReduce:     c.InStorageReduce,
-		Model:               c.Model,
-	}
-}
-
 func (c Config) withDefaults() Config {
 	if c.Ranks == 0 {
 		c.Ranks = 2
@@ -438,63 +432,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// NewSystem builds the requested architecture over the workload.
+// NewSystem builds the requested architecture over the workload through
+// the one constructor recross-sim and the experiments share.
 func NewSystem(a Arch, cfg Config) (System, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Cold != nil && a != ReCross {
 		return nil, fmt.Errorf("recross: the cold tier requires the %q architecture (it owns the partitioner), got %q", ReCross, a)
 	}
+	h := experiments.NewHarness(experiments.Config{Ranks: cfg.Ranks, Batch: cfg.Batch,
+		ProfileSeed: cfg.ProfileSeed, ProfileSamples: cfg.ProfileSamples}, cfg.Spec)
+	tweak := func(rc *core.Config) {
+		rc.Placement, rc.Precision = cfg.placement, cfg.Precision
+		if c := cfg.Cold; c != nil {
+			rc.ColdPrecision = c.Precision
+			rc.ColdTier = &coldstore.TierSpec{CapBytes: c.CapBytes, ResidentBudgetBytes: c.ResidentBudgetBytes,
+				PageBytes: c.PageBytes, InStorageReduce: c.InStorageReduce, Model: c.Model}
+		}
+	}
 	if cfg.Channels > 1 {
-		spec := cfg.Spec
-		n := cfg.Channels
-		return arch.NewMultiChannel(spec, n, func(sub ModelSpec) (System, error) {
-			sc := cfg
-			sc.Spec = sub
-			sc.Channels = 1
-			sc.Profile = nil // the sub-model needs its own profile
-			return NewSystem(a, sc)
-		})
+		return h.Sharded(string(a), cfg.Channels, tweak)() // each channel profiles its sub-spec
 	}
-	bcfg := baseline.Config{Spec: cfg.Spec, Ranks: cfg.Ranks}
-	switch a {
-	case CPU:
-		return baseline.NewCPU(bcfg)
-	case TensorDIMM:
-		return baseline.NewTensorDIMM(bcfg)
-	case RecNMP:
-		return baseline.NewRecNMP(bcfg)
-	case RankNMP:
-		return baseline.NewRankNMP(bcfg)
-	case FAFNIR:
-		return baseline.NewFAFNIR(bcfg)
-	case TRiMG:
-		return baseline.NewTRiMG(bcfg)
-	case TRiMB:
-		cfg, err := cfg.profiled(a)
-		if err != nil {
-			return nil, err
-		}
-		return baseline.NewTRiMB(bcfg, cfg.Profile.Hists)
-	case ReCross:
-		rcfg := core.DefaultConfig(cfg.Spec)
-		rcfg.Ranks = cfg.Ranks
-		rcfg.Batch = cfg.Batch
-		rcfg.ProfileSamples = cfg.ProfileSamples
-		rcfg.Seed = cfg.ProfileSeed
-		rcfg.Profile = cfg.Profile
-		rcfg.Placement = cfg.placement
-		rcfg.Precision = cfg.Precision
-		if cfg.Cold != nil {
-			rcfg.ColdTier = cfg.Cold.tierSpec()
-			rcfg.ColdPrecision = cfg.Cold.Precision
-		}
-		return core.New(rcfg)
-	default:
-		return nil, fmt.Errorf("recross: unknown architecture %q", a)
-	}
+	return h.Build(string(a), func(rc *core.Config) { tweak(rc); rc.Profile = cfg.Profile })()
 }
 
 // ReplicaSystems builds n isolated System replicas of architecture a
@@ -1279,7 +1237,11 @@ func WrapFaultyBinDial(dial BinDial, fc NodeFaultConfig, id int, inj *FaultInjec
 // NewReCross builds a fully customized ReCross instance (PE population,
 // optimization toggles, region configuration).
 func NewReCross(cfg ReCrossConfig) (*ReCrossSystem, error) {
-	return core.New(cfg)
+	sys, err := experiments.NewSystem(string(ReCross), cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sys.(*core.ReCross), nil
 }
 
 // DefaultReCrossConfig returns the paper's ReCross-d configuration.
