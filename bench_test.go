@@ -12,21 +12,28 @@ import (
 	"recross/internal/experiments"
 )
 
-func benchRecrossRun(b *testing.B, ref, train bool) {
-	b.Helper()
+// recrossBatch builds the ReCross system and the 32-sample Criteo-Kaggle
+// batch that BenchmarkRecrossRun and its siblings measure.
+func recrossBatch(tb testing.TB, ref bool) (*core.ReCross, Batch) {
+	tb.Helper()
 	spec := CriteoKaggle(64, 80)
 	cfg := core.DefaultConfig(spec)
 	cfg.ProfileSamples = 500
 	cfg.RefScheduler = ref
 	sys, err := core.New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	gen, err := NewGenerator(spec, 7)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	batch := gen.Batch(32)
+	return sys, gen.Batch(32)
+}
+
+func benchRecrossRun(b *testing.B, ref, train bool) {
+	b.Helper()
+	sys, batch := recrossBatch(b, ref)
 	run := sys.Run
 	if train {
 		run = sys.RunTraining

@@ -25,7 +25,7 @@ type RunStats struct {
 	// result transfer back to the host.
 	Cycles sim.Cycle
 	// DRAM is the channel's event counters (summed over a MultiChannel's
-	// channels, with the per-node slices concatenated in channel order).
+	// channels).
 	DRAM dram.Stats
 	// Ops counts PE (or host ALU) arithmetic.
 	Ops nmp.OpStats
@@ -156,9 +156,9 @@ func NewChannelSim(spec ChannelSpec) (*ChannelSim, error) {
 
 // Run resets the channel, drains reqs, and then streams resultBursts of
 // reduced results back over the channel DQ. It returns the end-to-end
-// finish time, a stats snapshot (safe to retain: it does not alias the
-// channel's reused counters), and the drain result, whose Done slice is
-// scheduler scratch valid only until the next Run.
+// finish time, a copy of the channel's event counters, and the drain
+// result, whose Done slice is scheduler scratch valid only until the next
+// Run.
 func (s *ChannelSim) Run(reqs []memctrl.Request, resultBursts int) (sim.Cycle, dram.Stats, memctrl.Result, error) {
 	s.ch.Reset()
 	var res memctrl.Result
@@ -175,18 +175,7 @@ func (s *ChannelSim) Run(reqs []memctrl.Request, resultBursts int) (sim.Cycle, d
 	if resultBursts > 0 {
 		finish = s.ch.StreamResults(resultBursts, finish)
 	}
-	return finish, snapshotStats(&s.ch.St), res, nil
-}
-
-// snapshotStats deep-copies the per-bank/BG/rank counter slices, which the
-// channel zeroes in place on Reset.
-func snapshotStats(st *dram.Stats) dram.Stats {
-	out := *st
-	out.PerBankRDs = append([]int64(nil), st.PerBankRDs...)
-	out.PerBGRDs = append([]int64(nil), st.PerBGRDs...)
-	out.PerRankRDs = append([]int64(nil), st.PerRankRDs...)
-	out.PerBankACTs = append([]int64(nil), st.PerBankACTs...)
-	return out
+	return finish, s.ch.St, res, nil
 }
 
 // Bursts returns the RD bursts per vector of vecLen FP32 elements, at least

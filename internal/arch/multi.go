@@ -138,7 +138,7 @@ func (m *MultiChannel) Run(b trace.Batch) (*RunStats, error) {
 }
 
 // add folds one channel's stats into a multi-channel total. Counters sum
-// and per-node slices concatenate in channel order; Cycles and ColdCycles
+// and NodeLoads concatenate in channel order; Cycles and ColdCycles
 // take the slowest channel, since channels run concurrently. OpP50 and
 // OpP99 are per channel and are not merged.
 func (s *RunStats) add(o *RunStats) {
@@ -155,10 +155,6 @@ func (s *RunStats) add(o *RunStats) {
 	d.BurstsToBank += od.BurstsToBank
 	d.HostResultTx += od.HostResultTx
 	d.SubarraySwitch += od.SubarraySwitch
-	d.PerBankRDs = append(d.PerBankRDs, od.PerBankRDs...)
-	d.PerBGRDs = append(d.PerBGRDs, od.PerBGRDs...)
-	d.PerRankRDs = append(d.PerRankRDs, od.PerRankRDs...)
-	d.PerBankACTs = append(d.PerBankACTs, od.PerBankACTs...)
 	s.Ops.Add(o.Ops)
 	s.RowHits += o.RowHits
 	s.RowMisses += o.RowMisses

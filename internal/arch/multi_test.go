@@ -125,6 +125,7 @@ func (r *realMini) Run(b trace.Batch) (*RunStats, error) {
 	}
 	var reqs []memctrl.Request
 	var lookups int64
+	rankLoads := make([]int64, geo.Ranks)
 	for _, s := range b {
 		for _, op := range s {
 			for _, idx := range op.Indices {
@@ -133,6 +134,7 @@ func (r *realMini) Run(b trace.Batch) (*RunStats, error) {
 				if err != nil {
 					return nil, err
 				}
+				rankLoads[loc.Rank]++
 				reqs = append(reqs, memctrl.Request{Loc: loc, Cols: 4, Consumer: dram.ToHost})
 			}
 		}
@@ -148,7 +150,7 @@ func (r *realMini) Run(b trace.Batch) (*RunStats, error) {
 	return &RunStats{
 		Cycles: finish, DRAM: st, Lookups: lookups,
 		RowHits: res.RowHits, RowMisses: res.RowMisses,
-		NodeLoads: append([]int64(nil), st.PerRankRDs...), Imbalance: 1,
+		NodeLoads: rankLoads, Imbalance: 1,
 	}, nil
 }
 

@@ -154,10 +154,10 @@ func TestTensorDIMMActivatesEveryRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Vertical partitioning: both ranks see every lookup, so per-rank RD
-	// counts are equal and nonzero.
-	if rs.DRAM.PerRankRDs[0] == 0 || rs.DRAM.PerRankRDs[0] != rs.DRAM.PerRankRDs[1] {
-		t.Fatalf("vertical partitioning should balance ranks exactly: %v", rs.DRAM.PerRankRDs)
+	// Vertical partitioning: both ranks see every lookup, so per-rank
+	// gather counts are equal and nonzero.
+	if len(rs.NodeLoads) != 2 || rs.NodeLoads[0] == 0 || rs.NodeLoads[0] != rs.NodeLoads[1] {
+		t.Fatalf("vertical partitioning should balance ranks exactly: %v", rs.NodeLoads)
 	}
 	if rs.Imbalance != 1 {
 		t.Fatalf("TensorDIMM imbalance = %f, want exactly 1", rs.Imbalance)

@@ -16,8 +16,6 @@ type Cache struct {
 	// age[set*ways + way]: larger is more recent.
 	age  []uint64
 	tick uint64
-
-	hits, misses int64
 }
 
 // New builds a cache of sizeBytes total capacity with the given
@@ -56,7 +54,6 @@ func (c *Cache) Access(addr uint64) bool {
 	for w := 0; w < c.ways; w++ {
 		if c.tags[base+uint64(w)] == tag {
 			c.age[base+uint64(w)] = c.tick
-			c.hits++
 			return true
 		}
 		if c.age[base+uint64(w)] < lruAge {
@@ -65,7 +62,6 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	c.tags[base+uint64(lruWay)] = tag
 	c.age[base+uint64(lruWay)] = c.tick
-	c.misses++
 	return false
 }
 
@@ -81,35 +77,4 @@ func (c *Cache) Contains(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Warm preloads addr without counting a hit or miss.
-func (c *Cache) Warm(addr uint64) {
-	if c.Contains(addr) {
-		return
-	}
-	c.Access(addr)
-	c.misses--
-}
-
-// Hits and Misses return the access counters.
-func (c *Cache) Hits() int64   { return c.hits }
-func (c *Cache) Misses() int64 { return c.misses }
-
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.age[i] = 0
-	}
-	c.tick, c.hits, c.misses = 0, 0, 0
 }

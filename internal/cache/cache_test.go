@@ -35,11 +35,8 @@ func TestHitAfterMiss(t *testing.T) {
 	if !c.Access(0x1010) {
 		t.Fatal("same line different offset should hit")
 	}
-	if c.Hits() != 2 || c.Misses() != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 2/1", c.Hits(), c.Misses())
-	}
-	if r := c.HitRate(); r < 0.66 || r > 0.67 {
-		t.Fatalf("hit rate = %g, want 2/3", r)
+	if c.Access(0x1040) {
+		t.Fatal("next line should miss")
 	}
 }
 
@@ -69,40 +66,12 @@ func TestContainsDoesNotTouch(t *testing.T) {
 	c.Access(0)
 	c.Access(64)
 	c.Contains(0) // must NOT refresh line 0
-	hitsBefore := c.Hits()
 	c.Access(128) // evict true LRU (line 0)
 	if c.Contains(0) {
 		t.Fatal("Contains refreshed LRU state")
 	}
-	if c.Hits() != hitsBefore {
-		t.Fatal("Contains counted a hit")
-	}
-}
-
-func TestWarmDoesNotCount(t *testing.T) {
-	c, _ := New(1<<12, 64, 4)
-	c.Warm(0x40)
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Fatalf("warm counted: hits=%d misses=%d", c.Hits(), c.Misses())
-	}
-	if !c.Access(0x40) {
-		t.Fatal("warmed line should hit")
-	}
-	c.Warm(0x40) // warming a resident line is a no-op
-	if c.Misses() != 0 {
-		t.Fatal("re-warm counted a miss")
-	}
-}
-
-func TestReset(t *testing.T) {
-	c, _ := New(1<<12, 64, 4)
-	c.Access(0)
-	c.Reset()
-	if c.Hits() != 0 || c.Misses() != 0 || c.Contains(0) {
-		t.Fatal("reset did not clear state")
-	}
-	if c.HitRate() != 0 {
-		t.Fatal("hit rate after reset should be 0")
+	if !c.Access(64) {
+		t.Fatal("line 1 evicted instead of the true LRU")
 	}
 }
 
@@ -121,13 +90,12 @@ func TestNoCapacityMissWithinWays(t *testing.T) {
 			c.Access(lines[i])
 		}
 		rng := rand.New(rand.NewSource(seed))
-		missesBefore := c.Misses()
 		for i := 0; i < 200; i++ {
 			if !c.Access(lines[rng.Intn(8)]) {
 				return false
 			}
 		}
-		return c.Misses() == missesBefore
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -139,17 +107,21 @@ func TestSkewedWorkloadHitsHot(t *testing.T) {
 	// lines should show a high hit rate — the RecNMP hot-entry cache premise.
 	c, _ := New(1<<16, 64, 8)
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50000; i++ {
+	const n = 50000
+	hits := 0
+	for i := 0; i < n; i++ {
 		var addr uint64
 		if rng.Float64() < 0.9 {
 			addr = uint64(rng.Intn(100)) * 64
 		} else {
 			addr = uint64(rng.Intn(1<<20)) * 64
 		}
-		c.Access(addr)
+		if c.Access(addr) {
+			hits++
+		}
 	}
-	if c.HitRate() < 0.8 {
-		t.Fatalf("hit rate = %.3f, want > 0.8 on skewed workload", c.HitRate())
+	if r := float64(hits) / n; r < 0.8 {
+		t.Fatalf("hit rate = %.3f, want > 0.8 on skewed workload", r)
 	}
 }
 

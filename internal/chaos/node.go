@@ -52,8 +52,8 @@ type NodeConfig struct {
 	// Rates are the per-Lookup fault probabilities.
 	Rates NodeRates
 	// Conn are the per-frame-write fault probabilities applied by the
-	// binary transport's FaultyConn wrapper (JSON/HTTP peers ignore
-	// them; the HTTP stack owns its own sockets).
+	// binary transport's FaultyConn wrapper (in-process nodes have no
+	// conn and ignore them).
 	Conn ConnRates
 	// Stall is the NodeSlow stall duration (default 2ms).
 	Stall time.Duration

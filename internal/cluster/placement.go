@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"recross/internal/lp"
-	"recross/internal/partition"
 	"recross/internal/trace"
 )
 
@@ -164,19 +163,6 @@ func CostPlacement(vols []float64, nodes []string, opts PlacementOptions) (*Plac
 	p.LPBound = lpBound(vols, n, weight)
 	p.finalize()
 	return p, nil
-}
-
-// CostPlacementFor is CostPlacement priced from an offline profile:
-// per-table volumes come from partition.AccessVolumes at the given
-// batch size, the same cost machinery the intra-node partitioner uses.
-func CostPlacementFor(prof *partition.Profile, batch int, nodes []string, opts PlacementOptions) (*Placement, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("cluster: nil profile")
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	return CostPlacement(partition.AccessVolumes(prof.Spec, batch), nodes, opts)
 }
 
 // lpBound solves the fractional relaxation — min T subject to each

@@ -170,9 +170,6 @@ func TestPlacementValidation(t *testing.T) {
 	if _, err := CostPlacement([]float64{1, 1}, []string{"a", "b"}, PlacementOptions{Weights: []float64{1}}); err == nil {
 		t.Error("weight count mismatch accepted")
 	}
-	if _, err := CostPlacementFor(nil, 8, []string{"a"}, PlacementOptions{}); err == nil {
-		t.Error("nil profile accepted")
-	}
 }
 
 // TestPlacementBytes sanity-checks the balance measure itself.

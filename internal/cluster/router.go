@@ -287,6 +287,12 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 		if op.Table < 0 || op.Table >= pl.Tables() {
 			return nil, fmt.Errorf("cluster: op %d table %d out of [0,%d)", i, op.Table, pl.Tables())
 		}
+		rows := r.opts.Layer.Table(op.Table).Rows()
+		for _, idx := range op.Indices {
+			if idx < 0 || idx >= rows {
+				return nil, fmt.Errorf("cluster: op %d index %d out of [0,%d)", i, idx, rows)
+			}
+		}
 	}
 	if r.opts.Observer != nil {
 		r.opts.Observer(sample)

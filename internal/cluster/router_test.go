@@ -188,6 +188,12 @@ func TestRouterLookupErrors(t *testing.T) {
 	if _, err := r.Lookup(ctx, trace.Sample{{Table: 99, Kind: trace.Sum, Indices: []int64{1}}}); err == nil {
 		t.Error("out-of-range table accepted")
 	}
+	if _, err := r.Lookup(ctx, trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{1, 1 << 40}}}); err == nil {
+		t.Error("out-of-range row accepted")
+	}
+	if m := r.metrics; m.Retries.Load() != 0 || m.Failed.Load() != 0 {
+		t.Errorf("rejected lookups reached the nodes: %d retries, %d failed", m.Retries.Load(), m.Failed.Load())
+	}
 	r.Close()
 	if _, err := r.Lookup(ctx, wideSample()); err != ErrRouterClosed {
 		t.Errorf("closed router returned %v, want ErrRouterClosed", err)

@@ -146,10 +146,6 @@ type Stats struct {
 	BurstsToBG     int64
 	BurstsToBank   int64
 	HostResultTx   int64 // result-vector bursts written back over channel DQ
-	PerBankRDs     []int64
-	PerBGRDs       []int64
-	PerRankRDs     []int64
-	PerBankACTs    []int64
 	SubarraySwitch int64 // global-bitline handovers in SALP banks
 }
 
@@ -261,10 +257,6 @@ func NewChannel(geo Geometry, tm Timing, mode InstrMode) (*Channel, error) {
 		epBG:        make([]uint32, geo.Ranks*geo.BankGroups),
 		epBank:      make([]uint32, nb),
 	}
-	c.St.PerBankRDs = make([]int64, nb)
-	c.St.PerBankACTs = make([]int64, nb)
-	c.St.PerBGRDs = make([]int64, geo.Ranks*geo.BankGroups)
-	c.St.PerRankRDs = make([]int64, geo.Ranks)
 	c.Reset()
 	return c, nil
 }
@@ -315,23 +307,7 @@ func (c *Channel) Reset() {
 	for i := range c.epBank {
 		c.epBank[i] = 0
 	}
-	st := &c.St
-	*st = Stats{
-		PerBankRDs:  st.PerBankRDs,
-		PerBGRDs:    st.PerBGRDs,
-		PerRankRDs:  st.PerRankRDs,
-		PerBankACTs: st.PerBankACTs,
-	}
-	for i := range st.PerBankRDs {
-		st.PerBankRDs[i] = 0
-		st.PerBankACTs[i] = 0
-	}
-	for i := range st.PerBGRDs {
-		st.PerBGRDs[i] = 0
-	}
-	for i := range st.PerRankRDs {
-		st.PerRankRDs[i] = 0
-	}
+	c.St = Stats{}
 }
 
 // EnableSALP marks the bank at flat index subarray-parallel.
@@ -495,7 +471,6 @@ func (c *Channel) IssueACT(l Loc, now sim.Cycle) sim.Cycle {
 		c.Trace = append(c.Trace, CmdEvent{At: t, Kind: "ACT", Loc: l})
 	}
 	c.St.ACTs++
-	c.St.PerBankACTs[fb]++
 	return t
 }
 
@@ -593,9 +568,6 @@ func (c *Channel) IssueRD(l Loc, consumer Consumer, now sim.Cycle) (issue, done 
 		c.epCh++
 	}
 	c.St.RDs++
-	c.St.PerBankRDs[fb]++
-	c.St.PerBGRDs[fbg]++
-	c.St.PerRankRDs[l.Rank]++
 	done = t + c.Tm.TCL + c.Tm.TBL
 	if c.Record {
 		c.Trace = append(c.Trace, CmdEvent{At: t, Kind: "RD", Loc: l, Done: done})
@@ -644,20 +616,6 @@ func (c *Channel) IssueWR(l Loc, now sim.Cycle) (issue, done sim.Cycle) {
 		c.Trace = append(c.Trace, CmdEvent{At: t, Kind: "WR", Loc: l, Done: done})
 	}
 	return t, done
-}
-
-// ResultTransfer models streaming nBursts of reduced result data from the
-// DIMM back to the host over the channel DQ, starting no earlier than `now`.
-// It returns the completion time.
-func (c *Channel) ResultTransfer(nBursts int, now sim.Cycle) sim.Cycle {
-	t := max(now, c.lastHostRD+c.Tm.TBL)
-	for i := 0; i < nBursts; i++ {
-		c.lastHostRD = t
-		t += c.Tm.TBL
-		c.St.HostResultTx++
-	}
-	c.epCh++
-	return t
 }
 
 // StreamResults models per-operation result write-backs that OVERLAP the

@@ -346,22 +346,9 @@ func benchReduceQuant(b *testing.B, prec kernels.Precision) {
 		b.Fatal(err)
 	}
 	if prec == kernels.FP32 {
-		// Materialize the fp32 baseline densely so both sides read from
-		// memory, not the procedural hash.
-		src := layer.Table(0)
-		dense, err := NewDense(src.Rows(), src.VecLen())
-		if err != nil {
-			b.Fatal(err)
-		}
-		row := make([]float32, src.VecLen())
-		for i := int64(0); i < src.Rows(); i++ {
-			src.Row(i, row)
-			dense.SetRow(i, row)
-		}
-		layer, err = NewLayerFromTables([]Table{dense})
-		if err != nil {
-			b.Fatal(err)
-		}
+		// Materialize the fp32 baseline so both sides read from memory,
+		// not the procedural hash.
+		layer = &Layer{tables: []Table{materialize(layer.Table(0))}}
 	} else if err := layer.SetPrecision(prec); err != nil {
 		b.Fatal(err)
 	}
@@ -385,6 +372,30 @@ func benchReduceQuant(b *testing.B, prec kernels.Precision) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// memTable is a memory-resident fp32 table: the reduction benchmark's
+// baseline backing store.
+type memTable struct {
+	data   []float32
+	vecLen int
+}
+
+func materialize(src Table) *memTable {
+	t := &memTable{data: make([]float32, src.Rows()*int64(src.VecLen())), vecLen: src.VecLen()}
+	for i := int64(0); i < src.Rows(); i++ {
+		src.Row(i, t.data[i*int64(t.vecLen):(i+1)*int64(t.vecLen)])
+	}
+	return t
+}
+
+func (t *memTable) Rows() int64 { return int64(len(t.data) / t.vecLen) }
+
+func (t *memTable) VecLen() int { return t.vecLen }
+
+func (t *memTable) Row(i int64, dst []float32) []float32 {
+	copy(dst, t.data[i*int64(t.vecLen):(i+1)*int64(t.vecLen)])
+	return dst
 }
 
 func BenchmarkReduceQuantFP32(b *testing.B) { benchReduceQuant(b, kernels.FP32) }

@@ -6,8 +6,7 @@
 // Production tables reach billions of parameters, so the default Table is
 // procedural: row values are derived deterministically from (table, row,
 // element) with a splitmix-style hash, giving reproducible "stored" data
-// with zero resident memory. Small materialized tables are also provided
-// for training-style use (the DLRM example).
+// with zero resident memory; QuantTable re-backs one at FP16 or INT8.
 package embedding
 
 import (
@@ -73,45 +72,6 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Dense is a materialized table backed by a flat float32 slice.
-type Dense struct {
-	data   []float32
-	rows   int64
-	vecLen int
-}
-
-// NewDense allocates a zeroed rows x vecLen table.
-func NewDense(rows int64, vecLen int) (*Dense, error) {
-	if rows <= 0 || vecLen <= 0 {
-		return nil, fmt.Errorf("embedding: invalid table shape %dx%d", rows, vecLen)
-	}
-	return &Dense{data: make([]float32, rows*int64(vecLen)), rows: rows, vecLen: vecLen}, nil
-}
-
-func (t *Dense) Rows() int64 { return t.rows }
-
-func (t *Dense) VecLen() int { return t.vecLen }
-
-func (t *Dense) Row(i int64, dst []float32) []float32 {
-	if i < 0 || i >= t.rows {
-		panic(fmt.Sprintf("embedding: row %d out of [0,%d)", i, t.rows))
-	}
-	copy(dst, t.data[i*int64(t.vecLen):(i+1)*int64(t.vecLen)])
-	return dst
-}
-
-// SetRow overwrites row i.
-func (t *Dense) SetRow(i int64, v []float32) error {
-	if i < 0 || i >= t.rows {
-		return fmt.Errorf("embedding: row %d out of [0,%d)", i, t.rows)
-	}
-	if len(v) != t.vecLen {
-		return fmt.Errorf("embedding: vector length %d != %d", len(v), t.vecLen)
-	}
-	copy(t.data[i*int64(t.vecLen):], v)
-	return nil
-}
-
 // ColdReader serves rows placed on the flash cold tier (implemented by
 // coldstore.Store via a thin adapter in the facade). A reader must return
 // bits identical to the table's own Row for every row it holds — unless it
@@ -149,12 +109,9 @@ type Layer struct {
 	// FP16/INT8 wrap them in QuantTables (SetPrecision). The RowCache
 	// always holds dequantized fp32 rows regardless.
 	prec kernels.Precision
-	// cache, when attached, memoizes materialized rows of procedural
-	// tables so hot rows are hashed once instead of per lookup.
+	// cache, when attached, memoizes materialized rows so hot rows are
+	// hashed (or dequantized) once instead of per lookup.
 	cache *RowCache
-	// cached[ti] marks tables whose rows are worth caching (procedural
-	// regeneration; a Dense table's Row is already just a copy).
-	cached []bool
 	// cold, when set, routes cold-placed rows through the flash store
 	// (RowCache still probes first). Atomic: adoption swaps the route
 	// while serving goroutines read it.
@@ -179,14 +136,6 @@ func NewLayer(spec trace.ModelSpec) (*Layer, error) {
 		l.tables[i] = t
 	}
 	return l, nil
-}
-
-// NewLayerFromTables wraps explicit tables (e.g. trained Dense ones).
-func NewLayerFromTables(tables []Table) (*Layer, error) {
-	if len(tables) == 0 {
-		return nil, fmt.Errorf("embedding: no tables")
-	}
-	return &Layer{tables: tables}, nil
 }
 
 // SetPrecision re-backs every table at prec: FP16/INT8 wrap the tables
@@ -240,40 +189,27 @@ func (l *Layer) SourceTable(ti int) Table {
 	return l.tables[ti]
 }
 
-// AttachRowCache memoizes materialized rows of the layer's procedural and
-// quantized tables in c: hot rows are generated (or dequantized) once and
-// then served by fp32 copy instead of being re-hashed or re-decoded on
-// every lookup. Dense tables are left uncached (their Row is already a
-// plain copy). c's vector length must match the layer's tables. Attach
-// before serving begins; afterwards the layer (cache included) is safe
-// for concurrent reads.
+// AttachRowCache memoizes materialized rows of the layer's tables in c:
+// hot rows are generated (or dequantized) once and then served by fp32
+// copy instead of being re-hashed or re-decoded on every lookup. c's
+// vector length must match the layer's tables. Attach before serving
+// begins; afterwards the layer (cache included) is safe for concurrent
+// reads.
 func (l *Layer) AttachRowCache(c *RowCache) error {
 	if c == nil {
-		l.cache, l.cached = nil, nil
+		l.cache = nil
 		return nil
 	}
-	cached := make([]bool, len(l.tables))
-	any := false
 	for i, t := range l.tables {
-		switch t.(type) {
-		case *Procedural, *QuantTable:
-		default:
-			continue
-		}
 		if t.VecLen() != c.VecLen() {
 			return fmt.Errorf("embedding: row cache vecLen %d != table %d vecLen %d",
 				c.VecLen(), i, t.VecLen())
 		}
-		cached[i] = true
-		any = true
-	}
-	if !any {
-		return fmt.Errorf("embedding: no procedural tables to cache")
 	}
 	// Resident rows are always fp32; the logical (backing-precision) size
 	// feeds the cache's compression accounting.
 	c.SetLogicalRowBytes(int64(l.prec.RowBytes(c.VecLen())))
-	l.cache, l.cached = c, cached
+	l.cache = c
 	return nil
 }
 
@@ -304,18 +240,17 @@ func (l *Layer) SetColdRoute(isCold func(ti int, idx int64) bool, reader ColdRea
 // functional path validate before gathering, and Table.Row panics on
 // violation exactly like the uncached path.
 func (l *Layer) MaterializeRow(ti int, idx int64, dst []float32) {
-	cached := l.cache != nil && l.cached[ti]
-	if cached && l.cache.Get(ti, idx, dst) {
+	if l.cache != nil && l.cache.Get(ti, idx, dst) {
 		return
 	}
 	if cr := l.cold.Load(); cr != nil && cr.isCold(ti, idx) && l.readCold(cr, ti, idx, dst) {
-		if cached {
+		if l.cache != nil {
 			l.cache.Put(ti, idx, dst)
 		}
 		return
 	}
 	l.tables[ti].Row(idx, dst)
-	if cached {
+	if l.cache != nil {
 		l.cache.Put(ti, idx, dst)
 	}
 }
@@ -443,13 +378,12 @@ func (l *Layer) accumulate(dst, row []float32, op trace.Op, k int) {
 // cold tier's value whether or not its device answers (readCold).
 func (l *Layer) reduceQuantRow(dst []float32, op trace.Op, k int, idx int64, qt *QuantTable, row []float32) {
 	ti := op.Table
-	cached := l.cache != nil && l.cached[ti]
-	if cached && l.cache.Get(ti, idx, row) {
+	if l.cache != nil && l.cache.Get(ti, idx, row) {
 		l.accumulate(dst, row, op, k)
 		return
 	}
 	if cr := l.cold.Load(); cr != nil && cr.isCold(ti, idx) && l.readCold(cr, ti, idx, row) {
-		if cached {
+		if l.cache != nil {
 			l.cache.Put(ti, idx, row)
 		}
 		l.accumulate(dst, row, op, k)
@@ -469,7 +403,7 @@ func (l *Layer) reduceQuantRow(dst []float32, op trace.Op, k int, idx int64, qt 
 		default: // trace.WeightedSum
 			kernels.AxpyI8(dst, q, op.Weights[k], scale, zero)
 		}
-		if cached {
+		if l.cache != nil {
 			kernels.DecodeI8(row, q, scale, zero)
 			l.cache.Put(ti, idx, row)
 		}
@@ -488,7 +422,7 @@ func (l *Layer) reduceQuantRow(dst []float32, op trace.Op, k int, idx int64, qt 
 	default: // trace.WeightedSum
 		kernels.AxpyF16(dst, q, op.Weights[k])
 	}
-	if cached {
+	if l.cache != nil {
 		kernels.DecodeF16(row, q)
 		l.cache.Put(ti, idx, row)
 	}

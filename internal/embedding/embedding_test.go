@@ -60,31 +60,11 @@ func TestProceduralBoundsPanic(t *testing.T) {
 	tab.Row(10, make([]float32, 4))
 }
 
-func TestDenseSetGet(t *testing.T) {
-	tab, err := NewDense(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.SetRow(2, []float32{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	got := tab.Row(2, make([]float32, 3))
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("row = %v", got)
-	}
-	if err := tab.SetRow(9, []float32{1, 2, 3}); err == nil {
-		t.Fatal("out-of-range SetRow should error")
-	}
-	if err := tab.SetRow(0, []float32{1}); err == nil {
-		t.Fatal("wrong-length SetRow should error")
-	}
-}
-
 func TestShapeValidation(t *testing.T) {
 	if _, err := NewProcedural(1, 0, 4); err == nil {
 		t.Error("zero rows should error")
 	}
-	if _, err := NewDense(4, 0); err == nil {
+	if _, err := NewProcedural(1, 4, 0); err == nil {
 		t.Error("zero veclen should error")
 	}
 }

@@ -193,9 +193,9 @@ type Options struct {
 
 	// RowCacheBytes, when positive, attaches a sharded hot-row cache of
 	// this budget to Layer (unless the caller already attached one), so
-	// hot procedural rows are materialized once instead of re-hashed per
-	// lookup. Its counters ride /metrics as recross_dataplane_row_cache_*
-	// (0 = no cache). Requires at least one procedural table.
+	// hot rows are materialized once instead of re-hashed (or
+	// dequantized) per lookup. Its counters ride /metrics as
+	// recross_dataplane_row_cache_* (0 = no cache).
 	RowCacheBytes int64
 
 	// OnClose, when non-nil, runs at the end of Close after every worker
@@ -430,17 +430,27 @@ func (s *Server) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 		return nil, errors.New("serve: empty sample")
 	}
 	// Enforce the trace.Op shape contract before the sample can reach a
-	// worker: Systems assume len(Weights) == len(Indices) (weights are
-	// ignored for Sum/Max but must be present). A violation would panic
-	// the replica goroutine — recoverable now, but it would still burn a
-	// restart on caller input.
+	// worker: Systems assume every table and row is in range and
+	// len(Weights) == len(Indices) (weights are ignored for Sum/Max but
+	// must be present). A violation would panic the replica goroutine —
+	// recoverable now, but it would still burn a restart on caller input.
+	layer := s.opts.Layer
 	for i, op := range sample {
+		if op.Table < 0 || op.Table >= layer.Tables() {
+			return nil, fmt.Errorf("serve: op %d table %d out of [0,%d)", i, op.Table, layer.Tables())
+		}
 		if len(op.Indices) == 0 {
 			return nil, fmt.Errorf("serve: op %d has no indices", i)
 		}
 		if len(op.Weights) != len(op.Indices) {
 			return nil, fmt.Errorf("serve: op %d has %d weights for %d indices",
 				i, len(op.Weights), len(op.Indices))
+		}
+		rows := layer.Table(op.Table).Rows()
+		for _, idx := range op.Indices {
+			if idx < 0 || idx >= rows {
+				return nil, fmt.Errorf("serve: op %d index %d out of [0,%d)", i, idx, rows)
+			}
 		}
 	}
 	if s.opts.DefaultTimeout > 0 {

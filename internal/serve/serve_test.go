@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,6 +127,39 @@ func TestLookupRejectsMalformedSample(t *testing.T) {
 		if _, err := s.Lookup(context.Background(), sample); err == nil {
 			t.Errorf("%s: Lookup accepted a malformed sample", name)
 		}
+	}
+}
+
+// TestLookupRejectsOutOfRange: a table or row outside the layer is caller
+// input, refused at admission like a shape violation. A real system would
+// index past its tables and panic its replica, costing a fault, a retry
+// and a restart per lookup before the caller saw the error.
+func TestLookupRejectsOutOfRange(t *testing.T) {
+	var systems []arch.System
+	for i := 0; i < 2; i++ {
+		sys, err := baseline.NewCPU(baseline.Config{Spec: testSpec(), Ranks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys)
+	}
+	s := newTestServer(t, Options{Systems: systems})
+	defer s.Close()
+
+	rows := testSpec().Tables[0].Rows
+	for name, op := range map[string]trace.Op{
+		"table":        {Table: 3, Indices: []int64{1}, Weights: []float32{1}},
+		"negative row": {Table: 0, Indices: []int64{1, -1}, Weights: []float32{1, 1}},
+		"row":          {Table: 0, Indices: []int64{rows}, Weights: []float32{1}},
+	} {
+		_, err := s.Lookup(context.Background(), trace.Sample{op})
+		if err == nil || !strings.Contains(err.Error(), "out of [0,") {
+			t.Errorf("%s out of range: err = %v, want a range error", name, err)
+		}
+	}
+	m := s.Metrics()
+	if p, r, rs := m.FaultPanics.Load(), m.Retries.Load(), m.Restarts.Load(); p != 0 || r != 0 || rs != 0 {
+		t.Fatalf("out-of-range lookups reached a replica: %d panics, %d retries, %d restarts", p, r, rs)
 	}
 }
 

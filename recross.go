@@ -160,7 +160,7 @@ type (
 
 	// ClusterNode is the cluster transport driver interface
 	// (Lookup/Health/Stats/Close) — implemented in-process, by a
-	// goroutine fleet, and by HTTP peers.
+	// goroutine fleet, and by binary-wire peers.
 	ClusterNode = cluster.Node
 	// ClusterRouter is the stateless scatter-gather front of a cluster:
 	// placement-driven batch splitting, per-node deadlines, hedged
