@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -329,5 +330,42 @@ func TestPeersAreBinary(t *testing.T) {
 		if res.Degraded || !reflect.DeepEqual(res.Vectors, want) {
 			t.Fatalf("lookup over binary peers: degraded=%v, vectors identical=%v", res.Degraded, reflect.DeepEqual(res.Vectors, want))
 		}
+	}
+}
+
+// TestClusterClosePeers: in Peers mode the ClusterServer owns its
+// binary-wire clients, so Close tears down their connections — and
+// with them the peer's per-conn goroutines — not only the router.
+func TestClusterClosePeers(t *testing.T) {
+	spec := clusterSpec()
+	cfg := Config{Spec: spec, ProfileSamples: 500, Batch: 16}
+	srv, err := NewServer(ReCross, cfg, 1, ServeOptions{MaxBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	peer := listenBin(t, srv)
+	gen, err := NewGenerator(spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: []string{peer}, HedgeDelay: -1, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Lookup(context.Background(), gen.Sample()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutine(s) outlive ClusterServer.Close in Peers mode", after-before)
 	}
 }

@@ -28,7 +28,6 @@ func TestColdFaultE2E(t *testing.T) {
 	spec := coldSpec()
 	cold := coldTierConfig()
 	cold.Retries = 1
-	cold.RetryBackoff = 50 * time.Microsecond
 	cold.BreakerThreshold = 2
 	cold.BreakerProbes = 1
 	// Recovery must come from the scrubber observing device health, not

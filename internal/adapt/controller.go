@@ -21,9 +21,8 @@ type Options struct {
 	// Batch is the batch size the replanner optimizes for (required).
 	Batch int
 
-	// TopK and SampleEvery configure the frequency tracker.
-	TopK        int
-	SampleEvery int
+	// TopK is the frequency tracker's per-table sketch capacity.
+	TopK int
 
 	// Interval is the control-window length for the background loop
 	// started by Start (default 2s). Step may also be called manually —
@@ -43,8 +42,8 @@ type Options struct {
 	// AmortizeBatches is the horizon over which a plan's per-batch gain
 	// must repay its migration cost (default 10000).
 	AmortizeBatches int64
-	// MinSamples is the minimum observed (post-thinning, post-decay)
-	// sample count before the replanner trusts the sketches (default 200).
+	// MinSamples is the minimum observed (post-decay) sample count
+	// before the replanner trusts the sketches (default 200).
 	MinSamples int64
 
 	// Adopt deploys an accepted placement, built once for every replica —
@@ -68,9 +67,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.TopK == 0 {
 		o.TopK = 512
-	}
-	if o.SampleEvery == 0 {
-		o.SampleEvery = 1
 	}
 	if o.Interval == 0 {
 		o.Interval = 2 * time.Second
@@ -144,7 +140,7 @@ func NewController(opts Options) (*Controller, error) {
 	if opts.Batch <= 0 {
 		return nil, fmt.Errorf("adapt: batch %d <= 0", opts.Batch)
 	}
-	tracker, err := NewTracker(opts.Spec, TrackerOptions{TopK: opts.TopK, SampleEvery: opts.SampleEvery})
+	tracker, err := NewTracker(opts.Spec, TrackerOptions{TopK: opts.TopK})
 	if err != nil {
 		return nil, err
 	}

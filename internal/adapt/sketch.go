@@ -23,15 +23,12 @@ import (
 // Locking is striped per table: Observe takes one table's mutex at a time
 // for a few O(log k) heap fixes, so concurrent Lookup goroutines touching
 // different tables never contend and same-table contention is a short
-// critical section. SampleEvery thins the stream (observe 1 in N samples)
-// when even that is too hot.
+// critical section.
 type Tracker struct {
 	spec   trace.ModelSpec
 	tables []tableSketch
-	every  int64
-	seq    atomic.Int64 // sample sequence, for 1-in-N thinning
-	// samples counts samples actually observed (post-thinning) since the
-	// last Reset; totals are per-table accesses.
+	// samples counts samples observed since the last Reset; totals are
+	// per-table accesses.
 	samples atomic.Int64
 }
 
@@ -39,17 +36,11 @@ type Tracker struct {
 type TrackerOptions struct {
 	// TopK is the per-table sketch capacity (default 512).
 	TopK int
-	// SampleEvery observes 1 in N samples (default 1 = every sample).
-	// Frequencies are ratios, so thinning leaves the curves unbiased.
-	SampleEvery int
 }
 
 func (o TrackerOptions) withDefaults() TrackerOptions {
 	if o.TopK == 0 {
 		o.TopK = 512
-	}
-	if o.SampleEvery == 0 {
-		o.SampleEvery = 1
 	}
 	return o
 }
@@ -63,10 +54,7 @@ func NewTracker(spec trace.ModelSpec, opts TrackerOptions) (*Tracker, error) {
 	if opts.TopK < 1 {
 		return nil, fmt.Errorf("adapt: TopK %d < 1", opts.TopK)
 	}
-	if opts.SampleEvery < 1 {
-		return nil, fmt.Errorf("adapt: SampleEvery %d < 1", opts.SampleEvery)
-	}
-	t := &Tracker{spec: spec, tables: make([]tableSketch, len(spec.Tables)), every: int64(opts.SampleEvery)}
+	t := &Tracker{spec: spec, tables: make([]tableSketch, len(spec.Tables))}
 	for i := range t.tables {
 		t.tables[i].init(opts.TopK)
 	}
@@ -76,9 +64,6 @@ func NewTracker(spec trace.ModelSpec, opts TrackerOptions) (*Tracker, error) {
 // Observe feeds one served sample into the sketches. Safe for concurrent
 // use; this is the serving hot path.
 func (t *Tracker) Observe(s trace.Sample) {
-	if t.every > 1 && t.seq.Add(1)%t.every != 0 {
-		return
-	}
 	t.samples.Add(1)
 	for _, op := range s {
 		if op.Table < 0 || op.Table >= len(t.tables) {
@@ -88,8 +73,8 @@ func (t *Tracker) Observe(s trace.Sample) {
 	}
 }
 
-// Samples returns the samples observed (post-thinning) since construction
-// or the last Reset.
+// Samples returns the samples observed since construction or the last
+// Reset.
 func (t *Tracker) Samples() int64 { return t.samples.Load() }
 
 // Decay halves every sketch count (dropping keys that reach zero) and the

@@ -111,16 +111,6 @@ func TestSketchDecayHalves(t *testing.T) {
 	}
 }
 
-func TestTrackerThinning(t *testing.T) {
-	spec := testSpec()
-	tr, _ := NewTracker(spec, TrackerOptions{TopK: 64, SampleEvery: 4})
-	g, _ := trace.NewGenerator(spec, 3)
-	feed(tr, g, 100)
-	if got := tr.Samples(); got != 25 {
-		t.Fatalf("observed %d samples with 1-in-4 thinning of 100, want 25", got)
-	}
-}
-
 func TestTrackerProfileFeedsSolverAndBuild(t *testing.T) {
 	spec := testSpec()
 	tr, _ := NewTracker(spec, TrackerOptions{TopK: 512})

@@ -85,8 +85,6 @@ type ChannelSpec struct {
 	Policy memctrl.Policy
 	// SALPBanks lists flat bank indices to make subarray-parallel.
 	SALPBanks []int
-	// Window is the scheduler lookahead (0 => memctrl.DefaultWindow).
-	Window int
 	// OpWindow caps concurrently in-flight embedding ops (0 = unlimited).
 	// NMP designs track in-flight ops with the 1-bit batchTag (§4.2), so
 	// only a handful of ops overlap; the CPU baseline overlaps one op per
@@ -131,20 +129,16 @@ func NewChannelSim(spec ChannelSpec) (*ChannelSim, error) {
 		}
 		ch.EnableSALP(fb)
 	}
-	w := spec.Window
-	if w == 0 {
-		w = memctrl.DefaultWindow
-	}
 	s := &ChannelSim{ch: ch}
 	if spec.Reference {
-		r, err := memctrl.NewReference(ch, spec.Policy, w)
+		r, err := memctrl.NewReference(ch, spec.Policy, memctrl.DefaultWindow)
 		if err != nil {
 			return nil, err
 		}
 		r.OpWindowLimit = spec.OpWindow
 		s.ref = r
 	} else {
-		c, err := memctrl.New(ch, spec.Policy, w)
+		c, err := memctrl.New(ch, spec.Policy, memctrl.DefaultWindow)
 		if err != nil {
 			return nil, err
 		}

@@ -81,8 +81,8 @@ const (
 	// ConnReset severs the connection before the write — an abrupt
 	// RST; every in-flight request on that conn fails at once.
 	ConnReset
-	// ConnStall delays a write by the configured stall — a congested
-	// or half-broken link backing up the writer loop.
+	// ConnStall delays a write by 1ms — a congested or half-broken
+	// link backing up the writer loop.
 	ConnStall
 
 	numKinds

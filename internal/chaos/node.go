@@ -20,10 +20,11 @@ import (
 var ErrNodeKilled = fmt.Errorf("chaos: node killed")
 
 // NodeRates are per-Lookup injection probabilities in [0,1], checked
-// in the order Kill, Partition, Slow (at most one fault per call).
-// Kill is sticky: once drawn, every later call fails until Revive.
+// in the order Kill, Slow (at most one fault per call). Kill is sticky:
+// once drawn, every later call fails until Revive. Partitions are
+// scripted (NodeRule) or manual (the cluster tier's FaultyNode).
 type NodeRates struct {
-	Kill, Partition, Slow float64
+	Kill, Slow float64
 }
 
 // NodeRule scripts one exact node fault: node Node (as passed to the
@@ -57,8 +58,6 @@ type NodeConfig struct {
 	Conn ConnRates
 	// Stall is the NodeSlow stall duration (default 2ms).
 	Stall time.Duration
-	// WriteStall is the ConnStall write delay (default 1ms).
-	WriteStall time.Duration
 	// Schedule scripts exact per-node faults on top of Rates.
 	Schedule []NodeRule
 	// Downtime auto-revives a killed node once this much time has
@@ -75,9 +74,6 @@ type NodeConfig struct {
 func (c NodeConfig) WithDefaults() NodeConfig {
 	if c.Stall == 0 {
 		c.Stall = 2 * time.Millisecond
-	}
-	if c.WriteStall == 0 {
-		c.WriteStall = time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -30,6 +30,9 @@ func defaultBinDial(ctx context.Context, addr string) (net.Conn, error) {
 // as opposed to a transport failure.
 var errConnClosed = errors.New("cluster: wire: connection closed")
 
+// dialTimeout bounds one dial attempt.
+const dialTimeout = 2 * time.Second
+
 // BinNodeOptions tunes a BinNode.
 type BinNodeOptions struct {
 	// Conns is the connection pool size (default 2). More conns shrink
@@ -41,10 +44,9 @@ type BinNodeOptions struct {
 	// peer (default FP32: raw bits, bit-identical). FP16/INT8 shrink
 	// response bytes further at the storage codecs' precision cost.
 	Precision kernels.Precision
-	// Dial opens transport connections (default TCP).
+	// Dial opens transport connections (default TCP); one attempt is
+	// bounded by dialTimeout.
 	Dial BinDial
-	// DialTimeout bounds one dial attempt (default 2s).
-	DialTimeout time.Duration
 	// MaxBackoff caps the exponential redial backoff (default 1s; the
 	// router's prober retries Health each interval, so recovery after a
 	// peer restart is bounded by MaxBackoff + ProbeInterval).
@@ -57,9 +59,6 @@ func (o BinNodeOptions) withDefaults() BinNodeOptions {
 	}
 	if o.Dial == nil {
 		o.Dial = defaultBinDial
-	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 2 * time.Second
 	}
 	if o.MaxBackoff == 0 {
 		o.MaxBackoff = time.Second
@@ -135,7 +134,7 @@ func (s *connSlot) get(ctx context.Context) (*binConn, error) {
 	}
 	// Dial under the slot lock: concurrent callers coalesce onto one
 	// attempt instead of racing N dials at the same peer.
-	dctx, cancel := context.WithTimeout(ctx, s.n.opts.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	c, err := s.n.opts.Dial(dctx, s.n.addr)
 	cancel()
 	if err != nil {

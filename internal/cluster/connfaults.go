@@ -33,18 +33,15 @@ var errConnInjected = fmt.Errorf("chaos: injected conn fault")
 // deterministic per (seed, node, conn sequence).
 type faultyConn struct {
 	net.Conn
-	cfg    chaos.NodeConfig
 	inj    *chaos.Injector
 	mu     sync.Mutex    // guards picker, dead
 	picker *chaos.Picker // op = Write call number
 	dead   bool
 }
 
-func newFaultyConn(c net.Conn, cfg chaos.NodeConfig, inj *chaos.Injector, seed int64) *faultyConn {
-	r := cfg.Conn
+func newFaultyConn(c net.Conn, r chaos.ConnRates, inj *chaos.Injector, seed int64) *faultyConn {
 	return &faultyConn{
 		Conn: c,
-		cfg:  cfg,
 		inj:  inj,
 		picker: chaos.NewPicker(rand.New(rand.NewSource(seed)), inj, nil,
 			chaos.Rate{Kind: chaos.ConnTorn, P: r.Torn},
@@ -78,11 +75,14 @@ func (fc *faultyConn) Write(p []byte) (int, error) {
 	case chaos.ConnReset:
 		fc.Conn.Close()
 		return 0, errConnInjected
-	default: // ConnStall: the write lands, late
-		time.Sleep(fc.cfg.WriteStall)
+	default: // ConnStall: the write lands, connStallDelay late
+		time.Sleep(connStallDelay)
 		return fc.Conn.Write(p)
 	}
 }
+
+// connStallDelay is a ConnStall fault's write delay.
+const connStallDelay = time.Millisecond
 
 // WrapFaultyDial wraps dial so every connection it opens injects
 // conn-level faults per cfg.Conn. Connection i (1-based, per node) is
@@ -104,6 +104,6 @@ func WrapFaultyDial(dial BinDial, cfg chaos.NodeConfig, node int, inj *chaos.Inj
 		if err != nil {
 			return nil, err
 		}
-		return newFaultyConn(c, cfg, inj, cfg.Seed+int64(node)*1009+seq.Add(1)), nil
+		return newFaultyConn(c, cfg.Conn, inj, cfg.Seed+int64(node)*1009+seq.Add(1)), nil
 	}
 }

@@ -16,7 +16,7 @@ import (
 func TestFaultyConnTornFrame(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	fc := newFaultyConn(client, chaos.NodeConfig{Conn: chaos.ConnRates{Torn: 1}}.WithDefaults(), chaos.NewInjector(), 1)
+	fc := newFaultyConn(client, chaos.ConnRates{Torn: 1}, chaos.NewInjector(), 1)
 	frame := appendErrFrame(nil, 1, errCodeInternal, "payload-long-enough-to-tear")
 
 	readErr := make(chan error, 1)
@@ -111,9 +111,8 @@ func TestBinNodeChaosConnCampaign(t *testing.T) {
 	backend := &stubBinBackend{layer: layer}
 	inj := chaos.NewInjector()
 	cfg := chaos.NodeConfig{
-		Seed:       7,
-		Conn:       chaos.ConnRates{Torn: 0.05, Reset: 0.05, Stall: 0.1},
-		WriteStall: 100 * time.Microsecond,
+		Seed: 7,
+		Conn: chaos.ConnRates{Torn: 0.05, Reset: 0.05, Stall: 0.1},
 	}
 
 	nodes := make([]Node, 2)

@@ -58,7 +58,6 @@ func WrapFaultyNode(inner Node, cfg chaos.NodeConfig, id int, inj *chaos.Injecto
 		inj:   inj,
 		picker: chaos.NewPicker(rand.New(rand.NewSource(cfg.Seed+int64(id))), inj, rules,
 			chaos.Rate{Kind: chaos.NodeKill, P: r.Kill},
-			chaos.Rate{Kind: chaos.NodePartition, P: r.Partition},
 			chaos.Rate{Kind: chaos.NodeSlow, P: r.Slow}),
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func faultSample() trace.Sample {
-	return trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{1, 2}}}
+	return trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{1, 2}, Weights: []float32{1, 1}}}
 }
 
 // TestFaultyNodeScriptedKill: a scheduled NodeKill fires on the exact

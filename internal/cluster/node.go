@@ -1,7 +1,7 @@
 // Package cluster scales the single-process serving layer out to N
 // nodes — the cluster-level analogue of the paper's cross-level
 // placement idea. Embedding tables are partitioned across nodes by a
-// placement layer (a consistent-hash ring with weighted virtual nodes,
+// placement layer (a consistent-hash ring with virtual nodes,
 // or an LP-priced cost mode reusing internal/partition's access-volume
 // machinery), the hottest tables are replicated on R nodes (the
 // cluster-scope version of RecNMP/TRiM-B hot-entry replication), and a

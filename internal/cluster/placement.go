@@ -41,11 +41,6 @@ type PlacementOptions struct {
 	Replication int
 	// Hot marks the tables to replicate (nil = replicate none).
 	Hot []bool
-	// VNodes is the ring's virtual nodes per unit weight (ring mode
-	// only; default 64).
-	VNodes int
-	// Weights scales node capacity (default all 1).
-	Weights []float64
 	// Seed perturbs ring hashes (ring mode only).
 	Seed uint64
 }
@@ -66,17 +61,13 @@ func (o PlacementOptions) replication(nodes int) int {
 
 // RingPlacement partitions tables across nodes by consistent hashing:
 // table t's owners are the first replicas(t) distinct nodes clockwise
-// of hash("t<t>") on a weighted-vnode ring. Stable under node loss —
+// of hash("t<t>") on a vnode ring. Stable under node loss —
 // only the lost node's arcs move.
 func RingPlacement(tables int, nodes []string, opts PlacementOptions) (*Placement, error) {
 	if err := validateNodes(tables, nodes, opts.Hot); err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(len(nodes), RingOptions{
-		VNodes:  opts.VNodes,
-		Weights: opts.Weights,
-		Seed:    opts.Seed,
-	})
+	ring, err := NewRing(len(nodes), RingOptions{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -106,24 +97,10 @@ func CostPlacement(vols []float64, nodes []string, opts PlacementOptions) (*Plac
 		return nil, err
 	}
 	n := len(nodes)
-	if opts.Weights != nil && len(opts.Weights) != n {
-		return nil, fmt.Errorf("cluster: %d weights for %d nodes", len(opts.Weights), n)
-	}
-	weight := func(i int) float64 {
-		if opts.Weights == nil {
-			return 1
-		}
-		return opts.Weights[i]
-	}
-	for i := 0; i < n; i++ {
-		if weight(i) <= 0 {
-			return nil, fmt.Errorf("cluster: node %d weight %v", i, weight(i))
-		}
-	}
 	rep := opts.replication(n)
 
 	// LPT descent: largest volume first, each table's share(s) onto the
-	// least normalized-loaded node(s).
+	// least-loaded node(s).
 	order := make([]int, len(vols))
 	for i := range order {
 		order[i] = i
@@ -145,7 +122,7 @@ func CostPlacement(vols []float64, nodes []string, opts PlacementOptions) (*Plac
 				if taken[i] {
 					continue
 				}
-				if best < 0 || loads[i]/weight(i) < loads[best]/weight(best) {
+				if best < 0 || loads[i] < loads[best] {
 					best = i
 				}
 			}
@@ -156,20 +133,20 @@ func CostPlacement(vols []float64, nodes []string, opts PlacementOptions) (*Plac
 		p.Replicas[t] = chosen
 	}
 	for i := 0; i < n; i++ {
-		if l := loads[i] / weight(i); l > p.Makespan {
-			p.Makespan = l
+		if loads[i] > p.Makespan {
+			p.Makespan = loads[i]
 		}
 	}
-	p.LPBound = lpBound(vols, n, weight)
+	p.LPBound = lpBound(vols, n)
 	p.finalize()
 	return p, nil
 }
 
 // lpBound solves the fractional relaxation — min T subject to each
-// table fully assigned and each node's weighted load at most T — and
+// table fully assigned and each node's load at most T — and
 // returns the optimum (0 if the solve fails, which only a degenerate
 // input produces).
-func lpBound(vols []float64, n int, weight func(int) float64) float64 {
+func lpBound(vols []float64, n int) float64 {
 	tables := len(vols)
 	// Variables: x[t*n+i] = fraction of table t on node i, then T last.
 	nv := tables*n + 1
@@ -196,7 +173,7 @@ func lpBound(vols []float64, n int, weight func(int) float64) float64 {
 		for t := 0; t < tables; t++ {
 			row[t*n+i] = vols[t]
 		}
-		row[nv-1] = -weight(i)
+		row[nv-1] = -1
 		if err := prob.AddConstraint(row, lp.LE, 0); err != nil {
 			return 0
 		}

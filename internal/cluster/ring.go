@@ -2,16 +2,15 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
-// Ring is a consistent-hash ring with weighted virtual nodes: node i
-// places about Weights[i]*VNodes points on a 64-bit circle, and a key
-// is owned by the first point clockwise of its hash. Replicas of a key
-// are the next distinct nodes clockwise, so losing a node moves only
-// its own arcs. The ring is immutable once built; rebalancing builds a
-// new one (Placement is cheap to recompute).
+// Ring is a consistent-hash ring with virtual nodes: each node places
+// ringVNodes points on a 64-bit circle, and a key is owned by the first
+// point clockwise of its hash. Replicas of a key are the next distinct
+// nodes clockwise, so losing a node moves only its own arcs. The ring is
+// immutable once built; rebalancing builds a new one (Placement is cheap
+// to recompute).
 type Ring struct {
 	points []ringPoint // sorted by hash
 	nodes  int
@@ -23,48 +22,25 @@ type ringPoint struct {
 	node int
 }
 
+// ringVNodes is each node's virtual-node count: more vnodes give a
+// smoother balance and a larger ring.
+const ringVNodes = 64
+
 // RingOptions configures NewRing.
 type RingOptions struct {
-	// VNodes is the number of virtual nodes per unit of weight
-	// (default 64). More vnodes → smoother balance, larger ring.
-	VNodes int
-	// Weights scales each node's share of the ring (default all 1).
-	// A node with weight 2 owns about twice the arc length.
-	Weights []float64
 	// Seed perturbs every ring hash, so different seeds give
 	// independent placements of the same nodes (default 0).
 	Seed uint64
 }
 
-// NewRing builds a ring over n nodes.
+// NewRing builds a ring over n nodes, ringVNodes points each.
 func NewRing(n int, opts RingOptions) (*Ring, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: ring needs at least 1 node, got %d", n)
 	}
-	vnodes := opts.VNodes
-	if vnodes == 0 {
-		vnodes = 64
-	}
-	if vnodes < 1 {
-		return nil, fmt.Errorf("cluster: %d vnodes", vnodes)
-	}
-	if opts.Weights != nil && len(opts.Weights) != n {
-		return nil, fmt.Errorf("cluster: %d weights for %d nodes", len(opts.Weights), n)
-	}
 	r := &Ring{nodes: n, seed: opts.Seed}
 	for i := 0; i < n; i++ {
-		w := 1.0
-		if opts.Weights != nil {
-			w = opts.Weights[i]
-			if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("cluster: node %d weight %v", i, w)
-			}
-		}
-		count := int(math.Round(w * float64(vnodes)))
-		if count < 1 {
-			count = 1
-		}
-		for v := 0; v < count; v++ {
+		for v := 0; v < ringVNodes; v++ {
 			h := mix64(opts.Seed ^ mix64(uint64(i)+1) ^ mix64(0x5bd1e995*uint64(v)+0x1b873593))
 			r.points = append(r.points, ringPoint{hash: h, node: i})
 		}

@@ -279,21 +279,10 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	if r.closed.Load() {
 		return nil, ErrRouterClosed
 	}
-	if len(sample) == 0 {
-		return nil, errors.New("cluster: empty sample")
+	if err := serve.CheckSample(r.opts.Layer, sample); err != nil {
+		return nil, err
 	}
 	pl := r.pl.Load()
-	for i, op := range sample {
-		if op.Table < 0 || op.Table >= pl.Tables() {
-			return nil, fmt.Errorf("cluster: op %d table %d out of [0,%d)", i, op.Table, pl.Tables())
-		}
-		rows := r.opts.Layer.Table(op.Table).Rows()
-		for _, idx := range op.Indices {
-			if idx < 0 || idx >= rows {
-				return nil, fmt.Errorf("cluster: op %d index %d out of [0,%d)", i, idx, rows)
-			}
-		}
-	}
 	if r.opts.Observer != nil {
 		r.opts.Observer(sample)
 	}

@@ -136,7 +136,7 @@ func clusterSamples(t *testing.T, n int) []trace.Sample {
 func wideSample() trace.Sample {
 	s := make(trace.Sample, 8)
 	for i := range s {
-		s[i] = trace.Op{Table: i, Kind: trace.Sum, Indices: []int64{1, 2, 3}}
+		s[i] = trace.Op{Table: i, Kind: trace.Sum, Indices: []int64{1, 2, 3}, Weights: []float32{1, 1, 1}}
 	}
 	return s
 }
@@ -182,17 +182,28 @@ func TestRouterLookupErrors(t *testing.T) {
 	}
 	r, _ := newTestCluster(t, 2, pl, nil)
 	ctx := context.Background()
-	if _, err := r.Lookup(ctx, nil); err == nil {
-		t.Error("empty sample accepted")
+	// Every case is caller input: the router rejects it before the
+	// scatter, so no node sees it and none is counted as failing.
+	for name, sample := range map[string]trace.Sample{
+		"empty sample":  nil,
+		"table":         {{Table: 99, Kind: trace.Sum, Indices: []int64{1}, Weights: []float32{1}}},
+		"row":           {{Table: 0, Kind: trace.Sum, Indices: []int64{1, 1 << 40}, Weights: []float32{1, 1}}},
+		"no indices":    {{Table: 0, Kind: trace.Sum}},
+		"short weights": {{Table: 0, Kind: trace.WeightedSum, Indices: []int64{1, 2, 3}, Weights: []float32{1}}},
+	} {
+		for range 2 {
+			if _, err := r.Lookup(ctx, sample); err == nil {
+				t.Errorf("%s: malformed sample accepted", name)
+			}
+		}
 	}
-	if _, err := r.Lookup(ctx, trace.Sample{{Table: 99, Kind: trace.Sum, Indices: []int64{1}}}); err == nil {
-		t.Error("out-of-range table accepted")
+	if st := r.Stats(); st.Subrequests != 0 || st.SubFailures != 0 || st.Retries != 0 || st.Failed != 0 {
+		t.Errorf("rejected lookups reached the nodes: %+v", st)
 	}
-	if _, err := r.Lookup(ctx, trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{1, 1 << 40}}}); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-	if m := r.metrics; m.Retries.Load() != 0 || m.Failed.Load() != 0 {
-		t.Errorf("rejected lookups reached the nodes: %d retries, %d failed", m.Retries.Load(), m.Failed.Load())
+	for i := range 2 {
+		if s := r.NodeState(i); s != NodeHealthy {
+			t.Errorf("node %d is %v after malformed lookups, want healthy", i, s)
+		}
 	}
 	r.Close()
 	if _, err := r.Lookup(ctx, wideSample()); err != ErrRouterClosed {
@@ -390,7 +401,7 @@ func TestRouterHedge(t *testing.T) {
 	r, fakes := newTestCluster(t, 2, pl, func(o *Options) { o.HedgeDelay = time.Millisecond })
 	fakes[0].delayNs.Store(int64(300 * time.Millisecond))
 
-	sample := trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{4, 5}}}
+	sample := trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{4, 5}, Weights: []float32{1, 1}}}
 	// The first dispatch tie-breaks to node0 (the slow one); hedge onto
 	// node1 must answer long before the stall expires.
 	t0 := time.Now()
@@ -419,7 +430,7 @@ func TestRouterHedgeDisabled(t *testing.T) {
 	r, fakes := newTestCluster(t, 2, pl, nil) // HedgeDelay -1 by default here
 	fakes[0].delayNs.Store(int64(5 * time.Millisecond))
 
-	res, err := r.Lookup(context.Background(), trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{1}}})
+	res, err := r.Lookup(context.Background(), trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{1}, Weights: []float32{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +573,7 @@ func TestRouterSpreadsReplicas(t *testing.T) {
 	r, fakes := newTestCluster(t, 2, manualPlacement([]string{"node0", "node1"}, owners), nil)
 	sample := make(trace.Sample, 10)
 	for i := range sample {
-		sample[i] = trace.Op{Table: 0, Kind: trace.Sum, Indices: []int64{int64(i + 1)}}
+		sample[i] = trace.Op{Table: 0, Kind: trace.Sum, Indices: []int64{int64(i + 1)}, Weights: []float32{1}}
 	}
 	res, err := r.Lookup(context.Background(), sample)
 	if err != nil {

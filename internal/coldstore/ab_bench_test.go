@@ -7,14 +7,13 @@ import (
 )
 
 // benchPageRead measures the uncached row-read path — device page read,
-// integrity verification (when enabled), one-row decode and the frame
-// install — with a one-frame cache so every operation goes to the device.
-// The checksum-on / checksum-off pair isolates the verification cost: at
-// every precision a fill checks only the ~4 KiB checksum block it serves
+// integrity verification, one-row decode and the frame install — with a
+// one-frame cache so every operation goes to the device. At every
+// precision a fill checks only the ~4 KiB checksum block it serves
 // (~0.2 µs), not the whole page, and installs the page's device bytes with
 // one PageBytes copy.
-func benchPageRead(b *testing.B, prec kernels.Precision, checksum bool) {
-	cfg := Config{Dir: b.TempDir(), PageBytes: 16 << 10, CacheBytes: 1, Precision: prec, DisableChecksum: !checksum}
+func benchPageRead(b *testing.B, prec kernels.Precision) {
+	cfg := Config{Dir: b.TempDir(), PageBytes: 16 << 10, CacheBytes: 1, Precision: prec}
 	src := &testSource{id: 1, rows: 200000, vecLen: 64}
 	s, err := Open(cfg, []RowSource{src})
 	if err != nil {
@@ -36,7 +35,5 @@ func benchPageRead(b *testing.B, prec kernels.Precision, checksum bool) {
 	}
 }
 
-func BenchmarkPageReadChecksumFP32(b *testing.B)   { benchPageRead(b, kernels.FP32, true) }
-func BenchmarkPageReadNoChecksumFP32(b *testing.B) { benchPageRead(b, kernels.FP32, false) }
-func BenchmarkPageReadChecksumINT8(b *testing.B)   { benchPageRead(b, kernels.INT8, true) }
-func BenchmarkPageReadNoChecksumINT8(b *testing.B) { benchPageRead(b, kernels.INT8, false) }
+func BenchmarkPageReadChecksumFP32(b *testing.B) { benchPageRead(b, kernels.FP32) }
+func BenchmarkPageReadChecksumINT8(b *testing.B) { benchPageRead(b, kernels.INT8) }

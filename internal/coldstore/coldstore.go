@@ -74,16 +74,10 @@ type Config struct {
 	// the cache holds CacheBytes/PageBytes frames (at least one) of
 	// PageBytes device bytes each, whatever the precision.
 	CacheBytes int64
-	// DisableChecksum turns off per-page CRC32C verification and repair —
-	// the checksum-off benchmark baseline. Keep it on in production.
-	DisableChecksum bool
 	// Retries is how many times a failed device page read is retried
-	// (with backoff) before the read counts as a failure (default 2;
-	// negative disables retries).
+	// (after retryBackoff, doubling per attempt) before the read counts
+	// as a failure (default 2; negative disables retries).
 	Retries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt (default 100µs).
-	RetryBackoff time.Duration
 	// ReadDeadline bounds one device page read: past it the read is
 	// abandoned (the device goroutine finishes into its own buffer and is
 	// drained by Close) and counted as a failure. 0 disables (default) —
@@ -120,9 +114,6 @@ func (c Config) withDefaults() Config {
 		c.Retries = 2
 	} else if c.Retries < 0 {
 		c.Retries = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 100 * time.Microsecond
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 4
@@ -559,6 +550,10 @@ func (s *Store) HotRows(ti int) int {
 // off-critical-path mode), or mark them all verified (pageCache.put).
 const allBlocks = -1
 
+// retryBackoff is the sleep before a failed device read's first retry,
+// doubling per attempt.
+const retryBackoff = 100 * time.Microsecond
+
 // readPage reads page's device bytes into buf (one page), populating the
 // file on first access. It reports false only when the device failed past
 // all retries — the caller falls back to CanonicalRow. On success, block
@@ -566,7 +561,7 @@ const allBlocks = -1
 // mismatching page is first repaired from the RowSource — and the returned
 // value names what the caller may serve from buf and mark verified in the
 // cache: block, or allBlocks when the whole page is known good (generated
-// here, repaired, or checksums off). Caller holds s.mu shared.
+// here or repaired). Caller holds s.mu shared.
 func (s *Store) readPage(page int64, block int, buf []byte) (int, bool) {
 	if s.state[page].Load() != pageReady && !s.populate(page, buf) {
 		// The write-back failed but the generated bytes are correct:
@@ -584,13 +579,10 @@ func (s *Store) readPage(page int64, block int, buf []byte) (int, bool) {
 			return 0, false
 		}
 		s.retries.Add(1)
-		time.Sleep(s.cfg.RetryBackoff << attempt)
+		time.Sleep(retryBackoff << attempt)
 	}
 	s.breaker.onSuccess()
 	s.cache.pageReads.Add(1)
-	if s.cfg.DisableChecksum {
-		return allBlocks, true
-	}
 	if !s.verifyBuf(page, buf, block) {
 		// Flipped bits or a torn write-back: regenerate the reference
 		// bytes, persist them, and serve the repaired page.

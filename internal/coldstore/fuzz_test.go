@@ -10,15 +10,14 @@ import (
 
 // FuzzColdPageBytes feeds the read path arbitrary device bytes: the hooked
 // device overwrites the head of the page it returns with the fuzz input,
-// for a fuzz-chosen precision and row. With checksums on, a served row is
-// always the reference bits (the damage is caught and repaired, never
-// decoded into an answer); with checksums off the only claim is totality —
-// whatever scale, zero point or half-float pattern the bytes spell, the
-// decode neither panics nor indexes outside the page.
+// for a fuzz-chosen precision and row. A served row is always the
+// reference bits: the damage is caught and repaired, never decoded into an
+// answer.
 func FuzzColdPageBytes(f *testing.F) {
 	const rows, vecLen, pageBytes = 300, 16, 512
 	// Seeds: a valid int8 page, the same page with one scale header
-	// flipped, all-zero and all-0xFF pages.
+	// flipped, all-zero and all-0xFF pages — at the int8 layout they were
+	// built for and misread as another precision's.
 	valid := make([]byte, pageBytes)
 	src := &testSource{id: 1, rows: rows, vecLen: vecLen}
 	row := make([]float32, vecLen)
@@ -29,20 +28,21 @@ func FuzzColdPageBytes(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[2*rowBytes+3] ^= 0x80 // row 2's scale: sign/exponent bit
 	ones := bytes.Repeat([]byte{0xff}, pageBytes)
-	for _, checksum := range []bool{true, false} {
-		f.Add(valid, uint8(2), uint16(2), checksum)
-		f.Add(flipped, uint8(2), uint16(2), checksum)
-		f.Add(make([]byte, pageBytes), uint8(1), uint16(40), checksum)
-		f.Add(ones, uint8(2), uint16(7), checksum)
-		f.Add(ones, uint8(0), uint16(299), checksum)
-	}
+	f.Add(valid, uint8(2), uint16(2))
+	f.Add(flipped, uint8(2), uint16(2))
+	f.Add(make([]byte, pageBytes), uint8(1), uint16(40))
+	f.Add(ones, uint8(2), uint16(7))
+	f.Add(ones, uint8(0), uint16(299))
+	f.Add(valid, uint8(0), uint16(2))
+	f.Add(valid, uint8(1), uint16(2))
+	f.Add(flipped, uint8(1), uint16(3))
+	f.Add(make([]byte, pageBytes), uint8(2), uint16(0))
+	f.Add(ones, uint8(1), uint16(150))
 
-	f.Fuzz(func(t *testing.T, data []byte, precSel uint8, rowSel uint16, checksum bool) {
+	f.Fuzz(func(t *testing.T, data []byte, precSel uint8, rowSel uint16) {
 		prec := []kernels.Precision{kernels.FP32, kernels.FP16, kernels.INT8}[precSel%3]
 		idx := int64(rowSel) % rows
-		s, src, hd := openQuantStore(t, prec, rows, vecLen, Config{
-			PageBytes: pageBytes, DisableChecksum: !checksum,
-		})
+		s, src, hd := openQuantStore(t, prec, rows, vecLen, Config{PageBytes: pageBytes})
 		hd.setRead(func(page int64, dst []byte) error {
 			err := hd.inner.ReadPage(page, dst)
 			copy(dst, data)
@@ -50,7 +50,7 @@ func FuzzColdPageBytes(f *testing.F) {
 		})
 		got := make([]float32, vecLen)
 		served := s.ReadRow(0, idx, got)
-		if !checksum || !served {
+		if !served {
 			return
 		}
 		want := make([]float32, vecLen)

@@ -254,7 +254,7 @@ func (s *Store) scrubPage(page int64) {
 		return
 	}
 	s.scrubPages.Add(1)
-	if !s.cfg.DisableChecksum && !s.verifyBuf(page, buf, allBlocks) {
+	if !s.verifyBuf(page, buf, allBlocks) {
 		s.checksumFailures.Add(1)
 		s.repair(page, buf)
 	}

@@ -6,10 +6,10 @@ import (
 )
 
 // Model is the cold tier's latency/bandwidth timing model, in DRAM cycles
-// (the simulator's single clock). Defaults approximate a modern NVMe flash
-// device against a ~1.5 GHz DRAM command clock: a ~25 us page read is tens
-// of thousands of DRAM cycles, so the LP prices the cold region two to
-// three orders of magnitude below the DRAM regions and sends only
+// (the simulator's single clock). DefaultModel approximates a modern NVMe
+// flash device against a ~1.5 GHz DRAM command clock: a ~25 us page read
+// is tens of thousands of DRAM cycles, so the LP prices the cold region
+// two to three orders of magnitude below the DRAM regions and sends only
 // essentially-unaccessed mass there.
 type Model struct {
 	// SeekCycles is the per-page-read command overhead (channel
@@ -36,7 +36,8 @@ type Model struct {
 	CachePages int
 }
 
-// DefaultModel returns the reference cold-device model.
+// DefaultModel returns the cold-device model every cold tier is priced
+// and timed with.
 func DefaultModel() Model {
 	return Model{
 		SeekCycles:         4_000,
@@ -49,39 +50,12 @@ func DefaultModel() Model {
 	}
 }
 
-func (m Model) withDefaults() Model {
-	d := DefaultModel()
-	if m.SeekCycles == 0 {
-		m.SeekCycles = d.SeekCycles
-	}
-	if m.PageReadCycles == 0 {
-		m.PageReadCycles = d.PageReadCycles
-	}
-	if m.Channels == 0 {
-		m.Channels = d.Channels
-	}
-	if m.LinkBytesPerCycle == 0 {
-		m.LinkBytesPerCycle = d.LinkBytesPerCycle
-	}
-	if m.ReduceCyclesPerRow == 0 {
-		m.ReduceCyclesPerRow = d.ReduceCyclesPerRow
-	}
-	if m.ISRTransferGain == 0 {
-		m.ISRTransferGain = d.ISRTransferGain
-	}
-	if m.CachePages == 0 {
-		m.CachePages = d.CachePages
-	}
-	return m
-}
-
 // EffectiveBW estimates the cold region's sustainable gather bandwidth in
 // bytes per DRAM cycle for LP pricing: the worst-case (one wanted vector
 // per page read) device rate across the parallel channels, capped by the
 // host link. In-storage reduction adds the device accumulate cost but
 // multiplies the effective link rate by the transfer gain.
 func (m Model) EffectiveBW(vecBytes int, inStorageReduce bool) float64 {
-	m = m.withDefaults()
 	perRow := m.SeekCycles + m.PageReadCycles
 	if inStorageReduce {
 		perRow += m.ReduceCyclesPerRow
@@ -111,8 +85,6 @@ type TierSpec struct {
 	// InStorageReduce enables RecSSD-style device-side pooling: the link
 	// carries one partial sum per op instead of every gathered row.
 	InStorageReduce bool
-	// Model overrides the timing model (zero fields take defaults).
-	Model Model
 }
 
 // WithDefaults resolves the spec's zero values.
@@ -120,7 +92,6 @@ func (t TierSpec) WithDefaults() TierSpec {
 	if t.PageBytes == 0 {
 		t.PageBytes = 16 << 10
 	}
-	t.Model = t.Model.withDefaults()
 	return t
 }
 
@@ -144,12 +115,13 @@ func NewSim(spec TierSpec, vecBytes int) *Sim {
 	if rpp < 1 {
 		rpp = 1
 	}
+	m := DefaultModel()
 	return &Sim{
-		m:        spec.Model,
+		m:        m,
 		vecBytes: vecBytes,
 		rpp:      rpp,
 		isr:      spec.InStorageReduce,
-		buffer:   cache.NewClock[int64](spec.Model.CachePages),
+		buffer:   cache.NewClock[int64](m.CachePages),
 	}
 }
 

@@ -79,17 +79,15 @@ func (c *pageCache) get(page int64, rowIn int, dst []float32) int {
 		return cacheMiss
 	}
 	frame := c.frame(f)
-	if !c.s.cfg.DisableChecksum {
-		block := rowIn / c.s.blockRows
-		w, bit := f*c.vwords+block/64, uint64(1)<<(block%64)
-		if c.verified[w]&bit == 0 {
-			if !c.s.verifyBuf(page, frame, block) {
-				c.clock.Drop(f)
-				c.mu.Unlock()
-				return cacheCorrupt
-			}
-			c.verified[w] |= bit
+	block := rowIn / c.s.blockRows
+	w, bit := f*c.vwords+block/64, uint64(1)<<(block%64)
+	if c.verified[w]&bit == 0 {
+		if !c.s.verifyBuf(page, frame, block) {
+			c.clock.Drop(f)
+			c.mu.Unlock()
+			return cacheCorrupt
 		}
+		c.verified[w] |= bit
 	}
 	kernels.DecodeRow(c.s.prec, dst, frame[rowIn*c.s.rowBytes:])
 	c.clock.Touch(f)
@@ -100,8 +98,7 @@ func (c *pageCache) get(page int64, rowIn int, dst []float32) int {
 
 // put installs a page's device bytes, evicting by CLOCK when full. block
 // names the single checksum block the filler verified, or allBlocks
-// when every block is known good (generated or repaired pages; checksums
-// off). A racing double-install of the same page keeps the first frame —
+// when every block is known good (generated or repaired pages). A racing double-install of the same page keeps the first frame —
 // the racer verified its own copy, so the first frame's bitmap stays
 // authoritative for what it holds.
 func (c *pageCache) put(page int64, buf []byte, block int) {
@@ -115,7 +112,7 @@ func (c *pageCache) put(page int64, buf []byte, block int) {
 		c.evictions.Add(1)
 	}
 	vb := c.verified[f*c.vwords : (f+1)*c.vwords]
-	if c.s.cfg.DisableChecksum || block == allBlocks {
+	if block == allBlocks {
 		for i := range vb {
 			vb[i] = ^uint64(0)
 		}

@@ -387,7 +387,7 @@ func (r *ReCross) Regions() []partition.Region {
 		Name:        "C",
 		Level:       nmp.LevelCold,
 		CapBytes:    spec.CapBytes,
-		BW:          spec.Model.EffectiveBW(coldRowBytes, spec.InStorageReduce),
+		BW:          coldstore.DefaultModel().EffectiveBW(coldRowBytes, spec.InStorageReduce),
 		Compression: r.cfg.ColdPrecision.Ratio(r.vecLen),
 	})
 }

@@ -416,6 +416,38 @@ func (s *Server) Draining() bool {
 	return s.closed
 }
 
+// CheckSample enforces the trace.Op shape contract before a sample can
+// reach a worker: Systems assume every table and row is in range and
+// len(Weights) == len(Indices) (weights are ignored for Sum/Max but must
+// be present). A violation would panic the replica goroutine —
+// recoverable, but it would still burn a restart on caller input. A
+// cluster router checks the same contract before its scatter, so caller
+// input is never counted against a healthy node.
+func CheckSample(layer *embedding.Layer, sample trace.Sample) error {
+	if len(sample) == 0 {
+		return errors.New("serve: empty sample")
+	}
+	for i, op := range sample {
+		if op.Table < 0 || op.Table >= layer.Tables() {
+			return fmt.Errorf("serve: op %d table %d out of [0,%d)", i, op.Table, layer.Tables())
+		}
+		if len(op.Indices) == 0 {
+			return fmt.Errorf("serve: op %d has no indices", i)
+		}
+		if len(op.Weights) != len(op.Indices) {
+			return fmt.Errorf("serve: op %d has %d weights for %d indices",
+				i, len(op.Weights), len(op.Indices))
+		}
+		rows := layer.Table(op.Table).Rows()
+		for _, idx := range op.Indices {
+			if idx < 0 || idx >= rows {
+				return fmt.Errorf("serve: op %d index %d out of [0,%d)", i, idx, rows)
+			}
+		}
+	}
+	return nil
+}
+
 // Lookup serves one sample's embedding work: the sample is queued,
 // coalesced into a batch and run through a replica's timing model; then
 // its functional result vectors are reduced here, on the caller's
@@ -426,32 +458,8 @@ func (s *Server) Draining() bool {
 // healthy replica (up to MaxRetries) and then answered from the
 // functional layer with Result.Degraded set.
 func (s *Server) Lookup(ctx context.Context, sample trace.Sample) (*Result, error) {
-	if len(sample) == 0 {
-		return nil, errors.New("serve: empty sample")
-	}
-	// Enforce the trace.Op shape contract before the sample can reach a
-	// worker: Systems assume every table and row is in range and
-	// len(Weights) == len(Indices) (weights are ignored for Sum/Max but
-	// must be present). A violation would panic the replica goroutine —
-	// recoverable now, but it would still burn a restart on caller input.
-	layer := s.opts.Layer
-	for i, op := range sample {
-		if op.Table < 0 || op.Table >= layer.Tables() {
-			return nil, fmt.Errorf("serve: op %d table %d out of [0,%d)", i, op.Table, layer.Tables())
-		}
-		if len(op.Indices) == 0 {
-			return nil, fmt.Errorf("serve: op %d has no indices", i)
-		}
-		if len(op.Weights) != len(op.Indices) {
-			return nil, fmt.Errorf("serve: op %d has %d weights for %d indices",
-				i, len(op.Weights), len(op.Indices))
-		}
-		rows := layer.Table(op.Table).Rows()
-		for _, idx := range op.Indices {
-			if idx < 0 || idx >= rows {
-				return nil, fmt.Errorf("serve: op %d index %d out of [0,%d)", i, idx, rows)
-			}
-		}
+	if err := CheckSample(s.opts.Layer, sample); err != nil {
+		return nil, err
 	}
 	if s.opts.DefaultTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {

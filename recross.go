@@ -96,9 +96,6 @@ type (
 	// 8-byte scale/zero-point header).
 	Precision = kernels.Precision
 
-	// ColdModel is the cold device's latency/bandwidth timing model in
-	// DRAM cycles (zero fields take NVMe-flash-like defaults).
-	ColdModel = coldstore.Model
 	// ColdRowCount is one row's sketch-derived access count, the input of
 	// the frequency-based page mapping.
 	ColdRowCount = coldstore.RowCount
@@ -368,9 +365,6 @@ type ColdTierConfig struct {
 	// row, raising the effective link bandwidth the LP prices cold
 	// placements with.
 	InStorageReduce bool
-	// Model overrides the cold device timing model (zero fields take
-	// NVMe-flash-like defaults).
-	Model ColdModel
 	// Dir is the backing file's directory (default os.TempDir()); the file
 	// is created on server construction and removed on Server.Close.
 	Dir string
@@ -388,15 +382,10 @@ type ColdTierConfig struct {
 	// proportionally more rows.
 	CacheBytes int64
 
-	// DisableChecksum turns off per-page CRC32C verification and repair
-	// (the benchmark baseline; keep it on in production).
-	DisableChecksum bool
 	// Retries bounds device read retries per page read (default 2;
-	// negative disables).
+	// negative disables); the backoff starts at 100µs and doubles per
+	// attempt.
 	Retries int
-	// RetryBackoff is the initial retry backoff, doubling per attempt
-	// (default 100µs).
-	RetryBackoff time.Duration
 	// ReadDeadline bounds one device page read; 0 disables (default).
 	ReadDeadline time.Duration
 	// BreakerThreshold consecutive failed device reads open the cold
@@ -446,7 +435,7 @@ func NewSystem(a Arch, cfg Config) (System, error) {
 		if c := cfg.Cold; c != nil {
 			rc.ColdPrecision = c.Precision
 			rc.ColdTier = &coldstore.TierSpec{CapBytes: c.CapBytes, ResidentBudgetBytes: c.ResidentBudgetBytes,
-				PageBytes: c.PageBytes, InStorageReduce: c.InStorageReduce, Model: c.Model}
+				PageBytes: c.PageBytes, InStorageReduce: c.InStorageReduce}
 		}
 	}
 	if cfg.Channels > 1 {
@@ -563,9 +552,7 @@ func openColdStore(cold *ColdTierConfig, layer *Layer) (*coldstore.Store, error)
 		Precision:        cold.Precision,
 		PageBytes:        cold.PageBytes,
 		CacheBytes:       cold.CacheBytes,
-		DisableChecksum:  cold.DisableChecksum,
 		Retries:          cold.Retries,
-		RetryBackoff:     cold.RetryBackoff,
 		ReadDeadline:     cold.ReadDeadline,
 		BreakerThreshold: cold.BreakerThreshold,
 		BreakerCooldown:  cold.BreakerCooldown,
@@ -898,7 +885,7 @@ type ClusterConfig struct {
 	ReplicasPerNode int
 
 	// Placement selects the partitioning mode: "ring" (default;
-	// consistent hashing with weighted vnodes, stable under node loss)
+	// consistent hashing with virtual nodes, stable under node loss)
 	// or "cost" (LPT descent over per-table access volumes, priced
 	// against the fractional LP optimum).
 	Placement string
@@ -907,12 +894,6 @@ type ClusterConfig struct {
 	// HotTopK replicates the k largest-volume tables (default
 	// max(1, tables/4); negative replicates none).
 	HotTopK int
-	// VNodes is the ring's virtual nodes per unit weight (default 64).
-	VNodes int
-	// Weights scales node capacity (default all 1).
-	Weights []float64
-	// Seed perturbs ring hashes (default 0).
-	Seed uint64
 
 	// NodeTimeout bounds each per-node sub-request (default 2s).
 	NodeTimeout time.Duration
@@ -925,11 +906,9 @@ type ClusterConfig struct {
 
 	// RebalanceEvery, when positive, re-derives the hot set (and, in
 	// cost mode, the whole placement) from the live frequency sketches
-	// on this cadence and swaps it into the router.
+	// on this cadence and swaps it into the router. The sketches
+	// feeding it hold adapt's default 512 rows per table.
 	RebalanceEvery time.Duration
-	// TrackerTopK is the sketch capacity feeding the rebalancer
-	// (default 512).
-	TrackerTopK int
 
 	// Serve carries per-node serving knobs (batching, queueing, quorum,
 	// row cache); Systems/Layer/Rebuild are filled per node. Fleet mode
@@ -955,9 +934,6 @@ func (cc ClusterConfig) withDefaults() ClusterConfig {
 	if cc.Replication == 0 {
 		cc.Replication = 2
 	}
-	if cc.TrackerTopK == 0 {
-		cc.TrackerTopK = 512
-	}
 	return cc
 }
 
@@ -965,11 +941,13 @@ func (cc ClusterConfig) withDefaults() ClusterConfig {
 // request traffic needs), the fleet when the nodes live in this binary
 // (nil in Peers mode), and the frequency tracker feeding the
 // rebalancer. Close stops the rebalance loop, the router, and the
-// fleet, in that order.
+// fleet or the peer connections, in that order.
 type ClusterServer struct {
 	Router  *ClusterRouter
 	Fleet   *ClusterFleet
 	Tracker *FreqTracker
+
+	peers []*cluster.BinNode // Peers mode's wire clients; the router does not own them
 
 	stop     chan struct{} // closed once by Close
 	stopOnce sync.Once
@@ -1005,9 +983,15 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 
 	// Assemble the node set: an in-binary fleet, or binary-wire peers.
 	var fleet *ClusterFleet
+	var peers []*cluster.BinNode
 	var nodes []ClusterNode
 	var ids []string
 	if len(cc.Peers) > 0 {
+		defer func() {
+			if err != nil {
+				closePeers(peers)
+			}
+		}()
 		prec, perr := kernels.ParsePrecision(cc.WirePrecision)
 		if cc.WirePrecision != "" && perr != nil {
 			return nil, fmt.Errorf("recross: wire precision: %w", perr)
@@ -1018,6 +1002,7 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 				bo.Dial = cc.WrapDial(i, nil)
 			}
 			n := cluster.NewBinNode(peer, peer, bo)
+			peers = append(peers, n)
 			nodes = append(nodes, n)
 			ids = append(ids, n.ID())
 		}
@@ -1070,7 +1055,7 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		return nil, err
 	}
 
-	tracker, err := adapt.NewTracker(spec, adapt.TrackerOptions{TopK: cc.TrackerTopK})
+	tracker, err := adapt.NewTracker(spec, adapt.TrackerOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -1091,7 +1076,7 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		return nil, err
 	}
 
-	cs := &ClusterServer{Router: router, Fleet: fleet, Tracker: tracker,
+	cs := &ClusterServer{Router: router, Fleet: fleet, Tracker: tracker, peers: peers,
 		stop: make(chan struct{}), done: make(chan struct{})}
 	if cc.RebalanceEvery > 0 {
 		go cs.rebalance(spec, ids, cc)
@@ -1156,9 +1141,6 @@ func clusterPlacement(spec ModelSpec, ids []string, cc ClusterConfig, totals []i
 	popts := ClusterPlacementOptions{
 		Replication: cc.Replication,
 		Hot:         cluster.HotTopK(vols, k),
-		VNodes:      cc.VNodes,
-		Weights:     cc.Weights,
-		Seed:        cc.Seed,
 	}
 	switch cc.Placement {
 	case "ring":
@@ -1182,7 +1164,8 @@ func (cs *ClusterServer) Lookup(ctx context.Context, sample Sample) (*ClusterRes
 	return cs.Router.Lookup(ctx, sample)
 }
 
-// Close stops the rebalance loop, the router, then the fleet.
+// Close stops the rebalance loop, the router, then the fleet or the
+// peer connections.
 func (cs *ClusterServer) Close() error {
 	cs.stopOnce.Do(func() { close(cs.stop) })
 	<-cs.done
@@ -1192,7 +1175,15 @@ func (cs *ClusterServer) Close() error {
 			err = ferr
 		}
 	}
+	closePeers(cs.peers)
 	return err
+}
+
+// closePeers tears down the peers' conn pools (BinNode.Close cannot fail).
+func closePeers(peers []*cluster.BinNode) {
+	for _, n := range peers {
+		_ = n.Close()
+	}
 }
 
 // ClusterLoadgen drives the router with closed-loop clients.
