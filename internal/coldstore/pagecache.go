@@ -30,11 +30,11 @@ const (
 // Integrity rides the cache at block granularity: each frame carries a
 // bitmap of which of its page's checksum blocks have been verified.
 // Serving a row from an unverified block first checks the block against
-// its stored sum (under the cache lock, so the frame cannot move; with
-// checksums disabled every frame is trusted); on mismatch the frame is
-// dropped and the caller repairs from the RowSource. Bits are seeded by
-// put — the fill path has already verified the block it read for — so no
-// row is ever served from bytes nothing has checked.
+// its stored sum (under the cache lock, so the frame cannot move); on
+// mismatch the frame is dropped and the caller repairs from the
+// RowSource. Bits are seeded by put — the fill path has already verified
+// the block it read for — so no row is ever served from bytes nothing has
+// checked.
 type pageCache struct {
 	mu       sync.Mutex
 	s        *Store              // the page layout frames are decoded by, and verifyBuf

@@ -3,9 +3,12 @@ package core
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"recross/internal/baseline"
+	"recross/internal/coldstore"
 	"recross/internal/embedding"
+	"recross/internal/kernels"
 	"recross/internal/nmp"
 	"recross/internal/partition"
 	"recross/internal/trace"
@@ -235,7 +238,134 @@ func TestAblationOrdering(t *testing.T) {
 	}
 }
 
+// TestReduceBatchMatchesReference checks the PE-tree reduction against
+// the flat embedding.Layer reference on the mini model, on a cold-tier
+// instance whose batch lands lookups in every region (R, G, B and flash),
+// and on an int8 layer.
 func TestReduceBatchMatchesReference(t *testing.T) {
+	criteo := trace.CriteoKaggle(32, 10)
+	cases := []struct {
+		name  string
+		spec  trace.ModelSpec
+		mod   func(*Config)
+		prec  kernels.Precision
+		batch int
+	}{
+		{name: "fp32", spec: miniSpec(), batch: 4},
+		{name: "cold", spec: criteo, batch: 8, mod: func(c *Config) {
+			c.ColdTier = &coldstore.TierSpec{CapBytes: 8 << 30, ResidentBudgetBytes: 512 << 20, InStorageReduce: true}
+		}},
+		{name: "int8", spec: miniSpec(), prec: kernels.INT8, batch: 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.spec)
+			cfg.Batch, cfg.ProfileSamples, cfg.Precision = 4, 300, tc.prec
+			if tc.mod != nil {
+				tc.mod(&cfg)
+			}
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layer, err := embedding.NewLayer(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := layer.SetPrecision(tc.prec); err != nil {
+				t.Fatal(err)
+			}
+			g, _ := trace.NewGenerator(tc.spec, 11)
+			b := g.Batch(tc.batch)
+			if tc.name == "cold" {
+				var hits [4]int
+				for _, s := range b {
+					for _, op := range s {
+						for _, idx := range op.Indices {
+							region, _ := r.pl.Locate(op.Table, idx)
+							hits[region]++
+						}
+					}
+				}
+				for region, n := range hits {
+					if n == 0 {
+						t.Fatalf("region %d never hit (R/G/B/cold hits %v)", region, hits)
+					}
+				}
+			}
+			got, err := r.ReduceBatch(layer, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si, s := range b {
+				want, err := layer.ReduceSample(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for oi := range s {
+					if !embedding.AlmostEqual(got[si][oi], want[oi], 1e-3) {
+						t.Fatalf("sample %d op %d: cross-level reduction diverged", si, oi)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReduceBatchDeterministic checks that the PE tree folds in a fixed
+// order: two calls on the same production-sized batch return the same bits.
+func TestReduceBatchDeterministic(t *testing.T) {
+	spec := trace.CriteoKaggle(64, 80)
+	r, err := New(DefaultConfig(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer, err := embedding.NewLayer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := trace.NewGenerator(spec, 11)
+	b := g.Batch(8)
+	first, err := r.ReduceBatch(layer, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.ReduceBatch(layer, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := range first {
+		for oi := range first[si] {
+			for j, v := range first[si][oi] {
+				if math.Float32bits(v) != math.Float32bits(again[si][oi][j]) {
+					t.Fatalf("sample %d op %d lane %d: %v then %v", si, oi, j, v, again[si][oi][j])
+				}
+			}
+		}
+	}
+}
+
+// TestReduceBatchShortWeights checks that a weighted-sum op with fewer
+// weights than indices is an error, not a panic.
+func TestReduceBatchShortWeights(t *testing.T) {
+	r, err := New(miniConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer, err := embedding.NewLayer(miniSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := trace.Op{Table: 0, Kind: trace.WeightedSum, Indices: []int64{1, 2, 3}, Weights: []float32{1}}
+	if _, err := r.ReduceBatch(layer, trace.Batch{{op}}); err == nil {
+		t.Fatal("3 indices with 1 weight: want an error")
+	}
+}
+
+// Property: however a sample's lookups split across bank, bank-group and
+// rank PEs, folding their partial sums up the tree equals the flat
+// reduction — the cross-level correctness invariant of §4.1.
+func TestHierarchicalReductionEquivalence(t *testing.T) {
 	spec := miniSpec()
 	r, err := New(miniConfig())
 	if err != nil {
@@ -245,22 +375,32 @@ func TestReduceBatchMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _ := trace.NewGenerator(spec, 11)
-	b := g.Batch(4)
-	got, err := r.ReduceBatch(layer, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si, s := range b {
-		want, err := layer.ReduceSample(s)
+	f := func(seed int64, kinds [4]uint8) bool {
+		g, err := trace.NewGenerator(spec, seed)
 		if err != nil {
-			t.Fatal(err)
+			return false
 		}
-		for oi := range s {
-			if !embedding.AlmostEqual(got[si][oi], want[oi], 1e-3) {
-				t.Fatalf("sample %d op %d: cross-level reduction diverged", si, oi)
+		b := g.Batch(1)
+		for oi := range b[0] {
+			b[0][oi].Kind = trace.ReduceKind(kinds[oi%len(kinds)] % 3)
+		}
+		got, err := r.ReduceBatch(layer, b)
+		if err != nil {
+			return false
+		}
+		want, err := layer.ReduceSample(b[0])
+		if err != nil {
+			return false
+		}
+		for oi := range want {
+			if !embedding.AlmostEqual(got[0][oi], want[oi], 1e-3) {
+				return false
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 

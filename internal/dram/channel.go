@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 
+	"recross/internal/nmp"
 	"recross/internal/sim"
 )
 
@@ -56,8 +57,9 @@ const (
 )
 
 const (
-	// NMPInstrBits is the paper's compressed instruction width (§4.2).
-	NMPInstrBits = 82
+	// NMPInstrBits is the paper's compressed instruction width (§4.2),
+	// the width nmp's codec packs.
+	NMPInstrBits = nmp.InstrBits
 	// CAPins and DQPins are the DDR5 pin budgets used for instr transfer.
 	CAPins = 14
 	DQPins = 80

@@ -1,12 +1,12 @@
-// Package nmp implements ReCross's near-memory-processing machinery: the
+// Package nmp holds ReCross's near-memory-processing vocabulary: the
 // compressed 82-bit NMP instruction of §4.2 (bit-exact encoder/decoder),
-// the processing elements of §4.1 (rank-, bank-group- and bank-level PEs
-// built around the weighted-sum computation unit of Fig. 7(f)), and the
-// rank summarizer of Fig. 7(b).
+// the PE levels of §4.1 (rank, bank group, bank, plus the host and the
+// flash cold tier) and the arithmetic counts the energy model prices.
 //
-// Functional behaviour lives here; timing is modelled by internal/dram and
-// internal/memctrl, which the architecture layers (internal/baseline,
-// internal/core) combine with this package.
+// The PEs' reduction itself runs in internal/core (ReCross.ReduceBatch,
+// through the embedding layer's kernels); timing is modelled by
+// internal/dram and internal/memctrl, which the architecture layers
+// (internal/baseline, internal/core) combine with this package.
 package nmp
 
 import (

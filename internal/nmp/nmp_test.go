@@ -2,7 +2,6 @@ package nmp
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -116,148 +115,6 @@ func TestInstrLevelFromTags(t *testing.T) {
 func TestInstrBursts(t *testing.T) {
 	if (Instr{VSizeLog2: 0}).Bursts() != 1 || (Instr{VSizeLog2: 4}).Bursts() != 16 {
 		t.Fatal("Bursts decoding wrong")
-	}
-}
-
-func TestComputeUnitWeightedSum(t *testing.T) {
-	u, err := NewComputeUnit(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Accumulate(OpWeightedSum, []float32{1, 2, 3, 4}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Accumulate(OpWeightedSum, []float32{1, 1, 1, 1}, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{2.5, 4.5, 6.5, 8.5}
-	got := u.Result()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result = %v, want %v", got, want)
-		}
-	}
-	st := u.Stats()
-	if st.Adds != 8 || st.Mults != 8 {
-		t.Fatalf("stats = %+v, want 8 adds 8 mults", st)
-	}
-}
-
-func TestComputeUnitSumIgnoresWeight(t *testing.T) {
-	u, _ := NewComputeUnit(2)
-	u.Accumulate(OpSum, []float32{1, 2}, 99)
-	got := u.Result()
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("OpSum applied weight: %v", got)
-	}
-	if u.Stats().Mults != 0 {
-		t.Fatal("OpSum should not count multiplies")
-	}
-}
-
-func TestComputeUnitMax(t *testing.T) {
-	u, _ := NewComputeUnit(3)
-	u.Accumulate(OpMax, []float32{-5, 2, 1}, 1)
-	u.Accumulate(OpMax, []float32{-7, 3, 0}, 1)
-	got := u.Result()
-	want := []float32{-5, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("max result = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestComputeUnitReset(t *testing.T) {
-	u, _ := NewComputeUnit(2)
-	u.Accumulate(OpWeightedSum, []float32{1, 1}, 1)
-	u.Reset()
-	got := u.Result()
-	if got[0] != 0 || got[1] != 0 {
-		t.Fatalf("reset accumulator = %v", got)
-	}
-	// Max after reset starts fresh.
-	u.Accumulate(OpMax, []float32{-9, -9}, 1)
-	if got := u.Result(); got[0] != -9 {
-		t.Fatalf("max after reset = %v, want -9", got)
-	}
-}
-
-func TestComputeUnitErrors(t *testing.T) {
-	if _, err := NewComputeUnit(0); err == nil {
-		t.Error("zero length should error")
-	}
-	u, _ := NewComputeUnit(2)
-	if err := u.Accumulate(OpSum, []float32{1}, 1); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if err := u.Accumulate(Opcode(7), []float32{1, 1}, 1); err == nil {
-		t.Error("unknown opcode should error")
-	}
-	if err := u.AccumulatePsum(OpSum, []float32{1}); err == nil {
-		t.Error("psum length mismatch should error")
-	}
-}
-
-// Property: splitting a weighted-sum reduction across two PEs and folding
-// their psums at a higher level matches a single-PE reduction — the
-// cross-level correctness invariant of §4.1.
-func TestHierarchicalReductionEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const vl = 8
-		n := rng.Intn(20) + 2
-		vecs := make([][]float32, n)
-		ws := make([]float32, n)
-		for i := range vecs {
-			vecs[i] = make([]float32, vl)
-			for j := range vecs[i] {
-				vecs[i][j] = rng.Float32()*2 - 1
-			}
-			ws[i] = rng.Float32()
-		}
-		// Flat: one unit reduces everything.
-		flat, _ := NewComputeUnit(vl)
-		for i := range vecs {
-			flat.Accumulate(OpWeightedSum, vecs[i], ws[i])
-		}
-		// Hierarchical: two lower PEs + a summarizer.
-		lo1, _ := NewComputeUnit(vl)
-		lo2, _ := NewComputeUnit(vl)
-		for i := range vecs {
-			u := lo1
-			if i%2 == 1 {
-				u = lo2
-			}
-			u.Accumulate(OpWeightedSum, vecs[i], ws[i])
-		}
-		sum, _ := NewRankSummarizer(vl)
-		sum.Fold(OpWeightedSum, lo1.Result())
-		sum.Fold(OpWeightedSum, lo2.Result())
-		got := sum.Result()
-		want := flat.Result()
-		for j := range want {
-			if math.Abs(float64(got[j]-want[j])) > 1e-4 {
-				return false
-			}
-		}
-		return sum.Psums() == 2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPEConstruction(t *testing.T) {
-	p, err := NewPE(LevelBank, 17, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Level != LevelBank || p.Node != 17 || p.Unit().VecLen() != 64 {
-		t.Fatalf("PE fields wrong: %+v", p)
-	}
-	if _, err := NewPE(LevelRank, 0, -1); err == nil {
-		t.Error("negative veclen should error")
 	}
 }
 
