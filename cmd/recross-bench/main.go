@@ -22,10 +22,13 @@
 //	-pooling N    gathers per embedding operation (default 80)
 //	-veclen N     embedding vector length (default 64)
 //	-ranks N      ranks per channel (default 2)
-//	-json         machine-readable output: one JSON document on stdout
-//	              (progress moves to stderr)
+//	-json         one JSON document on stdout (progress moves to stderr);
+//	              a table's labels are JSON strings, its values numbers
 //	-cpuprofile FILE  write a CPU profile of the run
 //	-memprofile FILE  write a heap profile at exit
+//
+// A non-zero -batch, -pooling, -veclen or -ranks applies; a bad one, like
+// an unknown experiment, exits 2 before any experiment runs.
 //
 // Performance measurement lives in benchmark/ (see benchmark/README.md);
 // this command only reproduces the paper's evaluation.
@@ -33,8 +36,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,17 +49,13 @@ import (
 	"recross/internal/experiments"
 )
 
-// jsonResult is one experiment's machine-readable output. Tables carry
-// their header and cell grid verbatim; text-only experiments (fig6)
-// carry Text instead.
+// jsonResult is one experiment's machine-readable output: a table, or
+// for text-only experiments (fig6) Text.
 type jsonResult struct {
-	Name    string     `json:"name"`
-	Title   string     `json:"title,omitempty"`
-	Note    string     `json:"note,omitempty"`
-	Cols    []string   `json:"cols,omitempty"`
-	Rows    [][]string `json:"rows,omitempty"`
-	Text    string     `json:"text,omitempty"`
-	Seconds float64    `json:"seconds"`
+	Name string `json:"name"`
+	*experiments.Table
+	Text    string  `json:"text,omitempty"`
+	Seconds float64 `json:"seconds"`
 }
 
 // jsonDoc is the top-level -json document.
@@ -67,128 +68,125 @@ type jsonDoc struct {
 	Results []jsonResult `json:"results"`
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "scaled-down workload")
-	csvDir := flag.String("csv", "", "also write each table as <dir>/<experiment>.csv")
-	jsonOut := flag.Bool("json", false, "emit one JSON document on stdout instead of text tables")
-	batch := flag.Int("batch", 0, "batch size (0 = default)")
-	pooling := flag.Int("pooling", 0, "gathers per op (0 = default)")
-	veclen := flag.Int("veclen", 0, "embedding vector length (0 = default)")
-	ranks := flag.Int("ranks", 0, "ranks per channel (0 = default)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
+// usageError marks a bad command line: a flag, a workload dimension or an
+// experiment name. It exits 2 before any experiment runs.
+type usageError struct{ error }
 
-	finishProfiles := startProfiles(*cpuprofile, *memprofile)
-	defer finishProfiles()
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "recross-bench:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("recross-bench", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "scaled-down workload")
+	csvDir := fs.String("csv", "", "also write each table as <dir>/<experiment>.csv")
+	jsonOut := fs.Bool("json", false, "emit one JSON document on stdout instead of text tables")
+	batch := fs.Int("batch", 0, "batch size (0 = default)")
+	pooling := fs.Int("pooling", 0, "gathers per op (0 = default)")
+	veclen := fs.Int("veclen", 0, "embedding vector length (0 = default)")
+	ranks := fs.Int("ranks", 0, "ranks per channel (0 = default)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	_ = fs.Parse(args) // ExitOnError: a parse error never returns
 
 	cfg := experiments.Paper()
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	if *batch > 0 {
-		cfg.Batch = *batch
+	for _, f := range []struct{ dst, v *int }{
+		{&cfg.Batch, batch}, {&cfg.Pooling, pooling}, {&cfg.VecLen, veclen}, {&cfg.Ranks, ranks},
+	} {
+		if *f.v != 0 {
+			*f.dst = *f.v
+		}
 	}
-	if *pooling > 0 {
-		cfg.Pooling = *pooling
+	if err := cfg.Validate(); err != nil {
+		return usageError{err}
 	}
-	if *veclen > 0 {
-		cfg.VecLen = *veclen
-	}
-	if *ranks > 0 {
-		cfg.Ranks = *ranks
-	}
-
-	exps, err := experiments.Select(flag.Args())
+	exps, err := experiments.Select(fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{err}
 	}
-	doc := jsonDoc{
-		VecLen: cfg.VecLen, Pooling: cfg.Pooling, Batch: cfg.Batch,
-		Ranks: cfg.Ranks, Quick: *quick,
+	finishProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
 	}
+	defer func() { err = errors.Join(err, finishProfiles()) }()
+
+	doc := jsonDoc{VecLen: cfg.VecLen, Pooling: cfg.Pooling, Batch: cfg.Batch, Ranks: cfg.Ranks, Quick: *quick}
+	header := fmt.Sprintf("recross-bench: veclen=%d pooling=%d batch=%d ranks=%d quick=%v",
+		cfg.VecLen, cfg.Pooling, cfg.Batch, cfg.Ranks, *quick)
 	if *jsonOut {
-		fmt.Fprintf(os.Stderr, "recross-bench: veclen=%d pooling=%d batch=%d ranks=%d quick=%v\n",
-			cfg.VecLen, cfg.Pooling, cfg.Batch, cfg.Ranks, *quick)
+		fmt.Fprintln(stderr, header)
 	} else {
-		fmt.Printf("recross-bench: veclen=%d pooling=%d batch=%d ranks=%d quick=%v\n\n",
-			cfg.VecLen, cfg.Pooling, cfg.Batch, cfg.Ranks, *quick)
+		fmt.Fprintf(stdout, "%s\n\n", header)
 	}
 	for _, e := range exps {
 		start := time.Now()
 		res, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		took := time.Since(start).Seconds()
 		tb, isTable := res.(*experiments.Table)
 		if *jsonOut {
-			jr := jsonResult{Name: e.Name, Seconds: took}
-			if isTable {
-				jr.Title, jr.Note, jr.Cols, jr.Rows = tb.Title, tb.Note, tb.Cols, tb.Rows
-			} else {
-				jr.Text = fmt.Sprint(res)
-			}
-			doc.Results = append(doc.Results, jr)
-			fmt.Fprintf(os.Stderr, "%s done in %.1fs\n", e.Name, took)
+			text, _ := res.(string)
+			doc.Results = append(doc.Results, jsonResult{Name: e.Name, Table: tb, Text: text, Seconds: took})
+			fmt.Fprintf(stderr, "%s done in %.1fs\n", e.Name, took)
 		} else {
-			fmt.Println(res)
-			fmt.Printf("(%s took %.1fs)\n\n", e.Name, took)
+			fmt.Fprintln(stdout, res)
+			fmt.Fprintf(stdout, "(%s took %.1fs)\n\n", e.Name, took)
 		}
 		if *csvDir != "" && isTable {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			path := filepath.Join(*csvDir, e.Name+".csv")
-			if err := os.WriteFile(path, []byte(tb.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := os.WriteFile(filepath.Join(*csvDir, e.Name+".csv"), []byte(tb.CSV()), 0o644); err != nil {
+				return err
 			}
 		}
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if !*jsonOut {
+		return nil
 	}
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }
 
 // startProfiles starts the optional CPU profile and returns the function
 // that stops it and writes the optional heap profile.
-func startProfiles(cpu, mem string) func() {
+func startProfiles(cpu, mem string) (func() error, error) {
 	if cpu != "" {
 		f, err := os.Create(cpu)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return nil, err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			f.Close()
+			return nil, err
 		}
 	}
-	return func() {
+	return func() error {
 		if cpu != "" {
 			pprof.StopCPUProfile()
 		}
 		if mem == "" {
-			return
+			return nil
 		}
 		f, err := os.Create(mem)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return err
 		}
 		defer f.Close()
 		runtime.GC() // materialize the retained-heap picture
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}
+		return pprof.WriteHeapProfile(f)
+	}, nil
 }

@@ -1,7 +1,7 @@
 // recross-trace generates synthetic embedding access traces and reports
-// their statistical shape: per-table cumulative access curves, in-batch
-// reuse, and per-op load-imbalance figures — the workload characterisation
-// behind the paper's Figs. 3 and 4.
+// their statistical shape: per-table access coverage of the hottest rows
+// and in-batch reuse, behind the paper's Fig. 3. Fig. 4's per-op load
+// imbalance is printed by `recross-bench fig4`.
 //
 // Usage:
 //

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"recross/internal/energy"
-)
+import "recross/internal/energy"
 
 // Fig15 reproduces the energy comparison: per-architecture energy breakdown
 // (ACT / RD / off-chip IO / PE / static) and the savings of ReCross over
@@ -20,16 +16,15 @@ func Fig15(cfg Config) (*Table, error) {
 		Note:  "paper savings vs: CPU 58.5%, TensorDIMM 57.2%, RecNMP 51.9%, TRiM-G 28.5%, TRiM-B 23.7%",
 		Cols:  []string{"architecture", "ACT", "RD", "IO", "PE", "cache", "static", "total", "recross-saves"},
 	}
-	mJ := func(j float64) string { return fmt.Sprintf("%.4f", j*1e3) }
 	rcTotal := stats["recross"].Energy.Total()
 	for _, name := range ArchNames {
 		e := stats[name].Energy
-		saves := "-"
+		var saves any = "-"
 		if name != "recross" && e.Total() > 0 {
-			saves = fmt.Sprintf("%.1f%%", 100*(1-rcTotal/e.Total()))
+			saves = pct(100 * (1 - rcTotal/e.Total()))
 		}
-		t.AddRow(name, mJ(e.ACT), mJ(e.RD), mJ(e.IO), mJ(e.PE), mJ(e.Cache), mJ(e.Static),
-			mJ(e.Total()), saves)
+		t.AddRow(name, f4(e.ACT*1e3), f4(e.RD*1e3), f4(e.IO*1e3), f4(e.PE*1e3), f4(e.Cache*1e3),
+			f4(e.Static*1e3), f4(e.Total()*1e3), saves)
 	}
 	return t, nil
 }

@@ -6,6 +6,8 @@
 package experiments
 
 import (
+	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -107,29 +109,29 @@ func table(run func(Config) (*Table, error)) func(Config) (any, error) {
 // evaluation, a lone "ext" the extension studies, a lone "all" every
 // experiment, and otherwise each argument names one experiment.
 func Select(args []string) ([]Experiment, error) {
-	var paper, ext []Experiment
-	var paperNames, extNames []string
-	for _, e := range Experiments {
-		if e.Paper {
-			paper, paperNames = append(paper, e), append(paperNames, e.Name)
-		} else {
-			ext, extNames = append(ext, e), append(extNames, e.Name)
-		}
+	only := func(paper bool) []Experiment {
+		return slices.DeleteFunc(slices.Clone(Experiments), func(e Experiment) bool { return e.Paper != paper })
 	}
 	switch {
 	case len(args) == 0:
-		return paper, nil
+		return only(true), nil
 	case len(args) == 1 && args[0] == "ext":
-		return ext, nil
+		return only(false), nil
 	case len(args) == 1 && args[0] == "all":
 		return Experiments, nil
 	}
 	out := make([]Experiment, len(args))
 	for i, a := range args {
 		j := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.Name == a })
-		if j < 0 {
-			return nil, fmt.Errorf("unknown experiment %q (want one of %v, %v, 'ext', or 'all')",
-				a, paperNames, extNames)
+		switch {
+		case a == "ext" || a == "all":
+			return nil, fmt.Errorf("%q must be the only argument (flags go before experiment names)", a)
+		case j < 0:
+			var names []string
+			for _, e := range Experiments {
+				names = append(names, e.Name)
+			}
+			return nil, fmt.Errorf("unknown experiment %q (want one of %v, or a lone 'ext' or 'all')", a, names)
 		}
 		out[i] = Experiments[j]
 	}
@@ -328,80 +330,77 @@ func Speedups(stats map[string]*arch.RunStats, base string) (map[string]float64,
 	return out, nil
 }
 
-// Table is a rendered experiment result.
+// Table is a rendered experiment result. Each row cell is a string label
+// or a Num, so -json ships numbers and tests read values, while the text
+// and CSV print every cell through fmt.
 type Table struct {
-	Title string
-	Note  string
-	Cols  []string
-	Rows  [][]string
+	Title string   `json:"title,omitempty"`
+	Note  string   `json:"note,omitempty"`
+	Cols  []string `json:"cols,omitempty"`
+	Rows  [][]any  `json:"rows,omitempty"`
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
+// AddRow appends a row of labels and Nums.
+func (t *Table) AddRow(cells ...any) { t.Rows = append(t.Rows, cells) }
+
+// A Num is a numeric cell: its value and the fmt format it prints with.
+// It encodes to JSON as the bare value.
+type Num struct {
+	V   float64
+	Fmt string
+}
+
+func (n Num) String() string { return fmt.Sprintf(n.Fmt, n.V) }
+
+func (n Num) MarshalJSON() ([]byte, error) { return json.Marshal(n.V) }
+
+// text is the header and then every row, each cell printed through fmt.
+func (t *Table) text() [][]string {
+	rows := [][]string{t.Cols}
+	for _, r := range t.Rows {
+		cells := make([]string, len(r))
+		for i, c := range r {
+			cells[i] = fmt.Sprint(c)
+		}
+		rows = append(rows, cells)
+	}
+	return rows
 }
 
 // CSV renders the table as comma-separated values (header row first).
 // Cells containing commas or quotes are quoted per RFC 4180.
 func (t *Table) CSV() string {
 	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				sb.WriteByte('"')
-				sb.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				sb.WriteByte('"')
-			} else {
-				sb.WriteString(c)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Cols)
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
+	_ = csv.NewWriter(&sb).WriteAll(t.text()) // a strings.Builder never fails
 	return sb.String()
 }
 
 // String renders the table as aligned text.
 func (t *Table) String() string {
+	rows := t.text()
 	widths := make([]int, len(t.Cols))
-	for i, c := range t.Cols {
-		widths[i] = len(c)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	for _, r := range rows {
+		for i, c := range r[:min(len(r), len(widths))] {
+			widths[i] = max(widths[i], len(c))
 		}
+	}
+	sep := make([]string, len(t.Cols))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s ==\n", t.Title)
 	if t.Note != "" {
 		fmt.Fprintf(&sb, "%s\n", t.Note)
 	}
-	line := func(cells []string) {
-		for i, c := range cells {
+	for _, r := range slices.Insert(rows, 1, sep) {
+		for i, c := range r {
 			if i > 0 {
 				sb.WriteString("  ")
 			}
 			fmt.Fprintf(&sb, "%-*s", widths[i], c)
 		}
 		sb.WriteByte('\n')
-	}
-	line(t.Cols)
-	sep := make([]string, len(t.Cols))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range t.Rows {
-		line(r)
 	}
 	return sb.String()
 }
@@ -414,8 +413,17 @@ func rowHitRate(rs *arch.RunStats) float64 {
 	return float64(rs.RowHits) / float64(rs.RowHits+rs.RowMisses)
 }
 
-// f2 formats a float with two decimals.
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+// f2 is a value printed with two decimals.
+func f2(v float64) Num { return Num{v, "%.2f"} }
 
-// f1 formats a float with one decimal.
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
+// f1 is a value printed with one decimal.
+func f1(v float64) Num { return Num{v, "%.1f"} }
+
+// f4 is a value printed with four decimals.
+func f4(v float64) Num { return Num{v, "%.4f"} }
+
+// count is an integer value.
+func count[T ~int | ~int64](v T) Num { return Num{float64(v), "%.0f"} }
+
+// pct is a percentage, printed with one decimal and a % sign.
+func pct(v float64) Num { return Num{v, "%.1f%%"} }

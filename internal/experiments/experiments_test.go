@@ -92,11 +92,25 @@ func TestNewSystemProfilesOnlyWhenNeeded(t *testing.T) {
 	build("recross", planned, 0)
 }
 
+// num is tb's numeric cell at row r, column c. A missing cell or a label
+// fails the test, so no assertion can pass on a value it never read.
+func num(t *testing.T, tb *Table, r, c int) float64 {
+	t.Helper()
+	if r >= len(tb.Rows) || c >= len(tb.Rows[r]) {
+		t.Fatalf("%s: no cell at row %d, column %d", tb.Title, r, c)
+	}
+	n, ok := tb.Rows[r][c].(Num)
+	if !ok {
+		t.Fatalf("%s: cell at row %d, column %d is %q, not a number", tb.Title, r, c, tb.Rows[r][c])
+	}
+	return n.V
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "T", Note: "n", Cols: []string{"a", "bbbb"}}
-	tb.AddRow("1", "2")
+	tb.AddRow("1", f2(2))
 	out := tb.String()
-	for _, want := range []string{"== T ==", "n", "a", "bbbb", "1", "2", "----"} {
+	for _, want := range []string{"== T ==", "n", "a", "bbbb", "1", "2.00", "----"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, out)
 		}
@@ -108,13 +122,10 @@ func TestFig3CurvesAreSkewedAndMonotone(t *testing.T) {
 	if len(tb.Rows) != 26 {
 		t.Fatalf("Fig3 rows = %d, want 26", len(tb.Rows))
 	}
-	for _, r := range tb.Rows {
+	for i, r := range tb.Rows {
 		prev := 0.0
-		for _, cell := range r[2:] {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for c := 2; c < len(tb.Cols); c++ {
+			v := num(t, tb, i, c)
 			if v < prev-1e-9 || v < 0 || v > 1 {
 				t.Fatalf("coverage not monotone in [0,1]: %v", r)
 			}
@@ -128,10 +139,8 @@ func TestFig4ImbalanceGrowsWithGranularity(t *testing.T) {
 	if len(tb.Rows) != 3 {
 		t.Fatalf("Fig4 rows = %d, want 3 rank configs", len(tb.Rows))
 	}
-	for _, r := range tb.Rows {
-		rank, _ := strconv.ParseFloat(r[1], 64)
-		bg, _ := strconv.ParseFloat(r[2], 64)
-		bank, _ := strconv.ParseFloat(r[3], 64)
+	for i, r := range tb.Rows {
+		rank, bg, bank := num(t, tb, i, 1), num(t, tb, i, 2), num(t, tb, i, 3)
 		// The paper's Observation 1: finer granularity, worse imbalance.
 		if !(rank <= bg && bg <= bank) {
 			t.Fatalf("imbalance not increasing with granularity: %v", r)
@@ -150,18 +159,23 @@ func TestFig5BandwidthOutpacesSpeedup(t *testing.T) {
 	// Paper's Observation 2: at fixed ranks, internal bandwidth scales far
 	// faster than speedup from bank-group to bank level.
 	var bgSp, bankSp, bgBW, bankBW float64
-	for _, r := range tb.Rows {
-		if r[0] != "2" {
+	found := 0
+	for i, r := range tb.Rows {
+		if num(t, tb, i, 0) != 2 {
 			continue
 		}
-		sp, _ := strconv.ParseFloat(r[2], 64)
-		bw, _ := strconv.ParseFloat(r[3], 64)
+		sp, bw := num(t, tb, i, 2), num(t, tb, i, 3)
 		switch r[1] {
 		case "bankgroup":
 			bgSp, bgBW = sp, bw
+			found++
 		case "bank":
 			bankSp, bankBW = sp, bw
+			found++
 		}
+	}
+	if found != 2 || bgSp <= 0 || bgBW <= 0 {
+		t.Fatalf("found %d of the 2-rank bankgroup and bank rows (speedup %v, bandwidth %v)", found, bgSp, bgBW)
 	}
 	if bankBW/bgBW < 3.9 {
 		t.Fatalf("bank/bankgroup bandwidth ratio = %.1f, want 4", bankBW/bgBW)
@@ -202,9 +216,8 @@ func TestFig12AblationImproves(t *testing.T) {
 	if len(tb.Rows) != 4 {
 		t.Fatalf("Fig12 rows = %d, want 4", len(tb.Rows))
 	}
-	base, _ := strconv.ParseFloat(tb.Rows[0][1], 64)
-	full, _ := strconv.ParseFloat(tb.Rows[3][1], 64)
-	if full <= base {
+	base, full := num(t, tb, 0, 1), num(t, tb, 3, 1)
+	if base <= 0 || full <= base {
 		t.Fatalf("full ReCross (%.2f) not faster than Base (%.2f)", full, base)
 	}
 }
@@ -217,6 +230,11 @@ func TestFig13IncludesNoBWP(t *testing.T) {
 	if tb.Rows[6][0] != "recross-noBWP" {
 		t.Fatalf("last row = %v", tb.Rows[6])
 	}
+	for i := range tb.Rows {
+		if v := num(t, tb, i, 1); v < 1 {
+			t.Fatalf("imbalance below 1: %v", tb.Rows[i])
+		}
+	}
 }
 
 func TestFig15EnergyAndTable3(t *testing.T) {
@@ -224,9 +242,8 @@ func TestFig15EnergyAndTable3(t *testing.T) {
 	if len(tb.Rows) != 6 {
 		t.Fatalf("Fig15 rows = %d, want 6", len(tb.Rows))
 	}
-	for _, r := range tb.Rows {
-		total, err := strconv.ParseFloat(r[7], 64)
-		if err != nil || total <= 0 {
+	for i, r := range tb.Rows {
+		if total := num(t, tb, i, 7); total <= 0 {
 			t.Fatalf("bad energy total in %v", r)
 		}
 	}
@@ -249,13 +266,13 @@ func TestSweepsQuick(t *testing.T) {
 		t.Fatalf("Fig11 rows = %d, want 3", len(t11.Rows))
 	}
 	// Every speedup cell parses and is positive; CPU column is 1.00.
-	for _, r := range t11.Rows {
-		for i, cell := range r[1:] {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil || v <= 0 {
-				t.Fatalf("bad speedup %q in %v", cell, r)
+	for i, r := range t11.Rows {
+		for j, a := range ArchNames {
+			v := num(t, t11, i, j+1)
+			if v <= 0 {
+				t.Fatalf("bad speedup %v in %v", v, r)
 			}
-			if ArchNames[i] == "cpu" && v != 1 {
+			if a == "cpu" && v != 1 {
 				t.Fatalf("cpu speedup %v != 1", v)
 			}
 		}
@@ -271,9 +288,8 @@ func TestFig14Configs(t *testing.T) {
 		t.Fatalf("Fig14 rows = %d, want 6", len(tb.Rows))
 	}
 	// Area must increase from d to c5.
-	first, _ := strconv.ParseFloat(tb.Rows[0][2], 64)
-	last, _ := strconv.ParseFloat(tb.Rows[5][2], 64)
-	if last <= first {
+	first, last := num(t, tb, 0, 2), num(t, tb, 5, 2)
+	if first <= 0 || last <= first {
 		t.Fatalf("c5 area (%.2f) not larger than d (%.2f)", last, first)
 	}
 }
@@ -323,24 +339,24 @@ func TestExtensions(t *testing.T) {
 	if len(refresh.Rows) != 2 {
 		t.Fatalf("ExtRefresh rows = %d", len(refresh.Rows))
 	}
-	for _, r := range refresh.Rows {
-		plain, _ := strconv.ParseFloat(r[1], 64)
-		refreshed, _ := strconv.ParseFloat(r[2], 64)
-		if refreshed < plain {
+	for i, r := range refresh.Rows {
+		plain, refreshed := num(t, refresh, i, 1), num(t, refresh, i, 2)
+		if plain <= 0 || refreshed < plain {
 			t.Fatalf("refresh made %s faster: %v", r[0], r)
 		}
 	}
 	channels := quick[*Table](t, "ext-channels")
-	for _, r := range channels.Rows {
-		sp, _ := strconv.ParseFloat(r[4], 64)
-		if sp < 1.5 {
+	if len(channels.Rows) != 2 {
+		t.Fatalf("ExtChannels rows = %d", len(channels.Rows))
+	}
+	for i, r := range channels.Rows {
+		if sp := num(t, channels, i, 4); sp < 1.5 {
 			t.Fatalf("4-channel speedup for %s only %.2f", r[0], sp)
 		}
 	}
 	subs := quick[*Table](t, "ext-subarrays")
-	c16, _ := strconv.ParseFloat(subs.Rows[0][1], 64)
-	c256, _ := strconv.ParseFloat(subs.Rows[2][1], 64)
-	if c256 > c16 {
+	c16, c256 := num(t, subs, 0, 1), num(t, subs, 2, 1)
+	if c256 <= 0 || c256 > c16 {
 		t.Fatalf("more subarrays slower: 16->%v 256->%v", c16, c256)
 	}
 	training := quick[*Table](t, "ext-training")
@@ -348,9 +364,11 @@ func TestExtensions(t *testing.T) {
 		t.Fatal("ExtTraining shape wrong")
 	}
 	lat := quick[*Table](t, "ext-latency")
-	for _, r := range lat.Rows {
-		p50, _ := strconv.ParseFloat(r[1], 64)
-		p99, _ := strconv.ParseFloat(r[2], 64)
+	if len(lat.Rows) != len(ArchNames) {
+		t.Fatalf("ExtLatency rows = %d", len(lat.Rows))
+	}
+	for i, r := range lat.Rows {
+		p50, p99 := num(t, lat, i, 1), num(t, lat, i, 2)
 		if p99 < p50 || p50 <= 0 {
 			t.Fatalf("latency percentiles implausible: %v", r)
 		}
@@ -388,21 +406,61 @@ func TestExtTrainingUsesProfileSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tb.Rows[0][1], fmt.Sprint(inf.Cycles); got != want {
-		t.Errorf("inference cycles %s, want %s from a ReCross profiled with seed %d", got, want, cfg.ProfileSeed)
+	if got, want := num(t, tb, 0, 1), float64(inf.Cycles); got != want {
+		t.Errorf("inference cycles %v, want %v from a ReCross profiled with seed %d", got, want, cfg.ProfileSeed)
 	}
-	if got, want := tb.Rows[1][1], fmt.Sprint(tr.Cycles); got != want {
-		t.Errorf("training cycles %s, want %s from a ReCross profiled with seed %d", got, want, cfg.ProfileSeed)
+	if got, want := num(t, tb, 1, 1), float64(tr.Cycles); got != want {
+		t.Errorf("training cycles %v, want %v from a ReCross profiled with seed %d", got, want, cfg.ProfileSeed)
 	}
 }
 
 func TestTableCSV(t *testing.T) {
 	tb := &Table{Cols: []string{"a", "b"}}
-	tb.AddRow("1", "x,y")
-	tb.AddRow("2", `q"r`)
+	tb.AddRow(count(1), "x,y")
+	tb.AddRow(pct(12.5), `q"r`)
 	got := tb.CSV()
-	want := "a,b\n1,\"x,y\"\n2,\"q\"\"r\"\n"
+	want := "a,b\n1,\"x,y\"\n12.5%,\"q\"\"r\"\n"
 	if got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)
+	}
+}
+
+func TestSelect(t *testing.T) {
+	names := func(es []Experiment) []string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.Name)
+		}
+		return out
+	}
+	var paper, ext []string
+	for _, e := range Experiments {
+		if e.Paper {
+			paper = append(paper, e.Name)
+		} else {
+			ext = append(ext, e.Name)
+		}
+	}
+	for _, tc := range []struct {
+		args    []string
+		want    []string // nil: an error containing errWant
+		errWant string
+	}{
+		{nil, paper, ""},
+		{[]string{"ext"}, ext, ""},
+		{[]string{"all"}, names(Experiments), ""},
+		{[]string{"table3", "fig9", "ext-ddr4"}, []string{"table3", "fig9", "ext-ddr4"}, ""},
+		{[]string{"fig9", "fig99"}, nil, `unknown experiment "fig99"`},
+		{[]string{"all", "fig9"}, nil, `"all" must be the only argument`},
+		{[]string{"fig9", "ext"}, nil, `"ext" must be the only argument`},
+		{[]string{"all", "-csv", "out"}, nil, `"all" must be the only argument`},
+	} {
+		got, err := Select(tc.args)
+		switch {
+		case tc.want == nil && (err == nil || !strings.Contains(err.Error(), tc.errWant)):
+			t.Errorf("Select(%q) = %v, want an error containing %q", tc.args, err, tc.errWant)
+		case tc.want != nil && (err != nil || !slices.Equal(names(got), tc.want)):
+			t.Errorf("Select(%q) = %v, %v; want %v", tc.args, names(got), err, tc.want)
+		}
 	}
 }

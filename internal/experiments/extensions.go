@@ -34,9 +34,8 @@ func ExtRefresh(cfg Config) (*Table, error) {
 		Cols:  []string{"architecture", "no-refresh", "refresh", "overhead"},
 	}
 	for i, name := range names {
-		plain, refreshed := float64(stats[2*i].Cycles), float64(stats[2*i+1].Cycles)
-		t.AddRow(name, fmt.Sprintf("%.0f", plain), fmt.Sprintf("%.0f", refreshed),
-			fmt.Sprintf("%.1f%%", 100*(refreshed/plain-1)))
+		plain, refreshed := stats[2*i].Cycles, stats[2*i+1].Cycles
+		t.AddRow(name, count(plain), count(refreshed), pct(100*(float64(refreshed)/float64(plain)-1)))
 	}
 	return t, nil
 }
@@ -63,9 +62,9 @@ func ExtChannels(cfg Config) (*Table, error) {
 	}
 	for i, name := range names {
 		row := stats[i*len(channels) : (i+1)*len(channels)]
-		cells := []string{name}
+		cells := []any{name}
 		for _, rs := range row {
-			cells = append(cells, fmt.Sprintf("%d", rs.Cycles))
+			cells = append(cells, count(rs.Cycles))
 		}
 		t.AddRow(append(cells, f2(speedup(row[0], row[len(row)-1])))...)
 	}
@@ -91,7 +90,7 @@ func ExtSubarrays(cfg Config) (*Table, error) {
 		Cols:  []string{"subarrays", "cycles", "row-hit-rate"},
 	}
 	for i, subs := range counts {
-		t.AddRow(fmt.Sprintf("%d", subs), fmt.Sprintf("%d", stats[i].Cycles), f2(rowHitRate(stats[i])))
+		t.AddRow(count(subs), count(stats[i].Cycles), f2(rowHitRate(stats[i])))
 	}
 	return t, nil
 }
@@ -124,10 +123,9 @@ func ExtTraining(cfg Config) (*Table, error) {
 		Note:  "updates are host writes to the mapped rows (§4.5); one write per distinct touched row",
 		Cols:  []string{"phase", "cycles", "DRAM-writes", "overhead"},
 	}
-	t.AddRow("inference", fmt.Sprintf("%d", inf[0].Cycles), "0", "-")
-	t.AddRow("training", fmt.Sprintf("%d", tr[0].Cycles),
-		fmt.Sprintf("%d", tr[0].DRAM.WRs),
-		fmt.Sprintf("%.1f%%", 100*(float64(tr[0].Cycles)/float64(inf[0].Cycles)-1)))
+	t.AddRow("inference", count(inf[0].Cycles), count(inf[0].DRAM.WRs), "-")
+	t.AddRow("training", count(tr[0].Cycles), count(tr[0].DRAM.WRs),
+		pct(100*(float64(tr[0].Cycles)/float64(inf[0].Cycles)-1)))
 	return t, nil
 }
 
@@ -146,8 +144,7 @@ func ExtLatency(cfg Config) (*Table, error) {
 	}
 	for _, name := range ArchNames {
 		rs := stats[name]
-		t.AddRow(name, fmt.Sprintf("%d", rs.OpP50), fmt.Sprintf("%d", rs.OpP99),
-			fmt.Sprintf("%.2f", float64(rs.OpP99)/2.4/1e3))
+		t.AddRow(name, count(rs.OpP50), count(rs.OpP99), f2(float64(rs.OpP99)/2.4/1e3))
 	}
 	return t, nil
 }
@@ -189,7 +186,7 @@ func ExtDDR4(cfg Config) (*Table, error) {
 	for i, gn := range gens {
 		rs := stats[i]
 		us := float64(rs.Cycles) / gn.tm.ClockGHz() / 1e3
-		t.AddRow(gn.name, fmt.Sprintf("%d", rs.Cycles), fmt.Sprintf("%.2f", us), f2(rowHitRate(rs)))
+		t.AddRow(gn.name, count(rs.Cycles), f2(us), f2(rowHitRate(rs)))
 	}
 	return t, nil
 }

@@ -30,7 +30,7 @@ func Fig3(cfg Config) (*Table, error) {
 	}
 	for i, tab := range spec.Tables {
 		cov := prof.CDFs[i].Coverage(fracs)
-		t.AddRow(tab.Name, fmt.Sprintf("%d", tab.Rows),
+		t.AddRow(tab.Name, count(tab.Rows),
 			f2(cov[0]), f2(cov[1]), f2(cov[2]), f2(cov[3]), f2(cov[4]))
 	}
 	return t, nil
@@ -78,7 +78,7 @@ func Fig4(cfg Config) (*Table, error) {
 				bankImb = append(bankImb, stats.ImbalanceRatio(bankLoad))
 			}
 		}
-		t.AddRow(fmt.Sprintf("%d", ranks),
+		t.AddRow(count(ranks),
 			f2(stats.Mean(rankImb)), f2(stats.Mean(bgImb)), f2(stats.Mean(bankImb)))
 	}
 	return t, nil
@@ -124,7 +124,7 @@ func Fig5(cfg Config) (*Table, error) {
 		Cols:  []string{"ranks", "level", "speedup", "internal-bw"},
 	}
 	for i, p := range pts {
-		t.AddRow(fmt.Sprintf("%d", p.ranks), p.level,
+		t.AddRow(count(p.ranks), p.level,
 			f2(speedup(stats[0], stats[i])), f1(p.bwBytes/pts[0].bwBytes))
 	}
 	return t, nil

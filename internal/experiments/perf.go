@@ -28,7 +28,7 @@ func sweep[T any](cfg Config, points []T, configure func(Config, T) Config,
 
 	t := &Table{Cols: append([]string{"point"}, ArchNames...)}
 	for i, p := range points {
-		cells := []string{label(p)}
+		cells := []any{label(p)}
 		for _, a := range ArchNames {
 			cells = append(cells, f2(speedups[i][a]))
 		}
