@@ -4,7 +4,9 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,45 +29,41 @@ func clusterSpec() ModelSpec {
 // ends and returns the listener's address.
 func listenBin(t *testing.T, srv *Server) string {
 	t.Helper()
-	bs, err := NewBinServer(srv)
+	addr, closeLis, err := serveLoopback(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		bs.Serve(lis)
-	}()
-	t.Cleanup(func() {
-		bs.Close()
-		<-served
-	})
-	return lis.Addr().String()
+	t.Cleanup(func() { closeLis() })
+	return addr
 }
 
-// TestClusterE2E is the full cluster story through the public facade: a
-// 4-node goroutine fleet serves bit-identical scatter-gathered answers
-// under concurrent load; a mid-run node kill degrades only the tables
-// uniquely placed on that node (never an error, never a wrong bit); and
-// a restart is re-admitted by the prober, after which the victim's
-// tables serve normally again.
+// TestClusterE2E is the full cluster story through the public facade: 4
+// in-binary nodes behind the binary wire serve bit-identical
+// scatter-gathered answers under concurrent load; a mid-run node kill
+// degrades only the tables uniquely placed on that node (never an
+// error, never a wrong bit); and a revived node is re-admitted by the
+// prober, after which the victim's tables serve normally again.
 func TestClusterE2E(t *testing.T) {
 	spec := clusterSpec()
 	cfg := Config{Spec: spec, ProfileSamples: 500, Batch: 16}
+	faulty := make([]*FaultyNode, 4)
 	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{
 		Nodes:         4,
 		ProbeInterval: 20 * time.Millisecond,
 		HedgeDelay:    -1, // keep dispatch deterministic for the phase asserts
 		Serve:         ServeOptions{MaxBatch: 8},
+		WrapNode: func(i int, n ClusterNode) ClusterNode {
+			faulty[i] = WrapFaultyNode(n, NodeFaultConfig{}, i, nil) // no rates: Kill/Revive only
+			return faulty[i]
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cs.Close()
+	if len(cs.Stacks) != 4 {
+		t.Fatalf("%d in-binary stacks, want 4", len(cs.Stacks))
+	}
 
 	layer, err := NewLayer(spec)
 	if err != nil {
@@ -76,9 +74,13 @@ func TestClusterE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Placement hashes node IDs, so the IDs are part of its contract.
+	pl := cs.Router.Placement()
+	if want := []string{"node0", "node1", "node2", "node3"}; !reflect.DeepEqual(pl.Nodes, want) {
+		t.Fatalf("node IDs %v, want %v", pl.Nodes, want)
+	}
 	// Pick a victim that owns at least one table exclusively; with 6
 	// tables on 4 nodes one must exist.
-	pl := cs.Router.Placement()
 	victim := -1
 	for i := 0; i < 4; i++ {
 		if len(pl.UniqueTables(i)) > 0 {
@@ -173,9 +175,7 @@ func TestClusterE2E(t *testing.T) {
 		}(g)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if err := cs.Fleet.Kill(victim); err != nil {
-		t.Fatal(err)
-	}
+	faulty[victim].Kill()
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	killWG.Wait()
@@ -215,15 +215,13 @@ func TestClusterE2E(t *testing.T) {
 		t.Errorf("health after kill = %q/%d available, want degraded/3", h.Status, h.Available)
 	}
 
-	// Phase 3: restart; the prober re-admits the node, after which
+	// Phase 3: revive; the prober re-admits the node, after which
 	// unique tables serve undegraded again.
-	if err := cs.Fleet.Restart(victim); err != nil {
-		t.Fatal(err)
-	}
+	faulty[victim].Revive()
 	deadline := time.Now().Add(5 * time.Second)
 	for cs.Router.Health().Available != 4 {
 		if time.Now().After(deadline) {
-			t.Fatal("restarted node never re-admitted")
+			t.Fatal("revived node never re-admitted")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -244,7 +242,7 @@ func TestClusterE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res.Vectors, want) {
-			t.Fatal("post-restart answer not bit-identical")
+			t.Fatal("post-revival answer not bit-identical")
 		}
 	}
 
@@ -255,7 +253,7 @@ func TestClusterE2E(t *testing.T) {
 }
 
 // TestClusterLoadgenSmoke: the cluster load generator completes against
-// a small fleet and reports sane numbers.
+// a small in-binary cluster and reports sane numbers.
 func TestClusterLoadgenSmoke(t *testing.T) {
 	spec := clusterSpec()
 	cs, err := NewClusterServer(ReCross, Config{Spec: spec, ProfileSamples: 500, Batch: 16}, ClusterConfig{
@@ -282,20 +280,12 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 	}
 }
 
-// TestPeersAreBinary: a router's peers are binary-wire listeners. Any
-// other scheme is rejected at construction with an error naming the
-// address to give instead (-bin-addr); "bin://host:port" and a bare
-// "host:port" both reach a node's BinServer and serve bit-identically.
+// TestPeersAreBinary: "bin://host:port" and a bare "host:port" peer
+// both reach a node's BinServer and serve bit-identically (any other
+// scheme is a TestClusterConfigValidation case).
 func TestPeersAreBinary(t *testing.T) {
 	spec := clusterSpec()
 	cfg := Config{Spec: spec, ProfileSamples: 500, Batch: 16}
-	if cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: []string{"http://h:1"}}); err == nil {
-		cs.Close()
-		t.Fatal("an http:// peer was accepted")
-	} else if !strings.Contains(err.Error(), "-bin-addr") {
-		t.Errorf("rejection %q does not name -bin-addr", err)
-	}
-
 	var peers []string
 	for _, scheme := range []string{"bin://", ""} {
 		srv, err := NewServer(ReCross, cfg, 1, ServeOptions{MaxBatch: 8})
@@ -367,5 +357,103 @@ func TestClusterClosePeers(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutine(s) outlive ClusterServer.Close in Peers mode", after-before)
+	}
+}
+
+// TestClusterConfigValidation: a bad ClusterConfig value fails before
+// any node is built (WrapNode never runs), with an error naming the
+// field — or, for a peer given in another scheme, the -bin-addr
+// listener to give instead.
+func TestClusterConfigValidation(t *testing.T) {
+	cfg := Config{Spec: clusterSpec(), ProfileSamples: 500, Batch: 16}
+	for _, c := range []struct {
+		cc   ClusterConfig
+		want string
+	}{
+		{ClusterConfig{Nodes: -1}, "Nodes"},
+		{ClusterConfig{Nodes: 1, WireConns: -1}, "WireConns"},
+		{ClusterConfig{Nodes: 1, WirePrecision: "fp8"}, "WirePrecision"},
+		{ClusterConfig{Peers: []string{"127.0.0.1:1"}, WirePrecision: "fp8"}, "WirePrecision"},
+		{ClusterConfig{Nodes: 1, Placement: "random"}, "Placement"},
+		{ClusterConfig{Peers: []string{"http://h:1"}}, "-bin-addr"},
+	} {
+		built := false
+		c.cc.WrapNode = func(_ int, n ClusterNode) ClusterNode { built = true; return n }
+		cs, err := NewClusterServer(ReCross, cfg, c.cc)
+		if err == nil {
+			cs.Close()
+			t.Errorf("want: %s rejected; got a cluster", c.want)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) || built {
+			t.Errorf("want: %s rejected before any node is built; got %q (nodes built: %v)", c.want, err, built)
+		}
+	}
+}
+
+// TestClusterConnChaos: in-binary nodes are reached over the same wire
+// as peers, so WrapDial sees every node's dials, and a conn-level chaos
+// campaign installed there tears real connections — the router's
+// client-side conn-failure counter moves — while every answer stays
+// bit-identical.
+func TestClusterConnChaos(t *testing.T) {
+	spec := clusterSpec()
+	cfg := Config{Spec: spec, ProfileSamples: 500, Batch: 16}
+	inj := NewFaultInjector()
+	fc := NodeFaultConfig{Seed: 3, Conn: ConnFaultRates{Torn: 0.1, Reset: 0.1}}
+	var dials [2]atomic.Int64
+	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{
+		Nodes: 2, HedgeDelay: -1, ProbeInterval: 20 * time.Millisecond,
+		Serve: ServeOptions{MaxBatch: 8},
+		WrapDial: func(i int, d BinDial) BinDial {
+			faulty := WrapFaultyBinDial(d, fc, i, inj)
+			return func(ctx context.Context, addr string) (net.Conn, error) {
+				dials[i].Add(1)
+				return faulty(ctx, addr)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	layer, err := NewLayer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(spec, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sample := range gen.Batch(100) {
+		res, err := cs.Lookup(context.Background(), sample)
+		if err != nil {
+			t.Fatalf("lookup %d under conn chaos: %v", i, err)
+		}
+		want, err := layer.ReduceSample(sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Vectors, want) {
+			t.Fatalf("lookup %d: answer not bit-identical under conn chaos", i)
+		}
+	}
+	for i := range dials {
+		if dials[i].Load() == 0 {
+			t.Errorf("node%d: WrapDial saw no dial", i)
+		}
+	}
+	var exp strings.Builder
+	if _, err := cs.Router.MetricSet().WriteTo(&exp); err != nil {
+		t.Fatal(err)
+	}
+	re := regexp.MustCompile(`(?m)^recross_cluster_wire_conn_failures_total\{[^}]*role="client"[^}]*\} (\d+)$`)
+	var failures int
+	for _, m := range re.FindAllStringSubmatch(exp.String(), -1) {
+		n, _ := strconv.Atoi(m[1])
+		failures += n
+	}
+	if failures == 0 {
+		t.Errorf("conn chaos on in-binary nodes moved no recross_cluster_wire_conn_failures_total:\n%s", exp.String())
 	}
 }

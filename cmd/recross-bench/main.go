@@ -162,8 +162,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 }
 
 // startProfiles starts the optional CPU profile and returns the function
-// that stops it and writes the optional heap profile.
+// that stops it, closes its file and writes the optional heap profile.
 func startProfiles(cpu, mem string) (func() error, error) {
+	var cpuFile *os.File
 	if cpu != "" {
 		f, err := os.Create(cpu)
 		if err != nil {
@@ -173,20 +174,22 @@ func startProfiles(cpu, mem string) (func() error, error) {
 			f.Close()
 			return nil, err
 		}
+		cpuFile = f
 	}
 	return func() error {
-		if cpu != "" {
+		var err error
+		if cpuFile != nil {
 			pprof.StopCPUProfile()
+			err = cpuFile.Close()
 		}
 		if mem == "" {
-			return nil
-		}
-		f, err := os.Create(mem)
-		if err != nil {
 			return err
 		}
-		defer f.Close()
+		f, ferr := os.Create(mem)
+		if ferr != nil {
+			return errors.Join(err, ferr)
+		}
 		runtime.GC() // materialize the retained-heap picture
-		return pprof.WriteHeapProfile(f)
+		return errors.Join(err, pprof.WriteHeapProfile(f), f.Close())
 	}, nil
 }

@@ -234,13 +234,13 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.Float64Var(&cch.Rates.CorruptPage, "chaos-cold-corrupt", 0, "chaos: per-page-read corrupted payload probability (needs -cold)")
 
 	cl := &o.cluster
-	fs.IntVar(&cl.Nodes, "cluster", 0, "cluster mode: front an in-process fleet of this many nodes with a scatter-gather router (0 = single-node mode)")
+	fs.IntVar(&cl.Nodes, "cluster", 0, "cluster mode: build this many serving nodes in this process, each behind its own loopback binary-wire listener, and front them with a scatter-gather router (0 = single-node mode)")
 	fs.Var(textFlag{
 		func() string { return strings.Join(cl.Peers, ",") },
 		func(s string) error { cl.Peers = strings.Split(s, ","); return nil },
-	}, "cluster-peers", "cluster mode: comma-separated peer addresses fronted instead of an in-process fleet; each is a peer's binary-wire listener (`recross-serve -bin-addr`), written host:port or bin://host:port")
-	fs.IntVar(&cl.WireConns, "wire-conns", 2, "cluster: binary-transport connection pool size per peer")
-	fs.StringVar(&cl.WirePrecision, "wire-precision", "fp32", "cluster: binary-wire response vector encoding: fp32 (bit-identical), fp16 or int8 (storage-codec rounding, opt-in)")
+	}, "cluster-peers", "cluster mode: comma-separated peer addresses fronted instead of building nodes here; each is a peer's binary-wire listener (`recross-serve -bin-addr`), written host:port or bin://host:port")
+	fs.IntVar(&cl.WireConns, "wire-conns", 2, "cluster: binary-wire connection pool size per node (in-binary or peer)")
+	fs.StringVar(&cl.WirePrecision, "wire-precision", "fp32", "cluster: binary-wire response vector encoding for every node: fp32 (bit-identical), fp16 or int8 (storage-codec rounding, opt-in)")
 	fs.StringVar(&o.binAddr, "bin-addr", "", "binary wire-protocol listen address (e.g. :9090); serves lookups beside the HTTP front-end in both single-node and cluster-router modes (empty disables)")
 	fs.IntVar(&cl.Replication, "cluster-replication", 2, "cluster: replica count for hot tables")
 	fs.StringVar(&cl.Placement, "cluster-placement", "ring", "cluster: placement mode: ring (consistent hashing) or cost (LPT over access volumes, LP-priced)")
@@ -253,9 +253,9 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.Float64Var(&nc.Rates.Kill, "chaos-node-kill", 0, "chaos: per-lookup node kill probability (cluster mode; sticky until the prober re-admits)")
 	fs.Float64Var(&nc.Rates.Slow, "chaos-node-slow", 0, "chaos: per-lookup node slow-call probability (cluster mode)")
 	fs.DurationVar(&nc.Downtime, "chaos-node-downtime", 2*time.Second, "chaos: auto-revive a killed node after this long (0 = down until the process exits)")
-	fs.Float64Var(&nc.Conn.Torn, "chaos-conn-torn", 0, "chaos: per-frame-write torn-frame probability on binary-wire conns (cluster mode, binary peers)")
-	fs.Float64Var(&nc.Conn.Reset, "chaos-conn-reset", 0, "chaos: per-frame-write conn-reset probability on binary-wire conns (cluster mode, binary peers)")
-	fs.Float64Var(&nc.Conn.Stall, "chaos-conn-stall", 0, "chaos: per-frame-write slow-writer stall probability on binary-wire conns (cluster mode, binary peers)")
+	fs.Float64Var(&nc.Conn.Torn, "chaos-conn-torn", 0, "chaos: per-frame-write torn-frame probability on binary-wire conns (cluster mode, every node)")
+	fs.Float64Var(&nc.Conn.Reset, "chaos-conn-reset", 0, "chaos: per-frame-write conn-reset probability on binary-wire conns (cluster mode, every node)")
+	fs.Float64Var(&nc.Conn.Stall, "chaos-conn-stall", 0, "chaos: per-frame-write slow-writer stall probability on binary-wire conns (cluster mode, every node)")
 
 	lg := &o.loadgen
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
@@ -377,9 +377,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	t0 := time.Now()
 	var t target
-	if o.cluster.Nodes > 0 || len(o.cluster.Peers) > 0 {
+	if o.cluster.Nodes != 0 || len(o.cluster.Peers) > 0 {
 		// Cluster mode: N nodes behind the scatter-gather router, each a
-		// full serving stack (fleet nodes get -cold and -chaos-* per node).
+		// full serving stack (in-binary nodes get -cold and -chaos-* per node).
 		logf("building cluster (%d nodes, %d peers)...", o.cluster.Nodes, len(o.cluster.Peers))
 		cs, err := recross.NewClusterServer(o.arch, o.cfg, o.cluster)
 		if err != nil {

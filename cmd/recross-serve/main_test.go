@@ -90,6 +90,7 @@ func TestRunRejects(t *testing.T) {
 		"-precision fp8",
 		"-chaos-cold-read-err 0.1", // needs -cold
 		"-cluster 2 -adapt",        // the router's rebalance loop owns adaptation
+		"-cluster -1",              // a negative node count, not single-node mode
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil {

@@ -1,5 +1,6 @@
 // The cluster example demonstrates multi-node sharded serving end to
-// end: a 4-node goroutine fleet behind the scatter-gather router, with
+// end: 4 in-binary nodes, each a serving stack behind its own loopback
+// binary-wire listener, fronted by the scatter-gather router, with
 // cost-mode placement and hot-table replication.
 //
 //  1. Healthy serving: every lookup scatters to the nodes owning its
@@ -7,7 +8,7 @@
 //     load is spread across its replicas by least-outstanding dispatch.
 //  2. Node loss: killing a node degrades only the tables uniquely on
 //     it (the router answers those from its own functional layer, still
-//     bit-exact) — lookups never fail. Restarting the node gets it
+//     bit-exact) — lookups never fail. Reviving the node gets it
 //     re-admitted by the background prober.
 //  3. Traffic shift: when the workload's hot table changes, the live
 //     frequency sketches see the new volume ranking and the rebalance
@@ -55,6 +56,9 @@ func hotOwners(pl *recross.ClusterPlacement) (int, []int) {
 func main() {
 	spec := demoSpec(0)
 	fmt.Println("building a 4-node ReCross cluster (cost placement, hot table replicated on 2)...")
+	// Each node handle is wrapped in a fault injector with no rates: it
+	// only kills and revives on command.
+	nodes := make([]*recross.FaultyNode, 4)
 	cs, err := recross.NewClusterServer(recross.ReCross, recross.Config{
 		Spec: spec, ProfileSamples: 500, Batch: 16,
 	}, recross.ClusterConfig{
@@ -65,6 +69,10 @@ func main() {
 		ProbeInterval:  50 * time.Millisecond,
 		RebalanceEvery: 200 * time.Millisecond,
 		Serve:          recross.ServeOptions{MaxBatch: 8},
+		WrapNode: func(i int, n recross.ClusterNode) recross.ClusterNode {
+			nodes[i] = recross.WrapFaultyNode(n, recross.NodeFaultConfig{}, i, nil)
+			return nodes[i]
+		},
 	})
 	check(err)
 	defer cs.Close()
@@ -82,8 +90,8 @@ func main() {
 	// Phase 1: healthy scatter-gather, answers checked bit for bit.
 	fmt.Println("\nphase 1: healthy serving (300 lookups)")
 	drive(cs, layer, gen, 300)
-	for i := 0; i < cs.Fleet.Len(); i++ {
-		st := cs.Fleet.Node(i).Stats()
+	for i, n := range nodes {
+		st := n.Stats()
 		fmt.Printf("  node%d served %d sub-requests\n", i, st.Lookups)
 	}
 	fmt.Println("  300/300 answers bit-identical to the functional layer")
@@ -91,14 +99,14 @@ func main() {
 	// Phase 2: kill a node that uniquely owns tables; serving degrades
 	// for exactly those tables and never fails.
 	victim := 0
-	for i := 0; i < cs.Fleet.Len(); i++ {
+	for i := range nodes {
 		if len(pl.UniqueTables(i)) > 0 {
 			victim = i
 			break
 		}
 	}
 	fmt.Printf("\nphase 2: killing node%d (uniquely owns tables %v)\n", victim, pl.UniqueTables(victim))
-	check(cs.Fleet.Kill(victim))
+	nodes[victim].Kill()
 	degraded := 0
 	for i := 0; i < 100; i++ {
 		sample := gen.Sample()
@@ -113,10 +121,10 @@ func main() {
 	fmt.Printf("  100 lookups: 0 errors, %d degraded (still bit-exact); health %q, %d/%d nodes\n",
 		degraded, h.Status, h.Available, h.Nodes)
 
-	fmt.Printf("  restarting node%d...\n", victim)
-	check(cs.Fleet.Restart(victim))
+	fmt.Printf("  reviving node%d...\n", victim)
+	nodes[victim].Revive()
 	deadline := time.Now().Add(5 * time.Second)
-	for cs.Router.Health().Available != cs.Fleet.Len() {
+	for cs.Router.Health().Available != len(nodes) {
 		if time.Now().After(deadline) {
 			fmt.Println("  node never re-admitted")
 			os.Exit(1)

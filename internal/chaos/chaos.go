@@ -252,18 +252,6 @@ func Wrap(inner arch.System, cfg Config, id int, inj *Injector) *FaultySystem {
 	}
 }
 
-// WrapFleet wraps every system of a pool with one shared Injector,
-// seeding replica i with cfg.Seed+i. Returns the wrapped systems (as
-// arch.System, ready for serve.Options.Systems) and the injector.
-func WrapFleet(systems []arch.System, cfg Config) ([]arch.System, *Injector) {
-	inj := NewInjector()
-	out := make([]arch.System, len(systems))
-	for i, sys := range systems {
-		out[i] = Wrap(sys, cfg, i, inj)
-	}
-	return out, inj
-}
-
 // Name identifies the wrapper and its inner architecture.
 func (s *FaultySystem) Name() string { return "chaos(" + s.inner.Name() + ")" }
 

@@ -178,17 +178,18 @@ func TestLatency(t *testing.T) {
 	}
 }
 
-// TestFleetCounters: WrapFleet shares one injector across replicas and
-// Total sums the per-kind counts.
+// TestFleetCounters: replicas wrapped with one shared injector count
+// into it, and Total sums the per-kind counts.
 func TestFleetCounters(t *testing.T) {
 	systems := []arch.System{&countSys{}, &countSys{}}
 	cfg := Config{Schedule: []Rule{
 		{Replica: 0, Batch: 1, Kind: Corrupt},
 		{Replica: 1, Batch: 1, Kind: Latency},
 	}, Stall: time.Microsecond}
-	wrapped, inj := WrapFleet(systems, cfg)
-	if len(wrapped) != 2 {
-		t.Fatalf("wrapped %d systems", len(wrapped))
+	inj := NewInjector()
+	var wrapped []*FaultySystem
+	for i, sys := range systems {
+		wrapped = append(wrapped, Wrap(sys, cfg, i, inj))
 	}
 	for _, w := range wrapped {
 		if _, err := w.Run(batch()); err != nil {

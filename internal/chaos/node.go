@@ -53,8 +53,7 @@ type NodeConfig struct {
 	// Rates are the per-Lookup fault probabilities.
 	Rates NodeRates
 	// Conn are the per-frame-write fault probabilities applied by the
-	// binary transport's FaultyConn wrapper (in-process nodes have no
-	// conn and ignore them).
+	// binary transport's FaultyConn wrapper.
 	Conn ConnRates
 	// Stall is the NodeSlow stall duration (default 2ms).
 	Stall time.Duration

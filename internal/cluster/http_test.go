@@ -165,10 +165,10 @@ func TestRouterFederation(t *testing.T) {
 }
 
 // TestRouterCarriesColdDegraded: a node answering through its storage
-// tier's direct-materialization fallback says so on every transport, and
-// the router must not drop it — Result.ColdDegraded is the OR over the
-// sub-results, and both router front-ends (JSON and binary) pass it on. A
-// healthy node next to it keeps its answers clean.
+// tier's direct-materialization fallback says so over the binary wire,
+// and the router must not drop it — Result.ColdDegraded is the OR over
+// the sub-results, and both router front-ends (JSON and binary) pass it
+// on. A healthy node next to it keeps its answers clean.
 func TestRouterCarriesColdDegraded(t *testing.T) {
 	layer := clusterLayer(t)
 	newServer := func(coldDegraded bool) *serve.Server {
@@ -182,73 +182,68 @@ func TestRouterCarriesColdDegraded(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		return srv
 	}
-	healthy := NewLocalNode("healthy", newServer(false))
-	transports := map[string]func(*serve.Server) Node{
-		"local": func(srv *serve.Server) Node { return NewLocalNode("sick", srv) },
-		"binary": func(srv *serve.Server) Node {
-			addr, _ := newBinPeer(t, srv, layer)
-			n := NewBinNode("sick", addr, BinNodeOptions{})
-			t.Cleanup(func() { n.Close() })
-			return n
-		},
+	binNode := func(id string, srv *serve.Server) Node {
+		addr, _ := newBinPeer(t, srv, layer)
+		n := NewBinNode(id, addr, BinNodeOptions{})
+		t.Cleanup(func() { n.Close() })
+		return n
 	}
-	for name, transport := range transports {
-		t.Run(name, func(t *testing.T) {
-			// Table 0 lives on the cold-degraded node, table 1 on the healthy one.
-			owners := make([][]int, layer.Tables())
-			for tb := range owners {
-				owners[tb] = []int{1}
-			}
-			owners[0] = []int{0}
-			r, err := NewRouter(Options{
-				Nodes:     []Node{transport(newServer(true)), healthy},
-				Placement: manualPlacement([]string{"sick", "healthy"}, owners),
-				Layer:     layer, ProbeInterval: -1, HedgeDelay: -1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			op := func(table int) trace.Op {
-				return trace.Op{Table: table, Kind: trace.WeightedSum, Indices: []int64{1, 2}, Weights: []float32{1, 0.5}}
-			}
-			mixed, clean := trace.Sample{op(0), op(1)}, trace.Sample{op(1)}
-
-			res, err := r.Lookup(context.Background(), mixed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.ColdDegraded || res.Degraded {
-				t.Errorf("router result: ColdDegraded=%v Degraded=%v, want true/false", res.ColdDegraded, res.Degraded)
-			}
-			checkIdentical(t, layer, mixed, res.Vectors)
-			if res, err := r.Lookup(context.Background(), clean); err != nil || res.ColdDegraded {
-				t.Errorf("lookup on the healthy node only: ColdDegraded=%v, err %v", res != nil && res.ColdDegraded, err)
-			}
-
-			// Both router front-ends carry the flag to their callers: the
-			// JSON one to an HTTP client, the binary one to an upstream router.
-			front := httptest.NewServer(r.Handler())
-			defer front.Close()
-			if got := postLookup(t, front.URL, mixed); !got.ColdDegraded || got.Replica != -1 {
-				t.Errorf("json front-end: ColdDegraded=%v Replica=%d, want true/-1", got.ColdDegraded, got.Replica)
-			}
-			if got := postLookup(t, front.URL, clean); got.ColdDegraded {
-				t.Errorf("json front-end, healthy node only: %+v", got)
-			}
-			baddr, _ := newBinPeer(t, RouterBackend{r}, layer)
-			bfront := NewBinNode("front", baddr, BinNodeOptions{})
-			defer bfront.Close()
-			got, err := bfront.Lookup(context.Background(), mixed)
-			if err != nil {
-				t.Fatalf("binary front-end: %v", err)
-			}
-			if !got.ColdDegraded || got.Replica != -1 {
-				t.Errorf("binary front-end: ColdDegraded=%v Replica=%d, want true/-1", got.ColdDegraded, got.Replica)
-			}
-			if got, err := bfront.Lookup(context.Background(), clean); err != nil || got.ColdDegraded {
-				t.Errorf("binary front-end, healthy node only: %+v, %v", got, err)
-			}
+	healthy := binNode("healthy", newServer(false))
+	t.Run("binary", func(t *testing.T) {
+		// Table 0 lives on the cold-degraded node, table 1 on the healthy one.
+		owners := make([][]int, layer.Tables())
+		for tb := range owners {
+			owners[tb] = []int{1}
+		}
+		owners[0] = []int{0}
+		r, err := NewRouter(Options{
+			Nodes:     []Node{binNode("sick", newServer(true)), healthy},
+			Placement: manualPlacement([]string{"sick", "healthy"}, owners),
+			Layer:     layer, ProbeInterval: -1, HedgeDelay: -1,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		op := func(table int) trace.Op {
+			return trace.Op{Table: table, Kind: trace.WeightedSum, Indices: []int64{1, 2}, Weights: []float32{1, 0.5}}
+		}
+		mixed, clean := trace.Sample{op(0), op(1)}, trace.Sample{op(1)}
+
+		res, err := r.Lookup(context.Background(), mixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.ColdDegraded || res.Degraded {
+			t.Errorf("router result: ColdDegraded=%v Degraded=%v, want true/false", res.ColdDegraded, res.Degraded)
+		}
+		checkIdentical(t, layer, mixed, res.Vectors)
+		if res, err := r.Lookup(context.Background(), clean); err != nil || res.ColdDegraded {
+			t.Errorf("lookup on the healthy node only: ColdDegraded=%v, err %v", res != nil && res.ColdDegraded, err)
+		}
+
+		// Both router front-ends carry the flag to their callers: the
+		// JSON one to an HTTP client, the binary one to an upstream router.
+		front := httptest.NewServer(r.Handler())
+		defer front.Close()
+		if got := postLookup(t, front.URL, mixed); !got.ColdDegraded || got.Replica != -1 {
+			t.Errorf("json front-end: ColdDegraded=%v Replica=%d, want true/-1", got.ColdDegraded, got.Replica)
+		}
+		if got := postLookup(t, front.URL, clean); got.ColdDegraded {
+			t.Errorf("json front-end, healthy node only: %+v", got)
+		}
+		baddr, _ := newBinPeer(t, RouterBackend{r}, layer)
+		bfront := NewBinNode("front", baddr, BinNodeOptions{})
+		defer bfront.Close()
+		got, err := bfront.Lookup(context.Background(), mixed)
+		if err != nil {
+			t.Fatalf("binary front-end: %v", err)
+		}
+		if !got.ColdDegraded || got.Replica != -1 {
+			t.Errorf("binary front-end: ColdDegraded=%v Replica=%d, want true/-1", got.ColdDegraded, got.Replica)
+		}
+		if got, err := bfront.Lookup(context.Background(), clean); err != nil || got.ColdDegraded {
+			t.Errorf("binary front-end, healthy node only: %+v, %v", got, err)
+		}
+	})
 }

@@ -19,11 +19,12 @@
 // owners are all down: node loss degrades (Result.Degraded), it never
 // fails — PR 2's quorum semantics at cluster scope.
 //
-// Transport is a seam: cluster.Node is implemented by LocalNode (wraps
-// a serve.Server in-process), by Fleet (N servers in one binary), and
-// by BinNode (a real TCP peer speaking the binary frame protocol — the
-// one transport between processes), so the router — and everything
-// above it — never knows which it holds.
+// Every node is reached one way: a BinNode speaking the binary frame
+// protocol to a BinServer, whether that server runs in another process
+// or on a loopback port of this one. cluster.Node is the seam the
+// router holds, so a FaultyNode can wrap a BinNode to kill, partition
+// or slow it (the only way a node is taken down on purpose) without
+// the router — or anything above it — knowing.
 package cluster
 
 import (
@@ -35,8 +36,8 @@ import (
 	"recross/internal/trace"
 )
 
-// ErrNodeDown reports a call on a node that is not serving (killed
-// fleet member, refused connection). The router treats it like any
+// ErrNodeDown reports a call on a node that is not serving (a closed
+// BinNode, a refused connection). The router treats it like any
 // other node failure: retry on a replica, then functional fallback.
 var ErrNodeDown = errors.New("cluster: node down")
 
@@ -84,61 +85,6 @@ type Node interface {
 	Health(ctx context.Context) (serve.HealthReport, error)
 	// Stats reports cumulative serving counters.
 	Stats() NodeStats
-	// Close releases the node (draining if it owns a server).
+	// Close releases the node's connections, never the server behind it.
 	Close() error
-}
-
-// LocalNode is the in-process transport driver: it wraps a
-// *serve.Server directly. The server pointer is swappable so a Fleet
-// can kill and later restart the node while routers keep their handle.
-type LocalNode struct {
-	id           string
-	srv          atomic.Pointer[serve.Server]
-	nodeCounters // cumulative; they survive Swap
-}
-
-// NewLocalNode wraps srv as a node named id.
-func NewLocalNode(id string, srv *serve.Server) *LocalNode {
-	n := &LocalNode{id: id}
-	n.srv.Store(srv)
-	return n
-}
-
-// ID names the node.
-func (n *LocalNode) ID() string { return n.id }
-
-// Server returns the currently installed server (nil while killed).
-func (n *LocalNode) Server() *serve.Server { return n.srv.Load() }
-
-// Swap installs a new server (nil to take the node down) and returns
-// the previous one. The caller owns closing the returned server.
-func (n *LocalNode) Swap(srv *serve.Server) *serve.Server {
-	return n.srv.Swap(srv)
-}
-
-// Lookup serves one sample on the wrapped server.
-func (n *LocalNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
-	srv := n.srv.Load()
-	if srv == nil {
-		return n.tally(nil, ErrNodeDown)
-	}
-	return n.tally(srv.Lookup(ctx, sample))
-}
-
-// Health reports the wrapped server's health.
-func (n *LocalNode) Health(ctx context.Context) (serve.HealthReport, error) {
-	_ = ctx
-	srv := n.srv.Load()
-	if srv == nil {
-		return serve.HealthReport{}, ErrNodeDown
-	}
-	return srv.Health(), nil
-}
-
-// Close drains and closes the wrapped server, leaving the node down.
-func (n *LocalNode) Close() error {
-	if srv := n.srv.Swap(nil); srv != nil {
-		return srv.Close()
-	}
-	return nil
 }

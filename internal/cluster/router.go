@@ -638,7 +638,7 @@ func (r *Router) probe() {
 }
 
 // Close stops the prober. It does not close the nodes — the router
-// does not own them (a Fleet or the caller does).
+// does not own them (the caller does).
 func (r *Router) Close() error {
 	r.closed.Store(true)
 	r.stopOnce.Do(func() { close(r.stop) })

@@ -307,7 +307,7 @@ func TestBinNodeLookup(t *testing.T) {
 	}
 }
 
-// TestBinJSONDifferential: the same server reached in-process (the
+// TestBinJSONDifferential: the same server called directly (the
 // reference), over the binary wire and through its JSON front-end
 // answers bit-identically — vectors and flags — across random batches.
 func TestBinJSONDifferential(t *testing.T) {
@@ -317,7 +317,6 @@ func TestBinJSONDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	local := NewLocalNode("local", srv)
 
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -327,7 +326,7 @@ func TestBinJSONDifferential(t *testing.T) {
 	defer binNode.Close()
 
 	for i, sample := range clusterSamples(t, 30) {
-		want, err := local.Lookup(context.Background(), sample)
+		want, err := srv.Lookup(context.Background(), sample)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,6 +126,8 @@ func Select(args []string) ([]Experiment, error) {
 		switch {
 		case a == "ext" || a == "all":
 			return nil, fmt.Errorf("%q must be the only argument (flags go before experiment names)", a)
+		case strings.HasPrefix(a, "-"):
+			return nil, fmt.Errorf("%q is not an experiment: flags go before experiment names", a)
 		case j < 0:
 			var names []string
 			for _, e := range Experiments {

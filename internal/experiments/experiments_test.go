@@ -454,6 +454,7 @@ func TestSelect(t *testing.T) {
 		{[]string{"all", "fig9"}, nil, `"all" must be the only argument`},
 		{[]string{"fig9", "ext"}, nil, `"ext" must be the only argument`},
 		{[]string{"all", "-csv", "out"}, nil, `"all" must be the only argument`},
+		{[]string{"fig9", "-csv", "out"}, nil, `"-csv" is not an experiment: flags go before experiment names`},
 	} {
 		got, err := Select(tc.args)
 		switch {

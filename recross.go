@@ -31,7 +31,9 @@ package recross
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -156,16 +158,13 @@ type (
 	FaultySystem = chaos.FaultySystem
 
 	// ClusterNode is the cluster transport driver interface
-	// (Lookup/Health/Stats/Close) — implemented in-process, by a
-	// goroutine fleet, and by binary-wire peers.
+	// (Lookup/Health/Stats/Close): a BinNode over the binary wire,
+	// optionally wrapped by a FaultyNode.
 	ClusterNode = cluster.Node
 	// ClusterRouter is the stateless scatter-gather front of a cluster:
 	// placement-driven batch splitting, per-node deadlines, hedged
 	// requests, least-outstanding replica dispatch, functional fallback.
 	ClusterRouter = cluster.Router
-	// ClusterFleet is N serve.Servers in one binary, each a ClusterNode,
-	// with Kill/Restart lifecycle control.
-	ClusterFleet = cluster.Fleet
 	// ClusterPlacement maps tables to owning nodes (primary first).
 	ClusterPlacement = cluster.Placement
 	// ClusterPlacementOptions configures ring/cost placement builds.
@@ -858,30 +857,33 @@ func Loadgen(s *Server, opts LoadgenOptions) (*LoadgenReport, error) {
 	return serve.Loadgen(s, opts)
 }
 
-// ClusterConfig configures NewClusterServer: cluster shape (goroutine
-// fleet or binary-wire peers), placement policy, hot-table replication, and
-// router timing knobs. Zero values take sensible defaults.
+// ClusterConfig configures NewClusterServer: cluster shape (in-binary
+// nodes or peer processes, both reached over the binary wire), placement
+// policy, hot-table replication, and router timing knobs. Zero values
+// take sensible defaults.
 type ClusterConfig struct {
-	// Nodes is the goroutine-fleet size (default 4). Ignored when Peers
-	// is set.
+	// Nodes is how many serving stacks to build in this binary (default
+	// 4), each behind its own loopback binary listener. Ignored when
+	// Peers is set.
 	Nodes int
-	// Peers, when non-empty, switches to the real-network transport:
-	// one node per peer address instead of an in-binary fleet. Each is a
-	// `recross-serve -bin-addr` listener, written "host:port" or
-	// "bin://host:port"; nodes speak only the binary protocol, so any
-	// other scheme is rejected.
+	// Peers, when non-empty, fronts other processes instead of building
+	// nodes here: one node per peer address. Each is a `recross-serve
+	// -bin-addr` listener, written "host:port" or "bin://host:port";
+	// nodes speak only the binary protocol, so any other scheme is
+	// rejected.
 	Peers []string
-	// WireConns is each BinNode's connection-pool size (default 2).
+	// WireConns is each node's binary-wire connection-pool size
+	// (default 2).
 	WireConns int
 	// WirePrecision compresses binary-wire response vectors: "fp32"
 	// (default; raw bits, bit-identical), "fp16" or "int8" (the storage
 	// codecs' single rounding, opt-in and non-canonical).
 	WirePrecision string
-	// WrapDial, when set, interposes on every binary-transport dial —
-	// the conn-level fault-injection seam (wrap with WrapFaultyBinDial
+	// WrapDial, when set, interposes on every binary-wire dial to node i
+	// — the conn-level fault-injection seam (wrap with WrapFaultyBinDial
 	// for chaos campaigns). nil means plain TCP.
 	WrapDial func(i int, d BinDial) BinDial
-	// ReplicasPerNode is each fleet node's serve-pool size (default 1).
+	// ReplicasPerNode is each in-binary node's serve-pool size (default 1).
 	ReplicasPerNode int
 
 	// Placement selects the partitioning mode: "ring" (default;
@@ -911,8 +913,8 @@ type ClusterConfig struct {
 	RebalanceEvery time.Duration
 
 	// Serve carries per-node serving knobs (batching, queueing, quorum,
-	// row cache); Systems/Layer/Rebuild are filled per node. Fleet mode
-	// only.
+	// row cache); Systems/Layer/Rebuild are filled per node. In-binary
+	// nodes only.
 	Serve ServeOptions
 
 	// WrapNode, when set, interposes on every node handle before the
@@ -937,17 +939,43 @@ func (cc ClusterConfig) withDefaults() ClusterConfig {
 	return cc
 }
 
+// validate rejects a bad config before any node is built, naming the
+// field at fault.
+func (cc ClusterConfig) validate() error {
+	if cc.Nodes < 0 {
+		return fmt.Errorf("recross: ClusterConfig.Nodes is %d; want a positive node count (0 = default)", cc.Nodes)
+	}
+	if cc.WireConns < 0 {
+		return fmt.Errorf("recross: ClusterConfig.WireConns is %d; want a positive pool size (0 = default)", cc.WireConns)
+	}
+	if _, err := kernels.ParsePrecision(cc.WirePrecision); err != nil {
+		return fmt.Errorf("recross: ClusterConfig.WirePrecision: %w", err)
+	}
+	if cc.Placement != "ring" && cc.Placement != "cost" {
+		return fmt.Errorf("recross: ClusterConfig.Placement %q: want ring or cost", cc.Placement)
+	}
+	for _, peer := range cc.Peers {
+		if strings.Contains(peer, "://") && !strings.HasPrefix(peer, "bin://") {
+			return fmt.Errorf("recross: ClusterConfig.Peers: peer %q: nodes speak only the binary wire; give the peer's -bin-addr listener as host:port or bin://host:port", peer)
+		}
+	}
+	return nil
+}
+
 // ClusterServer is a running cluster: the router (the only handle
-// request traffic needs), the fleet when the nodes live in this binary
-// (nil in Peers mode), and the frequency tracker feeding the
-// rebalancer. Close stops the rebalance loop, the router, and the
-// fleet or the peer connections, in that order.
+// request traffic needs), the nodes' serving stacks when they live in
+// this binary, and the frequency tracker feeding the rebalancer. Close
+// stops the rebalance loop, the router, the wire clients, the in-binary
+// listeners and the stacks, in that order.
 type ClusterServer struct {
-	Router  *ClusterRouter
-	Fleet   *ClusterFleet
+	Router *ClusterRouter
+	// Stacks are the in-binary nodes' stacks, node i at index i (nil
+	// with Peers).
+	Stacks  []*Stack
 	Tracker *FreqTracker
 
-	peers []*cluster.BinNode // Peers mode's wire clients; the router does not own them
+	nodes     []*BinNode     // the router's wire clients; the router does not own them
+	listeners []func() error // the in-binary nodes' binary listeners
 
 	stop     chan struct{} // closed once by Close
 	stopOnce sync.Once
@@ -959,62 +987,46 @@ type ClusterServer struct {
 // tables costs a node nothing at rest — the placement partitions
 // serving load, not functional capacity, and bit-identity holds on
 // every path), a placement replicating the largest-volume tables on
-// Replication nodes, and a router fronting it all. With
-// RebalanceEvery set, a background loop re-derives table volumes from
-// the live frequency sketches and swaps refreshed placements into the
-// router — the cluster-scope analogue of the adaptive repartitioner.
+// Replication nodes, and a router fronting it all. Every node is
+// reached over the binary wire: the in-binary ones are NewStacks behind
+// loopback listeners, so they differ from Peers only in who started
+// the listener. With RebalanceEvery set, a background loop re-derives
+// table volumes from the live frequency sketches and swaps refreshed
+// placements into the router — the cluster-scope analogue of the
+// adaptive repartitioner.
 func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, err error) {
 	cc = cc.withDefaults()
+	if err = cc.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Adapt != nil {
 		return nil, fmt.Errorf("recross: adaptive repartitioning is per-node; a cluster rebalances placements with ClusterConfig.RebalanceEvery instead")
 	}
 	if len(cc.Peers) > 0 && (cfg.Cold != nil || cfg.Chaos != nil) {
 		return nil, fmt.Errorf("recross: the cold tier and replica chaos are per-node stages; configure them on the peer processes, not on the router fronting them")
 	}
-	for _, peer := range cc.Peers {
-		if strings.Contains(peer, "://") && !strings.HasPrefix(peer, "bin://") {
-			return nil, fmt.Errorf("recross: peer %q: nodes speak only the binary wire; give the peer's -bin-addr listener as host:port or bin://host:port", peer)
-		}
-	}
 	if err = cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
 	spec := cfg.Spec
+	cs := &ClusterServer{stop: make(chan struct{}), done: make(chan struct{})}
+	defer func() {
+		if err != nil {
+			_ = cs.closeNodes()
+		}
+	}()
 
-	// Assemble the node set: an in-binary fleet, or binary-wire peers.
-	var fleet *ClusterFleet
-	var peers []*cluster.BinNode
-	var nodes []ClusterNode
-	var ids []string
-	if len(cc.Peers) > 0 {
-		defer func() {
-			if err != nil {
-				closePeers(peers)
-			}
-		}()
-		prec, perr := kernels.ParsePrecision(cc.WirePrecision)
-		if cc.WirePrecision != "" && perr != nil {
-			return nil, fmt.Errorf("recross: wire precision: %w", perr)
-		}
-		for i, peer := range cc.Peers {
-			bo := BinNodeOptions{Conns: cc.WireConns, Precision: prec}
-			if cc.WrapDial != nil {
-				bo.Dial = cc.WrapDial(i, nil)
-			}
-			n := cluster.NewBinNode(peer, peer, bo)
-			peers = append(peers, n)
-			nodes = append(nodes, n)
-			ids = append(ids, n.ID())
-		}
-	} else {
+	// Without peers, start the nodes here: each a full stack from the one
+	// pipeline, sharing the cluster's single profiling pass and node 0's
+	// plan; with chaos, node i's replicas draw from their own seeds so
+	// nodes do not fault in lockstep.
+	addrs, ids := cc.Peers, cc.Peers
+	if len(cc.Peers) == 0 {
 		if cfg, err = cfg.profiled(a); err != nil {
 			return nil, err
 		}
-		fleet, err = cluster.NewFleet(cc.Nodes, func(i int) (*Server, error) {
-			// Every node is a full stack from the one pipeline, sharing the
-			// cluster's single profiling pass and node 0's plan; with
-			// chaos, node i's replicas draw from their own seeds so nodes
-			// do not fault in lockstep.
+		addrs, ids = make([]string, cc.Nodes), make([]string, cc.Nodes)
+		for i := range addrs {
 			nc := cfg
 			if cfg.Chaos != nil {
 				fc := *cfg.Chaos
@@ -1026,27 +1038,31 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 			}
 			st, err := NewStack(a, nc, cc.ReplicasPerNode, cc.Serve)
 			if err != nil {
+				return nil, fmt.Errorf("recross: build node %d: %w", i, err)
+			}
+			cs.Stacks = append(cs.Stacks, st)
+			cfg.placement = st.plan
+			addr, closeLis, err := serveLoopback(st.Server)
+			if err != nil {
 				return nil, err
 			}
-			cfg.placement = st.plan
-			return st.Server, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer func() {
-			if err != nil {
-				_ = fleet.Close()
-			}
-		}()
-		nodes = fleet.Nodes()
-		for _, n := range nodes {
-			ids = append(ids, n.ID())
+			cs.listeners = append(cs.listeners, closeLis)
+			addrs[i], ids[i] = addr, fmt.Sprintf("node%d", i)
 		}
 	}
-	if cc.WrapNode != nil {
-		for i := range nodes {
-			nodes[i] = cc.WrapNode(i, nodes[i])
+
+	prec, _ := kernels.ParsePrecision(cc.WirePrecision) // validated above
+	nodes := make([]ClusterNode, len(addrs))
+	for i, addr := range addrs {
+		bo := BinNodeOptions{Conns: cc.WireConns, Precision: prec}
+		if cc.WrapDial != nil {
+			bo.Dial = cc.WrapDial(i, nil)
+		}
+		n := cluster.NewBinNode(ids[i], addr, bo)
+		cs.nodes = append(cs.nodes, n)
+		nodes[i] = n
+		if cc.WrapNode != nil {
+			nodes[i] = cc.WrapNode(i, n)
 		}
 	}
 
@@ -1076,8 +1092,7 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		return nil, err
 	}
 
-	cs := &ClusterServer{Router: router, Fleet: fleet, Tracker: tracker, peers: peers,
-		stop: make(chan struct{}), done: make(chan struct{})}
+	cs.Router, cs.Tracker = router, tracker
 	if cc.RebalanceEvery > 0 {
 		go cs.rebalance(spec, ids, cc)
 	} else {
@@ -1142,14 +1157,10 @@ func clusterPlacement(spec ModelSpec, ids []string, cc ClusterConfig, totals []i
 		Replication: cc.Replication,
 		Hot:         cluster.HotTopK(vols, k),
 	}
-	switch cc.Placement {
-	case "ring":
-		return cluster.RingPlacement(len(spec.Tables), ids, popts)
-	case "cost":
+	if cc.Placement == "cost" {
 		return cluster.CostPlacement(vols, ids, popts)
-	default:
-		return nil, fmt.Errorf("recross: unknown placement mode %q", cc.Placement)
 	}
+	return cluster.RingPlacement(len(spec.Tables), ids, popts)
 }
 
 func batchOf(maxBatch int) int {
@@ -1164,26 +1175,52 @@ func (cs *ClusterServer) Lookup(ctx context.Context, sample Sample) (*ClusterRes
 	return cs.Router.Lookup(ctx, sample)
 }
 
-// Close stops the rebalance loop, the router, then the fleet or the
-// peer connections.
+// Close stops the rebalance loop, the router, the wire clients, the
+// in-binary listeners (waiting for each Serve to return), then the
+// stacks.
 func (cs *ClusterServer) Close() error {
 	cs.stopOnce.Do(func() { close(cs.stop) })
 	<-cs.done
-	err := cs.Router.Close()
-	if cs.Fleet != nil {
-		if ferr := cs.Fleet.Close(); err == nil {
-			err = ferr
-		}
-	}
-	closePeers(cs.peers)
-	return err
+	return errors.Join(cs.Router.Close(), cs.closeNodes())
 }
 
-// closePeers tears down the peers' conn pools (BinNode.Close cannot fail).
-func closePeers(peers []*cluster.BinNode) {
-	for _, n := range peers {
-		_ = n.Close()
+// closeNodes tears down everything under the router, joining the errors.
+func (cs *ClusterServer) closeNodes() error {
+	var errs []error
+	for _, n := range cs.nodes {
+		errs = append(errs, n.Close())
 	}
+	for _, closeLis := range cs.listeners {
+		errs = append(errs, closeLis())
+	}
+	for _, st := range cs.Stacks {
+		errs = append(errs, st.Close())
+	}
+	return errors.Join(errs...)
+}
+
+// serveLoopback serves srv's binary wire on a fresh 127.0.0.1 port. It
+// returns the bound address and a close that stops the listener and
+// waits for Serve to return.
+func serveLoopback(srv *Server) (string, func() error, error) {
+	bs, err := NewBinServer(srv)
+	if err != nil {
+		return "", nil, err
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		bs.Serve(lis) // returns once bs.Close closes the listener
+	}()
+	return lis.Addr().String(), func() error {
+		err := bs.Close()
+		<-served
+		return err
+	}, nil
 }
 
 // ClusterLoadgen drives the router with closed-loop clients.

@@ -312,8 +312,8 @@ func testStackAllStages(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// testFleetColdChaos: fleet nodes come from the same pipeline, so each
-// gets its own cold store and chaos-wrapped replicas.
+// testFleetColdChaos: in-binary cluster nodes come from the same
+// pipeline, so each gets its own cold store and chaos-wrapped replicas.
 func testFleetColdChaos(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg, opts := stackCase(t, true, false, true, FP32)
@@ -339,10 +339,10 @@ func testFleetColdChaos(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		drive()
 	}
-	// Node 0's first replica planned for the whole fleet.
+	// Node 0's first replica planned for the whole cluster.
 	var plan *partition.Placement
-	for i := 0; i < cs.Fleet.Len(); i++ {
-		for id, v := range probeReplicas(t, cs.Fleet.Node(i).Server(), drive) {
+	for i, st := range cs.Stacks {
+		for id, v := range probeReplicas(t, st.Server, drive) {
 			if plan == nil {
 				plan = v.pl
 			}
@@ -355,8 +355,7 @@ func testFleetColdChaos(t *testing.T) {
 		t.Errorf("%d cold backing files for 2 nodes", len(files))
 	}
 	var faults int64
-	for i := 0; i < cs.Fleet.Len(); i++ {
-		srv := cs.Fleet.Node(i).Server()
+	for i, srv := range cs.Stacks {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		if !strings.Contains(rec.Body.String(), "recross_coldstore_page_reads_total") {
@@ -366,7 +365,7 @@ func testFleetColdChaos(t *testing.T) {
 		faults += snap.FaultPanics + snap.FaultWedges + snap.FaultCorrupt + snap.FaultErrors
 	}
 	if faults == 0 {
-		t.Error("no fleet replica observed an injected fault")
+		t.Error("no node's replica observed an injected fault")
 	}
 	if _, err := NewClusterServer(ReCross, Config{Spec: cfg.Spec, Adapt: &AdaptOptions{}}, ClusterConfig{Nodes: 2}); err == nil {
 		t.Error("cluster accepted Config.Adapt")
