@@ -62,17 +62,6 @@ func WrapFaultyNode(inner Node, cfg chaos.NodeConfig, id int, inj *chaos.Injecto
 	}
 }
 
-// WrapFaultyNodes wraps every node of a cluster with one shared
-// injector, seeding node i with cfg.Seed+i.
-func WrapFaultyNodes(nodes []Node, cfg chaos.NodeConfig) ([]Node, *chaos.Injector) {
-	inj := chaos.NewInjector()
-	out := make([]Node, len(nodes))
-	for i, n := range nodes {
-		out[i] = WrapFaultyNode(n, cfg, i, inj)
-	}
-	return out, inj
-}
-
 // Kill takes the node down until Revive (the manual form of NodeKill)
 // or, with cfg.Downtime set, until the downtime elapses.
 func (n *FaultyNode) Kill() {

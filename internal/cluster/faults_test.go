@@ -146,10 +146,9 @@ func TestFaultyNodeDeterminism(t *testing.T) {
 func TestFaultyNodeRates(t *testing.T) {
 	layer := clusterLayer(t)
 	nodes := []Node{newFakeNode("n0", layer), newFakeNode("n1", layer)}
-	wrapped, inj := WrapFaultyNodes(nodes, chaos.NodeConfig{
-		Rates: chaos.NodeRates{Slow: 0.5},
-		Stall: time.Microsecond,
-	})
+	cfg := chaos.NodeConfig{Rates: chaos.NodeRates{Slow: 0.5}, Stall: time.Microsecond}
+	inj := chaos.NewInjector()
+	wrapped := []Node{WrapFaultyNode(nodes[0], cfg, 0, inj), WrapFaultyNode(nodes[1], cfg, 1, inj)}
 	if len(wrapped) != 2 {
 		t.Fatal("wrap count")
 	}
@@ -187,7 +186,8 @@ func TestFaultyNodeUnderRouter(t *testing.T) {
 	}
 	inner := []Node{newFakeNode("node0", layer), newFakeNode("node1", layer)}
 	cfg := chaos.NodeConfig{Schedule: []chaos.NodeRule{{Node: 0, Call: 1, Kind: chaos.NodeKill}}}
-	wrapped, inj := WrapFaultyNodes(inner, cfg)
+	inj := chaos.NewInjector()
+	wrapped := []Node{WrapFaultyNode(inner[0], cfg, 0, inj), WrapFaultyNode(inner[1], cfg, 1, inj)}
 	r, err := NewRouter(Options{
 		Nodes:         wrapped,
 		Placement:     manualPlacement([]string{"node0", "node1"}, owners),

@@ -205,11 +205,13 @@ func Solve(p *Problem) Solution {
 		}
 	}
 
-	// Phase 2: original objective, artificials forbidden from entering.
+	// Phase 2: original objective. Artificials never enter again, so their
+	// columns are dropped; one stuck basic in a redundant row prices at 0.
+	t.n = p.n + nSlack
 	phase2 := make([]float64, total)
 	copy(phase2, p.c)
 	for j := p.n + nSlack; j < total; j++ {
-		phase2[j] = math.Inf(1) // sentinel: optimize() skips these columns
+		phase2[j] = math.Inf(1) // sentinel: a basic artificial prices at zero
 	}
 	status := t.optimize(phase2, basis)
 	if status != Optimal {
@@ -229,15 +231,20 @@ func Solve(p *Problem) Solution {
 	return Solution{Status: Optimal, X: x, Objective: obj}
 }
 
-// tableau is the dense simplex working state.
+// tableau is the dense simplex working state. Only the first n columns
+// are live (phase 2 drops the artificials); the iteration bounds are set
+// from the full width, so dropping columns does not move them.
 type tableau struct {
-	m, n int
-	a    [][]float64
-	b    []float64
+	m, n                int
+	a                   [][]float64
+	b                   []float64
+	nz                  []int // pivot scratch: the pivot row's nonzero columns
+	maxIter, blandAfter int
 }
 
 func newTableau(m, n int) *tableau {
-	t := &tableau{m: m, n: n, a: make([][]float64, m), b: make([]float64, m)}
+	t := &tableau{m: m, n: n, a: make([][]float64, m), b: make([]float64, m),
+		maxIter: 50 * (m + n), blandAfter: 10 * (m + n)}
 	for i := range t.a {
 		t.a[i] = make([]float64, n)
 	}
@@ -256,15 +263,16 @@ func (t *tableau) objective(c []float64, basis []int) float64 {
 }
 
 // optimize runs primal simplex iterations for objective c (minimize) from
-// the current basis. Columns with +Inf cost never enter.
+// the current basis. A column with +Inf cost prices at +Inf and never
+// enters; a basic one contributes nothing to the prices.
 func (t *tableau) optimize(c []float64, basis []int) Status {
-	maxIter := 50 * (t.m + t.n)
-	blandAfter := 10 * (t.m + t.n)
-
-	// reduced[j] = c_j - c_B . B^-1 A_j, computed incrementally would be
-	// faster; recomputed per iteration for clarity and robustness.
+	// Reduced costs red[j] = c_j - sum_i y_i a_ij are recomputed each
+	// iteration row by row, so the walk reads the tableau along its rows;
+	// each column still takes its terms in ascending row order, as a
+	// column-at-a-time walk would, so every bit of the result is the same.
 	y := make([]float64, t.m) // c_B in row order
-	for iter := 0; iter < maxIter; iter++ {
+	red := make([]float64, t.n)
+	for iter := 0; iter < t.maxIter; iter++ {
 		for i, bj := range basis {
 			if math.IsInf(c[bj], 1) {
 				y[i] = 0 // artificial stuck at zero in a redundant row
@@ -272,27 +280,27 @@ func (t *tableau) optimize(c []float64, basis []int) Status {
 				y[i] = c[bj]
 			}
 		}
+		copy(red, c[:t.n])
+		for i, yi := range y {
+			if yi == 0 {
+				continue
+			}
+			for j, aij := range t.a[i][:t.n] {
+				red[j] -= yi * aij
+			}
+		}
 		// Entering column.
 		enter := -1
 		best := -eps
-		for j := 0; j < t.n; j++ {
-			if math.IsInf(c[j], 1) {
-				continue
-			}
-			red := c[j]
-			for i := 0; i < t.m; i++ {
-				if y[i] != 0 {
-					red -= y[i] * t.a[i][j]
-				}
-			}
-			if iter >= blandAfter {
+		for j, rj := range red {
+			if iter >= t.blandAfter {
 				// Bland: first improving column.
-				if red < -eps {
+				if rj < -eps {
 					enter = j
 					break
 				}
-			} else if red < best {
-				best = red
+			} else if rj < best {
+				best = rj
 				enter = j
 			}
 		}
@@ -320,12 +328,17 @@ func (t *tableau) optimize(c []float64, basis []int) Status {
 	return IterationLimit
 }
 
-// pivot makes column enter basic in row leave.
+// pivot makes column enter basic in row leave. Only the columns where the
+// normalised pivot row is nonzero change; elsewhere a_ij - f*0 = a_ij.
 func (t *tableau) pivot(leave, enter int, basis []int) {
-	piv := t.a[leave][enter]
-	inv := 1 / piv
-	for j := 0; j < t.n; j++ {
-		t.a[leave][j] *= inv
+	row := t.a[leave][:t.n]
+	inv := 1 / row[enter]
+	t.nz = t.nz[:0]
+	for j := range row {
+		row[j] *= inv
+		if row[j] != 0 {
+			t.nz = append(t.nz, j)
+		}
 	}
 	t.b[leave] *= inv
 	for i := 0; i < t.m; i++ {
@@ -336,8 +349,8 @@ func (t *tableau) pivot(leave, enter int, basis []int) {
 		if f == 0 {
 			continue
 		}
-		for j := 0; j < t.n; j++ {
-			t.a[i][j] -= f * t.a[leave][j]
+		for _, j := range t.nz {
+			t.a[i][j] -= f * row[j]
 		}
 		t.b[i] -= f * t.b[leave]
 		if t.b[i] < 0 && t.b[i] > -1e-12 {

@@ -285,9 +285,10 @@ func TestMinimaxStructure(t *testing.T) {
 }
 
 func BenchmarkSolvePartitionSized(b *testing.B) {
-	// A problem shaped like the real partitioning LP: 26 tables x 8
-	// segments x 3 regions + t.
-	const tables, segs, regs = 26, 8, 3
+	// A problem shaped like the real partitioning LP: 26 tables x 10
+	// segments (partition.Segments()) x 3 regions + t. The real LP itself
+	// is partition.BenchmarkSolveLPKaggle.
+	const tables, segs, regs = 26, 10, 3
 	n := tables*segs*regs + 1
 	rng := rand.New(rand.NewSource(1))
 	build := func() *Problem {

@@ -83,9 +83,7 @@ func NewProfile(spec trace.ModelSpec, seed int64, nSamples int) (*Profile, error
 	if err != nil {
 		return nil, err
 	}
-	if _, err := g.Profile(nSamples); err != nil {
-		return nil, err
-	}
+	g.Profile(nSamples)
 	hists := g.Histograms()
 	cdfs := make([]*stats.CDF, len(spec.Tables))
 	for i, t := range spec.Tables {

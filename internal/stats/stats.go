@@ -5,8 +5,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -49,7 +51,7 @@ func (h *Histogram) SortedCounts() []int64 {
 	for _, c := range h.counts {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
+	slices.SortFunc(out, func(a, b int64) int { return cmp.Compare(b, a) })
 	return out
 }
 
@@ -64,11 +66,11 @@ func (h *Histogram) HotKeys(n int) []int64 {
 	for k, c := range h.counts {
 		all = append(all, kv{k, c})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
+	slices.SortFunc(all, func(a, b kv) int {
+		if c := cmp.Compare(b.c, a.c); c != 0 {
+			return c
 		}
-		return all[i].k < all[j].k
+		return cmp.Compare(a.k, b.k)
 	})
 	if n > len(all) {
 		n = len(all)

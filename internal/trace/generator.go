@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"recross/internal/stats"
 )
@@ -64,11 +65,12 @@ func (b Batch) Lookups() int {
 // Generator produces deterministic synthetic traces for a model spec. The
 // same (spec, seed) always yields the same stream of batches.
 type Generator struct {
-	spec  ModelSpec
-	rng   *rand.Rand
-	zipfs []*Zipf
-	scats []*Scatter
-	hists []*stats.Histogram // per-table access histograms, always maintained
+	spec    ModelSpec
+	rng     *rand.Rand
+	zipfs   []*Zipf
+	scats   []*Scatter
+	hists   []*stats.Histogram // per-table access histograms, always maintained
+	profBuf Sample             // Profile's reused sample
 	// tailMass, when positive, redirects this probability of every index
 	// draw to a uniform pick from the cold half of the rank space —
 	// flattening the trace toward rows the Zipf head never touches (the
@@ -153,23 +155,27 @@ func (g *Generator) Index(ti int) int64 {
 }
 
 // Sample generates the embedding work for one inference sample.
-func (g *Generator) Sample() Sample {
-	var s Sample
+func (g *Generator) Sample() Sample { return g.sampleInto(nil) }
+
+// sampleInto draws one sample into dst's storage and returns it: ops and
+// their index and weight slices are reused where their capacity allows,
+// so a warm buffer draws without allocating. Every caller draws through
+// this one loop, so the RNG sees the same calls whatever the buffer.
+func (g *Generator) sampleInto(dst Sample) Sample {
+	s := dst[:0]
 	for ti, t := range g.spec.Tables {
 		if t.Prob < 1 && g.rng.Float64() >= t.Prob {
 			continue
 		}
-		op := Op{
-			Table:   ti,
-			Kind:    t.Kind,
-			Indices: make([]int64, t.Pooling),
-			Weights: make([]float32, t.Pooling),
-		}
+		s = slices.Grow(s, 1)[:len(s)+1]
+		op := &s[len(s)-1]
+		op.Table, op.Kind = ti, t.Kind
+		op.Indices = slices.Grow(op.Indices[:0], t.Pooling)[:t.Pooling]
+		op.Weights = slices.Grow(op.Weights[:0], t.Pooling)[:t.Pooling]
 		for k := 0; k < t.Pooling; k++ {
 			op.Indices[k] = g.Index(ti)
 			op.Weights[k] = 0.5 + g.rng.Float32() // weights in [0.5, 1.5)
 		}
-		s = append(s, op)
 	}
 	return s
 }
@@ -208,20 +214,11 @@ func (g *Generator) ShiftHotSet(salt int64) error {
 // callers must not modify them.
 func (g *Generator) Histograms() []*stats.Histogram { return g.hists }
 
-// Profile generates (and discards) nSamples samples to warm the per-table
-// histograms, then returns the per-table cumulative-access curves. This is
-// the offline "training-phase" profiling pass of the paper's §4.3.
-func (g *Generator) Profile(nSamples int) ([]*stats.CDF, error) {
+// Profile generates and discards nSamples samples, drawn into one reused
+// buffer, to warm the per-table histograms (see Histograms). This is the
+// offline "training-phase" profiling pass of the paper's §4.3.
+func (g *Generator) Profile(nSamples int) {
 	for i := 0; i < nSamples; i++ {
-		g.Sample()
+		g.profBuf = g.sampleInto(g.profBuf)
 	}
-	cdfs := make([]*stats.CDF, len(g.spec.Tables))
-	for i, t := range g.spec.Tables {
-		c, err := stats.AccessCDF(g.hists[i], int(t.Rows))
-		if err != nil {
-			return nil, fmt.Errorf("table %q: %w", t.Name, err)
-		}
-		cdfs[i] = c
-	}
-	return cdfs, nil
 }

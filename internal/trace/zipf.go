@@ -13,9 +13,10 @@ import (
 // generalized harmonic CDF, which is O(1) per sample and needs no
 // per-element tables even for multi-million-row universes.
 type Zipf struct {
-	n     int64
-	alpha float64
-	total float64 // H(n+1), mass of the continuous approximation
+	n                     int64
+	alpha                 float64
+	total                 float64 // H(n+1), mass of the continuous approximation
+	oneMinus, invOneMinus float64 // 1-alpha and 1/(1-alpha), for h and hInv
 }
 
 // NewZipf returns a sampler over [0, n). alpha < 0 or n <= 0 is an error.
@@ -26,7 +27,7 @@ func NewZipf(n int64, alpha float64) (*Zipf, error) {
 	if alpha < 0 {
 		return nil, fmt.Errorf("trace: negative zipf exponent %g", alpha)
 	}
-	z := &Zipf{n: n, alpha: alpha}
+	z := &Zipf{n: n, alpha: alpha, oneMinus: 1 - alpha, invOneMinus: 1 / (1 - alpha)}
 	z.total = z.h(float64(n + 1))
 	return z, nil
 }
@@ -36,7 +37,7 @@ func (z *Zipf) h(x float64) float64 {
 	if z.alpha == 1 {
 		return math.Log(x)
 	}
-	return (math.Pow(x, 1-z.alpha) - 1) / (1 - z.alpha)
+	return (math.Pow(x, z.oneMinus) - 1) / z.oneMinus
 }
 
 // hInv inverts h.
@@ -44,7 +45,7 @@ func (z *Zipf) hInv(y float64) float64 {
 	if z.alpha == 1 {
 		return math.Exp(y)
 	}
-	return math.Pow(y*(1-z.alpha)+1, 1/(1-z.alpha))
+	return math.Pow(y*z.oneMinus+1, z.invOneMinus)
 }
 
 // Rank draws a rank in [0, n); rank 0 is the hottest.
