@@ -374,7 +374,6 @@ func TestClusterConfigValidation(t *testing.T) {
 		{ClusterConfig{Nodes: 1, WireConns: -1}, "WireConns"},
 		{ClusterConfig{Nodes: 1, WirePrecision: "fp8"}, "WirePrecision"},
 		{ClusterConfig{Peers: []string{"127.0.0.1:1"}, WirePrecision: "fp8"}, "WirePrecision"},
-		{ClusterConfig{Nodes: 1, Placement: "random"}, "Placement"},
 		{ClusterConfig{Peers: []string{"http://h:1"}}, "-bin-addr"},
 	} {
 		built := false

@@ -243,11 +243,9 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&cl.WirePrecision, "wire-precision", "fp32", "cluster: binary-wire response vector encoding for every node: fp32 (bit-identical), fp16 or int8 (storage-codec rounding, opt-in)")
 	fs.StringVar(&o.binAddr, "bin-addr", "", "binary wire-protocol listen address (e.g. :9090); serves lookups beside the HTTP front-end in both single-node and cluster-router modes (empty disables)")
 	fs.IntVar(&cl.Replication, "cluster-replication", 2, "cluster: replica count for hot tables")
-	fs.StringVar(&cl.Placement, "cluster-placement", "ring", "cluster: placement mode: ring (consistent hashing) or cost (LPT over access volumes, LP-priced)")
 	fs.IntVar(&cl.HotTopK, "cluster-hot-k", 0, "cluster: replicate the k largest-volume tables (0 = tables/4, negative = none)")
 	fs.DurationVar(&cl.HedgeDelay, "cluster-hedge", 0, "cluster: hedge delay for replicated tables (0 = derived from each node's p99, negative = no hedging)")
 	fs.DurationVar(&cl.NodeTimeout, "cluster-node-timeout", 2*time.Second, "cluster: per-node sub-request deadline")
-	fs.DurationVar(&cl.RebalanceEvery, "cluster-rebalance", 0, "cluster: sketch-driven placement refresh interval (0 disables)")
 
 	nc := &o.nodeChaos
 	fs.Float64Var(&nc.Rates.Kill, "chaos-node-kill", 0, "chaos: per-lookup node kill probability (cluster mode; sticky until the prober re-admits)")
@@ -386,8 +384,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		pl := cs.Router.Placement()
-		logf("cluster ready in %v (%d tables, %d replicated, mode %s)",
-			time.Since(t0).Round(time.Millisecond), pl.Tables(), pl.Replicated(), pl.Mode)
+		logf("cluster ready in %v (%d tables, %d replicated, ring placement)",
+			time.Since(t0).Round(time.Millisecond), pl.Tables(), pl.Replicated())
 		t = target{
 			name:    "cluster router",
 			handler: cs.Router.Handler(),

@@ -18,7 +18,7 @@ import (
 )
 
 // TestFlagsGolden: the flag set's names and default strings are the
-// command's public surface; testdata/flags.golden pins all 69.
+// command's public surface; testdata/flags.golden pins all 67.
 func TestFlagsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
@@ -38,8 +38,8 @@ func TestFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: bound value %q != default %q", f.Name, f.Value, f.DefValue)
 		}
 	})
-	if n != 69 {
-		t.Errorf("%d flags, want 69", n)
+	if n != 67 {
+		t.Errorf("%d flags, want 67", n)
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag names/defaults drifted from testdata/flags.golden:\n%s", got.String())
@@ -89,7 +89,7 @@ func TestRunRejects(t *testing.T) {
 		"-no-such-flag",
 		"-precision fp8",
 		"-chaos-cold-read-err 0.1", // needs -cold
-		"-cluster 2 -adapt",        // the router's rebalance loop owns adaptation
+		"-cluster 2 -adapt",        // adaptation is per-node; a cluster placement is fixed
 		"-cluster -1",              // a negative node count, not single-node mode
 	} {
 		var stdout, stderr bytes.Buffer

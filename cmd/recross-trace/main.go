@@ -21,6 +21,7 @@ import (
 	"text/tabwriter"
 
 	"recross"
+	"recross/internal/partition"
 	"recross/internal/stats"
 	"recross/internal/trace"
 )
@@ -103,10 +104,7 @@ func main() {
 		return
 	}
 
-	for i := 0; i < *samples; i++ {
-		gen.Sample()
-	}
-	hists := gen.Histograms()
+	hists := partition.CountDraws(gen, len(spec.Tables), *samples)
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "table\trows\tskew\taccesses\tdistinct\ttop-1%\ttop-20%")

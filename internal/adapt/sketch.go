@@ -154,18 +154,6 @@ func (t *Tracker) Snapshot() []TableSnapshot {
 	return out
 }
 
-// Totals reports each table's exact observed access count (including
-// evicted sketch mass) — the live table-level load signal the cluster
-// rebalancer scales into per-table access volumes.
-func (t *Tracker) Totals() []int64 {
-	snaps := t.Snapshot()
-	out := make([]int64, len(snaps))
-	for i, s := range snaps {
-		out[i] = s.Total
-	}
-	return out
-}
-
 // Profile rebuilds a partition.Profile from the sketches: per-table
 // histograms holding the top-k keys (the rows the placement will map
 // individually) and cumulative-access curves whose observed mass is the

@@ -7,6 +7,7 @@ import (
 
 	"recross/internal/nmp"
 	"recross/internal/partition"
+	"recross/internal/stats"
 	"recross/internal/trace"
 )
 
@@ -26,10 +27,23 @@ func testRegions(total int64) []partition.Region {
 	}
 }
 
-func feed(tr *Tracker, g *trace.Generator, samples int) {
-	for i := 0; i < samples; i++ {
-		tr.Observe(g.Sample())
+// feed observes samples draws of g and returns each table's exact
+// access histogram over them, the truth the sketch is checked against.
+func feed(tr *Tracker, g *trace.Generator, samples int) []*stats.Histogram {
+	hists := make([]*stats.Histogram, len(tr.spec.Tables))
+	for i := range hists {
+		hists[i] = stats.NewHistogram()
 	}
+	for i := 0; i < samples; i++ {
+		s := g.Sample()
+		tr.Observe(s)
+		for _, op := range s {
+			for _, idx := range op.Indices {
+				hists[op.Table].Add(idx)
+			}
+		}
+	}
+	return hists
 }
 
 func TestSketchRetainsHeavyHitters(t *testing.T) {
@@ -42,9 +56,9 @@ func TestSketchRetainsHeavyHitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(tr, g, 1500)
+	hists := feed(tr, g, 1500)
 	snaps := tr.Snapshot()
-	for ti, hist := range g.Histograms() {
+	for ti, hist := range hists {
 		retained := make(map[int64]int64, len(snaps[ti].Keys))
 		for k, key := range snaps[ti].Keys {
 			retained[key] = snaps[ti].Counts[k]
@@ -67,9 +81,9 @@ func TestSketchSnapshotDescendingAndTotalExact(t *testing.T) {
 	spec := testSpec()
 	tr, _ := NewTracker(spec, TrackerOptions{TopK: 64})
 	g, _ := trace.NewGenerator(spec, 7)
-	feed(tr, g, 400)
+	hists := feed(tr, g, 400)
 	for ti, sn := range tr.Snapshot() {
-		if want := g.Histograms()[ti].Total(); sn.Total != want {
+		if want := hists[ti].Total(); sn.Total != want {
 			t.Fatalf("table %d: sketch total %d != true total %d", ti, sn.Total, want)
 		}
 		for k := 1; k < len(sn.Counts); k++ {

@@ -37,14 +37,12 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  canceled %d, errors %d\n", r.Canceled, r.Errors)
 	}
 	fmt.Fprintf(&b, "  latency    p50 %v  p95 %v  p99 %v  max %v\n", r.P50, r.P95, r.P99, r.Max)
-	fmt.Fprintf(&b, "  subreqs    %d (failures %d), rebalances %d\n",
-		r.Stats.Subrequests, r.Stats.SubFailures, r.Stats.Rebalances)
+	fmt.Fprintf(&b, "  subreqs    %d (failures %d)\n", r.Stats.Subrequests, r.Stats.SubFailures)
 	return b.String()
 }
 
 // Loadgen drives the router with the shared closed-loop driver
-// (serve.DriveLoad, same serve.LoadgenOptions — including the mid-run
-// hot-set shift the rebalancer exists to absorb) and reports the
+// (serve.DriveLoad, same serve.LoadgenOptions) and reports the
 // cluster-side outcome split.
 func Loadgen(r *Router, opts serve.LoadgenOptions) (*Report, error) {
 	const (

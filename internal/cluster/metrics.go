@@ -19,7 +19,6 @@ type routerMetrics struct {
 	Retries     atomic.Int64 // failovers after a primary failure
 	HedgesFired atomic.Int64 // hedge requests launched
 	HedgesWon   atomic.Int64 // hedges that answered first
-	Rebalances  atomic.Int64 // SetPlacement swaps
 	Probes      atomic.Int64 // dead-node health probes
 	Revivals    atomic.Int64 // dead nodes re-admitted
 
@@ -31,7 +30,7 @@ type Stats struct {
 	Requests, Failed, Degraded, FallbackOps int64
 	Subrequests, SubFailures, Retries       int64
 	HedgesFired, HedgesWon                  int64
-	Rebalances, Probes, Revivals            int64
+	Probes, Revivals                        int64
 }
 
 // Stats snapshots the router counters.
@@ -47,7 +46,6 @@ func (r *Router) Stats() Stats {
 		Retries:     m.Retries.Load(),
 		HedgesFired: m.HedgesFired.Load(),
 		HedgesWon:   m.HedgesWon.Load(),
-		Rebalances:  m.Rebalances.Load(),
 		Probes:      m.Probes.Load(),
 		Revivals:    m.Revivals.Load(),
 	}
@@ -77,7 +75,7 @@ type Health struct {
 
 // Health aggregates the router's view of the cluster.
 func (r *Router) Health() Health {
-	h := Health{Nodes: len(r.nodes), Replicated: r.pl.Load().Replicated()}
+	h := Health{Nodes: len(r.nodes), Replicated: r.pl.Replicated()}
 	for _, ns := range r.nodes {
 		st := NodeState(ns.state.Load())
 		if st != NodeDead {
@@ -124,7 +122,7 @@ func wireMetricsOf(n Node) *WireMetrics {
 }
 
 // registerMetrics publishes the recross_cluster_* series in the router's
-// set: router totals, hedge and rebalance counters, per-node states and
+// set: router totals, hedge and probe counters, per-node states and
 // outstanding-work gauges, the end-to-end latency summary, and the wire
 // counters of every transport driver that owns some (BinNode). The node
 // list is fixed for the router's life, so the label sets are too.
@@ -139,12 +137,11 @@ func (r *Router) registerMetrics() {
 	set.Counter("recross_cluster_retries_total", "Sub-request failovers onto a replica.", m.Retries.Load)
 	set.Counter("recross_cluster_hedges_fired_total", "Hedge requests launched.", m.HedgesFired.Load)
 	set.Counter("recross_cluster_hedges_won_total", "Hedge requests that answered first.", m.HedgesWon.Load)
-	set.Counter("recross_cluster_rebalances_total", "Placement swaps applied.", m.Rebalances.Load)
 	set.Counter("recross_cluster_probes_total", "Dead-node health probes sent.", m.Probes.Load)
 	set.Counter("recross_cluster_revivals_total", "Dead nodes re-admitted after a probe.", m.Revivals.Load)
 	set.IntGauge("recross_cluster_nodes", "Cluster size.", func() int64 { return int64(len(r.nodes)) })
 	set.IntGauge("recross_cluster_nodes_available", "Nodes not marked dead.", func() int64 { return int64(r.Health().Available) })
-	set.IntGauge("recross_cluster_replicated_tables", "Tables with more than one owner.", func() int64 { return int64(r.pl.Load().Replicated()) })
+	set.IntGauge("recross_cluster_replicated_tables", "Tables with more than one owner.", func() int64 { return int64(r.pl.Replicated()) })
 	for _, ns := range r.nodes {
 		id := ns.node.ID()
 		set.IntGauge("recross_cluster_node_state", "Node state (0 healthy, 1 suspect, 2 dead).", func() int64 { return int64(ns.state.Load()) }, "node", id)

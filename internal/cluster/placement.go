@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"sort"
 
-	"recross/internal/lp"
 	"recross/internal/trace"
 )
 
 // Placement maps every embedding table to the nodes that serve it.
 // Replicas[t] lists the node indexes holding table t, primary first;
 // hot tables carry Replication entries, the rest exactly one. A
-// Placement is immutable once built — rebalancing constructs a new one
-// and swaps it into the router atomically.
+// Placement is immutable once built.
 type Placement struct {
 	// Nodes names the cluster members, indexed by the values in
 	// Replicas.
@@ -21,27 +19,18 @@ type Placement struct {
 	Replicas [][]int
 	// Hot marks the tables that were replicated (nil if none were).
 	Hot []bool
-	// Mode records how the placement was built: "ring" or "cost".
-	Mode string
-	// Makespan is the predicted bottleneck-node load of this placement
-	// (cost mode only; normalized access bytes per sample on the most
-	// loaded node, replicas assumed to split a table's load evenly).
-	Makespan float64
-	// LPBound is the fractional LP optimum of the same balancing
-	// problem (cost mode only) — the floor Makespan is priced against.
-	LPBound float64
 
 	holds [][]bool // node -> table -> held
 }
 
-// PlacementOptions configures RingPlacement and CostPlacement.
+// PlacementOptions configures RingPlacement.
 type PlacementOptions struct {
 	// Replication is the replica count for hot tables (default 2,
 	// clamped to the node count). Non-hot tables always get 1.
 	Replication int
 	// Hot marks the tables to replicate (nil = replicate none).
 	Hot []bool
-	// Seed perturbs ring hashes (ring mode only).
+	// Seed perturbs ring hashes.
 	Seed uint64
 }
 
@@ -72,7 +61,7 @@ func RingPlacement(tables int, nodes []string, opts PlacementOptions) (*Placemen
 		return nil, err
 	}
 	rep := opts.replication(len(nodes))
-	p := &Placement{Nodes: nodes, Replicas: make([][]int, tables), Hot: opts.Hot, Mode: "ring"}
+	p := &Placement{Nodes: nodes, Replicas: make([][]int, tables), Hot: opts.Hot}
 	for t := 0; t < tables; t++ {
 		r := 1
 		if opts.Hot != nil && opts.Hot[t] {
@@ -82,107 +71,6 @@ func RingPlacement(tables int, nodes []string, opts PlacementOptions) (*Placemen
 	}
 	p.finalize()
 	return p, nil
-}
-
-// CostPlacement partitions tables by expected serving load: vols[t] is
-// table t's per-sample access volume (partition.AccessVolumes, or live
-// sketch totals scaled by row bytes), tables descend onto the
-// least-loaded node LPT-style, and a hot table's volume is split
-// evenly across its Replication owners. The result is priced against
-// the fractional LP optimum of the same problem (internal/lp), so
-// Makespan/LPBound reports how far the integral placement is from the
-// balancing floor.
-func CostPlacement(vols []float64, nodes []string, opts PlacementOptions) (*Placement, error) {
-	if err := validateNodes(len(vols), nodes, opts.Hot); err != nil {
-		return nil, err
-	}
-	n := len(nodes)
-	rep := opts.replication(n)
-
-	// LPT descent: largest volume first, each table's share(s) onto the
-	// least-loaded node(s).
-	order := make([]int, len(vols))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return vols[order[a]] > vols[order[b]] })
-	loads := make([]float64, n)
-	p := &Placement{Nodes: nodes, Replicas: make([][]int, len(vols)), Hot: opts.Hot, Mode: "cost"}
-	for _, t := range order {
-		r := 1
-		if opts.Hot != nil && opts.Hot[t] {
-			r = rep
-		}
-		share := vols[t] / float64(r)
-		chosen := make([]int, 0, r)
-		taken := make([]bool, n)
-		for j := 0; j < r; j++ {
-			best := -1
-			for i := 0; i < n; i++ {
-				if taken[i] {
-					continue
-				}
-				if best < 0 || loads[i] < loads[best] {
-					best = i
-				}
-			}
-			taken[best] = true
-			chosen = append(chosen, best)
-			loads[best] += share
-		}
-		p.Replicas[t] = chosen
-	}
-	for i := 0; i < n; i++ {
-		if loads[i] > p.Makespan {
-			p.Makespan = loads[i]
-		}
-	}
-	p.LPBound = lpBound(vols, n)
-	p.finalize()
-	return p, nil
-}
-
-// lpBound solves the fractional relaxation — min T subject to each
-// table fully assigned and each node's load at most T — and
-// returns the optimum (0 if the solve fails, which only a degenerate
-// input produces).
-func lpBound(vols []float64, n int) float64 {
-	tables := len(vols)
-	// Variables: x[t*n+i] = fraction of table t on node i, then T last.
-	nv := tables*n + 1
-	prob, err := lp.NewProblem(nv)
-	if err != nil {
-		return 0
-	}
-	obj := make([]float64, nv)
-	obj[nv-1] = 1
-	if err := prob.SetObjective(obj); err != nil {
-		return 0
-	}
-	for t := 0; t < tables; t++ {
-		row := make([]float64, nv)
-		for i := 0; i < n; i++ {
-			row[t*n+i] = 1
-		}
-		if err := prob.AddConstraint(row, lp.EQ, 1); err != nil {
-			return 0
-		}
-	}
-	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
-		for t := 0; t < tables; t++ {
-			row[t*n+i] = vols[t]
-		}
-		row[nv-1] = -1
-		if err := prob.AddConstraint(row, lp.LE, 0); err != nil {
-			return 0
-		}
-	}
-	sol := lp.Solve(prob)
-	if sol.Status != lp.Optimal {
-		return 0
-	}
-	return sol.Objective
 }
 
 // HotTopK marks the k largest-volume tables hot (deterministic: ties
@@ -313,27 +201,4 @@ func (p *Placement) BytesSkew(spec trace.ModelSpec) float64 {
 	}
 	mean := float64(sum) / float64(len(bytes))
 	return float64(max) / mean
-}
-
-// Equal reports whether two placements route identically.
-func (p *Placement) Equal(q *Placement) bool {
-	if q == nil || len(p.Replicas) != len(q.Replicas) || len(p.Nodes) != len(q.Nodes) {
-		return false
-	}
-	for i := range p.Nodes {
-		if p.Nodes[i] != q.Nodes[i] {
-			return false
-		}
-	}
-	for t := range p.Replicas {
-		if len(p.Replicas[t]) != len(q.Replicas[t]) {
-			return false
-		}
-		for j := range p.Replicas[t] {
-			if p.Replicas[t][j] != q.Replicas[t][j] {
-				return false
-			}
-		}
-	}
-	return true
 }

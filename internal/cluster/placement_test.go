@@ -65,72 +65,6 @@ func TestRingPlacementReplication(t *testing.T) {
 	}
 }
 
-// TestCostPlacementBalance: with no dominant table, LPT lands within a
-// few percent of the fractional LP floor.
-func TestCostPlacementBalance(t *testing.T) {
-	vols := make([]float64, 64)
-	var sum float64
-	for i := range vols {
-		vols[i] = 1 + 2*float64(mix64(uint64(i)+1)%1000)/1000 // deterministic in [1,3)
-		sum += vols[i]
-	}
-	p, err := CostPlacement(vols, []string{"a", "b", "c", "d"}, PlacementOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Mode != "cost" {
-		t.Errorf("mode %q", p.Mode)
-	}
-	if p.LPBound <= 0 {
-		t.Fatalf("LP bound %v not solved", p.LPBound)
-	}
-	if want := sum / 4; math.Abs(p.LPBound-want) > 1e-6*want {
-		t.Errorf("LP bound %.4f, want sum/n = %.4f", p.LPBound, want)
-	}
-	if ratio := p.Makespan / p.LPBound; ratio > 1.15 {
-		t.Errorf("makespan %.4f is %.3fx the LP floor %.4f", p.Makespan, ratio, p.LPBound)
-	}
-}
-
-// TestCostPlacementHotSplit: replicating the dominant table halves the
-// bottleneck — the exact effect hot-table replication exists for.
-func TestCostPlacementHotSplit(t *testing.T) {
-	vols := []float64{8, 1, 1, 1, 1, 1, 1}
-	nodes := []string{"a", "b", "c", "d"}
-	solo, err := CostPlacement(vols, nodes, PlacementOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := CostPlacement(vols, nodes, PlacementOptions{Hot: HotTopK(vols, 1), Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solo.Makespan != 8 {
-		t.Errorf("unreplicated makespan %.2f, want 8 (dominant table)", solo.Makespan)
-	}
-	if hot.Makespan >= solo.Makespan {
-		t.Errorf("replication did not lower the bottleneck: %.2f >= %.2f", hot.Makespan, solo.Makespan)
-	}
-	if len(hot.Replicas[0]) != 2 {
-		t.Errorf("hot table has %d owners, want 2", len(hot.Replicas[0]))
-	}
-}
-
-func TestPlacementEqual(t *testing.T) {
-	a, _ := RingPlacement(8, []string{"a", "b"}, PlacementOptions{Seed: 1})
-	b, _ := RingPlacement(8, []string{"a", "b"}, PlacementOptions{Seed: 1})
-	if !a.Equal(b) {
-		t.Error("identical placements not Equal")
-	}
-	if a.Equal(nil) {
-		t.Error("Equal(nil)")
-	}
-	c, _ := CostPlacement([]float64{9, 1, 1, 1, 1, 1, 1, 1}, []string{"a", "b"}, PlacementOptions{})
-	if a.Equal(c) && !c.Equal(a) {
-		t.Error("Equal not symmetric")
-	}
-}
-
 func TestPlacementValidation(t *testing.T) {
 	if _, err := RingPlacement(0, []string{"a"}, PlacementOptions{}); err == nil {
 		t.Error("0 tables accepted")

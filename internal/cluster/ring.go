@@ -9,8 +9,7 @@ import (
 // ringVNodes points on a 64-bit circle, and a key is owned by the first
 // point clockwise of its hash. Replicas of a key are the next distinct
 // nodes clockwise, so losing a node moves only its own arcs. The ring is
-// immutable once built; rebalancing builds a new one (Placement is cheap
-// to recompute).
+// immutable once built.
 type Ring struct {
 	points []ringPoint // sorted by hash
 	nodes  int

@@ -57,8 +57,8 @@ type Options struct {
 	// Nodes are the cluster members, indexed identically to
 	// Placement.Nodes (required, at least one).
 	Nodes []Node
-	// Placement maps tables to nodes (required; SetPlacement swaps it
-	// live).
+	// Placement maps tables to nodes (required; fixed for the router's
+	// lifetime).
 	Placement *Placement
 	// Layer is the router's own functional embedding layer, used to
 	// answer ops whose owning nodes are all unavailable (required).
@@ -78,10 +78,6 @@ type Options struct {
 	// delays and re-admits dead nodes (default 250ms; negative disables
 	// the prober).
 	ProbeInterval time.Duration
-	// Observer, when non-nil, sees every routed sample (the adaptive
-	// tracker's tap). Runs on the caller's goroutine; must be cheap and
-	// concurrency-safe.
-	Observer func(trace.Sample)
 }
 
 func (o Options) withDefaults() Options {
@@ -172,7 +168,7 @@ func (ns *nodeState) fail(threshold int) {
 type Router struct {
 	opts    Options
 	nodes   []*nodeState
-	pl      atomic.Pointer[Placement]
+	pl      *Placement
 	metrics *routerMetrics
 	set     *metrics.Set // what /metrics serves
 	scratch sync.Pool    // *embedding.Scratch for fallback reductions
@@ -200,11 +196,11 @@ func NewRouter(opts Options) (*Router, error) {
 		opts:    opts,
 		metrics: &routerMetrics{E2E: metrics.NewHist()},
 		set:     metrics.NewSet(),
+		pl:      opts.Placement,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	r.scratch.New = func() any { return &embedding.Scratch{} }
-	r.pl.Store(opts.Placement)
 	for i, n := range opts.Nodes {
 		ns := &nodeState{node: n, idx: i, lat: metrics.NewHist()}
 		ns.hedgeNs.Store(int64(defaultHedge))
@@ -242,19 +238,8 @@ func checkPlacement(p *Placement, nodes, tables int) error {
 	return nil
 }
 
-// Placement returns the current placement.
-func (r *Router) Placement() *Placement { return r.pl.Load() }
-
-// SetPlacement swaps the routing table atomically; in-flight requests
-// finish on the placement they started with. Counts as a rebalance.
-func (r *Router) SetPlacement(p *Placement) error {
-	if err := checkPlacement(p, len(r.nodes), r.opts.Layer.Tables()); err != nil {
-		return err
-	}
-	r.pl.Store(p)
-	r.metrics.Rebalances.Add(1)
-	return nil
-}
+// Placement returns the router's placement.
+func (r *Router) Placement() *Placement { return r.pl }
 
 // Layer returns the router's functional embedding layer (shared with
 // the binary listener for request validation).
@@ -282,10 +267,6 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	if err := serve.CheckSample(r.opts.Layer, sample); err != nil {
 		return nil, err
 	}
-	pl := r.pl.Load()
-	if r.opts.Observer != nil {
-		r.opts.Observer(sample)
-	}
 	start := time.Now()
 	r.metrics.Requests.Add(1)
 
@@ -293,23 +274,22 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	for i := range all {
 		all[i] = i
 	}
-	groups, failedOps := r.plan(pl, sample, all, nil)
+	groups, failedOps := r.plan(sample, all, nil)
 	res := &Result{Vectors: make([][]float32, len(sample))}
 	served := make(map[int]bool, len(groups)) // distinct serving nodes
-	failed, from := r.scatter(ctx, pl, sample, groups, res, served)
+	failed, from := r.scatter(ctx, sample, groups, res, served)
 
-	// Per-op failover round: a failed group may mix tables that still
-	// have live owners elsewhere with tables unique to the failed node
-	// (serveGroup's whole-group alternate covers only the former case
-	// when the mix is pure). Re-plan each failed op individually off the
-	// node that failed it; only ops with nowhere left to go degrade.
+	// Failover round: re-plan each op of a failed group individually
+	// onto any other live owner of its table (a group may mix tables
+	// replicated elsewhere with tables unique to the failed node); only
+	// ops with nowhere left to go degrade.
 	if len(failed) > 0 {
-		groups2, orphans := r.plan(pl, sample, failed, from)
+		groups2, orphans := r.plan(sample, failed, from)
 		failedOps = append(failedOps, orphans...)
 		if len(groups2) > 0 {
 			r.metrics.Retries.Add(int64(len(groups2)))
 			res.Retries += len(groups2)
-			failed2, _ := r.scatter(ctx, pl, sample, groups2, res, served)
+			failed2, _ := r.scatter(ctx, sample, groups2, res, served)
 			failedOps = append(failedOps, failed2...)
 		}
 	}
@@ -349,7 +329,7 @@ func (r *Router) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 // within this plan so a burst of ops on one hot table spreads across its
 // replicas even at zero ambient concurrency. Ops with no eligible owner
 // come back as orphans, for the functional fallback.
-func (r *Router) plan(pl *Placement, sample trace.Sample, ops []int, exclude map[int]int) (groups []group, orphans []int) {
+func (r *Router) plan(sample trace.Sample, ops []int, exclude map[int]int) (groups []group, orphans []int) {
 	pending := make([]int64, len(r.nodes))
 	byNode := make(map[int]int, 4) // node -> index in groups
 	for _, oi := range ops {
@@ -357,7 +337,7 @@ func (r *Router) plan(pl *Placement, sample trace.Sample, ops []int, exclude map
 		if exclude != nil {
 			not = exclude[oi]
 		}
-		n := r.pickNode(pl.Replicas[sample[oi].Table], pending, not)
+		n := r.pickNode(r.pl.Replicas[sample[oi].Table], pending, not)
 		if n < 0 {
 			orphans = append(orphans, oi)
 			continue
@@ -378,13 +358,12 @@ func (r *Router) plan(pl *Placement, sample trace.Sample, ops []int, exclude map
 // per group), merges successful answers into res and served, and
 // returns the ops whose sub-requests failed along with the node each
 // failed on (for the caller's per-op failover round).
-func (r *Router) scatter(ctx context.Context, pl *Placement, sample trace.Sample, groups []group, res *Result, served map[int]bool) (failed []int, from map[int]int) {
+func (r *Router) scatter(ctx context.Context, sample trace.Sample, groups []group, res *Result, served map[int]bool) (failed []int, from map[int]int) {
 	type outcome struct {
-		g       int
-		sres    *serve.Result
-		err     error
-		hedged  bool
-		retried bool
+		g      int
+		sres   *serve.Result
+		err    error
+		hedged bool
 	}
 	outc := make(chan outcome, len(groups))
 	for gi := range groups {
@@ -394,8 +373,8 @@ func (r *Router) scatter(ctx context.Context, pl *Placement, sample trace.Sample
 			sub[j] = sample[oi]
 		}
 		go func(gi int, g group, sub trace.Sample) {
-			sres, hedged, retried, err := r.serveGroup(ctx, pl, g, sub)
-			outc <- outcome{g: gi, sres: sres, err: err, hedged: hedged, retried: retried}
+			sres, hedged, err := r.serveGroup(ctx, g, sub)
+			outc <- outcome{g: gi, sres: sres, err: err, hedged: hedged}
 		}(gi, g, sub)
 	}
 	from = make(map[int]int, 4)
@@ -404,9 +383,6 @@ func (r *Router) scatter(ctx context.Context, pl *Placement, sample trace.Sample
 		g := groups[o.g]
 		if o.hedged {
 			res.Hedged = true
-		}
-		if o.retried {
-			res.Retries++
 		}
 		if o.err != nil {
 			failed = append(failed, g.ops...)
@@ -458,16 +434,15 @@ const (
 	minHedge     = 200 * time.Microsecond
 )
 
-// serveGroup runs one per-node sub-request with hedging and one
-// failover retry. The alternates considered are nodes holding every
-// table of the group (for single-table groups: the table's replicas).
-func (r *Router) serveGroup(ctx context.Context, pl *Placement, g group, sub trace.Sample) (res *serve.Result, hedged, retried bool, err error) {
+// serveGroup runs one per-node sub-request, hedged on an alternate
+// holding every table of the group (for single-table groups: the
+// table's replicas). A failure is left to Lookup's failover round.
+func (r *Router) serveGroup(ctx context.Context, g group, sub trace.Sample) (res *serve.Result, hedged bool, err error) {
 	primary := r.nodes[g.node]
 
 	type reply struct {
 		res   *serve.Result
 		err   error
-		node  *nodeState
 		hedge bool
 	}
 	cctx, cancel := context.WithCancel(ctx)
@@ -478,12 +453,12 @@ func (r *Router) serveGroup(ctx context.Context, pl *Placement, g group, sub tra
 	launch := func(ns *nodeState, hedge bool) {
 		go func() {
 			sres, cerr := r.callNode(cctx, ns, sub, &settled)
-			replies <- reply{res: sres, err: cerr, node: ns, hedge: hedge}
+			replies <- reply{res: sres, err: cerr, hedge: hedge}
 		}()
 	}
 	launch(primary, false)
 
-	alt := r.alternate(pl, g, sub)
+	alt := r.alternate(g, sub)
 	inflight := 1
 	var hedgeTimer *time.Timer
 	var hedgeC <-chan time.Time
@@ -503,16 +478,13 @@ func (r *Router) serveGroup(ctx context.Context, pl *Placement, g group, sub tra
 	var firstErr error
 	for inflight > 0 {
 		select {
-		case <-hedgeC:
+		case <-hedgeC: // armed only with an alternate, fires once
 			hedgeC = nil
-			if alt != nil {
-				r.metrics.HedgesFired.Add(1)
-				primary.hedges.Add(1)
-				hedged = true
-				launch(alt, true)
-				inflight++
-				alt = nil
-			}
+			r.metrics.HedgesFired.Add(1)
+			primary.hedges.Add(1)
+			hedged = true
+			launch(alt, true)
+			inflight++
 		case rep := <-replies:
 			inflight--
 			if rep.err == nil {
@@ -521,38 +493,28 @@ func (r *Router) serveGroup(ctx context.Context, pl *Placement, g group, sub tra
 				if rep.hedge {
 					r.metrics.HedgesWon.Add(1)
 				}
-				return rep.res, hedged, retried, nil
+				return rep.res, hedged, nil
 			}
 			r.metrics.SubFailures.Add(1)
 			if firstErr == nil {
 				firstErr = rep.err
 			}
-			// Primary failed before the hedge fired: promote the
-			// alternate immediately as a failover retry.
-			if !rep.hedge && alt != nil {
-				hedgeC = nil
-				r.metrics.Retries.Add(1)
-				retried = true
-				launch(alt, false)
-				inflight++
-				alt = nil
-			}
 		case <-ctx.Done():
 			settled.Store(true)
-			return nil, hedged, retried, ctx.Err()
+			return nil, hedged, ctx.Err()
 		}
 	}
-	return nil, hedged, retried, firstErr
+	return nil, hedged, firstErr
 }
 
 // alternate picks a second node able to serve the whole group, or nil.
-func (r *Router) alternate(pl *Placement, g group, sub trace.Sample) *nodeState {
-	cands := pl.Replicas[sub[0].Table]
+func (r *Router) alternate(g group, sub trace.Sample) *nodeState {
+	cands := r.pl.Replicas[sub[0].Table]
 	for _, op := range sub[1:] {
 		// The alternate must hold every table of the group; intersect.
 		var kept []int
 		for _, c := range cands {
-			if pl.Holds(c, op.Table) {
+			if r.pl.Holds(c, op.Table) {
 				kept = append(kept, c)
 			}
 		}

@@ -85,7 +85,7 @@ func clusterLayer(t *testing.T) *embedding.Layer {
 // manualPlacement hand-routes tables for tests that need to know
 // exactly which node owns what.
 func manualPlacement(nodes []string, owners [][]int) *Placement {
-	p := &Placement{Nodes: nodes, Replicas: owners, Mode: "manual"}
+	p := &Placement{Nodes: nodes, Replicas: owners}
 	p.finalize()
 	return p
 }
@@ -526,39 +526,6 @@ func TestRouterProbeReadmission(t *testing.T) {
 	}
 	if fakes[0].lookups.Load() == before {
 		t.Error("re-admitted node served nothing")
-	}
-}
-
-// TestSetPlacement: a live swap reroutes traffic and counts as a
-// rebalance; an incompatible placement is rejected.
-func TestSetPlacement(t *testing.T) {
-	all0 := make([][]int, 8)
-	all1 := make([][]int, 8)
-	for i := range all0 {
-		all0[i] = []int{0}
-		all1[i] = []int{1}
-	}
-	r, fakes := newTestCluster(t, 2, manualPlacement([]string{"node0", "node1"}, all0), nil)
-	if _, err := r.Lookup(context.Background(), wideSample()); err != nil {
-		t.Fatal(err)
-	}
-	if fakes[1].lookups.Load() != 0 {
-		t.Fatal("placement all-on-0 routed to node1")
-	}
-	if err := r.SetPlacement(manualPlacement([]string{"node0", "node1"}, all1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Lookup(context.Background(), wideSample()); err != nil {
-		t.Fatal(err)
-	}
-	if fakes[1].lookups.Load() == 0 {
-		t.Error("swapped placement did not reroute to node1")
-	}
-	if r.Stats().Rebalances != 1 {
-		t.Errorf("rebalances %d, want 1", r.Stats().Rebalances)
-	}
-	if err := r.SetPlacement(manualPlacement([]string{"x"}, [][]int{{0}})); err == nil {
-		t.Error("incompatible placement accepted")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"recross/internal/arch"
 	"recross/internal/baseline"
+	"recross/internal/partition"
 	"recross/internal/trace"
 )
 
@@ -60,8 +61,7 @@ func TestSmokeOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof.Profile(2000)
-	if s, err := baseline.NewTRiMB(cfg, prof.Histograms()); err != nil {
+	if s, err := baseline.NewTRiMB(cfg, partition.CountDraws(prof, len(spec.Tables), 2000)); err != nil {
 		t.Fatal(err)
 	} else {
 		systems["trim-b"] = s

@@ -83,8 +83,7 @@ func NewProfile(spec trace.ModelSpec, seed int64, nSamples int) (*Profile, error
 	if err != nil {
 		return nil, err
 	}
-	g.Profile(nSamples)
-	hists := g.Histograms()
+	hists := CountDraws(g, len(spec.Tables), nSamples)
 	cdfs := make([]*stats.CDF, len(spec.Tables))
 	for i, t := range spec.Tables {
 		c, err := stats.AccessCDFSmoothed(hists[i], int(t.Rows))
@@ -94,6 +93,35 @@ func NewProfile(spec trace.ModelSpec, seed int64, nSamples int) (*Profile, error
 		cdfs[i] = c
 	}
 	return &Profile{Spec: spec, Hists: hists, CDFs: cdfs}, nil
+}
+
+// CountDraws draws nSamples samples from g and returns each of its
+// tables' access histogram over them: the counting half of the offline
+// profiling pass (the generator itself only draws).
+func CountDraws(g *trace.Generator, tables, nSamples int) []*stats.Histogram {
+	hists := make([]*stats.Histogram, tables)
+	for i := range hists {
+		hists[i] = stats.NewHistogram()
+	}
+	countDraws(g, hists, nil, nSamples)
+	return hists
+}
+
+// countDraws draws nSamples samples into buf's storage, adding every
+// drawn index to its table's histogram, and returns the buffer for
+// reuse: a warm buffer over warm histograms draws and counts without
+// allocating.
+func countDraws(g *trace.Generator, hists []*stats.Histogram, buf trace.Sample, nSamples int) trace.Sample {
+	for i := 0; i < nSamples; i++ {
+		buf = g.SampleInto(buf)
+		for _, op := range buf {
+			h := hists[op.Table]
+			for _, idx := range op.Indices {
+				h.Add(idx)
+			}
+		}
+	}
+	return buf
 }
 
 // segBounds are the row-fraction boundaries of the piecewise linearisation
@@ -504,34 +532,6 @@ func Greedy(p *Profile, regions []Region, batch int) (*Decision, error) {
 			if remaining > 1e-6 {
 				return nil, fmt.Errorf("partition: greedy ran out of capacity for table %d", i)
 			}
-		}
-	}
-	d.fillRowFrac(p)
-	d.estimate(p, batch)
-	return d, nil
-}
-
-// SingleRegion places everything in region j of the given list — the
-// symmetric layout of the baseline architectures.
-func SingleRegion(p *Profile, regions []Region, j, batch int) (*Decision, error) {
-	if err := validateInput(p, regions, batch); err != nil {
-		return nil, err
-	}
-	if j < 0 || j >= len(regions) {
-		return nil, fmt.Errorf("partition: region %d out of range", j)
-	}
-	if float64(regions[j].CapBytes)*regions[j].compression() < float64(p.Spec.TotalBytes()) {
-		return nil, fmt.Errorf("partition: model (%d bytes) exceeds region capacity (%d)",
-			p.Spec.TotalBytes(), regions[j].CapBytes)
-	}
-	nT := len(p.Spec.Tables)
-	d := &Decision{Regions: regions, SegFrac: make([][][]float64, nT)}
-	for i := 0; i < nT; i++ {
-		segs := p.segmentsOf(i)
-		d.SegFrac[i] = make([][]float64, len(segs))
-		for s := range segs {
-			d.SegFrac[i][s] = make([]float64, len(regions))
-			d.SegFrac[i][s][j] = 1
 		}
 	}
 	d.fillRowFrac(p)

@@ -174,22 +174,6 @@ func TestGreedyFillsHotRegionFirst(t *testing.T) {
 	}
 }
 
-func TestSingleRegion(t *testing.T) {
-	p := smallProfile(t)
-	regions := testRegions(p.Spec.TotalBytes() * 4)
-	d, err := SingleRegion(p, regions, 0, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDecision(t, p, d)
-	if d.Load[1] != 0 || d.Load[2] != 0 {
-		t.Fatalf("single-region decision leaked load: %v", d.Load)
-	}
-	if _, err := SingleRegion(p, regions, 9, 32); err == nil {
-		t.Fatal("out-of-range region should error")
-	}
-}
-
 func TestCapacityInfeasibility(t *testing.T) {
 	p := smallProfile(t)
 	tiny := []Region{{Name: "R", CapBytes: 100, BW: 1}}
@@ -424,9 +408,6 @@ func TestCompressionCapacityMultiplier(t *testing.T) {
 	}
 	if _, err := Greedy(p, tight, 256); err != nil {
 		t.Fatalf("compressed greedy: %v", err)
-	}
-	if _, err := SingleRegion(p, tight, 0, 256); err != nil {
-		t.Fatalf("compressed single-region: %v", err)
 	}
 	pl, err := Build(p, mustSolve(t, p, tight, 256))
 	if err != nil {

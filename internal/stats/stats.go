@@ -371,22 +371,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs (all must be positive), or 0 for
-// an empty slice.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation. xs need not be sorted; it is not modified.
 func Percentile(xs []float64, p float64) float64 {
@@ -409,24 +393,4 @@ func Percentile(xs []float64, p float64) float64 {
 		return s[i]
 	}
 	return s[i] + frac*(s[i+1]-s[i])
-}
-
-// MaxI64 returns the maximum of xs, or 0 for an empty slice.
-func MaxI64(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// SumI64 returns the sum of xs.
-func SumI64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

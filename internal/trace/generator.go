@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-
-	"recross/internal/stats"
 )
 
 // ReduceKind selects an op's pooling operator (§4.1: ReCross supports
@@ -65,12 +63,10 @@ func (b Batch) Lookups() int {
 // Generator produces deterministic synthetic traces for a model spec. The
 // same (spec, seed) always yields the same stream of batches.
 type Generator struct {
-	spec    ModelSpec
-	rng     *rand.Rand
-	zipfs   []*Zipf
-	scats   []*Scatter
-	hists   []*stats.Histogram // per-table access histograms, always maintained
-	profBuf Sample             // Profile's reused sample
+	spec  ModelSpec
+	rng   *rand.Rand
+	zipfs []*Zipf
+	scats []*Scatter
 	// tailMass, when positive, redirects this probability of every index
 	// draw to a uniform pick from the cold half of the rank space —
 	// flattening the trace toward rows the Zipf head never touches (the
@@ -88,7 +84,6 @@ func NewGenerator(spec ModelSpec, seed int64) (*Generator, error) {
 		rng:   rand.New(rand.NewSource(seed)),
 		zipfs: make([]*Zipf, len(spec.Tables)),
 		scats: make([]*Scatter, len(spec.Tables)),
-		hists: make([]*stats.Histogram, len(spec.Tables)),
 	}
 	for i, t := range spec.Tables {
 		z, err := NewZipf(t.Rows, t.Skew)
@@ -108,7 +103,6 @@ func NewGenerator(spec ModelSpec, seed int64) (*Generator, error) {
 		}
 		g.zipfs[i] = z
 		g.scats[i] = s
-		g.hists[i] = stats.NewHistogram()
 	}
 	return g, nil
 }
@@ -149,19 +143,17 @@ func (g *Generator) Index(ti int) int64 {
 	} else {
 		rank = g.zipfs[ti].Rank(g.rng)
 	}
-	idx := g.scats[ti].Map(rank)
-	g.hists[ti].Add(idx)
-	return idx
+	return g.scats[ti].Map(rank)
 }
 
 // Sample generates the embedding work for one inference sample.
-func (g *Generator) Sample() Sample { return g.sampleInto(nil) }
+func (g *Generator) Sample() Sample { return g.SampleInto(nil) }
 
-// sampleInto draws one sample into dst's storage and returns it: ops and
+// SampleInto draws one sample into dst's storage and returns it: ops and
 // their index and weight slices are reused where their capacity allows,
 // so a warm buffer draws without allocating. Every caller draws through
 // this one loop, so the RNG sees the same calls whatever the buffer.
-func (g *Generator) sampleInto(dst Sample) Sample {
+func (g *Generator) SampleInto(dst Sample) Sample {
 	s := dst[:0]
 	for ti, t := range g.spec.Tables {
 		if t.Prob < 1 && g.rng.Float64() >= t.Prob {
@@ -207,18 +199,4 @@ func (g *Generator) ShiftHotSet(salt int64) error {
 		g.scats[i] = s
 	}
 	return nil
-}
-
-// Histograms returns the per-table access histograms accumulated over
-// everything generated so far. The returned slices alias internal state;
-// callers must not modify them.
-func (g *Generator) Histograms() []*stats.Histogram { return g.hists }
-
-// Profile generates and discards nSamples samples, drawn into one reused
-// buffer, to warm the per-table histograms (see Histograms). This is the
-// offline "training-phase" profiling pass of the paper's §4.3.
-func (g *Generator) Profile(nSamples int) {
-	for i := 0; i < nSamples; i++ {
-		g.profBuf = g.sampleInto(g.profBuf)
-	}
 }

@@ -289,8 +289,13 @@ func TestGeneratorProfileSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Profile(2000)
-	cdf, err := stats.AccessCDF(g.Histograms()[0], int(spec.Tables[0].Rows))
+	h := stats.NewHistogram()
+	for i := 0; i < 2000; i++ {
+		for _, idx := range g.Sample()[0].Indices {
+			h.Add(idx)
+		}
+	}
+	cdf, err := stats.AccessCDF(h, int(spec.Tables[0].Rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +315,13 @@ func TestGeneratorScattersHotRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Batch(200)
-	hot := g.Histograms()[0].HotKeys(50)
+	h := stats.NewHistogram()
+	for _, s := range g.Batch(200) {
+		for _, idx := range s[0].Indices {
+			h.Add(idx)
+		}
+	}
+	hot := h.HotKeys(50)
 	inLowHalf := 0
 	for _, k := range hot {
 		if k < 1<<19 {

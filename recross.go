@@ -36,7 +36,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -858,9 +857,10 @@ func Loadgen(s *Server, opts LoadgenOptions) (*LoadgenReport, error) {
 }
 
 // ClusterConfig configures NewClusterServer: cluster shape (in-binary
-// nodes or peer processes, both reached over the binary wire), placement
-// policy, hot-table replication, and router timing knobs. Zero values
-// take sensible defaults.
+// nodes or peer processes, both reached over the binary wire), hot-table
+// replication on the consistent-hashing ring placement, and router
+// timing knobs. The placement is computed once, at start-up, from the
+// offline per-table access volumes. Zero values take sensible defaults.
 type ClusterConfig struct {
 	// Nodes is how many serving stacks to build in this binary (default
 	// 4), each behind its own loopback binary listener. Ignored when
@@ -886,11 +886,6 @@ type ClusterConfig struct {
 	// ReplicasPerNode is each in-binary node's serve-pool size (default 1).
 	ReplicasPerNode int
 
-	// Placement selects the partitioning mode: "ring" (default;
-	// consistent hashing with virtual nodes, stable under node loss)
-	// or "cost" (LPT descent over per-table access volumes, priced
-	// against the fractional LP optimum).
-	Placement string
 	// Replication is the replica count for hot tables (default 2).
 	Replication int
 	// HotTopK replicates the k largest-volume tables (default
@@ -905,12 +900,6 @@ type ClusterConfig struct {
 	// ProbeInterval paces hedge-delay refresh and dead-node re-admission
 	// probes (default 250ms; negative disables).
 	ProbeInterval time.Duration
-
-	// RebalanceEvery, when positive, re-derives the hot set (and, in
-	// cost mode, the whole placement) from the live frequency sketches
-	// on this cadence and swaps it into the router. The sketches
-	// feeding it hold adapt's default 512 rows per table.
-	RebalanceEvery time.Duration
 
 	// Serve carries per-node serving knobs (batching, queueing, quorum,
 	// row cache); Systems/Layer/Rebuild are filled per node. In-binary
@@ -930,9 +919,6 @@ func (cc ClusterConfig) withDefaults() ClusterConfig {
 	if cc.ReplicasPerNode == 0 {
 		cc.ReplicasPerNode = 1
 	}
-	if cc.Placement == "" {
-		cc.Placement = "ring"
-	}
 	if cc.Replication == 0 {
 		cc.Replication = 2
 	}
@@ -951,9 +937,6 @@ func (cc ClusterConfig) validate() error {
 	if _, err := kernels.ParsePrecision(cc.WirePrecision); err != nil {
 		return fmt.Errorf("recross: ClusterConfig.WirePrecision: %w", err)
 	}
-	if cc.Placement != "ring" && cc.Placement != "cost" {
-		return fmt.Errorf("recross: ClusterConfig.Placement %q: want ring or cost", cc.Placement)
-	}
 	for _, peer := range cc.Peers {
 		if strings.Contains(peer, "://") && !strings.HasPrefix(peer, "bin://") {
 			return fmt.Errorf("recross: ClusterConfig.Peers: peer %q: nodes speak only the binary wire; give the peer's -bin-addr listener as host:port or bin://host:port", peer)
@@ -963,23 +946,17 @@ func (cc ClusterConfig) validate() error {
 }
 
 // ClusterServer is a running cluster: the router (the only handle
-// request traffic needs), the nodes' serving stacks when they live in
-// this binary, and the frequency tracker feeding the rebalancer. Close
-// stops the rebalance loop, the router, the wire clients, the in-binary
-// listeners and the stacks, in that order.
+// request traffic needs) and the nodes' serving stacks when they live
+// in this binary. Close stops the router, the wire clients, the
+// in-binary listeners and the stacks, in that order.
 type ClusterServer struct {
 	Router *ClusterRouter
 	// Stacks are the in-binary nodes' stacks, node i at index i (nil
 	// with Peers).
-	Stacks  []*Stack
-	Tracker *FreqTracker
+	Stacks []*Stack
 
 	nodes     []*BinNode     // the router's wire clients; the router does not own them
 	listeners []func() error // the in-binary nodes' binary listeners
-
-	stop     chan struct{} // closed once by Close
-	stopOnce sync.Once
-	done     chan struct{} // closed when the rebalance loop has exited
 }
 
 // NewClusterServer builds the cluster tier: N full-spec nodes (every
@@ -990,17 +967,15 @@ type ClusterServer struct {
 // Replication nodes, and a router fronting it all. Every node is
 // reached over the binary wire: the in-binary ones are NewStacks behind
 // loopback listeners, so they differ from Peers only in who started
-// the listener. With RebalanceEvery set, a background loop re-derives
-// table volumes from the live frequency sketches and swaps refreshed
-// placements into the router — the cluster-scope analogue of the
-// adaptive repartitioner.
+// the listener. The placement is fixed for the cluster's lifetime, as
+// the paper fixes its row placement from the offline profile.
 func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, err error) {
 	cc = cc.withDefaults()
 	if err = cc.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Adapt != nil {
-		return nil, fmt.Errorf("recross: adaptive repartitioning is per-node; a cluster rebalances placements with ClusterConfig.RebalanceEvery instead")
+		return nil, fmt.Errorf("recross: adaptive repartitioning is per-node; a cluster's placement is fixed at start-up")
 	}
 	if len(cc.Peers) > 0 && (cfg.Cold != nil || cfg.Chaos != nil) {
 		return nil, fmt.Errorf("recross: the cold tier and replica chaos are per-node stages; configure them on the peer processes, not on the router fronting them")
@@ -1009,7 +984,7 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		return nil, err
 	}
 	spec := cfg.Spec
-	cs := &ClusterServer{stop: make(chan struct{}), done: make(chan struct{})}
+	cs := &ClusterServer{}
 	defer func() {
 		if err != nil {
 			_ = cs.closeNodes()
@@ -1066,12 +1041,7 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		}
 	}
 
-	pl, err := clusterPlacement(spec, ids, cc, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	tracker, err := adapt.NewTracker(spec, adapt.TrackerOptions{})
+	pl, err := clusterPlacement(spec, ids, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -1086,63 +1056,18 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		NodeTimeout:   cc.NodeTimeout,
 		HedgeDelay:    cc.HedgeDelay,
 		ProbeInterval: cc.ProbeInterval,
-		Observer:      tracker.Observe,
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	cs.Router, cs.Tracker = router, tracker
-	if cc.RebalanceEvery > 0 {
-		go cs.rebalance(spec, ids, cc)
-	} else {
-		close(cs.done)
-	}
+	cs.Router = router
 	return cs, nil
 }
 
-// rebalance is the background loop swapping sketch-derived placements
-// into the router.
-func (cs *ClusterServer) rebalance(spec ModelSpec, ids []string, cc ClusterConfig) {
-	defer close(cs.done)
-	ticker := time.NewTicker(cc.RebalanceEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-cs.stop:
-			return
-		case <-ticker.C:
-		}
-		totals := cs.Tracker.Totals()
-		var sum int64
-		for _, t := range totals {
-			sum += t
-		}
-		if sum == 0 {
-			continue // no live signal yet
-		}
-		pl, err := clusterPlacement(spec, ids, cc, totals)
-		if err != nil {
-			continue
-		}
-		if !cs.Router.Placement().Equal(pl) {
-			_ = cs.Router.SetPlacement(pl)
-		}
-	}
-}
-
-// clusterPlacement builds a placement per the config. totals, when
-// non-nil, are live per-table access counts overriding the offline
-// volume estimate (scaled by row bytes so volumes stay byte-weighted).
-func clusterPlacement(spec ModelSpec, ids []string, cc ClusterConfig, totals []int64) (*ClusterPlacement, error) {
+// clusterPlacement builds the ring placement, replicating the tables
+// with the largest offline access volumes.
+func clusterPlacement(spec ModelSpec, ids []string, cc ClusterConfig) (*ClusterPlacement, error) {
 	vols := partition.AccessVolumes(spec, batchOf(cc.Serve.MaxBatch))
-	if totals != nil {
-		for i := range vols {
-			if i < len(totals) {
-				vols[i] = float64(totals[i]) * float64(spec.Tables[i].VecLen) * 4
-			}
-		}
-	}
 	k := cc.HotTopK
 	switch {
 	case k < 0:
@@ -1153,14 +1078,10 @@ func clusterPlacement(spec ModelSpec, ids []string, cc ClusterConfig, totals []i
 			k = 1
 		}
 	}
-	popts := ClusterPlacementOptions{
+	return cluster.RingPlacement(len(spec.Tables), ids, ClusterPlacementOptions{
 		Replication: cc.Replication,
 		Hot:         cluster.HotTopK(vols, k),
-	}
-	if cc.Placement == "cost" {
-		return cluster.CostPlacement(vols, ids, popts)
-	}
-	return cluster.RingPlacement(len(spec.Tables), ids, popts)
+	})
 }
 
 func batchOf(maxBatch int) int {
@@ -1175,12 +1096,9 @@ func (cs *ClusterServer) Lookup(ctx context.Context, sample Sample) (*ClusterRes
 	return cs.Router.Lookup(ctx, sample)
 }
 
-// Close stops the rebalance loop, the router, the wire clients, the
-// in-binary listeners (waiting for each Serve to return), then the
-// stacks.
+// Close stops the router, the wire clients, the in-binary listeners
+// (waiting for each Serve to return), then the stacks.
 func (cs *ClusterServer) Close() error {
-	cs.stopOnce.Do(func() { close(cs.stop) })
-	<-cs.done
 	return errors.Join(cs.Router.Close(), cs.closeNodes())
 }
 
