@@ -46,6 +46,24 @@ func TestFlagsGolden(t *testing.T) {
 	}
 }
 
+// TestClusterHedgeOff: the value -cluster-hedge's usage text gives for
+// turning hedging off parses, and lands as a negative HedgeDelay.
+func TestClusterHedgeOff(t *testing.T) {
+	var o options
+	fs := flag.NewFlagSet("recross-serve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	bind(fs, &o)
+	if usage := fs.Lookup("cluster-hedge").Usage; !strings.Contains(usage, "-1ns") {
+		t.Fatalf("-cluster-hedge usage does not name -1ns: %q", usage)
+	}
+	if err := fs.Parse([]string{"-cluster-hedge", "-1ns"}); err != nil {
+		t.Fatal(err)
+	}
+	if o.cluster.HedgeDelay >= 0 {
+		t.Errorf("-cluster-hedge -1ns: HedgeDelay = %v, want < 0", o.cluster.HedgeDelay)
+	}
+}
+
 // TestRunComposedSmoke: every optional stage on at once — cold tier,
 // adaptive repartitioning, replica chaos, int8 storage — in one loadgen
 // process; no request may fail and the resolved config must be printed.

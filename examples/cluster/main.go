@@ -86,9 +86,8 @@ func main() {
 	// Phase 1: healthy scatter-gather, answers checked bit for bit.
 	fmt.Println("\nphase 1: healthy serving (300 lookups)")
 	drive(cs, layer, gen, 300)
-	for i, n := range nodes {
-		st := n.Stats()
-		fmt.Printf("  node%d served %d sub-requests\n", i, st.Lookups)
+	for i, nh := range cs.Router.Health().NodeHealth {
+		fmt.Printf("  node%d served %d sub-requests\n", i, nh.Lookups)
 	}
 	fmt.Println("  300/300 answers bit-identical to the functional layer")
 

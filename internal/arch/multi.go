@@ -22,21 +22,11 @@ type MultiChannel struct {
 	tableIdx []int // table -> index within its channel's sub-spec
 
 	// Run scratch, reused across batches under the single-goroutine
-	// System contract (each persistent channel worker touches only its
-	// own sub-System and result slot).
+	// System contract (each channel's goroutine touches only its own
+	// sub-System and result slot).
 	shards  []trace.Batch
 	results []*RunStats
 	errs    []error
-
-	// Persistent per-channel workers, started lazily on the first Run so
-	// a constructed-but-never-run MultiChannel spawns nothing. Each
-	// worker owns its channel's System for the instance's lifetime,
-	// preserving the single-goroutine contract; Run hands workers 1..n-1
-	// their shards (channel 0 runs on the caller) and waits on wg, so
-	// batches never pay a goroutine spawn.
-	work   []chan trace.Batch
-	wg     sync.WaitGroup
-	closed bool
 }
 
 // NewMultiChannel builds `channels` instances via the build callback, each
@@ -91,9 +81,6 @@ func (m *MultiChannel) Name() string { return m.name }
 // channels (with table indices remapped into each sub-spec), the channels
 // run concurrently, and their stats merge (see add).
 func (m *MultiChannel) Run(b trace.Batch) (*RunStats, error) {
-	if m.closed {
-		return nil, fmt.Errorf("arch: MultiChannel closed")
-	}
 	if m.shards == nil {
 		m.shards = make([]trace.Batch, len(m.systems))
 		m.results = make([]*RunStats, len(m.systems))
@@ -174,55 +161,21 @@ func (s *RunStats) add(o *RunStats) {
 }
 
 // dispatch fans the pre-routed shards out to the channels and waits for
-// the slowest: shards 1..n-1 go to the persistent workers, shard 0 runs
-// on the calling goroutine (which would only park otherwise — and a
-// single-channel instance then dispatches with no handoff at all).
-// Results and errors land in m.results / m.errs.
+// the slowest: shards 1..n-1 each run on a goroutine started for this
+// batch, shard 0 on the calling goroutine (which would only park
+// otherwise — and a single-channel instance then starts none). Every
+// goroutine has returned when dispatch does, so an instance that is
+// dropped leaves nothing running. Results and errors land in m.results /
+// m.errs.
 func (m *MultiChannel) dispatch(shards []trace.Batch) {
-	m.ensureWorkers()
-	m.wg.Add(len(m.systems) - 1)
+	var wg sync.WaitGroup
+	wg.Add(len(m.systems) - 1)
 	for c := 1; c < len(m.systems); c++ {
-		m.work[c] <- shards[c]
+		go func() {
+			defer wg.Done()
+			m.results[c], m.errs[c] = m.systems[c].Run(shards[c])
+		}()
 	}
 	m.results[0], m.errs[0] = m.systems[0].Run(shards[0])
-	m.wg.Wait()
-}
-
-// ensureWorkers lazily starts one persistent worker per channel. Run is
-// single-goroutine (the System contract), so no lock guards the start.
-func (m *MultiChannel) ensureWorkers() {
-	if m.work != nil {
-		return
-	}
-	// Channel 0 has no worker — dispatch runs it on the caller.
-	m.work = make([]chan trace.Batch, len(m.systems))
-	for c := 1; c < len(m.systems); c++ {
-		ch := make(chan trace.Batch, 1)
-		m.work[c] = ch
-		go func(c int, ch chan trace.Batch) {
-			for b := range ch {
-				m.results[c], m.errs[c] = m.systems[c].Run(b)
-				m.wg.Done()
-			}
-		}(c, ch)
-	}
-}
-
-// Close shuts the persistent channel workers down. Idempotent; Run after
-// Close errors. A MultiChannel that is never closed keeps len(systems)
-// idle goroutines parked on their work channels until process exit —
-// harmless for a server's lifetime, but callers that build many
-// short-lived instances (sweeps, tests) should Close them.
-func (m *MultiChannel) Close() error {
-	if m.closed {
-		return nil
-	}
-	m.closed = true
-	for _, ch := range m.work {
-		if ch != nil {
-			close(ch)
-		}
-	}
-	m.work = nil
-	return nil
+	wg.Wait()
 }

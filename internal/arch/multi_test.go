@@ -3,6 +3,7 @@ package arch
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -307,46 +308,31 @@ func TestMultiChannelUnevenTables(t *testing.T) {
 	}
 }
 
-// TestMultiChannelClose checks the persistent-worker lifecycle: Run after
-// Close errors, Close is idempotent, and results before Close are sane.
-func TestMultiChannelClose(t *testing.T) {
+// TestMultiChannelLeavesNoGoroutines: a MultiChannel has no lifecycle to
+// close, so building and running many instances and dropping them must
+// leave the goroutine count where it started.
+func TestMultiChannelLeavesNoGoroutines(t *testing.T) {
 	spec := trace.Uniform(4, 100, 16, 2)
-	m, err := NewMultiChannel(spec, 2, func(sub trace.ModelSpec) (System, error) {
-		return &fakeSystem{spec: sub, cyc: 100}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gen, err := trace.NewGenerator(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(gen.Batch(4)); err != nil {
-		t.Fatal(err)
+	b := gen.Batch(4)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		m, err := NewMultiChannel(spec, 4, func(sub trace.ModelSpec) (System, error) {
+			return &fakeSystem{spec: sub, cyc: 100}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d after 5 build+Run", before, after)
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal("second Close should be a no-op, got", err)
-	}
-	if _, err := m.Run(gen.Batch(1)); err == nil {
-		t.Fatal("Run after Close should error")
-	}
-}
-
-// spawnMulti mimics the pre-persistent-worker dispatch — one goroutine
-// per channel per batch — as the benchmark baseline.
-func spawnMulti(m *MultiChannel, shards []trace.Batch, results []*RunStats, errs []error) {
-	var wg sync.WaitGroup
-	for c := range m.systems {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			results[c], errs[c] = m.systems[c].Run(shards[c])
-		}(c)
-	}
-	wg.Wait()
 }
 
 // benchMulti builds a 4-channel MultiChannel over fake Systems and runs
@@ -371,30 +357,13 @@ func benchMulti(b *testing.B) *MultiChannel {
 }
 
 // BenchmarkMultiChannelDispatch measures fanning one pre-routed batch out
-// to the persistent per-channel workers;
-// BenchmarkMultiChannelSpawnPerBatch is the old dispatch — one goroutine
-// spawned per channel per batch — over the exact same shards. The delta
-// is pure per-batch goroutine-spawn overhead: allocs/op shows the stacks
-// and closures the persistent workers no longer pay.
+// to the channels: one goroutine per channel beyond the first.
 func BenchmarkMultiChannelDispatch(b *testing.B) {
 	m := benchMulti(b)
-	defer m.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.dispatch(m.shards)
-	}
-}
-
-func BenchmarkMultiChannelSpawnPerBatch(b *testing.B) {
-	m := benchMulti(b)
-	defer m.Close()
-	results := make([]*RunStats, len(m.systems))
-	errs := make([]error, len(m.systems))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spawnMulti(m, m.shards, results, errs)
 	}
 }
 
@@ -408,7 +377,6 @@ func BenchmarkMultiChannelRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m.Close()
 	gen, err := trace.NewGenerator(spec, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -506,7 +474,6 @@ func TestMultiChannelMergesEveryCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	gen, err := trace.NewGenerator(spec, 1)
 	if err != nil {
 		t.Fatal(err)

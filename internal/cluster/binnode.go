@@ -85,7 +85,6 @@ type BinNode struct {
 	next  atomic.Uint32
 
 	closed atomic.Bool
-	nodeCounters
 }
 
 // NewBinNode builds a node for the binary peer at addr ("host:port";
@@ -389,10 +388,6 @@ func (n *BinNode) pickConn(ctx context.Context) (*binConn, error) {
 
 // Lookup serves one sample over the binary wire.
 func (n *BinNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
-	return n.tally(n.lookup(ctx, sample))
-}
-
-func (n *BinNode) lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
 	bc, err := n.pickConn(ctx)
 	if err != nil {
 		return nil, err

@@ -163,8 +163,5 @@ func (n *FaultyNode) Health(ctx context.Context) (serve.HealthReport, error) {
 	return n.inner.Health(ctx)
 }
 
-// Stats forwards to the wrapped node.
-func (n *FaultyNode) Stats() NodeStats { return n.inner.Stats() }
-
 // Close forwards to the wrapped node.
 func (n *FaultyNode) Close() error { return n.inner.Close() }

@@ -1,9 +1,8 @@
 // Package cluster scales the single-process serving layer out to N
 // nodes — the cluster-level analogue of the paper's cross-level
-// placement idea. Embedding tables are partitioned across nodes by a
-// placement layer (a consistent-hash ring with virtual nodes,
-// or an LP-priced cost mode reusing internal/partition's access-volume
-// machinery), the hottest tables are replicated on R nodes (the
+// placement idea. Embedding tables are partitioned across nodes once,
+// at start-up, on a consistent-hash ring with virtual nodes; the tables
+// with the largest access volumes are replicated on R nodes (the
 // cluster-scope version of RecNMP/TRiM-B hot-entry replication), and a
 // stateless Router scatter-gathers each lookup batch across the owning
 // nodes with per-node deadlines, hedged requests after a p99-derived
@@ -30,7 +29,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 
 	"recross/internal/serve"
 	"recross/internal/trace"
@@ -40,38 +38,6 @@ import (
 // BinNode, a refused connection). The router treats it like any
 // other node failure: retry on a replica, then functional fallback.
 var ErrNodeDown = errors.New("cluster: node down")
-
-// NodeStats are cumulative per-node serving counters.
-type NodeStats struct {
-	// Lookups counts successfully served Lookup calls.
-	Lookups int64
-	// Failures counts Lookup calls that returned an error.
-	Failures int64
-	// Cycles is the sum of the simulated DRAM-cycle latencies of the
-	// batches that served this node's lookups — the node's simulated
-	// busy time, which the scale-out benchmark divides wall work by.
-	Cycles int64
-}
-
-// nodeCounters are the cumulative serving counters every transport driver
-// keeps; embedding them provides Stats.
-type nodeCounters struct{ lookups, failures, cycles atomic.Int64 }
-
-// tally records one Lookup outcome and passes it through.
-func (c *nodeCounters) tally(res *serve.Result, err error) (*serve.Result, error) {
-	if err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	c.lookups.Add(1)
-	c.cycles.Add(int64(res.ServiceCycles))
-	return res, nil
-}
-
-// Stats reports the cumulative counters.
-func (c *nodeCounters) Stats() NodeStats {
-	return NodeStats{Lookups: c.lookups.Load(), Failures: c.failures.Load(), Cycles: c.cycles.Load()}
-}
 
 // Node is the transport driver interface: everything the router needs
 // from a backend, regardless of where it runs. Implementations must be
@@ -83,8 +49,6 @@ type Node interface {
 	Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error)
 	// Health probes the node's serving state.
 	Health(ctx context.Context) (serve.HealthReport, error)
-	// Stats reports cumulative serving counters.
-	Stats() NodeStats
 	// Close releases the node's connections, never the server behind it.
 	Close() error
 }

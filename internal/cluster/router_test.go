@@ -26,8 +26,7 @@ type fakeNode struct {
 	delayNs atomic.Int64
 	down    atomic.Bool
 
-	lookups  atomic.Int64
-	failures atomic.Int64
+	lookups atomic.Int64
 }
 
 func newFakeNode(id string, layer *embedding.Layer) *fakeNode {
@@ -38,20 +37,17 @@ func (n *fakeNode) ID() string { return n.id }
 
 func (n *fakeNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Result, error) {
 	if n.down.Load() {
-		n.failures.Add(1)
 		return nil, ErrNodeDown
 	}
 	if d := time.Duration(n.delayNs.Load()); d > 0 {
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
-			n.failures.Add(1)
 			return nil, ctx.Err()
 		}
 	}
 	vecs, err := n.layer.ReduceSample(sample)
 	if err != nil {
-		n.failures.Add(1)
 		return nil, err
 	}
 	n.lookups.Add(1)
@@ -63,10 +59,6 @@ func (n *fakeNode) Health(ctx context.Context) (serve.HealthReport, error) {
 		return serve.HealthReport{}, ErrNodeDown
 	}
 	return serve.HealthReport{Status: "ok"}, nil
-}
-
-func (n *fakeNode) Stats() NodeStats {
-	return NodeStats{Lookups: n.lookups.Load(), Failures: n.failures.Load()}
 }
 
 func (n *fakeNode) Close() error { return nil }

@@ -277,7 +277,8 @@ func newBinPeer(t *testing.T, backend BinBackend, layer *embedding.Layer) (strin
 }
 
 // TestBinNodeLookup: end-to-end over a real TCP conn, bit-identical to
-// the functional layer, with stats and health accumulated.
+// the functional layer, with service cycles, health and wire metrics
+// carried.
 func TestBinNodeLookup(t *testing.T) {
 	layer := clusterLayer(t)
 	addr, _ := newBinPeer(t, &stubBinBackend{layer: layer}, layer)
@@ -290,9 +291,9 @@ func TestBinNodeLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIdentical(t, layer, sample, res.Vectors)
-	}
-	if st := n.Stats(); st.Lookups != 20 || st.Cycles != 20*100 {
-		t.Errorf("stats = %+v", st)
+		if res.ServiceCycles != 100 {
+			t.Errorf("service cycles = %d, want 100", res.ServiceCycles)
+		}
 	}
 	h, err := n.Health(context.Background())
 	if err != nil || h.Status != "ok" {

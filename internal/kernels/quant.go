@@ -145,8 +145,8 @@ func F32ToF16(f float32) uint16 {
 var f16Magic = math.Float32frombits(113 << 23)
 
 // F16ToF32 converts an IEEE binary16 value to float32 (exact for every
-// non-NaN value; signaling NaNs are quieted, matching the hardware
-// conversion the vector path uses).
+// non-NaN value; signaling NaNs are quieted, as hardware half-to-single
+// conversions such as x86 VCVTPH2PS do).
 func F16ToF32(h uint16) float32 {
 	const shiftedExp = 0x7c00 << 13
 	o := uint32(h&0x7fff) << 13
@@ -156,7 +156,7 @@ func F16ToF32(h uint16) float32 {
 	case shiftedExp: // Inf/NaN: adjust the exponent the rest of the way
 		o += (128 - 16) << 23
 		if o&0x7fffff != 0 {
-			o |= 1 << 22 // quiet signaling NaNs, as VCVTPH2PS does
+			o |= 1 << 22 // quiet signaling NaNs
 		}
 	case 0: // zero/subnormal: renormalize via float subtraction
 		o += 1 << 23
@@ -173,8 +173,8 @@ func QuantizeF16(q []uint16, src []float32) {
 	}
 }
 
-// decodeF16Generic decodes q elementwise into dst (len(q) >= len(dst)).
-func decodeF16Generic(dst []float32, q []uint16) {
+// DecodeF16 decodes q elementwise into dst (len(q) >= len(dst)).
+func DecodeF16(dst []float32, q []uint16) {
 	n := len(dst)
 	q = q[:n]
 	i := 0
@@ -195,9 +195,9 @@ func decodeF16Generic(dst []float32, q []uint16) {
 	}
 }
 
-// addF16Generic accumulates a binary16 row into dst: dst[i] += decode(q[i]).
+// AddF16 accumulates a binary16 row into dst: dst[i] += decode(q[i]).
 // Bit-identical to DecodeF16 followed by Add.
-func addF16Generic(dst []float32, q []uint16) {
+func AddF16(dst []float32, q []uint16) {
 	n := len(dst)
 	q = q[:n]
 	i := 0
@@ -218,10 +218,10 @@ func addF16Generic(dst []float32, q []uint16) {
 	}
 }
 
-// axpyF16Generic accumulates a scaled binary16 row: dst[i] += w*decode(q[i]).
+// AxpyF16 accumulates a scaled binary16 row: dst[i] += w*decode(q[i]).
 // The decode result is a float32 value, so multiply-then-add matches
 // Axpy on the decoded row exactly.
-func axpyF16Generic(dst []float32, q []uint16, w float32) {
+func AxpyF16(dst []float32, q []uint16, w float32) {
 	n := len(dst)
 	q = q[:n]
 	i := 0
@@ -242,9 +242,9 @@ func axpyF16Generic(dst []float32, q []uint16, w float32) {
 	}
 }
 
-// maxF16Generic folds a binary16 row into dst under max, with the scalar
+// MaxF16 folds a binary16 row into dst under max, with the scalar
 // reference's comparison semantics on the decoded values.
-func maxF16Generic(dst []float32, q []uint16) {
+func MaxF16(dst []float32, q []uint16) {
 	n := len(dst)
 	q = q[:n]
 	i := 0
@@ -356,11 +356,11 @@ func QuantizeI8(q []uint8, src []float32) (scale float32, zero int32) {
 	return scale, zero
 }
 
-// decodeI8Generic dequantizes q into dst (len(q) >= len(dst)):
+// DecodeI8 dequantizes q into dst (len(q) >= len(dst)):
 // dst[i] = float32(int32(q[i])-zero) * scale. The int-to-float conversion
 // is exact (|q-zero| <= 510 < 2^24), so the only rounding is the final
 // product — the same single-rounded expression every fused kernel uses.
-func decodeI8Generic(dst []float32, q []uint8, scale float32, zero int32) {
+func DecodeI8(dst []float32, q []uint8, scale float32, zero int32) {
 	n := len(dst)
 	q = q[:n]
 	i := 0
@@ -381,34 +381,36 @@ func decodeI8Generic(dst []float32, q []uint8, scale float32, zero int32) {
 	}
 }
 
-// addI8Generic accumulates a quantized row into dst: dst[i] += dequant(q[i]).
-// Bit-identical to DecodeI8 followed by Add.
-func addI8Generic(dst []float32, q []uint8, scale float32, zero int32) {
+// AddI8 accumulates a quantized row into dst: dst[i] += dequant(q[i]).
+// Bit-identical to DecodeI8 followed by Add. The explicit float32
+// conversion rounds the product before the add, so targets that fuse
+// x*y+z into one instruction (arm64) cannot skip that rounding.
+func AddI8(dst []float32, q []uint8, scale float32, zero int32) {
 	n := len(dst)
 	q = q[:n]
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		d := dst[i : i+8 : i+8]
 		s := q[i : i+8 : i+8]
-		d[0] += float32(int32(s[0])-zero) * scale
-		d[1] += float32(int32(s[1])-zero) * scale
-		d[2] += float32(int32(s[2])-zero) * scale
-		d[3] += float32(int32(s[3])-zero) * scale
-		d[4] += float32(int32(s[4])-zero) * scale
-		d[5] += float32(int32(s[5])-zero) * scale
-		d[6] += float32(int32(s[6])-zero) * scale
-		d[7] += float32(int32(s[7])-zero) * scale
+		d[0] += float32(float32(int32(s[0])-zero) * scale)
+		d[1] += float32(float32(int32(s[1])-zero) * scale)
+		d[2] += float32(float32(int32(s[2])-zero) * scale)
+		d[3] += float32(float32(int32(s[3])-zero) * scale)
+		d[4] += float32(float32(int32(s[4])-zero) * scale)
+		d[5] += float32(float32(int32(s[5])-zero) * scale)
+		d[6] += float32(float32(int32(s[6])-zero) * scale)
+		d[7] += float32(float32(int32(s[7])-zero) * scale)
 	}
 	for ; i < n; i++ {
-		dst[i] += float32(int32(q[i])-zero) * scale
+		dst[i] += float32(float32(int32(q[i])-zero) * scale)
 	}
 }
 
-// axpyI8Generic accumulates a scaled quantized row: dst[i] += w*dequant(q[i]).
+// AxpyI8 accumulates a scaled quantized row: dst[i] += w*dequant(q[i]).
 // The dequantized lane is rounded to float32 before the weight multiply
 // (v := dequant; dst += w*v), matching Axpy on the decoded row exactly —
 // w is never folded into scale.
-func axpyI8Generic(dst []float32, q []uint8, w, scale float32, zero int32) {
+func AxpyI8(dst []float32, q []uint8, w, scale float32, zero int32) {
 	n := len(dst)
 	q = q[:n]
 	i := 0
@@ -429,9 +431,9 @@ func axpyI8Generic(dst []float32, q []uint8, w, scale float32, zero int32) {
 	}
 }
 
-// maxI8Generic folds a quantized row into dst under max on the dequantized
+// MaxI8 folds a quantized row into dst under max on the dequantized
 // values, with the scalar reference's comparison semantics.
-func maxI8Generic(dst []float32, q []uint8, scale float32, zero int32) {
+func MaxI8(dst []float32, q []uint8, scale float32, zero int32) {
 	n := len(dst)
 	q = q[:n]
 	i := 0

@@ -166,7 +166,7 @@ type (
 	ClusterRouter = cluster.Router
 	// ClusterPlacement maps tables to owning nodes (primary first).
 	ClusterPlacement = cluster.Placement
-	// ClusterPlacementOptions configures ring/cost placement builds.
+	// ClusterPlacementOptions configures the ring placement build.
 	ClusterPlacementOptions = cluster.PlacementOptions
 	// ClusterResult is one answered cluster lookup.
 	ClusterResult = cluster.Result
