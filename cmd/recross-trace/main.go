@@ -104,7 +104,7 @@ func main() {
 		return
 	}
 
-	hists := partition.CountDraws(gen, len(spec.Tables), *samples)
+	hists := partition.CountDraws(gen, *samples)
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "table\trows\tskew\taccesses\tdistinct\ttop-1%\ttop-20%")

@@ -61,7 +61,7 @@ func TestSmokeOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, err := baseline.NewTRiMB(cfg, partition.CountDraws(prof, len(spec.Tables), 2000)); err != nil {
+	if s, err := baseline.NewTRiMB(cfg, partition.CountDraws(prof, 2000)); err != nil {
 		t.Fatal(err)
 	} else {
 		systems["trim-b"] = s

@@ -44,8 +44,8 @@ func Add(dst, src []float32) {
 }
 
 // Axpy accumulates a scaled vector into dst elementwise: dst[i] += w*src[i].
-// The multiply-then-add per lane matches the scalar reference exactly (no
-// FMA contraction: Go does not fuse float32 multiply-add).
+// Each product is rounded to float32 before the add, so a target that
+// would fuse the two into one multiply-add (arm64) gets amd64's bits.
 func Axpy(dst, src []float32, w float32) {
 	n := len(dst)
 	src = src[:n]
@@ -53,17 +53,17 @@ func Axpy(dst, src []float32, w float32) {
 	for ; i+8 <= n; i += 8 {
 		d := dst[i : i+8 : i+8]
 		s := src[i : i+8 : i+8]
-		d[0] += w * s[0]
-		d[1] += w * s[1]
-		d[2] += w * s[2]
-		d[3] += w * s[3]
-		d[4] += w * s[4]
-		d[5] += w * s[5]
-		d[6] += w * s[6]
-		d[7] += w * s[7]
+		d[0] += float32(w * s[0])
+		d[1] += float32(w * s[1])
+		d[2] += float32(w * s[2])
+		d[3] += float32(w * s[3])
+		d[4] += float32(w * s[4])
+		d[5] += float32(w * s[5])
+		d[6] += float32(w * s[6])
+		d[7] += float32(w * s[7])
 	}
 	for ; i < n; i++ {
-		dst[i] += w * src[i]
+		dst[i] += float32(w * src[i])
 	}
 }
 

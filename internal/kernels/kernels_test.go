@@ -46,7 +46,7 @@ func TestAxpyMatchesScalar(t *testing.T) {
 			want := make([]float32, n)
 			copy(want, dst)
 			for i := range want {
-				want[i] += w * src[i]
+				want[i] += float32(w * src[i]) // rounded product, as Axpy's
 			}
 			Axpy(dst, src, w)
 			for i := range want {

@@ -219,8 +219,8 @@ func AddF16(dst []float32, q []uint16) {
 }
 
 // AxpyF16 accumulates a scaled binary16 row: dst[i] += w*decode(q[i]).
-// The decode result is a float32 value, so multiply-then-add matches
-// Axpy on the decoded row exactly.
+// The decode result is a float32 value and the product is rounded before
+// the add (no fused multiply-add), so it matches Axpy on the decoded row.
 func AxpyF16(dst []float32, q []uint16, w float32) {
 	n := len(dst)
 	q = q[:n]
@@ -228,17 +228,17 @@ func AxpyF16(dst []float32, q []uint16, w float32) {
 	for ; i+8 <= n; i += 8 {
 		d := dst[i : i+8 : i+8]
 		s := q[i : i+8 : i+8]
-		d[0] += w * F16ToF32(s[0])
-		d[1] += w * F16ToF32(s[1])
-		d[2] += w * F16ToF32(s[2])
-		d[3] += w * F16ToF32(s[3])
-		d[4] += w * F16ToF32(s[4])
-		d[5] += w * F16ToF32(s[5])
-		d[6] += w * F16ToF32(s[6])
-		d[7] += w * F16ToF32(s[7])
+		d[0] += float32(w * F16ToF32(s[0]))
+		d[1] += float32(w * F16ToF32(s[1]))
+		d[2] += float32(w * F16ToF32(s[2]))
+		d[3] += float32(w * F16ToF32(s[3]))
+		d[4] += float32(w * F16ToF32(s[4]))
+		d[5] += float32(w * F16ToF32(s[5]))
+		d[6] += float32(w * F16ToF32(s[6]))
+		d[7] += float32(w * F16ToF32(s[7]))
 	}
 	for ; i < n; i++ {
-		dst[i] += w * F16ToF32(q[i])
+		dst[i] += float32(w * F16ToF32(q[i]))
 	}
 }
 
@@ -408,8 +408,8 @@ func AddI8(dst []float32, q []uint8, scale float32, zero int32) {
 
 // AxpyI8 accumulates a scaled quantized row: dst[i] += w*dequant(q[i]).
 // The dequantized lane is rounded to float32 before the weight multiply
-// (v := dequant; dst += w*v), matching Axpy on the decoded row exactly —
-// w is never folded into scale.
+// (v := dequant; dst += w*v), and the product before the add, matching
+// Axpy on the decoded row exactly — w is never folded into scale.
 func AxpyI8(dst []float32, q []uint8, w, scale float32, zero int32) {
 	n := len(dst)
 	q = q[:n]
@@ -417,17 +417,17 @@ func AxpyI8(dst []float32, q []uint8, w, scale float32, zero int32) {
 	for ; i+8 <= n; i += 8 {
 		d := dst[i : i+8 : i+8]
 		s := q[i : i+8 : i+8]
-		d[0] += w * (float32(int32(s[0])-zero) * scale)
-		d[1] += w * (float32(int32(s[1])-zero) * scale)
-		d[2] += w * (float32(int32(s[2])-zero) * scale)
-		d[3] += w * (float32(int32(s[3])-zero) * scale)
-		d[4] += w * (float32(int32(s[4])-zero) * scale)
-		d[5] += w * (float32(int32(s[5])-zero) * scale)
-		d[6] += w * (float32(int32(s[6])-zero) * scale)
-		d[7] += w * (float32(int32(s[7])-zero) * scale)
+		d[0] += float32(w * (float32(int32(s[0])-zero) * scale))
+		d[1] += float32(w * (float32(int32(s[1])-zero) * scale))
+		d[2] += float32(w * (float32(int32(s[2])-zero) * scale))
+		d[3] += float32(w * (float32(int32(s[3])-zero) * scale))
+		d[4] += float32(w * (float32(int32(s[4])-zero) * scale))
+		d[5] += float32(w * (float32(int32(s[5])-zero) * scale))
+		d[6] += float32(w * (float32(int32(s[6])-zero) * scale))
+		d[7] += float32(w * (float32(int32(s[7])-zero) * scale))
 	}
 	for ; i < n; i++ {
-		dst[i] += w * (float32(int32(q[i])-zero) * scale)
+		dst[i] += float32(w * (float32(int32(q[i])-zero) * scale))
 	}
 }
 

@@ -20,8 +20,12 @@ type Histogram struct {
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int64]int64)}
+func NewHistogram() *Histogram { return NewHistogramSize(0) }
+
+// NewHistogramSize returns an empty histogram with room for n distinct
+// keys before it grows.
+func NewHistogramSize(n int) *Histogram {
+	return &Histogram{counts: make(map[int64]int64, n)}
 }
 
 // Add increments the count of key by one.

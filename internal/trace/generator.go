@@ -132,28 +132,39 @@ func (g *Generator) SetTailMass(f float64) error {
 	return nil
 }
 
-// Index draws one embedding row index for table ti: a Zipf rank scattered
-// pseudorandomly through the index space, or — with probability tailMass —
-// a uniform cold-half rank.
-func (g *Generator) Index(ti int) int64 {
-	var rank int64
-	if g.tailMass > 0 && g.rng.Float64() < g.tailMass {
-		n := g.spec.Tables[ti].Rows
-		rank = n/2 + g.rng.Int63n(n-n/2)
-	} else {
-		rank = g.zipfs[ti].Rank(g.rng)
-	}
-	return g.scats[ti].Map(rank)
-}
+// Spec returns the model the generator draws for.
+func (g *Generator) Spec() ModelSpec { return g.spec }
+
+// Scatter returns table ti's rank-to-row bijection under the current hot
+// set: the row a rank drawn by RanksInto stands for is Scatter(ti).Map.
+func (g *Generator) Scatter(ti int) *Scatter { return g.scats[ti] }
 
 // Sample generates the embedding work for one inference sample.
 func (g *Generator) Sample() Sample { return g.SampleInto(nil) }
 
 // SampleInto draws one sample into dst's storage and returns it: ops and
 // their index and weight slices are reused where their capacity allows,
-// so a warm buffer draws without allocating. Every caller draws through
-// this one loop, so the RNG sees the same calls whatever the buffer.
+// so a warm buffer draws without allocating. It draws the sample's ranks
+// with RanksInto, then maps each through its table's Scatter to a row
+// index; the mapping draws nothing, so the RNG sees the same calls
+// whatever the caller and whatever the buffer.
 func (g *Generator) SampleInto(dst Sample) Sample {
+	s := g.RanksInto(dst)
+	for i := range s {
+		sc := g.scats[s[i].Table]
+		for k, r := range s[i].Indices {
+			s[i].Indices[k] = sc.Map(r)
+		}
+	}
+	return s
+}
+
+// RanksInto is SampleInto without the scatter: each op's Indices hold
+// popularity ranks (0 is the hottest) — a Zipf rank, or with probability
+// tailMass a uniform cold-half rank — in the order SampleInto would map
+// them. It is the one drawing loop; the offline profiling pass counts
+// its ranks and maps each distinct rank once.
+func (g *Generator) RanksInto(dst Sample) Sample {
 	s := dst[:0]
 	for ti, t := range g.spec.Tables {
 		if t.Prob < 1 && g.rng.Float64() >= t.Prob {
@@ -164,8 +175,13 @@ func (g *Generator) SampleInto(dst Sample) Sample {
 		op.Table, op.Kind = ti, t.Kind
 		op.Indices = slices.Grow(op.Indices[:0], t.Pooling)[:t.Pooling]
 		op.Weights = slices.Grow(op.Weights[:0], t.Pooling)[:t.Pooling]
+		z := g.zipfs[ti]
 		for k := 0; k < t.Pooling; k++ {
-			op.Indices[k] = g.Index(ti)
+			if g.tailMass > 0 && g.rng.Float64() < g.tailMass {
+				op.Indices[k] = t.Rows/2 + g.rng.Int63n(t.Rows-t.Rows/2)
+			} else {
+				op.Indices[k] = z.Rank(g.rng)
+			}
 			op.Weights[k] = 0.5 + g.rng.Float32() // weights in [0.5, 1.5)
 		}
 	}
@@ -188,7 +204,7 @@ func (g *Generator) Batch(n int) Batch {
 // — stays put. Ranks keep their probabilities; which rows hold them
 // changes. salt 0 restores the original hot set; the same (table, salt)
 // always produces the same permutation, so independent generators shift
-// identically. Not safe for concurrent use with Sample/Index (the
+// identically. Not safe for concurrent use with Sample/RanksInto (the
 // generator is single-goroutine, like everything else seeded here).
 func (g *Generator) ShiftHotSet(salt int64) error {
 	for i, t := range g.spec.Tables {
