@@ -384,7 +384,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		pl := cs.Router.Placement()
-		logf("cluster ready in %v (%d tables, %d replicated, ring placement)",
+		logf("cluster ready in %v (%d tables, %d replicated, dealt round the nodes)",
 			time.Since(t0).Round(time.Millisecond), pl.Tables(), pl.Replicated())
 		t = target{
 			name:    "cluster router",

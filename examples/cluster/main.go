@@ -1,8 +1,8 @@
 // The cluster example demonstrates multi-node sharded serving end to
 // end: 4 in-binary nodes, each a serving stack behind its own loopback
 // binary-wire listener, fronted by the scatter-gather router. The
-// tables are placed once, at start-up, on a consistent-hashing ring,
-// with the largest-volume table replicated on two nodes.
+// tables are placed once, at start-up, dealt round the nodes, with the
+// largest-volume table replicated on two nodes.
 //
 //  1. Healthy serving: every lookup scatters to the nodes owning its
 //     tables and gathers a bit-identical answer; the hottest table's
@@ -54,7 +54,7 @@ func hotOwners(pl *recross.ClusterPlacement) (int, []int) {
 
 func main() {
 	spec := demoSpec()
-	fmt.Println("building a 4-node ReCross cluster (ring placement, hot table replicated on 2)...")
+	fmt.Println("building a 4-node ReCross cluster (tables dealt round the nodes, hot table replicated on 2)...")
 	// Each node handle is wrapped in a fault injector with no rates: it
 	// only kills and revives on command.
 	nodes := make([]*recross.FaultyNode, 4)

@@ -79,7 +79,7 @@ func NewDetector(baseline *partition.Profile, threshold float64, windows int) (*
 	}
 	var volSum float64
 	for i, t := range baseline.Spec.Tables {
-		vol := t.Prob * float64(t.Pooling)
+		vol := float64(t.Prob * float64(t.Pooling))
 		volSum += vol
 		tb := tableBaseline{
 			rows:      t.Rows,
@@ -142,7 +142,7 @@ func (d *Detector) Score(snaps []TableSnapshot) (Drift, error) {
 			// Untracked live mass is tail mass; credit it with the uniform
 			// coverage p it would have under any ranking, which is exact
 			// for a permutation-free tail and conservative otherwise.
-			liveCov := within[b]/float64(sn.Total) + untracked*p
+			liveCov := within[b]/float64(sn.Total) + float64(untracked*p)
 			gap := liveCov - tb.cov[b]
 			if gap < 0 {
 				gap = -gap
@@ -154,7 +154,7 @@ func (d *Detector) Score(snaps []TableSnapshot) (Drift, error) {
 		}
 		l1 /= float64(len(d.bounds))
 		dr.PerTable[i] = l1
-		dr.Score += tb.weight * l1
+		dr.Score += float64(tb.weight * l1)
 	}
 	return dr, nil
 }
@@ -228,7 +228,7 @@ func (d *Detector) SegShares(snaps []TableSnapshot) ([][]float64, error) {
 			lo := float64(len(tb.rank)) // first baseline-unobserved rank
 			span := rows - lo
 			for s := 0; s < nseg; s++ {
-				sLo, sHi := d.all[s]*rows, d.all[s+1]*rows
+				sLo, sHi := float64(d.all[s]*rows), float64(d.all[s+1]*rows)
 				var overlap float64
 				if span > 0 {
 					if sLo < lo {
@@ -240,7 +240,7 @@ func (d *Detector) SegShares(snaps []TableSnapshot) ([][]float64, error) {
 				} else {
 					overlap = (d.all[s+1] - d.all[s]) // fully observed: uniform
 				}
-				shares[s] += cold * overlap
+				shares[s] += float64(cold * overlap)
 			}
 		}
 		for s := range shares {

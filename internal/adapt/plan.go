@@ -75,9 +75,9 @@ func PlanMigration(p *partition.Profile, old, next *partition.Decision, batch in
 			d := next.RowFrac[i][j] - old.RowFrac[i][j]
 			if d > 0 {
 				movedFrac += d
-				inBytes[j] += d * tblBytes
+				inBytes[j] += float64(d * tblBytes)
 			} else if cold[j] {
-				coldOutBytes += -d * tblBytes
+				coldOutBytes += float64(-d * tblBytes)
 			}
 		}
 		rows := int64(movedFrac * float64(t.Rows))

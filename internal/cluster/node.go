@@ -1,8 +1,8 @@
 // Package cluster scales the single-process serving layer out to N
 // nodes — the cluster-level analogue of the paper's cross-level
 // placement idea. Embedding tables are partitioned across nodes once,
-// at start-up, on a consistent-hash ring with virtual nodes; the tables
-// with the largest access volumes are replicated on R nodes (the
+// at start-up, dealt round the nodes in turn; the tables with the
+// largest access volumes are replicated on R nodes (the
 // cluster-scope version of RecNMP/TRiM-B hot-entry replication), and a
 // stateless Router scatter-gathers each lookup batch across the owning
 // nodes with per-node deadlines, hedged requests after a p99-derived

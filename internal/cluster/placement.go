@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-
-	"recross/internal/trace"
 )
 
 // Placement maps every embedding table to the nodes that serve it.
@@ -30,8 +28,6 @@ type PlacementOptions struct {
 	Replication int
 	// Hot marks the tables to replicate (nil = replicate none).
 	Hot []bool
-	// Seed perturbs ring hashes.
-	Seed uint64
 }
 
 func (o PlacementOptions) replication(nodes int) int {
@@ -48,26 +44,32 @@ func (o PlacementOptions) replication(nodes int) int {
 	return r
 }
 
-// RingPlacement partitions tables across nodes by consistent hashing:
-// table t's owners are the first replicas(t) distinct nodes clockwise
-// of hash("t<t>") on a vnode ring. Stable under node loss —
-// only the lost node's arcs move.
+// RingPlacement deals the tables round the nodes: hot tables first,
+// then the rest, each group in index order. Each table takes the next
+// node as its primary, and a hot table also takes the following
+// Replication-1 nodes as replicas, so every node is primary for
+// floor(T/N) or ceil(T/N) tables. The placement depends only on the
+// table count, the node count and the hot set.
 func RingPlacement(tables int, nodes []string, opts PlacementOptions) (*Placement, error) {
 	if err := validateNodes(tables, nodes, opts.Hot); err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(len(nodes), RingOptions{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	rep := opts.replication(len(nodes))
 	p := &Placement{Nodes: nodes, Replicas: make([][]int, tables), Hot: opts.Hot}
-	for t := 0; t < tables; t++ {
-		r := 1
-		if opts.Hot != nil && opts.Hot[t] {
-			r = rep
+	next := 0 // the next table's primary, before wrapping round the nodes
+	for _, hot := range []bool{true, false} {
+		owners := 1
+		if hot {
+			owners = opts.replication(len(nodes))
 		}
-		p.Replicas[t] = ring.Successors(fmt.Sprintf("t%d", t), r)
+		for t := range tables {
+			if (opts.Hot != nil && opts.Hot[t]) != hot {
+				continue
+			}
+			for k := range owners {
+				p.Replicas[t] = append(p.Replicas[t], (next+k)%len(nodes))
+			}
+			next++
+		}
 	}
 	p.finalize()
 	return p, nil
@@ -167,38 +169,4 @@ func (p *Placement) UniqueTables(i int) []int {
 		}
 	}
 	return out
-}
-
-// NodeTableBytes sums the spec bytes of the tables each node holds
-// (replicated tables count fully on every owner) — the balance measure
-// the ring-skew test bounds.
-func (p *Placement) NodeTableBytes(spec trace.ModelSpec) []int64 {
-	out := make([]int64, len(p.Nodes))
-	for t, reps := range p.Replicas {
-		if t >= len(spec.Tables) {
-			break
-		}
-		b := spec.Tables[t].Bytes()
-		for _, i := range reps {
-			out[i] += b
-		}
-	}
-	return out
-}
-
-// BytesSkew is max/mean of NodeTableBytes — 1.0 is perfect balance.
-func (p *Placement) BytesSkew(spec trace.ModelSpec) float64 {
-	bytes := p.NodeTableBytes(spec)
-	var sum, max int64
-	for _, b := range bytes {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(bytes))
-	return float64(max) / mean
 }

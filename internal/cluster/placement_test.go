@@ -1,10 +1,9 @@
 package cluster
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"testing"
-
-	"recross/internal/trace"
 )
 
 func TestHotTopK(t *testing.T) {
@@ -83,19 +82,56 @@ func TestPlacementValidation(t *testing.T) {
 	}
 }
 
-// TestPlacementBytes sanity-checks the balance measure itself.
-func TestPlacementBytes(t *testing.T) {
-	spec := trace.Uniform(4, 1000, 8, 2)
-	p := &Placement{
-		Nodes:    []string{"a", "b"},
-		Replicas: [][]int{{0}, {0}, {1}, {1}},
-	}
-	p.finalize()
-	bytes := p.NodeTableBytes(spec)
-	if bytes[0] != bytes[1] || bytes[0] == 0 {
-		t.Errorf("uniform split gave bytes %v", bytes)
-	}
-	if skew := p.BytesSkew(spec); math.Abs(skew-1) > 1e-9 {
-		t.Errorf("perfect split skew %v, want 1", skew)
+// TestRingPlacementBalance: for every table and node count, each node
+// is primary for floor(T/N) or ceil(T/N) tables, each hot table has
+// min(Replication, N) distinct owners, and the placement does not depend
+// on the node IDs.
+func TestRingPlacementBalance(t *testing.T) {
+	for _, tables := range []int{16, 26, 64} {
+		for n := 1; n <= 8; n++ {
+			ids := make([]string, n)
+			other := make([]string, n)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("node%d", i)
+				other[i] = fmt.Sprintf("10.0.0.%d:7000", 9-i)
+			}
+			vols := make([]float64, tables)
+			for tb := range vols {
+				vols[tb] = float64((tb * 7) % tables)
+			}
+			opts := PlacementOptions{Hot: HotTopK(vols, tables/4), Replication: 3}
+			p, err := RingPlacement(tables, ids, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			primaries := make([]int, n)
+			for tb, reps := range p.Replicas {
+				primaries[reps[0]]++
+				want := 1
+				if opts.Hot[tb] {
+					want = min(3, n)
+				}
+				seen := map[int]bool{}
+				for _, i := range reps {
+					seen[i] = true
+				}
+				if len(reps) != want || len(seen) != want {
+					t.Errorf("T=%d N=%d table %d: owners %v, want %d distinct", tables, n, tb, reps, want)
+				}
+			}
+			lo, hi := tables/n, (tables+n-1)/n
+			for i, c := range primaries {
+				if c < lo || c > hi {
+					t.Errorf("T=%d N=%d: node %d is primary for %d tables, want %d..%d (all: %v)", tables, n, i, c, lo, hi, primaries)
+				}
+			}
+			q, err := RingPlacement(tables, other, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p.Replicas, q.Replicas) {
+				t.Errorf("T=%d N=%d: placement depends on node IDs:\n%v\n%v", tables, n, p.Replicas, q.Replicas)
+			}
+		}
 	}
 }

@@ -548,7 +548,7 @@ func TestRouterSpreadsReplicas(t *testing.T) {
 }
 
 // BenchmarkClusterLookup measures one scatter-gathered lookup across a
-// 4-node fleet of in-process fakes on a ring placement — the router's
+// 4-node fleet of in-process fakes on a dealt placement — the router's
 // own planning/dispatch/reassembly overhead, since the fakes answer
 // straight from the functional layer. CI runs it at -benchtime=1x as a
 // smoke so the harness cannot rot.

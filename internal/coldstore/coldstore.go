@@ -54,20 +54,39 @@ type RowCount struct {
 	Count int64
 }
 
-// Config configures Open.
+// Config configures the cold tier: the capacity and timing model the
+// ReCross partitioner prices the fourth placement level with (CapBytes,
+// ResidentBudgetBytes, PageBytes, InStorageReduce, Precision; see NewSim)
+// and the functional backing store Open builds.
 type Config struct {
-	// Dir is the directory holding the backing file (required; a temp dir
-	// in tests). The file is created (or truncated) by Open and removed by
-	// Close.
-	Dir string
+	// CapBytes is the cold region's capacity offered to the partitioner
+	// (required; size it to hold whatever the DRAM budget displaces).
+	CapBytes int64
+	// ResidentBudgetBytes, when positive, clamps the summed DRAM region
+	// capacity to this budget (regions shrink proportionally), so table
+	// sets larger than DRAM spill their cold mass onto flash instead of
+	// failing to fit. Zero leaves the DRAM regions at their geometric
+	// capacity.
+	ResidentBudgetBytes int64
 	// PageBytes is the device page size (default 16 KiB). Must hold at
 	// least one vector; rows never straddle pages.
 	PageBytes int
-	// Precision is the on-device row format (default kernels.FP32). With
-	// FP16 or INT8, pages hold kernels.EncodeRow images — smaller rows, so
-	// more rows per page and fewer device reads per gather — and every
-	// read serves the canonical dequantized value. Block checksums cover
-	// the encoded bytes, which is also what the page cache holds, so one
+	// InStorageReduce enables RecSSD-style device-side pooling: one
+	// partial sum per op crosses the host link instead of every gathered
+	// row, raising the effective link bandwidth the LP prices cold
+	// placements with.
+	InStorageReduce bool
+	// Dir is the directory holding the backing file (default
+	// os.TempDir()). The file is created (or truncated) by Open and
+	// removed by Close.
+	Dir string
+	// Precision is the on-device row format (default kernels.FP32,
+	// independent of the DRAM tiers' precision). With FP16 or INT8, pages
+	// hold kernels.EncodeRow images — smaller rows, so more rows per page,
+	// fewer device reads per gather and a page-read bandwidth the
+	// partitioner prices higher by the codec ratio — and every read
+	// serves the canonical dequantized value. Block checksums cover the
+	// encoded bytes, which is also what the page cache holds, so one
 	// verification rule serves every precision (see ReadRow).
 	Precision kernels.Precision
 	// CacheBytes is the host-side page-cache budget (default 64 pages):
@@ -104,6 +123,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Dir == "" {
+		c.Dir = os.TempDir()
+	}
 	if c.PageBytes == 0 {
 		c.PageBytes = 16 << 10
 	}
@@ -319,9 +341,6 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("coldstore: no tables")
-	}
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("coldstore: backing directory required")
 	}
 	vecLen := tables[0].VecLen()
 	for i, t := range tables {

@@ -281,7 +281,7 @@ func TestConcurrentReadsAndRemap(t *testing.T) {
 // slot streams price identically, repeated pages hit the device buffer,
 // and in-storage reduction cuts the link transfer for pooled gathers.
 func TestSimDeterministicAndISR(t *testing.T) {
-	spec := TierSpec{PageBytes: 256}
+	spec := Config{PageBytes: 256}
 	vecBytes := 64
 	slots := make([]int64, 0, 128)
 	rng := rand.New(rand.NewSource(3))
@@ -305,7 +305,7 @@ func TestSimDeterministicAndISR(t *testing.T) {
 
 	// A link-bound stream (every slot in one cached page) must get faster
 	// with in-storage reduction: the link carries ops, not rows.
-	isr := TierSpec{PageBytes: 256, InStorageReduce: true}
+	isr := Config{PageBytes: 256, InStorageReduce: true}
 	hot := make([]int64, 512)
 	host, dev := NewSim(spec, vecBytes), NewSim(isr, vecBytes)
 	host.Batch(hot[:1], 1) // warm the single page in both buffers
@@ -361,7 +361,7 @@ func TestExpoSchema(t *testing.T) {
 // buffer moved onto the shared cache.Clock. Any change in which page a
 // sweep evicts shows up in these totals.
 func TestSimFixedTrace(t *testing.T) {
-	s := NewSim(TierSpec{PageBytes: 256}, 64)
+	s := NewSim(Config{PageBytes: 256}, 64)
 	rng := rand.New(rand.NewSource(11))
 	zipf := rand.NewZipf(rng, 1.1, 4, 4095)
 	var cycles, reads, hits int64

@@ -71,30 +71,6 @@ func (m Model) EffectiveBW(vecBytes int, inStorageReduce bool) float64 {
 	return link
 }
 
-// TierSpec configures a ReCross instance's cold tier (core.Config.ColdTier).
-type TierSpec struct {
-	// CapBytes is the cold region's capacity offered to the partitioner.
-	CapBytes int64
-	// ResidentBudgetBytes, when positive, clamps the summed DRAM region
-	// capacity to this budget (regions shrink proportionally), forcing
-	// the tail of an oversized table set onto the cold tier. Zero leaves
-	// the DRAM regions at their geometric capacity.
-	ResidentBudgetBytes int64
-	// PageBytes is the device page size (default 16 KiB).
-	PageBytes int
-	// InStorageReduce enables RecSSD-style device-side pooling: the link
-	// carries one partial sum per op instead of every gathered row.
-	InStorageReduce bool
-}
-
-// WithDefaults resolves the spec's zero values.
-func (t TierSpec) WithDefaults() TierSpec {
-	if t.PageBytes == 0 {
-		t.PageBytes = 16 << 10
-	}
-	return t
-}
-
 // Sim is the per-replica cold-tier timing model: a deterministic CLOCK
 // page-buffer over placement slots plus the seek/read/link accounting.
 // Like every timing simulator in the tree it is single-goroutine — one Sim
@@ -108,10 +84,11 @@ type Sim struct {
 	buffer *cache.Clock[int64] // CLOCK page buffer keyed by page id
 }
 
-// NewSim builds a replica's cold timing model.
-func NewSim(spec TierSpec, vecBytes int) *Sim {
-	spec = spec.WithDefaults()
-	rpp := spec.PageBytes / vecBytes
+// NewSim builds a replica's cold timing model over cfg's page size and
+// in-storage reduction; vecBytes is one row's size on the device.
+func NewSim(cfg Config, vecBytes int) *Sim {
+	cfg = cfg.withDefaults()
+	rpp := cfg.PageBytes / vecBytes
 	if rpp < 1 {
 		rpp = 1
 	}
@@ -120,7 +97,7 @@ func NewSim(spec TierSpec, vecBytes int) *Sim {
 		m:        m,
 		vecBytes: vecBytes,
 		rpp:      rpp,
-		isr:      spec.InStorageReduce,
+		isr:      cfg.InStorageReduce,
 		buffer:   cache.NewClock[int64](m.CachePages),
 	}
 }
@@ -154,10 +131,10 @@ func (s *Sim) Batch(slots []int64, ops int) (cycles sim.Cycle, pageReads, pageHi
 	}
 	pageReads = misses
 
-	device := float64(misses) * (s.m.SeekCycles + s.m.PageReadCycles)
+	device := float64(float64(misses) * (s.m.SeekCycles + s.m.PageReadCycles))
 	transferRows := len(slots)
 	if s.isr {
-		device += float64(len(slots)) * s.m.ReduceCyclesPerRow
+		device += float64(float64(len(slots)) * s.m.ReduceCyclesPerRow)
 		transferRows = ops
 	}
 	device /= float64(s.m.Channels)

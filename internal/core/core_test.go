@@ -253,7 +253,7 @@ func TestReduceBatchMatchesReference(t *testing.T) {
 	}{
 		{name: "fp32", spec: miniSpec(), batch: 4},
 		{name: "cold", spec: criteo, batch: 8, mod: func(c *Config) {
-			c.ColdTier = &coldstore.TierSpec{CapBytes: 8 << 30, ResidentBudgetBytes: 512 << 20, InStorageReduce: true}
+			c.ColdTier = &coldstore.Config{CapBytes: 8 << 30, ResidentBudgetBytes: 512 << 20, InStorageReduce: true}
 		}},
 		{name: "int8", spec: miniSpec(), prec: kernels.INT8, batch: 4},
 	}

@@ -78,8 +78,7 @@ func TestQuantizedRunFasterAndCheaper(t *testing.T) {
 func TestQuantizedRegionsCompression(t *testing.T) {
 	cfg := miniConfig()
 	cfg.Precision = kernels.INT8
-	cfg.ColdPrecision = kernels.INT8
-	cfg.ColdTier = &coldstore.TierSpec{CapBytes: 64 << 20}
+	cfg.ColdTier = &coldstore.Config{CapBytes: 64 << 20, Precision: kernels.INT8}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +109,7 @@ func TestRunTrainingReturnsResultsLikeRun(t *testing.T) {
 		{Name: "one-hot", Rows: 400000, VecLen: 64, Pooling: 1, Prob: 1, Skew: 0.6},
 		{Name: "multi-hot", Rows: 400000, VecLen: 64, Pooling: 4, Prob: 1, Skew: 0.9},
 	}}
-	cold.ColdTier = &coldstore.TierSpec{CapBytes: 1 << 30, ResidentBudgetBytes: 4 << 20}
+	cold.ColdTier = &coldstore.Config{CapBytes: 1 << 30, ResidentBudgetBytes: 4 << 20}
 	for name, cfg := range map[string]Config{"int8": i8, "cold": cold} {
 		r, err := New(cfg)
 		if err != nil {

@@ -143,7 +143,7 @@ func TestAdoptValidation(t *testing.T) {
 	oneRank := miniConfig()
 	oneRank.Ranks = 1
 	cold := miniConfig()
-	cold.ColdTier = &coldstore.TierSpec{CapBytes: 64 << 20}
+	cold.ColdTier = &coldstore.Config{CapBytes: 64 << 20}
 	for name, cfg := range map[string]Config{"ranks": oneRank, "cold": cold} {
 		other, err := New(cfg)
 		if err != nil {

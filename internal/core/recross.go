@@ -74,18 +74,18 @@ type Config struct {
 	// behind the DRAM tree (RegionCold). The partitioner prices it with
 	// the tier's timing model, and when ResidentBudgetBytes is set the
 	// DRAM regions' capacities are clamped to the budget so the table
-	// tail overflows onto flash instead of failing to fit.
-	ColdTier *coldstore.TierSpec
+	// tail overflows onto flash instead of failing to fit. Its Precision
+	// is the flash pages' row format: it packs more rows per device page
+	// (raising effective gather bandwidth) and multiplies the tier's
+	// capacity by the codec ratio. Only the partitioner and timing
+	// fields are read here; the store fields configure coldstore.Open.
+	ColdTier *coldstore.Config
 	// Precision is the DRAM regions' row storage format. Quantized rows
 	// shrink each gather's bus occupancy to the encoded burst count and
 	// multiply region capacity by the same ratio; partial sums climbing
 	// the PE tree and results returned to the host stay fp32. The zero
 	// value is FP32 (the pre-quantization model, bit-identical).
 	Precision kernels.Precision
-	// ColdPrecision is the flash tier's page row format: it packs more
-	// rows per device page (raising effective gather bandwidth) and
-	// multiplies the tier's capacity by the codec ratio.
-	ColdPrecision kernels.Precision
 }
 
 // DefaultConfig returns the paper's ReCross-d: 1 rank PE, 4 bank-group PEs
@@ -140,8 +140,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative resident budget %d", c.ColdTier.ResidentBudgetBytes)
 	case c.Precision > kernels.INT8:
 		return fmt.Errorf("core: unknown precision %v", c.Precision)
-	case c.ColdPrecision > kernels.INT8:
-		return fmt.Errorf("core: unknown cold precision %v", c.ColdPrecision)
+	case c.ColdTier != nil && c.ColdTier.Precision > kernels.INT8:
+		return fmt.Errorf("core: unknown cold precision %v", c.ColdTier.Precision)
 	}
 	return c.Spec.Validate()
 }
@@ -220,7 +220,7 @@ func New(cfg Config) (*ReCross, error) {
 	}
 	r.assignBanks()
 	if cfg.ColdTier != nil {
-		r.coldSim = coldstore.NewSim(*cfg.ColdTier, cfg.ColdPrecision.RowBytes(vecLen))
+		r.coldSim = coldstore.NewSim(*cfg.ColdTier, cfg.ColdTier.Precision.RowBytes(vecLen))
 	}
 
 	var err error
@@ -306,7 +306,7 @@ func (r *ReCross) Regions() []partition.Region {
 	if t := B * float64(tm.TCCDL); t > missVec {
 		missVec = t
 	}
-	salpVec := (B-1)*float64(tm.TCCDL) + float64(tm.TRA)
+	salpVec := float64((B-1)*float64(tm.TCCDL)) + float64(tm.TRA)
 	if !r.cfg.SAP {
 		salpVec = missVec
 	}
@@ -367,8 +367,8 @@ func (r *ReCross) Regions() []partition.Region {
 	// the R:G:B shape survives), then append the flash region priced by
 	// the cold timing model. It is last on purpose — the placement's fill
 	// order sends only a segment's coldest slice there.
-	spec := r.cfg.ColdTier.WithDefaults()
-	if budget := spec.ResidentBudgetBytes; budget > 0 {
+	cold := r.cfg.ColdTier
+	if budget := cold.ResidentBudgetBytes; budget > 0 {
 		var total int64
 		for _, reg := range regions {
 			total += reg.CapBytes
@@ -382,13 +382,12 @@ func (r *ReCross) Regions() []partition.Region {
 	}
 	// The cold tier packs encoded rows into device pages with no burst
 	// rounding, so its ratio is the codec's exact byte ratio.
-	coldRowBytes := r.cfg.ColdPrecision.RowBytes(r.vecLen)
 	return append(regions, partition.Region{
 		Name:        "C",
 		Level:       nmp.LevelCold,
-		CapBytes:    spec.CapBytes,
-		BW:          coldstore.DefaultModel().EffectiveBW(coldRowBytes, spec.InStorageReduce),
-		Compression: r.cfg.ColdPrecision.Ratio(r.vecLen),
+		CapBytes:    cold.CapBytes,
+		BW:          coldstore.DefaultModel().EffectiveBW(cold.Precision.RowBytes(r.vecLen), cold.InStorageReduce),
+		Compression: cold.Precision.Ratio(r.vecLen),
 	})
 }
 

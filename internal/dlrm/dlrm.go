@@ -70,7 +70,7 @@ func (m *MLP) Forward(x []float32) ([]float32, error) {
 			acc := m.biases[l][o]
 			row := w[o*in : (o+1)*in]
 			for i, v := range cur {
-				acc += row[i] * v
+				acc += float32(row[i] * v)
 			}
 			if l+1 < len(m.weights) && acc < 0 {
 				acc = 0 // ReLU on hidden layers
@@ -164,7 +164,7 @@ func (m *Model) PredictPooled(dense []float32, pooled [][]float32, s trace.Sampl
 			}
 			var dot float32
 			for k := 0; k < m.vecLen; k++ {
-				dot += vecs[i][k] * vecs[j][k]
+				dot += float32(vecs[i][k] * vecs[j][k])
 			}
 			feats = append(feats, dot)
 		}

@@ -59,7 +59,7 @@ func (t *Procedural) Row(i int64, dst []float32) []float32 {
 	for j := range dst {
 		seed = splitmix(seed)
 		// Map the top 24 bits to [-1, 1).
-		dst[j] = float32(seed>>40)/float32(1<<23) - 1
+		dst[j] = float32(float32(seed>>40)/float32(1<<23)) - 1
 	}
 	return dst
 }

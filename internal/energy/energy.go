@@ -76,7 +76,7 @@ func Account(p Params, st dram.Stats, ops nmp.OpStats, cycles sim.Cycle, ranks, 
 	// paper does for rank-level NMP).
 	ioBursts := st.BurstsToHost + st.HostResultTx + st.BurstsToRank
 	b.IO = float64(ioBursts) * burstBits * p.IOPicoPerBit * pJ
-	b.PE = (float64(ops.Adds)*p.AddPico + float64(ops.Mults)*p.MultPico) * pJ
+	b.PE = (float64(float64(ops.Adds)*p.AddPico) + float64(float64(ops.Mults)*p.MultPico)) * pJ
 	b.Static = float64(cycles) * float64(ranks) * p.StaticPicoPerCyclePerRank * pJ
 	return b
 }
@@ -118,7 +118,7 @@ type Area struct {
 
 // ChipArea computes the in-DRAM-chip PE area for a PE population.
 func (m AreaModel) ChipArea(nBGPE, nBankPE, nSALPBanks int) float64 {
-	return float64(nBGPE)*m.BGPE + float64(nBankPE)*m.BankPE + float64(nSALPBanks)*m.SALPCtrl
+	return float64(float64(nBGPE)*m.BGPE) + float64(float64(nBankPE)*m.BankPE) + float64(float64(nSALPBanks)*m.SALPCtrl)
 }
 
 // TableAreas reproduces Table 3 for the five architectures.

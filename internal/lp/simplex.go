@@ -226,7 +226,7 @@ func Solve(p *Problem) Solution {
 	}
 	obj := 0.0
 	for j := 0; j < p.n; j++ {
-		obj += p.c[j] * x[j]
+		obj += float64(p.c[j] * x[j])
 	}
 	return Solution{Status: Optimal, X: x, Objective: obj}
 }
@@ -256,7 +256,7 @@ func (t *tableau) objective(c []float64, basis []int) float64 {
 	v := 0.0
 	for i, bj := range basis {
 		if !math.IsInf(c[bj], 1) {
-			v += c[bj] * t.b[i]
+			v += float64(c[bj] * t.b[i])
 		}
 	}
 	return v
@@ -286,7 +286,7 @@ func (t *tableau) optimize(c []float64, basis []int) Status {
 				continue
 			}
 			for j, aij := range t.a[i][:t.n] {
-				red[j] -= yi * aij
+				red[j] -= float64(yi * aij)
 			}
 		}
 		// Entering column.
@@ -350,9 +350,9 @@ func (t *tableau) pivot(leave, enter int, basis []int) {
 			continue
 		}
 		for _, j := range t.nz {
-			t.a[i][j] -= f * row[j]
+			t.a[i][j] -= float64(f * row[j])
 		}
-		t.b[i] -= f * t.b[leave]
+		t.b[i] -= float64(f * t.b[leave])
 		if t.b[i] < 0 && t.b[i] > -1e-12 {
 			t.b[i] = 0
 		}

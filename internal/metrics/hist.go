@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -46,9 +47,9 @@ func bucketMid(i int) float64 {
 	}
 	exp := i >> histSubBits
 	sub := i & (1<<histSubBits - 1)
-	lo := float64(int64(1)<<uint(exp)) * (1 + float64(sub)/(1<<histSubBits))
-	width := float64(int64(1)<<uint(exp)) / (1 << histSubBits)
-	return lo + width/2
+	// The octave's low edge 2^exp·(1 + sub/2^k) plus half the sub-bucket
+	// width 2^(exp-k), as one exact scaling.
+	return math.Ldexp(float64(2<<histSubBits+2*sub+1), exp-histSubBits-1)
 }
 
 // Record adds one sample. Negative samples are clamped to zero.

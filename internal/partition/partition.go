@@ -312,7 +312,7 @@ func (p *Profile) segmentsOf(ti int) []segment {
 // batch of the given size: prob * batch * pooling * vector bytes.
 func (p *Profile) tableAccessBytes(ti, batch int) float64 {
 	t := p.Spec.Tables[ti]
-	return t.Prob * float64(batch) * float64(t.Pooling) * float64(t.VecLen) * 4
+	return float64(t.Prob * float64(batch) * float64(t.Pooling) * float64(t.VecLen) * 4)
 }
 
 // Decision is a partitioning of every table across the regions.
@@ -364,7 +364,7 @@ func (d *Decision) fillRowFrac(p *Profile) {
 		for s, seg := range p.segmentsOf(i) {
 			segRowFrac := seg.hiFrac - seg.loFrac
 			for j := range d.Regions {
-				d.RowFrac[i][j] += segRowFrac * d.SegFrac[i][s][j]
+				d.RowFrac[i][j] += float64(segRowFrac * d.SegFrac[i][s][j])
 			}
 		}
 	}
@@ -433,10 +433,10 @@ func SolveLP(p *Profile, regions []Region, batch int) (*Decision, error) {
 						// Worse than any DRAM region for accessed mass,
 						// and costs a sliver per byte so idle mass also
 						// prefers DRAM while it fits.
-						obj[idx[i][s]+j] += eps * (float64(nR)*sg.accessShare + sg.bytes/totalBytes)
+						obj[idx[i][s]+j] += float64(eps * (float64(float64(nR)*sg.accessShare) + sg.bytes/totalBytes))
 						continue
 					}
-					obj[idx[i][s]+j] += eps * sg.accessShare * float64(nDRAM-1-rank)
+					obj[idx[i][s]+j] += float64(eps * sg.accessShare * float64(nDRAM-1-rank))
 					rank++
 				}
 			}
@@ -603,7 +603,7 @@ func validateInput(p *Profile, regions []Region, batch int) error {
 		if err := r.Validate(); err != nil {
 			return err
 		}
-		totalCap += float64(r.CapBytes) * r.compression()
+		totalCap += float64(float64(r.CapBytes) * r.compression())
 	}
 	if totalCap < float64(p.Spec.TotalBytes()) {
 		return fmt.Errorf("partition: model (%d bytes) exceeds total region capacity (%.0f)",

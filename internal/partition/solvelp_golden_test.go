@@ -49,8 +49,7 @@ func kaggleLP(tb testing.TB, vecLen, ranks int, prof *partition.Profile, mod fun
 // model onto an int8 flash tier.
 func int8Cold(c *core.Config) {
 	c.Precision = kernels.INT8
-	c.ColdPrecision = kernels.INT8
-	c.ColdTier = &coldstore.TierSpec{CapBytes: 16 << 30, ResidentBudgetBytes: 512 << 20, InStorageReduce: true}
+	c.ColdTier = &coldstore.Config{CapBytes: 16 << 30, ResidentBudgetBytes: 512 << 20, InStorageReduce: true, Precision: kernels.INT8}
 }
 
 // TestSolveLPGolden holds SolveLP on the real Criteo Kaggle profile and

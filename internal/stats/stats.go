@@ -247,17 +247,17 @@ func FitZipf(counts []int64) float64 {
 		n++
 		sx += x
 		sy += y
-		sxx += x * x
-		sxy += x * y
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 	}
 	if n < 8 {
 		return 0
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den <= 0 {
 		return 0
 	}
-	s := -(n*sxy - sx*sy) / den
+	s := -(float64(n*sxy) - float64(sx*sy)) / den
 	if s < 0.05 {
 		s = 0.05
 	}
@@ -276,7 +276,7 @@ func (c *CDF) At(p float64) float64 {
 	if p >= 1 {
 		return 1
 	}
-	rank := p * float64(c.universe) // number of hottest keys included
+	rank := float64(p * float64(c.universe)) // number of hottest keys included
 	if rank >= float64(len(c.cum)) {
 		// Past the observed keys: the unseen mass covers the unobserved
 		// tail — linearly by default, as a power law when tailExp is set.
@@ -284,7 +284,7 @@ func (c *CDF) At(p float64) float64 {
 			return 1
 		}
 		if c.tailExp > 0 {
-			return c.obsMass + (1-c.obsMass)*c.tailCoverage(rank)
+			return c.obsMass + float64((1-c.obsMass)*c.tailCoverage(rank))
 		}
 		tail := float64(c.universe - len(c.cum))
 		return c.obsMass + (1-c.obsMass)*(rank-float64(len(c.cum)))/tail
@@ -296,7 +296,7 @@ func (c *CDF) At(p float64) float64 {
 		lo = c.cum[i-1]
 	}
 	hi := c.cum[i]
-	return (lo + frac*(hi-lo)) * c.obsMass
+	return (lo + float64(frac*(hi-lo))) * c.obsMass
 }
 
 // tailCoverage returns the fraction of the unseen tail mass covered by
@@ -390,11 +390,11 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := float64(p / 100 * float64(len(s)-1))
 	i := int(rank)
 	frac := rank - float64(i)
 	if i+1 >= len(s) {
 		return s[i]
 	}
-	return s[i] + frac*(s[i+1]-s[i])
+	return s[i] + float64(frac*(s[i+1]-s[i]))
 }

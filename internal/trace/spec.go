@@ -121,7 +121,7 @@ func CriteoKaggle(vecLen, pooling int) ModelSpec {
 			VecLen:  vecLen,
 			Pooling: p,
 			Prob:    1.0,
-			Skew:    1.00 + 0.08*float64(i%6),
+			Skew:    1.00 + float64(0.08*float64(i%6)),
 		}
 	}
 	return ModelSpec{Name: "criteo-kaggle", Tables: tables}
@@ -147,7 +147,7 @@ func CriteoTerabyte(vecLen, pooling int) ModelSpec {
 			VecLen:  vecLen,
 			Pooling: p,
 			Prob:    1.0,
-			Skew:    1.00 + 0.08*float64(i%6),
+			Skew:    1.00 + float64(0.08*float64(i%6)),
 		}
 	}
 	return ModelSpec{Name: "criteo-terabyte", Tables: tables}

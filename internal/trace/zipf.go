@@ -84,7 +84,7 @@ func (z *Zipf) rankAt(u float64) int64 {
 	b := z.base(y)
 	if z.fastExp {
 		x := math.Exp(z.invOneMinus * math.Log(b))
-		if k := int64(x); x > float64(k)+rankMargin*x && x < float64(k+1)-rankMargin*x {
+		if k, m := int64(x), float64(rankMargin*x); x > float64(k)+m && x < float64(k+1)-m {
 			return max(0, min(k-1, z.n-1))
 		}
 	}

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -97,6 +96,15 @@ type (
 	// 8-byte scale/zero-point header).
 	Precision = kernels.Precision
 
+	// ColdTierConfig configures the flash-backed cold tier (Config.Cold):
+	// the capacity and timing model the partitioner prices the fourth
+	// placement level with, the DRAM-residency budget that forces the tail
+	// of an oversized table set onto flash, and the functional backing
+	// store's layout, retry, breaker and scrubber knobs. Its Precision is
+	// independent of Config.Precision; a cold-placed row is
+	// Decode(Encode(row)) at that precision whether the device answers or
+	// the breaker is open.
+	ColdTierConfig = coldstore.Config
 	// ColdRowCount is one row's sketch-derived access count, the input of
 	// the frequency-based page mapping.
 	ColdRowCount = coldstore.RowCount
@@ -166,7 +174,9 @@ type (
 	ClusterRouter = cluster.Router
 	// ClusterPlacement maps tables to owning nodes (primary first).
 	ClusterPlacement = cluster.Placement
-	// ClusterPlacementOptions configures the ring placement build.
+	// ClusterPlacementOptions configures RingPlacement, which deals the
+	// tables round the nodes (hot tables first, replicated on the next
+	// Replication nodes).
 	ClusterPlacementOptions = cluster.PlacementOptions
 	// ClusterResult is one answered cluster lookup.
 	ClusterResult = cluster.Result
@@ -301,14 +311,8 @@ type Config struct {
 	// ProfileSamples is the offline profiling length used by ReCross and
 	// TRiM-B's hot-entry selection (default 2000).
 	ProfileSamples int
-	// ProfileSeed seeds the profiling pass. A zero ProfileSeed means
-	// "use the default 12345" unless ProfileSeedSet is true; to profile
-	// with the literal seed 0, set ProfileSeedSet.
+	// ProfileSeed seeds the profiling pass (default 12345).
 	ProfileSeed int64
-	// ProfileSeedSet marks ProfileSeed as intentional, making seed 0
-	// usable. Without it a zero ProfileSeed is indistinguishable from an
-	// unset field and takes the default.
-	ProfileSeedSet bool
 	// Profile, when non-nil, is reused instead of profiling afresh.
 	Profile *Profile
 	// Cold, when non-nil, enables the flash-backed cold tier: a fourth
@@ -342,67 +346,6 @@ type Config struct {
 	placement *partition.Placement
 }
 
-// ColdTierConfig configures the flash-backed cold tier (Config.Cold): the
-// capacity and timing model the partitioner prices the fourth placement
-// level with, the DRAM-residency budget that forces the tail of an
-// oversized table set onto flash, and the functional backing store's
-// layout knobs.
-type ColdTierConfig struct {
-	// CapBytes is the cold region's capacity offered to the partitioner
-	// (required; size it to hold whatever the DRAM budget displaces).
-	CapBytes int64
-	// ResidentBudgetBytes, when positive, clamps the summed DRAM region
-	// capacity to this budget — regions shrink proportionally — so table
-	// sets larger than DRAM spill their cold mass onto flash instead of
-	// failing to fit.
-	ResidentBudgetBytes int64
-	// PageBytes is the device page size (default 16 KiB).
-	PageBytes int
-	// InStorageReduce enables RecSSD-style device-side pooling: one
-	// partial sum per op crosses the host link instead of every gathered
-	// row, raising the effective link bandwidth the LP prices cold
-	// placements with.
-	InStorageReduce bool
-	// Dir is the backing file's directory (default os.TempDir()); the file
-	// is created on server construction and removed on Server.Close.
-	Dir string
-	// Precision is the cold tier's page row format (default FP32,
-	// independent of Config.Precision). Quantized pages pack more rows per
-	// device read — the effective page-read bandwidth the partitioner
-	// prices cold placements with rises by the codec ratio — and served
-	// rows are the canonical decoded values: a cold-placed row is
-	// Decode(Encode(row)) at this precision whether the device answers or
-	// the breaker is open.
-	Precision Precision
-	// CacheBytes is the host-side page-cache budget (default 64 pages).
-	// Frames hold encoded device pages, so the cache is CacheBytes /
-	// PageBytes pages at every precision and a quantized one holds
-	// proportionally more rows.
-	CacheBytes int64
-
-	// Retries bounds device read retries per page read (default 2;
-	// negative disables); the backoff starts at 100µs and doubles per
-	// attempt.
-	Retries int
-	// ReadDeadline bounds one device page read; 0 disables (default).
-	ReadDeadline time.Duration
-	// BreakerThreshold consecutive failed device reads open the cold
-	// tier's circuit breaker (default 4); while it is open, cold rows
-	// materialize through the direct slow path and the server reports
-	// cold-degraded health.
-	BreakerThreshold int
-	// BreakerCooldown is the breaker's open->half-open delay (default
-	// 50ms); BreakerProbes successful probes then close it (default 2).
-	BreakerCooldown time.Duration
-	BreakerProbes   int
-	// ScrubInterval is the background integrity scrubber's cadence (one
-	// resident page verified per interval; 0 disables).
-	ScrubInterval time.Duration
-	// WrapDevice, when set, interposes on the store's page I/O — the
-	// storage fault-injection seam (chaos campaigns wrap here).
-	WrapDevice func(ColdDevice) ColdDevice
-}
-
 func (c Config) withDefaults() Config {
 	if c.Ranks == 0 {
 		c.Ranks = 2
@@ -413,7 +356,7 @@ func (c Config) withDefaults() Config {
 	if c.ProfileSamples == 0 {
 		c.ProfileSamples = 2000
 	}
-	if c.ProfileSeed == 0 && !c.ProfileSeedSet {
+	if c.ProfileSeed == 0 {
 		c.ProfileSeed = 12345
 	}
 	return c
@@ -429,12 +372,7 @@ func NewSystem(a Arch, cfg Config) (System, error) {
 	h := experiments.NewHarness(experiments.Config{Ranks: cfg.Ranks, Batch: cfg.Batch,
 		ProfileSeed: cfg.ProfileSeed, ProfileSamples: cfg.ProfileSamples}, cfg.Spec)
 	tweak := func(rc *core.Config) {
-		rc.Placement, rc.Precision = cfg.placement, cfg.Precision
-		if c := cfg.Cold; c != nil {
-			rc.ColdPrecision = c.Precision
-			rc.ColdTier = &coldstore.TierSpec{CapBytes: c.CapBytes, ResidentBudgetBytes: c.ResidentBudgetBytes,
-				PageBytes: c.PageBytes, InStorageReduce: c.InStorageReduce}
-		}
+		rc.Placement, rc.Precision, rc.ColdTier = cfg.placement, cfg.Precision, cfg.Cold
 	}
 	if cfg.Channels > 1 {
 		return h.Sharded(string(a), cfg.Channels, tweak)() // each channel profiles its sub-spec
@@ -531,10 +469,6 @@ func (r coldReader) CanonicalColdRow(ti int, idx int64, dst []float32) {
 // tables (the store lazily materializes their exact bits into pages, so
 // every read path stays bit-identical to the procedural reference).
 func openColdStore(cold *ColdTierConfig, layer *Layer) (*coldstore.Store, error) {
-	dir := cold.Dir
-	if dir == "" {
-		dir = os.TempDir()
-	}
 	// The store reads full-precision sources: its codec (cold.Precision)
 	// must apply exactly once to fp32 rows. When the tier precisions
 	// match, the cold path therefore serves the same canonical decoded
@@ -545,19 +479,7 @@ func openColdStore(cold *ColdTierConfig, layer *Layer) (*coldstore.Store, error)
 	for i := range srcs {
 		srcs[i] = layer.SourceTable(i)
 	}
-	return coldstore.Open(coldstore.Config{
-		Dir:              dir,
-		Precision:        cold.Precision,
-		PageBytes:        cold.PageBytes,
-		CacheBytes:       cold.CacheBytes,
-		Retries:          cold.Retries,
-		ReadDeadline:     cold.ReadDeadline,
-		BreakerThreshold: cold.BreakerThreshold,
-		BreakerCooldown:  cold.BreakerCooldown,
-		BreakerProbes:    cold.BreakerProbes,
-		ScrubInterval:    cold.ScrubInterval,
-		WrapDevice:       cold.WrapDevice,
-	}, srcs)
+	return coldstore.Open(*cold, srcs)
 }
 
 // routeCold points the layer's cold route at the store for every row the
@@ -858,7 +780,7 @@ func Loadgen(s *Server, opts LoadgenOptions) (*LoadgenReport, error) {
 
 // ClusterConfig configures NewClusterServer: cluster shape (in-binary
 // nodes or peer processes, both reached over the binary wire), hot-table
-// replication on the consistent-hashing ring placement, and router
+// replication in the dealt placement, and router
 // timing knobs. The placement is computed once, at start-up, from the
 // offline per-table access volumes. Zero values take sensible defaults.
 type ClusterConfig struct {
@@ -1064,7 +986,7 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 	return cs, nil
 }
 
-// clusterPlacement builds the ring placement, replicating the tables
+// clusterPlacement deals the tables round the nodes, replicating the tables
 // with the largest offline access volumes.
 func clusterPlacement(spec ModelSpec, ids []string, cc ClusterConfig) (*ClusterPlacement, error) {
 	vols := partition.AccessVolumes(spec, batchOf(cc.Serve.MaxBatch))

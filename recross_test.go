@@ -135,23 +135,17 @@ func TestConfigProfileSeed(t *testing.T) {
 	if c.ProfileSeed != 7 {
 		t.Fatalf("seed 7 coerced to %d", c.ProfileSeed)
 	}
-	// Seed 0 used to be unreachable (silently became 12345);
-	// ProfileSeedSet makes it expressible.
-	c = Config{Spec: miniSpec(), ProfileSeed: 0, ProfileSeedSet: true}.withDefaults()
-	if c.ProfileSeed != 0 {
-		t.Fatalf("explicit seed 0 coerced to %d", c.ProfileSeed)
-	}
-	// And it must produce a system that actually profiled with seed 0:
-	// identical to passing a seed-0 profile explicitly.
-	prof0, err := NewProfile(miniSpec(), 0, 50)
+	// And an unset seed must build a system that actually profiled with
+	// the default: identical to passing a seed-12345 profile explicitly.
+	prof, err := NewProfile(miniSpec(), 12345, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewSystem(ReCross, Config{Spec: miniSpec(), Profile: prof0, ProfileSamples: 50})
+	want, err := NewSystem(ReCross, Config{Spec: miniSpec(), Profile: prof, ProfileSamples: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewSystem(ReCross, Config{Spec: miniSpec(), ProfileSeedSet: true, ProfileSamples: 50})
+	got, err := NewSystem(ReCross, Config{Spec: miniSpec(), ProfileSamples: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +160,7 @@ func TestConfigProfileSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w.Cycles != g.Cycles {
-		t.Fatalf("seed-0 system diverges: %d vs %d cycles", g.Cycles, w.Cycles)
+		t.Fatalf("default-seed system diverges: %d vs %d cycles", g.Cycles, w.Cycles)
 	}
 }
 
