@@ -50,7 +50,6 @@ func TestClusterE2E(t *testing.T) {
 	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{
 		Nodes:         4,
 		ProbeInterval: 20 * time.Millisecond,
-		HedgeDelay:    -1, // keep dispatch deterministic for the phase asserts
 		Serve:         ServeOptions{MaxBatch: 8},
 		WrapNode: func(i int, n ClusterNode) ClusterNode {
 			faulty[i] = WrapFaultyNode(n, NodeFaultConfig{}, i, nil) // no rates: Kill/Revive only
@@ -295,7 +294,7 @@ func TestPeersAreBinary(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		peers = append(peers, scheme+listenBin(t, srv))
 	}
-	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: peers, HedgeDelay: -1})
+	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +340,7 @@ func TestClusterClosePeers(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: []string{peer}, HedgeDelay: -1, ProbeInterval: -1})
+	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: []string{peer}, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +401,7 @@ func TestClusterConnChaos(t *testing.T) {
 	fc := NodeFaultConfig{Seed: 3, Conn: ConnFaultRates{Torn: 0.1, Reset: 0.1}}
 	var dials [2]atomic.Int64
 	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{
-		Nodes: 2, HedgeDelay: -1, ProbeInterval: 20 * time.Millisecond,
+		Nodes: 2, ProbeInterval: 20 * time.Millisecond,
 		Serve: ServeOptions{MaxBatch: 8},
 		WrapDial: func(i int, d BinDial) BinDial {
 			faulty := WrapFaultyBinDial(d, fc, i, inj)

@@ -244,7 +244,6 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.binAddr, "bin-addr", "", "binary wire-protocol listen address (e.g. :9090); serves lookups beside the HTTP front-end in both single-node and cluster-router modes (empty disables)")
 	fs.IntVar(&cl.Replication, "cluster-replication", 2, "cluster: replica count for hot tables")
 	fs.IntVar(&cl.HotTopK, "cluster-hot-k", 0, "cluster: replicate the k largest-volume tables (0 = tables/4, negative = none)")
-	fs.DurationVar(&cl.HedgeDelay, "cluster-hedge", 0, "cluster: hedge delay for replicated tables (0 = derived from each node's p99; a negative duration such as -1ns turns hedging off — a bare -1 does not parse)")
 	fs.DurationVar(&cl.NodeTimeout, "cluster-node-timeout", 2*time.Second, "cluster: per-node sub-request deadline")
 
 	nc := &o.nodeChaos
@@ -404,8 +403,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			},
 			tally: func() string {
 				h, st := cs.Router.Health(), cs.Router.Stats()
-				return fmt.Sprintf("  cluster    %d/%d nodes available, %d hedges fired (%d won), %d revivals\n",
-					h.Available, h.Nodes, st.HedgesFired, st.HedgesWon, st.Revivals)
+				return fmt.Sprintf("  cluster    %d/%d nodes available, %d revivals\n",
+					h.Available, h.Nodes, st.Revivals)
 			},
 		}
 	} else {

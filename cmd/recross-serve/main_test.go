@@ -18,7 +18,7 @@ import (
 )
 
 // TestFlagsGolden: the flag set's names and default strings are the
-// command's public surface; testdata/flags.golden pins all 67.
+// command's public surface; testdata/flags.golden pins all 66.
 func TestFlagsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
@@ -38,29 +38,11 @@ func TestFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: bound value %q != default %q", f.Name, f.Value, f.DefValue)
 		}
 	})
-	if n != 67 {
-		t.Errorf("%d flags, want 67", n)
+	if n != 66 {
+		t.Errorf("%d flags, want 66", n)
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag names/defaults drifted from testdata/flags.golden:\n%s", got.String())
-	}
-}
-
-// TestClusterHedgeOff: the value -cluster-hedge's usage text gives for
-// turning hedging off parses, and lands as a negative HedgeDelay.
-func TestClusterHedgeOff(t *testing.T) {
-	var o options
-	fs := flag.NewFlagSet("recross-serve", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	bind(fs, &o)
-	if usage := fs.Lookup("cluster-hedge").Usage; !strings.Contains(usage, "-1ns") {
-		t.Fatalf("-cluster-hedge usage does not name -1ns: %q", usage)
-	}
-	if err := fs.Parse([]string{"-cluster-hedge", "-1ns"}); err != nil {
-		t.Fatal(err)
-	}
-	if o.cluster.HedgeDelay >= 0 {
-		t.Errorf("-cluster-hedge -1ns: HedgeDelay = %v, want < 0", o.cluster.HedgeDelay)
 	}
 }
 

@@ -258,6 +258,12 @@ func (c *Controller) replan(res StepResult, snaps []TableSnapshot, winMean float
 		c.metrics.Skipped++
 		return res
 	}
+	if !c.lastAdopt.IsZero() && time.Since(c.lastAdopt) < c.opts.Cooldown {
+		// Too soon after the last adoption: nothing could be adopted, so
+		// nothing is solved.
+		c.metrics.Rejected++
+		return res
+	}
 	prof, err := c.tracker.Profile()
 	if err != nil {
 		res.Err = err
@@ -289,8 +295,7 @@ func (c *Controller) replan(res StepResult, snaps []TableSnapshot, winMean float
 	c.metrics.Replans++
 	c.metrics.LastSpeedup = plan.Speedup
 
-	cooled := time.Since(c.lastAdopt) >= c.opts.Cooldown || c.lastAdopt.IsZero()
-	if !plan.Worthwhile(c.opts.MinGain, c.opts.AmortizeBatches) || !cooled {
+	if !plan.Worthwhile(c.opts.MinGain, c.opts.AmortizeBatches) {
 		c.metrics.Rejected++
 		return res
 	}
@@ -386,8 +391,9 @@ type Metrics struct {
 	Replans int64
 	// Adoptions counts plans that passed the gate and deployed.
 	Adoptions int64
-	// Rejected counts plans killed by the hysteresis gate (insufficient
-	// gain, unamortized migration cost, or cooldown).
+	// Rejected counts triggers the hysteresis gate turned away: inside
+	// the cooldown (before any solve, so not in Replans), or with a
+	// solved plan of insufficient gain or unamortized migration cost.
 	Rejected int64
 	// Skipped counts triggers ignored for lack of observed samples.
 	Skipped int64
@@ -436,7 +442,7 @@ func (c *Controller) RegisterMetrics(set *metrics.Set) {
 	set.Counter("recross_adapt_triggers_total", "Windows where the drift detector fired.", func() int64 { return m.Triggers })
 	set.Counter("recross_adapt_replans_total", "Solves run after a trigger.", func() int64 { return m.Replans })
 	set.Counter("recross_adapt_repartitions_total", "Plans that passed the gate and deployed.", func() int64 { return m.Adoptions })
-	set.Counter("recross_adapt_rejected_total", "Plans killed by the hysteresis gate.", func() int64 { return m.Rejected })
+	set.Counter("recross_adapt_rejected_total", "Triggers inside the cooldown and plans killed by the hysteresis gate.", func() int64 { return m.Rejected })
 	set.Counter("recross_adapt_skipped_total", "Triggers ignored for lack of observed samples.", func() int64 { return m.Skipped })
 	set.Counter("recross_adapt_errors_total", "Solve or adoption failures.", func() int64 { return m.Errors })
 	set.Counter("recross_adapt_rows_migrated_total", "Rows moved by adopted plans.", func() int64 { return m.RowsMigrated })

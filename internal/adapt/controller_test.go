@@ -196,20 +196,29 @@ func TestControllerCooldownBlocksRefire(t *testing.T) {
 	if *adoptions != 1 {
 		t.Fatalf("first adoption did not happen (%d)", *adoptions)
 	}
+	replans := c.Metrics().Replans
 	// Shift again: drift will fire, but the hour-long cooldown must hold.
 	if err := g.ShiftHotSet(2); err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < 8; w++ {
-		if res := stepWindow(c, g, 400); res.Err != nil {
+		res := stepWindow(c, g, 400)
+		if res.Err != nil {
 			t.Fatal(res.Err)
+		}
+		if res.Replanned {
+			t.Fatalf("window %d solved inside the cooldown", w)
 		}
 	}
 	if *adoptions != 1 {
 		t.Fatalf("cooldown violated: %d adoptions", *adoptions)
 	}
-	if m := c.Metrics(); m.Rejected == 0 {
+	m := c.Metrics()
+	if m.Rejected == 0 {
 		t.Fatalf("second drift should have been rejected by cooldown: %+v", m)
+	}
+	if m.Replans != replans {
+		t.Fatalf("Replans %d -> %d: the cooldown must turn triggers away before the solve", replans, m.Replans)
 	}
 }
 

@@ -131,7 +131,7 @@ func TestBinNodeChaosConnCampaign(t *testing.T) {
 	}
 	r, err := NewRouter(Options{
 		Nodes: nodes, Placement: pl, Layer: layer,
-		ProbeInterval: 20 * time.Millisecond, FailThreshold: 2, HedgeDelay: -1,
+		ProbeInterval: 20 * time.Millisecond, FailThreshold: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -193,7 +193,6 @@ func TestFaultyNodeUnderRouter(t *testing.T) {
 		Placement:     manualPlacement([]string{"node0", "node1"}, owners),
 		Layer:         layer,
 		ProbeInterval: -1,
-		HedgeDelay:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +235,7 @@ func TestWrappedNodesKeepWireMetrics(t *testing.T) {
 				nodes[i] = WrapFaultyNode(nodes[i], chaos.NodeConfig{}, i, nil)
 			}
 		}
-		r, err := NewRouter(Options{Nodes: nodes, Placement: pl, Layer: layer, ProbeInterval: -1, HedgeDelay: -1})
+		r, err := NewRouter(Options{Nodes: nodes, Placement: pl, Layer: layer, ProbeInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -199,7 +199,7 @@ func TestRouterCarriesColdDegraded(t *testing.T) {
 		r, err := NewRouter(Options{
 			Nodes:     []Node{binNode("sick", newServer(true)), healthy},
 			Placement: manualPlacement([]string{"sick", "healthy"}, owners),
-			Layer:     layer, ProbeInterval: -1, HedgeDelay: -1,
+			Layer:     layer, ProbeInterval: -1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 type Report struct {
 	serve.LoadRun
 	Degraded int64 // completed with >=1 functional-fallback op
-	Hedged   int64 // completed with >=1 hedge fired
 	Retried  int64 // completed after >=1 sub-request failover
 	Canceled int64
 	Errors   int64
@@ -30,8 +29,8 @@ func (r *Report) String() string {
 	if r.Degraded > 0 {
 		fmt.Fprintf(&b, "  degraded   %d (functional fallback)\n", r.Degraded)
 	}
-	if r.Hedged > 0 || r.Retried > 0 {
-		fmt.Fprintf(&b, "  hedged %d (won %d), retried %d\n", r.Hedged, r.Stats.HedgesWon, r.Retried)
+	if r.Retried > 0 {
+		fmt.Fprintf(&b, "  retried    %d\n", r.Retried)
 	}
 	if r.Canceled > 0 || r.Errors > 0 {
 		fmt.Fprintf(&b, "  canceled %d, errors %d\n", r.Canceled, r.Errors)
@@ -47,7 +46,6 @@ func (r *Report) String() string {
 func Loadgen(r *Router, opts serve.LoadgenOptions) (*Report, error) {
 	const (
 		degraded = iota
-		hedged
 		retried
 		canceled
 		other
@@ -59,9 +57,6 @@ func Loadgen(r *Router, opts serve.LoadgenOptions) (*Report, error) {
 		case err == nil:
 			if res.Degraded {
 				n[degraded]++
-			}
-			if res.Hedged {
-				n[hedged]++
 			}
 			if res.Retries > 0 {
 				n[retried]++
@@ -81,7 +76,7 @@ func Loadgen(r *Router, opts serve.LoadgenOptions) (*Report, error) {
 		return nil, err
 	}
 	return &Report{
-		LoadRun: run, Degraded: n[degraded], Hedged: n[hedged], Retried: n[retried],
+		LoadRun: run, Degraded: n[degraded], Retried: n[retried],
 		Canceled: n[canceled], Errors: n[other], Stats: r.Stats(),
 	}, err
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sync/atomic"
-	"time"
 
 	"recross/internal/metrics"
 )
@@ -17,8 +16,6 @@ type routerMetrics struct {
 	Subrequests atomic.Int64 // node sub-requests dispatched
 	SubFailures atomic.Int64 // node sub-requests failed
 	Retries     atomic.Int64 // failovers after a primary failure
-	HedgesFired atomic.Int64 // hedge requests launched
-	HedgesWon   atomic.Int64 // hedges that answered first
 	Probes      atomic.Int64 // dead-node health probes
 	Revivals    atomic.Int64 // dead nodes re-admitted
 
@@ -29,8 +26,11 @@ type routerMetrics struct {
 type Stats struct {
 	Requests, Failed, Degraded, FallbackOps int64
 	Subrequests, SubFailures, Retries       int64
-	HedgesFired, HedgesWon                  int64
 	Probes, Revivals                        int64
+
+	// Deprecated: HedgesFired is always 0; the router no longer hedges.
+	// It is kept only because benchmark/serve.go still reads it.
+	HedgesFired int64
 }
 
 // Stats snapshots the router counters.
@@ -44,8 +44,6 @@ func (r *Router) Stats() Stats {
 		Subrequests: m.Subrequests.Load(),
 		SubFailures: m.SubFailures.Load(),
 		Retries:     m.Retries.Load(),
-		HedgesFired: m.HedgesFired.Load(),
-		HedgesWon:   m.HedgesWon.Load(),
 		Probes:      m.Probes.Load(),
 		Revivals:    m.Revivals.Load(),
 	}
@@ -53,12 +51,11 @@ func (r *Router) Stats() Stats {
 
 // NodeHealth is one node's entry in the aggregated health report.
 type NodeHealth struct {
-	ID          string        `json:"id"`
-	State       string        `json:"state"`
-	Outstanding int64         `json:"outstanding"`
-	Lookups     int64         `json:"lookups"`
-	Failures    int64         `json:"failures"`
-	HedgeDelay  time.Duration `json:"hedge_delay_ns"`
+	ID          string `json:"id"`
+	State       string `json:"state"`
+	Outstanding int64  `json:"outstanding"`
+	Lookups     int64  `json:"lookups"`
+	Failures    int64  `json:"failures"`
 }
 
 // Health is the aggregated cluster health report served on /healthz.
@@ -87,7 +84,6 @@ func (r *Router) Health() Health {
 			Outstanding: ns.outstanding.Load(),
 			Lookups:     ns.lookups.Load(),
 			Failures:    ns.failures.Load(),
-			HedgeDelay:  time.Duration(ns.hedgeNs.Load()),
 		})
 	}
 	switch {
@@ -122,7 +118,7 @@ func wireMetricsOf(n Node) *WireMetrics {
 }
 
 // registerMetrics publishes the recross_cluster_* series in the router's
-// set: router totals, hedge and probe counters, per-node states and
+// set: router totals, probe counters, per-node states and
 // outstanding-work gauges, the end-to-end latency summary, and the wire
 // counters of every transport driver that owns some (BinNode). The node
 // list is fixed for the router's life, so the label sets are too.
@@ -135,8 +131,6 @@ func (r *Router) registerMetrics() {
 	set.Counter("recross_cluster_subrequests_total", "Per-node sub-requests dispatched.", m.Subrequests.Load)
 	set.Counter("recross_cluster_subrequest_failures_total", "Per-node sub-requests failed.", m.SubFailures.Load)
 	set.Counter("recross_cluster_retries_total", "Sub-request failovers onto a replica.", m.Retries.Load)
-	set.Counter("recross_cluster_hedges_fired_total", "Hedge requests launched.", m.HedgesFired.Load)
-	set.Counter("recross_cluster_hedges_won_total", "Hedge requests that answered first.", m.HedgesWon.Load)
 	set.Counter("recross_cluster_probes_total", "Dead-node health probes sent.", m.Probes.Load)
 	set.Counter("recross_cluster_revivals_total", "Dead nodes re-admitted after a probe.", m.Revivals.Load)
 	set.IntGauge("recross_cluster_nodes", "Cluster size.", func() int64 { return int64(len(r.nodes)) })
@@ -148,7 +142,6 @@ func (r *Router) registerMetrics() {
 		set.IntGauge("recross_cluster_node_outstanding", "In-flight sub-requests per node.", ns.outstanding.Load, "node", id)
 		set.Counter("recross_cluster_node_lookups_total", "Sub-requests served per node.", ns.lookups.Load, "node", id)
 		set.Counter("recross_cluster_node_failures_total", "Sub-request failures per node.", ns.failures.Load, "node", id)
-		set.Gauge("recross_cluster_node_hedge_delay_seconds", "Current per-node hedge delay.", func() float64 { return float64(ns.hedgeNs.Load()) / 1e9 }, "node", id)
 		if wm := wireMetricsOf(ns.node); wm != nil {
 			wm.register(set, "node", id, "role", "client")
 		}

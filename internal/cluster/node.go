@@ -5,9 +5,9 @@
 // largest access volumes are replicated on R nodes (the
 // cluster-scope version of RecNMP/TRiM-B hot-entry replication), and a
 // stateless Router scatter-gathers each lookup batch across the owning
-// nodes with per-node deadlines, hedged requests after a p99-derived
-// delay, and least-outstanding-work dispatch among a hot table's
-// replicas.
+// nodes with per-node deadlines, least-outstanding-work dispatch among a
+// hot table's replicas, and one failover round onto the replicas of a
+// failed sub-request's tables.
 //
 // Every table is procedurally defined by its global index, so holding a
 // table costs a node nothing at rest — what the placement partitions is

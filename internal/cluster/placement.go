@@ -17,8 +17,6 @@ type Placement struct {
 	Replicas [][]int
 	// Hot marks the tables that were replicated (nil if none were).
 	Hot []bool
-
-	holds [][]bool // node -> table -> held
 }
 
 // PlacementOptions configures RingPlacement.
@@ -71,7 +69,6 @@ func RingPlacement(tables int, nodes []string, opts PlacementOptions) (*Placemen
 			next++
 		}
 	}
-	p.finalize()
 	return p, nil
 }
 
@@ -119,33 +116,8 @@ func validateNodes(tables int, nodes []string, hot []bool) error {
 	return nil
 }
 
-// finalize builds the holds index.
-func (p *Placement) finalize() {
-	p.holds = make([][]bool, len(p.Nodes))
-	for i := range p.holds {
-		p.holds[i] = make([]bool, len(p.Replicas))
-	}
-	for t, reps := range p.Replicas {
-		for _, i := range reps {
-			// Out-of-range owners (a hand-built placement) are left for
-			// checkPlacement to reject rather than panicking here.
-			if i >= 0 && i < len(p.holds) {
-				p.holds[i][t] = true
-			}
-		}
-	}
-}
-
 // Tables reports how many tables the placement covers.
 func (p *Placement) Tables() int { return len(p.Replicas) }
-
-// Holds reports whether node i serves table t.
-func (p *Placement) Holds(i, t int) bool {
-	if i < 0 || i >= len(p.holds) || t < 0 || t >= len(p.holds[i]) {
-		return false
-	}
-	return p.holds[i][t]
-}
 
 // Replicated reports how many tables have more than one owner.
 func (p *Placement) Replicated() int {

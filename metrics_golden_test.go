@@ -102,7 +102,7 @@ func TestMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := cluster.NewRouter(cluster.Options{Nodes: nodes, Placement: pl, Layer: layer, HedgeDelay: -1, ProbeInterval: -1})
+	router, err := cluster.NewRouter(cluster.Options{Nodes: nodes, Placement: pl, Layer: layer, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

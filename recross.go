@@ -169,8 +169,9 @@ type (
 	// optionally wrapped by a FaultyNode.
 	ClusterNode = cluster.Node
 	// ClusterRouter is the stateless scatter-gather front of a cluster:
-	// placement-driven batch splitting, per-node deadlines, hedged
-	// requests, least-outstanding replica dispatch, functional fallback.
+	// placement-driven batch splitting, per-node deadlines, one failover
+	// round onto replicas, least-outstanding replica dispatch, functional
+	// fallback.
 	ClusterRouter = cluster.Router
 	// ClusterPlacement maps tables to owning nodes (primary first).
 	ClusterPlacement = cluster.Placement
@@ -816,11 +817,8 @@ type ClusterConfig struct {
 
 	// NodeTimeout bounds each per-node sub-request (default 2s).
 	NodeTimeout time.Duration
-	// HedgeDelay: 0 derives per-node hedge delays from observed p99s,
-	// positive fixes the delay, negative disables hedging.
-	HedgeDelay time.Duration
-	// ProbeInterval paces hedge-delay refresh and dead-node re-admission
-	// probes (default 250ms; negative disables).
+	// ProbeInterval paces dead-node re-admission probes (default 250ms;
+	// negative disables).
 	ProbeInterval time.Duration
 
 	// Serve carries per-node serving knobs (batching, queueing, quorum,
@@ -976,7 +974,6 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		Placement:     pl,
 		Layer:         routerLayer,
 		NodeTimeout:   cc.NodeTimeout,
-		HedgeDelay:    cc.HedgeDelay,
 		ProbeInterval: cc.ProbeInterval,
 	})
 	if err != nil {
