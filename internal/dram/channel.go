@@ -185,8 +185,6 @@ type Channel struct {
 	cmdBusFree sim.Cycle
 	lastHostRD sim.Cycle
 
-	salpBanks map[int]bool
-
 	// Timing-edge epochs: revision counters bumped whenever the timing
 	// state of the corresponding scope moves in a way that can push a
 	// *future* command's earliest issue time. The memory controller's fast
@@ -254,7 +252,6 @@ func NewChannel(geo Geometry, tm Timing, mode InstrMode) (*Channel, error) {
 		rankLastWR:  make([]sim.Cycle, geo.Ranks),
 		rankACTHist: make([][4]sim.Cycle, geo.Ranks),
 		rankACTPos:  make([]int, geo.Ranks),
-		salpBanks:   make(map[int]bool),
 		epRank:      make([]uint32, geo.Ranks),
 		epBG:        make([]uint32, geo.Ranks*geo.BankGroups),
 		epBank:      make([]uint32, nb),
@@ -329,7 +326,6 @@ func (c *Channel) EnableSALP(flatBank int) {
 		b.subLastACT[i] = neg
 		b.subLastRD[i] = neg
 	}
-	c.salpBanks[flatBank] = true
 	c.epBank[flatBank]++
 }
 
@@ -595,6 +591,13 @@ func (c *Channel) EarliestWR(l Loc, now sim.Cycle) sim.Cycle {
 		c.rankLastRD[l.Rank]+tm.TCCDS,
 		c.lastHostRD+tm.TBL)
 	return c.afterRefresh(t)
+}
+
+// WRFloor returns a lower bound on EarliestWR(l, at) for every l and every
+// at >= now: the channel-wide edges every write waits on (the command bus
+// and the DQ burst of the last host transfer), past any refresh window.
+func (c *Channel) WRFloor(now sim.Cycle) sim.Cycle {
+	return c.afterRefresh(max(now, c.cmdBusFree, c.lastHostRD+c.Tm.TBL))
 }
 
 // IssueWR issues a write burst at l (embedding updates flow from the host;

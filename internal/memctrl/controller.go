@@ -16,8 +16,10 @@
 //     re-issues Earliest* timing queries for each candidate — O(banks) per
 //     command. It is kept as the correctness oracle.
 //   - Controller.Drain is the fast arbiter: per-bank candidates live in
-//     lazy min-heaps keyed by earliest issue time, invalidated by the
-//     timing-edge epochs dram.Channel exports — O(log banks) per command.
+//     lazy min-heaps keyed by earliest issue time (reads, write
+//     activations, write columns), invalidated by the timing-edge epochs
+//     dram.Channel exports; write columns at the channel's write floor
+//     wait in a ready heap ordered by tie key — O(log banks) per command.
 //
 // The two are bit-identical: the differential fuzzer in this package
 // asserts equal Result and dram.Stats over both policies, SALP on/off,
@@ -119,13 +121,16 @@ type Controller struct {
 	// single-goroutine contract (see fast.go).
 	fbanks []fastBank
 	free   *fnode
-	rheap  entryHeap
-	wheap  entryHeap
+	rheap  entryHeap // reads and their activations
+	wheap  entryHeap // write columns above the write floor
+	wact   entryHeap // write activations
+	ready  entryHeap // write columns at the write floor, by tie key
 	dirty  []int32
 	opIdx  map[int32]int32 // op tag -> dense op index
 	ops    []opState       // per dense op, in order of first appearance
 	reqOp  []int32         // per request, its dense op index
 	done   []sim.Cycle     // backs Result.Done
+	rekeys int64           // popBest queries that moved a key, all drains
 
 	// Reference-scheduler scratch (see reference.go).
 	refWrites []refWCand
@@ -148,9 +153,6 @@ func New(ch *dram.Channel, policy Policy, window int) (*Controller, error) {
 	}
 	return &Controller{ch: ch, policy: policy, window: window, InflightLimit: DefaultInflight}, nil
 }
-
-// Channel returns the controller's channel (for stats inspection).
-func (c *Controller) Channel() *dram.Channel { return c.ch }
 
 // Drain issues every request and returns completion statistics. The input
 // slice is not modified. Requests must be valid for the channel's geometry.

@@ -8,7 +8,7 @@ import (
 	"recross/internal/sim"
 )
 
-func newCtl(t *testing.T, ranks int, mode dram.InstrMode, pol Policy) *Controller {
+func newCtl(t *testing.T, ranks int, mode dram.InstrMode, pol Policy) (*Controller, *dram.Channel) {
 	t.Helper()
 	ch, err := dram.NewChannel(dram.DDR5(ranks), dram.DDR5Timing(), mode)
 	if err != nil {
@@ -18,11 +18,11 @@ func newCtl(t *testing.T, ranks int, mode dram.InstrMode, pol Policy) *Controlle
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, ch
 }
 
 func TestDrainEmpty(t *testing.T) {
-	c := newCtl(t, 2, dram.Conventional, FRFCFS)
+	c, _ := newCtl(t, 2, dram.Conventional, FRFCFS)
 	res, err := c.Drain(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +33,8 @@ func TestDrainEmpty(t *testing.T) {
 }
 
 func TestDrainSingleVector(t *testing.T) {
-	c := newCtl(t, 2, dram.Conventional, FRFCFS)
-	tm := c.Channel().Tm
+	c, ch := newCtl(t, 2, dram.Conventional, FRFCFS)
+	tm := ch.Tm
 	res, err := c.Drain([]Request{{
 		Loc: dram.Loc{Row: 5}, Cols: 4, Consumer: dram.ToHost,
 	}})
@@ -55,7 +55,7 @@ func TestDrainSingleVector(t *testing.T) {
 }
 
 func TestDrainRowHitReuse(t *testing.T) {
-	c := newCtl(t, 2, dram.Conventional, FRFCFS)
+	c, ch := newCtl(t, 2, dram.Conventional, FRFCFS)
 	// Two vectors in the same row: second is a pure row hit.
 	reqs := []Request{
 		{Loc: dram.Loc{Row: 5, Col: 0}, Cols: 2, Consumer: dram.ToHost},
@@ -68,13 +68,13 @@ func TestDrainRowHitReuse(t *testing.T) {
 	if res.RowHits != 1 || res.RowMisses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", res.RowHits, res.RowMisses)
 	}
-	if c.Channel().St.ACTs != 1 {
-		t.Fatalf("ACTs = %d, want 1", c.Channel().St.ACTs)
+	if ch.St.ACTs != 1 {
+		t.Fatalf("ACTs = %d, want 1", ch.St.ACTs)
 	}
 }
 
 func TestFRFCFSPrefersRowHitOverOlderConflict(t *testing.T) {
-	c := newCtl(t, 2, dram.Conventional, FRFCFS)
+	c, _ := newCtl(t, 2, dram.Conventional, FRFCFS)
 	// Request 0 (older) conflicts with the row request 1 (newer) hits.
 	// Open row 7 first via a warmup request.
 	warm, err := c.Drain([]Request{{Loc: dram.Loc{Row: 7}, Cols: 1, Consumer: dram.ToHost}})
@@ -99,14 +99,14 @@ func TestDrainParallelBanksOverlap(t *testing.T) {
 	// 8 vectors in 8 different bank groups to bank PEs should drain in far
 	// less than 8x the single-vector latency.
 	single := func() sim.Cycle {
-		c := newCtl(t, 2, dram.NMPTwoStage, FRFCFS)
+		c, _ := newCtl(t, 2, dram.NMPTwoStage, FRFCFS)
 		res, err := c.Drain([]Request{{Loc: dram.Loc{Row: 1}, Cols: 4, Consumer: dram.ToBankPE}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Finish
 	}()
-	c := newCtl(t, 2, dram.NMPTwoStage, FRFCFS)
+	c, _ := newCtl(t, 2, dram.NMPTwoStage, FRFCFS)
 	var reqs []Request
 	for bg := 0; bg < 8; bg++ {
 		reqs = append(reqs, Request{
@@ -125,7 +125,7 @@ func TestDrainParallelBanksOverlap(t *testing.T) {
 func TestDrainSerialSameBankRows(t *testing.T) {
 	// 4 vectors in different rows of one conventional bank serialize at
 	// roughly tRC each.
-	c := newCtl(t, 2, dram.NMPTwoStage, FRFCFS)
+	c, ch := newCtl(t, 2, dram.NMPTwoStage, FRFCFS)
 	var reqs []Request
 	for r := 0; r < 4; r++ {
 		reqs = append(reqs, Request{
@@ -136,7 +136,7 @@ func TestDrainSerialSameBankRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := c.Channel().Tm
+	tm := ch.Tm
 	if res.Finish < 3*tm.TRC {
 		t.Fatalf("4 conflicting rows drained in %d, violates tRC serialization (%d)", res.Finish, 3*tm.TRC)
 	}
@@ -144,11 +144,11 @@ func TestDrainSerialSameBankRows(t *testing.T) {
 
 func TestSALPDrainBeatsSerialBank(t *testing.T) {
 	run := func(salp bool, pol Policy) sim.Cycle {
-		c := newCtl(t, 2, dram.NMPTwoStage, pol)
+		c, ch := newCtl(t, 2, dram.NMPTwoStage, pol)
 		if salp {
-			c.Channel().EnableSALP(0)
+			ch.EnableSALP(0)
 		}
-		rps := c.Channel().Geo.RowsPerSubarray
+		rps := ch.Geo.RowsPerSubarray
 		var reqs []Request
 		for i := 0; i < 64; i++ {
 			// 64 vectors spread over 64 subarrays of bank 0.
@@ -171,7 +171,7 @@ func TestSALPDrainBeatsSerialBank(t *testing.T) {
 }
 
 func TestArrivalDelaysIssue(t *testing.T) {
-	c := newCtl(t, 2, dram.Conventional, FRFCFS)
+	c, _ := newCtl(t, 2, dram.Conventional, FRFCFS)
 	res, err := c.Drain([]Request{{
 		Loc: dram.Loc{Row: 1}, Cols: 1, Consumer: dram.ToHost, Arrival: 5000,
 	}})
@@ -184,7 +184,7 @@ func TestArrivalDelaysIssue(t *testing.T) {
 }
 
 func TestDrainRejectsBadRequests(t *testing.T) {
-	c := newCtl(t, 2, dram.Conventional, FRFCFS)
+	c, _ := newCtl(t, 2, dram.Conventional, FRFCFS)
 	bad := [][]Request{
 		{{Loc: dram.Loc{Rank: 9}, Cols: 1}},
 		{{Loc: dram.Loc{}, Cols: 0}},
@@ -212,8 +212,8 @@ func TestNewValidation(t *testing.T) {
 func TestDrainAccountingProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
-		c := newCtl(t, 2, dram.NMPTwoStage, FRFCFS)
-		geo := c.Channel().Geo
+		c, ch := newCtl(t, 2, dram.NMPTwoStage, FRFCFS)
+		geo := ch.Geo
 		n := rng.Intn(60) + 1
 		reqs := make([]Request, n)
 		totalCols := int64(0)
@@ -240,8 +240,8 @@ func TestDrainAccountingProperty(t *testing.T) {
 		if res.RowHits+res.RowMisses != int64(n) {
 			t.Fatalf("hits+misses = %d, want %d", res.RowHits+res.RowMisses, n)
 		}
-		if c.Channel().St.RDs != totalCols {
-			t.Fatalf("RDs = %d, want %d", c.Channel().St.RDs, totalCols)
+		if ch.St.RDs != totalCols {
+			t.Fatalf("RDs = %d, want %d", ch.St.RDs, totalCols)
 		}
 		for i, d := range res.Done {
 			if d <= 0 {

@@ -227,6 +227,51 @@ func TestDifferentialFuzzDDR5(t *testing.T) {
 	}
 }
 
+// FuzzDrainDifferential is the same guard as a native fuzz target: the
+// input seeds genScenario, sizes the request list and picks a small
+// geometry or the production DDR5 channel.
+func FuzzDrainDifferential(f *testing.F) {
+	f.Add(int64(0), uint16(40), false)
+	f.Add(int64(1000), uint16(1200), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, ddr5 bool) {
+		rng := rand.New(rand.NewSource(seed))
+		geo := smallGeo(rng)
+		if ddr5 {
+			geo = dram.DDR5(2)
+		}
+		sc := genScenario(rng, geo, 1+int(n)%2000)
+		checkIdentical(t, &sc, seed)
+	})
+}
+
+// TestWriteDrainRekeys: a write-back phase costs O(1) re-keys per command.
+// As in online training, the last third of the list writes after every
+// gather. Each WR moves the channel-DQ floor every pending write waits on;
+// writes bounded by that floor wait in the ready heap instead of being
+// re-keyed one by one after every WR.
+func TestWriteDrainRekeys(t *testing.T) {
+	ch, err := dram.NewChannel(dram.DDR5(2), dram.DDR5Timing(), dram.NMPTwoStage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(ch, LAS, DefaultWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.OpWindowLimit = 4
+	reqs := benchReqs(4096)
+	for i := range reqs {
+		reqs[i].Write = i >= len(reqs)*2/3
+	}
+	if _, err := c.Drain(reqs); err != nil {
+		t.Fatal(err)
+	}
+	cmds := ch.St.ACTs + ch.St.RDs + ch.St.WRs
+	if ch.St.WRs == 0 || c.rekeys > cmds {
+		t.Fatalf("%d re-keys for %d commands (%d WRs), want at most one per command", c.rekeys, cmds, ch.St.WRs)
+	}
+}
+
 // TestArrivalSpanLimit pins the packed-key bound: arrivals spanning one
 // cycle less than maxArrivalSpan drain identically on both schedulers, and
 // a span of maxArrivalSpan is rejected by both with the same error.

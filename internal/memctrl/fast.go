@@ -11,14 +11,22 @@ import (
 // Reference scheduler's command stream bit-for-bit while replacing the
 // O(banks) per-command scan with:
 //
-//   - Two lazy min-heaps (reads+activations, writes) of per-bank candidate
-//     entries ordered by (earliest issue time, packed tie key) — exactly
-//     the reference scan's comparison order. Keys are lower bounds: timing
-//     state only advances, so an untouched bank's earliest issue time never
+//   - Lazy min-heaps of per-bank candidate entries ordered by (earliest
+//     issue time, packed tie key) — exactly the reference scan's
+//     comparison order: reads and their activations, write activations,
+//     and write columns. Keys are lower bounds: timing state only
+//     advances, so an untouched bank's earliest issue time never
 //     decreases. A popped entry is accepted immediately when the dram
 //     timing epochs of its scopes are unchanged and time has not passed it
 //     (the key is then provably exact); otherwise one Earliest* query
 //     re-keys it and the heap re-orders.
+//   - The write floor: every WR waits on dram.Channel.WRFloor (command
+//     bus, channel DQ), and each WR moves it. While draining, write columns
+//     bounded by the floor F move into a ready heap ordered by tie key
+//     alone, each with effective key (F, tie key) — still a lower bound.
+//     A ready winner gets one query: it issues if that returns F and goes
+//     back to the write heap at its exact time otherwise. A WR therefore
+//     costs O(1) re-keys instead of one per pending write.
 //   - Re-keying without re-choosing: a column that does not finish its
 //     request moves no open row and no queue position, so the bank's choice
 //     stands and only its heap keys are recomputed. Activations, admissions
@@ -237,6 +245,8 @@ func (c *Controller) fastDrain(reqs []Request) (Result, error) {
 	}
 	c.rheap.es = c.rheap.es[:0]
 	c.wheap.es = c.wheap.es[:0]
+	c.wact.es = c.wact.es[:0]
+	c.ready.es = c.ready.es[:0]
 	c.dirty = c.dirty[:0]
 
 	limit := c.InflightLimit
@@ -474,17 +484,31 @@ func (bq *fastBank) candOf(kind uint64) (nd *fnode, isRD bool, class uint64) {
 	return bq.cand2, false, 1
 }
 
-// pushEntry inserts the bank's candidate of one kind into its heap: write
-// commands into the write heap (invisible unless draining), everything
-// else into the read heap.
+// pushEntry inserts the bank's candidate of one kind into its heap: the
+// read heap, or (invisible unless draining) the write or write-ACT heap.
 func (c *Controller) pushEntry(bq *fastBank, kind uint64, now sim.Cycle) {
 	nd, isRD, class := bq.candOf(kind)
 	bq.ep[kind] = c.ch.EpochOf(nd.req.Loc)
 	e := entry{time: c.candTime(nd, isRD, now), key: class<<keyClassShift | nd.key | kind, stamp: bq.stamp}
-	if nd.req.Write {
-		c.wheap.push(e)
-	} else {
+	switch {
+	case !nd.req.Write:
 		c.rheap.push(e)
+	case isRD:
+		c.wheap.push(e)
+	default:
+		c.wact.push(e)
+	}
+}
+
+// promote moves every live write-column entry whose bound is at most the
+// write floor into the ready heap, where all share the floor as their time
+// (stored as 0, so the heap orders them by tie key alone).
+func (c *Controller) promote(floor sim.Cycle) {
+	for e := c.wheap.top(); e != nil && e.time <= floor; e = c.wheap.top() {
+		if e.stamp == c.fbanks[e.key>>keyBankShift&(maxBanks-1)].stamp {
+			c.ready.push(entry{key: e.key, stamp: e.stamp})
+		}
+		c.wheap.pop()
 	}
 }
 
@@ -492,33 +516,36 @@ func (c *Controller) pushEntry(bq *fastBank, kind uint64, now sim.Cycle) {
 // the same answer as the reference scan. Stale-stamp entries are
 // discarded; an entry whose timing epochs are unchanged (and whose bound
 // time has not been overtaken by `now`) is exact and wins immediately;
-// otherwise one Earliest* query re-keys it and the heaps re-order. When no
-// read command exists at all, writes compete for this pick only (the
+// otherwise one Earliest* query re-keys it and the heaps re-order. Ready
+// writes compete at the write floor (see the file comment). When no read
+// command exists at all, writes compete for this pick only (the
 // deferred-write fallback).
 func (c *Controller) popBest(now sim.Cycle, draining bool) (bq *fastBank, nd *fnode, isRD bool, t sim.Cycle, ok bool) {
+	floor := c.ch.WRFloor(now)
 	for {
-		var h *entryHeap
-		rt := c.rheap.top()
-		var wt *entry
+		h, best := &c.rheap, c.rheap.top()
 		if draining {
-			wt = c.wheap.top()
+			c.promote(floor)
+			if wt := c.wact.top(); wt != nil && (best == nil || entryLess(wt, best)) {
+				h, best = &c.wact, wt
+			}
+			// Ready writes sit at the floor, below every write left in
+			// the write heap.
+			if rt := c.ready.top(); rt != nil {
+				if best == nil || floor < best.time || floor == best.time && rt.key < best.key {
+					h, best = &c.ready, rt
+				}
+			} else if wt := c.wheap.top(); wt != nil && (best == nil || entryLess(wt, best)) {
+				h, best = &c.wheap, wt
+			}
 		}
-		switch {
-		case rt == nil && wt == nil:
-			if !draining && len(c.wheap.es) > 0 {
+		if best == nil {
+			if !draining && len(c.wheap.es)+len(c.wact.es)+len(c.ready.es) > 0 {
 				// No read can issue: let the writes through after all.
 				draining = true
 				continue
 			}
 			return nil, nil, false, 0, false
-		case rt == nil:
-			h = &c.wheap
-		case wt == nil:
-			h = &c.rheap
-		case entryLess(wt, rt):
-			h = &c.wheap
-		default:
-			h = &c.rheap
 		}
 		e := &h.es[0]
 		bank := &c.fbanks[e.key>>keyBankShift&(maxBanks-1)]
@@ -528,6 +555,18 @@ func (c *Controller) popBest(now sim.Cycle, draining bool) (bq *fastBank, nd *fn
 		}
 		kind := e.key & 1
 		cnd, rd, _ := bank.candOf(kind)
+		if h == &c.ready {
+			tt, re := c.candTime(cnd, rd, now), *e
+			h.pop()
+			if tt <= floor {
+				return bank, cnd, rd, tt, true
+			}
+			c.rekeys++
+			re.time = tt
+			bank.ep[kind] = c.ch.EpochOf(cnd.req.Loc)
+			c.wheap.push(re)
+			continue
+		}
 		// Cheap staleness re-check: unchanged epochs + unovertaken bound
 		// => the key is provably exact (Earliest* is monotone in both
 		// its time argument and the channel state).
@@ -538,6 +577,7 @@ func (c *Controller) popBest(now sim.Cycle, draining bool) (bq *fastBank, nd *fn
 		}
 		tt := c.candTime(cnd, rd, now)
 		if tt > e.time {
+			c.rekeys++
 			e.time = tt
 			bank.ep[kind] = c.ch.EpochOf(cnd.req.Loc)
 			h.fixTop()
