@@ -69,13 +69,20 @@
 // placement level: -cold-budget-mb clamps DRAM residency so the cold tail
 // of the tables spills to a file-backed store with frequency-based page
 // mapping, and -cold-isr enables RecSSD-style in-storage reduction in the
-// timing model. Pair with -tail-mass to aim load at the cold rows:
+// timing model. -cold-cap-mb must hold the whole model (7.5 GB at the
+// defaults). Pair with -tail-mass to aim load at the cold rows:
 //
 //	recross-serve -loadgen -replicas 2 -duration 30s \
-//	  -cold -cold-budget-mb 8 -cold-isr -tail-mass 0.2
+//	  -cold -cold-cap-mb 16384 -cold-budget-mb 8 -cold-isr -tail-mass 0.2
 //
-// Watch /metrics for the recross_coldstore_* series and, with -adapt,
-// recross_adapt_cold_promoted_rows_total / _demoted_rows_total.
+// A -loadgen run prints its report and exits. For the recross_coldstore_*
+// series (and, with -adapt, recross_adapt_cold_promoted_rows_total /
+// _demoted_rows_total), serve, send lookups, then scrape:
+//
+//	recross-serve -cold -cold-cap-mb 16384 -cold-budget-mb 8 -cold-isr &
+//	curl -s localhost:8080/v1/lookup \
+//	  -d '{"ops":[{"table":2,"indices":[7000000,7900000],"weights":[1,1]}]}'
+//	curl -s localhost:8080/metrics | grep recross_coldstore_
 //
 // Storage chaos (-chaos-cold-*, needs -cold) injects device faults under
 // the cold store — transient read errors, stalls and corrupt page
@@ -87,11 +94,12 @@
 // pages and re-closes the breaker after an outage:
 //
 //	recross-serve -loadgen -replicas 2 -duration 30s \
-//	  -cold -cold-budget-mb 8 -tail-mass 0.2 -cold-scrub 50ms \
+//	  -cold -cold-cap-mb 16384 -cold-budget-mb 8 -tail-mass 0.2 -cold-scrub 50ms \
 //	  -chaos-cold-read-err 0.02 -chaos-cold-corrupt 0.01 -chaos-cold-stall-p 0.05
 //
-// Watch /metrics for recross_coldstore_checksum_failures_total,
-// _repairs_total, _breaker_state and recross_requests_cold_degraded_total.
+// Served with the same flags (no -loadgen), /metrics carries
+// recross_coldstore_checksum_failures_total, _repairs_total,
+// _breaker_state and recross_requests_cold_degraded_total.
 package main
 
 import (

@@ -119,8 +119,8 @@ type connSlot struct {
 }
 
 // get returns the slot's live conn, dialing lazily. During dial
-// backoff it fails fast with ErrNodeDown so the router's failover and
-// hedging see a down peer immediately instead of a timeout.
+// backoff it fails fast with ErrNodeDown so the router's failover sees
+// a down peer immediately instead of a timeout.
 func (s *connSlot) get(ctx context.Context) (*binConn, error) {
 	s.mu.Lock()
 	if bc := s.conn; bc != nil {

@@ -67,7 +67,7 @@ func DDR5Timing() Timing {
 }
 
 // DDR4Timing returns DDR4-3200 parameters in its own 1600 MHz clock cycles
-// (one cycle = 0.625 ns — twice the DDR5-4800 cycle). Cross-generation
+// (one cycle = 0.625 ns — 1.5x the DDR5-4800 cycle of 0.417 ns). Cross-generation
 // comparisons must convert cycles to time; see ClockGHz.
 func DDR4Timing() Timing {
 	return Timing{
