@@ -40,23 +40,10 @@
 // Watch /metrics (serve mode) for recross_replica_state,
 // recross_replica_restarts_total and recross_requests_degraded_total.
 //
-// Adaptive mode (-adapt, arch recross only) runs the online workload
-// profiler + repartitioner: admitted traffic feeds per-table frequency
-// sketches, a drift detector compares the live distribution against the
-// profile the deployed placement was solved for, and confirmed drift
-// re-runs the partitioner and hot-swaps replicas at batch boundaries.
-// Pair with the loadgen hot-set shift to watch it recover:
-//
-//	recross-serve -loadgen -replicas 4 -duration 30s \
-//	  -adapt -adapt-interval 1s -shift-at 10s
-//
-// Watch /metrics for recross_adapt_drift_score,
-// recross_adapt_repartitions_total and recross_adapt_realized_gain.
-//
-// Every mode is a stage of one stack (recross.NewStack: cold -> adapt ->
-// chaos), so the flags compose freely: -cold -adapt -chaos-panic 0.01
-// -precision int8 is one process. At startup the resolved configuration is
-// printed as the equivalent command line; a run is reproducible from it.
+// Every mode is a stage of one stack (recross.NewStack: cold -> chaos),
+// so the flags compose freely: -cold -chaos-panic 0.01 -precision int8 is
+// one process. At startup the resolved configuration is printed as the
+// equivalent command line; a run is reproducible from it.
 //
 // Quantized storage (-precision fp16|int8) stores the embedding tables in
 // an encoded row format that the reduce path dequantizes inline; the
@@ -67,19 +54,19 @@
 //
 // Cold-tier mode (-cold, arch recross only) adds the flash-backed fourth
 // placement level: -cold-budget-mb clamps DRAM residency so the cold tail
-// of the tables spills to a file-backed store with frequency-based page
-// mapping, and -cold-isr enables RecSSD-style in-storage reduction in the
-// timing model. -cold-cap-mb must hold the whole model (7.5 GB at the
-// defaults). Pair with -tail-mass to aim load at the cold rows:
+// of the tables spills to a file-backed store, and -cold-isr enables
+// RecSSD-style in-storage reduction in the timing model. -cold-cap-mb
+// defaults to the model's own size, so the tier can hold whatever the
+// budget displaces. Pair with -tail-mass to aim load at the cold rows:
 //
 //	recross-serve -loadgen -replicas 2 -duration 30s \
-//	  -cold -cold-cap-mb 16384 -cold-budget-mb 8 -cold-isr -tail-mass 0.2
+//	  -cold -cold-budget-mb 8 -cold-isr -tail-mass 0.2
 //
-// A -loadgen run prints its report and exits. For the recross_coldstore_*
-// series (and, with -adapt, recross_adapt_cold_promoted_rows_total /
-// _demoted_rows_total), serve, send lookups, then scrape:
+// A -loadgen run prints its report, with a cold line (device page reads,
+// page-cache hit rate, fallbacks, breaker state), and exits. For the
+// recross_coldstore_* series, serve, send lookups, then scrape:
 //
-//	recross-serve -cold -cold-cap-mb 16384 -cold-budget-mb 8 -cold-isr &
+//	recross-serve -cold -cold-budget-mb 8 -cold-isr &
 //	curl -s localhost:8080/v1/lookup \
 //	  -d '{"ops":[{"table":2,"indices":[7000000,7900000],"weights":[1,1]}]}'
 //	curl -s localhost:8080/metrics | grep recross_coldstore_
@@ -94,7 +81,7 @@
 // pages and re-closes the breaker after an outage:
 //
 //	recross-serve -loadgen -replicas 2 -duration 30s \
-//	  -cold -cold-cap-mb 16384 -cold-budget-mb 8 -tail-mass 0.2 -cold-scrub 50ms \
+//	  -cold -cold-budget-mb 8 -tail-mass 0.2 -cold-scrub 50ms \
 //	  -chaos-cold-read-err 0.02 -chaos-cold-corrupt 0.01 -chaos-cold-stall-p 0.05
 //
 // Served with the same flags (no -loadgen), /metrics carries
@@ -134,8 +121,6 @@ type options struct {
 	serve     recross.ServeOptions
 	coldOn    bool
 	cold      recross.ColdTierConfig
-	adaptOn   bool
-	adapt     recross.AdaptOptions
 	chaos     recross.FaultConfig // -chaos-seed lands here and seeds every tier
 	coldChaos recross.ColdFaultConfig
 	cluster   recross.ClusterConfig
@@ -216,17 +201,9 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&ch.Stall, "chaos-stall", 500*time.Microsecond, "chaos: injected stall duration")
 	fs.Int64Var(&ch.Seed, "chaos-seed", 1, "chaos: injection RNG seed (replica i draws from seed+i)")
 
-	ad := &o.adapt
-	fs.BoolVar(&o.adaptOn, "adapt", false, "run the online workload profiler + adaptive repartitioner (arch recross only)")
-	fs.DurationVar(&ad.Interval, "adapt-interval", 2*time.Second, "adapt: control-window length")
-	fs.Float64Var(&ad.Threshold, "adapt-threshold", 0.12, "adapt: drift score that counts a window as drifted")
-	fs.IntVar(&ad.TopK, "adapt-topk", 512, "adapt: Space-Saving sketch capacity per table")
-	fs.IntVar(&ad.Windows, "adapt-windows", 2, "adapt: consecutive drifted windows before replanning")
-	fs.Float64Var(&ad.MinGain, "adapt-min-gain", 0.05, "adapt: minimum predicted speedup a plan must clear")
-
 	cd := &o.cold
 	fs.BoolVar(&o.coldOn, "cold", false, "enable the flash-backed cold tier (arch recross only); watch recross_coldstore_* on /metrics")
-	mib(&cd.CapBytes, "cold-cap-mb", 1024, "cold: tier capacity in MiB offered to the partitioner")
+	mib(&cd.CapBytes, "cold-cap-mb", 0, "cold: tier capacity in MiB offered to the partitioner (0 = the model's size)")
 	mib(&cd.ResidentBudgetBytes, "cold-budget-mb", 0, "cold: DRAM residency budget in MiB (0 = geometric capacity); table mass beyond it spills to flash")
 	fs.BoolVar(&cd.InStorageReduce, "cold-isr", false, "cold: in-storage reduction (one partial sum per op crosses the link)")
 	mib(&cd.CacheBytes, "cold-cache-mb", 1, "cold: host page-cache budget in MiB")
@@ -270,8 +247,6 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&lg.Duration, "duration", 10*time.Second, "loadgen: run length")
 	fs.Int64Var(&lg.Seed, "seed", 1, "loadgen: client trace seed base")
 	fs.DurationVar(&lg.Timeout, "timeout", 0, "loadgen: per-request deadline (0 = none)")
-	fs.DurationVar(&lg.ShiftAt, "shift-at", 0, "loadgen: permute the Zipf hot set after this much of the run (0 = never)")
-	fs.Int64Var(&lg.ShiftSalt, "shift-salt", 1, "loadgen: hot-set permutation salt")
 	fs.Float64Var(&lg.TailMass, "tail-mass", 0, "loadgen: fraction of index draws redirected to the cold half of the rank space (0 = pure Zipf)")
 }
 
@@ -290,6 +265,12 @@ func (o *options) resolve() error {
 	switch {
 	case o.coldOn:
 		o.cfg.Cold = &o.cold
+		if o.cold.CapBytes == 0 {
+			// The whole model, rounded up to MiB: room for whatever the
+			// DRAM budget displaces.
+			const mib = 1 << 20
+			o.cold.CapBytes = (o.cfg.Spec.TotalBytes() + mib - 1) / mib * mib
+		}
 		if coldChaosOn {
 			o.cold.WrapDevice = func(d recross.ColdDevice) recross.ColdDevice {
 				return recross.WrapColdDevice(d, o.coldChaos, nil)
@@ -297,9 +278,6 @@ func (o *options) resolve() error {
 		}
 	case coldChaosOn:
 		return errors.New("-chaos-cold-* flags require -cold")
-	}
-	if o.adaptOn {
-		o.cfg.Adapt = &o.adapt
 	}
 	if o.chaos.Rates != (recross.FaultRates{}) {
 		o.cfg.Chaos = &o.chaos
@@ -421,9 +399,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if st.Adapt != nil {
-			st.Adapt.Start() // stopped by st.Close
-		}
 		logf("pool ready in %v", time.Since(t0).Round(time.Millisecond))
 		t = target{
 			name:    "pool",
@@ -461,8 +436,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return serveHTTP(t, o.addr, o.binAddr, logf)
 }
 
-// stackTally renders the single-node loadgen report's self-healing,
-// storage and adaptation lines (each only when it has something to say).
+// stackTally renders the single-node loadgen report's self-healing and
+// storage lines (each only when it has something to say) and, with a cold
+// tier, its cold line.
 func stackTally(st *recross.Stack) string {
 	var b strings.Builder
 	snap := st.Metrics().Snapshot()
@@ -476,14 +452,11 @@ func stackTally(st *recross.Stack) string {
 		fmt.Fprintf(&b, "  storage    %d answers completed in cold-degraded mode (direct materialization fallback)\n",
 			snap.DegradedCold)
 	}
-	if st.Adapt != nil {
-		am := st.Adapt.Metrics()
-		fmt.Fprintf(&b, "  adapt      %d windows, %d drift triggers, %d replans, %d repartitions (%d rejected, %d skipped)\n",
-			am.Windows, am.Triggers, am.Replans, am.Adoptions, am.Rejected, am.Skipped)
-		if am.Adoptions > 0 {
-			fmt.Fprintf(&b, "             migrated %d rows (%d bytes); estimated gain %.3fx, realized gain %.3fx\n",
-				am.RowsMigrated, am.BytesMigrated, am.EstimatedGain, am.RealizedGain)
-		}
+	if st.Cold != nil {
+		cs := st.Cold.Stats()
+		fmt.Fprintf(&b, "  cold       %d device page reads, page-cache hit rate %.3f, %d fallbacks, breaker %s\n",
+			cs.PageReads, cs.HitRate(), st.Layer().ColdFallbacks(),
+			[...]string{"closed", "half-open", "open"}[cs.BreakerState])
 	}
 	return b.String()
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // TestFlagsGolden: the flag set's names and default strings are the
-// command's public surface; testdata/flags.golden pins all 66.
+// command's public surface; testdata/flags.golden pins all 58.
 func TestFlagsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
@@ -38,8 +38,8 @@ func TestFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: bound value %q != default %q", f.Name, f.Value, f.DefValue)
 		}
 	})
-	if n != 66 {
-		t.Errorf("%d flags, want 66", n)
+	if n != 58 {
+		t.Errorf("%d flags, want 58", n)
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag names/defaults drifted from testdata/flags.golden:\n%s", got.String())
@@ -47,18 +47,18 @@ func TestFlagsGolden(t *testing.T) {
 }
 
 // TestRunComposedSmoke: every optional stage on at once — cold tier,
-// adaptive repartitioning, replica chaos, int8 storage — in one loadgen
-// process; no request may fail and the resolved config must be printed.
+// replica chaos, int8 storage — in one loadgen process; no request may
+// fail, the resolved config must be printed and the report must carry the
+// cold tier's line. -cold-cap-mb is left at its default, which sizes the
+// tier to the whole ~8 GB model the 8 MiB DRAM budget displaces.
 func TestRunComposedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 2-replica Criteo-Kaggle stack")
 	}
 	var stdout, stderr bytes.Buffer
-	// -cold-cap-mb: the default 1 GiB cold tier cannot hold the ~8 GB
-	// Criteo-Kaggle tables an 8 MiB DRAM budget displaces.
 	dir := t.TempDir()
-	err := run(strings.Fields("-loadgen -duration 300ms -replicas 2 -cold -cold-budget-mb 8 -cold-cap-mb 16384 -cold-dir "+dir+
-		" -adapt -chaos-latency 0.05 -chaos-panic 0.01 -precision int8"), &stdout, &stderr)
+	err := run(strings.Fields("-loadgen -duration 300ms -replicas 2 -cold -cold-budget-mb 8 -cold-dir "+dir+
+		" -chaos-latency 0.05 -chaos-panic 0.01 -precision int8"), &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
@@ -69,10 +69,15 @@ func TestRunComposedSmoke(t *testing.T) {
 	if m := regexp.MustCompile(`failed (\d+), errors (\d+)`).FindStringSubmatch(out); m != nil && (m[1] != "0" || m[2] != "0") {
 		t.Errorf("requests failed under composed chaos:\n%s", out)
 	}
-	if !strings.Contains(out, "  adapt      ") {
-		t.Errorf("report lacks the adapt line:\n%s", out)
+	if !regexp.MustCompile(`(?m)^  cold       [1-9]\d* device page reads, page-cache hit rate [0-9.]+, 0 fallbacks, breaker closed$`).MatchString(out) {
+		t.Errorf("report lacks the cold line:\n%s", out)
 	}
-	for _, want := range []string{" -adapt=true", " -cold=true", " -chaos-panic=0.01", " -precision=int8", " -cold-budget-mb=8"} {
+	// The resolved config prints the derived capacity: the model's bytes
+	// rounded up to MiB.
+	if !regexp.MustCompile(` -cold-cap-mb=[1-9]\d{3,} `).MatchString(stderr.String()) {
+		t.Errorf("config dump lacks the model-sized -cold-cap-mb:\n%s", stderr.String())
+	}
+	for _, want := range []string{" -cold=true", " -chaos-panic=0.01", " -precision=int8", " -cold-budget-mb=8"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("config dump lacks %q:\n%s", want, stderr.String())
 		}
@@ -89,7 +94,6 @@ func TestRunRejects(t *testing.T) {
 		"-no-such-flag",
 		"-precision fp8",
 		"-chaos-cold-read-err 0.1", // needs -cold
-		"-cluster 2 -adapt",        // adaptation is per-node; a cluster placement is fixed
 		"-cluster -1",              // a negative node count, not single-node mode
 	} {
 		var stdout, stderr bytes.Buffer

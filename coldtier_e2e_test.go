@@ -1,7 +1,6 @@
 package recross
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -34,10 +33,8 @@ func coldTierConfig() *ColdTierConfig {
 
 // TestColdTierE2E is the acceptance run for the flash-backed cold tier: a
 // table set ~4.4x larger than the DRAM residency budget is served with
-// bounded latency, answers stay bit-identical to an all-DRAM functional
-// reference, and a mid-run hot-set shift drives at least one sketch-driven
-// cold->DRAM promotion and one DRAM->cold demotion through the adaptive
-// controller's hysteresis gate.
+// bounded latency, and answers stay bit-identical to an all-DRAM
+// functional reference.
 func TestColdTierE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second acceptance run")
@@ -107,13 +104,6 @@ func TestColdTierE2E(t *testing.T) {
 		t.Fatal("cold gathers priced at zero cycles")
 	}
 
-	cfg.Adapt = &AdaptOptions{
-		Threshold:       0.12,
-		Windows:         2,
-		MinGain:         0.05,
-		AmortizeBatches: 1_000_000,
-		MinSamples:      400,
-	}
 	stack, err := NewStack(ReCross, cfg, 2, ServeOptions{
 		MaxBatch: 32,
 		MaxDelay: 50 * time.Millisecond,
@@ -121,10 +111,12 @@ func TestColdTierE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ctrl := stack.Server, stack.Adapt
+	srv := stack.Server
 	defer srv.Close()
 
-	// All-DRAM functional reference: a fresh layer with no cold route.
+	// Phase 1: answers served through the cold-backed data plane are
+	// bit-identical to an all-DRAM reference: a fresh layer with no cold
+	// route.
 	ref, err := NewLayer(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -133,66 +125,11 @@ func TestColdTierE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const waves, batch = 14, 32
-
-	// Phase 1: stationary traffic through the cold-backed data plane.
-	for w := 0; w < 3; w++ {
-		serveWindow(t, srv, gen, waves, batch)
-		if res := ctrl.Step(); res.Adopted {
-			t.Fatalf("window %d: adopted a repartition on stationary traffic", w)
-		}
+	for w := 0; w < 8; w++ {
+		serveWave(t, stackLookup(stack), gen, ref, 32)
 	}
 
-	// Phase 2: permute the hot set. Yesterday's hot rows cool off (their
-	// replacements sit on flash), so the adopted repartition must both
-	// promote newly-hot cold rows into DRAM and demote cooled DRAM rows.
-	if err := gen.ShiftHotSet(424242); err != nil {
-		t.Fatal(err)
-	}
-	adoptedAt := -1
-	for w := 0; w < 10; w++ {
-		serveWindow(t, srv, gen, waves, batch)
-		res := ctrl.Step()
-		if res.Err != nil {
-			t.Fatalf("window %d: %v", w, res.Err)
-		}
-		if res.Adopted {
-			adoptedAt = w
-			break
-		}
-	}
-	if adoptedAt < 0 {
-		t.Fatalf("no repartition adopted within 10 post-shift windows (metrics %+v)", ctrl.Metrics())
-	}
-	m := ctrl.Metrics()
-	if m.ColdPromotedRows <= 0 {
-		t.Fatalf("no cold->DRAM promotions through the gate: %+v", m)
-	}
-	if m.ColdDemotedRows <= 0 {
-		t.Fatalf("no DRAM->cold demotions through the gate: %+v", m)
-	}
-
-	// Phase 3: post-adoption answers are bit-identical to the all-DRAM
-	// reference (the cold store serves reference bits, the remap changed
-	// only page layout).
-	for i := 0; i < 30; i++ {
-		sample := gen.Sample()
-		res, err := srv.Lookup(context.Background(), sample)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.ReduceSample(sample)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if !AlmostEqual(res.Vectors[k], want[k], 0) {
-				t.Fatalf("sample %d op %d: served vector differs from all-DRAM reference", i, k)
-			}
-		}
-	}
-
-	// Phase 4: bounded tail latency under tail-heavy load (the -tail-mass
+	// Phase 2: bounded tail latency under tail-heavy load (the -tail-mass
 	// knob redirects a quarter of draws at the cold half of the rank space).
 	rep, err := Loadgen(srv, LoadgenOptions{
 		Spec:     spec,
@@ -210,8 +147,8 @@ func TestColdTierE2E(t *testing.T) {
 		t.Fatalf("p99 %v not bounded", rep.P99)
 	}
 
-	// Phase 5: the coldstore and adapt cold series ride /metrics, with
-	// real traffic behind them.
+	// Phase 3: the coldstore series ride /metrics, with real traffic
+	// behind them.
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -229,10 +166,7 @@ func TestColdTierE2E(t *testing.T) {
 		"recross_coldstore_page_misses_total",
 		"recross_coldstore_page_reads_total",
 		"recross_coldstore_pages_populated_total",
-		"recross_coldstore_remaps_total",
 		"recross_coldstore_page_hit_rate",
-		"recross_adapt_cold_promoted_rows_total",
-		"recross_adapt_cold_demoted_rows_total",
 	} {
 		if !strings.Contains(string(body), series) {
 			t.Fatalf("/metrics missing %q", series)
@@ -240,8 +174,5 @@ func TestColdTierE2E(t *testing.T) {
 	}
 	if strings.Contains(string(body), "recross_coldstore_row_reads_total 0\n") {
 		t.Fatal("cold store served no row reads")
-	}
-	if strings.Contains(string(body), "recross_coldstore_remaps_total 0\n") {
-		t.Fatal("adoption did not remap the cold store")
 	}
 }

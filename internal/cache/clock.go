@@ -70,10 +70,3 @@ func (c *Clock[K]) Drop(slot int) {
 	delete(c.index, c.keys[slot])
 	c.state[slot] = slotEmpty
 }
-
-// Reset empties every slot and returns the hand to slot 0.
-func (c *Clock[K]) Reset() {
-	clear(c.index)
-	clear(c.state)
-	c.hand = 0
-}

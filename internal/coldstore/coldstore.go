@@ -1,22 +1,17 @@
 // Package coldstore implements the flash-backed cold tier: a fourth
 // placement level below ReCross's R-, G- and B-regions for embedding mass
-// that cannot (or should not) live in DRAM. It combines the two storage-side
-// ideas of the related work:
+// that cannot (or should not) live in DRAM. From the related work it takes
+// RecSSD-style in-storage reduction: the device can return pre-reduced
+// partial sums instead of raw rows, shrinking the host link transfer to
+// one vector per op (a timing-model property; the functional result is
+// bit-identical either way because the reduction order is preserved).
 //
-//   - RecSSD-style in-storage reduction: the device can return pre-reduced
-//     partial sums instead of raw rows, shrinking the host link transfer to
-//     one vector per op (a timing-model property; the functional result is
-//     bit-identical either way because the reduction order is preserved);
-//   - RecFlash-style frequency-based data mapping: rows are packed into
-//     pages hottest-first using sketch-derived access counts, so the pages
-//     that do get read carry as many of the warm rows as possible and the
-//     page cache's working set stays small.
-//
-// The store is file-backed (pread) with page-granular layout and
-// lazy page population: pages are generated from the procedural source
-// tables on first access and written back, so the file always holds the
-// exact bytes of the reference rows — any read path (page cache, file,
-// regeneration) returns identical bits. A small CLOCK page cache sits in
+// The store is file-backed (pread) with page-granular layout — row i of a
+// table sits in slot i, rows in index order — and lazy page population:
+// pages are generated from the procedural source tables on first access
+// and written back, so the file always holds the exact bytes of the
+// reference rows — any read path (page cache, file, regeneration) returns
+// identical bits. A small CLOCK page cache sits in
 // front of the device.
 //
 // Concurrency: the functional read path (ReadRow) is safe for arbitrary
@@ -45,13 +40,6 @@ type RowSource interface {
 	Rows() int64
 	VecLen() int
 	Row(i int64, dst []float32) []float32
-}
-
-// RowCount is one row's sketch-derived access count, the input of the
-// frequency-based page mapping.
-type RowCount struct {
-	Row   int64
-	Count int64
 }
 
 // Config configures the cold tier: the capacity and timing model the
@@ -155,80 +143,6 @@ const (
 	pageReady
 )
 
-// tableMap is one table's frequency-based row->device-slot mapping.
-// Counted rows occupy slots [0, hot) in descending count order; the
-// uncounted tail follows in index order. Both directions are O(log hot):
-// row->slot via the hash map or a rank among non-hot indices, slot->row via
-// the hotRows array or a binary search for the k-th non-hot index.
-type tableMap struct {
-	rows    int64
-	hotSlot map[int64]int64 // row -> slot, counted rows only
-	hotRows []int64         // slot -> row, counted rows only
-	sorted  []int64         // counted rows ascending, for rank queries
-}
-
-// slotOf maps a row index to its device slot.
-func (m *tableMap) slotOf(row int64) int64 {
-	if s, ok := m.hotSlot[row]; ok {
-		return s
-	}
-	return int64(len(m.hotRows)) + row - m.hotBelow(row)
-}
-
-// rowOf inverts slotOf: the row occupying a device slot.
-func (m *tableMap) rowOf(slot int64) int64 {
-	if slot < int64(len(m.hotRows)) {
-		return m.hotRows[slot]
-	}
-	// The k-th non-hot row index: the smallest r with k+1 non-hot indices
-	// in [0, r]. If that r were hot the count could not have just risen,
-	// so the result is always a tail row.
-	k := slot - int64(len(m.hotRows))
-	return int64(sort.Search(int(m.rows), func(i int) bool {
-		r := int64(i)
-		return r+1-m.hotBelow(r+1) >= k+1
-	}))
-}
-
-// hotBelow counts counted rows with index < row.
-func (m *tableMap) hotBelow(row int64) int64 {
-	return int64(sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i] >= row }))
-}
-
-// newTableMap builds a table's mapping from access counts (nil or empty
-// counts yield the identity layout: every row in index order).
-func newTableMap(rows int64, counts []RowCount) *tableMap {
-	m := &tableMap{rows: rows, hotSlot: map[int64]int64{}}
-	if len(counts) == 0 {
-		return m
-	}
-	cs := make([]RowCount, 0, len(counts))
-	seen := map[int64]bool{}
-	for _, c := range counts {
-		if c.Row < 0 || c.Row >= rows || c.Count <= 0 || seen[c.Row] {
-			continue
-		}
-		seen[c.Row] = true
-		cs = append(cs, c)
-	}
-	// Descending count; ties broken by row index for determinism.
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Count != cs[j].Count {
-			return cs[i].Count > cs[j].Count
-		}
-		return cs[i].Row < cs[j].Row
-	})
-	m.hotRows = make([]int64, len(cs))
-	m.sorted = make([]int64, len(cs))
-	for slot, c := range cs {
-		m.hotRows[slot] = c.Row
-		m.hotSlot[c.Row] = int64(slot)
-		m.sorted[slot] = c.Row
-	}
-	sort.Slice(m.sorted, func(i, j int) bool { return m.sorted[i] < m.sorted[j] })
-	return m
-}
-
 // Stats is the store's counter snapshot.
 type Stats struct {
 	// RowReads counts functional row reads served by the store.
@@ -241,8 +155,6 @@ type Stats struct {
 	Populated int64
 	// Evictions counts page-cache CLOCK evictions.
 	Evictions int64
-	// Remaps counts frequency-mapping rebuilds.
-	Remaps int64
 	// ChecksumFailures counts page reads whose CRC32C did not match the
 	// stored sum; each triggers a repair.
 	ChecksumFailures int64
@@ -298,10 +210,9 @@ type Store struct {
 	file *os.File
 	dev  Device // page I/O seam (the file, or a fault wrapper around it)
 
-	// mu guards the frequency mapping and the page-population states
-	// against Remap and Close; the read path holds it shared.
+	// mu orders Close after in-flight reads: the read path holds it
+	// shared, Close exclusively.
 	mu    sync.RWMutex
-	maps  []*tableMap
 	state []atomic.Uint32 // per-page population state
 	// sums holds one CRC32C per ~4 KiB checksum block (bpp per page,
 	// indexed page*bpp+block), valid while the page's state is ready.
@@ -327,7 +238,7 @@ type Store struct {
 
 	bufs sync.Pool // page-sized []byte scratch
 
-	rowReads, populated, remaps atomic.Int64
+	rowReads, populated         atomic.Int64
 	checksumFailures, repairs   atomic.Int64
 	scrubPages, retries         atomic.Int64
 	readFailures, writeFailures atomic.Int64
@@ -335,8 +246,7 @@ type Store struct {
 }
 
 // Open creates the backing file and store for the given source tables. All
-// tables must share one vector length. The initial mapping is the identity
-// (index order); call Remap with sketch counts for frequency packing.
+// tables must share one vector length.
 func Open(cfg Config, tables []RowSource) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if len(tables) == 0 {
@@ -363,7 +273,6 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 		rowBytes: rowBytes,
 		rpp:      cfg.PageBytes / rowBytes,
 		pageBase: make([]int64, len(tables)),
-		maps:     make([]*tableMap, len(tables)),
 	}
 	// Checksum blocks target ~4 KiB of row bytes: small enough that the
 	// verify on the fill path is a fraction of the device read, large
@@ -380,7 +289,6 @@ func Open(cfg Config, tables []RowSource) (*Store, error) {
 	for i, t := range tables {
 		s.pageBase[i] = s.nPages
 		s.nPages += (t.Rows() + int64(s.rpp) - 1) / int64(s.rpp)
-		s.maps[i] = newTableMap(t.Rows(), nil)
 	}
 	s.state = make([]atomic.Uint32, s.nPages)
 	s.sums = make([]atomic.Uint32, s.nPages*int64(s.bpp))
@@ -474,9 +382,8 @@ func (s *Store) ReadRow(table int, idx int64, dst []float32) bool {
 	if s.closed.Load() {
 		return false
 	}
-	slot := s.maps[table].slotOf(idx)
-	page := s.pageBase[table] + slot/int64(s.rpp)
-	rowIn := int(slot % int64(s.rpp))
+	page := s.pageBase[table] + idx/int64(s.rpp)
+	rowIn := int(idx % int64(s.rpp))
 	probe := s.cache.get(page, rowIn, dst)
 	if probe == cacheHit {
 		s.rowReads.Add(1)
@@ -525,43 +432,6 @@ func (s *Store) CanonicalRow(table int, idx int64, dst []float32) {
 func (s *Store) encodeRow(table int, idx int64, dst []byte, row []float32) {
 	s.tables[table].Row(idx, row)
 	kernels.EncodeRow(s.prec, dst, row)
-}
-
-// Remap rebuilds the frequency-based page mapping from fresh access
-// counts (one slice per table; nil keeps that table's current mapping).
-// The page cache and population states are invalidated: the file is
-// repacked lazily as pages are next touched. Serving may continue
-// concurrently — a reader either sees the old mapping or the new one, and
-// both return reference bits.
-func (s *Store) Remap(counts [][]RowCount) error {
-	if len(counts) != len(s.tables) {
-		return fmt.Errorf("coldstore: %d count sets for %d tables", len(counts), len(s.tables))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	for i, cs := range counts {
-		if cs == nil {
-			continue
-		}
-		s.maps[i] = newTableMap(s.tables[i].Rows(), cs)
-	}
-	for i := range s.state {
-		s.state[i].Store(pageEmpty)
-	}
-	s.cache.reset()
-	s.remaps.Add(1)
-	return nil
-}
-
-// HotRows returns table ti's counted-row count — how many rows the current
-// mapping packs into the hot head of its pages.
-func (s *Store) HotRows(ti int) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.maps[ti].hotRows)
 }
 
 // allBlocks stands for every checksum block of a page where one block
@@ -651,30 +521,25 @@ func (s *Store) devRead(page int64, dst []byte) error {
 	}
 }
 
-// fillPage generates page's reference bytes into buf under the current
-// mapping. Caller holds s.mu shared and the page's popMu stripe.
+// fillPage generates page's reference bytes into buf. Caller holds s.mu
+// shared and the page's popMu stripe.
 func (s *Store) fillPage(page int64, buf []byte) {
 	ti := s.tableOfPage(page)
-	m := s.maps[ti]
-	local := page - s.pageBase[ti]
+	rows := s.tables[ti].Rows()
 	clear(buf)
 	row := make([]float32, s.vecLen)
-	first := local * int64(s.rpp)
-	for k := 0; k < s.rpp; k++ {
-		slot := first + int64(k)
-		if slot >= m.rows {
-			break
-		}
-		s.encodeRow(ti, m.rowOf(slot), buf[k*s.rowBytes:], row)
+	first := (page - s.pageBase[ti]) * int64(s.rpp)
+	for k := 0; k < s.rpp && first+int64(k) < rows; k++ {
+		s.encodeRow(ti, first+int64(k), buf[k*s.rowBytes:], row)
 	}
 }
 
 // populate generates page's rows from the source table into buf and
 // writes them back, recording the block checksums. Striped locking
 // serializes population of one page; the state check inside the lock makes
-// it exactly-once per mapping generation. It reports whether the page is
-// persisted: on a failed write-back buf holds the generated (correct)
-// bytes and the page stays unpopulated so the next access retries.
+// it exactly-once. It reports whether the page is persisted: on a failed
+// write-back buf holds the generated (correct) bytes and the page stays
+// unpopulated so the next access retries.
 func (s *Store) populate(page int64, buf []byte) (persisted bool) {
 	mu := &s.popMu[page%int64(len(s.popMu))]
 	mu.Lock()
@@ -731,7 +596,6 @@ func (s *Store) Stats() Stats {
 		PageReads:        c.pageReads.Load(),
 		Populated:        s.populated.Load(),
 		Evictions:        c.evictions.Load(),
-		Remaps:           s.remaps.Load(),
 		ChecksumFailures: s.checksumFailures.Load(),
 		Repairs:          s.repairs.Load(),
 		ScrubPages:       s.scrubPages.Load(),
@@ -762,7 +626,6 @@ func (s *Store) RegisterMetrics(set *metrics.Set) {
 	set.Counter("recross_coldstore_page_reads_total", "Pages read from the device.", c.pageReads.Load)
 	set.Counter("recross_coldstore_pages_populated_total", "Pages materialized into the backing file.", s.populated.Load)
 	set.Counter("recross_coldstore_evictions_total", "Cached pages replaced by CLOCK.", c.evictions.Load)
-	set.Counter("recross_coldstore_remaps_total", "Frequency remaps applied.", s.remaps.Load)
 	set.Counter("recross_coldstore_checksum_failures_total", "Blocks that failed their CRC32C.", s.checksumFailures.Load)
 	set.Counter("recross_coldstore_repairs_total", "Pages rewritten from their row source.", s.repairs.Load)
 	set.Counter("recross_coldstore_scrub_pages_total", "Pages verified by the background scrubber.", s.scrubPages.Load)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"recross/internal/kernels"
@@ -93,76 +92,6 @@ func TestReadRowOutOfRange(t *testing.T) {
 	}
 }
 
-// TestTableMapBijection checks slotOf/rowOf are mutually inverse
-// bijections under random count sets.
-func TestTableMapBijection(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		rows := int64(rng.Intn(200) + 1)
-		var counts []RowCount
-		for r := int64(0); r < rows; r++ {
-			if rng.Intn(3) == 0 {
-				counts = append(counts, RowCount{Row: r, Count: int64(rng.Intn(100) + 1)})
-			}
-		}
-		m := newTableMap(rows, counts)
-		seen := map[int64]bool{}
-		for r := int64(0); r < rows; r++ {
-			slot := m.slotOf(r)
-			if slot < 0 || slot >= rows {
-				t.Fatalf("trial %d: row %d -> slot %d out of [0,%d)", trial, r, slot, rows)
-			}
-			if seen[slot] {
-				t.Fatalf("trial %d: slot %d assigned twice", trial, slot)
-			}
-			seen[slot] = true
-			if back := m.rowOf(slot); back != r {
-				t.Fatalf("trial %d: rowOf(slotOf(%d)) = %d", trial, r, back)
-			}
-		}
-	}
-}
-
-// TestFrequencyPacking checks Remap packs the counted rows into the head
-// slots in descending count order, and reads remain bit-identical after
-// the repack.
-func TestFrequencyPacking(t *testing.T) {
-	s, srcs := newTestStore(t, Config{PageBytes: 256}, 64)
-	// Touch everything once under the identity mapping.
-	buf := make([]float32, 16)
-	for i := int64(0); i < 64; i++ {
-		s.ReadRow(0, i, buf)
-	}
-	counts := []RowCount{{Row: 40, Count: 100}, {Row: 7, Count: 50}, {Row: 63, Count: 10}}
-	if err := s.Remap([][]RowCount{counts}); err != nil {
-		t.Fatalf("Remap: %v", err)
-	}
-	if got := s.HotRows(0); got != 3 {
-		t.Fatalf("HotRows = %d, want 3", got)
-	}
-	m := s.maps[0]
-	for slot, want := range []int64{40, 7, 63} {
-		if m.hotRows[slot] != want {
-			t.Fatalf("slot %d holds row %d, want %d", slot, m.hotRows[slot], want)
-		}
-	}
-	want := make([]float32, 16)
-	for i := int64(0); i < 64; i++ {
-		if !s.ReadRow(0, i, buf) {
-			t.Fatalf("row %d lost after remap", i)
-		}
-		srcs[0].Row(i, want)
-		for j := range want {
-			if buf[j] != want[j] {
-				t.Fatalf("row %d elem %d after remap: %v != %v", i, j, buf[j], want[j])
-			}
-		}
-	}
-	if s.Stats().Remaps != 1 {
-		t.Fatalf("Remaps = %d", s.Stats().Remaps)
-	}
-}
-
 // TestPageCacheCounters checks hit/miss/eviction accounting through a
 // cache sized to two pages.
 func TestPageCacheCounters(t *testing.T) {
@@ -224,57 +153,6 @@ func TestColdStoreIdleGoroutines(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("open store with ScrubInterval 0 runs %d goroutine(s)", after-before)
 	}
-}
-
-// TestConcurrentReadsAndRemap hammers concurrent readers and remaps;
-// under -race this is the cold tier's thread-safety proof. Every
-// read must return reference bits no matter which mapping generation
-// serves it.
-func TestConcurrentReadsAndRemap(t *testing.T) {
-	s, srcs := newTestStore(t, Config{PageBytes: 256, CacheBytes: 1024}, 256)
-	const readers = 8
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			got := make([]float32, 16)
-			want := make([]float32, 16)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				idx := int64(rng.Intn(256))
-				if !s.ReadRow(0, idx, got) {
-					t.Errorf("row %d not held", idx)
-					return
-				}
-				srcs[0].Row(idx, want)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Errorf("row %d elem %d: %v != %v", idx, j, got[j], want[j])
-						return
-					}
-				}
-			}
-		}(int64(w))
-	}
-	rng := rand.New(rand.NewSource(99))
-	for r := 0; r < 20; r++ {
-		var counts []RowCount
-		for n := 0; n < 32; n++ {
-			counts = append(counts, RowCount{Row: int64(rng.Intn(256)), Count: int64(rng.Intn(50) + 1)})
-		}
-		if err := s.Remap([][]RowCount{counts}); err != nil {
-			t.Fatalf("Remap: %v", err)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestSimDeterministicAndISR checks the replica timing model: identical

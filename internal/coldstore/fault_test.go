@@ -416,16 +416,13 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 	if s.ReadRow(0, 0, dst) {
 		t.Fatal("read served after Close")
 	}
-	if err := s.Remap(make([][]RowCount, 1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Remap after Close: %v", err)
-	}
 }
 
-// TestRemapCorruptionHammer races concurrent readers against Remap churn
-// and randomly corrupted device reads. Corruption is always repaired
-// inline, so every served row must be bit-identical to the reference —
-// under -race this is the integrity path's thread-safety proof.
-func TestRemapCorruptionHammer(t *testing.T) {
+// TestCorruptionHammer races concurrent readers against randomly
+// corrupted device reads. Corruption is always repaired inline, so every
+// served row must be bit-identical to the reference — under -race this is
+// the read and integrity paths' thread-safety proof.
+func TestCorruptionHammer(t *testing.T) {
 	s, srcs, hd := newHookedStore(t, Config{PageBytes: 256, CacheBytes: 1024}, 256)
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(11))
@@ -439,9 +436,8 @@ func TestRemapCorruptionHammer(t *testing.T) {
 		}
 		return err
 	})
-	const readers = 8
+	const readers, reads = 8, 2000
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for w := 0; w < readers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -449,12 +445,7 @@ func TestRemapCorruptionHammer(t *testing.T) {
 			rr := rand.New(rand.NewSource(seed))
 			got := make([]float32, 16)
 			want := make([]float32, 16)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < reads; i++ {
 				idx := int64(rr.Intn(256))
 				if !s.ReadRow(0, idx, got) {
 					t.Errorf("row %d not served (corruption is repairable, not fatal)", idx)
@@ -470,18 +461,6 @@ func TestRemapCorruptionHammer(t *testing.T) {
 			}
 		}(int64(w))
 	}
-	remapRng := rand.New(rand.NewSource(99))
-	for r := 0; r < 15; r++ {
-		var counts []RowCount
-		for n := 0; n < 32; n++ {
-			counts = append(counts, RowCount{Row: int64(remapRng.Intn(256)), Count: int64(remapRng.Intn(50) + 1)})
-		}
-		if err := s.Remap([][]RowCount{counts}); err != nil {
-			t.Fatalf("Remap: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
 	wg.Wait()
 	st := s.Stats()
 	if st.ChecksumFailures == 0 || st.Repairs == 0 {

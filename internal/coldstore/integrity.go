@@ -84,9 +84,6 @@ func (s *Store) verifyBuf(page int64, buf []byte, block int) bool {
 	return true
 }
 
-// ErrClosed is returned by operations on a closed store.
-var ErrClosed = errors.New("coldstore: store closed")
-
 // errReadTimeout marks a device read abandoned past Config.ReadDeadline.
 var errReadTimeout = errors.New("coldstore: page read deadline exceeded")
 

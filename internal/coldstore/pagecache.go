@@ -122,11 +122,3 @@ func (c *pageCache) put(page int64, buf []byte, block int) {
 	}
 	copy(c.frame(f), buf)
 }
-
-// reset drops every cached page (Remap invalidation).
-func (c *pageCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock.Reset()
-	clear(c.verified)
-}

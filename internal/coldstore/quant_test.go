@@ -12,8 +12,8 @@ import (
 // Quantized page-format tests: a store opened at FP16/INT8 serves the
 // canonical Decode(Encode(row)) value of every row — bit-identical to
 // encoding the source row directly — with error against the fp32 source
-// bounded by the codec parameters, and survives checksum repair and
-// remapping exactly like the fp32 format.
+// bounded by the codec parameters, and survives checksum repair exactly
+// like the fp32 format.
 
 func openQuantStore(t *testing.T, prec kernels.Precision, rows int64, vecLen int, cfg Config) (*Store, RowSource, *hookDev) {
 	t.Helper()
@@ -202,28 +202,5 @@ func TestQuantizedBlockGranularIntegrity(t *testing.T) {
 	if after.PageHits != st.PageHits+2 || after.PageReads != st.PageReads ||
 		after.ChecksumFailures != 1 || after.Repairs != 1 {
 		t.Fatalf("rereads after the repair were not clean hits: %+v -> %+v", st, after)
-	}
-}
-
-func TestQuantizedRemap(t *testing.T) {
-	for _, prec := range []kernels.Precision{kernels.FP16, kernels.INT8} {
-		s, src, _ := openQuantStore(t, prec, 600, 16, Config{PageBytes: 1024})
-		got := make([]float32, 16)
-		want := make([]float32, 16)
-		counts := []RowCount{{Row: 550, Count: 100}, {Row: 3, Count: 50}}
-		if err := s.Remap([][]RowCount{counts}); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(5))
-		for trial := 0; trial < 200; trial++ {
-			idx := rng.Int63n(600)
-			if !s.ReadRow(0, idx, got) {
-				t.Fatalf("%v: row %d unavailable after remap", prec, idx)
-			}
-			canonicalRow(prec, src, idx, want)
-			if stats.MaxULPDistance(got, want) != 0 {
-				t.Fatalf("%v row %d: wrong bits after remap", prec, idx)
-			}
-		}
 	}
 }

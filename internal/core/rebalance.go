@@ -46,19 +46,18 @@ func (r *ReCross) solve(prof *partition.Profile) (*partition.Placement, error) {
 	return partition.Build(prof, dec)
 }
 
-// Adopt installs a plan solved and built elsewhere: the online replanner
-// (internal/adapt) ran the LP once, priced the migration, passed its
-// hysteresis gate and built the placement, which every replica then
-// shares read-only — re-solving per replica (as Rebalance does) could in
-// principle land each replica on a different equal-objective vertex, and
-// would waste a solve and a build per pool member. Only the mapping tables
-// change; the hardware regions are fixed, so pl must have been solved
-// against this instance's Regions().
+// Adopt installs a plan solved and built elsewhere and shared read-only:
+// core.New installs its own solve through it, and a serving stack builds
+// every replica after the first on replica 0's placement rather than
+// solving again (re-solving per replica could in principle land each on a
+// different equal-objective vertex, and would waste a solve and a build
+// per pool member). Only the mapping tables change; the hardware regions
+// are fixed, so pl must have been solved against this instance's
+// Regions().
 //
 // The caller must respect the System single-goroutine contract: Adopt
 // swaps the placement the next Run reads, so it may only be called from
-// the goroutine that owns the instance (the serving layer stages updates
-// and applies them at batch boundaries for exactly this reason).
+// the goroutine that owns the instance.
 func (r *ReCross) Adopt(pl *partition.Placement) error {
 	if pl == nil {
 		return fmt.Errorf("core: nil placement")

@@ -158,8 +158,7 @@ func TestReduceSampleIntoMatchesReduce(t *testing.T) {
 	}
 }
 
-// TestRowCacheBasics covers hit/miss accounting, eviction, and the
-// admission hint.
+// TestRowCacheBasics covers hit/miss accounting and eviction.
 func TestRowCacheBasics(t *testing.T) {
 	const vecLen = 8
 	c, err := NewRowCache(16*rowCacheShards*vecLen*4, vecLen) // 16 slots/shard
@@ -200,22 +199,6 @@ func TestRowCacheBasics(t *testing.T) {
 		t.Fatalf("resident bytes %d exceed capacity %d", st.Bytes, st.CapBytes)
 	}
 
-	// An admission hint rejecting everything blocks new fills but not
-	// probes of already-resident rows.
-	c.SetAdmit(func(table int, idx int64) bool { return false })
-	before := c.Stats().Entries
-	c.Put(2, 42, row)
-	if c.Get(2, 42, got) {
-		t.Fatal("rejected fill became resident")
-	}
-	if c.Stats().Entries != before {
-		t.Fatal("entry count moved on rejected fill")
-	}
-	c.SetAdmit(nil)
-	c.Put(2, 42, row)
-	if !c.Get(2, 42, got) {
-		t.Fatal("fill after clearing the hint missed")
-	}
 }
 
 // TestRowCacheConcurrent hammers one cache from 8 goroutines with

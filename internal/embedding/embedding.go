@@ -95,7 +95,7 @@ type ColdCodec interface {
 }
 
 // coldRoute pairs a cold-placement predicate with the reader serving those
-// rows. Swapped atomically when an adoption changes the placement.
+// rows.
 type coldRoute struct {
 	isCold func(ti int, idx int64) bool
 	reader ColdReader
@@ -113,8 +113,8 @@ type Layer struct {
 	// hashed (or dequantized) once instead of per lookup.
 	cache *RowCache
 	// cold, when set, routes cold-placed rows through the flash store
-	// (RowCache still probes first). Atomic: adoption swaps the route
-	// while serving goroutines read it.
+	// (RowCache still probes first). Atomic: SetColdRoute may swap the
+	// route while serving goroutines read it.
 	cold atomic.Pointer[coldRoute]
 	// coldFallbacks counts cold-placed rows the reader declined (device
 	// degraded) that were materialized without it instead — the
@@ -143,7 +143,7 @@ func NewLayer(spec trace.ModelSpec) (*Layer, error) {
 // After this, every read path serves the canonical quantize-dequantize
 // value, and ReduceInto accumulates misses straight from the quantized
 // codes (fused dequantize — no materialize-then-reduce round trip).
-// Call before AttachRowCache and before serving begins; the admitted hot
+// Call before AttachRowCache and before serving begins; the cached hot
 // rows stay fp32 in the cache while the backing tables hold codes.
 func (l *Layer) SetPrecision(prec kernels.Precision) error {
 	if l.cache != nil {

@@ -27,10 +27,6 @@ import (
 //     allocations after construction.
 //   - Eviction: CLOCK (second chance) through the shared cache.Clock
 //     slot index, one per shard.
-//   - Admission: an optional frequency hint (SetAdmit) gates fills, fed
-//     from the adaptive layer's Space-Saving tracker when present, so a
-//     cold scan cannot flush the resident hot set. Lookups always probe
-//     regardless of the hint.
 //
 // Get copies the row out under the shard lock (a vecLen float32 copy is
 // far cheaper than re-hashing the row and keeps readers safe against a
@@ -40,10 +36,6 @@ type RowCache struct {
 	shards []rowShard
 	vecLen int
 	slots  int // per shard
-
-	// admit is an optional frequency admission hint (atomic so the
-	// adaptive controller can install it after serving has started).
-	admit atomic.Pointer[func(table int, idx int64) bool]
 
 	// logicalRowBytes is the serialized size one cached row occupies in
 	// the backing store (quantized layers: the code size, not the resident
@@ -111,17 +103,6 @@ func (c *RowCache) SetLogicalRowBytes(n int64) {
 	c.logicalRowBytes.Store(n)
 }
 
-// SetAdmit installs the frequency admission hint: fills for rows the hint
-// rejects are skipped (lookups still probe). A nil hint admits everything.
-// Safe to call while the cache is serving.
-func (c *RowCache) SetAdmit(admit func(table int, idx int64) bool) {
-	if admit == nil {
-		c.admit.Store(nil)
-		return
-	}
-	c.admit.Store(&admit)
-}
-
 // rowKey packs (table, idx) into one uint64: 23 bits of table, 40 bits of
 // row index (production caps at 40M rows), and a forced top bit.
 func rowKey(table int, idx int64) uint64 {
@@ -153,11 +134,8 @@ func (c *RowCache) Get(table int, idx int64, dst []float32) bool {
 }
 
 // Put fills (table, idx) with row (len >= vecLen), evicting via CLOCK if
-// the shard is full. Fills the admission hint rejects are dropped.
+// the shard is full.
 func (c *RowCache) Put(table int, idx int64, row []float32) {
-	if p := c.admit.Load(); p != nil && !(*p)(table, idx) {
-		return
-	}
 	key := rowKey(table, idx)
 	sh := c.shardOf(key)
 	sh.mu.Lock()

@@ -149,7 +149,7 @@ func (c rankCounts) count(g *trace.Generator, buf trace.Sample, nSamples int) tr
 }
 
 // histograms builds each table's row histogram: one insert per distinct
-// rank, at its row under g's current hot set, into a presized map.
+// rank, at its row under g's scatter, into a presized map.
 func (c rankCounts) histograms(g *trace.Generator) []*stats.Histogram {
 	hists := make([]*stats.Histogram, len(c))
 	for i, t := range c {
@@ -181,95 +181,8 @@ var segBounds = []float64{0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.4, 0.7, 1
 // Segments returns len(segBounds)-1, the per-table segment count.
 func Segments() int { return len(segBounds) - 1 }
 
-// SegBounds returns a copy of the row-fraction boundaries of the
-// piecewise linearisation. The online drift detector compares live and
-// baseline access curves at exactly these points, because they are the
-// coordinates the LP saw — drift that does not move the curve at any
-// boundary cannot change the solve.
-func SegBounds() []float64 {
-	out := make([]float64, len(segBounds))
-	copy(out, segBounds)
-	return out
-}
-
-// Estimate evaluates an existing decision's segment assignment under a
-// (possibly different) profile: the per-region gathered bytes per batch
-// and the resulting latency bound max_j load/BW + fixed. This is how the
-// adaptive replanner prices the *current* placement under *live* traffic
-// — the decision was solved for an old profile, the load it would carry
-// now is a property of the new one. d is not modified.
-func Estimate(p *Profile, d *Decision, batch int) (loads []float64, t float64, err error) {
-	if err := validateInput(p, d.Regions, batch); err != nil {
-		return nil, 0, err
-	}
-	if len(d.SegFrac) != len(p.Spec.Tables) {
-		return nil, 0, fmt.Errorf("partition: decision covers %d tables, profile has %d",
-			len(d.SegFrac), len(p.Spec.Tables))
-	}
-	loads = make([]float64, len(d.Regions))
-	for i := range p.Spec.Tables {
-		vol := p.tableAccessBytes(i, batch)
-		segs := p.segmentsOf(i)
-		if len(segs) != len(d.SegFrac[i]) {
-			return nil, 0, fmt.Errorf("partition: table %d has %d segments, decision has %d",
-				i, len(segs), len(d.SegFrac[i]))
-		}
-		for s, seg := range segs {
-			for j := range d.Regions {
-				loads[j] += seg.accessShare * vol * d.SegFrac[i][s][j] / d.Regions[j].compression()
-			}
-		}
-	}
-	for j, l := range loads {
-		if d.Regions[j].BW <= 0 {
-			continue
-		}
-		if tj := l/d.Regions[j].BW + d.Regions[j].FixedCycles; tj > t {
-			t = tj
-		}
-	}
-	return loads, t, nil
-}
-
-// EstimateShares prices a decision's segment assignment under externally
-// measured per-segment access shares instead of a profile's CDF. vols[i]
-// is table i's gathered bytes per batch; shares[i][s] is the fraction of
-// table i's accesses landing in its segment s — measured, crucially,
-// under the *ranking the decision was built for*. A shape-based Estimate
-// cannot see a hot-set permutation (the CDF is invariant under relabeling
-// rows); per-segment live shares can, because after a permutation the
-// mass drains out of the head segments the decision pinned to the fast
-// region. This is how the adaptive replanner prices the stale incumbent.
-func EstimateShares(d *Decision, vols []float64, shares [][]float64) (loads []float64, t float64, err error) {
-	if len(vols) != len(d.SegFrac) || len(shares) != len(d.SegFrac) {
-		return nil, 0, fmt.Errorf("partition: %d vols / %d share rows for %d tables",
-			len(vols), len(shares), len(d.SegFrac))
-	}
-	loads = make([]float64, len(d.Regions))
-	for i := range d.SegFrac {
-		if len(shares[i]) != len(d.SegFrac[i]) {
-			return nil, 0, fmt.Errorf("partition: table %d has %d shares, decision has %d segments",
-				i, len(shares[i]), len(d.SegFrac[i]))
-		}
-		for s := range d.SegFrac[i] {
-			for j := range d.Regions {
-				loads[j] += shares[i][s] * vols[i] * d.SegFrac[i][s][j] / d.Regions[j].compression()
-			}
-		}
-	}
-	for j, l := range loads {
-		if d.Regions[j].BW <= 0 {
-			continue
-		}
-		if tj := l/d.Regions[j].BW + d.Regions[j].FixedCycles; tj > t {
-			t = tj
-		}
-	}
-	return loads, t, nil
-}
-
 // AccessVolumes returns each table's expected gathered bytes per batch —
-// the vols input of EstimateShares.
+// the cluster's hot-table ranking.
 func AccessVolumes(spec trace.ModelSpec, batch int) []float64 {
 	out := make([]float64, len(spec.Tables))
 	for i, t := range spec.Tables {

@@ -448,13 +448,4 @@ func TestCompressionBandwidthDivisor(t *testing.T) {
 	if math.Abs(half.Load[0]-base.Load[0]/2) > 1e-6*base.Load[0] {
 		t.Fatalf("2x compression: load %.1f, want half of %.1f", half.Load[0], base.Load[0])
 	}
-	// Estimate and EstimateShares must price the same decision identically.
-	loads, tt, err := Estimate(p, half, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(loads[0]-half.Load[0]) > 1e-6*half.Load[0] || math.Abs(tt-half.T) > 1e-6*half.T {
-		t.Fatalf("Estimate disagrees with solve: load %.1f vs %.1f, t %.3f vs %.3f",
-			loads[0], half.Load[0], tt, half.T)
-	}
 }

@@ -298,60 +298,6 @@ func (pl *Placement) MappingBits() int64 {
 	return rows * 34
 }
 
-// ColdRegions reports, per region index, whether the region is cold-tier
-// (Level == nmp.LevelCold).
-func (pl *Placement) ColdRegions() []bool {
-	out := make([]bool, len(pl.dec.Regions))
-	for j, r := range pl.dec.Regions {
-		out[j] = r.Level == nmp.LevelCold
-	}
-	return out
-}
-
-// DiffCold counts ranked rows that cross the DRAM/cold boundary between
-// two placements of the same model: promoted (cold in old, DRAM in next)
-// and demoted (DRAM in old, cold in next). Row-fraction deltas cannot see
-// these moves — a hot-set permutation leaves every RowFrac untouched while
-// swapping whole row populations across the boundary — so the adaptive
-// controller diffs the placements directly. Rows ranked in neither
-// placement (the never-observed tail, hash-placed into reserved ranges)
-// are not counted; by construction they carry no measured traffic.
-func DiffCold(old, next *Placement) (promoted, demoted int64) {
-	if old == nil || next == nil || len(old.tables) != len(next.tables) {
-		return 0, 0
-	}
-	oldCold := old.ColdRegions()
-	nextCold := next.ColdRegions()
-	isCold := func(cold []bool, region int) bool {
-		return region >= 0 && region < len(cold) && cold[region]
-	}
-	for ti := range old.tables {
-		if old.tables[ti].rows != next.tables[ti].rows {
-			continue
-		}
-		count := func(row int64) {
-			or, _ := old.Locate(ti, row)
-			nr, _ := next.Locate(ti, row)
-			wasCold, isNow := isCold(oldCold, or), isCold(nextCold, nr)
-			switch {
-			case wasCold && !isNow:
-				promoted++
-			case !wasCold && isNow:
-				demoted++
-			}
-		}
-		for row := range old.tables[ti].rank {
-			count(row)
-		}
-		for row := range next.tables[ti].rank {
-			if _, ok := old.tables[ti].rank[row]; !ok {
-				count(row)
-			}
-		}
-	}
-	return promoted, demoted
-}
-
 func hash64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD

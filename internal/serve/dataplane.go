@@ -74,7 +74,7 @@ func (s *Server) initDataplane() error {
 func (s *Server) RowCache() *embedding.RowCache { return s.rowCache }
 
 // Layer returns the shared functional embedding layer the server answers
-// from — the facade re-routes its cold tier through it on adoption.
+// from.
 func (s *Server) Layer() *embedding.Layer { return s.opts.Layer }
 
 // registerDataplane publishes the data-plane series. The row-cache series

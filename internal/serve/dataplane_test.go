@@ -118,7 +118,7 @@ func TestRowCacheOption(t *testing.T) {
 }
 
 // TestRowCacheRespectsPreattached checks that a caller-attached cache is
-// kept (the adaptive path attaches before serve.New sees the layer).
+// kept.
 func TestRowCacheRespectsPreattached(t *testing.T) {
 	layer := testLayer(t)
 	cache, err := embedding.NewRowCache(1<<20, testSpec().Tables[0].VecLen)

@@ -29,15 +29,6 @@ type LoadgenOptions struct {
 	Seed int64
 	// Timeout, when positive, bounds each request with a deadline.
 	Timeout time.Duration
-	// ShiftAt, when positive, permutes every client generator's hot set
-	// (trace.Generator.ShiftHotSet with ShiftSalt) once that much of the
-	// run has elapsed — the mid-run popularity churn the adaptive
-	// repartitioner exists to absorb. Distribution shape is unchanged;
-	// which rows are hot is not.
-	ShiftAt time.Duration
-	// ShiftSalt selects the post-shift permutation (default 1, so setting
-	// only ShiftAt still changes the hot set).
-	ShiftSalt int64
 	// TailMass, in [0,1], redirects this fraction of every client's index
 	// draws to a uniform pick from the cold half of the rank space
 	// (trace.Generator.SetTailMass) — shifting load toward cold-tier rows.
@@ -53,9 +44,6 @@ func (o LoadgenOptions) withDefaults() LoadgenOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.ShiftSalt == 0 {
-		o.ShiftSalt = 1
 	}
 	return o
 }
@@ -81,8 +69,8 @@ var ErrLoadStop = errors.New("serve: load target closed")
 
 // DriveLoad is the one closed-loop load driver, shared by the single-node
 // and cluster generators: opts.Clients goroutines each draw samples from
-// their own seeded generator (with the mid-run hot-set shift and tail-mass
-// redirection) and call lookup back-to-back until opts.Duration elapses.
+// their own seeded generator (with the tail-mass redirection) and call
+// lookup back-to-back until opts.Duration elapses.
 //
 // lookup issues one request and classifies its outcome for the target:
 // (true, nil) is a completed request whose latency is kept; (false, nil)
@@ -108,10 +96,6 @@ func DriveLoad(who string, opts LoadgenOptions, nCounts int,
 	counts := make([][]int64, opts.Clients)
 	start := time.Now()
 	deadline := start.Add(opts.Duration)
-	var shiftTime time.Time
-	if opts.ShiftAt > 0 {
-		shiftTime = start.Add(opts.ShiftAt)
-	}
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 1) // first unclassified error
@@ -135,17 +119,7 @@ func DriveLoad(who string, opts LoadgenOptions, nCounts int,
 		wg.Add(1)
 		go func(c int, gen *trace.Generator) {
 			defer wg.Done()
-			shifted := false
 			for time.Now().Before(deadline) {
-				if !shifted && !shiftTime.IsZero() && !time.Now().Before(shiftTime) {
-					// Each client owns its generator, so the shift is safe
-					// here; all clients derive the identical permutation.
-					if err := gen.ShiftHotSet(opts.ShiftSalt); err != nil {
-						note(err)
-						return
-					}
-					shifted = true
-				}
 				sample := gen.Sample()
 				if len(sample) == 0 {
 					continue // all-probabilistic spec rolled no tables

@@ -185,12 +185,6 @@ type Options struct {
 	// (default 1).
 	Quorum int
 
-	// Observer, when non-nil, is called with every admitted sample — the
-	// adaptive repartitioner's tap into the live access stream. It runs on
-	// the caller's goroutine inside Lookup, so it must be cheap and safe
-	// for concurrent use (adapt.Tracker.Observe is both).
-	Observer func(trace.Sample)
-
 	// RowCacheBytes, when positive, attaches a sharded hot-row cache of
 	// this budget to Layer (unless the caller already attached one), so
 	// hot rows are materialized once instead of re-hashed (or
@@ -402,8 +396,7 @@ func New(opts Options) (*Server, error) {
 func (s *Server) Replicas() int { return len(s.replicas) }
 
 // MetricSet returns the set /metrics serves. Subsystems composed around
-// the server — the cold store, the adaptive controller, a binary listener
-// — register their series in it so one endpoint publishes them all.
+// the server — the cold store, a binary listener — register their series in it so one endpoint publishes them all.
 func (s *Server) MetricSet() *metrics.Set { return s.set }
 
 // Metrics returns the live registry (snapshot it for reporting).
@@ -500,9 +493,6 @@ func (s *Server) Lookup(ctx context.Context, sample trace.Sample) (*Result, erro
 	}
 	s.mu.RUnlock()
 	s.metrics.Admitted.Add(1)
-	if s.opts.Observer != nil {
-		s.opts.Observer(sample)
-	}
 
 	select {
 	case res := <-r.done:

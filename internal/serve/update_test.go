@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"recross/internal/arch"
-	"recross/internal/embedding"
 	"recross/internal/trace"
 )
 
@@ -156,28 +155,6 @@ func TestStageUpdateLatestWins(t *testing.T) {
 	}
 }
 
-func TestObserverSeesAdmittedSamples(t *testing.T) {
-	var observed atomic.Int64
-	s := newTestServer(t, Options{
-		Systems: []arch.System{&fakeSys{}},
-		Observer: func(sample trace.Sample) {
-			observed.Add(int64(len(sample)))
-		},
-	})
-	defer s.Close()
-	samples := testSamples(t, 5)
-	var wantOps int64
-	for _, sample := range samples {
-		if _, err := s.Lookup(context.Background(), sample); err != nil {
-			t.Fatal(err)
-		}
-		wantOps += int64(len(sample))
-	}
-	if observed.Load() != wantOps {
-		t.Fatalf("observer saw %d ops, want %d", observed.Load(), wantOps)
-	}
-}
-
 // TestMetricSetServesRegisteredSeries: a series a subsystem registers in
 // the server's set rides /metrics next to the server's own.
 func TestMetricSetServesRegisteredSeries(t *testing.T) {
@@ -202,37 +179,4 @@ func scrape(t *testing.T, s *Server) string {
 		t.Fatalf("/metrics: status %d", rec.Code)
 	}
 	return rec.Body.String()
-}
-
-// TestLoadgenShiftsHotSet: the shift mode must change which rows the
-// clients draw without disturbing the request flow.
-func TestLoadgenShiftsHotSet(t *testing.T) {
-	spec := trace.ModelSpec{Name: "shift-loadgen", Tables: []trace.TableSpec{
-		{Name: "shift-t0", Rows: 2000, VecLen: 8, Pooling: 2, Prob: 1, Skew: 1.3},
-	}}
-	layer, err := embedding.NewLayer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Options{
-		Systems: []arch.System{&fakeSys{}, &fakeSys{}},
-		Layer:   layer,
-	})
-	defer s.Close()
-	rep, err := Loadgen(s, LoadgenOptions{
-		Spec:      spec,
-		Clients:   2,
-		Duration:  300 * time.Millisecond,
-		ShiftAt:   150 * time.Millisecond,
-		ShiftSalt: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 {
-		t.Fatal("loadgen with shift completed no requests")
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("loadgen with shift saw %d errors", rep.Errors)
-	}
 }

@@ -7,7 +7,6 @@ package stats
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 )
@@ -18,9 +17,6 @@ type Histogram struct {
 	counts map[int64]int64
 	total  int64
 }
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return NewHistogramSize(0) }
 
 // NewHistogramSize returns an empty histogram with room for n distinct
 // keys before it grows.
@@ -102,13 +98,6 @@ type CDF struct {
 	// remaining 1-obsMass (the Good-Turing unseen-mass estimate) ramps
 	// linearly across the unobserved tail. 1 for unsmoothed curves.
 	obsMass float64
-	// tailExp, when positive, shapes the unobserved tail as a power law
-	// with this exponent instead of a uniform ramp: unseen mass density
-	// at rank r falls as r^-tailExp. A bounded top-k sketch truncates a
-	// Zipf stream right where its mid-ranks still hold real mass — a
-	// uniform ramp there starves the warm segments and the partitioner
-	// parks them in the slow region. 0 keeps the linear ramp.
-	tailExp float64
 }
 
 // AccessCDF builds the cumulative-access curve of h over a universe of
@@ -164,109 +153,6 @@ func AccessCDFSmoothed(h *Histogram, universe int) (*CDF, error) {
 	return c, nil
 }
 
-// CDFFromCounts builds a cumulative-access curve directly from a
-// descending-sorted count slice, crediting the observed keys with obsMass
-// of the total probability (the remaining 1-obsMass ramps linearly over
-// the unobserved tail). This is the constructor for sketch-derived curves:
-// a streaming top-k tracker knows the counts of the keys it retained and,
-// separately, the exact total access count, so the observed mass is the
-// retained share rather than a Good-Turing estimate. counts must be
-// non-increasing and non-negative; obsMass is clamped to [0,1].
-func CDFFromCounts(counts []int64, universe int, obsMass float64) (*CDF, error) {
-	if universe <= 0 {
-		return nil, fmt.Errorf("stats: empty universe")
-	}
-	if len(counts) > universe {
-		return nil, fmt.Errorf("stats: universe %d smaller than %d counts", universe, len(counts))
-	}
-	var total int64
-	for i, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("stats: negative count %d at rank %d", c, i)
-		}
-		if i > 0 && c > counts[i-1] {
-			return nil, fmt.Errorf("stats: counts not sorted descending at rank %d", i)
-		}
-		total += c
-	}
-	if obsMass < 0 {
-		obsMass = 0
-	}
-	if obsMass > 1 {
-		obsMass = 1
-	}
-	cum := make([]float64, len(counts))
-	var run float64
-	for i, c := range counts {
-		run += float64(c)
-		if total > 0 {
-			cum[i] = run / float64(total)
-		}
-	}
-	return &CDF{cum: cum, universe: universe, obsMass: obsMass}, nil
-}
-
-// CDFFromCountsTail is CDFFromCounts with a power-law unobserved tail:
-// the unseen 1-obsMass is distributed with density proportional to
-// r^-tailExp over the unobserved ranks instead of uniformly. tailExp is
-// typically fitted from the observed counts themselves (see FitZipf);
-// tailExp <= 0 falls back to the uniform ramp.
-func CDFFromCountsTail(counts []int64, universe int, obsMass, tailExp float64) (*CDF, error) {
-	c, err := CDFFromCounts(counts, universe, obsMass)
-	if err != nil {
-		return nil, err
-	}
-	if tailExp > 0 {
-		c.tailExp = tailExp
-	}
-	return c, nil
-}
-
-// FitZipf estimates a power-law exponent from a descending count slice
-// by least squares on (log rank, log count). Only ranks strictly above
-// the minimum count are fitted: in a Space-Saving sketch the bottom of
-// the slice is a churn plateau of entries pinned at the eviction floor,
-// whose flat log-log run would drag the slope toward zero (and in an
-// exact histogram the floor is just the quantisation limit). Returns 0
-// (meaning: no usable fit, callers should fall back to a uniform tail)
-// when fewer than 8 usable points remain; otherwise the result is
-// clamped to [0.05, 4].
-func FitZipf(counts []int64) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	floor := counts[len(counts)-1]
-	var n float64
-	var sx, sy, sxx, sxy float64
-	for i := 0; i < len(counts); i++ {
-		if counts[i] <= 0 || counts[i] <= floor {
-			break
-		}
-		x := math.Log(float64(i + 1))
-		y := math.Log(float64(counts[i]))
-		n++
-		sx += x
-		sy += y
-		sxx += float64(x * x)
-		sxy += float64(x * y)
-	}
-	if n < 8 {
-		return 0
-	}
-	den := float64(n*sxx) - float64(sx*sx)
-	if den <= 0 {
-		return 0
-	}
-	s := -(float64(n*sxy) - float64(sx*sy)) / den
-	if s < 0.05 {
-		s = 0.05
-	}
-	if s > 4 {
-		s = 4
-	}
-	return s
-}
-
 // At returns the fraction of accesses covered by the hottest p (in [0,1])
 // fraction of the universe, interpolating linearly between ranks.
 func (c *CDF) At(p float64) float64 {
@@ -278,13 +164,10 @@ func (c *CDF) At(p float64) float64 {
 	}
 	rank := float64(p * float64(c.universe)) // number of hottest keys included
 	if rank >= float64(len(c.cum)) {
-		// Past the observed keys: the unseen mass covers the unobserved
-		// tail — linearly by default, as a power law when tailExp is set.
+		// Past the observed keys: the unseen mass ramps linearly across
+		// the unobserved tail.
 		if float64(c.universe) <= float64(len(c.cum)) {
 			return 1
-		}
-		if c.tailExp > 0 {
-			return c.obsMass + float64((1-c.obsMass)*c.tailCoverage(rank))
 		}
 		tail := float64(c.universe - len(c.cum))
 		return c.obsMass + (1-c.obsMass)*(rank-float64(len(c.cum)))/tail
@@ -297,39 +180,6 @@ func (c *CDF) At(p float64) float64 {
 	}
 	hi := c.cum[i]
 	return (lo + float64(frac*(hi-lo))) * c.obsMass
-}
-
-// tailCoverage returns the fraction of the unseen tail mass covered by
-// ranks (len(cum), rank], under density proportional to r^-tailExp over
-// r in (k, universe]. Closed form via the power-law integral; the
-// near-1 exponent uses the logarithmic limit.
-func (c *CDF) tailCoverage(rank float64) float64 {
-	k := float64(len(c.cum))
-	if k < 1 {
-		k = 1
-	}
-	u := float64(c.universe)
-	r := rank
-	if r < k {
-		r = k
-	}
-	if r > u {
-		r = u
-	}
-	s := c.tailExp
-	if math.Abs(s-1) < 1e-3 {
-		den := math.Log(u) - math.Log(k)
-		if den <= 0 {
-			return 1
-		}
-		return (math.Log(r) - math.Log(k)) / den
-	}
-	e := 1 - s
-	den := math.Pow(u, e) - math.Pow(k, e)
-	if den == 0 {
-		return 1
-	}
-	return (math.Pow(r, e) - math.Pow(k, e)) / den
 }
 
 // Coverage returns, for each fraction in ps, the covered access share.

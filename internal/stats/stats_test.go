@@ -8,7 +8,7 @@ import (
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	h.Add(1)
 	h.Add(1)
 	h.Add(2)
@@ -37,7 +37,7 @@ func TestHistogramZeroValueUsable(t *testing.T) {
 }
 
 func TestHotKeysOrderAndTies(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	h.AddN(10, 3)
 	h.AddN(20, 3)
 	h.AddN(30, 9)
@@ -54,7 +54,7 @@ func TestHotKeysOrderAndTies(t *testing.T) {
 func TestAccessCDFSkewedCurve(t *testing.T) {
 	// 1 key with 90 accesses + 9 keys with 1 access each, universe 100:
 	// the hottest 1% of keys covers 90/99 of accesses.
-	h := NewHistogram()
+	h := new(Histogram)
 	h.AddN(0, 90)
 	for k := int64(1); k <= 9; k++ {
 		h.Add(k)
@@ -79,13 +79,13 @@ func TestAccessCDFSkewedCurve(t *testing.T) {
 }
 
 func TestAccessCDFErrors(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	h.Add(0)
 	h.Add(1)
 	if _, err := AccessCDF(h, 1); err == nil {
 		t.Fatal("universe smaller than observed keys should error")
 	}
-	if _, err := AccessCDF(NewHistogram(), 0); err == nil {
+	if _, err := AccessCDF(new(Histogram), 0); err == nil {
 		t.Fatal("empty universe should error")
 	}
 }
@@ -94,7 +94,7 @@ func TestAccessCDFErrors(t *testing.T) {
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHistogram()
+		h := new(Histogram)
 		n := rng.Intn(200) + 1
 		for i := 0; i < n; i++ {
 			h.AddN(int64(rng.Intn(50)), int64(rng.Intn(20)+1))

@@ -135,8 +135,8 @@ func (g *Generator) SetTailMass(f float64) error {
 // Spec returns the model the generator draws for.
 func (g *Generator) Spec() ModelSpec { return g.spec }
 
-// Scatter returns table ti's rank-to-row bijection under the current hot
-// set: the row a rank drawn by RanksInto stands for is Scatter(ti).Map.
+// Scatter returns table ti's rank-to-row bijection: the row a rank drawn
+// by RanksInto stands for is Scatter(ti).Map.
 func (g *Generator) Scatter(ti int) *Scatter { return g.scats[ti] }
 
 // Sample generates the embedding work for one inference sample.
@@ -195,24 +195,4 @@ func (g *Generator) Batch(n int) Batch {
 		b[i] = g.Sample()
 	}
 	return b
-}
-
-// ShiftHotSet re-derives every table's popularity permutation with the
-// given salt, modelling the real-world drift the adaptive repartitioner
-// exists for: item popularity churns (yesterday's viral items cool off,
-// new ones heat up) while the *shape* of the distribution — the Zipf skew
-// — stays put. Ranks keep their probabilities; which rows hold them
-// changes. salt 0 restores the original hot set; the same (table, salt)
-// always produces the same permutation, so independent generators shift
-// identically. Not safe for concurrent use with Sample/RanksInto (the
-// generator is single-goroutine, like everything else seeded here).
-func (g *Generator) ShiftHotSet(salt int64) error {
-	for i, t := range g.spec.Tables {
-		s, err := NewScatter(t.Rows, scatterSeed(t.Name)+salt)
-		if err != nil {
-			return fmt.Errorf("table %q: %w", t.Name, err)
-		}
-		g.scats[i] = s
-	}
-	return nil
 }

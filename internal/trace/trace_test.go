@@ -289,7 +289,7 @@ func TestGeneratorProfileSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := stats.NewHistogram()
+	h := new(stats.Histogram)
 	for i := 0; i < 2000; i++ {
 		for _, idx := range g.Sample()[0].Indices {
 			h.Add(idx)
@@ -315,7 +315,7 @@ func TestGeneratorScattersHotRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := stats.NewHistogram()
+	h := new(stats.Histogram)
 	for _, s := range g.Batch(200) {
 		for _, idx := range s[0].Indices {
 			h.Add(idx)

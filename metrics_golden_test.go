@@ -66,7 +66,7 @@ func scrapeKeys(t *testing.T, h http.Handler) []string {
 // every optional stage plus a binary listener, and a router over two
 // binary-wire nodes.
 func TestMetricsGolden(t *testing.T) {
-	cfg, opts := stackCase(t, true, true, true, INT8)
+	cfg, opts := stackCase(t, true, true, INT8)
 	opts.RowCacheBytes = 1 << 20
 	st, err := NewStack(ReCross, cfg, 2, opts)
 	if err != nil {

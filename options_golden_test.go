@@ -21,7 +21,7 @@ func TestOptionSurface(t *testing.T) {
 		v    any
 	}{
 		{"Config", Config{}}, {"ColdTierConfig", ColdTierConfig{}}, {"ClusterConfig", ClusterConfig{}},
-		{"ServeOptions", ServeOptions{}}, {"AdaptOptions", AdaptOptions{}}, {"FaultConfig", FaultConfig{}},
+		{"ServeOptions", ServeOptions{}}, {"FaultConfig", FaultConfig{}},
 		{"ColdFaultConfig", ColdFaultConfig{}}, {"NodeFaultConfig", NodeFaultConfig{}},
 		{"LoadgenOptions", LoadgenOptions{}}, {"BinNodeOptions", BinNodeOptions{}},
 		{"ClusterPlacementOptions", ClusterPlacementOptions{}}, {"ReCrossConfig", ReCrossConfig{}},

@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recross/internal/adapt"
 	"recross/internal/arch"
 	"recross/internal/chaos"
 	"recross/internal/cluster"
@@ -105,9 +104,6 @@ type (
 	// Decode(Encode(row)) at that precision whether the device answers or
 	// the breaker is open.
 	ColdTierConfig = coldstore.Config
-	// ColdRowCount is one row's sketch-derived access count, the input of
-	// the frequency-based page mapping.
-	ColdRowCount = coldstore.RowCount
 	// ColdDevice is the cold store's page I/O seam; wrap it (via
 	// ColdTierConfig.WrapDevice) to interpose fault injection or
 	// alternative media.
@@ -137,19 +133,6 @@ type (
 	LoadgenOptions = serve.LoadgenOptions
 	// LoadgenReport is the load generator's throughput/latency summary.
 	LoadgenReport = serve.Report
-
-	// AdaptController is the online workload profiler + adaptive
-	// repartitioning loop: a streaming frequency sketch over the serving
-	// path, a drift detector against the deployed placement's profile, a
-	// replanner re-running the partitioner LP, and a hysteresis gate
-	// pricing migrations before adopting them. Build one (wired into a
-	// Server) by setting Config.Adapt for NewStack.
-	AdaptController = adapt.Controller
-	// AdaptOptions configures the adaptive loop (sketch size, control
-	// interval, drift threshold, hysteresis windows, migration economics).
-	AdaptOptions = adapt.Options
-	// FreqTracker is the bounded-memory per-table frequency sketch.
-	FreqTracker = adapt.Tracker
 
 	// FaultConfig configures the chaos fault-injection harness: per-kind
 	// rates, a stall duration, a deterministic per-replica schedule, and
@@ -323,11 +306,6 @@ type Config struct {
 	// the functional backing store and routes cold-placed row reads
 	// through it.
 	Cold *ColdTierConfig
-	// Adapt, when non-nil, makes NewStack wire the online adaptive
-	// repartitioning loop through the server (ReCross only). Spec,
-	// Placement (the stack's one shared plan) and (when zero) Batch are
-	// filled from the stack; NewSystem ignores it.
-	Adapt *AdaptOptions
 	// Chaos, when non-nil, makes NewStack wrap every replica — initial
 	// and rebuilt — with the fault-injection harness.
 	// NewSystem ignores it.
@@ -483,50 +461,16 @@ func openColdStore(cold *ColdTierConfig, layer *Layer) (*coldstore.Store, error)
 	return coldstore.Open(*cold, srcs)
 }
 
-// routeCold points the layer's cold route at the store for every row the
-// placement holds in the cold region. Swapping is atomic, so adoption can
-// re-route a live data plane.
-func routeCold(layer *Layer, store *coldstore.Store, pl *partition.Placement) {
-	layer.SetColdRoute(func(ti int, idx int64) bool {
-		region, _ := pl.Locate(ti, idx)
-		return region == core.RegionCold
-	}, coldReader{store})
-}
-
-// coldCounts converts the tracker's per-table heavy-hitter snapshots into
-// the store's Remap input, keeping only rows the new placement holds cold
-// — the warm-but-cold-placed rows frequency-based packing exists for. A
-// table with no counted cold rows keeps its current mapping.
-func coldCounts(tr *FreqTracker, pl *partition.Placement, tables int) [][]ColdRowCount {
-	snaps := tr.Snapshot()
-	counts := make([][]ColdRowCount, tables)
-	for ti := range counts {
-		if ti >= len(snaps) {
-			break
-		}
-		snap := snaps[ti]
-		var cs []ColdRowCount
-		for k, row := range snap.Keys {
-			if region, _ := pl.Locate(ti, row); region == core.RegionCold {
-				cs = append(cs, ColdRowCount{Row: row, Count: snap.Counts[k]})
-			}
-		}
-		counts[ti] = cs
-	}
-	return counts
-}
-
 // Stack is one node's assembled serving stack: the Server plus the
-// control handles of whichever optional stages its Config enabled.
-// Stack.Close (the embedded Server's) tears every stage down: it stops the
-// adapt loop, releases wedged chaos batches and removes the cold file.
+// handles of whichever optional stages its Config enabled.
+// Stack.Close (the embedded Server's) tears every stage down: it releases
+// wedged chaos batches and removes the cold file.
 type Stack struct {
 	*Server
-	// Adapt is the adaptive controller (nil without Config.Adapt). It is
-	// not started: call Start for the background loop at
-	// AdaptOptions.Interval, or drive Step yourself (deterministic tests
-	// do).
-	Adapt *AdaptController
+	// Cold is the flash tier's backing store (nil without Config.Cold):
+	// its Stats are the device page reads, page-cache hits and breaker
+	// state behind the recross_coldstore_* series.
+	Cold *coldstore.Store
 	// Faults is the replicas' shared fault injector (nil without
 	// Config.Chaos): the on/off switch, per-kind counters, wedge release.
 	Faults *FaultInjector
@@ -537,16 +481,11 @@ type Stack struct {
 }
 
 // rebuilder is the stack's default replica factory: a new system built
-// on the deployed placement, re-wrapped with the fault harness.
+// on the stack's placement, re-wrapped with the fault harness.
 func (st *Stack) rebuilder(a Arch, cfg Config, n int) func(id int) (System, error) {
 	generations := make([]atomic.Int64, n) // incarnations per replica id
 	return func(id int) (System, error) {
-		c := cfg
-		if st.Adapt != nil {
-			// Not the boot placement: the controller may have adopted.
-			c.placement = st.Adapt.Current()
-		}
-		sys, err := NewSystem(a, c)
+		sys, err := NewSystem(a, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -582,22 +521,15 @@ func (st *Stack) rebuilder(a Arch, cfg Config, n int) func(id int) (System, erro
 //     layer's tables, route cold-placed row reads through it (behind the
 //     hot-row cache), report its breaker as cold-degraded health, export
 //     recross_coldstore_* on /metrics;
-//  3. adapt (Config.Adapt) — every admitted sample feeds the controller's
-//     sketches (ServeOptions.Observer), adoption stages a swap to the
-//     controller's one new placement on every replica at its next batch
-//     boundary and, with a cold tier, re-routes the cold boundary and
-//     repacks the store's pages from the sketch counts; the sketches
-//     double as the hot-row cache's admission filter; recross_adapt_*
-//     rides /metrics;
-//  4. chaos (Config.Chaos) — wrap every replica with the fault harness,
+//  3. chaos (Config.Chaos) — wrap every replica with the fault harness,
 //     outermost, so injected faults hit whatever the inner stages built;
-//  5. rebuild — unless the caller supplied ServeOptions.Rebuild, the
+//  4. rebuild — unless the caller supplied ServeOptions.Rebuild, the
 //     replica factory a failed replica's worker calls composes the same
-//     stages in the same order: new system built on the current placement
-//     (the controller's, after an adoption), re-wrapped with a chaos seed
-//     advanced per incarnation of that replica.
+//     stages in the same order: new system built on the stack's one
+//     placement, re-wrapped with a chaos seed advanced per incarnation of
+//     that replica.
 //
-// opts.Systems and opts.Layer are filled in here. Stages 2 and 3 need the
+// opts.Systems and opts.Layer are filled in here. Stage 2 needs the
 // ReCross architecture (it owns the partitioner).
 func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 	cfg, systems, err := cfg.replicas(a, n)
@@ -609,87 +541,23 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 		return nil, err
 	}
 	pl := cfg.placement
-	if pl == nil && (cfg.Cold != nil || cfg.Adapt != nil) {
-		return nil, fmt.Errorf("recross: the cold tier and adaptive serving need single-channel %q replicas (they own the partitioner), got %q", ReCross, a)
+	if pl == nil && cfg.Cold != nil {
+		return nil, fmt.Errorf("recross: the cold tier needs single-channel %q replicas (they own the partitioner), got %q", ReCross, a)
 	}
 	st := &Stack{plan: pl}
 
-	var store *coldstore.Store
 	if cfg.Cold != nil {
-		if store, err = openColdStore(cfg.Cold, layer); err != nil {
+		if st.Cold, err = openColdStore(cfg.Cold, layer); err != nil {
 			return nil, err
 		}
-		routeCold(layer, store, pl)
+		// Every row the placement holds in the cold region reads
+		// through the store.
+		layer.SetColdRoute(func(ti int, idx int64) bool {
+			region, _ := pl.Locate(ti, idx)
+			return region == core.RegionCold
+		}, coldReader{st.Cold})
 		if opts.ColdDegraded == nil {
-			opts.ColdDegraded = store.Degraded
-		}
-	}
-	if cfg.Adapt != nil {
-		// The controller and server reference each other (Observer feeds
-		// the controller; adoption stages updates on the server): the
-		// adoption closures read st.Server, filled in below.
-		aopts := *cfg.Adapt
-		aopts.Spec, aopts.Placement = cfg.Spec, pl
-		if aopts.Batch == 0 {
-			aopts.Batch = cfg.Batch
-		}
-		if aopts.Adopt == nil {
-			aopts.Adopt = func(pl *partition.Placement) error {
-				if st.Server == nil {
-					return fmt.Errorf("recross: adoption before server construction")
-				}
-				st.StageUpdate(func(_ int, sys System) (System, error) {
-					// Look through the chaos wrapper: a FaultySystem is not
-					// itself a Rebalancer, and skipping it would leave every
-					// wrapped replica on the old plan.
-					inner := sys
-					if fs, ok := sys.(*FaultySystem); ok {
-						inner = fs.Inner()
-					}
-					if rb, ok := inner.(adapt.Rebalancer); ok {
-						return sys, rb.Adopt(pl)
-					}
-					return sys, nil
-				})
-				return nil
-			}
-		}
-		if store != nil {
-			if aopts.ColdHealthy == nil {
-				// The demotion-pause gate: no DRAM->cold migrations while
-				// the store's breaker is not closed.
-				aopts.ColdHealthy = func() bool { return !store.Degraded() }
-			}
-			// Adoption also moves the cold boundary: re-route the data
-			// plane's cold predicate to the adopted placement and repack
-			// the store's pages from the sketch counts (RecFlash-style
-			// frequency mapping) — promoted rows stop routing to flash,
-			// demoted ones start, and the warm cold-placed rows pack
-			// hottest-first.
-			inner := aopts.Adopt
-			aopts.Adopt = func(pl *partition.Placement) error {
-				if err := inner(pl); err != nil {
-					return err
-				}
-				routeCold(layer, store, pl)
-				return store.Remap(coldCounts(st.Adapt.Tracker(), pl, layer.Tables()))
-			}
-		}
-		if aopts.ServiceCycles == nil {
-			aopts.ServiceCycles = func() (int64, float64) {
-				if st.Server == nil {
-					return 0, 0
-				}
-				h := st.Metrics().ServiceCycles.Snapshot()
-				return h.Count, h.Mean * float64(h.Count)
-			}
-		}
-		if st.Adapt, err = adapt.NewController(aopts); err != nil {
-			closeStore(store)
-			return nil, err
-		}
-		if opts.Observer == nil {
-			opts.Observer = st.Adapt.Observe
+			opts.ColdDegraded = st.Cold.Degraded
 		}
 	}
 
@@ -706,44 +574,30 @@ func NewStack(a Arch, cfg Config, n int, opts ServeOptions) (*Stack, error) {
 
 	prevClose := opts.OnClose
 	opts.OnClose = func() {
-		if st.Adapt != nil {
-			st.Adapt.Stop()
-		}
 		if st.Faults != nil {
 			// Wedged batches block their abandoned goroutines until
 			// released; nothing runs on them after Close.
 			st.Faults.ReleaseWedges()
 		}
-		closeStore(store)
+		closeStore(st.Cold)
 		if prevClose != nil {
 			prevClose()
 		}
 	}
 	opts.Systems, opts.Layer = systems, layer
 	if st.Server, err = serve.New(opts); err != nil {
-		closeStore(store)
+		closeStore(st.Cold)
 		return nil, err
 	}
-	if store != nil {
-		store.RegisterMetrics(st.MetricSet())
-	}
-	if st.Adapt != nil {
-		st.Adapt.RegisterMetrics(st.MetricSet())
-		// The controller's Space-Saving sketches double as the hot-row
-		// cache's admission filter: once live traffic accumulates, only
-		// rows the tracker ranks as heavy hitters earn cache slots, so a
-		// cold scan cannot wash the resident hot set out (lookups still
-		// always probe).
-		if cache := st.RowCache(); cache != nil {
-			cache.SetAdmit(st.Adapt.Tracker().Hot)
-		}
+	if st.Cold != nil {
+		st.Cold.RegisterMetrics(st.MetricSet())
 	}
 	return st, nil
 }
 
 // NewServer builds a serving stack (see NewStack for the stages Config
-// selects) and returns just its Server — all a caller needs when neither
-// Config.Adapt nor Config.Chaos is set.
+// selects) and returns just its Server — all a caller needs without the
+// stage handles.
 func NewServer(a Arch, cfg Config, n int, opts ServeOptions) (*Server, error) {
 	st, err := NewStack(a, cfg, n, opts)
 	if err != nil {
@@ -893,9 +747,6 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 	cc = cc.withDefaults()
 	if err = cc.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Adapt != nil {
-		return nil, fmt.Errorf("recross: adaptive repartitioning is per-node; a cluster's placement is fixed at start-up")
 	}
 	if len(cc.Peers) > 0 && (cfg.Cold != nil || cfg.Chaos != nil) {
 		return nil, fmt.Errorf("recross: the cold tier and replica chaos are per-node stages; configure them on the peer processes, not on the router fronting them")

@@ -18,21 +18,12 @@ import (
 // optional stages at one storage precision, over the oversubscribed
 // cold-tier spec. The cold pages use the DRAM tiers' codec so every path
 // serves the same canonical decoded values as the reference layer.
-func stackCase(t *testing.T, cold, adaptOn, chaosOn bool, prec Precision) (Config, ServeOptions) {
+func stackCase(t *testing.T, cold, chaosOn bool, prec Precision) (Config, ServeOptions) {
 	cfg := Config{Spec: coldSpec(), ProfileSamples: 800, Batch: 16, Precision: prec}
 	if cold {
 		cfg.Cold = coldTierConfig()
 		cfg.Cold.Dir = t.TempDir()
 		cfg.Cold.Precision = prec
-	}
-	if adaptOn {
-		// A gate that opens on the first drifted window: the composition
-		// tests force one adoption, they do not test the hysteresis.
-		cfg.Adapt = &AdaptOptions{
-			Interval:  time.Hour, // stepped by hand
-			Threshold: 0.05, Windows: 1, Cooldown: time.Millisecond,
-			MinGain: 0.001, AmortizeBatches: 1 << 40, MinSamples: 200,
-		}
 	}
 	if chaosOn {
 		cfg.Chaos = &FaultConfig{
@@ -129,28 +120,28 @@ func assertDirEmpty(t *testing.T, dir string) {
 }
 
 // TestStackComposition: the optional stages of NewStack are independent —
-// every subset of {cold, adapt, chaos} at fp32 and int8 serves answers
-// bit-identical to the functional layer — and they compose: with all three
-// on, adoption reaches the placement inside every chaos wrapper, rebuilt
-// replicas come back wrapped and adopted, both stages' metrics ride
-// /metrics, and Close releases every stage's resources.
+// every subset of {cold, chaos} at fp32 and int8 serves answers
+// bit-identical to the functional layer — and they compose: with both on,
+// every replica inside its chaos wrapper runs the stack's one placement,
+// rebuilt replicas come back wrapped on that placement, both stages'
+// metrics ride /metrics, and Close releases every stage's resources.
 func TestStackComposition(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds 16 stacks")
+		t.Skip("builds 8 stacks")
 	}
 	for _, prec := range []Precision{FP32, INT8} {
-		for mask := 0; mask < 8; mask++ {
-			cold, adaptOn, chaosOn := mask&1 != 0, mask&2 != 0, mask&4 != 0
-			name := fmt.Sprintf("%v/cold=%v,adapt=%v,chaos=%v", prec, cold, adaptOn, chaosOn)
+		for mask := 0; mask < 4; mask++ {
+			cold, chaosOn := mask&1 != 0, mask&2 != 0
+			name := fmt.Sprintf("%v/cold=%v,chaos=%v", prec, cold, chaosOn)
 			t.Run(name, func(t *testing.T) {
-				cfg, opts := stackCase(t, cold, adaptOn, chaosOn, prec)
+				cfg, opts := stackCase(t, cold, chaosOn, prec)
 				st, err := NewStack(ReCross, cfg, 2, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer st.Close()
-				if (st.Adapt != nil) != adaptOn || (st.Faults != nil) != chaosOn {
-					t.Fatalf("handles: Adapt %v, Faults %v", st.Adapt != nil, st.Faults != nil)
+				if (st.Cold != nil) != cold || (st.Faults != nil) != chaosOn {
+					t.Fatalf("handles: Cold %v, Faults %v", st.Cold != nil, st.Faults != nil)
 				}
 				gen, err := NewGenerator(cfg.Spec, 42)
 				if err != nil {
@@ -163,9 +154,6 @@ func TestStackComposition(t *testing.T) {
 				if chaosOn && st.Faults.Total() == 0 {
 					t.Error("chaos stage injected nothing")
 				}
-				if adaptOn && st.Adapt.Tracker().Samples() == 0 {
-					t.Error("adapt stage observed nothing")
-				}
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -175,7 +163,7 @@ func TestStackComposition(t *testing.T) {
 			})
 		}
 	}
-	t.Run("all-three", testStackAllStages)
+	t.Run("all-stages", testStackAllStages)
 	t.Run("fleet-cold-chaos", testFleetColdChaos)
 }
 
@@ -222,13 +210,12 @@ func probeReplicas(t *testing.T, srv *Server, drive func()) map[int]replicaView 
 
 func testStackAllStages(t *testing.T) {
 	base := runtime.NumGoroutine()
-	cfg, opts := stackCase(t, true, true, true, INT8)
+	cfg, opts := stackCase(t, true, true, INT8)
 	st, err := NewStack(ReCross, cfg, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.Adapt.Start() // Close must stop the loop (Interval: it never ticks)
 	gen, err := NewGenerator(cfg.Spec, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -236,54 +223,15 @@ func testStackAllStages(t *testing.T) {
 	ref := referenceLayer(t, cfg.Spec, INT8)
 	drive := func() { serveWave(t, stackLookup(st), gen, ref, 32) }
 
-	// One plan per stack: every replica runs the controller's placement
-	// itself, not a copy solved or built per replica.
-	boot := st.Adapt.Current()
+	// One plan per stack: every replica runs the stack's placement itself,
+	// not a copy solved or built per replica.
 	for id, v := range probeReplicas(t, st.Server, drive) {
-		if !v.wrapped || v.pl != boot {
-			t.Fatalf("replica %d: wrapped %v, inner placement %p, controller's %p", id, v.wrapped, v.pl, boot)
+		if !v.wrapped || v.pl != st.plan {
+			t.Fatalf("replica %d: wrapped %v, inner placement %p, stack's %p", id, v.wrapped, v.pl, st.plan)
 		}
 	}
 
-	// Force one adoption: shift the hot set and feed the controller until
-	// its (wide-open) gate adopts.
-	if err := gen.ShiftHotSet(424242); err != nil {
-		t.Fatal(err)
-	}
-	adopted := false
-	for w := 0; w < 20 && !adopted; w++ {
-		for i := 0; i < 400; i++ {
-			st.Adapt.Observe(gen.Sample())
-		}
-		res := st.Adapt.Step()
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		adopted = res.Adopted
-	}
-	adoptedPl := st.Adapt.Current()
-	if !adopted || adoptedPl == boot {
-		t.Fatal("no adoption after the hot-set shift")
-	}
-	// Wait until both workers ran the staged swap (a probe staged earlier
-	// would replace it: the latest update wins), then look inside the
-	// wrappers — the applied counter advances even for a skipped replica.
-	applied := st.Metrics().UpdatesApplied.Load()
-	for deadline := time.Now().Add(20 * time.Second); st.Metrics().UpdatesApplied.Load() < applied+2; {
-		if time.Now().After(deadline) {
-			t.Fatal("adoption never applied on both replicas")
-		}
-		drive()
-	}
-	for id, v := range probeReplicas(t, st.Server, drive) {
-		if !v.wrapped || v.pl != adoptedPl {
-			t.Fatalf("replica %d after adoption: wrapped %v, inner placement %p, adopted %p (boot %p)",
-				id, v.wrapped, v.pl, adoptedPl, boot)
-		}
-	}
-
-	// A rebuilt replica comes back wrapped and on the adopted
-	// placement.
+	// A rebuilt replica comes back wrapped and on the stack's placement.
 	restarts := st.Metrics().Restarts.Load()
 	for deadline := time.Now().Add(30 * time.Second); st.Metrics().Restarts.Load() == restarts; {
 		if time.Now().After(deadline) {
@@ -292,14 +240,14 @@ func testStackAllStages(t *testing.T) {
 		drive()
 	}
 	for id, v := range probeReplicas(t, st.Server, drive) {
-		if !v.wrapped || v.pl != adoptedPl {
-			t.Fatalf("replica %d after a rebuild: wrapped %v, inner placement %p, adopted %p", id, v.wrapped, v.pl, adoptedPl)
+		if !v.wrapped || v.pl != st.plan {
+			t.Fatalf("replica %d after a rebuild: wrapped %v, inner placement %p, stack's %p", id, v.wrapped, v.pl, st.plan)
 		}
 	}
 
 	rec := httptest.NewRecorder()
 	st.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	for _, series := range []string{"recross_coldstore_page_reads_total", "recross_adapt_repartitions_total 1", "recross_replica_faults_"} {
+	for _, series := range []string{"recross_coldstore_page_reads_total", "recross_replica_faults_"} {
 		if !strings.Contains(rec.Body.String(), series) {
 			t.Errorf("/metrics lacks %q", series)
 		}
@@ -316,7 +264,7 @@ func testStackAllStages(t *testing.T) {
 // pipeline, so each gets its own cold store and chaos-wrapped replicas.
 func testFleetColdChaos(t *testing.T) {
 	base := runtime.NumGoroutine()
-	cfg, opts := stackCase(t, true, false, true, FP32)
+	cfg, opts := stackCase(t, true, true, FP32)
 	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Nodes: 2, Serve: opts, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -366,9 +314,6 @@ func testFleetColdChaos(t *testing.T) {
 	}
 	if faults == 0 {
 		t.Error("no node's replica observed an injected fault")
-	}
-	if _, err := NewClusterServer(ReCross, Config{Spec: cfg.Spec, Adapt: &AdaptOptions{}}, ClusterConfig{Nodes: 2}); err == nil {
-		t.Error("cluster accepted Config.Adapt")
 	}
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
