@@ -225,7 +225,6 @@ func bind(fs *flag.FlagSet, o *options) {
 		func(s string) error { cl.Peers = strings.Split(s, ","); return nil },
 	}, "cluster-peers", "cluster mode: comma-separated peer addresses fronted instead of building nodes here; each is a peer's binary-wire listener (`recross-serve -bin-addr`), written host:port or bin://host:port")
 	fs.IntVar(&cl.WireConns, "wire-conns", 2, "cluster: binary-wire connection pool size per node (in-binary or peer)")
-	fs.StringVar(&cl.WirePrecision, "wire-precision", "fp32", "cluster: binary-wire response vector encoding for every node: fp32 (bit-identical), fp16 or int8 (storage-codec rounding, opt-in)")
 	fs.StringVar(&o.binAddr, "bin-addr", "", "binary wire-protocol listen address (e.g. :9090); serves lookups beside the HTTP front-end in both single-node and cluster-router modes (empty disables)")
 	fs.IntVar(&cl.Replication, "cluster-replication", 2, "cluster: replica count for hot tables")
 	fs.IntVar(&cl.HotTopK, "cluster-hot-k", 0, "cluster: replicate the k largest-volume tables (0 = tables/4, negative = none)")

@@ -18,7 +18,7 @@ import (
 )
 
 // TestFlagsGolden: the flag set's names and default strings are the
-// command's public surface; testdata/flags.golden pins all 58.
+// command's public surface; testdata/flags.golden pins all 57.
 func TestFlagsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
@@ -38,8 +38,8 @@ func TestFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: bound value %q != default %q", f.Name, f.Value, f.DefValue)
 		}
 	})
-	if n != 58 {
-		t.Errorf("%d flags, want 58", n)
+	if n != 57 {
+		t.Errorf("%d flags, want 57", n)
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag names/defaults drifted from testdata/flags.golden:\n%s", got.String())

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recross/internal/kernels"
 	"recross/internal/serve"
 	"recross/internal/trace"
 )
@@ -40,10 +39,6 @@ type BinNodeOptions struct {
 	// bound a single conn failure's blast radius; the multiplexing means
 	// even one conn carries many in-flight lookups.
 	Conns int
-	// Precision is the response-vector wire encoding requested from the
-	// peer (default FP32: raw bits, bit-identical). FP16/INT8 shrink
-	// response bytes further at the storage codecs' precision cost.
-	Precision kernels.Precision
 	// Dial opens transport connections (default TCP); one attempt is
 	// bounded by dialTimeout.
 	Dial BinDial
@@ -395,7 +390,7 @@ func (n *BinNode) Lookup(ctx context.Context, sample trace.Sample) (*serve.Resul
 	corr := bc.corr.Add(1)
 	wb := getWireBuf()
 	t0 := time.Now()
-	wb.b = appendLookupReq(wb.b, corr, sample, n.opts.Precision)
+	wb.b = appendLookupReq(wb.b, corr, sample)
 	n.m.EncodeNs.Add(time.Since(t0).Nanoseconds())
 	call := getBinCall()
 	typ, payload, err := bc.roundTrip(ctx, corr, call, wb)

@@ -249,7 +249,7 @@ func (s *BinServer) worker(ctx context.Context, reqq chan *binReq, writeq chan *
 		switch req.typ {
 		case frameLookupReq:
 			t0 := time.Now()
-			sample, prec, err := decodeLookupReq(req.payload, &req.arena, s.opts.Layer)
+			sample, err := decodeLookupReq(req.payload, &req.arena, s.opts.Layer)
 			s.m.DecodeNs.Add(time.Since(t0).Nanoseconds())
 			if err != nil {
 				wb.b = appendErrFrame(wb.b, req.corr, errCodeBadRequest, err.Error())
@@ -261,7 +261,7 @@ func (s *BinServer) worker(ctx context.Context, reqq chan *binReq, writeq chan *
 				break
 			}
 			t1 := time.Now()
-			wb.b = appendLookupResp(wb.b, req.corr, res, prec)
+			wb.b = appendLookupResp(wb.b, req.corr, res)
 			s.m.EncodeNs.Add(time.Since(t1).Nanoseconds())
 		case frameHealthReq:
 			data, err := json.Marshal(s.opts.Backend.Health())

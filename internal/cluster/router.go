@@ -180,6 +180,9 @@ func NewRouter(opts Options) (*Router, error) {
 	if opts.Layer == nil {
 		return nil, errors.New("cluster: router needs a functional layer")
 	}
+	if opts.NodeTimeout < 0 {
+		return nil, fmt.Errorf("cluster: NodeTimeout is %v; every sub-request would expire before it is sent", opts.NodeTimeout)
+	}
 	if err := checkPlacement(opts.Placement, len(opts.Nodes), opts.Layer.Tables()); err != nil {
 		return nil, err
 	}

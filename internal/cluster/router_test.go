@@ -162,6 +162,10 @@ func TestRouterValidation(t *testing.T) {
 	if _, err := NewRouter(Options{Nodes: []Node{node}, Placement: bad, Layer: layer}); err == nil {
 		t.Error("out-of-range owner accepted")
 	}
+	if r, err := NewRouter(Options{Nodes: []Node{node}, Placement: pl, Layer: layer, NodeTimeout: -time.Second}); err == nil {
+		r.Close()
+		t.Error("negative NodeTimeout accepted")
+	}
 }
 
 func TestRouterLookupErrors(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"recross/internal/embedding"
-	"recross/internal/kernels"
 	"recross/internal/metrics"
 	"recross/internal/serve"
 	"recross/internal/sim"
@@ -24,21 +23,19 @@ import (
 // an encode/decode CPU tax on every scatter-gather sub-request. This
 // codec is the data-movement fix one level above the paper's: a
 // length-prefixed frame whose sections are varint/fixed-width fields
-// and whose result vectors are raw little-endian float32 bits
-// (optionally fp16/int8 on the wire, re-using the storage codecs with
-// the same single rounding so decoded responses stay canonical).
+// and whose result vectors are raw little-endian float32 bits, so every
+// answer crosses the wire as the serving stack's canonical bits.
 //
 // Frame layout (12-byte header, all multi-byte fields little-endian):
 //
 //	[0:2]  magic "rX"
-//	[2]    version (1)
+//	[2]    version (2)
 //	[3]    frame type
 //	[4:8]  correlation ID (echoed verbatim in the response frame)
 //	[8:12] payload length (bounded by maxFramePayload)
 //
 // Lookup request payload:
 //
-//	[0]     requested response precision (0 fp32, 1 fp16, 2 int8)
 //	uvarint op count, then per op:
 //	  uvarint table · 1B reduce kind · uvarint index count ·
 //	  count uvarint indices · count×4B raw float32 weights
@@ -50,20 +47,13 @@ import (
 // whose reductions ignore weights entirely — shipping ignored bytes
 // would tax the dominant unweighted-pooling case 4 bytes per gather.
 //
-// Requests always carry exact fp32 weights when present: wire
-// precision is an opt-in response-vector compression, never a request
-// lossiness.
-//
 // Lookup response payload:
 //
 //	[0]     flags (bit0 degraded, bit1 cold-degraded)
-//	[1]     vector precision actually used
 //	uvarint batch size · uvarint service cycles · zigzag replica ·
 //	uvarint retries · 8B float64-bits queue µs · 8B float64-bits
 //	total µs · uvarint vector count, then per vector:
-//	  uvarint element count ·
-//	  fp32: count×4B raw bits | fp16: count×2B | int8: 4B scale +
-//	  4B zero-point + count bytes
+//	  uvarint element count · count×4B raw float32 bits
 //
 // Error payload: 1B code + uvarint-length message. Health responses
 // carry the serve.HealthReport as JSON — the probe path is not hot.
@@ -72,7 +62,7 @@ const (
 	wireMagic1 = 'X'
 	// wireVersion is bumped on any incompatible layout change; peers
 	// reject mismatches at the first frame.
-	wireVersion = 1
+	wireVersion = 2
 
 	frameHeaderSize = 12
 	// maxFramePayload bounds one frame (16 MiB: a 4k-op sample of 4k-dim
@@ -134,10 +124,9 @@ func endFrame(b []byte, start int) []byte {
 }
 
 // appendLookupReq encodes one sample as a lookup-request frame.
-func appendLookupReq(dst []byte, corr uint32, sample trace.Sample, prec kernels.Precision) []byte {
+func appendLookupReq(dst []byte, corr uint32, sample trace.Sample) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameLookupReq, corr)
-	dst = append(dst, byte(prec))
 	dst = binary.AppendUvarint(dst, uint64(len(sample)))
 	for _, op := range sample {
 		dst = binary.AppendUvarint(dst, uint64(op.Table))
@@ -179,30 +168,22 @@ type reqArena struct {
 
 // decodeLookupReq decodes a lookup-request payload into the arena and
 // returns the sample (aliasing arena storage — valid until the next
-// decode) plus the requested response precision. When layer is
-// non-nil, tables, indices and kinds are bounds-checked against it,
-// mirroring serve.ParseSample's validation.
-func decodeLookupReq(payload []byte, a *reqArena, layer *embedding.Layer) (trace.Sample, kernels.Precision, error) {
-	if len(payload) < 2 {
-		return nil, 0, errTruncated
-	}
-	prec := kernels.Precision(payload[0])
-	if prec > kernels.INT8 {
-		return nil, 0, fmt.Errorf("cluster: wire: unknown precision %d", payload[0])
-	}
-	p := payload[1:]
+// decode). When layer is non-nil, tables, indices and kinds are
+// bounds-checked against it, mirroring serve.ParseSample's validation.
+func decodeLookupReq(payload []byte, a *reqArena, layer *embedding.Layer) (trace.Sample, error) {
+	p := payload
 	nOps, n := binary.Uvarint(p)
 	if n <= 0 {
-		return nil, 0, errTruncated
+		return nil, errTruncated
 	}
 	p = p[n:]
 	if nOps == 0 {
-		return nil, 0, errors.New("cluster: wire: no ops in request")
+		return nil, errors.New("cluster: wire: no ops in request")
 	}
 	// Each op costs >= 3 bytes (table, kind, count); a corrupt count
 	// cannot force a huge allocation.
 	if nOps > uint64(len(p))/3+1 {
-		return nil, 0, errTruncated
+		return nil, errTruncated
 	}
 	a.ops = a.ops[:0]
 	a.offs = a.offs[:0]
@@ -212,35 +193,35 @@ func decodeLookupReq(payload []byte, a *reqArena, layer *embedding.Layer) (trace
 	for i := uint64(0); i < nOps; i++ {
 		table, n := binary.Uvarint(p)
 		if n <= 0 {
-			return nil, 0, errTruncated
+			return nil, errTruncated
 		}
 		p = p[n:]
 		if len(p) < 1 {
-			return nil, 0, errTruncated
+			return nil, errTruncated
 		}
 		onesWeights := p[0]&opFlagOnesWeights != 0
 		kind := trace.ReduceKind(p[0] &^ opFlagOnesWeights)
 		p = p[1:]
 		if kind > trace.Max {
-			return nil, 0, fmt.Errorf("cluster: wire: op %d: unknown reduce kind %d", i, kind)
+			return nil, fmt.Errorf("cluster: wire: op %d: unknown reduce kind %d", i, kind)
 		}
 		cnt, n := binary.Uvarint(p)
 		if n <= 0 {
-			return nil, 0, errTruncated
+			return nil, errTruncated
 		}
 		p = p[n:]
 		if cnt == 0 {
-			return nil, 0, fmt.Errorf("cluster: wire: op %d: no indices", i)
+			return nil, fmt.Errorf("cluster: wire: op %d: no indices", i)
 		}
 		// Indices are >= 1 byte each and weights exactly 4: bound before
 		// allocating arena room.
 		if cnt > uint64(len(p)) {
-			return nil, 0, errTruncated
+			return nil, errTruncated
 		}
 		var rows int64 = math.MaxInt64
 		if layer != nil {
 			if int(table) >= layer.Tables() {
-				return nil, 0, fmt.Errorf("cluster: wire: op %d: table %d out of [0,%d)", i, table, layer.Tables())
+				return nil, fmt.Errorf("cluster: wire: op %d: table %d out of [0,%d)", i, table, layer.Tables())
 			}
 			rows = layer.Table(int(table)).Rows()
 		}
@@ -248,11 +229,11 @@ func decodeLookupReq(payload []byte, a *reqArena, layer *embedding.Layer) (trace
 		for j := uint64(0); j < cnt; j++ {
 			ix, n := binary.Uvarint(p)
 			if n <= 0 {
-				return nil, 0, errTruncated
+				return nil, errTruncated
 			}
 			p = p[n:]
 			if int64(ix) < 0 || int64(ix) >= rows {
-				return nil, 0, fmt.Errorf("cluster: wire: op %d: index %d out of [0,%d)", i, ix, rows)
+				return nil, fmt.Errorf("cluster: wire: op %d: index %d out of [0,%d)", i, ix, rows)
 			}
 			a.idx = append(a.idx, int64(ix))
 		}
@@ -262,7 +243,7 @@ func decodeLookupReq(payload []byte, a *reqArena, layer *embedding.Layer) (trace
 			}
 		} else {
 			if uint64(len(p)) < 4*cnt {
-				return nil, 0, errTruncated
+				return nil, errTruncated
 			}
 			for j := uint64(0); j < cnt; j++ {
 				a.w = append(a.w, math.Float32frombits(binary.LittleEndian.Uint32(p)))
@@ -278,7 +259,7 @@ func decodeLookupReq(payload []byte, a *reqArena, layer *embedding.Layer) (trace
 		a.ops[i].Indices = a.idx[a.offs[i] : a.offs[i]+a.cnts[i]]
 		a.ops[i].Weights = a.w[a.offs[i] : a.offs[i]+a.cnts[i]]
 	}
-	return trace.Sample(a.ops), prec, nil
+	return trace.Sample(a.ops), nil
 }
 
 // Response flag bits.
@@ -288,12 +269,8 @@ const (
 )
 
 // appendLookupResp encodes one serve.Result as a lookup-response
-// frame, compressing vectors to the requested wire precision. fp32 is
-// raw float bits (bit-identical); fp16/int8 re-use the storage codecs
-// with the same single rounding (kernels.F32ToF16 / QuantizeI8), so a
-// decoded response matches a quantize-then-dequantize of the
-// canonical answer exactly.
-func appendLookupResp(dst []byte, corr uint32, res *serve.Result, prec kernels.Precision) []byte {
+// frame; vectors travel as raw float bits, bit-identical.
+func appendLookupResp(dst []byte, corr uint32, res *serve.Result) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, frameLookupResp, corr)
 	var flags byte
@@ -303,7 +280,7 @@ func appendLookupResp(dst []byte, corr uint32, res *serve.Result, prec kernels.P
 	if res.ColdDegraded {
 		flags |= respColdDegraded
 	}
-	dst = append(dst, flags, byte(prec))
+	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(res.BatchSize))
 	dst = binary.AppendUvarint(dst, uint64(res.ServiceCycles))
 	dst = binary.AppendVarint(dst, int64(res.Replica))
@@ -313,27 +290,8 @@ func appendLookupResp(dst []byte, corr uint32, res *serve.Result, prec kernels.P
 	dst = binary.AppendUvarint(dst, uint64(len(res.Vectors)))
 	for _, vec := range res.Vectors {
 		dst = binary.AppendUvarint(dst, uint64(len(vec)))
-		switch prec {
-		case kernels.FP16:
-			for _, v := range vec {
-				dst = binary.LittleEndian.AppendUint16(dst, kernels.F32ToF16(v))
-			}
-		case kernels.INT8:
-			// Layout: scale + zero-point, then the quantized bytes.
-			// Reserve the prefix, quantize straight into the frame, then
-			// patch the prefix with the derived parameters.
-			at := len(dst)
-			dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-			for range vec {
-				dst = append(dst, 0)
-			}
-			scale, zero := kernels.QuantizeI8(dst[at+8:], vec)
-			binary.LittleEndian.PutUint32(dst[at:], math.Float32bits(scale))
-			binary.LittleEndian.PutUint32(dst[at+4:], uint32(zero))
-		default: // FP32: raw bits, bit-identical
-			for _, v := range vec {
-				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-			}
+		for _, v := range vec {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 		}
 	}
 	return endFrame(dst, start)
@@ -344,15 +302,11 @@ func appendLookupResp(dst []byte, corr uint32, res *serve.Result, prec kernels.P
 // micros-float64 arithmetic as the JSON front-end (serve.LookupResponse),
 // so a binary peer and an HTTP client see identical values.
 func decodeLookupResp(payload []byte) (*serve.Result, error) {
-	if len(payload) < 2 {
+	if len(payload) < 1 {
 		return nil, errTruncated
 	}
 	flags := payload[0]
-	prec := kernels.Precision(payload[1])
-	if prec > kernels.INT8 {
-		return nil, fmt.Errorf("cluster: wire: unknown precision %d", payload[1])
-	}
-	p := payload[2:]
+	p := payload[1:]
 	uv := func() (uint64, bool) {
 		v, n := binary.Uvarint(p)
 		if n <= 0 {
@@ -407,34 +361,14 @@ func decodeLookupResp(payload []byte) (*serve.Result, error) {
 		if !ok {
 			return nil, errTruncated
 		}
-		var need uint64
-		switch prec {
-		case kernels.FP16:
-			need = 2 * cnt
-		case kernels.INT8:
-			need = 8 + cnt
-		default:
-			need = 4 * cnt
-		}
-		if uint64(len(p)) < need {
+		if uint64(len(p))/4 < cnt {
 			return nil, errTruncated
 		}
 		vec := make([]float32, cnt)
-		switch prec {
-		case kernels.FP16:
-			for j := range vec {
-				vec[j] = kernels.F16ToF32(binary.LittleEndian.Uint16(p[2*j:]))
-			}
-		case kernels.INT8:
-			scale := math.Float32frombits(binary.LittleEndian.Uint32(p))
-			zero := int32(binary.LittleEndian.Uint32(p[4:]))
-			kernels.DecodeI8(vec, p[8:8+cnt], scale, zero)
-		default:
-			for j := range vec {
-				vec[j] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*j:]))
-			}
+		for j := range vec {
+			vec[j] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*j:]))
 		}
-		p = p[need:]
+		p = p[4*cnt:]
 		res.Vectors[i] = vec
 	}
 	return res, nil

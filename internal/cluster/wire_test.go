@@ -17,7 +17,6 @@ import (
 
 	"recross/internal/arch"
 	"recross/internal/embedding"
-	"recross/internal/kernels"
 	"recross/internal/serve"
 	"recross/internal/trace"
 )
@@ -45,7 +44,7 @@ func withWeights(s trace.Sample) trace.Sample {
 func TestWireReqRoundTrip(t *testing.T) {
 	layer := clusterLayer(t)
 	for _, sample := range clusterSamples(t, 10) {
-		frame := appendLookupReq(nil, 7, sample, kernels.FP16)
+		frame := appendLookupReq(nil, 7, sample)
 		br := bufio.NewReader(bytes.NewReader(frame))
 		var hdr [frameHeaderSize]byte
 		typ, corr, payload, _, err := readFrame(br, &hdr, nil)
@@ -56,12 +55,9 @@ func TestWireReqRoundTrip(t *testing.T) {
 			t.Fatalf("frame typ=%d corr=%d", typ, corr)
 		}
 		var a reqArena
-		got, prec, err := decodeLookupReq(payload, &a, layer)
+		got, err := decodeLookupReq(payload, &a, layer)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if prec != kernels.FP16 {
-			t.Fatalf("precision %d, want FP16", prec)
 		}
 		if !reflect.DeepEqual(got, withWeights(sample)) {
 			t.Fatal("decoded sample differs")
@@ -69,9 +65,8 @@ func TestWireReqRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireRespRoundTrip: fp32 responses round-trip bit-identically;
-// fp16/int8 match a quantize-then-dequantize of the canonical answer
-// exactly (same single rounding as the storage codecs).
+// TestWireRespRoundTrip: a response round-trips bit-identically, and
+// its wall-clock fields land where the JSON path's do.
 func TestWireRespRoundTrip(t *testing.T) {
 	res := &serve.Result{
 		Vectors:       [][]float32{{1.5, -2.25, 0.000123}, {float32(math.Pi), -1e-7, 42}},
@@ -84,58 +79,28 @@ func TestWireRespRoundTrip(t *testing.T) {
 		QueueWait:     1717 * time.Nanosecond,
 		Total:         987654 * time.Nanosecond,
 	}
-	decode := func(t *testing.T, prec kernels.Precision) *serve.Result {
-		t.Helper()
-		frame := appendLookupResp(nil, 9, res, prec)
-		br := bufio.NewReader(bytes.NewReader(frame))
-		var hdr [frameHeaderSize]byte
-		typ, corr, payload, _, err := readFrame(br, &hdr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != frameLookupResp || corr != 9 {
-			t.Fatalf("frame typ=%d corr=%d", typ, corr)
-		}
-		got, err := decodeLookupResp(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
+	frame := appendLookupResp(nil, 9, res)
+	br := bufio.NewReader(bytes.NewReader(frame))
+	var hdr [frameHeaderSize]byte
+	typ, corr, payload, _, err := readFrame(br, &hdr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	t.Run("fp32", func(t *testing.T) {
-		got := decode(t, kernels.FP32)
-		// The JSON path reconstructs wall-clock fields through µs-float64
-		// arithmetic; the binary path must land on the same values.
-		want := *res
-		want.QueueWait = time.Duration(float64(res.QueueWait.Nanoseconds()) / 1e3 * 1e3)
-		want.Total = time.Duration(float64(res.Total.Nanoseconds()) / 1e3 * 1e3)
-		if !reflect.DeepEqual(got, &want) {
-			t.Fatalf("fp32 round trip differs:\n got %+v\nwant %+v", got, &want)
-		}
-	})
-	t.Run("fp16", func(t *testing.T) {
-		got := decode(t, kernels.FP16)
-		for i, vec := range res.Vectors {
-			for j, v := range vec {
-				if want := kernels.F16ToF32(kernels.F32ToF16(v)); got.Vectors[i][j] != want {
-					t.Fatalf("vec[%d][%d] = %v, want %v", i, j, got.Vectors[i][j], want)
-				}
-			}
-		}
-	})
-	t.Run("int8", func(t *testing.T) {
-		got := decode(t, kernels.INT8)
-		for i, vec := range res.Vectors {
-			q := make([]uint8, len(vec))
-			scale, zero := kernels.QuantizeI8(q, vec)
-			want := make([]float32, len(vec))
-			kernels.DecodeI8(want, q, scale, zero)
-			if !reflect.DeepEqual(got.Vectors[i], want) {
-				t.Fatalf("vec[%d] = %v, want %v", i, got.Vectors[i], want)
-			}
-		}
-	})
+	if typ != frameLookupResp || corr != 9 {
+		t.Fatalf("frame typ=%d corr=%d", typ, corr)
+	}
+	got, err := decodeLookupResp(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The JSON path reconstructs wall-clock fields through µs-float64
+	// arithmetic; the binary path must land on the same values.
+	want := *res
+	want.QueueWait = time.Duration(float64(res.QueueWait.Nanoseconds()) / 1e3 * 1e3)
+	want.Total = time.Duration(float64(res.Total.Nanoseconds()) / 1e3 * 1e3)
+	if !reflect.DeepEqual(got, &want) {
+		t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, &want)
+	}
 }
 
 // TestWireErrFrame: unavailable codes map back onto ErrNodeDown so the
@@ -182,14 +147,14 @@ func TestReadFrameRejects(t *testing.T) {
 // corruption.
 func FuzzDecodeFrame(f *testing.F) {
 	sample := withWeights(wideSample())
-	f.Add(appendLookupReq(nil, 1, sample, kernels.FP32))
-	f.Add(appendLookupReq(nil, 2, sample, kernels.INT8))
+	f.Add(appendLookupReq(nil, 1, sample))
+	f.Add(appendLookupReq(nil, 2, trace.Sample{{Table: 1, Kind: trace.WeightedSum, Indices: []int64{4, 5}, Weights: []float32{0.5, -2}}}))
 	res := &serve.Result{Vectors: [][]float32{{1, 2, 3}}, BatchSize: 1, Replica: -1}
-	f.Add(appendLookupResp(nil, 3, res, kernels.FP32))
-	f.Add(appendLookupResp(nil, 4, res, kernels.FP16))
+	f.Add(appendLookupResp(nil, 3, res))
+	f.Add(appendLookupResp(nil, 4, &serve.Result{Vectors: [][]float32{{}, {-1}}, Degraded: true, ColdDegraded: true}))
 	f.Add(appendErrFrame(nil, 5, errCodeUnavailable, "gone"))
-	f.Add([]byte{'r', 'X', 1, frameLookupReq, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte("rX\x01\x01garbage"))
+	f.Add([]byte{'r', 'X', wireVersion, frameLookupReq, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte("rX\x02\x01garbage"))
 
 	layer, err := embedding.NewLayer(clusterSpec())
 	if err != nil {
@@ -203,7 +168,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			payload = data // decode the raw input instead
 		}
 		var a reqArena
-		if s, _, err := decodeLookupReq(payload, &a, layer); err == nil {
+		if s, err := decodeLookupReq(payload, &a, layer); err == nil {
 			// A decodable request must be fully in-bounds for the layer.
 			for _, op := range s {
 				if op.Table < 0 || op.Table >= layer.Tables() {
@@ -388,52 +353,6 @@ func TestBinJSONDifferentialDegraded(t *testing.T) {
 		if want.Replica != -1 || bres.Replica != -1 || jres.Replica != -1 {
 			t.Fatalf("router replica = %d/%d/%d, want -1", want.Replica, bres.Replica, jres.Replica)
 		}
-	}
-}
-
-// TestBinNodeWirePrecision: fp16/int8 wire responses equal a
-// quantize-then-dequantize of the canonical answer — the same single
-// rounding the storage codecs guarantee.
-func TestBinNodeWirePrecision(t *testing.T) {
-	layer := clusterLayer(t)
-	addr, _ := newBinPeer(t, &stubBinBackend{layer: layer}, layer)
-	sample := clusterSamples(t, 1)[0]
-	want, err := layer.ReduceSample(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		prec  kernels.Precision
-		check func(got, want []float32) bool
-	}{
-		{kernels.FP16, func(got, want []float32) bool {
-			for i := range want {
-				if got[i] != kernels.F16ToF32(kernels.F32ToF16(want[i])) {
-					return false
-				}
-			}
-			return true
-		}},
-		{kernels.INT8, func(got, want []float32) bool {
-			q := make([]uint8, len(want))
-			scale, zero := kernels.QuantizeI8(q, want)
-			dec := make([]float32, len(want))
-			kernels.DecodeI8(dec, q, scale, zero)
-			return reflect.DeepEqual(got, dec)
-		}},
-	} {
-		n := NewBinNode("bin", addr, BinNodeOptions{Precision: tc.prec})
-		res, err := n.Lookup(context.Background(), sample)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !tc.check(res.Vectors[i], want[i]) {
-				t.Errorf("precision %v: vector %d does not match single-rounded quantization", tc.prec, i)
-			}
-		}
-		n.Close()
 	}
 }
 
@@ -638,7 +557,7 @@ type rawWireClient struct {
 
 func (rc *rawWireClient) lookup(sample trace.Sample) error {
 	rc.corr++
-	rc.frame = appendLookupReq(rc.frame[:0], rc.corr, sample, kernels.FP32)
+	rc.frame = appendLookupReq(rc.frame[:0], rc.corr, sample)
 	if _, err := rc.c.Write(rc.frame); err != nil {
 		return err
 	}
@@ -739,24 +658,16 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkWireEncodeLookupResp measures pure response encoding at each
-// wire precision.
+// BenchmarkWireEncodeLookupResp measures pure response encoding.
 func BenchmarkWireEncodeLookupResp(b *testing.B) {
 	vec := make([]float32, 64)
 	for i := range vec {
 		vec[i] = float32(i) * 0.37
 	}
 	res := &serve.Result{Vectors: [][]float32{vec, vec, vec, vec, vec, vec, vec, vec}, BatchSize: 1}
-	for _, tc := range []struct {
-		name string
-		prec kernels.Precision
-	}{{"fp32", kernels.FP32}, {"fp16", kernels.FP16}, {"int8", kernels.INT8}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var buf []byte
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf = appendLookupResp(buf[:0], uint32(i), res, tc.prec)
-			}
-		})
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = appendLookupResp(buf[:0], uint32(i), res)
 	}
 }

@@ -73,7 +73,7 @@ func (h *Hist) RecordSince(t time.Time) { h.Record(time.Since(t).Nanoseconds()) 
 
 // HistSnapshot is a point-in-time percentile summary of a Hist.
 type HistSnapshot struct {
-	Count         int64
+	Count, Sum    int64
 	Mean          float64
 	P50, P95, P99 float64
 	Max           int64
@@ -82,11 +82,11 @@ type HistSnapshot struct {
 // Snapshot summarizes the histogram. Concurrent Records may or may not be
 // included; the snapshot is internally consistent enough for reporting.
 func (h *Hist) Snapshot() HistSnapshot {
-	s := HistSnapshot{Count: h.count.Load(), Max: h.max.Load()}
+	s := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
 	if s.Count == 0 {
 		return s
 	}
-	s.Mean = float64(h.sum.Load()) / float64(s.Count)
+	s.Mean = float64(s.Sum) / float64(s.Count)
 	ranks := []float64{0.50, 0.95, 0.99}
 	out := make([]float64, len(ranks))
 	var seen int64

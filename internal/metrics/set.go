@@ -56,18 +56,9 @@ func (s *Set) Gauge(name, help string, v func() float64, labels ...string) {
 	s.add(name, "gauge", help, series{labels: render(labels), f: v})
 }
 
-// Quantiles registers h as gauges name_p50, _p95, _p99, _mean (scale 1e-9
-// turns recorded nanoseconds into seconds).
-func (s *Set) Quantiles(name, help string, h *Hist, scale float64) {
-	var snap HistSnapshot // refreshed once per scrape
-	s.OnScrape(func() { snap = h.Snapshot() })
-	s.Gauge(name+"_p50", help+" (median).", func() float64 { return snap.P50 * scale })
-	s.Gauge(name+"_p95", help+" (95th percentile).", func() float64 { return snap.P95 * scale })
-	s.Gauge(name+"_p99", help+" (99th percentile).", func() float64 { return snap.P99 * scale })
-	s.Gauge(name+"_mean", help+" (mean).", func() float64 { return snap.Mean * scale })
-}
-
-// Summary registers h as one summary family: name{quantile=…}, name_count.
+// Summary registers h as one summary family: name{quantile=…}, name_sum
+// (the exact sum of the recorded samples) and name_count, each value times
+// scale (1e-9 turns recorded nanoseconds into seconds).
 func (s *Set) Summary(name, help string, h *Hist, scale float64) {
 	var snap HistSnapshot // refreshed once per scrape
 	s.OnScrape(func() { snap = h.Snapshot() })
@@ -75,6 +66,7 @@ func (s *Set) Summary(name, help string, h *Hist, scale float64) {
 		series{labels: `{quantile="0.5"}`, f: func() float64 { return snap.P50 * scale }},
 		series{labels: `{quantile="0.95"}`, f: func() float64 { return snap.P95 * scale }},
 		series{labels: `{quantile="0.99"}`, f: func() float64 { return snap.P99 * scale }},
+		series{suffix: "_sum", f: func() float64 { return float64(snap.Sum) * scale }},
 		series{suffix: "_count", i: func() int64 { return snap.Count }})
 }
 

@@ -30,7 +30,6 @@ func TestSetExposition(t *testing.T) {
 	s.Counter("x_total", "An x.", b.Load, "node", `n"1`, "role", "client")
 	s.IntGauge("open", "Open things.", b.Load)
 	s.Summary("lat_seconds", "Latency.", h, 0.5)
-	s.Quantiles("wait", "Wait", h, 2)
 	want := `# HELP x_total An x.
 # TYPE x_total counter
 x_total{node="n0",role="client"} 1152921504606846976
@@ -49,19 +48,8 @@ open 7
 lat_seconds{quantile="0.5"} 2
 lat_seconds{quantile="0.95"} 2
 lat_seconds{quantile="0.99"} 2
+lat_seconds_sum 2
 lat_seconds_count 1
-# HELP wait_p50 Wait (median).
-# TYPE wait_p50 gauge
-wait_p50 8
-# HELP wait_p95 Wait (95th percentile).
-# TYPE wait_p95 gauge
-wait_p95 8
-# HELP wait_p99 Wait (99th percentile).
-# TYPE wait_p99 gauge
-wait_p99 8
-# HELP wait_mean Wait (mean).
-# TYPE wait_mean gauge
-wait_mean 8
 `
 	if got := expo(s); got != want {
 		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
@@ -78,6 +66,7 @@ func TestSetRejectsDuplicates(t *testing.T) {
 		"same name, same labels": func(s *Set) { s.Counter("a_total", "", zero, "k", "v"); s.Counter("a_total", "", zero, "k", "v") },
 		"two kinds":              func(s *Set) { s.Counter("a", "", zero, "k", "v"); s.IntGauge("a", "", zero, "k", "w") },
 		"summary count":          func(s *Set) { s.Summary("a", "", NewHist(), 1); s.Counter("a_count", "", zero) },
+		"summary sum":            func(s *Set) { s.Summary("a", "", NewHist(), 1); s.Counter("a_sum", "", zero) },
 		"odd labels":             func(s *Set) { s.Counter("a_total", "", zero, "k") },
 	} {
 		func() {

@@ -106,10 +106,10 @@ func NewMetrics(set *metrics.Set) *Metrics {
 	set.Gauge("recross_batch_mean_samples", "Mean samples per executed batch.", func() float64 {
 		return Snapshot{Batches: m.Batches.Load(), BatchSamples: m.BatchSamples.Load()}.MeanBatch()
 	})
-	set.Quantiles("recross_queue_wait_seconds", "Admission-to-dequeue wait", m.QueueWait, 1e-9)
-	set.Quantiles("recross_batch_form_seconds", "Batch formation delay", m.BatchForm, 1e-9)
-	set.Quantiles("recross_e2e_seconds", "End-to-end wall latency per completed request", m.E2E, 1e-9)
-	set.Quantiles("recross_service_cycles", "Simulated DRAM-cycle latency per batch", m.ServiceCycles, 1)
+	set.Summary("recross_queue_wait_seconds", "Admission-to-dequeue wait.", m.QueueWait, 1e-9)
+	set.Summary("recross_batch_form_seconds", "Batch formation delay.", m.BatchForm, 1e-9)
+	set.Summary("recross_e2e_seconds", "End-to-end wall latency per completed request.", m.E2E, 1e-9)
+	set.Summary("recross_service_cycles", "Simulated DRAM-cycle latency per batch.", m.ServiceCycles, 1)
 	return m
 }
 

@@ -22,8 +22,11 @@ func TestExpoFormat(t *testing.T) {
 	for _, want := range []string{
 		"recross_requests_admitted_total 3\n",
 		"recross_batch_mean_samples 2.5\n",
-		"recross_service_cycles_p99 8\n",
-		"recross_e2e_seconds_p50 0\n",
+		"recross_service_cycles{quantile=\"0.99\"} 8\n",
+		"recross_service_cycles_sum 8\n",
+		"recross_service_cycles_count 1\n",
+		"recross_e2e_seconds{quantile=\"0.5\"} 0\n",
+		"# TYPE recross_e2e_seconds summary\n",
 		"# TYPE recross_batches_total counter\n",
 	} {
 		if !strings.Contains(out, want) {

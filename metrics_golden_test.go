@@ -50,7 +50,7 @@ func scrapeKeys(t *testing.T, h http.Handler) []string {
 		if _, err := strconv.ParseFloat(m[4], 64); err != nil {
 			t.Errorf("line %q: value: %v", line, err)
 		}
-		if _, ok := kinds[m[1]]; !ok && kinds[strings.TrimSuffix(m[1], "_count")] != "summary" {
+		if _, ok := kinds[m[1]]; !ok && !summaryPart(kinds, m[1]) {
 			t.Errorf("sample %q precedes or lacks its family's # TYPE line", line)
 		}
 		keys = append(keys, m[1]+m[2])
@@ -59,15 +59,23 @@ func scrapeKeys(t *testing.T, h http.Handler) []string {
 	return keys
 }
 
-// TestMetricsGolden holds /metrics to testdata/metrics.golden, the sample
-// keys recorded at the commit before the exposition moved to one
-// metrics.Set: no series or label set may be lost, renamed or added by
-// accident. Two set-ups cover every registering component — a stack with
-// every optional stage plus a binary listener, and a router over two
-// binary-wire nodes.
+// summaryPart reports whether name is a summary family's _sum or _count.
+func summaryPart(kinds map[string]string, name string) bool {
+	for _, suffix := range []string{"_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok && kinds[base] == "summary" {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMetricsGolden holds /metrics to testdata/metrics.golden, its sample
+// keys: no series or label set may be lost, renamed or added by accident
+// (re-record with -update when a change means to). Two set-ups cover
+// every registering component — a stack with every optional stage plus a
+// binary listener, and a router over two binary-wire nodes.
 func TestMetricsGolden(t *testing.T) {
 	cfg, opts := stackCase(t, true, true, INT8)
-	opts.RowCacheBytes = 1 << 20
 	st, err := NewStack(ReCross, cfg, 2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +117,18 @@ func TestMetricsGolden(t *testing.T) {
 	defer router.Close()
 	got += "== router\n" + strings.Join(scrapeKeys(t, router.Handler()), "\n") + "\n"
 
-	want, err := os.ReadFile("testdata/metrics.golden")
+	const path = "testdata/metrics.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("/metrics sample keys differ from testdata/metrics.golden\n--- got\n%s--- want\n%s", got, want)
+		t.Errorf("/metrics sample keys differ from %s (re-record with -update if the change is meant)\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }

@@ -171,7 +171,7 @@ type (
 	// BinNode is the binary-protocol transport driver: multiplexed
 	// lookups over pooled long-lived conns to a peer's binary listener.
 	BinNode = cluster.BinNode
-	// BinNodeOptions tunes a BinNode (pool size, wire precision, dialer).
+	// BinNodeOptions tunes a BinNode (pool size, dialer, redial backoff).
 	BinNodeOptions = cluster.BinNodeOptions
 	// BinServer is the binary-protocol listener (server half of BinNode).
 	BinServer = cluster.BinServer
@@ -652,10 +652,6 @@ type ClusterConfig struct {
 	// WireConns is each node's binary-wire connection-pool size
 	// (default 2).
 	WireConns int
-	// WirePrecision compresses binary-wire response vectors: "fp32"
-	// (default; raw bits, bit-identical), "fp16" or "int8" (the storage
-	// codecs' single rounding, opt-in and non-canonical).
-	WirePrecision string
 	// WrapDial, when set, interposes on every binary-wire dial to node i
 	// — the conn-level fault-injection seam (wrap with WrapFaultyBinDial
 	// for chaos campaigns). nil means plain TCP.
@@ -708,8 +704,8 @@ func (cc ClusterConfig) validate() error {
 	if cc.WireConns < 0 {
 		return fmt.Errorf("recross: ClusterConfig.WireConns is %d; want a positive pool size (0 = default)", cc.WireConns)
 	}
-	if _, err := kernels.ParsePrecision(cc.WirePrecision); err != nil {
-		return fmt.Errorf("recross: ClusterConfig.WirePrecision: %w", err)
+	if cc.NodeTimeout < 0 {
+		return fmt.Errorf("recross: ClusterConfig.NodeTimeout is %v; want a positive sub-request deadline (0 = default)", cc.NodeTimeout)
 	}
 	for _, peer := range cc.Peers {
 		if strings.Contains(peer, "://") && !strings.HasPrefix(peer, "bin://") {
@@ -797,10 +793,9 @@ func NewClusterServer(a Arch, cfg Config, cc ClusterConfig) (_ *ClusterServer, e
 		}
 	}
 
-	prec, _ := kernels.ParsePrecision(cc.WirePrecision) // validated above
 	nodes := make([]ClusterNode, len(addrs))
 	for i, addr := range addrs {
-		bo := BinNodeOptions{Conns: cc.WireConns, Precision: prec}
+		bo := BinNodeOptions{Conns: cc.WireConns}
 		if cc.WrapDial != nil {
 			bo.Dial = cc.WrapDial(i, nil)
 		}

@@ -3,6 +3,8 @@ package recross
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -245,5 +247,88 @@ func TestFacadeServer(t *testing.T) {
 	gen, _ := NewGenerator(miniSpec(), 1)
 	if _, err := s.Lookup(context.Background(), gen.Sample()); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("lookup after close = %v, want ErrServerClosed", err)
+	}
+}
+
+// listenBin serves srv's binary wire on a loopback port until the test
+// ends and returns the listener's address.
+func listenBin(t *testing.T, srv *Server) string {
+	t.Helper()
+	addr, closeLis, err := serveLoopback(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeLis() })
+	return addr
+}
+
+// TestClusterConfigValidation: a bad ClusterConfig value fails before
+// any node is built (WrapNode never runs), with an error naming the
+// field — or, for a peer given in another scheme, the -bin-addr
+// listener to give instead.
+func TestClusterConfigValidation(t *testing.T) {
+	cfg := Config{Spec: coldSpec(), ProfileSamples: 500, Batch: 16}
+	for _, c := range []struct {
+		cc   ClusterConfig
+		want string
+	}{
+		{ClusterConfig{Nodes: -1}, "Nodes"},
+		{ClusterConfig{Nodes: 1, WireConns: -1}, "WireConns"},
+		{ClusterConfig{Nodes: 1, NodeTimeout: -time.Second}, "NodeTimeout"},
+		{ClusterConfig{Peers: []string{"127.0.0.1:1"}, NodeTimeout: -time.Second}, "NodeTimeout"},
+		{ClusterConfig{Peers: []string{"http://h:1"}}, "-bin-addr"},
+	} {
+		built := false
+		c.cc.WrapNode = func(_ int, n ClusterNode) ClusterNode { built = true; return n }
+		cs, err := NewClusterServer(ReCross, cfg, c.cc)
+		if err == nil {
+			cs.Close()
+			t.Errorf("want: %s rejected; got a cluster", c.want)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) || built {
+			t.Errorf("want: %s rejected before any node is built; got %q (nodes built: %v)", c.want, err, built)
+		}
+	}
+}
+
+// TestRebuildSeedPerReplica: a rebuilt replica's chaos stream depends only
+// on its own incarnation count, not on the order in which other replicas
+// restarted — replicas restart concurrently, so a stack-wide count would
+// make the fault campaign depend on scheduling.
+func TestRebuildSeedPerReplica(t *testing.T) {
+	cfg := Config{Spec: miniSpec(), Chaos: &FaultConfig{Rates: FaultRates{Corrupt: 0.5}, Seed: 7}}
+	gen, err := NewGenerator(cfg.Spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := gen.Batch(2)
+	// faults rebuilds replicas in order and returns which of 24 batches
+	// replica 0's first rebuild (its second incarnation) corrupts.
+	faults := func(order ...int) []bool {
+		st := &Stack{Faults: NewFaultInjector()}
+		rebuild := st.rebuilder(CPU, cfg, 2)
+		var sys System
+		for _, id := range order {
+			s, err := rebuild(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id == 0 && sys == nil {
+				sys = s
+			}
+		}
+		var got []bool
+		for i := 0; i < 24; i++ {
+			rs, err := sys.Run(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, rs.Cycles < 0)
+		}
+		return got
+	}
+	if a, b := faults(0, 1, 0), faults(1, 0, 0); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("replica 0's second incarnation depends on restart order:\n%v\n%v", a, b)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"recross/internal/core"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/runstats.golden from the current tree")
+var updateGolden = flag.Bool("update", false, "rewrite the root testdata/*.golden files from the current tree")
 
 // goldenSpec is a Criteo Kaggle model small enough that every architecture
 // builds and runs four batches in well under a second each.
