@@ -121,46 +121,22 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// coldSpec is ~24 MB of tables, ~4.6x stackCase's 5 MiB DRAM residency
-// budget — the regime the flash-backed cold tier exists for. The four
-// small tables give a cluster's nodes tables of their own.
-func coldSpec() ModelSpec {
-	spec := ModelSpec{Name: "conformance", Tables: []TableSpec{
-		{Name: "big-a", Rows: 60000, VecLen: 64, Pooling: 48, Prob: 1, Skew: 1.3},
-		{Name: "big-b", Rows: 30000, VecLen: 64, Pooling: 32, Prob: 1, Skew: 1.2},
-	}}
-	for i := 0; i < 4; i++ {
-		spec.Tables = append(spec.Tables, TableSpec{Name: fmt.Sprintf("small-%d", i), Rows: 1000, VecLen: 64, Pooling: 8, Prob: 1, Skew: 1.1})
+// TestStackComposition runs every subset of the single stack's optional
+// stages (cold tier, replica chaos) at fp32 and int8, where the matrix
+// holds each pair of values once, then all of them at fp16 and on an
+// in-binary cluster. Each case is a conformance cell.
+func TestStackComposition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 10 stacks and clusters")
 	}
-	return spec
-}
-
-const coldBudgetBytes = 5 << 20
-
-// stackCase configures one composition over coldSpec: the cold tier (at
-// the DRAM tiers' codec, so every path serves the reference layer's bits)
-// and replica chaos, each optional. Two failed reads open the breaker and,
-// with the cooldown parked beyond the test, only scrubber probes close it.
-func stackCase(t *testing.T, cold, chaosOn bool, prec Precision) (Config, ServeOptions) {
-	cfg := Config{Spec: coldSpec(), ProfileSamples: 800, Batch: 16, Precision: prec}
-	if cold {
-		cfg.Cold = &ColdTierConfig{
-			CapBytes: 64 << 20, ResidentBudgetBytes: coldBudgetBytes, InStorageReduce: true,
-			Dir: t.TempDir(), Precision: prec,
-			Retries: 1, BreakerThreshold: 2, BreakerProbes: 1, BreakerCooldown: time.Hour,
+	for _, prec := range []Precision{FP32, INT8} {
+		for _, c := range []cell{{"single", prec, "off", "none"}, {"single", prec, "on", "none"}, {"single", prec, "off", "replica"}, {"single", prec, "on", "replica"}} {
+			name := fmt.Sprintf("%v/cold=%v,chaos=%v", prec, c.cold == "on", c.chaos == "replica")
+			t.Run(name, func(t *testing.T) { runCell(t, c) })
 		}
 	}
-	if chaosOn {
-		cfg.Chaos = &FaultConfig{
-			Rates: FaultRates{Latency: 0.05, Corrupt: 0.03, Panic: 0.02, Wedge: 0.005},
-			Stall: 100 * time.Microsecond,
-			Seed:  7,
-		}
-	}
-	return cfg, ServeOptions{
-		MaxBatch: 16, MaxDelay: time.Millisecond, RowCacheBytes: 1 << 20,
-		WedgeTimeout: 250 * time.Millisecond, RestartBackoff: time.Millisecond,
-	}
+	t.Run("all-stages", func(t *testing.T) { runCell(t, cell{"single", FP16, "on", "replica"}) })
+	t.Run("fleet-cold-chaos", func(t *testing.T) { runCell(t, cell{"cluster", FP32, "on", "replica"}) })
 }
 
 // answer is what a lookup returned on either front-end.
@@ -831,7 +807,15 @@ func (r *rig) probeBreakerOpen(t *testing.T, gen *Generator) {
 		})
 	}
 	r.wave(t, r.lookup, gen, 32)
-	if got, err := r.lookup(context.Background(), gen.Sample()); err != nil || !got.coldDegraded {
+	// A conn fault's answer comes from the router's fallback, which has no
+	// cold tier to report; an answer every node served carries the flag.
+	var got answer
+	var err error
+	waitFor(t, "an answer every node served during the outage", func() bool {
+		got, err = r.lookup(context.Background(), gen.Sample())
+		return err != nil || !got.degraded
+	})
+	if err != nil || !got.coldDegraded {
 		t.Errorf("lookup during the outage: err %v, cold-degraded %v", err, got.coldDegraded)
 	}
 	var fallbacks int64

@@ -66,7 +66,8 @@ func TestWireReqRoundTrip(t *testing.T) {
 }
 
 // TestWireRespRoundTrip: a response round-trips bit-identically, and
-// its wall-clock fields land where the JSON path's do.
+// its wall-clock fields land where the JSON path's do. fp32 is the wire's
+// one vector encoding, so every bit pattern of a lane crosses unchanged.
 func TestWireRespRoundTrip(t *testing.T) {
 	res := &serve.Result{
 		Vectors:       [][]float32{{1.5, -2.25, 0.000123}, {float32(math.Pi), -1e-7, 42}},
@@ -79,28 +80,52 @@ func TestWireRespRoundTrip(t *testing.T) {
 		QueueWait:     1717 * time.Nanosecond,
 		Total:         987654 * time.Nanosecond,
 	}
-	frame := appendLookupResp(nil, 9, res)
-	br := bufio.NewReader(bytes.NewReader(frame))
-	var hdr [frameHeaderSize]byte
-	typ, corr, payload, _, err := readFrame(br, &hdr, nil)
-	if err != nil {
-		t.Fatal(err)
+	decode := func(t *testing.T, res *serve.Result) *serve.Result {
+		t.Helper()
+		frame := appendLookupResp(nil, 9, res)
+		br := bufio.NewReader(bytes.NewReader(frame))
+		var hdr [frameHeaderSize]byte
+		typ, corr, payload, _, err := readFrame(br, &hdr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != frameLookupResp || corr != 9 {
+			t.Fatalf("frame typ=%d corr=%d", typ, corr)
+		}
+		got, err := decodeLookupResp(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if typ != frameLookupResp || corr != 9 {
-		t.Fatalf("frame typ=%d corr=%d", typ, corr)
-	}
-	got, err := decodeLookupResp(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The JSON path reconstructs wall-clock fields through µs-float64
-	// arithmetic; the binary path must land on the same values.
-	want := *res
-	want.QueueWait = time.Duration(float64(res.QueueWait.Nanoseconds()) / 1e3 * 1e3)
-	want.Total = time.Duration(float64(res.Total.Nanoseconds()) / 1e3 * 1e3)
-	if !reflect.DeepEqual(got, &want) {
-		t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, &want)
-	}
+
+	t.Run("fp32", func(t *testing.T) {
+		got := decode(t, res)
+		// The JSON path reconstructs wall-clock fields through µs-float64
+		// arithmetic; the binary path must land on the same values.
+		want := *res
+		want.QueueWait = time.Duration(float64(res.QueueWait.Nanoseconds()) / 1e3 * 1e3)
+		want.Total = time.Duration(float64(res.Total.Nanoseconds()) / 1e3 * 1e3)
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, &want)
+		}
+	})
+	t.Run("special-lanes", func(t *testing.T) {
+		bits := []uint32{0x80000000, 0x00000001, 0x7f800000, 0xff800000, 0x7fc00001, 0x7f7fffff}
+		vec := make([]float32, len(bits))
+		for j, b := range bits {
+			vec[j] = math.Float32frombits(b)
+		}
+		got := decode(t, &serve.Result{Vectors: [][]float32{vec, {}}})
+		if len(got.Vectors) != 2 || len(got.Vectors[0]) != len(bits) || len(got.Vectors[1]) != 0 {
+			t.Fatalf("vectors %v, want %d lanes then none", got.Vectors, len(bits))
+		}
+		for j, b := range bits {
+			if g := math.Float32bits(got.Vectors[0][j]); g != b {
+				t.Errorf("lane %d: bits %#08x, want %#08x", j, g, b)
+			}
+		}
+	})
 }
 
 // TestWireErrFrame: unavailable codes map back onto ErrNodeDown so the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -250,6 +251,48 @@ func TestFacadeServer(t *testing.T) {
 	}
 }
 
+// coldSpec is ~24 MB of tables, ~4.6x stackCase's 5 MiB DRAM residency
+// budget — the regime the flash-backed cold tier exists for. The four
+// small tables give a cluster's nodes tables of their own.
+func coldSpec() ModelSpec {
+	spec := ModelSpec{Name: "conformance", Tables: []TableSpec{
+		{Name: "big-a", Rows: 60000, VecLen: 64, Pooling: 48, Prob: 1, Skew: 1.3},
+		{Name: "big-b", Rows: 30000, VecLen: 64, Pooling: 32, Prob: 1, Skew: 1.2},
+	}}
+	for i := 0; i < 4; i++ {
+		spec.Tables = append(spec.Tables, TableSpec{Name: fmt.Sprintf("small-%d", i), Rows: 1000, VecLen: 64, Pooling: 8, Prob: 1, Skew: 1.1})
+	}
+	return spec
+}
+
+const coldBudgetBytes = 5 << 20
+
+// stackCase configures one composition over coldSpec: the cold tier (at
+// the DRAM tiers' codec, so every path serves the reference layer's bits)
+// and replica chaos, each optional. Two failed reads open the breaker and,
+// with the cooldown parked beyond the test, only scrubber probes close it.
+func stackCase(t *testing.T, cold, chaosOn bool, prec Precision) (Config, ServeOptions) {
+	cfg := Config{Spec: coldSpec(), ProfileSamples: 800, Batch: 16, Precision: prec}
+	if cold {
+		cfg.Cold = &ColdTierConfig{
+			CapBytes: 64 << 20, ResidentBudgetBytes: coldBudgetBytes, InStorageReduce: true,
+			Dir: t.TempDir(), Precision: prec,
+			Retries: 1, BreakerThreshold: 2, BreakerProbes: 1, BreakerCooldown: time.Hour,
+		}
+	}
+	if chaosOn {
+		cfg.Chaos = &FaultConfig{
+			Rates: FaultRates{Latency: 0.05, Corrupt: 0.03, Panic: 0.02, Wedge: 0.005},
+			Stall: 100 * time.Microsecond,
+			Seed:  7,
+		}
+	}
+	return cfg, ServeOptions{
+		MaxBatch: 16, MaxDelay: time.Millisecond, RowCacheBytes: 1 << 20,
+		WedgeTimeout: 250 * time.Millisecond, RestartBackoff: time.Millisecond,
+	}
+}
+
 // listenBin serves srv's binary wire on a loopback port until the test
 // ends and returns the listener's address.
 func listenBin(t *testing.T, srv *Server) string {
@@ -288,6 +331,50 @@ func TestClusterConfigValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) || built {
 			t.Errorf("want: %s rejected before any node is built; got %q (nodes built: %v)", c.want, err, built)
+		}
+	}
+}
+
+// TestPeersAreBinary: peers given as bin://host:port and as a bare
+// host:port both reach a binary listener, and the router fronting them
+// answers bit-identically to the functional layer, nothing degraded.
+func TestPeersAreBinary(t *testing.T) {
+	spec := coldSpec()
+	spec.Tables = spec.Tables[2:] // the small tables
+	cfg := Config{Spec: spec, ProfileSamples: 500, Batch: 16}
+	var peers []string
+	for _, scheme := range []string{"bin://", ""} {
+		srv, err := NewServer(ReCross, cfg, 1, ServeOptions{MaxBatch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		peers = append(peers, scheme+listenBin(t, srv))
+	}
+	cs, err := NewClusterServer(ReCross, cfg, ClusterConfig{Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	layer, err := NewLayer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sample := range gen.Batch(8) {
+		res, err := cs.Lookup(context.Background(), sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := layer.ReduceSample(sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Degraded || !reflect.DeepEqual(res.Vectors, want) {
+			t.Fatalf("lookup over binary peers: degraded=%v, vectors identical=%v", res.Degraded, reflect.DeepEqual(res.Vectors, want))
 		}
 	}
 }
