@@ -45,7 +45,7 @@
 // one process. At startup the resolved configuration is printed as the
 // equivalent command line; a run is reproducible from it.
 //
-// Quantized storage (-precision fp16|int8) stores the embedding tables in
+// Quantized storage (-precision int8) stores the embedding tables in
 // an encoded row format that the reduce path dequantizes inline; the
 // hot-row cache keeps fp32 rows, so /metrics reports the resident-vs-
 // logical compression on recross_dataplane_row_compression_ratio.
@@ -190,8 +190,8 @@ func bind(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&sv.MaxRetries, "max-retries", 2, "per-request retry budget after a replica failure")
 	fs.DurationVar(&sv.WedgeTimeout, "wedge-timeout", 5*time.Second, "declare a replica wedged after one batch runs this long; the watchdog catches it within 1.25x (keep well above the worst-case batch wall time, or slow legitimate batches are treated as wedges and the pool thrashes)")
 	mib(&sv.RowCacheBytes, "row-cache-mb", 64, "hot-row cache budget in MiB for materialized embedding rows (0 disables); watch recross_dataplane_row_cache_* on /metrics")
-	fs.Var(parsed(&o.cfg.Precision, recross.ParsePrecision), "precision", "DRAM-tier embedding row storage format: fp32, fp16 or int8; watch recross_dataplane_row_bytes_* on /metrics")
-	fs.Var(parsed(&o.cold.Precision, recross.ParsePrecision), "cold-precision", "cold-tier page row format: fp32, fp16 or int8 (needs -cold)")
+	fs.Var(parsed(&o.cfg.Precision, recross.ParsePrecision), "precision", "DRAM-tier embedding row storage format: fp32 or int8; watch recross_dataplane_row_bytes_* on /metrics")
+	fs.Var(parsed(&o.cold.Precision, recross.ParsePrecision), "cold-precision", "cold-tier page row format: fp32 or int8 (needs -cold)")
 
 	ch := &o.chaos
 	fs.Float64Var(&ch.Rates.Panic, "chaos-panic", 0, "chaos: per-batch replica panic probability")

@@ -93,6 +93,7 @@ func TestRunRejects(t *testing.T) {
 	for _, args := range []string{
 		"-no-such-flag",
 		"-precision fp8",
+		"-precision fp16",
 		"-chaos-cold-read-err 0.1", // needs -cold
 		"-cluster -1",              // a negative node count, not single-node mode
 	} {

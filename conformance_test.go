@@ -26,7 +26,7 @@ import (
 // combination. A cell is one value of each of four axes.
 var (
 	topologies = []string{"single", "cluster", "peers"}
-	precisions = []Precision{FP32, FP16, INT8}
+	precisions = []Precision{FP32, INT8}
 	colds      = []string{"off", "on", "open"} // open: breaker forced open via FailDevice
 	chaoses    = []string{"none", "replica", "node", "conn", "device"}
 )
@@ -60,24 +60,24 @@ func (c cell) pairs() []string {
 	return out
 }
 
-// conformanceCells covers every allowed pair of axis values in 15 cells:
-// each (precision, chaos) pair appears exactly once, so dropping any cell
+// conformanceCells covers every allowed pair of axis values in 15 cells,
+// and each cell covers some pair no other cell does, so dropping any cell
 // uncovers a pair.
 var conformanceCells = []cell{
 	{"single", FP32, "open", "none"},
-	{"single", FP16, "on", "device"},
+	{"single", INT8, "on", "device"},
 	{"single", INT8, "off", "replica"},
 	{"cluster", FP32, "off", "conn"},
+	{"cluster", FP32, "off", "none"},
 	{"cluster", FP32, "on", "device"},
-	{"cluster", FP16, "off", "none"},
-	{"cluster", FP16, "open", "replica"},
 	{"cluster", INT8, "open", "node"},
+	{"cluster", INT8, "open", "replica"},
+	{"peers", FP32, "off", "node"},
 	{"peers", FP32, "on", "node"},
 	{"peers", FP32, "on", "replica"},
-	{"peers", FP16, "off", "node"},
-	{"peers", FP16, "open", "conn"},
 	{"peers", INT8, "on", "conn"},
 	{"peers", INT8, "on", "none"},
+	{"peers", INT8, "open", "conn"},
 	{"peers", INT8, "open", "device"},
 }
 
@@ -94,8 +94,9 @@ func checkPairCoverage(t *testing.T, cells []cell) {
 			covered[p] = true
 		}
 	}
-	for i := 0; i < 3*3*3*5; i++ { // every full assignment of the axes
-		c := cell{topologies[i%3], precisions[i/3%3], colds[i/9%3], chaoses[i/27]}
+	np := len(precisions)
+	for i := 0; i < 3*np*3*5; i++ { // every full assignment of the axes
+		c := cell{topologies[i%3], precisions[i/3%np], colds[i/(3*np)%3], chaoses[i/(9*np)]}
 		for _, p := range c.pairs() {
 			if c.allowed() && !covered[p] {
 				t.Errorf("no cell covers %s", p)
@@ -123,8 +124,9 @@ func TestConformance(t *testing.T) {
 
 // TestStackComposition runs every subset of the single stack's optional
 // stages (cold tier, replica chaos) at fp32 and int8, where the matrix
-// holds each pair of values once, then all of them at fp16 and on an
-// in-binary cluster. Each case is a conformance cell.
+// holds each pair of values once, then both stages on an in-binary
+// cluster: at int8 (all-stages) and at fp32. Each case is a conformance
+// cell.
 func TestStackComposition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 10 stacks and clusters")
@@ -135,7 +137,7 @@ func TestStackComposition(t *testing.T) {
 			t.Run(name, func(t *testing.T) { runCell(t, c) })
 		}
 	}
-	t.Run("all-stages", func(t *testing.T) { runCell(t, cell{"single", FP16, "on", "replica"}) })
+	t.Run("all-stages", func(t *testing.T) { runCell(t, cell{"cluster", INT8, "on", "replica"}) })
 	t.Run("fleet-cold-chaos", func(t *testing.T) { runCell(t, cell{"cluster", FP32, "on", "replica"}) })
 }
 
@@ -314,7 +316,7 @@ func stackLookup(st *Stack) func(context.Context, Sample) (answer, error) {
 
 // codecStep is half a quantization step of a row value in [-1, 1): the
 // most one stored element can move under the precision's codec.
-var codecStep = map[Precision]float64{FP16: 1.0 / 4096, INT8: 1.0 / 255}
+var codecStep = map[Precision]float64{INT8: 1.0 / 255}
 
 // check compares one answer with the reference layer: bit-identical at
 // the cell's precision and, when quantized, within pooling × max weight ×
@@ -400,6 +402,12 @@ func runCell(t *testing.T, c cell) {
 		// Placement hashes node IDs, so the IDs are part of its contract.
 		if want := []string{"node0", "node1", "node2"}; !reflect.DeepEqual(pl.Nodes, want) || len(r.cs.Stacks) != 3 {
 			t.Fatalf("node IDs %v over %d stacks, want %v", pl.Nodes, len(r.cs.Stacks), want)
+		}
+		// Each in-binary node's loopback listener publishes its
+		// server-side wire series on that node's /metrics.
+		for _, st := range r.cs.Stacks {
+			_, expo := scrape(t, st.Handler(), "/metrics")
+			requireSeries(t, expo, `recross_cluster_wire_conns_open{role="server"}`)
 		}
 	}
 	if c.prec != FP32 {

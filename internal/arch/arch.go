@@ -55,7 +55,29 @@ type RunStats struct {
 	// the two, not the sum).
 	ColdLookups, ColdPageReads, ColdPageHits int64
 	ColdCycles                               sim.Cycle
+	// Drain is the channel drain's finish, result transfer included, and
+	// BusFloor the collection buses' floor (Pass.busFloor). Cycles is the
+	// max of Drain, BusFloor and ColdCycles, and Bound names the term
+	// that set it (the first of drain, bus floor, cold on a tie).
+	Drain, BusFloor sim.Cycle
+	Bound           Term
+	// Finish is, per consumer (indexed by dram.Consumer: host, rank PE,
+	// bank-group PE, bank PE), the cycle its last gather completed; 0 for
+	// a consumer that served none. Writes are not gathers.
+	Finish [dram.ToBankPE + 1]sim.Cycle
 }
+
+// Term names one of the lower bounds whose max is a batch's Cycles.
+type Term string
+
+const (
+	// DrainTerm is the channel drain, result transfer included.
+	DrainTerm Term = "drain"
+	// FloorTerm is the collection buses' floor.
+	FloorTerm Term = "bus-floor"
+	// ColdTerm is the flash cold tier's batch latency.
+	ColdTerm Term = "cold"
+)
 
 // opPercentiles extracts the P50/P99 op latencies from a drain result.
 func opPercentiles(res memctrl.Result) (p50, p99 sim.Cycle) {

@@ -125,12 +125,22 @@ func (m *MultiChannel) Run(b trace.Batch) (*RunStats, error) {
 }
 
 // add folds one channel's stats into a multi-channel total. Counters sum
-// and NodeLoads concatenate in channel order; Cycles and ColdCycles
-// take the slowest channel, since channels run concurrently. OpP50 and
-// OpP99 are per channel and are not merged.
+// and NodeLoads concatenate in channel order; Cycles, ColdCycles, the
+// other bound terms and every consumer's finish take the slowest channel,
+// since channels run concurrently. Bound is the slowest channel's (the
+// first such channel on a tie). OpP50 and OpP99 are per channel and are
+// not merged.
 func (s *RunStats) add(o *RunStats) {
+	if s.Bound == "" || o.Cycles > s.Cycles {
+		s.Bound = o.Bound
+	}
 	s.Cycles = max(s.Cycles, o.Cycles)
 	s.ColdCycles = max(s.ColdCycles, o.ColdCycles)
+	s.Drain = max(s.Drain, o.Drain)
+	s.BusFloor = max(s.BusFloor, o.BusFloor)
+	for c, f := range o.Finish {
+		s.Finish[c] = max(s.Finish[c], f)
+	}
 	d, od := &s.DRAM, &o.DRAM
 	d.ACTs += od.ACTs
 	d.PREs += od.PREs

@@ -406,14 +406,22 @@ func (s *statSystem) Run(trace.Batch) (*RunStats, error) {
 	return &rs, nil
 }
 
-// fillStats sets every numeric leaf of v to a distinct nonzero value and
-// every slice to one such element, counting from *next.
+// fillStats sets every numeric leaf of v (array elements included) and
+// every string to a distinct nonzero value and every slice to one such
+// element, counting from *next.
 func fillStats(v reflect.Value, next *int64) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			fillStats(v.Field(i), next)
 		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillStats(v.Index(i), next)
+		}
+	case reflect.String:
+		*next++
+		v.SetString(fmt.Sprint("term", *next))
 	case reflect.Int, reflect.Int64:
 		*next++
 		v.SetInt(*next)
@@ -429,7 +437,7 @@ func fillStats(v reflect.Value, next *int64) {
 // checkMerged walks got against the two channels' stats a and b: scalars
 // must be summed, except the latencies the merge takes as the slower
 // channel's and the per-channel percentiles it leaves zero; slices must be
-// concatenated.
+// concatenated. The bound's name is left to the caller.
 func checkMerged(t *testing.T, path string, got, a, b reflect.Value) {
 	t.Helper()
 	switch got.Kind() {
@@ -437,12 +445,20 @@ func checkMerged(t *testing.T, path string, got, a, b reflect.Value) {
 		for i := 0; i < got.NumField(); i++ {
 			checkMerged(t, path+"."+got.Type().Field(i).Name, got.Field(i), a.Field(i), b.Field(i))
 		}
+	case reflect.Array:
+		for i := 0; i < got.Len(); i++ {
+			checkMerged(t, fmt.Sprintf("%s[%d]", path, i), got.Index(i), a.Index(i), b.Index(i))
+		}
+	case reflect.String:
+		if path != ".Bound" {
+			t.Errorf("%s: no merge rule for a string", path)
+		}
 	case reflect.Int, reflect.Int64:
 		want := a.Int() + b.Int()
-		switch path {
-		case ".Cycles", ".ColdCycles":
+		switch {
+		case path == ".Cycles", path == ".ColdCycles", path == ".Drain", path == ".BusFloor", strings.HasPrefix(path, ".Finish["):
 			want = max(a.Int(), b.Int())
-		case ".OpP50", ".OpP99":
+		case path == ".OpP50", path == ".OpP99":
 			want = 0
 		}
 		if got.Int() != want {
@@ -488,4 +504,15 @@ func TestMultiChannelMergesEveryCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkMerged(t, "", reflect.ValueOf(*rs), reflect.ValueOf(chans[0].rs), reflect.ValueOf(chans[1].rs))
+	if chans[1].rs.Cycles <= chans[0].rs.Cycles || rs.Bound != chans[1].rs.Bound {
+		t.Errorf("Bound = %q, want the slower channel 1's %q", rs.Bound, chans[1].rs.Bound)
+	}
+	// On a tie the first channel's bound names the batch.
+	chans[1].rs.Cycles = chans[0].rs.Cycles
+	if rs, err = m.Run(gen.Batch(2)); err != nil {
+		t.Fatal(err)
+	}
+	if rs.Bound != chans[0].rs.Bound {
+		t.Errorf("tied channels: Bound = %q, want channel 0's %q", rs.Bound, chans[0].rs.Bound)
+	}
 }

@@ -232,13 +232,27 @@ func (p *Pass) Write(loc dram.Loc, cols int) {
 func (p *Pass) Loads(c dram.Consumer) []int64 { return p.loads[c] }
 
 // Finish drains the batch, streams t.ResultBursts of results back, applies
-// the bus floors and t.ColdCycles, and assembles the RunStats.
+// the bus floors and t.ColdCycles, names the term that binds, and
+// assembles the RunStats.
 func (p *Pass) Finish(t Tally) (*RunStats, error) {
-	finish, st, res, err := p.ch.Run(p.reqs, t.ResultBursts)
+	drain, st, res, err := p.ch.Run(p.reqs, t.ResultBursts)
 	if err != nil {
 		return nil, err
 	}
-	finish = max(finish, p.busFloor(), t.ColdCycles)
+	floor := p.busFloor()
+	finish, bound := drain, DrainTerm
+	if floor > finish {
+		finish, bound = floor, FloorTerm
+	}
+	if t.ColdCycles > finish {
+		finish, bound = t.ColdCycles, ColdTerm
+	}
+	var done [dram.ToBankPE + 1]sim.Cycle
+	for i := range p.reqs {
+		if r := &p.reqs[i]; !r.Write {
+			done[r.Consumer] = max(done[r.Consumer], res.Done[i])
+		}
+	}
 	ops := reduceOps(p.Lookups, t.PsumFolds, p.vecLen)
 	e := energy.Account(p.energy, st, ops, finish, p.geo.Ranks, p.geo.BurstBytes)
 	e.Cache = energy.CacheEnergy(p.Hits, t.CacheNano)
@@ -258,6 +272,10 @@ func (p *Pass) Finish(t Tally) (*RunStats, error) {
 		OpP99:      p99,
 		Energy:     e,
 		ColdCycles: t.ColdCycles,
+		Drain:      drain,
+		BusFloor:   floor,
+		Bound:      bound,
+		Finish:     done,
 	}, nil
 }
 

@@ -69,7 +69,7 @@ type Config struct {
 	// removed by Close.
 	Dir string
 	// Precision is the on-device row format (default kernels.FP32,
-	// independent of the DRAM tiers' precision). With FP16 or INT8, pages
+	// independent of the DRAM tiers' precision). With INT8, pages
 	// hold kernels.EncodeRow images — smaller rows, so more rows per page,
 	// fewer device reads per gather and a page-read bandwidth the
 	// partitioner prices higher by the codec ratio — and every read

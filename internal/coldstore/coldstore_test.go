@@ -121,7 +121,7 @@ func TestPageCacheCounters(t *testing.T) {
 // — a quantized page's frame is no larger than an fp32 page's.
 func TestPageCacheBudget(t *testing.T) {
 	const pageBytes = 4096
-	for _, prec := range []kernels.Precision{kernels.FP32, kernels.FP16, kernels.INT8} {
+	for _, prec := range []kernels.Precision{kernels.FP32, kernels.INT8} {
 		for _, cacheBytes := range []int64{1, pageBytes, 10*pageBytes + 100, 64 * pageBytes} {
 			src := &testSource{id: 1, rows: 1000, vecLen: 64}
 			s, err := Open(Config{Dir: t.TempDir(), PageBytes: pageBytes, CacheBytes: cacheBytes, Precision: prec}, []RowSource{src})

@@ -9,15 +9,15 @@ import (
 )
 
 // TestQuantizedBurstsOnBus checks the timing model charges encoded row
-// bytes per gather: at vecLen 64 an fp32 vector is 4 DDR5 bursts, fp16 is
-// 2 and int8 (64 codes + 8-byte header) is 2, while partial-sum traffic
+// bytes per gather: at vecLen 64 an fp32 vector is 4 DDR5 bursts and
+// int8 (64 codes + 8-byte header) is 2, while partial-sum traffic
 // stays at the fp32 burst count.
 func TestQuantizedBurstsOnBus(t *testing.T) {
 	for _, tc := range []struct {
 		prec   kernels.Precision
 		bursts int
 	}{
-		{kernels.FP32, 4}, {kernels.FP16, 2}, {kernels.INT8, 2},
+		{kernels.FP32, 4}, {kernels.INT8, 2},
 	} {
 		cfg := miniConfig()
 		cfg.Precision = tc.prec

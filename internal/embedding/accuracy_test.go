@@ -20,8 +20,6 @@ import (
 //	int8: |scale|*(1/2 + 2^-13) + 2^-24*absMax
 //	      grid rounding + grid shift from rounding scale + one float32
 //	      rounding of the dequantized product
-//	fp16: 2^-11*absMax + 2^-25
-//	      half-ULP relative error of binary16 normals + subnormal floor
 //
 // Reduction error (sum / weighted-sum, P = pooling factor):
 //
@@ -46,8 +44,6 @@ func quantRowErr(prec kernels.Precision, row []float32, q8 []uint8) (float64, fl
 	case kernels.INT8:
 		scale, _ := kernels.QuantizeI8(q8, row)
 		return math.Abs(float64(scale))*(0.5+math.Pow(2, -13)) + math.Pow(2, -24)*absMax, absMax
-	case kernels.FP16:
-		return math.Pow(2, -11)*absMax + math.Pow(2, -25), absMax
 	default:
 		return 0, absMax
 	}
@@ -55,74 +51,73 @@ func quantRowErr(prec kernels.Precision, row []float32, q8 []uint8) (float64, fl
 
 func TestReduceQuantizedBoundedError(t *testing.T) {
 	kinds := []trace.ReduceKind{trace.Sum, trace.Max, trace.WeightedSum}
-	for _, prec := range []kernels.Precision{kernels.INT8, kernels.FP16} {
-		for _, vecLen := range diffVecLens {
-			const rows = 911
-			spec := trace.ModelSpec{Name: "acc", Tables: []trace.TableSpec{
-				{Name: "t0", Rows: rows, VecLen: vecLen, Pooling: 8, Prob: 1, Skew: 1.1},
-			}}
-			ref, err := NewLayer(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ql, err := NewLayer(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ql.SetPrecision(prec); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(vecLen)*31 + int64(prec)))
-			row := make([]float32, vecLen)
-			q8 := make([]uint8, vecLen)
-			for _, pooling := range []int{1, 4, 80} {
-				for _, kind := range kinds {
-					for trial := 0; trial < 5; trial++ {
-						op := trace.Op{Table: 0, Kind: kind, Indices: make([]int64, pooling)}
-						for i := range op.Indices {
-							op.Indices[i] = rng.Int63n(rows)
+	const prec = kernels.INT8
+	for _, vecLen := range diffVecLens {
+		const rows = 911
+		spec := trace.ModelSpec{Name: "acc", Tables: []trace.TableSpec{
+			{Name: "t0", Rows: rows, VecLen: vecLen, Pooling: 8, Prob: 1, Skew: 1.1},
+		}}
+		ref, err := NewLayer(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ql, err := NewLayer(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ql.SetPrecision(prec); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(vecLen)*31 + 2))
+		row := make([]float32, vecLen)
+		q8 := make([]uint8, vecLen)
+		for _, pooling := range []int{1, 4, 80} {
+			for _, kind := range kinds {
+				for trial := 0; trial < 5; trial++ {
+					op := trace.Op{Table: 0, Kind: kind, Indices: make([]int64, pooling)}
+					for i := range op.Indices {
+						op.Indices[i] = rng.Int63n(rows)
+					}
+					if kind == trace.WeightedSum {
+						op.Weights = make([]float32, pooling)
+						for i := range op.Weights {
+							op.Weights[i] = rng.Float32()*4 - 2
 						}
-						if kind == trace.WeightedSum {
-							op.Weights = make([]float32, pooling)
-							for i := range op.Weights {
-								op.Weights[i] = rng.Float32()*4 - 2
+					}
+					want, err := ref.Reduce(op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ql.Reduce(op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var bound float64
+					if kind == trace.Max {
+						for _, idx := range op.Indices {
+							ref.Table(0).Row(idx, row)
+							d, _ := quantRowErr(prec, row, q8)
+							if d > bound {
+								bound = d
 							}
 						}
-						want, err := ref.Reduce(op)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := ql.Reduce(op)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var bound float64
-						if kind == trace.Max {
-							for _, idx := range op.Indices {
-								ref.Table(0).Row(idx, row)
-								d, _ := quantRowErr(prec, row, q8)
-								if d > bound {
-									bound = d
-								}
+					} else {
+						var q, s float64
+						for k, idx := range op.Indices {
+							ref.Table(0).Row(idx, row)
+							d, absMax := quantRowErr(prec, row, q8)
+							w := 1.0
+							if kind == trace.WeightedSum {
+								w = math.Abs(float64(op.Weights[k]))
 							}
-						} else {
-							var q, s float64
-							for k, idx := range op.Indices {
-								ref.Table(0).Row(idx, row)
-								d, absMax := quantRowErr(prec, row, q8)
-								w := 1.0
-								if kind == trace.WeightedSum {
-									w = math.Abs(float64(op.Weights[k]))
-								}
-								q += w * d
-								s += w * absMax
-							}
-							bound = q + float64(pooling)*math.Pow(2, -23)*s
+							q += w * d
+							s += w * absMax
 						}
-						if e := stats.MaxAbsError(got, want); e > bound {
-							t.Fatalf("%v vecLen=%d pooling=%d kind=%v trial=%d: err %g > derived bound %g",
-								prec, vecLen, pooling, kind, trial, e, bound)
-						}
+						bound = q + float64(pooling)*math.Pow(2, -23)*s
+					}
+					if e := stats.MaxAbsError(got, want); e > bound {
+						t.Fatalf("%v vecLen=%d pooling=%d kind=%v trial=%d: err %g > derived bound %g",
+							prec, vecLen, pooling, kind, trial, e, bound)
 					}
 				}
 			}
@@ -137,68 +132,67 @@ func TestReduceQuantizedBoundedError(t *testing.T) {
 // error is purely representational, never path-dependent.
 func TestReduceQuantizedPathsBitIdentical(t *testing.T) {
 	kinds := []trace.ReduceKind{trace.Sum, trace.Max, trace.WeightedSum}
-	for _, prec := range []kernels.Precision{kernels.INT8, kernels.FP16} {
-		for _, vecLen := range diffVecLens {
-			const rows = 701
-			spec := trace.ModelSpec{Name: "cons", Tables: []trace.TableSpec{
-				{Name: "t0", Rows: rows, VecLen: vecLen, Pooling: 8, Prob: 1, Skew: 1.1},
-			}}
-			l, err := NewLayer(spec)
-			if err != nil {
+	const prec = kernels.INT8
+	for _, vecLen := range diffVecLens {
+		const rows = 701
+		spec := trace.ModelSpec{Name: "cons", Tables: []trace.TableSpec{
+			{Name: "t0", Rows: rows, VecLen: vecLen, Pooling: 8, Prob: 1, Skew: 1.1},
+		}}
+		l, err := NewLayer(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.SetPrecision(prec); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(vecLen)*17 + 2))
+		var ops []trace.Op
+		for _, kind := range kinds {
+			op := trace.Op{Table: 0, Kind: kind, Indices: make([]int64, 40)}
+			for i := range op.Indices {
+				op.Indices[i] = rng.Int63n(rows)
+			}
+			if kind == trace.WeightedSum {
+				op.Weights = make([]float32, len(op.Indices))
+				for i := range op.Weights {
+					op.Weights[i] = rng.Float32()
+				}
+			}
+			ops = append(ops, op)
+		}
+		var scr Scratch
+		base := make([][]float32, len(ops))
+		for i, op := range ops {
+			// Scalar reference over the QuantTable: decode each row
+			// (canonical bits) and accumulate with textbook loops.
+			want := scalarReduceRef(l.Table(0), op)
+			got := make([]float32, vecLen)
+			if err := l.ReduceInto(got, op, &scr); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.SetPrecision(prec); err != nil {
-				t.Fatal(err)
+			if !bitsEqual(got, want) {
+				t.Fatalf("%v vecLen=%d op %d: fused path != scalar decode reference", prec, vecLen, i)
 			}
-			rng := rand.New(rand.NewSource(int64(vecLen)*17 + int64(prec)))
-			var ops []trace.Op
-			for _, kind := range kinds {
-				op := trace.Op{Table: 0, Kind: kind, Indices: make([]int64, 40)}
-				for i := range op.Indices {
-					op.Indices[i] = rng.Int63n(rows)
-				}
-				if kind == trace.WeightedSum {
-					op.Weights = make([]float32, len(op.Indices))
-					for i := range op.Weights {
-						op.Weights[i] = rng.Float32()
-					}
-				}
-				ops = append(ops, op)
-			}
-			var scr Scratch
-			base := make([][]float32, len(ops))
+			base[i] = got
+		}
+		cache, err := NewRowCache(1<<20, vecLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AttachRowCache(cache); err != nil {
+			t.Fatal(err)
+		}
+		for pass, name := range []string{"cold-cache", "warm-cache"} {
 			for i, op := range ops {
-				// Scalar reference over the QuantTable: decode each row
-				// (canonical bits) and accumulate with textbook loops.
-				want := scalarReduceRef(l.Table(0), op)
 				got := make([]float32, vecLen)
 				if err := l.ReduceInto(got, op, &scr); err != nil {
 					t.Fatal(err)
 				}
-				if !bitsEqual(got, want) {
-					t.Fatalf("%v vecLen=%d op %d: fused path != scalar decode reference", prec, vecLen, i)
+				if stats.MaxULPDistance(got, base[i]) != 0 {
+					t.Fatalf("%v vecLen=%d op %d: %s pass diverged from uncached", prec, vecLen, i, name)
 				}
-				base[i] = got
 			}
-			cache, err := NewRowCache(1<<20, vecLen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := l.AttachRowCache(cache); err != nil {
-				t.Fatal(err)
-			}
-			for pass, name := range []string{"cold-cache", "warm-cache"} {
-				for i, op := range ops {
-					got := make([]float32, vecLen)
-					if err := l.ReduceInto(got, op, &scr); err != nil {
-						t.Fatal(err)
-					}
-					if stats.MaxULPDistance(got, base[i]) != 0 {
-						t.Fatalf("%v vecLen=%d op %d: %s pass diverged from uncached", prec, vecLen, i, name)
-					}
-				}
-				_ = pass
-			}
+			_ = pass
 		}
 	}
 }
@@ -211,25 +205,24 @@ func TestQuantTableRowCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prec := range []kernels.Precision{kernels.INT8, kernels.FP16} {
-		qt, err := NewQuantTable(src, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw := make([]float32, 48)
-		want := make([]float32, 48)
-		got := make([]float32, 48)
-		buf := make([]byte, prec.RowBytes(48))
-		rng := rand.New(rand.NewSource(9))
-		for trial := 0; trial < 200; trial++ {
-			i := rng.Int63n(10000)
-			src.Row(i, raw)
-			kernels.EncodeRow(prec, buf, raw)
-			kernels.DecodeRow(prec, want, buf)
-			qt.Row(i, got)
-			if !bitsEqual(got, want) {
-				t.Fatalf("%v row %d: QuantTable.Row != Decode(Encode(src))", prec, i)
-			}
+	const prec = kernels.INT8
+	qt, err := NewQuantTable(src, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]float32, 48)
+	want := make([]float32, 48)
+	got := make([]float32, 48)
+	buf := make([]byte, prec.RowBytes(48))
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		i := rng.Int63n(10000)
+		src.Row(i, raw)
+		kernels.EncodeRow(prec, buf, raw)
+		kernels.DecodeRow(prec, want, buf)
+		qt.Row(i, got)
+		if !bitsEqual(got, want) {
+			t.Fatalf("%v row %d: QuantTable.Row != Decode(Encode(src))", prec, i)
 		}
 	}
 	if _, err := NewQuantTable(src, kernels.FP32); err == nil {
@@ -399,5 +392,4 @@ func (t *memTable) Row(i int64, dst []float32) []float32 {
 }
 
 func BenchmarkReduceQuantFP32(b *testing.B) { benchReduceQuant(b, kernels.FP32) }
-func BenchmarkReduceQuantFP16(b *testing.B) { benchReduceQuant(b, kernels.FP16) }
 func BenchmarkReduceQuantINT8(b *testing.B) { benchReduceQuant(b, kernels.INT8) }

@@ -240,7 +240,7 @@ func (r *decliningStore) CanonicalColdRow(ti int, idx int64, dst []float32) {
 // one path and read back under the other.
 func TestColdFallbackMatchesHealthyRead(t *testing.T) {
 	const rows, vecLen, coldFrom = 400, 16, 100
-	precs := []kernels.Precision{kernels.FP32, kernels.FP16, kernels.INT8}
+	precs := []kernels.Precision{kernels.FP32, kernels.INT8}
 	op := trace.Op{Table: 0, Kind: trace.WeightedSum}
 	for i := int64(0); i < 24; i++ {
 		op.Indices = append(op.Indices, (i*37+5)%rows) // both sides of coldFrom

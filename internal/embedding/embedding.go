@@ -6,7 +6,7 @@
 // Production tables reach billions of parameters, so the default Table is
 // procedural: row values are derived deterministically from (table, row,
 // element) with a splitmix-style hash, giving reproducible "stored" data
-// with zero resident memory; QuantTable re-backs one at FP16 or INT8.
+// with zero resident memory; QuantTable re-backs one at INT8.
 package embedding
 
 import (
@@ -106,7 +106,7 @@ type coldRoute struct {
 type Layer struct {
 	tables []Table
 	// prec is the backing-store precision: FP32 serves tables as-is,
-	// FP16/INT8 wrap them in QuantTables (SetPrecision). The RowCache
+	// INT8 wraps them in QuantTables (SetPrecision). The RowCache
 	// always holds dequantized fp32 rows regardless.
 	prec kernels.Precision
 	// cache, when attached, memoizes materialized rows so hot rows are
@@ -138,7 +138,7 @@ func NewLayer(spec trace.ModelSpec) (*Layer, error) {
 	return l, nil
 }
 
-// SetPrecision re-backs every table at prec: FP16/INT8 wrap the tables
+// SetPrecision re-backs every table at prec: INT8 wraps the tables
 // in quantized backing (QuantTable), FP32 unwraps back to the originals.
 // After this, every read path serves the canonical quantize-dequantize
 // value, and ReduceInto accumulates misses straight from the quantized
@@ -373,7 +373,7 @@ func (l *Layer) accumulate(dst, row []float32, op trace.Op, k int) {
 // hit serves the resident fp32 (dequantized) row, cold-placed rows read
 // through the cold tier, and everything else accumulates straight from
 // the quantized codes with the fused dequantize-scale-accumulate kernels.
-// The fused lane expression is the one Row/DecodeI8/DecodeF16 use, so the
+// The fused lane expression is the one Row/DecodeI8 use, so the
 // hit, cold and fused paths agree bit-for-bit; a cold-placed row is the
 // cold tier's value whether or not its device answers (readCold).
 func (l *Layer) reduceQuantRow(dst []float32, op trace.Op, k int, idx int64, qt *QuantTable, row []float32) {
@@ -389,41 +389,21 @@ func (l *Layer) reduceQuantRow(dst []float32, op trace.Op, k int, idx int64, qt 
 		l.accumulate(dst, row, op, k)
 		return
 	}
-	if qt.prec == kernels.INT8 {
-		q, scale, zero := qt.rowI8(idx)
-		switch op.Kind {
-		case trace.Sum:
-			kernels.AddI8(dst, q, scale, zero)
-		case trace.Max:
-			if k == 0 {
-				kernels.DecodeI8(dst, q, scale, zero)
-			} else {
-				kernels.MaxI8(dst, q, scale, zero)
-			}
-		default: // trace.WeightedSum
-			kernels.AxpyI8(dst, q, op.Weights[k], scale, zero)
-		}
-		if l.cache != nil {
-			kernels.DecodeI8(row, q, scale, zero)
-			l.cache.Put(ti, idx, row)
-		}
-		return
-	}
-	q := qt.rowF16(idx)
+	q, scale, zero := qt.rowI8(idx)
 	switch op.Kind {
 	case trace.Sum:
-		kernels.AddF16(dst, q)
+		kernels.AddI8(dst, q, scale, zero)
 	case trace.Max:
 		if k == 0 {
-			kernels.DecodeF16(dst, q)
+			kernels.DecodeI8(dst, q, scale, zero)
 		} else {
-			kernels.MaxF16(dst, q)
+			kernels.MaxI8(dst, q, scale, zero)
 		}
 	default: // trace.WeightedSum
-		kernels.AxpyF16(dst, q, op.Weights[k])
+		kernels.AxpyI8(dst, q, op.Weights[k], scale, zero)
 	}
 	if l.cache != nil {
-		kernels.DecodeF16(row, q)
+		kernels.DecodeI8(row, q, scale, zero)
 		l.cache.Put(ti, idx, row)
 	}
 }

@@ -32,7 +32,7 @@ type Region struct {
 	FixedCycles float64
 	// Compression is the region's storage-precision ratio: fp32 row bytes
 	// divided by encoded row bytes for rows resident in this region (e.g.
-	// ~3.5 for int8 with its per-row header, 2 for fp16). It acts as a
+	// ~3.5 for int8 with its per-row header). It acts as a
 	// capacity multiplier — the region holds Compression× more logical
 	// fp32 bytes — and a bandwidth divisor on gathered load, because the
 	// encoded bytes are what cross the region's data path. Zero means

@@ -2,12 +2,12 @@ package stats
 
 import "math"
 
-// Error-bound helpers for the differential-accuracy suites: the quantized
-// (int8/fp16) data-plane paths are not bit-identical to the fp32
-// reference, so their tests assert bounded error instead. These helpers
-// give the two standard distances — worst-case absolute/relative error in
-// float64, and ULP distance for "how many representable float32 values
-// apart" (0 meaning bit-identical up to signed zero).
+// Error-bound helpers for the differential-accuracy suites: the int8
+// data-plane paths are not bit-identical to the fp32 reference, so their
+// tests assert bounded error instead. These helpers give the two standard
+// distances — worst-case absolute error in float64, and ULP distance for
+// "how many representable float32 values apart" (0 meaning bit-identical
+// up to signed zero).
 
 // MaxAbsError returns the largest |got[i]-want[i]| over both slices,
 // computed in float64. Panics if the lengths differ. NaN in either input
@@ -24,35 +24,6 @@ func MaxAbsError(got, want []float32) float64 {
 		if math.IsNaN(d) {
 			return math.Inf(1)
 		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// MaxRelError returns the largest |got[i]-want[i]| / |want[i]| over both
-// slices. Elements with want[i] == 0 contribute 0 when got[i] is also 0
-// and +Inf otherwise. Panics if the lengths differ; NaN anywhere yields
-// +Inf.
-func MaxRelError(got, want []float32) float64 {
-	if len(got) != len(want) {
-		panic("stats: MaxRelError length mismatch")
-	}
-	m := 0.0
-	for i := range got {
-		g, w := float64(got[i]), float64(want[i])
-		d := math.Abs(g - w)
-		if math.IsNaN(d) {
-			return math.Inf(1)
-		}
-		if d == 0 {
-			continue
-		}
-		if w == 0 {
-			return math.Inf(1)
-		}
-		d /= math.Abs(w)
 		if d > m {
 			m = d
 		}

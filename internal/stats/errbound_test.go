@@ -27,18 +27,6 @@ func TestMaxAbsError(t *testing.T) {
 	MaxAbsError([]float32{1}, []float32{1, 2})
 }
 
-func TestMaxRelError(t *testing.T) {
-	if e := MaxRelError([]float32{1.1, 4}, []float32{1, 4}); math.Abs(e-0.1) > 1e-6 {
-		t.Errorf("MaxRelError = %v, want ~0.1", e)
-	}
-	if e := MaxRelError([]float32{0, 0}, []float32{0, 0}); e != 0 {
-		t.Errorf("zero MaxRelError = %v", e)
-	}
-	if e := MaxRelError([]float32{1}, []float32{0}); !math.IsInf(e, 1) {
-		t.Errorf("got!=0 want==0 MaxRelError = %v, want +Inf", e)
-	}
-}
-
 func TestULPDistance(t *testing.T) {
 	cases := []struct {
 		a, b float32

@@ -90,9 +90,9 @@ type (
 	ReCrossConfig = core.Config
 	// Profile carries the offline access statistics the partitioners use.
 	Profile = partition.Profile
-	// Precision selects an embedding row storage format: FP32 (native),
-	// FP16 (IEEE binary16) or INT8 (per-row affine quantization with an
-	// 8-byte scale/zero-point header).
+	// Precision selects an embedding row storage format: FP32 (native) or
+	// INT8 (per-row affine quantization with an 8-byte scale/zero-point
+	// header).
 	Precision = kernels.Precision
 
 	// ColdTierConfig configures the flash-backed cold tier (Config.Cold):
@@ -212,11 +212,10 @@ const (
 // Row storage precisions (Config.Precision, ColdTierConfig.Precision).
 const (
 	FP32 = kernels.FP32
-	FP16 = kernels.FP16
 	INT8 = kernels.INT8
 )
 
-// ParsePrecision parses "fp32", "fp16" or "int8".
+// ParsePrecision parses "fp32" or "int8".
 func ParsePrecision(s string) (Precision, error) { return kernels.ParsePrecision(s) }
 
 // CriteoKaggle returns the 26-table Criteo Kaggle workload spec.
@@ -882,14 +881,16 @@ func (cs *ClusterServer) closeNodes() error {
 	return errors.Join(errs...)
 }
 
-// serveLoopback serves srv's binary wire on a fresh 127.0.0.1 port. It
-// returns the bound address and a close that stops the listener and
-// waits for Serve to return.
+// serveLoopback serves srv's binary wire on a fresh 127.0.0.1 port and
+// publishes the listener's recross_cluster_wire_*{role="server"} series
+// on srv's /metrics. It returns the bound address and a close that stops
+// the listener and waits for Serve to return.
 func serveLoopback(srv *Server) (string, func() error, error) {
 	bs, err := NewBinServer(srv)
 	if err != nil {
 		return "", nil, err
 	}
+	bs.RegisterMetrics(srv.MetricSet())
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"recross/internal/arch"
 	"recross/internal/core"
+	"recross/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the root testdata/*.golden files from the current tree")
@@ -26,8 +28,11 @@ func goldenCold() *ColdTierConfig {
 // TestRunStatsGolden holds every architecture's timing model to
 // testdata/runstats.golden: the full RunStats — cycles, every DRAM counter
 // and per-bank slice, ops, hits, node loads, imbalance, op percentiles,
-// energy and the cold counters — of four batches per case. A change that
-// means to move a simulated number re-records with -update and says why.
+// energy, the cold counters and the binding term — of four batches per
+// case. A change that means to move a simulated number re-records with
+// -update and says why. Every batch's Bound must name the term equal to
+// Cycles, with no consumer finishing and no cold phase ending after it,
+// and a batch that spills to flash must be cold-bound.
 func TestRunStatsGolden(t *testing.T) {
 	base := Config{Spec: goldenSpec(), ProfileSamples: 300, Batch: 8}
 	type goldenCase struct {
@@ -87,6 +92,7 @@ func TestRunStatsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", c.name, i, err)
 			}
+			checkBound(t, fmt.Sprintf("%s/%d", c.name, i), rs)
 			js, err := json.Marshal(rs)
 			if err != nil {
 				t.Fatal(err)
@@ -118,5 +124,30 @@ func TestRunStatsGolden(t *testing.T) {
 		if gl[i] != wl[i] {
 			t.Errorf("line %d differs from %s (re-record with -update if intended)\n got: %s\nwant: %s", i+1, path, gl[i], wl[i])
 		}
+	}
+}
+
+// checkBound holds one batch's binding term to its definition: Bound
+// names the term equal to Cycles, no consumer's last gather and no cold
+// phase ends after Cycles, and a batch that gathers from flash is bound
+// by the flash (every spilled Kaggle batch is: one device page read per
+// cold gather costs far more than the whole DRAM drain).
+func checkBound(t *testing.T, name string, rs *RunStats) {
+	t.Helper()
+	term := map[arch.Term]sim.Cycle{arch.DrainTerm: rs.Drain, arch.FloorTerm: rs.BusFloor, arch.ColdTerm: rs.ColdCycles}
+	if v, ok := term[rs.Bound]; !ok || v != rs.Cycles {
+		t.Errorf("%s: Bound %q is %d cycles, Cycles %d (drain %d, bus floor %d, cold %d)",
+			name, rs.Bound, v, rs.Cycles, rs.Drain, rs.BusFloor, rs.ColdCycles)
+	}
+	for c, f := range rs.Finish {
+		if f > rs.Cycles {
+			t.Errorf("%s: consumer %d finishes at %d, after Cycles %d", name, c, f, rs.Cycles)
+		}
+	}
+	if rs.ColdCycles > rs.Cycles {
+		t.Errorf("%s: ColdCycles %d after Cycles %d", name, rs.ColdCycles, rs.Cycles)
+	}
+	if rs.ColdLookups > 0 && rs.Bound != arch.ColdTerm {
+		t.Errorf("%s: %d cold gathers, but bound by %q (cold %d of %d cycles)", name, rs.ColdLookups, rs.Bound, rs.ColdCycles, rs.Cycles)
 	}
 }
